@@ -16,8 +16,8 @@ import numpy as np
 
 from .amr import FlagField, FlaggingStrategy
 from .equations import EquationSet
-from .geometry import (Patch, PatchHierarchy, UniformField,
-                       interpolate_uniform)
+from .geometry import (Patch, PatchHierarchy, UniformField, apply_stencil,
+                       field_stencil, interpolate_uniform)
 from .solver import BoundarySpec, integrate_patch, sample_patch_material
 
 
@@ -234,13 +234,14 @@ def inner_product_field(patch: Patch, t: float, store: AdjointSnapshotStore,
     if spec.ndim == 1:
         x, y = cs[0], None
     else:
-        x = np.broadcast_to(cs[0][:, None], spec.shape)
-        y = np.broadcast_to(cs[1][None, :], spec.shape)
+        x, y = cs[0][:, None], cs[1][None, :]
+    stencil = field_stencil(store.grid, x, y)     # every snapshot shares the grid
     q = patch.interior()
     best = np.zeros(spec.shape)
     for n in query_window_times(t, window, store):
-        qhat = interpolate_uniform(store.fields[n], x, y)
-        best = np.maximum(best, np.abs(np.sum(qhat * q, axis=0)))
+        qhat = apply_stencil(stencil, store.fields[n].values)
+        qhat *= q
+        np.maximum(best, np.abs(np.sum(qhat, axis=0)), out=best)
     if hasattr(patch.aux, "wet"):
         best = np.where(patch.aux.wet[spec.interior_slices()], best, 0.0)
     dry = _adjoint_dry_at(store, x, y) if spec.ndim == 2 else None

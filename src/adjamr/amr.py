@@ -470,6 +470,7 @@ class AmrContext:
     step_counts: dict = field(default_factory=dict)
     cell_steps: dict = field(default_factory=dict)
     flagged_per_regrid: list = field(default_factory=list)
+    rebuilt_at: dict = field(default_factory=dict)   # level -> parent time of last rebuild
     on_level_advanced: object = None      # callback(hierarchy, level, t)
 
     def count_step(self, level: int, cells: int):
@@ -504,7 +505,6 @@ def make_patch(hierarchy: PatchHierarchy, level: int,
 def _fill_interior_from_parent(patch: Patch, hierarchy: PatchHierarchy, t: float):
     """Space(-time) interpolation of a new patch's interior from its parents."""
     spec = patch.spec
-    ratio = hierarchy.ratio_to_finer(spec.level - 1)
     g = spec.ghost_width
     ranges = [np.arange(spec.lo[a], spec.hi[a] + 1) for a in range(spec.ndim)]
     if spec.ndim == 1:
@@ -512,21 +512,9 @@ def _fill_interior_from_parent(patch: Patch, hierarchy: PatchHierarchy, t: float
     else:
         ii, jj = np.meshgrid(ranges[0], ranges[1], indexing="ij")
         idx = (ii.ravel(), jj.ravel())
-    centers = tuple(hierarchy.origin[a] + (idx[a] + 0.5) * spec.widths[a]
-                    for a in range(spec.ndim))
-    coarse_idx = tuple(i // ratio for i in idx)
-    filled = np.zeros(idx[0].shape, dtype=bool)
     vals = np.zeros((patch.num_components, *idx[0].shape))
-    for cp in hierarchy.patches(spec.level - 1):
-        inside = np.ones_like(filled)
-        for a in range(spec.ndim):
-            inside &= (coarse_idx[a] >= cp.spec.lo[a]) & (coarse_idx[a] <= cp.spec.hi[a])
-        inside &= ~filled
-        if not inside.any():
-            continue
-        pts = tuple(c[inside] for c in centers)
+    for cp, inside, pts in solver.split_among_parents(hierarchy, spec, idx):
         vals[:, inside] = solver.space_time_interp(cp, pts, t)
-        filled |= inside
     if spec.ndim == 1:
         patch.state[:, g:-g] = vals
     else:
@@ -564,6 +552,7 @@ def regrid(hierarchy: PatchHierarchy, level: int, ctx: AmrContext,
             while len(hierarchy.levels) < lev:
                 hierarchy.levels.append([])
             hierarchy.levels[lev - 1] = []
+            ctx.rebuilt_at.pop(lev, None)
             continue
         t = parents[0].time
         fill_level_ghosts(hierarchy, parent, t, ctx)
@@ -597,6 +586,7 @@ def regrid(hierarchy: PatchHierarchy, level: int, ctx: AmrContext,
         while len(hierarchy.levels) < lev:
             hierarchy.levels.append([])
         hierarchy.levels[lev - 1] = new_patches
+        ctx.rebuilt_at[lev] = t
 
 
 def advance_hierarchy(hierarchy: PatchHierarchy, level: int, dt: float,
@@ -605,14 +595,17 @@ def advance_hierarchy(hierarchy: PatchHierarchy, level: int, dt: float,
 
     Regrids child levels every `regrid_interval` steps of this level, fills
     ghosts before stepping, saves the pre-step state for child space-time
-    interpolation, and restricts children back afterwards.
+    interpolation, and restricts children back afterwards.  A child level
+    already rebuilt at this level's current time (by the parent's regrid,
+    from the same data) is not rebuilt again.
     """
     count = ctx.step_counts.get(level, 0)
+    patches = hierarchy.patches(level)
     if (level < hierarchy.max_levels and count > 0
-            and count % ctx.regrid_interval == 0):
+            and count % ctx.regrid_interval == 0
+            and not (patches and ctx.rebuilt_at.get(level + 1) == patches[0].time)):
         regrid(hierarchy, level + 1, ctx)
 
-    patches = hierarchy.patches(level)
     if not patches:
         return
     t = patches[0].time

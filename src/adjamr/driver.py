@@ -18,7 +18,7 @@ from .amr import (AmrContext, DifferenceFlagging, EverywhereFlagging,
 from .adjoint import AdjointFlagging, AdjointSnapshotStore, ConfigurationError
 from .config import (RunConfig, build_equation, build_initial,
                      standing_mode_solution)
-from .geometry import PatchHierarchy
+from .geometry import PatchHierarchy, apply_stencil, field_stencil
 from .runio import (GaugeSeries, TimingReport, record_gauge, save_store,
                     write_gauge, write_snapshot, write_timing)
 from .solver import select_dt
@@ -146,7 +146,7 @@ def run_forward(cfg: RunConfig, strategy_name: str | None = None,
             if snap_dir is not None:
                 name = f"snap_{len(index_lines):04d}.txt"
                 write_snapshot(h, os.path.join(snap_dir, name))
-                index_lines.append(f"{name} {t_out!r}")
+                index_lines.append(f"{name} {float(t_out):.17g}")
                 result.snapshot_paths.append(os.path.join(snap_dir, name))
 
     wall0 = _time.perf_counter()
@@ -230,6 +230,7 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
     patch = h.patches(1)[0]
     xs, = patch.spec.cell_centers()
     window = cfg.window()
+    stencil = field_stencil(store.grid, xs)
 
     times = []
     mq, mqh, mi = [], [], []
@@ -243,7 +244,7 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
         qhat_norm = np.zeros(xs.shape)
         inner = np.zeros(xs.shape)
         for n in idxs:
-            qhat = adj.interpolate_uniform(store.fields[n], xs)
+            qhat = apply_stencil(stencil, store.fields[n].values)
             qhat_norm = np.maximum(qhat_norm, np.sum(np.abs(qhat), axis=0))
             inner = np.maximum(inner, np.abs(np.sum(qhat * q, axis=0)))
         mqh.append(qhat_norm >= threshold)

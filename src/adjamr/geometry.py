@@ -111,6 +111,7 @@ class Patch:
         self.aux = None
         self.state_old: np.ndarray | None = None
         self.time_old: float | None = None
+        self.coarse_ghost_plan = None     # solver.CoarseGhostPlan, built on first fill
 
     @property
     def num_components(self) -> int:
@@ -260,6 +261,83 @@ def _axis_weights(coord: np.ndarray, origin: float, width: float, n: int):
     return i0, w
 
 
+@dataclass(frozen=True)
+class Stencil:
+    """Clamped bi/linear interpolation weights for one set of sample points.
+
+    `flat` holds the corner indices into the data viewed as (m, cells): two
+    corners (lower, upper) in 1D, four (00, 10, 01, 11) in 2D.  `cx`/`cy` are
+    1 - `wx`/`wy`.  Weights and indices share the points' shape, or broadcast
+    to it when the points are a product of 1-D axes.  One stencil applies to
+    every array of the shape it was built for.
+    """
+
+    flat: tuple[np.ndarray, ...]
+    wx: np.ndarray
+    cx: np.ndarray
+    wy: np.ndarray | None = None
+    cy: np.ndarray | None = None
+
+
+def build_stencil(x: np.ndarray, y: np.ndarray | None, lo_phys: tuple[float, ...],
+                  widths: tuple[float, ...], n: tuple[int, ...],
+                  total_shape: tuple[int, ...] | None = None,
+                  offset: int = 0) -> Stencil:
+    """Stencil sampling `n` cells whose first cell starts at `lo_phys`.
+
+    Those cells sit `offset` cells into every axis of data whose per-axis
+    extent is `total_shape` (default `n`), so a stencil can read a patch's
+    interior without copying it out of the ghosted array.
+    """
+    total_shape = n if total_shape is None else total_shape
+    i0, wx = _axis_weights(np.asarray(x, dtype=float), lo_phys[0], widths[0], n[0])
+    i1 = np.minimum(i0 + 1, n[0] - 1)
+    if len(n) == 1:
+        return Stencil(flat=(i0 + offset, i1 + offset), wx=wx, cx=1.0 - wx)
+    j0, wy = _axis_weights(np.asarray(y, dtype=float), lo_phys[1], widths[1], n[1])
+    j1 = np.minimum(j0 + 1, n[1] - 1)
+    r0 = (i0 + offset) * total_shape[1] + offset
+    r1 = (i1 + offset) * total_shape[1] + offset
+    return Stencil(flat=(r0 + j0, r1 + j0, r0 + j1, r1 + j1),
+                   wx=wx, cx=1.0 - wx, wy=wy, cy=1.0 - wy)
+
+
+def apply_stencil(stencil: Stencil, data: np.ndarray) -> np.ndarray:
+    """Interpolated values, shape (m, *points); data is (m, *total_shape)."""
+    # in place, but in the operation order of  v00*cx*cy + v10*wx*cy + ...
+    v = data.reshape(data.shape[0], -1)
+    s = stencil
+    weights = (((s.cx,), (s.wx,)) if s.wy is None
+               else ((s.cx, s.cy), (s.wx, s.cy), (s.cx, s.wy), (s.wx, s.wy)))
+    out = None
+    for flat, ws in zip(s.flat, weights):
+        term = v.take(flat, axis=1).astype(float, copy=False)
+        for w in ws:
+            term *= w
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
+def field_stencil(field: UniformField, x: np.ndarray,
+                  y: np.ndarray | None = None) -> Stencil:
+    """Stencil over a uniform field's grid; points must lie in its domain."""
+    x = np.asarray(x, dtype=float)
+    lo = field.origin
+    hi = field.domain_hi()
+    eps = 1e-12 * max(abs(hi[0] - lo[0]), 1.0)
+    if np.any(x < lo[0] - eps) or np.any(x > hi[0] + eps):
+        raise OutOfRangeError("interpolation point outside domain in x")
+    if field.ndim == 2:
+        y = np.asarray(y, dtype=float)
+        if np.any(y < lo[1] - eps) or np.any(y > hi[1] + eps):
+            raise OutOfRangeError("interpolation point outside domain in y")
+    widths = (field.dx,) if field.ndim == 1 else (field.dx, field.dy)
+    return build_stencil(x, y, lo, widths, field.shape)
+
+
 def interpolate_uniform(field: UniformField, x: np.ndarray,
                         y: np.ndarray | None = None) -> np.ndarray:
     """Vectorized clamped bi/linear interpolation of a UniformField.
@@ -268,26 +346,7 @@ def interpolate_uniform(field: UniformField, x: np.ndarray,
     physical domain; beyond the outermost cell centers values clamp to the
     boundary row/column.
     """
-    x = np.asarray(x, dtype=float)
-    lo = field.origin
-    hi = field.domain_hi()
-    eps = 1e-12 * max(abs(hi[0] - lo[0]), 1.0)
-    if np.any(x < lo[0] - eps) or np.any(x > hi[0] + eps):
-        raise OutOfRangeError("interpolation point outside domain in x")
-    i0, wx = _axis_weights(x, lo[0], field.dx, field.shape[0])
-    v = field.values
-    if field.ndim == 1:
-        return v[:, i0] * (1.0 - wx) + v[:, np.minimum(i0 + 1, field.shape[0] - 1)] * wx
-    y = np.asarray(y, dtype=float)
-    if np.any(y < lo[1] - eps) or np.any(y > hi[1] + eps):
-        raise OutOfRangeError("interpolation point outside domain in y")
-    j0, wy = _axis_weights(y, lo[1], field.dy, field.shape[1])
-    i1 = np.minimum(i0 + 1, field.shape[0] - 1)
-    j1 = np.minimum(j0 + 1, field.shape[1] - 1)
-    return (v[:, i0, j0] * (1 - wx) * (1 - wy)
-            + v[:, i1, j0] * wx * (1 - wy)
-            + v[:, i0, j1] * (1 - wx) * wy
-            + v[:, i1, j1] * wx * wy)
+    return apply_stencil(field_stencil(field, x, y), field.values)
 
 
 def bilinear_interpolate(field: UniformField, point: tuple[float, ...]) -> np.ndarray:
@@ -299,32 +358,26 @@ def bilinear_interpolate(field: UniformField, point: tuple[float, ...]) -> np.nd
     return out[:, 0]
 
 
+def patch_stencil(spec: PatchSpec, x: np.ndarray, y: np.ndarray | None = None,
+                  interior_only: bool = False) -> Stencil:
+    """Stencil over one patch's state array (interior plus ghosts)."""
+    g = 0 if interior_only else spec.ghost_width
+    lo_phys = tuple(spec.origin[a] + (spec.lo[a] - g) * spec.widths[a]
+                    for a in range(spec.ndim))
+    n = tuple(s + 2 * g for s in spec.shape)
+    return build_stencil(x, y, lo_phys, spec.widths, n, spec.total_shape,
+                         offset=spec.ghost_width - g)
+
+
 def interpolate_patch(patch: Patch, x: np.ndarray, y: np.ndarray | None = None,
-                      use_old: bool = False, interior_only: bool = False) -> np.ndarray:
+                      interior_only: bool = False) -> np.ndarray:
     """Clamped bi/linear interpolation against one patch's cell data.
 
     The stencil may reach into the patch's ghost cells unless `interior_only`
     is set, in which case it clamps at the interior edge (used for gauges,
     where ghost values can be stale).
     """
-    spec = patch.spec
-    g = 0 if interior_only else spec.ghost_width
-    data = patch.state_old if use_old else patch.state
-    if interior_only:
-        data = data[(slice(None), *spec.interior_slices())]
-    lo_phys = tuple(spec.origin[a] + (spec.lo[a] - g) * spec.widths[a]
-                    for a in range(spec.ndim))
-    n = tuple(s + 2 * g for s in spec.shape)
-    i0, wx = _axis_weights(np.asarray(x, dtype=float), lo_phys[0], spec.dx, n[0])
-    if spec.ndim == 1:
-        return data[:, i0] * (1 - wx) + data[:, np.minimum(i0 + 1, n[0] - 1)] * wx
-    j0, wy = _axis_weights(np.asarray(y, dtype=float), lo_phys[1], spec.dy, n[1])
-    i1 = np.minimum(i0 + 1, n[0] - 1)
-    j1 = np.minimum(j0 + 1, n[1] - 1)
-    return (data[:, i0, j0] * (1 - wx) * (1 - wy)
-            + data[:, i1, j0] * wx * (1 - wy)
-            + data[:, i0, j1] * (1 - wx) * wy
-            + data[:, i1, j1] * wx * wy)
+    return apply_stencil(patch_stencil(patch.spec, x, y, interior_only), patch.state)
 
 
 @dataclass(frozen=True)
@@ -388,7 +441,3 @@ def enforce_nesting(hierarchy: PatchHierarchy) -> list[NestingViolation]:
                 violations.append(NestingViolation(level, idx, cells))
     return violations
 
-
-def patches_overlap(a: PatchSpec, b: PatchSpec) -> bool:
-    return all(al <= bh and bl <= ah
-               for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi))

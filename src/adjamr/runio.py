@@ -21,6 +21,10 @@ class SnapshotFormatError(ValueError):
     """Malformed snapshot file; message carries the byte offset."""
 
 
+class StoreFormatError(ValueError):
+    """Malformed adjoint store index; message names the file and the key."""
+
+
 class GaugeComparisonError(ValueError):
     """Gauge series cannot be compared (no overlapping time range)."""
 
@@ -170,23 +174,33 @@ def load_store(directory: str) -> AdjointSnapshotStore:
     t_start = t_final = None
     origin = None
     entries = []
-    wet = None
+    wet = wet_name = None
     with open(index) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             key, _, val = line.partition("=")
             key = key.strip()
             toks = val.split()
-            if key == "t_start":
-                t_start = float(toks[0])
-            elif key == "t_final":
-                t_final = float(toks[0])
-            elif key == "origin":
-                origin = tuple(float(v) for v in toks)
-            elif key == "snapshot":
-                entries.append((toks[0], float(toks[1])))
-            elif key == "wet_mask":
-                rec = read_uniform_field(os.path.join(directory, toks[0]))
-                wet = rec.values[0] > 0.5
+            try:
+                if key == "t_start":
+                    t_start = float(toks[0])
+                elif key == "t_final":
+                    t_final = float(toks[0])
+                elif key == "origin":
+                    origin = tuple(float(v) for v in toks)
+                elif key == "snapshot":
+                    entries.append((toks[0], float(toks[1])))
+                elif key == "wet_mask":
+                    wet_name = toks[0]
+            except (IndexError, ValueError):
+                raise StoreFormatError(
+                    f"{index}:{lineno}: malformed {key!r} entry") from None
+    for key, value in (("t_start", t_start), ("t_final", t_final), ("origin", origin)):
+        if value is None:
+            raise StoreFormatError(f"{index}: missing {key!r}")
+    if not entries:
+        raise StoreFormatError(f"{index}: no 'snapshot' entries")
+    if wet_name is not None:
+        wet = read_uniform_field(os.path.join(directory, wet_name)).values[0] > 0.5
     fields = []
     times = []
     for name, t in entries:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import EquationSet, SweMaterial
-from .geometry import Patch, PatchHierarchy, interpolate_patch
+from .geometry import (Patch, PatchHierarchy, PatchSpec, Stencil, apply_stencil,
+                       patch_stencil)
 
 LIMITERS = ("none", "minmod", "MC", "superbee")
 
@@ -224,65 +225,105 @@ def fill_ghost_same_level(patch: Patch, level_patches: list[Patch]):
         patch.state[(slice(None), *dst)] = other.state[(slice(None), *src)]
 
 
-def fill_ghost_from_coarse(fine_patch: Patch, hierarchy: PatchHierarchy, t: float):
-    """Fill in-domain ghosts by bilinear-in-space, linear-in-time interpolation.
+def split_among_parents(hierarchy: PatchHierarchy, spec: PatchSpec, idx):
+    """Hand fine cells to the parent-level patches whose interiors hold them.
 
-    Coarse patches must hold a saved (time_old, state_old) pair bracketing t;
-    anything else is a driver scheduling bug.
+    `idx` are global cell indices on `spec.level`.  Yields (coarse patch,
+    selection mask over idx, cell-center points of the selection); a cell
+    inside two parents goes to the lower patch index.
     """
-    spec = fine_patch.spec
-    level = spec.level
-    if level < 2:
-        return
-    ratio = hierarchy.ratio_to_finer(level - 1)
-    g = spec.ghost_width
-    shape = hierarchy.level_shape(level)
-
-    idx = _ghost_indices(spec)
-    in_dom = np.ones(idx[0].shape, dtype=bool)
-    for a in range(spec.ndim):
-        in_dom &= (idx[a] >= 0) & (idx[a] < shape[a])
-    if not in_dom.any():
-        return
-    idx = tuple(i[in_dom] for i in idx)
+    ratio = hierarchy.ratio_to_finer(spec.level - 1)
     centers = tuple(hierarchy.origin[a] + (idx[a] + 0.5) * spec.widths[a]
                     for a in range(spec.ndim))
     coarse_idx = tuple(i // ratio for i in idx)
-
     filled = np.zeros(idx[0].shape, dtype=bool)
-    for cp in hierarchy.patches(level - 1):
+    for cp in hierarchy.patches(spec.level - 1):
         inside = np.ones_like(filled)
         for a in range(spec.ndim):
             inside &= (coarse_idx[a] >= cp.spec.lo[a]) & (coarse_idx[a] <= cp.spec.hi[a])
         inside &= ~filled
         if not inside.any():
             continue
-        pts = tuple(c[inside] for c in centers)
-        vals = space_time_interp(cp, pts, t)
-        _scatter_ghosts(fine_patch, tuple(i[inside] for i in idx), vals)
+        yield cp, inside, tuple(c[inside] for c in centers)
         filled |= inside
 
 
+@dataclass(frozen=True)
+class CoarseGhostPlan:
+    """Where each in-domain ghost cell of a fine patch reads its parent level.
+
+    `pieces` holds, per contributing parent patch, the ghost cells' local
+    indices into the fine state and the stencil that samples the parent
+    there.  The plan is valid while the parent level
+    consists of exactly the patch objects in `parents`.
+    """
+
+    parents: tuple[Patch, ...]
+    pieces: tuple[tuple[Patch, tuple[np.ndarray, ...], Stencil], ...]
+
+    def matches(self, parents: list[Patch]) -> bool:
+        return (len(parents) == len(self.parents)
+                and all(p is q for p, q in zip(parents, self.parents)))
+
+
+def _coarse_ghost_plan(fine_patch: Patch, hierarchy: PatchHierarchy) -> CoarseGhostPlan:
+    spec = fine_patch.spec
+    parents = tuple(hierarchy.patches(spec.level - 1))
+    shape = hierarchy.level_shape(spec.level)
+    idx = _ghost_indices(spec)
+    in_dom = np.ones(idx[0].shape, dtype=bool)
+    for a in range(spec.ndim):
+        in_dom &= (idx[a] >= 0) & (idx[a] < shape[a])
+    idx = tuple(i[in_dom] for i in idx)
+    g = spec.ghost_width
+    local = tuple(i - (spec.lo[a] - g) for a, i in enumerate(idx))
+    pieces = tuple((cp, tuple(i[inside] for i in local), patch_stencil(cp.spec, *pts))
+                   for cp, inside, pts in split_among_parents(hierarchy, spec, idx))
+    return CoarseGhostPlan(parents=parents, pieces=pieces)
+
+
+def fill_ghost_from_coarse(fine_patch: Patch, hierarchy: PatchHierarchy, t: float):
+    """Fill in-domain ghosts by bilinear-in-space, linear-in-time interpolation.
+
+    Coarse patches must hold a saved (time_old, state_old) pair bracketing t;
+    anything else is a driver scheduling bug.  The ghost-to-parent plan is
+    built on first use and kept on the fine patch until the parent level's
+    patches change.
+    """
+    spec = fine_patch.spec
+    if spec.level < 2:
+        return
+    plan = fine_patch.coarse_ghost_plan
+    if plan is None or not plan.matches(hierarchy.patches(spec.level - 1)):
+        plan = fine_patch.coarse_ghost_plan = _coarse_ghost_plan(fine_patch, hierarchy)
+    for cp, local, stencil in plan.pieces:
+        fine_patch.state[(slice(None), *local)] = space_time_apply(cp, stencil, t)
+
+
 def space_time_interp(coarse: Patch, pts, t: float):
-    x = pts[0]
-    y = pts[1] if len(pts) == 2 else None
+    """Sample a coarse patch at points `pts` ((x,) or (x, y)) and time t."""
+    return space_time_apply(coarse, patch_stencil(coarse.spec, *pts), t)
+
+
+def space_time_apply(coarse: Patch, stencil: Stencil, t: float):
+    """Linear-in-time blend of one spatial stencil on state_old and state."""
     eps = 1e-9 * max(abs(coarse.time), 1.0)
     if coarse.state_old is None or coarse.time_old is None:
         if abs(t - coarse.time) > eps:
             raise SchedulingError(
                 f"coarse patch has no saved state bracketing t={t} (at {coarse.time})")
-        return interpolate_patch(coarse, x, y)
+        return apply_stencil(stencil, coarse.state)
     t0, t1 = coarse.time_old, coarse.time
     if not (t0 - eps <= t <= t1 + eps):
         raise SchedulingError(
             f"t={t} outside coarse bracket [{t0}, {t1}]")
-    v_old = interpolate_patch(coarse, x, y, use_old=True)
+    v_old = apply_stencil(stencil, coarse.state_old)
     if t1 == t0:
         return v_old
     w = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
     if w == 0.0:
         return v_old
-    v_new = interpolate_patch(coarse, x, y)
+    v_new = apply_stencil(stencil, coarse.state)
     return (1.0 - w) * v_old + w * v_new
 
 
@@ -298,16 +339,6 @@ def _ghost_indices(spec):
     interior = ((ii >= spec.lo[0]) & (ii <= spec.hi[0])
                 & (jj >= spec.lo[1]) & (jj <= spec.hi[1]))
     return ii[~interior], jj[~interior]
-
-
-def _scatter_ghosts(patch: Patch, idx, vals):
-    spec = patch.spec
-    g = spec.ghost_width
-    local = tuple(i - (spec.lo[a] - g) for a, i in enumerate(idx))
-    if spec.ndim == 1:
-        patch.state[:, local[0]] = vals
-    else:
-        patch.state[:, local[0], local[1]] = vals
 
 
 # ---------------------------------------------------------------------------

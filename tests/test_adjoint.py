@@ -8,7 +8,7 @@ from adjamr.adjoint import (AdjointFlagging, AdjointSnapshotStore,
                             FunctionalSpec, TimeWindow, build_phi, evaluate_J,
                             inner_product_field, inner_product_flags,
                             query_window_times, solve_adjoint)
-from adjamr.geometry import Patch, PatchHierarchy, UniformField
+from adjamr.geometry import Patch, PatchHierarchy, UniformField, interpolate_uniform
 from adjamr.solver import BoundarySpec, sample_patch_material
 
 
@@ -264,6 +264,87 @@ def test_inner_product_adjoint_dry_location_zero():
     xs = p.spec.cell_centers()[0]
     assert np.all(vals[xs > 0.5] == 0.0)
     assert np.all(vals[xs < 0.5] > 0.0)
+
+
+def per_snapshot_inner_product(patch, t, store, window):
+    """The windowed inner product as one interpolate_uniform call per snapshot."""
+    spec = patch.spec
+    cs = spec.cell_centers()
+    if spec.ndim == 1:
+        x, y = cs[0], None
+    else:
+        x = np.broadcast_to(cs[0][:, None], spec.shape)
+        y = np.broadcast_to(cs[1][None, :], spec.shape)
+    q = patch.interior()
+    best = np.zeros(spec.shape)
+    for n in query_window_times(t, window, store):
+        qhat = interpolate_uniform(store.fields[n], x, y)
+        best = np.maximum(best, np.abs(np.sum(qhat * q, axis=0)))
+    if hasattr(patch.aux, "wet"):
+        best = np.where(patch.aux.wet[spec.interior_slices()], best, 0.0)
+    if store.wet is not None:
+        g = store.grid
+        i = np.clip(((x - g.origin[0]) / g.dx).astype(int), 0, g.shape[0] - 1)
+        j = np.clip(((y - g.origin[1]) / g.dy).astype(int), 0, g.shape[1] - 1)
+        best = np.where(store.wet[i, j], best, 0.0)
+    return best
+
+
+def random_store(rng, m, shape, origin, widths, window, wet=None):
+    times = np.linspace(0.0, window.t_final, 13)
+    fields = [UniformField(values=rng.normal(size=(m, *shape)), origin=origin,
+                           dx=widths[0], dy=widths[1], time=t) for t in times]
+    return AdjointSnapshotStore(times=times, fields=fields, window=window, wet=wet)
+
+
+def refined_patch(eq, h, lo, hi, rng):
+    level_shape = h.level_shape(2)
+    p = Patch(h.make_spec(2, lo, hi), eq.m)
+    sample_patch_material(p, eq, BoundarySpec(), level_shape)
+    p.state[...] = rng.normal(size=p.state.shape)
+    return p
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 0.9, 1.0])
+def test_inner_product_bitwise_equals_per_snapshot_loop_1d(t):
+    rng = np.random.default_rng(1)
+    eq = interface_eq_1d()
+    h = PatchHierarchy(xlim=(-1.0, 1.0), ylim=None, base_shape=(40,), ratios=[2])
+    p = refined_patch(eq, h, (13,), (61,), rng)
+    store = random_store(rng, 2, (29,), (-1.0,), (2.0 / 29, 0.0), TimeWindow(0.4, 1.0))
+    got = inner_product_field(p, t, store, store.window)
+    assert np.array_equal(got, per_snapshot_inner_product(p, t, store, store.window))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 0.9])
+def test_inner_product_bitwise_equals_per_snapshot_loop_2d(t):
+    rng = np.random.default_rng(2)
+    eq = eqs.Acoustics2D(eqs.AcousticsMaterialModel(
+        lambda x, y: np.full_like(x, 4.0), lambda x, y: np.where(x < 0.3, 1.0, 2.0)))
+    h = PatchHierarchy(xlim=(-1.0, 1.0), ylim=(0.0, 3.0), base_shape=(20, 30), ratios=[2])
+    p = refined_patch(eq, h, (6, 10), (33, 47), rng)
+    store = random_store(rng, 3, (17, 23), (-1.0, 0.0), (2.0 / 17, 3.0 / 23),
+                         TimeWindow(0.4, 1.0))
+    got = inner_product_field(p, t, store, store.window)
+    assert np.array_equal(got, per_snapshot_inner_product(p, t, store, store.window))
+
+
+def test_inner_product_bitwise_equals_per_snapshot_loop_swe_dry():
+    rng = np.random.default_rng(3)
+
+    def bathy(x, y):
+        return np.where(np.asarray(x) + 0.5 * np.asarray(y) < 1.2, -10.0, 5.0)
+    eq = eqs.SweLinear2D(eqs.SweMaterialModel(bathy))
+    h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 2.0), base_shape=(20, 20), ratios=[2])
+    p = refined_patch(eq, h, (4, 6), (35, 29), rng)
+    xs = (np.arange(15) + 0.5) * (2.0 / 15)
+    adjoint_wet = bathy(xs[:, None], xs[None, :]) < 0
+    store = random_store(rng, 3, (15, 15), (0.0, 0.0), (2.0 / 15, 2.0 / 15),
+                         TimeWindow(0.0, 1.0), wet=adjoint_wet)
+    got = inner_product_field(p, 0.25, store, store.window)
+    assert not p.aux.wet.all() and not adjoint_wet.all()
+    assert (got == 0.0).any() and (got > 0.0).any()
+    assert np.array_equal(got, per_snapshot_inner_product(p, 0.25, store, store.window))
 
 
 def test_evaluate_J_zero_and_indicator():

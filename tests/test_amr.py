@@ -9,7 +9,7 @@ from adjamr.amr import (AmrContext, DifferenceFlagging,
                         cluster, flag_cells, make_patch, regrid,
                         restrict_fine_to_coarse)
 from adjamr.geometry import Patch, PatchHierarchy, enforce_nesting
-from adjamr.solver import (BoundarySpec, fill_ghost_physical,
+from adjamr.solver import (BoundarySpec, fill_ghost_from_coarse, fill_ghost_physical,
                            sample_patch_material, step_patch)
 
 
@@ -314,6 +314,66 @@ def test_regrid_always_properly_nested_random_states():
             p.state[...] = rng.normal(size=p.state.shape)
         regrid(h, 3, ctx)
         assert enforce_nesting(h) == [], f"trial {trial}"
+
+
+def test_coarse_ghost_fill_never_uses_a_stale_plan():
+    # level 3 keeps its patch while level 2 is replaced under it; the next
+    # fill must read the new level-2 patches exactly as a fresh patch would
+    eq = const_ac2d()
+    ctx = basic_ctx(eq)
+    rng = np.random.default_rng(4)
+    h = PatchHierarchy(xlim=(0.0, 8.0), ylim=(0.0, 8.0),
+                       base_shape=(8, 8), ratios=[2, 2])
+    h.levels = [[make_patch(h, 1, (0, 0), (7, 7), ctx, 0.0)],
+                [make_patch(h, 2, (4, 4), (11, 11), ctx, 0.0)]]
+
+    def fill_level_2(patches, t_old, t_new):
+        for p in patches:
+            p.state[...] = rng.normal(size=p.state.shape)
+            p.time = t_old
+            p.save_old()
+            p.state[...] = rng.normal(size=p.state.shape)
+            p.time = t_new
+        h.levels[1] = patches
+
+    fill_level_2(h.patches(2), 0.0, 0.5)
+    fine = make_patch(h, 3, (12, 12), (19, 19), ctx, 0.25)
+    h.levels.append([fine])
+    fill_ghost_from_coarse(fine, h, 0.25)
+
+    replacements = (
+        [make_patch(h, 2, (4, 4), (11, 11), ctx, 0.0)],                # same box
+        [make_patch(h, 2, (4, 4), (7, 11), ctx, 0.0),
+         make_patch(h, 2, (8, 4), (11, 11), ctx, 0.0)],                # split box
+    )
+    for patches in replacements:
+        fill_level_2(patches, 0.5, 1.0)
+        fresh = make_patch(h, 3, (12, 12), (19, 19), ctx, 0.75)
+        fresh.state[...] = fine.state
+        fill_ghost_from_coarse(fine, h, 0.75)
+        fill_ghost_from_coarse(fresh, h, 0.75)
+        assert np.array_equal(fine.state, fresh.state)
+
+
+def test_no_level_rebuilt_twice_at_one_parent_time(monkeypatch):
+    from adjamr import amr, driver
+    from adjamr.config import parse_config
+    text = open("configs/2d-walls-timepoint.cfg").read()
+    cfg = parse_config(text.replace("t_final = 1.5", "t_final = 0.5")
+                       .replace("t_start = 1.5", "t_start = 0.5"))
+    rebuilds = []
+
+    def recording_regrid(h, level, ctx, deepest=None):
+        t = h.patches(level - 1)[0].time
+        last = deepest if deepest is not None else h.max_levels
+        rebuilds.extend((lev, t) for lev in range(level, last + 1))
+        return regrid(h, level, ctx, deepest)
+
+    monkeypatch.setattr(amr, "regrid", recording_regrid)
+    monkeypatch.setattr(driver, "regrid", recording_regrid)
+    driver.run_forward(cfg, strategy_name="difference")
+    assert sum(1 for lev, _ in rebuilds if lev == 3) >= 5
+    assert len(rebuilds) == len(set(rebuilds))
 
 
 # ---------------------------------------------------------------------------

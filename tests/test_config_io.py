@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from adjamr.adjoint import AdjointSnapshotStore, TimeWindow, query_window_times
 from adjamr.config import ConfigError, build_equation, build_initial, parse_config
 from adjamr.geometry import Patch, PatchHierarchy, UniformField
 from adjamr.runio import (GaugeComparisonError, GaugeSeries, SnapshotFormatError,
-                          TimingReport, compare_gauges, load_store, read_gauge,
+                          StoreFormatError, TimingReport, compare_gauges,
+                          load_store, read_gauge,
                           read_snapshot, read_timing, record_gauge, save_store,
                           write_gauge, write_snapshot, write_timing)
 from adjamr.solver import BoundarySpec, sample_patch_material
@@ -168,6 +171,47 @@ def test_store_round_trip_preserves_window_queries(tmp_path):
     for a, b in zip(loaded.fields, store.fields):
         assert np.array_equal(a.values, b.values)
         assert a.origin == b.origin
+
+
+def saved_store_index(tmp_path):
+    times = np.linspace(0.0, 1.0, 3)
+    fields = [UniformField(values=np.ones((2, 4)), origin=(0.0,), dx=0.25, dy=0.0,
+                           time=t) for t in times]
+    directory = tmp_path / "store"
+    save_store(AdjointSnapshotStore(times=times, fields=fields,
+                                    window=TimeWindow(0.5, 1.0)), str(directory))
+    return directory / "index.txt"
+
+
+@pytest.mark.parametrize("key", ["t_start", "t_final", "origin", "snapshot"])
+def test_load_store_names_missing_index_key(tmp_path, key):
+    index = saved_store_index(tmp_path)
+    lines = index.read_text().splitlines(keepends=True)
+    index.write_text("".join(ln for ln in lines if not ln.startswith(key)))
+    with pytest.raises(StoreFormatError, match=f"index.txt.*{key}"):
+        load_store(str(index.parent))
+
+
+def test_load_store_names_malformed_index_line(tmp_path):
+    index = saved_store_index(tmp_path)
+    index.write_text(index.read_text().replace("t_final = 1", "t_final = one"))
+    with pytest.raises(StoreFormatError, match="index.txt:2: malformed 't_final'"):
+        load_store(str(index.parent))
+
+
+def test_forward_snapshot_index_times_parse_back(tmp_path):
+    from adjamr.driver import run_forward
+    text = open("configs/2d-walls-timepoint.cfg").read()
+    cfg = parse_config(text.replace("t_final = 1.5", "t_final = 0.25")
+                       .replace("t_start = 1.5", "t_start = 0.25"))
+    res = run_forward(cfg, strategy_name="difference", out_dir=str(tmp_path))
+    lines = (tmp_path / "snapshots" / "index.txt").read_text().splitlines()
+    names = [ln.split()[0] for ln in lines]
+    times = [float(ln.split()[1]) for ln in lines]
+    assert times == list(cfg.output_times) == res.output_times
+    assert names == [os.path.basename(p) for p in res.snapshot_paths]
+    for name, t in zip(names, times):
+        assert read_snapshot(str(tmp_path / "snapshots" / name))[0].time == t
 
 
 # ---------------------------------------------------------------------------

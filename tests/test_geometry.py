@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from adjamr.geometry import (OutOfRangeError, Patch, PatchHierarchy,
                              PatchSpec, UniformField, bilinear_interpolate,
-                             cell_center, enforce_nesting)
+                             cell_center, enforce_nesting, interpolate_patch,
+                             interpolate_uniform)
 
 
 def spec_1d(nx=10, lo=0, level=1, dx=1.0, origin=0.0):
@@ -99,6 +100,26 @@ def test_bilinear_linear_in_field(x, y, a, b):
     lhs = bilinear_interpolate(combo, (x, y))[0]
     rhs = a * bilinear_interpolate(f, (x, y))[0] + b * bilinear_interpolate(g, (x, y))[0]
     assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("interior_only", [False, True])
+def test_patch_interpolation_is_uniform_interpolation_of_its_data(ndim, interior_only):
+    # one kernel: sampling a patch equals sampling a copy of the array it reads
+    rng = np.random.default_rng(5)
+    spec = PatchSpec(level=2, lo=(3, 5)[:ndim], hi=(11, 8)[:ndim], dx=0.5,
+                     dy=0.25 if ndim == 2 else 0.0, origin=(-1.0, 2.0)[:ndim])
+    p = Patch(spec, 3)
+    p.state[...] = rng.normal(size=p.state.shape)
+    g = 0 if interior_only else spec.ghost_width
+    data = p.interior() if interior_only else p.state
+    f = UniformField(values=data.copy(), dx=spec.dx, dy=spec.dy,
+                     origin=tuple(spec.origin[a] + (spec.lo[a] - g) * spec.widths[a]
+                                  for a in range(ndim)))
+    hi = f.domain_hi()
+    pts = [rng.uniform(f.origin[a], hi[a], size=50) for a in range(ndim)]
+    assert np.array_equal(interpolate_patch(p, *pts, interior_only=interior_only),
+                          interpolate_uniform(f, *pts))
 
 
 def make_hierarchy_2d(nx=8, ny=8, ratios=(2,)):
