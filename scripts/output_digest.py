@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Print a sha256 digest of the outputs of every bundled config.
 
-Each config runs `run_forward` with its own strategy (adjoint configs get an
-in-memory adjoint store first).  The digest covers every gauge series (times
+Each config runs `run_forward` twice: with its own strategy (adjoint configs
+get an in-memory adjoint store first), then with the strategy it is
+compared against, difference flagging (surface flagging for shallow water),
+one line each.  The digest covers every gauge series (times
 and values) and every output frame: all patches of all levels, with their
 level, index box, time and interior values.  1D configs also digest the
 three x-t masks of `run_xt_map`.  Two versions of the program whose outputs
@@ -40,25 +42,32 @@ def frame_hasher(digest):
     return on_output
 
 
-def digest_config(path: str) -> str:
-    with open(path) as f:
-        cfg = parse_config(f.read())
-    store = None
-    if cfg.strategy == "adjoint" or cfg.ndim == 1:
-        store, _ = run_adjoint(cfg)
+def digest_run(cfg, strategy: str, store) -> str:
     digest = hashlib.sha256()
-    res = run_forward(cfg, strategy_name=cfg.strategy, store=store,
+    res = run_forward(cfg, strategy_name=strategy, store=store,
                       on_output=frame_hasher(digest))
     for gid in sorted(res.gauges):
         times, values = res.gauges[gid].as_arrays()
         _update(digest, np.array([gid]), times, values)
-    line = (f"{os.path.basename(path)} {cfg.strategy} {digest.hexdigest()} "
-            f"cell_steps={res.timing.total_cell_steps}")
+    return f"{strategy} {digest.hexdigest()} cell_steps={res.timing.total_cell_steps}"
+
+
+def digest_config(path: str):
+    """Yield the own-strategy line, then the comparison-strategy line."""
+    with open(path) as f:
+        cfg = parse_config(f.read())
+    name = os.path.basename(path)
+    store = None
+    if cfg.strategy == "adjoint" or cfg.ndim == 1:
+        store, _ = run_adjoint(cfg)
+    line = f"{name} {digest_run(cfg, cfg.strategy, store)}"
     if cfg.ndim == 1:
         xt = hashlib.sha256()
         _update(xt, *run_xt_map(cfg, store, XT_THRESHOLD))
         line += f" xt={xt.hexdigest()}"
-    return line
+    yield line
+    other = "surface" if cfg.equation.startswith("swe") else "difference"
+    yield f"{name} {digest_run(cfg, other, store)}"
 
 
 def main():
@@ -68,7 +77,8 @@ def main():
     args = ap.parse_args()
     for name in sorted(os.listdir(args.config_dir)):
         if name.endswith(".cfg"):
-            print(digest_config(os.path.join(args.config_dir, name)), flush=True)
+            for line in digest_config(os.path.join(args.config_dir, name)):
+                print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -309,15 +309,14 @@ def evaluate_J(source, store_or_phi, t: float) -> float:
     else:
         qhat_field = store_or_phi
 
+    def qhat_at(centers):
+        return interpolate_uniform(qhat_field, *np.meshgrid(*centers, indexing="ij"))
+
     if isinstance(source, UniformField):
-        cs = source.centers()
-        if source.ndim == 1:
-            qhat = interpolate_uniform(qhat_field, cs[0])
-            return float(np.sum(qhat * source.values) * source.dx)
-        x = np.broadcast_to(cs[0][:, None], source.shape)
-        y = np.broadcast_to(cs[1][None, :], source.shape)
-        qhat = interpolate_uniform(qhat_field, x, y)
-        return float(np.sum(qhat * source.values) * source.dx * source.dy)
+        total = np.sum(qhat_at(source.centers()) * source.values)
+        for w in source.widths:
+            total = total * w
+        return float(total)
 
     total = 0.0
     for level in range(1, source.num_levels() + 1):
@@ -325,13 +324,6 @@ def evaluate_J(source, store_or_phi, t: float) -> float:
         area = wx if source.ndim == 1 else wx * wy
         for p in source.patches(level):
             keep = _uncovered_mask(source, p)
-            cs = p.spec.cell_centers()
-            if p.spec.ndim == 1:
-                qhat = interpolate_uniform(qhat_field, cs[0])
-            else:
-                x = np.broadcast_to(cs[0][:, None], p.spec.shape)
-                y = np.broadcast_to(cs[1][None, :], p.spec.shape)
-                qhat = interpolate_uniform(qhat_field, x, y)
-            prod = np.sum(qhat * p.interior(), axis=0)
+            prod = np.sum(qhat_at(p.spec.cell_centers()) * p.interior(), axis=0)
             total += float(np.sum(prod[keep]) * area)
     return total

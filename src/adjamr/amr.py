@@ -422,32 +422,22 @@ def restrict_fine_to_coarse(hierarchy: PatchHierarchy, level: int):
             csl = tuple(slice(gc + flo[a] - cp.spec.lo[a],
                               gc + fhi[a] + 1 - cp.spec.lo[a])
                         for a in range(nd))
-            shape = [fhi[a] - flo[a] + 1 for a in range(nd)]
-            if nd == 1:
-                blocks = fdata.reshape(fdata.shape[0], shape[0], r)
-                wet_f = fp.aux.wet[fsl[0]] if hasattr(fp.aux, "wet") else None
-                if wet_f is None:
-                    cp.state[(slice(None), *csl)] = blocks.mean(axis=2)
-                else:
-                    w = wet_f.reshape(shape[0], r).astype(float)
-                    ws = w.sum(axis=1)
-                    avg = (blocks * w).sum(axis=2) / np.where(ws > 0, ws, 1.0)
-                    wet_c = cp.aux.wet[csl] if hasattr(cp.aux, "wet") else np.ones(shape[0], bool)
-                    take = (ws > 0) & wet_c
-                    tgt = cp.state[(slice(None), *csl)]
-                    tgt[:, take] = avg[:, take]
-            else:
-                blocks = fdata.reshape(fdata.shape[0], shape[0], r, shape[1], r)
-                if hasattr(fp.aux, "wet"):
-                    w = fp.aux.wet[fsl].reshape(shape[0], r, shape[1], r).astype(float)
-                    ws = w.sum(axis=(1, 3))
-                    avg = (blocks * w).sum(axis=(2, 4)) / np.where(ws > 0, ws, 1.0)
-                    wet_c = cp.aux.wet[csl]
-                    take = (ws > 0) & wet_c
-                    tgt = cp.state[(slice(None), *csl)]
-                    tgt[:, take] = avg[:, take]
-                else:
-                    cp.state[(slice(None), *csl)] = blocks.mean(axis=(2, 4))
+            # fine cells as (n0, r[, n1, r]) blocks: a coarse cell's children
+            # lie along the r axes (1[, 3] of the mask, 2[, 4] of the state)
+            blocks = tuple(k for a in range(nd) for k in (fhi[a] - flo[a] + 1, r))
+            kids = tuple(2 * a + 1 for a in range(nd))
+            state_kids = tuple(k + 1 for k in kids)
+            fdata = fdata.reshape(fdata.shape[0], *blocks)
+            wet = getattr(fp.aux, "wet", None)
+            if wet is None:
+                cp.state[(slice(None), *csl)] = fdata.mean(axis=state_kids)
+                continue
+            w = wet[fsl].reshape(blocks).astype(float)
+            ws = w.sum(axis=kids)
+            avg = (fdata * w).sum(axis=state_kids) / np.where(ws > 0, ws, 1.0)
+            take = (ws > 0) & cp.aux.wet[csl]
+            tgt = cp.state[(slice(None), *csl)]
+            tgt[:, take] = avg[:, take]
 
 
 # ---------------------------------------------------------------------------
@@ -505,21 +495,12 @@ def make_patch(hierarchy: PatchHierarchy, level: int,
 def _fill_interior_from_parent(patch: Patch, hierarchy: PatchHierarchy, t: float):
     """Space(-time) interpolation of a new patch's interior from its parents."""
     spec = patch.spec
-    g = spec.ghost_width
-    ranges = [np.arange(spec.lo[a], spec.hi[a] + 1) for a in range(spec.ndim)]
-    if spec.ndim == 1:
-        idx = (ranges[0],)
-    else:
-        ii, jj = np.meshgrid(ranges[0], ranges[1], indexing="ij")
-        idx = (ii.ravel(), jj.ravel())
+    idx = tuple(i.ravel() for i in np.meshgrid(
+        *(np.arange(spec.lo[a], spec.hi[a] + 1) for a in range(spec.ndim)), indexing="ij"))
     vals = np.zeros((patch.num_components, *idx[0].shape))
     for cp, inside, pts in solver.split_among_parents(hierarchy, spec, idx):
         vals[:, inside] = solver.space_time_interp(cp, pts, t)
-    if spec.ndim == 1:
-        patch.state[:, g:-g] = vals
-    else:
-        patch.state[:, g:-g, g:-g] = vals.reshape(
-            patch.num_components, *spec.shape)
+    patch.interior()[...] = vals.reshape(patch.num_components, *spec.shape)
 
 
 def _copy_from_old_patches(patch: Patch, old_patches: list[Patch]):
@@ -597,7 +578,8 @@ def advance_hierarchy(hierarchy: PatchHierarchy, level: int, dt: float,
     ghosts before stepping, saves the pre-step state for child space-time
     interpolation, and restricts children back afterwards.  A child level
     already rebuilt at this level's current time (by the parent's regrid,
-    from the same data) is not rebuilt again.
+    from the same data) is not rebuilt again.  A step above the unit Courant
+    number raises solver.CflViolationError naming the patch.
     """
     count = ctx.step_counts.get(level, 0)
     patches = hierarchy.patches(level)
@@ -613,15 +595,8 @@ def advance_hierarchy(hierarchy: PatchHierarchy, level: int, dt: float,
     for p in patches:
         p.save_old()
     for p in patches:
-        cells = int(np.prod(p.spec.shape))
-        try:
-            step_patch(p, dt, ctx.equation, ctx.limiter)
-            ctx.count_step(level, cells)
-        except solver.CflViolationError:
-            # single retry with a halved step, then give up
-            step_patch(p, dt / 2.0, ctx.equation, ctx.limiter)
-            step_patch(p, dt / 2.0, ctx.equation, ctx.limiter)
-            ctx.count_step(level, 2 * cells)
+        step_patch(p, dt, ctx.equation, ctx.limiter)
+        ctx.count_step(level, int(np.prod(p.spec.shape)))
     t_new = t + dt
     for p in patches:
         p.time = t_new    # guard against roundoff drift across patches

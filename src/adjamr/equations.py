@@ -394,7 +394,6 @@ class EquationSet:
 
     name: str
     m: int
-    form: str = "wave"
     is_swe = False
 
     def __init__(self, material: MaterialModel):
@@ -461,7 +460,6 @@ class SweLinear2D(EquationSet):
 
 
 class _AdjointBase(EquationSet):
-    form = "fwave"
     system: str
 
     def normal_rp(self, axis, ql, qr, matl, matr):
@@ -505,7 +503,6 @@ class TimeReversed(EquationSet):
         self.inner = inner
         self.name = inner.name + "-reversed"
         self.m = inner.m
-        self.form = inner.form
         self.is_swe = inner.is_swe
 
     def sample_material(self, x, y=None):

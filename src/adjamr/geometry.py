@@ -234,16 +234,18 @@ class UniformField:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape[1:]
 
+    @property
+    def widths(self) -> tuple[float, ...]:
+        return (self.dx,) if self.ndim == 1 else (self.dx, self.dy)
+
     def centers(self) -> tuple[np.ndarray, ...]:
-        widths = (self.dx,) if self.ndim == 1 else (self.dx, self.dy)
         return tuple(
-            self.origin[a] + (np.arange(n) + 0.5) * widths[a]
+            self.origin[a] + (np.arange(n) + 0.5) * self.widths[a]
             for a, n in enumerate(self.shape)
         )
 
     def domain_hi(self) -> tuple[float, ...]:
-        widths = (self.dx,) if self.ndim == 1 else (self.dx, self.dy)
-        return tuple(self.origin[a] + n * widths[a] for a, n in enumerate(self.shape))
+        return tuple(self.origin[a] + n * self.widths[a] for a, n in enumerate(self.shape))
 
 
 def _axis_weights(coord: np.ndarray, origin: float, width: float, n: int):
@@ -334,8 +336,7 @@ def field_stencil(field: UniformField, x: np.ndarray,
         y = np.asarray(y, dtype=float)
         if np.any(y < lo[1] - eps) or np.any(y > hi[1] + eps):
             raise OutOfRangeError("interpolation point outside domain in y")
-    widths = (field.dx,) if field.ndim == 1 else (field.dx, field.dy)
-    return build_stencil(x, y, lo, widths, field.shape)
+    return build_stencil(x, y, lo, field.widths, field.shape)
 
 
 def interpolate_uniform(field: UniformField, x: np.ndarray,

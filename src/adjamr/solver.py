@@ -57,12 +57,6 @@ class BoundarySpec:
         return self.top if high else self.bottom
 
 
-@dataclass
-class StepResult:
-    state: np.ndarray
-    max_courant: float
-
-
 def limiter_phi(name: str, theta: np.ndarray) -> np.ndarray:
     """Flux-limiter function phi(theta) for each supported limiter."""
     if name == "none":
@@ -82,45 +76,39 @@ def limiter_phi(name: str, theta: np.ndarray) -> np.ndarray:
 # Ghost filling
 
 
-def _mirror_into_ghosts(state, axis: int, high: bool, g: int, negate_comp: int):
-    nd = state.ndim
+def _along(ndim: int, ax: int, s: slice) -> tuple[slice, ...]:
+    """Index tuple selecting `s` on array axis `ax` and everything elsewhere."""
+    out = [slice(None)] * ndim
+    out[ax] = s
+    return tuple(out)
+
+
+def _fill_ghost_side(state, axis: int, high: bool, g: int, cond: str,
+                     negate_comp: int | None = None):
+    """Fill the g ghost layers on one side of `state` (component axis first).
+
+    'wall' mirrors the interior, then negates component `negate_comp`;
+    'outflow' copies the edge cell into every layer.
+    """
     ax = 1 + axis
     n = state.shape[ax]
-
-    def sl(s):
-        out = [slice(None)] * nd
-        out[ax] = s
-        return tuple(out)
-
-    if high:
-        ghost = sl(slice(n - g, n))
-        src = sl(slice(n - g - 1, n - 2 * g - 1, -1))
+    if cond == "wall":
+        src = slice(n - g - 1, n - 2 * g - 1, -1) if high else slice(2 * g - 1, g - 1, -1)
     else:
-        ghost = sl(slice(0, g))
-        src = sl(slice(2 * g - 1, g - 1, -1))
-    state[ghost] = state[src]
-    if negate_comp is None:
-        return
-    comp = [slice(None)] * nd
-    comp[0] = negate_comp
-    comp[ax] = ghost[ax]
-    state[tuple(comp)] *= -1.0
+        src = slice(n - g - 1, n - g) if high else slice(g, g + 1)
+    ghost = slice(n - g, n) if high else slice(0, g)
+    state[_along(state.ndim, ax, ghost)] = state[_along(state.ndim, ax, src)]
+    if cond == "wall" and negate_comp is not None:
+        state[(negate_comp, *_along(state.ndim - 1, axis, ghost))] *= -1.0
 
 
-def _extrapolate_into_ghosts(state, axis: int, high: bool, g: int):
-    nd = state.ndim
-    ax = 1 + axis
-    n = state.shape[ax]
-
-    def sl(s):
-        out = [slice(None)] * nd
-        out[ax] = s
-        return tuple(out)
-
-    if high:
-        state[sl(slice(n - g, n))] = state[sl(slice(n - g - 1, n - g))]
-    else:
-        state[sl(slice(0, g))] = state[sl(slice(g, g + 1))]
+def _domain_sides(spec: PatchSpec, boundary: BoundarySpec, level_shape: tuple[int, ...]):
+    """(axis, high, condition) of every patch side on a domain edge, x then y,
+    low before high."""
+    for axis in range(spec.ndim):
+        for high in (False, True):
+            if (spec.hi[axis] == level_shape[axis] - 1) if high else (spec.lo[axis] == 0):
+                yield axis, high, boundary.side(axis, high)
 
 
 def fill_ghost_physical(patch: Patch, boundary: BoundarySpec, equation: EquationSet,
@@ -132,78 +120,29 @@ def fill_ghost_physical(patch: Patch, boundary: BoundarySpec, equation: Equation
     Low sides are filled before high sides and x before y, so corner ghosts
     outside the domain in both directions end up mirrored consistently.
     """
-    spec = patch.spec
-    g = spec.ghost_width
-    for axis in range(spec.ndim):
-        for high in (False, True):
-            at_edge = (spec.hi[axis] == level_shape[axis] - 1) if high else (spec.lo[axis] == 0)
-            if not at_edge:
-                continue
-            cond = boundary.side(axis, high)
-            if cond == "wall":
-                _mirror_into_ghosts(patch.state, axis, high, g,
-                                    equation.normal_component(axis))
-            else:
-                _extrapolate_into_ghosts(patch.state, axis, high, g)
-
-
-def _mirror_aux(aux, axis: int, high: bool, g: int):
-    """Mirror material arrays into wall ghosts (no sign change)."""
-    import dataclasses
-    fields = {}
-    for f in dataclasses.fields(aux):
-        v = getattr(aux, f.name)
-        if isinstance(v, np.ndarray):
-            arr = v.copy()
-            fake = arr[None]  # reuse the state mirroring with a leading axis
-            _mirror_into_ghosts(fake, axis, high, g, negate_comp=None)
-            fields[f.name] = fake[0]
-        else:
-            fields[f.name] = v
-    return type(aux)(**fields)
-
-
-def _extrapolate_aux(aux, axis: int, high: bool, g: int):
-    import dataclasses
-    fields = {}
-    for f in dataclasses.fields(aux):
-        v = getattr(aux, f.name)
-        if isinstance(v, np.ndarray):
-            arr = v.copy()
-            fake = arr[None]
-            _extrapolate_into_ghosts(fake, axis, high, g)
-            fields[f.name] = fake[0]
-        else:
-            fields[f.name] = v
-    return type(aux)(**fields)
+    g = patch.spec.ghost_width
+    for axis, high, cond in _domain_sides(patch.spec, boundary, level_shape):
+        _fill_ghost_side(patch.state, axis, high, g, cond, equation.normal_component(axis))
 
 
 def sample_patch_material(patch: Patch, equation: EquationSet,
                           boundary: BoundarySpec, level_shape: tuple[int, ...]):
-    """Sample the material onto the patch, then fix up physical-boundary ghosts.
+    """Sample the material at every cell center, interior and ghost.
 
-    Wall ghosts mirror the interior material so reflections are exact;
-    outflow ghosts copy the edge cell.
+    Ghosts behind a wall take the material of the mirrored interior cell, so
+    reflections are exact; ghosts behind an outflow side take the edge cell's.
+    The ghost indices are remapped by the same side fill that
+    fill_ghost_physical applies to the state (materials are pointwise, so
+    sampling there equals copying the sampled cell).
     """
     spec = patch.spec
-    cs = spec.cell_centers(include_ghost=True)
-    if spec.ndim == 1:
-        aux = equation.sample_material(cs[0])
-    else:
-        xx, yy = np.meshgrid(cs[0], cs[1], indexing="ij")
-        aux = equation.sample_material(xx, yy)
     g = spec.ghost_width
-    for axis in range(spec.ndim):
-        for high in (False, True):
-            at_edge = (spec.hi[axis] == level_shape[axis] - 1) if high else (spec.lo[axis] == 0)
-            if not at_edge:
-                continue
-            if boundary.side(axis, high) == "wall":
-                aux = _mirror_aux(aux, axis, high, g)
-            else:
-                aux = _extrapolate_aux(aux, axis, high, g)
-    patch.aux = aux
-    return aux
+    idx = [np.arange(spec.lo[a] - g, spec.hi[a] + g + 1)[None] for a in range(spec.ndim)]
+    for axis, high, cond in _domain_sides(spec, boundary, level_shape):
+        _fill_ghost_side(idx[axis], 0, high, g, cond)
+    centers = [spec.origin[a] + (i[0] + 0.5) * spec.widths[a] for a, i in enumerate(idx)]
+    patch.aux = equation.sample_material(*np.meshgrid(*centers, indexing="ij"))
+    return patch.aux
 
 
 def fill_ghost_same_level(patch: Patch, level_patches: list[Patch]):
@@ -330,15 +269,12 @@ def space_time_apply(coarse: Patch, stencil: Stencil, t: float):
 def _ghost_indices(spec):
     """Global indices of every ghost cell (total box minus interior box)."""
     g = spec.ghost_width
-    ranges = [np.arange(spec.lo[a] - g, spec.hi[a] + g + 1) for a in range(spec.ndim)]
-    if spec.ndim == 1:
-        ii = ranges[0]
-        mask = (ii < spec.lo[0]) | (ii > spec.hi[0])
-        return (ii[mask],)
-    ii, jj = np.meshgrid(ranges[0], ranges[1], indexing="ij")
-    interior = ((ii >= spec.lo[0]) & (ii <= spec.hi[0])
-                & (jj >= spec.lo[1]) & (jj <= spec.hi[1]))
-    return ii[~interior], jj[~interior]
+    idx = np.meshgrid(*(np.arange(spec.lo[a] - g, spec.hi[a] + g + 1)
+                        for a in range(spec.ndim)), indexing="ij")
+    interior = np.ones(idx[0].shape, dtype=bool)
+    for a, i in enumerate(idx):
+        interior &= (i >= spec.lo[a]) & (i <= spec.hi[a])
+    return tuple(i[~interior] for i in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +289,8 @@ def _limited_waves(waves, speeds, limiter: str, axis: int):
     dots = np.sum(waves * waves, axis=1)
     up = np.roll(waves, 1, axis=ax)
     dn = np.roll(waves, -1, axis=ax)
-    first = [slice(None)] * waves.ndim
-    first[ax] = slice(0, 1)
-    up[tuple(first)] = 0.0
-    last = [slice(None)] * waves.ndim
-    last[ax] = slice(-1, None)
-    dn[tuple(last)] = 0.0
+    up[_along(waves.ndim, ax, slice(0, 1))] = 0.0
+    dn[_along(waves.ndim, ax, slice(-1, None))] = 0.0
     dot_up = np.sum(up * waves, axis=1)
     dot_dn = np.sum(dn * waves, axis=1)
     upwind = np.where(speeds > 0, dot_up, dot_dn)
@@ -405,32 +337,26 @@ def _swe_effective_states(axis, ql, qr, matl, matr):
     dr = pick(matr.depth, matl.depth, wr)
     dl = np.where(dd, dummy, dl)
     dr = np.where(dd, dummy, dr)
-    g = matl.gravity
-    ml = SweMaterial(bathymetry=-dl, depth=dl, wet=dl > 0, c=np.sqrt(g * dl), gravity=g)
-    mr = SweMaterial(bathymetry=-dr, depth=dr, wet=dr > 0, c=np.sqrt(g * dr), gravity=g)
+    ml = SweMaterial.create(-dl, 0.0, matl.gravity)
+    mr = SweMaterial.create(-dr, 0.0, matl.gravity)
     return ql_eff, qr_eff, ml, mr, ww, dd
 
 
 def _swe_transverse_material(mat):
     """Clamp dry cells to unit depth so transverse algebra stays finite."""
-    g = mat.gravity
-    d = np.where(mat.wet, mat.depth, 1.0)
-    return SweMaterial(bathymetry=-d, depth=d, wet=d > 0, c=np.sqrt(g * d), gravity=g)
+    return SweMaterial.create(-np.where(mat.wet, mat.depth, 1.0), 0.0, mat.gravity)
 
 
 def _solve_axis(patch, equation, axis, swe):
     """All interface solves along one axis from the patch's current state."""
     q = patch.state
     aux = patch.aux
-    nd = q.ndim - 1
-    sl_l = [slice(None)] * nd
-    sl_r = [slice(None)] * nd
-    sl_l[axis] = slice(None, -1)
-    sl_r[axis] = slice(1, None)
+    sl_l = _along(q.ndim - 1, axis, slice(None, -1))
+    sl_r = _along(q.ndim - 1, axis, slice(1, None))
     ql = q[(slice(None), *sl_l)]
     qr = q[(slice(None), *sl_r)]
-    matl = aux[tuple(sl_l)]
-    matr = aux[tuple(sl_r)]
+    matl = aux[sl_l]
+    matr = aux[sl_r]
     if swe:
         ql, qr, matl, matr, ww, dd = _swe_effective_states(axis, ql, qr, matl, matr)
         res = equation.normal_rp(axis, ql, qr, matl, matr)
@@ -443,114 +369,101 @@ def _solve_axis(patch, equation, axis, swe):
     return res, None
 
 
-def step_patch_1d(patch: Patch, dt: float, equation: EquationSet,
-                  limiter: str = "MC") -> StepResult:
-    spec = patch.spec
-    g = spec.ghost_width
-    dx = spec.dx
-    dtdx = dt / dx
-    q = patch.state
-    n = q.shape[1]
-
-    res, _ = _solve_axis(patch, equation, 0, swe=False)
-    cfl = float(np.max(np.abs(res.speeds[:, g - 1:n - g])) * dtdx) if n > 2 * g else 0.0
-    if cfl > 1.0 + 1e-12:
-        raise CflViolationError(f"Courant number {cfl:.4f} > 1")
-
-    dq = np.zeros_like(q)
-    dq[:, 1:] -= dtdx * res.fluct_plus
-    dq[:, :-1] -= dtdx * res.fluct_minus
-    ftil = _correction_flux(res.waves, res.speeds, dtdx, limiter, 0, res.fwave)
-    dq[:, 1:-1] -= dtdx * (ftil[:, 1:] - ftil[:, :-1])
-
-    q[:, g:-g] += dq[:, g:-g]
-    patch.time += dt
-    if not np.all(np.isfinite(q[:, g:-g])):
-        raise NumericalBlowupError(f"non-finite state at t={patch.time}")
-    return StepResult(q, cfl)
-
-
-def step_patch_2d(patch: Patch, dt: float, equation: EquationSet,
-                  limiter: str = "MC") -> StepResult:
-    spec = patch.spec
-    g = spec.ghost_width
-    dtdx = dt / spec.dx
-    dtdy = dt / spec.dy
-    q = patch.state
-    aux = patch.aux
-    nx, ny = q.shape[1], q.shape[2]
-    swe = equation.is_swe
-    wet = aux.wet if swe else None
-
-    resx, wwx = _solve_axis(patch, equation, 0, swe)
-    resy, wwy = _solve_axis(patch, equation, 1, swe)
-
-    cfl = max(
-        float(np.max(np.abs(resx.speeds[:, g - 1:nx - g, g:ny - g]), initial=0.0)) * dtdx,
-        float(np.max(np.abs(resy.speeds[:, g:nx - g, g - 1:ny - g]), initial=0.0)) * dtdy,
-    )
-    if cfl > 1.0 + 1e-12:
-        raise CflViolationError(f"Courant number {cfl:.4f} > 1")
-
-    dq = np.zeros_like(q)
-    dq[:, 1:, :] -= dtdx * resx.fluct_plus
-    dq[:, :-1, :] -= dtdx * resx.fluct_minus
-    dq[:, :, 1:] -= dtdy * resy.fluct_plus
-    dq[:, :, :-1] -= dtdy * resy.fluct_minus
-
-    ftil = _correction_flux(resx.waves, resx.speeds, dtdx, limiter, 0, resx.fwave)
-    gtil = _correction_flux(resy.waves, resy.speeds, dtdy, limiter, 1, resy.fwave)
-
-    # transverse splits of the x-interface fluctuations feed the y correction
-    # fluxes in the rows above and below, and vice versa
-    tr_aux = _swe_transverse_material(aux) if swe else aux
-    below = tr_aux[:-1, :-2]
-    above = tr_aux[:-1, 2:]
-    bm, bp = equation.transverse_rp(0, resx.fluct_minus[:, :, 1:-1], below, above)
-    gtil[:, :-1, 0:ny - 2] -= 0.5 * dtdx * bm
-    gtil[:, :-1, 1:ny - 1] -= 0.5 * dtdx * bp
-    below = tr_aux[1:, :-2]
-    above = tr_aux[1:, 2:]
-    bm, bp = equation.transverse_rp(0, resx.fluct_plus[:, :, 1:-1], below, above)
-    gtil[:, 1:, 0:ny - 2] -= 0.5 * dtdx * bm
-    gtil[:, 1:, 1:ny - 1] -= 0.5 * dtdx * bp
-
-    left = tr_aux[:-2, :-1]
-    right = tr_aux[2:, :-1]
-    bm, bp = equation.transverse_rp(1, resy.fluct_minus[:, 1:-1, :], left, right)
-    ftil[:, 0:nx - 2, :-1] -= 0.5 * dtdy * bm
-    ftil[:, 1:nx - 1, :-1] -= 0.5 * dtdy * bp
-    left = tr_aux[:-2, 1:]
-    right = tr_aux[2:, 1:]
-    bm, bp = equation.transverse_rp(1, resy.fluct_plus[:, 1:-1, :], left, right)
-    ftil[:, 0:nx - 2, 1:] -= 0.5 * dtdy * bm
-    ftil[:, 1:nx - 1, 1:] -= 0.5 * dtdy * bp
-
-    if swe:
-        ftil[:, ~wwx] = 0.0
-        gtil[:, ~wwy] = 0.0
-
-    dq[:, 1:-1, :] -= dtdx * (ftil[:, 1:, :] - ftil[:, :-1, :])
-    dq[:, :, 1:-1] -= dtdy * (gtil[:, :, 1:] - gtil[:, :, :-1])
-
-    if swe:
-        dq *= wet
-
-    q[:, g:-g, g:-g] += dq[:, g:-g, g:-g]
-    patch.time += dt
-    if not np.all(np.isfinite(q[:, g:-g, g:-g])):
-        raise NumericalBlowupError(f"non-finite state at t={patch.time}")
-    return StepResult(q, cfl)
-
-
 def step_patch(patch: Patch, dt: float, equation: EquationSet,
-               limiter: str = "MC") -> StepResult:
-    """Advance one patch by dt; raises on CFL violation or blowup."""
+               limiter: str = "MC") -> float:
+    """Advance one patch by dt and return the step's Courant number.
+
+    The Courant number is max|s|·dt/dx over the interfaces that touch the
+    interior.  Raises CflViolationError above 1 and NumericalBlowupError on a
+    non-finite result, both naming the patch (level, box, time).
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if patch.spec.ndim == 1:
-        return step_patch_1d(patch, dt, equation, limiter)
-    return step_patch_2d(patch, dt, equation, limiter)
+    spec = patch.spec
+    nd = spec.ndim
+    g = spec.ghost_width
+    q = patch.state
+    n = q.shape[1:]
+    swe = equation.is_swe
+    dtd = [dt / w for w in spec.widths]
+
+    res, ww = zip(*(_solve_axis(patch, equation, a, swe) for a in range(nd)))
+    cfl = 0.0
+    for a in range(nd):
+        # interfaces along axis a with an interior cell on at least one side
+        touching = tuple(slice(g - 1, n[b] - g) if b == a else slice(g, n[b] - g)
+                         for b in range(nd))
+        cfl = max(cfl, float(np.max(np.abs(res[a].speeds[(slice(None), *touching)]),
+                                    initial=0.0)) * dtd[a])
+    if cfl > 1.0 + 1e-12:
+        raise CflViolationError(f"{patch}: Courant number {cfl:.4f} > 1")
+
+    dq = np.zeros_like(q)
+    for a in range(nd):
+        dq[_along(q.ndim, 1 + a, slice(1, None))] -= dtd[a] * res[a].fluct_plus
+        dq[_along(q.ndim, 1 + a, slice(None, -1))] -= dtd[a] * res[a].fluct_minus
+    flux = [_correction_flux(res[a].waves, res[a].speeds, dtd[a], limiter, a, res[a].fwave)
+            for a in range(nd)]
+    if nd == 2:
+        # transverse splits of the x-interface fluctuations feed the y
+        # correction fluxes in the rows above and below, and vice versa
+        ftil, gtil = flux
+        resx, resy = res
+        dtdx, dtdy = dtd
+        nx, ny = n
+        tr_aux = _swe_transverse_material(patch.aux) if swe else patch.aux
+        below = tr_aux[:-1, :-2]
+        above = tr_aux[:-1, 2:]
+        bm, bp = equation.transverse_rp(0, resx.fluct_minus[:, :, 1:-1], below, above)
+        gtil[:, :-1, 0:ny - 2] -= 0.5 * dtdx * bm
+        gtil[:, :-1, 1:ny - 1] -= 0.5 * dtdx * bp
+        below = tr_aux[1:, :-2]
+        above = tr_aux[1:, 2:]
+        bm, bp = equation.transverse_rp(0, resx.fluct_plus[:, :, 1:-1], below, above)
+        gtil[:, 1:, 0:ny - 2] -= 0.5 * dtdx * bm
+        gtil[:, 1:, 1:ny - 1] -= 0.5 * dtdx * bp
+
+        left = tr_aux[:-2, :-1]
+        right = tr_aux[2:, :-1]
+        bm, bp = equation.transverse_rp(1, resy.fluct_minus[:, 1:-1, :], left, right)
+        ftil[:, 0:nx - 2, :-1] -= 0.5 * dtdy * bm
+        ftil[:, 1:nx - 1, :-1] -= 0.5 * dtdy * bp
+        left = tr_aux[:-2, 1:]
+        right = tr_aux[2:, 1:]
+        bm, bp = equation.transverse_rp(1, resy.fluct_plus[:, 1:-1, :], left, right)
+        ftil[:, 0:nx - 2, 1:] -= 0.5 * dtdy * bm
+        ftil[:, 1:nx - 1, 1:] -= 0.5 * dtdy * bp
+    if swe:
+        for f, w in zip(flux, ww):
+            f[:, ~w] = 0.0
+    for a in range(nd):
+        ax = 1 + a
+        dq[_along(q.ndim, ax, slice(1, -1))] -= dtd[a] * (
+            flux[a][_along(q.ndim, ax, slice(1, None))]
+            - flux[a][_along(q.ndim, ax, slice(None, -1))])
+    if swe:
+        dq *= patch.aux.wet
+
+    inner = (slice(None), *spec.interior_slices())
+    q[inner] += dq[inner]
+    patch.time += dt
+    if not np.all(np.isfinite(q[inner])):
+        raise NumericalBlowupError(f"{patch}: non-finite state after the step")
+    return cfl
+
+
+def _cfl_dt(patches, equation: EquationSet, widths, courant_target: float,
+            dt_max: float) -> float:
+    """The dt at the target Courant number for the fastest interior cell of
+    `patches` on cells of these widths, capped at dt_max."""
+    max_speed = 0.0
+    for p in patches:
+        sl = p.spec.interior_slices()
+        max_speed = max(max_speed, float(np.max(equation.max_speed(p.aux[sl]),
+                                                initial=0.0)))
+    if max_speed == 0.0:
+        return dt_max
+    return min(min(courant_target * w / max_speed for w in widths), dt_max)
 
 
 def select_dt(hierarchy: PatchHierarchy, equation: EquationSet,
@@ -558,19 +471,8 @@ def select_dt(hierarchy: PatchHierarchy, equation: EquationSet,
     """Coarse-level dt from the CFL target; finer levels subcycle by ratio."""
     if not (0.0 < courant_target <= 1.0):
         raise ValueError("courant_target must be in (0, 1]")
-    max_speed = 0.0
-    for p in hierarchy.patches(1):
-        sl = p.spec.interior_slices()
-        max_speed = max(max_speed, float(np.max(equation.max_speed(p.aux[sl]),
-                                                initial=0.0)))
-    if max_speed == 0.0:
-        return dt_max
-    dx = hierarchy.widths(1)[0]
-    dy = hierarchy.widths(1)[1]
-    dt = courant_target * dx / max_speed
-    if hierarchy.ndim == 2:
-        dt = min(dt, courant_target * dy / max_speed)
-    return min(dt, dt_max)
+    return _cfl_dt(hierarchy.patches(1), equation,
+                   hierarchy.widths(1)[:hierarchy.ndim], courant_target, dt_max)
 
 
 def integrate_patch(patch: Patch, equation: EquationSet, boundary: BoundarySpec,
@@ -584,17 +486,8 @@ def integrate_patch(patch: Patch, equation: EquationSet, boundary: BoundarySpec,
     on_output(t, patch) fires at each (including t0 when listed), and
     on_step(patch) after every accepted step.
     """
-    sl = patch.spec.interior_slices()
-    max_speed = float(np.max(equation.max_speed(patch.aux[sl]), initial=0.0))
-    if dt_fixed is not None:
-        base_dt = dt_fixed
-    elif max_speed == 0.0:
-        base_dt = dt_max
-    else:
-        base_dt = courant_target * patch.spec.dx / max_speed
-        if patch.spec.ndim == 2:
-            base_dt = min(base_dt, courant_target * patch.spec.dy / max_speed)
-        base_dt = min(base_dt, dt_max)
+    base_dt = dt_fixed if dt_fixed is not None else _cfl_dt(
+        [patch], equation, patch.spec.widths, courant_target, dt_max)
 
     pending = sorted(output_times)
     eps = 1e-9 * max(abs(t_end), 1.0)

@@ -249,6 +249,89 @@ def test_restrict_exact_for_linear_fields():
     assert np.allclose(coarse.interior()[0], want, atol=1e-13)
 
 
+def test_restrict_1d_takes_the_mean_of_each_coarse_cells_children():
+    eq = eqs.Acoustics1D(eqs.AcousticsMaterialModel(
+        lambda x: np.ones_like(x), lambda x: np.ones_like(x)))
+    ctx = basic_ctx(eq)
+    rng = np.random.default_rng(7)
+    h = PatchHierarchy(xlim=(0.0, 8.0), ylim=None, base_shape=(8,), ratios=[2])
+    h.levels = [[make_patch(h, 1, (0,), (4,), ctx, 0.0),
+                 make_patch(h, 1, (5,), (7,), ctx, 0.0)],
+                [make_patch(h, 2, (2,), (7,), ctx, 0.0),
+                 make_patch(h, 2, (10,), (13,), ctx, 0.0)]]
+    for p in h.patches(1) + h.patches(2):
+        p.state[...] = rng.normal(size=p.state.shape)
+    coarse = np.concatenate([p.interior() for p in h.patches(1)], axis=1)
+    fine = np.zeros((eq.m, 16))
+    covered = np.zeros(8, dtype=bool)
+    for p in h.patches(2):
+        fine[:, p.spec.lo[0]:p.spec.hi[0] + 1] = p.interior()
+        covered[p.spec.lo[0] // 2:p.spec.hi[0] // 2 + 1] = True
+    want = coarse.copy()
+    for i in np.nonzero(covered)[0]:
+        want[:, i] = (fine[:, 2 * i] + fine[:, 2 * i + 1]) / 2.0
+    restrict_fine_to_coarse(h, 1)
+    got = np.concatenate([p.interior() for p in h.patches(1)], axis=1)
+    assert np.array_equal(got, want)
+
+
+def test_restrict_swe_averages_wet_children_into_wet_coarse_cells():
+    # coarse cells of width 1: x in [2, 3) is wet with one dry child column
+    # (y > 4 only), x in [4, 5) is dry with wet children, x in [6, 7) is dry
+    # with dry children, x in [7, 8) is wet with only dry children
+    def bathy(x, y):
+        land = (((x > 2.6) & (x < 3.0) & (y > 4.0)) | (np.abs(x - 4.5) < 0.1)
+                | ((x > 6.0) & (x < 7.0)) | (np.abs(x - 7.25) < 0.1)
+                | (np.abs(x - 7.75) < 0.1))
+        return np.where(land, 1.0, -1.0)
+    eq = eqs.SweLinear2D(eqs.SweMaterialModel(bathy, sea_level=0.0, gravity=9.81))
+    ctx = basic_ctx(eq)
+    rng = np.random.default_rng(8)
+    h = PatchHierarchy(xlim=(0.0, 8.0), ylim=(0.0, 8.0),
+                       base_shape=(8, 8), ratios=[2])
+    h.levels = [[make_patch(h, 1, (0, 0), (3, 7), ctx, 0.0),
+                 make_patch(h, 1, (4, 0), (7, 7), ctx, 0.0)],
+                [make_patch(h, 2, (2, 2), (11, 15), ctx, 0.0),
+                 make_patch(h, 2, (12, 0), (15, 9), ctx, 0.0)]]
+    for p in h.patches(1) + h.patches(2):
+        p.state[...] = rng.normal(size=p.state.shape)
+
+    def gather(level, n, key):
+        out = np.zeros((eq.m, n, n)) if key == "state" else np.zeros((n, n), bool)
+        cov = np.zeros((n, n), dtype=bool)
+        for p in h.patches(level):
+            sl = (slice(p.spec.lo[0], p.spec.hi[0] + 1),
+                  slice(p.spec.lo[1], p.spec.hi[1] + 1))
+            if key == "state":
+                out[(slice(None), *sl)] = p.interior()
+            else:
+                out[sl] = p.aux.wet[p.spec.interior_slices()]
+            cov[sl] = True
+        return out, cov
+
+    coarse, _ = gather(1, 8, "state")
+    wet_c, _ = gather(1, 8, "wet")
+    fine, covered_f = gather(2, 16, "state")
+    wet_f, _ = gather(2, 16, "wet")
+    assert wet_c[2, 6] and not wet_f[5, 12] and wet_f[4, 12]
+    assert not wet_c[4, 3] and wet_f[8:10, 6:8].all()
+    assert wet_c[7, 1] and not wet_f[14:16, 2:4].any()
+    want = coarse.copy()
+    take = np.zeros((8, 8), dtype=bool)
+    for i in range(8):
+        for j in range(8):
+            kids = (slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2))
+            w = wet_f[kids]
+            take[i, j] = covered_f[kids].all() and wet_c[i, j] and w.any()
+            if take[i, j]:
+                want[:, i, j] = fine[(slice(None), *kids)][:, w].sum(axis=1) / w.sum()
+    assert take[2, 6] and not take[4, 3] and not take[7, 1] and not take[0, 0]
+    restrict_fine_to_coarse(h, 1)
+    got, _ = gather(1, 8, "state")
+    assert np.allclose(got[:, take], want[:, take], rtol=1e-14, atol=1e-15)
+    assert np.array_equal(got[:, ~take], coarse[:, ~take])
+
+
 # ---------------------------------------------------------------------------
 # regrid
 
@@ -393,6 +476,15 @@ def test_advance_two_levels_subcycles():
     assert ctx.step_counts[1] == 1
     assert ctx.step_counts[2] == 2          # exactly ratio fine steps
     assert h.patches(2)[0].time == pytest.approx(dt)
+
+
+def test_courant_violation_names_level_box_and_time():
+    from adjamr.solver import CflViolationError
+    eq = const_ac2d()                       # c = 1 on cells of width 1
+    h, coarse, fine = make_two_level(eq)
+    with pytest.raises(CflViolationError,
+                       match=r"level=1, lo=\(0, 0\), hi=\(7, 7\), t=0\b"):
+        advance_hierarchy(h, 1, 1.5, basic_ctx(eq))
 
 
 def run_amr_everywhere(eq, ic, nx, nsteps, dt, max_edge=24):

@@ -264,3 +264,93 @@ def test_fill_ghost_from_coarse_rules():
 
     with pytest.raises(SchedulingError):
         fill_ghost_from_coarse(fine, h, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# material ghosts and the step's Courant number
+
+
+def _expected_ghost_index(idx, n, low, high):
+    """Where a ghost's material comes from along one axis of a level of n cells.
+
+    Behind a wall: the mirrored interior cell; behind an outflow side: the edge
+    cell; elsewhere (and in the interior): the cell itself.
+    """
+    out = idx.copy()
+    if low == "wall":
+        out = np.where(idx < 0, -1 - idx, out)
+    elif low == "outflow":
+        out = np.where(idx < 0, 0, out)
+    if high == "wall":
+        out = np.where(idx > n - 1, 2 * n - 1 - idx, out)
+    elif high == "outflow":
+        out = np.where(idx > n - 1, n - 1, out)
+    return out
+
+
+def _assert_material_ghosts(h, eq, bc, level, lo, hi):
+    spec = h.make_spec(level, lo, hi)
+    p = Patch(spec, eq.m)
+    shape = h.level_shape(level)
+    sample_patch_material(p, eq, bc, shape)
+    g = spec.ghost_width
+    centers = []
+    for a in range(spec.ndim):
+        idx = np.arange(spec.lo[a] - g, spec.hi[a] + g + 1)
+        low = bc.side(a, False) if spec.lo[a] == 0 else None
+        high = bc.side(a, True) if spec.hi[a] == shape[a] - 1 else None
+        src = _expected_ghost_index(idx, shape[a], low, high)
+        centers.append(spec.origin[a] + (src + 0.5) * spec.widths[a])
+    # a corner ghost takes the x source and the y source at once: x then y
+    want = eq.sample_material(*np.meshgrid(*centers, indexing="ij"))
+    for name in ("bulk", "rho", "c", "z"):
+        assert np.array_equal(getattr(p.aux, name), getattr(want, name)), (name, lo, hi)
+
+
+def test_material_ghosts_mirror_at_walls_and_clamp_at_outflow_1d():
+    eq = eqs.Acoustics1D(eqs.AcousticsMaterialModel(
+        lambda x: 1.0 + np.asarray(x, float),
+        lambda x: 2.0 + 0.5 * np.asarray(x, float) ** 2))
+    h = PatchHierarchy(xlim=(0.0, 1.0), ylim=None, base_shape=(8,), ratios=[2])
+    for bc in (BoundarySpec(left="wall", right="outflow"),
+               BoundarySpec(left="outflow", right="wall")):
+        _assert_material_ghosts(h, eq, bc, 1, (0,), (7,))
+        for lo, hi in (((0,), (5,)), ((4,), (11,)), ((10,), (15,))):
+            _assert_material_ghosts(h, eq, bc, 2, lo, hi)
+
+
+def test_material_ghosts_mirror_at_walls_and_clamp_at_outflow_2d():
+    eq = eqs.Acoustics2D(eqs.AcousticsMaterialModel(
+        lambda x, y: 1.0 + x + 2.0 * y,
+        lambda x, y: 1.5 + 0.25 * x * y))
+    h = PatchHierarchy(xlim=(1.0, 2.0), ylim=(1.0, 3.0), base_shape=(6, 8),
+                       ratios=[2])
+    for bc in (BoundarySpec(left="wall", right="outflow", bottom="outflow", top="wall"),
+               BoundarySpec(left="outflow", right="wall", bottom="wall", top="outflow")):
+        _assert_material_ghosts(h, eq, bc, 1, (0, 0), (5, 7))
+        for lo, hi in (((0, 0), (5, 5)),        # low x, low y corner
+                       ((6, 10), (11, 15)),     # high x, high y corner
+                       ((0, 6), (3, 15)),       # low x, high y
+                       ((4, 4), (7, 9))):       # no domain side
+            _assert_material_ghosts(h, eq, bc, 2, lo, hi)
+
+
+def test_step_patch_returns_courant_number_over_interior_interfaces():
+    eq = eqs.Acoustics1D(eqs.AcousticsMaterialModel(
+        lambda x: 1.0 + 3.0 * np.asarray(x, float),
+        lambda x: np.ones_like(np.asarray(x, float))))
+    _, p = uniform_patch_1d(eq, 16, bc=BoundarySpec(left="outflow", right="wall"))
+    g, n, dt = p.spec.ghost_width, p.state.shape[1], 0.01
+    cfl = step_patch(p, dt, eq, "MC")
+    assert isinstance(cfl, float)
+    assert cfl == float(np.max(p.aux.c[g - 1:n - g + 1])) * (dt / p.spec.dx)
+
+    eq2 = eqs.Acoustics2D(eqs.AcousticsMaterialModel(
+        lambda x, y: 1.0 + x + 2.0 * y, lambda x, y: np.ones_like(x)))
+    _, p2 = uniform_patch_2d(eq2, 8, 8, ylim=(0.0, 2.0))
+    nx, ny = p2.state.shape[1:]
+    c = p2.aux.c
+    cfl = step_patch(p2, dt, eq2, "MC")
+    assert isinstance(cfl, float)
+    assert cfl == max(float(np.max(c[g - 1:nx - g + 1, g:ny - g])) * (dt / p2.spec.dx),
+                      float(np.max(c[g:nx - g, g - 1:ny - g + 1])) * (dt / p2.spec.dy))
