@@ -230,7 +230,11 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
     patch = h.patches(1)[0]
     xs, = patch.spec.cell_centers()
     window = cfg.window()
+    # every snapshot is sampled on the run's grid once; a step then only
+    # takes its window's rows
     stencil = field_stencil(store.grid, xs)
+    qhat = np.stack([apply_stencil(stencil, f.values) for f in store.fields])
+    qhat_norm = np.sum(np.abs(qhat), axis=1)
 
     times = []
     mq, mqh, mi = [], [], []
@@ -241,20 +245,16 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
         times.append(t)
         mq.append(np.sum(np.abs(q), axis=0) >= threshold)
         idxs = adj.query_window_times(t, window, store)
-        qhat_norm = np.zeros(xs.shape)
-        inner = np.zeros(xs.shape)
-        for n in idxs:
-            qhat = apply_stencil(stencil, store.fields[n].values)
-            qhat_norm = np.maximum(qhat_norm, np.sum(np.abs(qhat), axis=0))
-            inner = np.maximum(inner, np.abs(np.sum(qhat * q, axis=0)))
-        mqh.append(qhat_norm >= threshold)
-        mi.append(inner >= threshold)
+        mqh.append(np.max(qhat_norm[idxs], axis=0, initial=0.0) >= threshold)
+        inner = np.abs(np.sum(qhat[idxs] * q, axis=1))
+        mi.append(np.max(inner, axis=0, initial=0.0) >= threshold)
 
     from .solver import integrate_patch
     sample(patch)
     integrate_patch(patch, equation, cfg.boundary, sub.base_shape, cfg.t_final,
                     courant_target=cfg.courant, limiter=cfg.limiter,
                     dt_fixed=cfg.dt_fixed, on_step=sample)
+    del qhat, qhat_norm         # freed before the masks are stacked
     return xs, np.asarray(times), np.asarray(mq), np.asarray(mqh), np.asarray(mi)
 
 

@@ -12,7 +12,7 @@ materials are per-cell arrays of the same batch shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +31,19 @@ class DryCellError(ValueError):
 
 @dataclass(frozen=True)
 class AcousticsMaterial:
-    """Per-cell bulk modulus and density with derived sound speed and impedance."""
+    """Per-cell bulk modulus and density with derived sound speed and impedance.
+
+    `validated` marks a material made by `create`, which rejects nonpositive
+    bulk modulus or density; slices keep the mark, so the Riemann solvers
+    check only hand-built materials.  The mark is not a constructor field,
+    so a hand-built material or a `dataclasses.replace` copy is checked again.
+    """
 
     bulk: np.ndarray
     rho: np.ndarray
     c: np.ndarray
     z: np.ndarray
+    validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, bulk, rho) -> "AcousticsMaterial":
@@ -45,10 +52,15 @@ class AcousticsMaterial:
         if np.any(bulk <= 0) or np.any(rho <= 0):
             raise InvalidMaterialError("bulk modulus and density must be positive")
         c = np.sqrt(bulk / rho)
-        return cls(bulk=bulk, rho=rho, c=c, z=rho * c)
+        return cls(bulk=bulk, rho=rho, c=c, z=rho * c)._marked()
 
     def __getitem__(self, sl) -> "AcousticsMaterial":
-        return AcousticsMaterial(self.bulk[sl], self.rho[sl], self.c[sl], self.z[sl])
+        sub = AcousticsMaterial(self.bulk[sl], self.rho[sl], self.c[sl], self.z[sl])
+        return sub._marked() if self.validated else sub
+
+    def _marked(self) -> "AcousticsMaterial":
+        object.__setattr__(self, "validated", True)
+        return self
 
 
 @dataclass(frozen=True)
@@ -97,25 +109,82 @@ class RiemannResult:
 
 def _check_acoustics(*mats: AcousticsMaterial):
     for m in mats:
-        if np.any(m.bulk <= 0) or np.any(m.rho <= 0):
+        if not m.validated and (np.any(m.bulk <= 0) or np.any(m.rho <= 0)):
             raise InvalidMaterialError("bulk modulus and density must be positive")
 
 
-def _fluctuations(waves, speeds):
-    """Speed-weighted fluctuation split for wave-form results."""
-    neg = np.minimum(speeds, 0.0)[:, None]
-    pos = np.maximum(speeds, 0.0)[:, None]
-    amdq = np.sum(neg * waves, axis=0)
-    apdq = np.sum(pos * waves, axis=0)
-    return amdq, apdq
+def _check_wet(mat_l: SweMaterial, mat_r: SweMaterial, message: str):
+    if not (mat_l.wet.all() and mat_r.wet.all()):
+        raise DryCellError(message)
 
 
-def _fwave_fluctuations(waves, speeds):
-    """Sign-split sums for f-wave results; zero-speed f-waves split evenly."""
-    wneg = np.where(speeds[:, None] < 0, 1.0, np.where(speeds[:, None] == 0, 0.5, 0.0))
-    amdq = np.sum(wneg * waves, axis=0)
-    apdq = np.sum((1.0 - wneg) * waves, axis=0)
-    return amdq, apdq
+def _two_wave_solve(d, p: int, r: int, x_l, x_r, c_l, c_r, m: int, fwave: bool,
+                    zero_wave=None) -> RiemannResult:
+    """Split the jump `d` onto the two moving wave families.
+
+    Every system here has m components, m wave families and the same
+    structure: the left-going family (first, speed −c_l) has eigenvector 1
+    in component p and −x_l in component r, the right-going family (last,
+    speed +c_r) 1 and x_r; x is the impedance (acoustics) or the wave speed
+    (shallow water).  In 2D a middle family of speed exactly 0 carries
+    `zero_wave` = (component, values), the state jump transverse to the
+    face (zero in f-wave form).  `d` is the state jump in wave form and the
+    flux jump in f-wave form; only its components p and r are read.
+
+    Waves and speeds are written into one zeroed array.  Because c > 0 for
+    every valid material, the left-going fluctuation is the first family
+    alone and the right-going one the last: speed-weighted in wave form,
+    the f-waves themselves in f-wave form.
+    """
+    buf = np.zeros((m, m + 1, *d[p].shape))
+    waves, speeds = buf[:, :m], buf[:, m]
+    a1, a2 = waves[0, p], waves[-1, p]
+    den = x_l + x_r
+    np.multiply(x_r, d[p], out=a1)
+    a1 -= d[r]
+    a1 /= den
+    np.multiply(x_l, d[p], out=a2)
+    a2 += d[r]
+    a2 /= den
+    np.multiply(a1, x_l, out=waves[0, r])
+    np.negative(waves[0, r], out=waves[0, r])
+    np.multiply(a2, x_r, out=waves[-1, r])
+    np.negative(c_l, out=speeds[0])
+    speeds[-1] = c_r
+    if zero_wave is not None:
+        waves[1, zero_wave[0]] = zero_wave[1]
+    moving = slice(None, None, m - 1)       # the first and the last family
+    if fwave:
+        fluct = waves[moving].copy()
+    else:
+        fluct = speeds[moving, None] * waves[moving]
+    return RiemannResult(waves, speeds, fluct[0], fluct[1], fwave=fwave)
+
+
+def _transverse_split(f, p: int, r: int, x_b, x_a, c_b, c_a):
+    """Split a fluctuation onto the down- and up-going transverse families.
+
+    The same structure as `_two_wave_solve` across the face normal: the
+    down-going eigenvector has 1 in component p and −x_b in component r, the
+    up-going 1 and x_a; each part is weighted by its speed (−c_b, +c_a).
+    Returns (down-going, up-going).
+    """
+    den = x_b + x_a
+    bd = x_a * f[p]
+    bd -= f[r]
+    bd /= den
+    bu = x_b * f[p]
+    bu += f[r]
+    bu /= den
+    bm, bp = np.zeros((2, *f.shape))
+    np.multiply(c_b, bd, out=bm[p])
+    np.negative(bm[p], out=bm[p])
+    np.multiply(bd, x_b, out=bm[r])
+    bm[r] *= c_b
+    np.multiply(c_a, bu, out=bp[p])
+    np.multiply(bu, x_a, out=bp[r])
+    bp[r] *= c_a
+    return bm, bp
 
 
 # ---------------------------------------------------------------------------
@@ -125,19 +194,8 @@ def _fwave_fluctuations(waves, speeds):
 def acoustics_rp_1d(q_l, q_r, mat_l: AcousticsMaterial, mat_r: AcousticsMaterial) -> RiemannResult:
     """Variable-coefficient 1D acoustics: two waves along (−Z_l,1) and (Z_r,1)."""
     _check_acoustics(mat_l, mat_r)
-    q_l = np.asarray(q_l, dtype=float)
-    q_r = np.asarray(q_r, dtype=float)
-    dq = q_r - q_l
-    zl, zr = mat_l.z, mat_r.z
-    a1 = (-dq[0] + zr * dq[1]) / (zl + zr)
-    a2 = (dq[0] + zl * dq[1]) / (zl + zr)
-    waves = np.stack([
-        np.stack([-a1 * zl, a1]),
-        np.stack([a2 * zr, a2]),
-    ])
-    speeds = np.stack([-mat_l.c, mat_r.c])
-    amdq, apdq = _fluctuations(waves, speeds)
-    return RiemannResult(waves, speeds, amdq, apdq)
+    dq = np.asarray(q_r, dtype=float) - np.asarray(q_l, dtype=float)
+    return _two_wave_solve(dq, 1, 0, mat_l.z, mat_r.z, mat_l.c, mat_r.c, 2, False)
 
 
 def acoustics_rp_normal_2d(axis: int, q_l, q_r, mat_l: AcousticsMaterial,
@@ -148,25 +206,11 @@ def acoustics_rp_normal_2d(axis: int, q_l, q_r, mat_l: AcousticsMaterial,
     jump rides the zero-speed family and never propagates.
     """
     _check_acoustics(mat_l, mat_r)
-    q_l = np.asarray(q_l, dtype=float)
-    q_r = np.asarray(q_r, dtype=float)
-    dq = q_r - q_l
+    dq = np.asarray(q_r, dtype=float) - np.asarray(q_l, dtype=float)
     mu = 1 + axis          # normal velocity component
     mv = 2 - axis          # transverse velocity component
-    zl, zr = mat_l.z, mat_r.z
-    a1 = (-dq[0] + zr * dq[mu]) / (zl + zr)
-    a2 = (dq[0] + zl * dq[mu]) / (zl + zr)
-    zero = np.zeros_like(a1)
-    w1 = [None] * 3
-    w2 = [None] * 3
-    w0 = [None] * 3
-    w1[0], w1[mu], w1[mv] = -a1 * zl, a1, zero
-    w2[0], w2[mu], w2[mv] = a2 * zr, a2, zero
-    w0[0], w0[mu], w0[mv] = zero, zero, dq[mv]
-    waves = np.stack([np.stack(w1), np.stack(w0), np.stack(w2)])
-    speeds = np.stack([-mat_l.c, zero, mat_r.c])
-    amdq, apdq = _fluctuations(waves, speeds)
-    return RiemannResult(waves, speeds, amdq, apdq)
+    return _two_wave_solve(dq, mu, 0, mat_l.z, mat_r.z, mat_l.c, mat_r.c, 3, False,
+                           zero_wave=(mv, dq[mv]))
 
 
 def acoustics_rp_transverse_2d(axis: int, fluct, mat_below: AcousticsMaterial,
@@ -179,16 +223,8 @@ def acoustics_rp_transverse_2d(axis: int, fluct, mat_below: AcousticsMaterial,
     _check_acoustics(mat_below, mat_above)
     f = np.asarray(fluct, dtype=float)
     mv = 2 - axis          # velocity component transverse to the face normal
-    zb, za = mat_below.z, mat_above.z
-    bd = (-f[0] + za * f[mv]) / (zb + za)
-    bu = (f[0] + zb * f[mv]) / (zb + za)
-    bm = np.zeros_like(f)
-    bp = np.zeros_like(f)
-    bm[0] = -mat_below.c * (-bd * zb)
-    bm[mv] = -mat_below.c * bd
-    bp[0] = mat_above.c * (bu * za)
-    bp[mv] = mat_above.c * bu
-    return bm, bp
+    return _transverse_split(f, mv, 0, mat_below.z, mat_above.z,
+                             mat_below.c, mat_above.c)
 
 
 # ---------------------------------------------------------------------------
@@ -201,27 +237,12 @@ def swe_linear_rp(axis: int, q_l, q_r, mat_l: SweMaterial, mat_r: SweMaterial) -
     Both sides must be wet; coastline handling lives in the solver's
     wet/dry masking, not here.
     """
-    if np.any(~mat_l.wet) or np.any(~mat_r.wet):
-        raise DryCellError("swe_linear_rp requires wet cells on both sides")
-    q_l = np.asarray(q_l, dtype=float)
-    q_r = np.asarray(q_r, dtype=float)
-    dq = q_r - q_l
+    _check_wet(mat_l, mat_r, "swe_linear_rp requires wet cells on both sides")
+    dq = np.asarray(q_r, dtype=float) - np.asarray(q_l, dtype=float)
     mu = 1 + axis
     mv = 2 - axis
-    cl, cr = mat_l.c, mat_r.c
-    a1 = (cr * dq[0] - dq[mu]) / (cl + cr)
-    a2 = (cl * dq[0] + dq[mu]) / (cl + cr)
-    zero = np.zeros_like(a1)
-    w1 = [None] * 3
-    w2 = [None] * 3
-    w0 = [None] * 3
-    w1[0], w1[mu], w1[mv] = a1, -a1 * cl, zero
-    w2[0], w2[mu], w2[mv] = a2, a2 * cr, zero
-    w0[0], w0[mu], w0[mv] = zero, zero, dq[mv]
-    waves = np.stack([np.stack(w1), np.stack(w0), np.stack(w2)])
-    speeds = np.stack([-cl, zero, cr])
-    amdq, apdq = _fluctuations(waves, speeds)
-    return RiemannResult(waves, speeds, amdq, apdq)
+    return _two_wave_solve(dq, 0, mu, mat_l.c, mat_r.c, mat_l.c, mat_r.c, 3, False,
+                           zero_wave=(mv, dq[mv]))
 
 
 def swe_linear_transverse(axis: int, fluct, mat_below: SweMaterial,
@@ -229,40 +250,30 @@ def swe_linear_transverse(axis: int, fluct, mat_below: SweMaterial,
     """Transverse split of a linear SWE fluctuation (wave form)."""
     f = np.asarray(fluct, dtype=float)
     mv = 2 - axis
-    cb, ca = mat_below.c, mat_above.c
-    den = cb + ca
-    bd = (ca * f[0] - f[mv]) / den
-    bu = (cb * f[0] + f[mv]) / den
-    bm = np.zeros_like(f)
-    bp = np.zeros_like(f)
-    bm[0] = -cb * bd
-    bm[mv] = -cb * (-bd * cb)
-    bp[0] = ca * bu
-    bp[mv] = ca * (bu * ca)
-    return bm, bp
+    return _transverse_split(f, 0, mv, mat_below.c, mat_above.c,
+                             mat_below.c, mat_above.c)
 
 
 # ---------------------------------------------------------------------------
 # Adjoint systems (f-wave form, flux transpose(A)·q̂)
 
 
+def _adjoint_flux_parts(system: str, axis: int, q, mat) -> dict:
+    """The nonzero components of transpose(A)·q̂: {component: values}."""
+    mu = 1 + axis
+    if system in ("acoustics-1d", "acoustics-2d"):
+        return {0: q[mu] / mat.rho, mu: mat.bulk * q[0]}
+    if system == "swe-linear-2d":
+        return {0: mat.gravity * mat.depth * q[mu], mu: q[0]}
+    raise ValueError(f"unknown system {system!r}")
+
+
 def adjoint_flux(system: str, axis: int, q, mat):
     """Adjoint flux transpose(A)·q̂ (or transpose(B)·q̂ for the y axis)."""
     q = np.asarray(q, dtype=float)
     f = np.zeros_like(q)
-    if system == "acoustics-1d":
-        f[0] = q[1] / mat.rho
-        f[1] = mat.bulk * q[0]
-    elif system == "acoustics-2d":
-        mu = 1 + axis
-        f[0] = q[mu] / mat.rho
-        f[mu] = mat.bulk * q[0]
-    elif system == "swe-linear-2d":
-        mu = 1 + axis
-        f[0] = mat.gravity * mat.depth * q[mu]
-        f[mu] = q[0]
-    else:
-        raise ValueError(f"unknown system {system!r}")
+    for comp, values in _adjoint_flux_parts(system, axis, q, mat).items():
+        f[comp] = values
     return f
 
 
@@ -273,80 +284,30 @@ def adjoint_fwave_rp(system: str, axis: int, q_l, q_r, mat_l, mat_r) -> RiemannR
     matrix, left-going families using left-cell material and right-going
     using right-cell material, so speed sets match the forward solver.
     """
-    fl = adjoint_flux(system, axis, q_l, mat_l)
-    fr = adjoint_flux(system, axis, q_r, mat_r)
-    df = fr - fl
-    zero = np.zeros_like(df[0])
-    if system == "acoustics-1d":
-        _check_acoustics(mat_l, mat_r)
-        zl, zr = mat_l.z, mat_r.z
-        b1 = (zr * df[0] - df[1]) / (zl + zr)
-        b2 = (zl * df[0] + df[1]) / (zl + zr)
-        waves = np.stack([
-            np.stack([b1, -b1 * zl]),
-            np.stack([b2, b2 * zr]),
-        ])
-        speeds = np.stack([-mat_l.c, mat_r.c])
-    elif system == "acoustics-2d":
-        _check_acoustics(mat_l, mat_r)
-        mu = 1 + axis
-        mv = 2 - axis
-        zl, zr = mat_l.z, mat_r.z
-        b1 = (zr * df[0] - df[mu]) / (zl + zr)
-        b2 = (zl * df[0] + df[mu]) / (zl + zr)
-        w1 = [None] * 3
-        w2 = [None] * 3
-        w1[0], w1[mu], w1[mv] = b1, -b1 * zl, zero
-        w2[0], w2[mu], w2[mv] = b2, b2 * zr, zero
-        waves = np.stack([np.stack(w1), np.zeros_like(np.stack(w1)), np.stack(w2)])
-        speeds = np.stack([-mat_l.c, zero, mat_r.c])
-    elif system == "swe-linear-2d":
-        if np.any(~mat_l.wet) or np.any(~mat_r.wet):
-            raise DryCellError("adjoint SWE solve requires wet cells")
-        mu = 1 + axis
-        mv = 2 - axis
-        cl, cr = mat_l.c, mat_r.c
-        b1 = (cr * df[mu] - df[0]) / (cl + cr)
-        b2 = (cl * df[mu] + df[0]) / (cl + cr)
-        w1 = [None] * 3
-        w2 = [None] * 3
-        w1[0], w1[mu], w1[mv] = -b1 * cl, b1, zero
-        w2[0], w2[mu], w2[mv] = b2 * cr, b2, zero
-        waves = np.stack([np.stack(w1), np.zeros_like(np.stack(w1)), np.stack(w2)])
-        speeds = np.stack([-cl, zero, cr])
-    else:
-        raise ValueError(f"unknown system {system!r}")
-    amdq, apdq = _fwave_fluctuations(waves, speeds)
-    return RiemannResult(waves, speeds, amdq, apdq, fwave=True)
+    fl = _adjoint_flux_parts(system, axis, np.asarray(q_l, dtype=float), mat_l)
+    fr = _adjoint_flux_parts(system, axis, np.asarray(q_r, dtype=float), mat_r)
+    df = {comp: fr[comp] - fl[comp] for comp in fl}
+    mu = 1 + axis
+    m = 2 if system == "acoustics-1d" else 3
+    if system == "swe-linear-2d":
+        _check_wet(mat_l, mat_r, "adjoint SWE solve requires wet cells")
+        return _two_wave_solve(df, mu, 0, mat_l.c, mat_r.c, mat_l.c, mat_r.c, m, True)
+    _check_acoustics(mat_l, mat_r)
+    return _two_wave_solve(df, 0, mu, mat_l.z, mat_r.z, mat_l.c, mat_r.c, m, True)
 
 
 def adjoint_transverse(system: str, axis: int, fluct, mat_below, mat_above):
     """Transverse split of an adjoint fluctuation onto transpose eigenvectors."""
     f = np.asarray(fluct, dtype=float)
     mv = 2 - axis
-    bm = np.zeros_like(f)
-    bp = np.zeros_like(f)
     if system == "acoustics-2d":
         _check_acoustics(mat_below, mat_above)
-        zb, za = mat_below.z, mat_above.z
-        bd = (za * f[0] - f[mv]) / (zb + za)
-        bu = (zb * f[0] + f[mv]) / (zb + za)
-        bm[0] = -mat_below.c * bd
-        bm[mv] = -mat_below.c * (-bd * zb)
-        bp[0] = mat_above.c * bu
-        bp[mv] = mat_above.c * (bu * za)
-    elif system == "swe-linear-2d":
-        cb, ca = mat_below.c, mat_above.c
-        den = cb + ca
-        bd = (ca * f[mv] - f[0]) / den
-        bu = (cb * f[mv] + f[0]) / den
-        bm[0] = -cb * (-bd * cb)
-        bm[mv] = -cb * bd
-        bp[0] = ca * (bu * ca)
-        bp[mv] = ca * bu
-    else:
-        raise ValueError(f"no transverse solve for system {system!r}")
-    return bm, bp
+        return _transverse_split(f, 0, mv, mat_below.z, mat_above.z,
+                                 mat_below.c, mat_above.c)
+    if system == "swe-linear-2d":
+        return _transverse_split(f, mv, 0, mat_below.c, mat_above.c,
+                                 mat_below.c, mat_above.c)
+    raise ValueError(f"no transverse solve for system {system!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -512,20 +473,26 @@ class TimeReversed(EquationSet):
         return self.inner.normal_component(axis)
 
     def normal_rp(self, axis, ql, qr, matl, matr):
+        # the inner result is fresh, so it is flipped in place; f-waves are
+        # flux jumps and flip with the flux, state-jump waves do not
         res = self.inner.normal_rp(axis, ql, qr, matl, matr)
-        # f-waves are flux jumps and flip with the flux; state-jump waves do not
-        waves = -res.waves[::-1] if res.fwave else res.waves[::-1]
+        if res.fwave:
+            np.negative(res.waves, out=res.waves)
+        for a in (res.speeds, res.fluct_minus, res.fluct_plus):
+            np.negative(a, out=a)
         return RiemannResult(
-            waves=waves,
-            speeds=-res.speeds[::-1],
-            fluct_minus=-res.fluct_plus,
-            fluct_plus=-res.fluct_minus,
+            waves=res.waves[::-1],
+            speeds=res.speeds[::-1],
+            fluct_minus=res.fluct_plus,
+            fluct_plus=res.fluct_minus,
             fwave=res.fwave,
         )
 
     def transverse_rp(self, axis, fluct, mat_below, mat_above):
         bm, bp = self.inner.transverse_rp(axis, fluct, mat_below, mat_above)
-        return -bp, -bm
+        np.negative(bm, out=bm)
+        np.negative(bp, out=bp)
+        return bp, bm
 
     def max_speed(self, mat):
         return self.inner.max_speed(mat)

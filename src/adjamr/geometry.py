@@ -112,6 +112,7 @@ class Patch:
         self.state_old: np.ndarray | None = None
         self.time_old: float | None = None
         self.coarse_ghost_plan = None     # solver.CoarseGhostPlan, built on first fill
+        self.step_aux = None              # solver.StepAux, built on first step
 
     @property
     def num_components(self) -> int:

@@ -282,20 +282,31 @@ def _ghost_indices(spec):
 
 
 def _limited_waves(waves, speeds, limiter: str, axis: int):
-    """Apply the wave limiter comparing each wave with its upwind neighbor."""
+    """Apply the wave limiter comparing each wave with its upwind neighbor.
+
+    Both neighbor dot products come from one product of each interface's
+    waves with the next interface's; at the patch ends the missing neighbor
+    counts as a zero wave.
+    """
     if limiter == "none":
         return waves
     ax = 2 + axis  # waves axes: (family, component, interfaces...)
     dots = np.sum(waves * waves, axis=1)
-    up = np.roll(waves, 1, axis=ax)
-    dn = np.roll(waves, -1, axis=ax)
-    up[_along(waves.ndim, ax, slice(0, 1))] = 0.0
-    dn[_along(waves.ndim, ax, slice(-1, None))] = 0.0
-    dot_up = np.sum(up * waves, axis=1)
-    dot_dn = np.sum(dn * waves, axis=1)
-    upwind = np.where(speeds > 0, dot_up, dot_dn)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        theta = np.where(dots > 0, upwind / np.where(dots > 0, dots, 1.0), 0.0)
+    n = waves.shape[ax]
+
+    def interfaces(s):
+        return _along(dots.ndim, ax - 1, s)
+
+    # pairs[i + 1] = W_i·W_{i+1}; pairs[0] and pairs[n] stay zero
+    shape = list(dots.shape)
+    shape[ax - 1] = n + 1
+    pairs = np.zeros(shape)
+    np.sum(waves[_along(waves.ndim, ax, slice(None, -1))]
+           * waves[_along(waves.ndim, ax, slice(1, None))],
+           axis=1, out=pairs[interfaces(slice(1, n))])
+    upwind = np.where(speeds > 0, pairs[interfaces(slice(None, -1))],
+                      pairs[interfaces(slice(1, None))])
+    theta = np.divide(upwind, dots, out=np.zeros_like(dots), where=dots > 0)
     phi = limiter_phi(limiter, theta)
     return phi[:, None] * waves
 
@@ -317,56 +328,122 @@ def _mirror_state(q, comp):
     return out
 
 
-def _swe_effective_states(axis, ql, qr, matl, matr):
-    """Mirror across wet/dry interfaces; dummy-wet both-dry faces.
+@dataclass
+class _CoastFaces:
+    """The state-independent half of the coastline rule on one axis.
 
-    Returns effective (ql, qr, matl, matr, ww_mask, dd_mask).
+    Interface states are mirrored across wet/dry faces: `wet_l`/`wet_r` say
+    where a side keeps its own state.  The solve on a wet/dry face uses the
+    wet side's material on both sides: `from_right` marks faces whose left
+    material comes from the right cell, `from_left` the reverse.  Dry/dry
+    faces (`dry_dry`) are solved with a dummy unit depth and zeroed; faces
+    that are not wet/wet (`not_wet_wet`) carry no correction flux.
     """
-    mu = 1 + axis
+
+    wet_l: np.ndarray
+    wet_r: np.ndarray
+    from_right: np.ndarray
+    from_left: np.ndarray
+    dry_dry: np.ndarray
+    not_wet_wet: np.ndarray
+
+
+def _coast_faces(matl: SweMaterial, matr: SweMaterial) -> _CoastFaces:
     wl, wr = matl.wet, matr.wet
-    ww = wl & wr
-    dd = ~wl & ~wr
-    ql_eff = np.where(wl, ql, _mirror_state(qr, mu))
-    qr_eff = np.where(wr, qr, _mirror_state(ql, mu))
-
-    def pick(a, b, keep):
-        return np.where(keep, a, b)
-
-    dummy = 1.0
-    dl = pick(matl.depth, matr.depth, wl)
-    dr = pick(matr.depth, matl.depth, wr)
-    dl = np.where(dd, dummy, dl)
-    dr = np.where(dd, dummy, dr)
-    ml = SweMaterial.create(-dl, 0.0, matl.gravity)
-    mr = SweMaterial.create(-dr, 0.0, matl.gravity)
-    return ql_eff, qr_eff, ml, mr, ww, dd
+    return _CoastFaces(wet_l=wl, wet_r=wr, from_right=~wl & wr, from_left=wl & ~wr,
+                       dry_dry=~wl & ~wr, not_wet_wet=~(wl & wr))
 
 
-def _swe_transverse_material(mat):
-    """Clamp dry cells to unit depth so transverse algebra stays finite."""
+def _pick(mask, if_true: SweMaterial, if_false: SweMaterial) -> SweMaterial:
+    """Per-cell choice between two materials of the same shape."""
+    return SweMaterial(*(np.where(mask, getattr(if_true, k), getattr(if_false, k))
+                         for k in ("bathymetry", "depth", "wet", "c")),
+                       gravity=if_true.gravity)
+
+
+def _swe_clamped_material(mat):
+    """Clamp dry cells to unit depth so the solves there stay finite.
+
+    This is the material of the transverse splits, and the dummy depth of
+    dry/dry faces in the normal solves.
+    """
     return SweMaterial.create(-np.where(mat.wet, mat.depth, 1.0), 0.0, mat.gravity)
 
 
-def _solve_axis(patch, equation, axis, swe):
-    """All interface solves along one axis from the patch's current state."""
-    q = patch.state
+@dataclass
+class StepAux:
+    """What the step kernel reads of a patch's material, built once per patch.
+
+    Per axis: the materials on the low and high side of every interface
+    (`left`/`right`; for shallow water, of the clamped material, and
+    `coast` holds the coastline rule).  In 2D, `transverse` holds the
+    (below, above) material pairs of the four transverse splits: x-face
+    minus/plus fluctuations, then y-face ones.  All are views of one
+    per-cell material.  These linear systems have interface speeds that
+    depend on the material only, so the first step records each axis's
+    max|s| over the interfaces touching the interior (`courant_speeds`).
+    Valid while the patch keeps this `aux` and equation set.
+    """
+
+    aux: object
+    equation: EquationSet
+    left: tuple
+    right: tuple
+    coast: tuple | None
+    transverse: tuple
+    courant_speeds: tuple | None = None
+
+
+def _transverse_cells(nd: int, a: int, high: bool, b_slice: slice):
+    """Cells on the low (fluct_minus) or high (fluct_plus) side of the
+    axis-a interfaces, restricted to `b_slice` along the other axis."""
+    out = [slice(None)] * nd
+    out[a] = slice(1, None) if high else slice(None, -1)
+    out[1 - a] = b_slice
+    return tuple(out)
+
+
+def _step_aux(patch: Patch, equation: EquationSet) -> StepAux:
+    """The patch's StepAux, built on first use or when aux or equation changed."""
+    sa = patch.step_aux
+    if sa is not None and sa.aux is patch.aux and sa.equation is equation:
+        return sa
     aux = patch.aux
-    sl_l = _along(q.ndim - 1, axis, slice(None, -1))
-    sl_r = _along(q.ndim - 1, axis, slice(1, None))
-    ql = q[(slice(None), *sl_l)]
-    qr = q[(slice(None), *sl_r)]
-    matl = aux[sl_l]
-    matr = aux[sl_r]
-    if swe:
-        ql, qr, matl, matr, ww, dd = _swe_effective_states(axis, ql, qr, matl, matr)
-        res = equation.normal_rp(axis, ql, qr, matl, matr)
-        res.waves[:, :, dd] = 0.0
-        res.speeds[:, dd] = 0.0
-        res.fluct_minus[:, dd] = 0.0
-        res.fluct_plus[:, dd] = 0.0
-        return res, ww
-    res = equation.normal_rp(axis, ql, qr, matl, matr)
-    return res, None
+    nd = patch.spec.ndim
+    mat = _swe_clamped_material(aux) if equation.is_swe else aux
+    left = tuple(mat[_along(nd, a, slice(None, -1))] for a in range(nd))
+    right = tuple(mat[_along(nd, a, slice(1, None))] for a in range(nd))
+    coast = None
+    if equation.is_swe:
+        coast = tuple(_coast_faces(aux[_along(nd, a, slice(None, -1))],
+                                   aux[_along(nd, a, slice(1, None))]) for a in range(nd))
+    transverse = ()
+    if nd == 2:
+        transverse = tuple(
+            (mat[_transverse_cells(nd, a, high, slice(None, -2))],
+             mat[_transverse_cells(nd, a, high, slice(2, None))])
+            for a in range(nd) for high in (False, True))
+    sa = patch.step_aux = StepAux(aux=aux, equation=equation, left=left, right=right,
+                                  coast=coast, transverse=transverse)
+    return sa
+
+
+def _solve_axis(q, equation, axis, sa: StepAux):
+    """All interface solves along one axis from the state q."""
+    ql = q[(slice(None), *_along(q.ndim - 1, axis, slice(None, -1)))]
+    qr = q[(slice(None), *_along(q.ndim - 1, axis, slice(1, None)))]
+    matl, matr = sa.left[axis], sa.right[axis]
+    if sa.coast is None:
+        return equation.normal_rp(axis, ql, qr, matl, matr)
+    cf = sa.coast[axis]
+    mu = 1 + axis
+    ql_eff = np.where(cf.wet_l, ql, _mirror_state(qr, mu))
+    qr_eff = np.where(cf.wet_r, qr, _mirror_state(ql, mu))
+    res = equation.normal_rp(axis, ql_eff, qr_eff, _pick(cf.from_right, matr, matl),
+                             _pick(cf.from_left, matl, matr))
+    for a in (res.waves, res.speeds, res.fluct_minus, res.fluct_plus):
+        np.copyto(a, 0.0, where=cf.dry_dry)
+    return res
 
 
 def step_patch(patch: Patch, dt: float, equation: EquationSet,
@@ -376,6 +453,14 @@ def step_patch(patch: Patch, dt: float, equation: EquationSet,
     The Courant number is max|s|·dt/dx over the interfaces that touch the
     interior.  Raises CflViolationError above 1 and NumericalBlowupError on a
     non-finite result, both naming the patch (level, box, time).
+
+    Only exact zeros are skipped.  The 2D systems have three wave families
+    (−c, 0, +c); the middle one has speed exactly 0, so its correction-flux
+    coefficient is 0 (|s| and sign(s) alike) and only the first and last
+    family are limited.  The waves and fluctuations of the solves along
+    axis a, and the transverse splits into that axis's correction fluxes,
+    are zero outside components 0 and 1 + a (all components in 1D), so the
+    updates and fluxes along axis a work on those two components only.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -384,64 +469,58 @@ def step_patch(patch: Patch, dt: float, equation: EquationSet,
     g = spec.ghost_width
     q = patch.state
     n = q.shape[1:]
-    swe = equation.is_swe
     dtd = [dt / w for w in spec.widths]
+    sa = _step_aux(patch, equation)
+    moving = slice(None, None, 2) if nd == 2 else slice(None)
+    comps = [slice(0, 2 + a, 1 + a) for a in range(nd)]
 
-    res, ww = zip(*(_solve_axis(patch, equation, a, swe) for a in range(nd)))
+    def at(c, axis, s):
+        """Index of components c and the cells `s` along `axis`."""
+        return (c, *_along(nd, axis, s))
+
+    res = [_solve_axis(q, equation, a, sa) for a in range(nd)]
+    if sa.courant_speeds is None:
+        # max|s| over the interfaces along axis a with an interior cell on
+        # at least one side
+        sa.courant_speeds = tuple(
+            float(np.max(np.abs(res[a].speeds[(slice(None), *(
+                slice(g - 1, n[b] - g) if b == a else slice(g, n[b] - g)
+                for b in range(nd)))]), initial=0.0))
+            for a in range(nd))
     cfl = 0.0
     for a in range(nd):
-        # interfaces along axis a with an interior cell on at least one side
-        touching = tuple(slice(g - 1, n[b] - g) if b == a else slice(g, n[b] - g)
-                         for b in range(nd))
-        cfl = max(cfl, float(np.max(np.abs(res[a].speeds[(slice(None), *touching)]),
-                                    initial=0.0)) * dtd[a])
+        cfl = max(cfl, sa.courant_speeds[a] * dtd[a])
     if cfl > 1.0 + 1e-12:
         raise CflViolationError(f"{patch}: Courant number {cfl:.4f} > 1")
 
     dq = np.zeros_like(q)
     for a in range(nd):
-        dq[_along(q.ndim, 1 + a, slice(1, None))] -= dtd[a] * res[a].fluct_plus
-        dq[_along(q.ndim, 1 + a, slice(None, -1))] -= dtd[a] * res[a].fluct_minus
-    flux = [_correction_flux(res[a].waves, res[a].speeds, dtd[a], limiter, a, res[a].fwave)
+        dq[at(comps[a], a, slice(1, None))] -= dtd[a] * res[a].fluct_plus[comps[a]]
+        dq[at(comps[a], a, slice(None, -1))] -= dtd[a] * res[a].fluct_minus[comps[a]]
+    flux = [_correction_flux(res[a].waves[moving, comps[a]], res[a].speeds[moving],
+                             dtd[a], limiter, a, res[a].fwave)
             for a in range(nd)]
     if nd == 2:
         # transverse splits of the x-interface fluctuations feed the y
         # correction fluxes in the rows above and below, and vice versa
-        ftil, gtil = flux
-        resx, resy = res
-        dtdx, dtdy = dtd
-        nx, ny = n
-        tr_aux = _swe_transverse_material(patch.aux) if swe else patch.aux
-        below = tr_aux[:-1, :-2]
-        above = tr_aux[:-1, 2:]
-        bm, bp = equation.transverse_rp(0, resx.fluct_minus[:, :, 1:-1], below, above)
-        gtil[:, :-1, 0:ny - 2] -= 0.5 * dtdx * bm
-        gtil[:, :-1, 1:ny - 1] -= 0.5 * dtdx * bp
-        below = tr_aux[1:, :-2]
-        above = tr_aux[1:, 2:]
-        bm, bp = equation.transverse_rp(0, resx.fluct_plus[:, :, 1:-1], below, above)
-        gtil[:, 1:, 0:ny - 2] -= 0.5 * dtdx * bm
-        gtil[:, 1:, 1:ny - 1] -= 0.5 * dtdx * bp
-
-        left = tr_aux[:-2, :-1]
-        right = tr_aux[2:, :-1]
-        bm, bp = equation.transverse_rp(1, resy.fluct_minus[:, 1:-1, :], left, right)
-        ftil[:, 0:nx - 2, :-1] -= 0.5 * dtdy * bm
-        ftil[:, 1:nx - 1, :-1] -= 0.5 * dtdy * bp
-        left = tr_aux[:-2, 1:]
-        right = tr_aux[2:, 1:]
-        bm, bp = equation.transverse_rp(1, resy.fluct_plus[:, 1:-1, :], left, right)
-        ftil[:, 0:nx - 2, 1:] -= 0.5 * dtdy * bm
-        ftil[:, 1:nx - 1, 1:] -= 0.5 * dtdy * bp
-    if swe:
-        for f, w in zip(flux, ww):
-            f[:, ~w] = 0.0
+        pairs = iter(sa.transverse)
+        for a in range(nd):
+            b = 1 - a
+            for high, fluct in ((False, res[a].fluct_minus), (True, res[a].fluct_plus)):
+                below, above = next(pairs)
+                bm, bp = equation.transverse_rp(
+                    a, fluct[at(slice(None), b, slice(1, -1))], below, above)
+                target = flux[b][(slice(None), *_transverse_cells(nd, a, high, slice(None)))]
+                target[at(slice(None), b, slice(0, n[b] - 2))] -= 0.5 * dtd[a] * bm[comps[b]]
+                target[at(slice(None), b, slice(1, n[b] - 1))] -= 0.5 * dtd[a] * bp[comps[b]]
+    if sa.coast is not None:
+        for f, cf in zip(flux, sa.coast):
+            np.copyto(f, 0.0, where=cf.not_wet_wet)
     for a in range(nd):
-        ax = 1 + a
-        dq[_along(q.ndim, ax, slice(1, -1))] -= dtd[a] * (
-            flux[a][_along(q.ndim, ax, slice(1, None))]
-            - flux[a][_along(q.ndim, ax, slice(None, -1))])
-    if swe:
+        dq[at(comps[a], a, slice(1, -1))] -= dtd[a] * (
+            flux[a][at(slice(None), a, slice(1, None))]
+            - flux[a][at(slice(None), a, slice(None, -1))])
+    if sa.coast is not None:
         dq *= patch.aux.wet
 
     inner = (slice(None), *spec.interior_slices())

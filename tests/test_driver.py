@@ -1,8 +1,12 @@
 import numpy as np
 from dataclasses import replace
 
-from adjamr.config import GaugeSpec, parse_config
-from adjamr.driver import run_adjoint, run_forward
+from adjamr.adjoint import query_window_times
+from adjamr.amr import AmrContext, EverywhereFlagging
+from adjamr.config import GaugeSpec, build_equation, parse_config
+from adjamr.driver import init_hierarchy, run_adjoint, run_forward, run_xt_map
+from adjamr.geometry import apply_stencil, field_stencil
+from adjamr.solver import integrate_patch
 
 CFG_1D = open("configs/1d-interface.cfg").read()
 CFG_SWE = open("configs/swe-basin.cfg").read()
@@ -63,3 +67,39 @@ def test_gauge_identical_under_duplicate_strategy():
     ta, va = a.gauges[1].as_arrays()
     tb, vb = b.gauges[1].as_arrays()
     assert np.array_equal(ta, tb) and np.array_equal(va, vb)
+
+
+def test_xt_map_equals_per_step_snapshot_loop():
+    # the x-t map samples each store snapshot once per run; its masks must
+    # equal a loop that samples every window snapshot again at every step
+    cfg = replace(parse_config(CFG_1D), nx=200)
+    store, _ = run_adjoint(cfg)
+    xs, times, _, mask_qhat, mask_inner = run_xt_map(cfg, store, 0.1)
+
+    sub = replace(cfg, max_levels=1, ratios=())
+    eq = build_equation(cfg)
+    ctx = AmrContext(equation=eq, boundary=cfg.boundary,
+                     strategy=EverywhereFlagging(), limiter=cfg.limiter)
+    patch = init_hierarchy(sub, ctx).patches(1)[0]
+    stencil = field_stencil(store.grid, xs)
+    ref_qhat, ref_inner = [], []
+
+    def sample(p):
+        q = p.interior()
+        norm = np.zeros(xs.shape)
+        inner = np.zeros(xs.shape)
+        for n in query_window_times(p.time, cfg.window(), store):
+            qhat = apply_stencil(stencil, store.fields[n].values)
+            norm = np.maximum(norm, np.sum(np.abs(qhat), axis=0))
+            inner = np.maximum(inner, np.abs(np.sum(qhat * q, axis=0)))
+        ref_qhat.append(norm >= 0.1)
+        ref_inner.append(inner >= 0.1)
+
+    sample(patch)
+    integrate_patch(patch, eq, cfg.boundary, sub.base_shape, cfg.t_final,
+                    courant_target=cfg.courant, limiter=cfg.limiter,
+                    dt_fixed=cfg.dt_fixed, on_step=sample)
+    assert len(times) == len(ref_qhat)
+    assert mask_inner.any() and not mask_inner.all()
+    assert np.array_equal(mask_qhat, ref_qhat)
+    assert np.array_equal(mask_inner, ref_inner)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from adjamr.equations import (AcousticsMaterial, DryCellError,
                               InvalidMaterialError, SweMaterial,
                               acoustics_rp_1d, acoustics_rp_normal_2d,
                               acoustics_rp_transverse_2d, adjoint_flux,
-                              adjoint_fwave_rp, swe_linear_rp)
+                              adjoint_fwave_rp, adjoint_transverse, swe_linear_rp)
 
 
 def amat(K, rho):
@@ -119,6 +121,39 @@ def test_acoustics_1d_invalid_material():
                             np.array([0.0]), np.array([0.0]))
     with pytest.raises(InvalidMaterialError):
         acoustics_rp_1d(np.zeros((2, 1)), np.zeros((2, 1)), good, bad)
+
+
+def test_materials_from_create_and_slicing_are_validated():
+    m = amat([1.0, 2.0, 3.0], [1.0, 0.5, 2.0])
+    assert m.validated and m[1:].validated and m[None, :2].validated
+    sampled = eqs.AcousticsMaterialModel(lambda x: 1.0 + x * x,
+                                         lambda x: 2.0 + x).sample(np.linspace(0, 1, 4))
+    assert sampled.validated and sampled[::2].validated
+    hand = AcousticsMaterial(np.ones(2), np.ones(2), np.ones(2), np.ones(2))
+    assert not hand.validated and not hand[:1].validated
+
+
+def test_hand_built_invalid_material_rejected_by_each_acoustics_solver():
+    good = amat([1.0], [1.0])
+    bad = AcousticsMaterial(np.array([1.0]), np.array([-1.0]),
+                            np.array([1.0]), np.array([1.0]))
+    q = np.zeros((3, 1))
+    with pytest.raises(InvalidMaterialError):
+        acoustics_rp_normal_2d(0, q, q, good, bad)
+    with pytest.raises(InvalidMaterialError):
+        acoustics_rp_transverse_2d(1, q, bad, good)
+    with pytest.raises(InvalidMaterialError):
+        adjoint_fwave_rp("acoustics-2d", 1, q, q, bad, good)
+    with pytest.raises(InvalidMaterialError):
+        adjoint_fwave_rp("acoustics-1d", 0, q[:2], q[:2], good, bad[0:1])
+    with pytest.raises(InvalidMaterialError):
+        adjoint_transverse("acoustics-2d", 0, q, good, bad)
+    replaced = dataclasses.replace(good, rho=np.array([-1.0]))
+    assert not replaced.validated
+    with pytest.raises(InvalidMaterialError):
+        acoustics_rp_normal_2d(1, q, q, replaced, good)
+    with pytest.raises(DryCellError):
+        adjoint_fwave_rp("swe-linear-2d", 0, q, q, smat([10.0]), smat([-1.0]))
 
 
 def test_acoustics_2d_normal_spec_example():

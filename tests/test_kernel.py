@@ -1,0 +1,111 @@
+"""Bitwise regression of the step kernel.
+
+Each case steps one seeded patch a few times with `step_patch` and compares
+sha256(state.tobytes()) and the returned Courant numbers with values
+recorded from an earlier version of the kernel.  Any change in the order of
+floating-point operations shows up here before it reaches the run outputs.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from adjamr import equations as eqs
+from adjamr.geometry import Patch, PatchHierarchy
+from adjamr.solver import (BoundarySpec, fill_ghost_physical,
+                           sample_patch_material, step_patch)
+
+STEPS = 4
+BC = BoundarySpec(left="outflow", right="wall", bottom="wall", top="outflow")
+
+
+# Materials and states use only correctly rounded arithmetic (no sin, exp or
+# normal deviates), so the digests do not depend on the math library.
+
+
+def _acoustics_1d():
+    return eqs.Acoustics1D(eqs.AcousticsMaterialModel(
+        lambda x: 1.0 + 0.5 * x * x, lambda x: 1.0 + 0.3 * x))
+
+
+def _acoustics_2d():
+    return eqs.Acoustics2D(eqs.AcousticsMaterialModel(
+        lambda x, y: 1.0 + 0.5 * x * y + 0.25 * x,
+        lambda x, y: np.where(x < 0.45, 1.0, 3.0) + 0.2 * y))
+
+
+def _swe():
+    # dry for x above about 0.8: a coastline crosses the patch
+    return eqs.SweLinear2D(eqs.SweMaterialModel(
+        lambda x, y: -10.0 + 12.5 * x + 0.5 * y, sea_level=0.0, gravity=9.81))
+
+
+FORWARD = {"acoustics-1d": _acoustics_1d, "acoustics-2d": _acoustics_2d,
+           "swe-linear-2d": _swe}
+
+
+def _equation(name):
+    if name.startswith("adjoint-"):
+        return FORWARD[name[len("adjoint-"):]]().adjoint().reversed()
+    return FORWARD[name]()
+
+
+def run_case(name: str, limiter: str):
+    """sha256 of the state after STEPS steps, and the Courant numbers."""
+    eq = _equation(name)
+    shape = (24,) if eq.m == 2 else (13, 10)
+    nd = len(shape)
+    h = PatchHierarchy(xlim=(0.0, 1.0), ylim=None if nd == 1 else (0.0, 1.0),
+                       base_shape=shape, ratios=[])
+    p = Patch(h.make_spec(1, (0,) * nd, tuple(n - 1 for n in shape)), eq.m)
+    sample_patch_material(p, eq, BC, shape)
+    p.interior()[...] = np.random.default_rng(7).uniform(-1.0, 1.0, p.interior().shape)
+    if eq.is_swe:
+        assert not p.aux.wet.all() and p.aux.wet.any()
+        p.interior()[...] *= p.aux.wet[p.spec.interior_slices()]
+    dt = 0.8 * min(p.spec.widths) / float(np.max(eq.max_speed(p.aux)))
+    courants = []
+    for _ in range(STEPS):
+        fill_ghost_physical(p, BC, eq, shape)
+        courants.append(step_patch(p, dt, eq, limiter))
+    return hashlib.sha256(p.state.tobytes()).hexdigest(), courants
+
+
+# Courant numbers as float.hex(): 0.8 up to the rounding of dt and max|s|
+C8 = "0x1.999999999999ap-1"
+C9 = "0x1.9999999999999p-1"
+EXPECTED = {
+    ("acoustics-1d", "MC"):
+        ("9f57a2b71daf6939728220e5bb1a22b74894337c97fd2a1db383897423958241", [C8] * STEPS),
+    ("acoustics-2d", "MC"):
+        ("bbcb8c685bde578846006b5ed6f90db23dd1f01c104d0cb8ddabe1d8618cd464", [C8] * STEPS),
+    ("acoustics-2d", "minmod"):
+        ("211a8d5bbcfd6e62a45e4e0e52fe1f73d95433102279be6707ac2d05be3dba41", [C8] * STEPS),
+    ("acoustics-2d", "none"):
+        ("b6be5cf0318e9d9aeb68d59cf135b1310ae76382256f3b17ebd8dc9c9d345727", [C8] * STEPS),
+    ("acoustics-2d", "superbee"):
+        ("158ad11c4ccc853a58ff846ae4e3f9846662de1beaedacef7761700fca8ac433", [C8] * STEPS),
+    ("adjoint-acoustics-1d", "MC"):
+        ("7e55a2f70736598c7fdbcd8ac23b4b481b317621c469f088f35a7df07d663415", [C8] * STEPS),
+    ("adjoint-acoustics-1d", "none"):
+        ("6d59c1b5fb8ad99c0ce93b1e7ab24ecbd5407d6e0182bd15b711b9fe91839dd8", [C8] * STEPS),
+    ("adjoint-acoustics-2d", "MC"):
+        ("5f2f05f6d4ab54819b6842fdc2a5f090022a392a86235eaa012f709edeb6a5e1", [C8] * STEPS),
+    ("adjoint-swe-linear-2d", "MC"):
+        ("b8fb1438f7686324b7e366daab2d2322b86a0b794ca914d78c385674f0e73a21", [C9] * STEPS),
+    ("adjoint-swe-linear-2d", "superbee"):
+        ("a46224371366ace67efe1853002c440479a1aeb9bdb893ca50410a8bf86c1687", [C9] * STEPS),
+    ("swe-linear-2d", "MC"):
+        ("f7261b935cbe700e414779b7c427c8d7b39cab3ead45a343aee1ba737d210927", [C9] * STEPS),
+    ("swe-linear-2d", "minmod"):
+        ("361ba2ada4006f57c3dde1a39268934b276f112730cf93a8a369332180136b7b", [C9] * STEPS),
+}
+
+
+@pytest.mark.parametrize("name,limiter", sorted(EXPECTED))
+def test_step_patch_bitwise(name, limiter):
+    digest, courants = run_case(name, limiter)
+    want_digest, want_courants = EXPECTED[name, limiter]
+    assert digest == want_digest
+    assert [c.hex() for c in courants] == want_courants
