@@ -5,8 +5,11 @@ Each equation set (1D and 2D acoustics with variable material, linear
 shallow water with a dry shelf, and the time-reversed adjoint of each)
 steps one uniform patch of edge 16, 32 and 64 cells from a seeded random
 state at Courant number 0.9, refilling its wall ghosts before every step.
-Only the `step_patch` calls are timed; a line reports the best of
-REPEATS runs of SECONDS each.
+Each 2D set then steps a level shaped like the median finest-level layout
+of the 2d-walls-timerange run under adjoint flagging (12 patches of edge
+12 to 16), patch by patch with `step_patch` and as one `LevelLayout`.
+Only the steps are timed; a line reports the best of REPEATS runs of
+SECONDS each.
 
     PYTHONPATH=src python3 scripts/kernel_bench.py
 """
@@ -20,12 +23,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 from adjamr import equations as eqs
 from adjamr.geometry import Patch, PatchHierarchy
-from adjamr.solver import (BoundarySpec, fill_ghost_physical,
+from adjamr.solver import (BoundarySpec, LevelLayout, fill_ghost_physical,
                            sample_patch_material, step_patch)
 
 EDGES = (16, 32, 64)
-SECONDS = 0.3       # timed step_patch seconds per run
+SECONDS = 0.3       # timed seconds of steps per run
 REPEATS = 3         # runs per line; the best is kept
+LEVEL_EDGES = (12, 13, 14, 14, 15, 16, 12, 14, 14, 15, 13, 16)
 
 
 def _acoustics_1d():
@@ -80,6 +84,43 @@ def cell_updates_per_s(equation, edge: int, seconds: float, repeats: int) -> flo
     return best
 
 
+def level_patches(equation):
+    """LEVEL_EDGES square patches, 4 x 3 and 18 cells apart, on a 72 x 54
+    level of the unit square, with seeded interiors; and dt at Courant 0.9."""
+    h = PatchHierarchy(xlim=(0.0, 1.0), ylim=(0.0, 1.0), base_shape=(72, 54), ratios=[])
+    rng = np.random.default_rng(0)
+    patches = []
+    for k, edge in enumerate(LEVEL_EDGES):
+        lo = (18 * (k % 4), 18 * (k // 4))
+        p = Patch(h.make_spec(1, lo, (lo[0] + edge - 1, lo[1] + edge - 1)), equation.m)
+        sample_patch_material(p, equation, BoundarySpec(), h.level_shape(1))
+        p.interior()[...] = rng.normal(size=p.interior().shape)
+        if equation.is_swe:
+            p.interior()[...] *= p.aux.wet[p.spec.interior_slices()]
+        patches.append(p)
+    speed = max(float(np.max(equation.max_speed(p.aux))) for p in patches)
+    return patches, 0.9 * min(h.widths(1)) / speed
+
+
+def level_cell_updates_per_s(equation, seconds: float, repeats: int):
+    """(patch by patch, as one level) cell-updates/s on `level_patches`."""
+    rates = []
+    for as_level in (False, True):
+        best = 0.0
+        for _ in range(repeats):
+            patches, dt = level_patches(equation)
+            step = (LevelLayout(patches).step if as_level else
+                    lambda dt, eq, lim: [step_patch(p, dt, eq, lim) for p in patches])
+            cells = sum(int(np.prod(p.spec.shape)) for p in patches)
+            steps, t0 = 0, time.perf_counter()
+            while time.perf_counter() - t0 < seconds:
+                step(dt, equation, "MC")
+                steps += 1
+            best = max(best, cells * steps / (time.perf_counter() - t0))
+        rates.append(best)
+    return rates
+
+
 def main():
     print(f"{'equation':32s} {'edge':>5s} {'cell-updates/s':>15s}")
     for name, make in EQUATIONS:
@@ -88,6 +129,10 @@ def main():
             for edge in EDGES:
                 rate = cell_updates_per_s(eq, edge, SECONDS, REPEATS)
                 print(f"{eq.name:32s} {edge:5d} {rate:15.4g}", flush=True)
+            if eq.m == 3:
+                by_patch, as_level = level_cell_updates_per_s(eq, SECONDS, REPEATS)
+                print(f"{eq.name:32s} {'level':>5s} {by_patch:15.4g} patch by patch, "
+                      f"{as_level:.4g} as one level", flush=True)
 
 
 if __name__ == "__main__":

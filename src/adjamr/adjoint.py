@@ -21,6 +21,9 @@ from .geometry import (Patch, PatchHierarchy, UniformField, apply_stencil,
 from .solver import BoundarySpec, integrate_patch, sample_patch_material
 
 
+GATHER_VALUES = 1 << 16     # most samples per gather of the windowed inner product
+
+
 class ConfigurationError(RuntimeError):
     """The adjoint machinery was invoked without a required ingredient."""
 
@@ -71,17 +74,26 @@ class TimeWindow:
 
 @dataclass
 class AdjointSnapshotStore:
-    """Uniform-grid adjoint snapshots labeled by forward time, ascending."""
+    """Uniform-grid adjoint snapshots labeled by forward time, ascending.
+
+    Every field's values are a view of `stack`, (nsnap, m, nx[, ny]); a store
+    built without it stacks the fields once and rebinds them to views.
+    """
 
     times: np.ndarray
     fields: list[UniformField]
     window: TimeWindow
     wet: np.ndarray | None = None     # adjoint-grid wet mask (shallow water)
+    stack: np.ndarray | None = None
 
     def __post_init__(self):
         dt = np.diff(self.times)
         if len(dt) and (np.any(dt <= 0) or np.ptp(dt) > 1e-9 * max(dt[0], 1.0)):
             raise ValueError("snapshot times must be strictly increasing and uniform")
+        if self.stack is None:
+            self.stack = np.stack([f.values for f in self.fields])
+            for f, values in zip(self.fields, self.stack):
+                f.values = values
 
     @property
     def dt_snap(self) -> float:
@@ -167,26 +179,25 @@ def solve_adjoint(equation: EquationSet, boundary: BoundarySpec,
     sample_patch_material(patch, reversed_eq, boundary, grid_shape)
     patch.interior()[...] = phi.values
 
-    fields_rev: list[UniformField] = []
+    # the reversed run outputs the forward times in descending order, so
+    # each snapshot goes straight to its place in the ascending stack
+    stack = np.empty((len(snap_times), reversed_eq.m, *grid_shape))
+    t_rev = []
 
-    def on_output(t_rev, p):
-        fields_rev.append(UniformField(values=p.interior().copy(), origin=origin,
-                                       dx=wx, dy=wy, time=t_rev))
+    def on_output(t, p):
+        t_rev.append(t)
+        stack[len(stack) - len(t_rev)] = p.interior()
 
     integrate_patch(patch, reversed_eq, boundary, grid_shape, duration,
                     courant_target=courant_target, limiter=limiter,
                     output_times=list(snap_times), on_output=on_output)
 
-    labels = window.t_final - np.array([f.time for f in fields_rev])
-    order = np.argsort(labels)
-    fields = []
-    for k in order:
-        f = fields_rev[k]
-        fields.append(UniformField(values=f.values, origin=f.origin,
-                                   dx=f.dx, dy=f.dy, time=float(labels[k])))
+    times = (window.t_final - np.array(t_rev))[::-1].copy()
+    fields = [UniformField(values=v, origin=origin, dx=wx, dy=wy, time=float(t))
+              for v, t in zip(stack, times)]
     wet = patch.aux.wet[spec.interior_slices()].copy() if hasattr(patch.aux, "wet") else None
-    return AdjointSnapshotStore(times=labels[order], fields=fields,
-                                window=window, wet=wet)
+    return AdjointSnapshotStore(times=times, fields=fields, window=window, wet=wet,
+                                stack=stack)
 
 
 def query_window_times(t: float, window: TimeWindow,
@@ -238,10 +249,16 @@ def inner_product_field(patch: Patch, t: float, store: AdjointSnapshotStore,
     stencil = field_stencil(store.grid, x, y)     # every snapshot shares the grid
     q = patch.interior()
     best = np.zeros(spec.shape)
-    for n in query_window_times(t, window, store):
-        qhat = apply_stencil(stencil, store.fields[n].values)
+    # the window's snapshots are consecutive: each slab of them is sampled
+    # with one take per stencil corner (at most GATHER_VALUES samples)
+    window_idx = query_window_times(t, window, store)
+    per_slab = max(1, GATHER_VALUES // q.size)
+    for k in window_idx[::per_slab]:
+        slab = store.stack[k:min(k + per_slab, window_idx[-1] + 1)]
+        qhat = apply_stencil(stencil, slab.reshape(-1, *slab.shape[2:]))
+        qhat = qhat.reshape(len(slab), *q.shape)
         qhat *= q
-        np.maximum(best, np.abs(np.sum(qhat, axis=0)), out=best)
+        np.maximum(best, np.max(np.abs(np.sum(qhat, axis=1)), axis=0), out=best)
     if hasattr(patch.aux, "wet"):
         best = np.where(patch.aux.wet[spec.interior_slices()], best, 0.0)
     dry = _adjoint_dry_at(store, x, y) if spec.ndim == 2 else None

@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import solver
 from .geometry import Patch, PatchHierarchy, allowed_region_mask
-from .solver import (BoundarySpec, fill_ghost_from_coarse, fill_ghost_physical,
-                     fill_ghost_same_level, sample_patch_material, step_patch)
+from .solver import BoundarySpec, LevelLayout, level_layout, sample_patch_material
 
 
 @dataclass
@@ -459,27 +457,23 @@ class AmrContext:
     max_patch_edge: int = 60
     step_counts: dict = field(default_factory=dict)
     cell_steps: dict = field(default_factory=dict)
+    max_courant: dict = field(default_factory=dict)  # level -> largest step Courant number
     flagged_per_regrid: list = field(default_factory=list)
     rebuilt_at: dict = field(default_factory=dict)   # level -> parent time of last rebuild
     on_level_advanced: object = None      # callback(hierarchy, level, t)
 
-    def count_step(self, level: int, cells: int):
+    def count_step(self, level: int, cells: int, courant: float):
         self.cell_steps[level] = self.cell_steps.get(level, 0) + cells
+        self.max_courant[level] = max(self.max_courant.get(level, 0.0), courant)
 
 
 def fill_level_ghosts(hierarchy: PatchHierarchy, level: int, t: float,
                       ctx: AmrContext):
     """Fill every ghost cell on a level: coarse space-time interpolation,
     then same-level copies, then physical boundary conditions."""
-    patches = hierarchy.patches(level)
-    shape = hierarchy.level_shape(level)
-    for p in patches:
-        if level >= 2:
-            fill_ghost_from_coarse(p, hierarchy, t)
-    for p in patches:
-        fill_ghost_same_level(p, patches)
-    for p in patches:
-        fill_ghost_physical(p, ctx.boundary, ctx.equation, shape)
+    lay = level_layout(hierarchy, level)
+    if lay is not None:
+        lay.fill_ghosts(hierarchy, t, ctx.boundary, ctx.equation)
 
 
 def make_patch(hierarchy: PatchHierarchy, level: int,
@@ -490,34 +484,6 @@ def make_patch(hierarchy: PatchHierarchy, level: int,
     sample_patch_material(patch, ctx.equation, ctx.boundary,
                           hierarchy.level_shape(level))
     return patch
-
-
-def _fill_interior_from_parent(patch: Patch, hierarchy: PatchHierarchy, t: float):
-    """Space(-time) interpolation of a new patch's interior from its parents."""
-    spec = patch.spec
-    idx = tuple(i.ravel() for i in np.meshgrid(
-        *(np.arange(spec.lo[a], spec.hi[a] + 1) for a in range(spec.ndim)), indexing="ij"))
-    vals = np.zeros((patch.num_components, *idx[0].shape))
-    for cp, inside, pts in solver.split_among_parents(hierarchy, spec, idx):
-        vals[:, inside] = solver.space_time_interp(cp, pts, t)
-    patch.interior()[...] = vals.reshape(patch.num_components, *spec.shape)
-
-
-def _copy_from_old_patches(patch: Patch, old_patches: list[Patch]):
-    """Overwrite with same-level data wherever old patches overlap."""
-    spec = patch.spec
-    g = spec.ghost_width
-    for old in old_patches:
-        o = old.spec
-        lo = tuple(max(spec.lo[a], o.lo[a]) for a in range(spec.ndim))
-        hi = tuple(min(spec.hi[a], o.hi[a]) for a in range(spec.ndim))
-        if any(l > h for l, h in zip(lo, hi)):
-            continue
-        dst = tuple(slice(g + l - spec.lo[a], g + h - spec.lo[a] + 1)
-                    for a, (l, h) in enumerate(zip(lo, hi)))
-        src = tuple(slice(o.ghost_width + l - o.lo[a], o.ghost_width + h - o.lo[a] + 1)
-                    for a, (l, h) in enumerate(zip(lo, hi)))
-        patch.state[(slice(None), *dst)] = old.state[(slice(None), *src)]
 
 
 def regrid(hierarchy: PatchHierarchy, level: int, ctx: AmrContext,
@@ -555,15 +521,11 @@ def regrid(hierarchy: PatchHierarchy, level: int, ctx: AmrContext,
         rects = []
         for b in boxes:
             rects.extend(_allowed_rectangles(b, allowed, clipped))
-        old = hierarchy.patches(lev)
-        new_patches = []
-        for rb in rects:
-            lo = tuple(l * ratio for l in rb.lo)
-            hi = tuple((h + 1) * ratio - 1 for h in rb.hi)
-            np_ = make_patch(hierarchy, lev, lo, hi, ctx, time=t)
-            _fill_interior_from_parent(np_, hierarchy, t)
-            _copy_from_old_patches(np_, old)
-            new_patches.append(np_)
+        new_patches = [make_patch(hierarchy, lev, tuple(l * ratio for l in rb.lo),
+                                  tuple((h + 1) * ratio - 1 for h in rb.hi), ctx, time=t)
+                       for rb in rects]
+        if new_patches:
+            LevelLayout(new_patches).fill_new(hierarchy, t, level_layout(hierarchy, lev))
         while len(hierarchy.levels) < lev:
             hierarchy.levels.append([])
         hierarchy.levels[lev - 1] = new_patches
@@ -578,8 +540,9 @@ def advance_hierarchy(hierarchy: PatchHierarchy, level: int, dt: float,
     ghosts before stepping, saves the pre-step state for child space-time
     interpolation, and restricts children back afterwards.  A child level
     already rebuilt at this level's current time (by the parent's regrid,
-    from the same data) is not rebuilt again.  A step above the unit Courant
-    number raises solver.CflViolationError naming the patch.
+    from the same data) is not rebuilt again.  The level steps as one
+    packed array (solver.LevelLayout); a step above the unit Courant number
+    raises solver.CflViolationError naming the patch.
     """
     count = ctx.step_counts.get(level, 0)
     patches = hierarchy.patches(level)
@@ -592,11 +555,9 @@ def advance_hierarchy(hierarchy: PatchHierarchy, level: int, dt: float,
         return
     t = patches[0].time
     fill_level_ghosts(hierarchy, level, t, ctx)
-    for p in patches:
-        p.save_old()
-    for p in patches:
-        step_patch(p, dt, ctx.equation, ctx.limiter)
-        ctx.count_step(level, int(np.prod(p.spec.shape)))
+    lay = level_layout(hierarchy, level)
+    lay.save_old()
+    ctx.count_step(level, lay.cells, lay.step(dt, ctx.equation, ctx.limiter))
     t_new = t + dt
     for p in patches:
         p.time = t_new    # guard against roundoff drift across patches

@@ -162,6 +162,7 @@ def run_forward(cfg: RunConfig, strategy_name: str | None = None,
         emit_outputs(t)
     result.timing.forward_wall_seconds = _time.perf_counter() - wall0
     result.timing.cell_steps = dict(ctx.cell_steps)
+    result.timing.max_courant = dict(ctx.max_courant)
     result.timing.flagged_per_regrid = list(ctx.flagged_per_regrid)
 
     if out_dir is not None:
@@ -233,7 +234,8 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
     # every snapshot is sampled on the run's grid once; a step then only
     # takes its window's rows
     stencil = field_stencil(store.grid, xs)
-    qhat = np.stack([apply_stencil(stencil, f.values) for f in store.fields])
+    qhat = apply_stencil(stencil, store.stack.reshape(-1, store.grid.shape[0]))
+    qhat = qhat.reshape(*store.stack.shape[:2], -1)
     qhat_norm = np.sum(np.abs(qhat), axis=1)
 
     times = []

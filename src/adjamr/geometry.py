@@ -102,6 +102,8 @@ class Patch:
     `aux` holds per-cell material arrays sampled by the equation set; they
     cover the same interior+ghost extent as the state.  `state_old`/`time_old`
     are snapshots kept by the multilevel driver for space-time interpolation.
+    `state`, `state_old` and `aux` may be views of their level's packed
+    arrays (`layout`); rebinding one detaches the patch from that layout.
     """
 
     def __init__(self, spec: PatchSpec, num_components: int, time: float = 0.0):
@@ -111,8 +113,7 @@ class Patch:
         self.aux = None
         self.state_old: np.ndarray | None = None
         self.time_old: float | None = None
-        self.coarse_ghost_plan = None     # solver.CoarseGhostPlan, built on first fill
-        self.step_aux = None              # solver.StepAux, built on first step
+        self.layout = None                # solver.LevelLayout holding these arrays
 
     @property
     def num_components(self) -> int:

@@ -201,16 +201,22 @@ def load_store(directory: str) -> AdjointSnapshotStore:
         raise StoreFormatError(f"{index}: no 'snapshot' entries")
     if wet_name is not None:
         wet = read_uniform_field(os.path.join(directory, wet_name)).values[0] > 0.5
+    stack = None
     fields = []
-    times = []
-    for name, t in entries:
-        fld = read_uniform_field(os.path.join(directory, name), origin=origin)
-        fields.append(UniformField(values=fld.values, origin=origin,
+    for k, (name, t) in enumerate(entries):
+        path = os.path.join(directory, name)
+        fld = read_uniform_field(path, origin=origin)
+        if stack is None:
+            stack = np.empty((len(entries), *fld.values.shape))
+        elif fld.values.shape != stack.shape[1:]:
+            raise StoreFormatError(f"{path}: shape {fld.values.shape} differs "
+                                   f"from the first snapshot's {stack.shape[1:]}")
+        stack[k] = fld.values
+        fields.append(UniformField(values=stack[k], origin=origin,
                                    dx=fld.dx, dy=fld.dy, time=t))
-        times.append(t)
-    return AdjointSnapshotStore(times=np.asarray(times), fields=fields,
+    return AdjointSnapshotStore(times=np.asarray([t for _, t in entries]), fields=fields,
                                 window=TimeWindow(t_start=t_start, t_final=t_final),
-                                wet=wet)
+                                wet=wet, stack=stack)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +309,7 @@ class TimingReport:
     forward_wall_seconds: float = 0.0
     cell_steps: dict = field(default_factory=dict)        # level -> count
     flagged_per_regrid: list = field(default_factory=list)
+    max_courant: dict = field(default_factory=dict)       # level -> largest step Courant number
 
     @property
     def total_cell_steps(self) -> int:
@@ -319,6 +326,8 @@ def write_timing(report: TimingReport, path: str):
         for level in sorted(report.cell_steps):
             f.write(f"cell_steps_level_{level} = {report.cell_steps[level]}\n")
         f.write(f"total_cell_steps = {report.total_cell_steps}\n")
+        for level in sorted(report.max_courant):
+            f.write(f"max_courant_level_{level} = {_fmt(report.max_courant[level])}\n")
         f.write("flagged_cells_per_regrid ="
                 + ("" if not report.flagged_per_regrid else " ")
                 + " ".join(str(int(v)) for v in report.flagged_per_regrid) + "\n")
@@ -337,6 +346,8 @@ def read_timing(path: str) -> TimingReport:
                 rep.forward_wall_seconds = float(toks[0])
             elif key.startswith("cell_steps_level_"):
                 rep.cell_steps[int(key.rsplit("_", 1)[1])] = int(toks[0])
+            elif key.startswith("max_courant_level_"):
+                rep.max_courant[int(key.rsplit("_", 1)[1])] = float(toks[0])
             elif key == "flagged_cells_per_regrid":
                 rep.flagged_per_regrid = [int(v) for v in toks]
     return rep

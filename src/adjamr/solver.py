@@ -1,4 +1,4 @@
-"""Single-patch time stepping with the second-order wave-propagation scheme.
+"""Time stepping with the second-order wave-propagation scheme, a level at a time.
 
 A step applies first-order Godunov fluctuations, limited second-order
 correction fluxes, and (in 2D) transverse corrections, all computed from the
@@ -6,15 +6,21 @@ state at the step's start.  Ghost cells must be filled beforehand; wet/dry
 masking for shallow water is handled inside the step by mirroring interface
 states, discarding updates into dry cells, and suppressing correction fluxes
 across wet/dry faces so closed basins conserve mass to roundoff.
+
+A `LevelLayout` packs the ghost-padded patches of one level into one array,
+so a level steps and fills its ghosts in a few array operations however many
+patches it has.  The one-patch entry points (`step_patch`,
+`fill_ghost_physical`, ...) run the same code on a layout of that patch alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .equations import EquationSet, SweMaterial
+from .equations import AcousticsMaterial, EquationSet, SweMaterial
 from .geometry import (Patch, PatchHierarchy, PatchSpec, Stencil, apply_stencil,
                        patch_stencil)
 
@@ -38,7 +44,7 @@ class BoundarySpec:
     """Physical boundary condition per side: 'wall' or 'outflow'.
 
     Shallow-water runs additionally get implicit coastline walls at wet/dry
-    interfaces inside the domain; that logic lives in step_patch.
+    interfaces inside the domain; that logic lives in the step kernel.
     """
 
     left: str = "wall"
@@ -83,46 +89,29 @@ def _along(ndim: int, ax: int, s: slice) -> tuple[slice, ...]:
     return tuple(out)
 
 
-def _fill_ghost_side(state, axis: int, high: bool, g: int, cond: str,
-                     negate_comp: int | None = None):
-    """Fill the g ghost layers on one side of `state` (component axis first).
-
-    'wall' mirrors the interior, then negates component `negate_comp`;
-    'outflow' copies the edge cell into every layer.
-    """
-    ax = 1 + axis
-    n = state.shape[ax]
-    if cond == "wall":
-        src = slice(n - g - 1, n - 2 * g - 1, -1) if high else slice(2 * g - 1, g - 1, -1)
-    else:
-        src = slice(n - g - 1, n - g) if high else slice(g, g + 1)
-    ghost = slice(n - g, n) if high else slice(0, g)
-    state[_along(state.ndim, ax, ghost)] = state[_along(state.ndim, ax, src)]
-    if cond == "wall" and negate_comp is not None:
-        state[(negate_comp, *_along(state.ndim - 1, axis, ghost))] *= -1.0
-
-
-def _domain_sides(spec: PatchSpec, boundary: BoundarySpec, level_shape: tuple[int, ...]):
-    """(axis, high, condition) of every patch side on a domain edge, x then y,
-    low before high."""
-    for axis in range(spec.ndim):
+def _ghost_maps(spec: PatchSpec, boundary: BoundarySpec, level_shape, start):
+    """Per axis, the index (counted from `start`) each position of the padded
+    box reads, and where that read is reflected (negates the normal
+    component).  Behind a domain side a ghost reads its mirrored interior
+    cell ('wall') or the edge cell ('outflow'), low sides before high ones.
+    The axes' maps commute, so a corner ghost reads both at once."""
+    g = spec.ghost_width
+    maps, flips = [], []
+    for a, n in enumerate(spec.total_shape):
+        idx, flip = np.arange(start[a], start[a] + n), np.zeros(n, dtype=bool)
         for high in (False, True):
-            if (spec.hi[axis] == level_shape[axis] - 1) if high else (spec.lo[axis] == 0):
-                yield axis, high, boundary.side(axis, high)
-
-
-def fill_ghost_physical(patch: Patch, boundary: BoundarySpec, equation: EquationSet,
-                        level_shape: tuple[int, ...]):
-    """Fill ghost cells on every side of the patch that meets a domain edge.
-
-    Wall: mirror the interior with the normal velocity/momentum negated.
-    Outflow: zero-order extrapolation of the nearest interior cell.
-    Low sides are filled before high sides and x before y, so corner ghosts
-    outside the domain in both directions end up mirrored consistently.
-    """
-    g = patch.spec.ghost_width
-    for axis, high, cond in _domain_sides(patch.spec, boundary, level_shape):
-        _fill_ghost_side(patch.state, axis, high, g, cond, equation.normal_component(axis))
+            if (spec.hi[a] == level_shape[a] - 1) if high else (spec.lo[a] == 0):
+                ghost = slice(n - g, n) if high else slice(0, g)
+                if boundary.side(a, high) == "wall":
+                    src = (slice(n - g - 1, n - 2 * g - 1, -1) if high
+                           else slice(2 * g - 1, g - 1, -1))
+                    idx[ghost], flip[ghost] = idx[src], ~flip[src]
+                else:
+                    src = slice(n - g - 1, n - g) if high else slice(g, g + 1)
+                    idx[ghost], flip[ghost] = idx[src], flip[src]
+        maps.append(idx)
+        flips.append(flip)
+    return maps, flips
 
 
 def sample_patch_material(patch: Patch, equation: EquationSet,
@@ -131,112 +120,36 @@ def sample_patch_material(patch: Patch, equation: EquationSet,
 
     Ghosts behind a wall take the material of the mirrored interior cell, so
     reflections are exact; ghosts behind an outflow side take the edge cell's.
-    The ghost indices are remapped by the same side fill that
-    fill_ghost_physical applies to the state (materials are pointwise, so
-    sampling there equals copying the sampled cell).
+    The ghost indices are remapped by the maps the physical ghost fill copies
+    along (materials are pointwise, so sampling there equals copying).
     """
     spec = patch.spec
-    g = spec.ghost_width
-    idx = [np.arange(spec.lo[a] - g, spec.hi[a] + g + 1)[None] for a in range(spec.ndim)]
-    for axis, high, cond in _domain_sides(spec, boundary, level_shape):
-        _fill_ghost_side(idx[axis], 0, high, g, cond)
-    centers = [spec.origin[a] + (i[0] + 0.5) * spec.widths[a] for a, i in enumerate(idx)]
+    idx, _ = _ghost_maps(spec, boundary, level_shape, [l - spec.ghost_width for l in spec.lo])
+    centers = [spec.origin[a] + (i + 0.5) * spec.widths[a] for a, i in enumerate(idx)]
     patch.aux = equation.sample_material(*np.meshgrid(*centers, indexing="ij"))
     return patch.aux
 
 
+def fill_ghost_physical(patch: Patch, boundary: BoundarySpec, equation: EquationSet,
+                        level_shape: tuple[int, ...]):
+    """Fill the ghosts behind domain sides: a wall mirrors the interior with
+    the normal velocity/momentum negated, an outflow side copies the edge
+    cell, and a corner ghost outside the domain in both directions takes both."""
+    LevelLayout.of([patch]).fill_physical(boundary, equation, level_shape)
+
+
 def fill_ghost_same_level(patch: Patch, level_patches: list[Patch]):
-    """Copy overlapping same-level interior data into this patch's ghosts."""
-    spec = patch.spec
-    g = spec.ghost_width
-    for other in level_patches:
-        if other is patch:
-            continue
-        o = other.spec
-        lo = tuple(max(spec.lo[a] - g, o.lo[a]) for a in range(spec.ndim))
-        hi = tuple(min(spec.hi[a] + g, o.hi[a]) for a in range(spec.ndim))
-        if any(l > h for l, h in zip(lo, hi)):
-            continue
-        dst = tuple(slice(l - (spec.lo[a] - g), h - (spec.lo[a] - g) + 1)
-                    for a, (l, h) in enumerate(zip(lo, hi)))
-        src = tuple(slice(l - (o.lo[a] - o.ghost_width), h - (o.lo[a] - o.ghost_width) + 1)
-                    for a, (l, h) in enumerate(zip(lo, hi)))
-        patch.state[(slice(None), *dst)] = other.state[(slice(None), *src)]
-
-
-def split_among_parents(hierarchy: PatchHierarchy, spec: PatchSpec, idx):
-    """Hand fine cells to the parent-level patches whose interiors hold them.
-
-    `idx` are global cell indices on `spec.level`.  Yields (coarse patch,
-    selection mask over idx, cell-center points of the selection); a cell
-    inside two parents goes to the lower patch index.
-    """
-    ratio = hierarchy.ratio_to_finer(spec.level - 1)
-    centers = tuple(hierarchy.origin[a] + (idx[a] + 0.5) * spec.widths[a]
-                    for a in range(spec.ndim))
-    coarse_idx = tuple(i // ratio for i in idx)
-    filled = np.zeros(idx[0].shape, dtype=bool)
-    for cp in hierarchy.patches(spec.level - 1):
-        inside = np.ones_like(filled)
-        for a in range(spec.ndim):
-            inside &= (coarse_idx[a] >= cp.spec.lo[a]) & (coarse_idx[a] <= cp.spec.hi[a])
-        inside &= ~filled
-        if not inside.any():
-            continue
-        yield cp, inside, tuple(c[inside] for c in centers)
-        filled |= inside
-
-
-@dataclass(frozen=True)
-class CoarseGhostPlan:
-    """Where each in-domain ghost cell of a fine patch reads its parent level.
-
-    `pieces` holds, per contributing parent patch, the ghost cells' local
-    indices into the fine state and the stencil that samples the parent
-    there.  The plan is valid while the parent level
-    consists of exactly the patch objects in `parents`.
-    """
-
-    parents: tuple[Patch, ...]
-    pieces: tuple[tuple[Patch, tuple[np.ndarray, ...], Stencil], ...]
-
-    def matches(self, parents: list[Patch]) -> bool:
-        return (len(parents) == len(self.parents)
-                and all(p is q for p, q in zip(parents, self.parents)))
-
-
-def _coarse_ghost_plan(fine_patch: Patch, hierarchy: PatchHierarchy) -> CoarseGhostPlan:
-    spec = fine_patch.spec
-    parents = tuple(hierarchy.patches(spec.level - 1))
-    shape = hierarchy.level_shape(spec.level)
-    idx = _ghost_indices(spec)
-    in_dom = np.ones(idx[0].shape, dtype=bool)
-    for a in range(spec.ndim):
-        in_dom &= (idx[a] >= 0) & (idx[a] < shape[a])
-    idx = tuple(i[in_dom] for i in idx)
-    g = spec.ghost_width
-    local = tuple(i - (spec.lo[a] - g) for a, i in enumerate(idx))
-    pieces = tuple((cp, tuple(i[inside] for i in local), patch_stencil(cp.spec, *pts))
-                   for cp, inside, pts in split_among_parents(hierarchy, spec, idx))
-    return CoarseGhostPlan(parents=parents, pieces=pieces)
+    """Copy same-level interior data into the ghosts of `patch` and of every
+    other patch of `level_patches`, its level."""
+    LevelLayout.of(level_patches).fill_same_level()
 
 
 def fill_ghost_from_coarse(fine_patch: Patch, hierarchy: PatchHierarchy, t: float):
-    """Fill in-domain ghosts by bilinear-in-space, linear-in-time interpolation.
-
-    Coarse patches must hold a saved (time_old, state_old) pair bracketing t;
-    anything else is a driver scheduling bug.  The ghost-to-parent plan is
-    built on first use and kept on the fine patch until the parent level's
-    patches change.
-    """
-    spec = fine_patch.spec
-    if spec.level < 2:
-        return
-    plan = fine_patch.coarse_ghost_plan
-    if plan is None or not plan.matches(hierarchy.patches(spec.level - 1)):
-        plan = fine_patch.coarse_ghost_plan = _coarse_ghost_plan(fine_patch, hierarchy)
-    for cp, local, stencil in plan.pieces:
-        fine_patch.state[(slice(None), *local)] = space_time_apply(cp, stencil, t)
+    """Fill in-domain ghosts by bilinear-in-space, linear-in-time interpolation
+    of the parent level, which must hold a saved (time_old, state_old) pair
+    bracketing t; anything else is a driver scheduling bug."""
+    if fine_patch.spec.level >= 2:
+        LevelLayout.of([fine_patch]).fill_from_coarse(hierarchy, t)
 
 
 def space_time_interp(coarse: Patch, pts, t: float):
@@ -244,8 +157,9 @@ def space_time_interp(coarse: Patch, pts, t: float):
     return space_time_apply(coarse, patch_stencil(coarse.spec, *pts), t)
 
 
-def space_time_apply(coarse: Patch, stencil: Stencil, t: float):
-    """Linear-in-time blend of one spatial stencil on state_old and state."""
+def space_time_apply(coarse, stencil: Stencil, t: float):
+    """Linear-in-time blend of one spatial stencil on state_old and state of a
+    patch or a level layout."""
     eps = 1e-9 * max(abs(coarse.time), 1.0)
     if coarse.state_old is None or coarse.time_old is None:
         if abs(t - coarse.time) > eps:
@@ -266,17 +180,6 @@ def space_time_apply(coarse: Patch, stencil: Stencil, t: float):
     return (1.0 - w) * v_old + w * v_new
 
 
-def _ghost_indices(spec):
-    """Global indices of every ghost cell (total box minus interior box)."""
-    g = spec.ghost_width
-    idx = np.meshgrid(*(np.arange(spec.lo[a] - g, spec.hi[a] + g + 1)
-                        for a in range(spec.ndim)), indexing="ij")
-    interior = np.ones(idx[0].shape, dtype=bool)
-    for a, i in enumerate(idx):
-        interior &= (i >= spec.lo[a]) & (i <= spec.hi[a])
-    return tuple(i[~interior] for i in idx)
-
-
 # ---------------------------------------------------------------------------
 # Wave-propagation stepping
 
@@ -285,7 +188,7 @@ def _limited_waves(waves, speeds, limiter: str, axis: int):
     """Apply the wave limiter comparing each wave with its upwind neighbor.
 
     Both neighbor dot products come from one product of each interface's
-    waves with the next interface's; at the patch ends the missing neighbor
+    waves with the next interface's; at the array ends the missing neighbor
     counts as a zero wave.
     """
     if limiter == "none":
@@ -370,30 +273,6 @@ def _swe_clamped_material(mat):
     return SweMaterial.create(-np.where(mat.wet, mat.depth, 1.0), 0.0, mat.gravity)
 
 
-@dataclass
-class StepAux:
-    """What the step kernel reads of a patch's material, built once per patch.
-
-    Per axis: the materials on the low and high side of every interface
-    (`left`/`right`; for shallow water, of the clamped material, and
-    `coast` holds the coastline rule).  In 2D, `transverse` holds the
-    (below, above) material pairs of the four transverse splits: x-face
-    minus/plus fluctuations, then y-face ones.  All are views of one
-    per-cell material.  These linear systems have interface speeds that
-    depend on the material only, so the first step records each axis's
-    max|s| over the interfaces touching the interior (`courant_speeds`).
-    Valid while the patch keeps this `aux` and equation set.
-    """
-
-    aux: object
-    equation: EquationSet
-    left: tuple
-    right: tuple
-    coast: tuple | None
-    transverse: tuple
-    courant_speeds: tuple | None = None
-
-
 def _transverse_cells(nd: int, a: int, high: bool, b_slice: slice):
     """Cells on the low (fluct_minus) or high (fluct_plus) side of the
     axis-a interfaces, restricted to `b_slice` along the other axis."""
@@ -403,39 +282,12 @@ def _transverse_cells(nd: int, a: int, high: bool, b_slice: slice):
     return tuple(out)
 
 
-def _step_aux(patch: Patch, equation: EquationSet) -> StepAux:
-    """The patch's StepAux, built on first use or when aux or equation changed."""
-    sa = patch.step_aux
-    if sa is not None and sa.aux is patch.aux and sa.equation is equation:
-        return sa
-    aux = patch.aux
-    nd = patch.spec.ndim
-    mat = _swe_clamped_material(aux) if equation.is_swe else aux
-    left = tuple(mat[_along(nd, a, slice(None, -1))] for a in range(nd))
-    right = tuple(mat[_along(nd, a, slice(1, None))] for a in range(nd))
-    coast = None
-    if equation.is_swe:
-        coast = tuple(_coast_faces(aux[_along(nd, a, slice(None, -1))],
-                                   aux[_along(nd, a, slice(1, None))]) for a in range(nd))
-    transverse = ()
-    if nd == 2:
-        transverse = tuple(
-            (mat[_transverse_cells(nd, a, high, slice(None, -2))],
-             mat[_transverse_cells(nd, a, high, slice(2, None))])
-            for a in range(nd) for high in (False, True))
-    sa = patch.step_aux = StepAux(aux=aux, equation=equation, left=left, right=right,
-                                  coast=coast, transverse=transverse)
-    return sa
-
-
-def _solve_axis(q, equation, axis, sa: StepAux):
+def _solve_axis(q, equation, axis, matl, matr, cf: _CoastFaces | None):
     """All interface solves along one axis from the state q."""
     ql = q[(slice(None), *_along(q.ndim - 1, axis, slice(None, -1)))]
     qr = q[(slice(None), *_along(q.ndim - 1, axis, slice(1, None)))]
-    matl, matr = sa.left[axis], sa.right[axis]
-    if sa.coast is None:
+    if cf is None:
         return equation.normal_rp(axis, ql, qr, matl, matr)
-    cf = sa.coast[axis]
     mu = 1 + axis
     ql_eff = np.where(cf.wet_l, ql, _mirror_state(qr, mu))
     qr_eff = np.where(cf.wet_r, qr, _mirror_state(ql, mu))
@@ -446,89 +298,385 @@ def _solve_axis(q, equation, axis, sa: StepAux):
     return res
 
 
+# ---------------------------------------------------------------------------
+# Level layouts
+
+# A level steps in bands of whole shelves of at most about this many cells,
+# and samples its parent in blocks of this many; it bounds the temporaries
+# (some forty floats per cell in the step kernel).
+BAND_CELLS = 8192
+
+
+def _shelf_pack(boxes):
+    """Box offsets, the packed extent, and bands (x-ranges of whole shelves
+    of at most BAND_CELLS cells).  2D boxes go thickest first onto shelves
+    filled along y to the square root of their total area; shelves stack
+    along x.  A 1D box is a shelf of its own."""
+    nd = len(boxes[0])
+    width = max(max(b[-1] for b in boxes), int(np.ceil(np.sqrt(sum(np.prod(b) for b in boxes)))))
+    offsets, shelves, y, ny = [None] * len(boxes), [0], width, 1
+    for k in sorted(range(len(boxes)), key=lambda k: -boxes[k][0]):
+        if nd == 1 or y + boxes[k][1] > width:
+            shelves.append(boxes[k][0])
+            y = 0
+        offsets[k] = (sum(shelves) - shelves[-1], y)[:nd]
+        if nd == 2:
+            y += boxes[k][1]
+            ny = max(ny, y)
+    edges, bands = np.cumsum(shelves).tolist(), [[0, 0]]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if bands[-1][1] > 0 and (hi - bands[-1][0]) * ny > BAND_CELLS:
+            bands.append([lo, lo])
+        bands[-1][1] = hi
+    return offsets, (edges[-1], ny)[:nd], bands
+
+
+class LevelLayout:
+    """One level's ghost-padded patches shelf-packed into one array.
+
+    `state` (m, NX[, NY]), the saved `state_old` and the material `aux` hold
+    every patch's box; each patch's `state`, `state_old` and `aux` are views of
+    them.  Padding holds zero state and a material in which solves stay
+    finite (dry, or unit).  A lone contiguous patch is adopted without a
+    copy.  The layout and its cached plans hold while the level is the same
+    patches with the same views (`matches`); patches hold their layout,
+    which holds them weakly.  Ghost fills are copies over the packed arrays,
+    and the coarse one a stencil over the packed parent level.  A step
+    writes interiors only: ghosts keep their last fill, padding its zeros.
+    """
+
+    def __init__(self, patches):
+        self._refs = tuple(weakref.ref(p) for p in patches)
+        p0 = patches[0]
+        self.level = p0.spec.level
+        if len(patches) == 1 and p0.state.flags.c_contiguous:
+            self.offsets, bands = [(0,) * p0.spec.ndim], [[0, p0.state.shape[1]]]
+            self.state, self.state_old, self.aux = p0.state, p0.state_old, p0.aux
+        else:
+            self.offsets, shape, bands = _shelf_pack([p.spec.total_shape for p in patches])
+            self.state = np.zeros((p0.num_components, *shape))
+            self.state_old = (None if any(p.state_old is None for p in patches)
+                              else self.state.copy())
+            self.aux = None if p0.aux is None else (
+                SweMaterial.create(np.zeros(shape), 0.0, p0.aux.gravity)
+                if isinstance(p0.aux, SweMaterial)
+                else AcousticsMaterial.create(np.ones(shape), np.ones(shape)))
+            if not all(getattr(p.aux, "validated", True) for p in patches):
+                self.aux = replace(self.aux)      # unmarked: the solvers check it
+            for p, box in zip(patches, self._boxes()):
+                self.state[(slice(None), *box)] = p.state
+                p.state = self.state[(slice(None), *box)]
+                if self.state_old is not None:
+                    self.state_old[(slice(None), *box)] = p.state_old
+                    p.state_old = self.state_old[(slice(None), *box)]
+                if self.aux is not None:
+                    for f in fields(self.aux):
+                        if isinstance(getattr(self.aux, f.name), np.ndarray):
+                            getattr(self.aux, f.name)[box] = getattr(p.aux, f.name)
+                    p.aux = self.aux[box]
+        self.bands = [(slice(a, b), [k for k, o in enumerate(self.offsets) if a <= o[0] < b])
+                      for a, b in bands]
+        self.flat = self.state.reshape(self.state.shape[0], -1)
+        self.cells = sum(int(np.prod(p.spec.shape)) for p in patches)
+        shape = self.state.shape[1:]
+        self.interior, self._ghost = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+        for p, box in zip(patches, self._boxes()):
+            g = p.spec.ghost_width
+            self._ghost[box] = True
+            self.interior[tuple(slice(b.start + g, b.stop - g) for b in box)] = True
+        self._ghost &= ~self.interior
+        ghost, gi = self._cells(ghosts=True)
+        src = self._cover(gi)
+        self.same_level = (ghost[src >= 0], src[src >= 0])
+        self._open = (ghost[src < 0], tuple(i[src < 0] for i in gi))   # for the coarse fill
+        self._coarse = self._physical = self._kernel = None
+        for p in patches:
+            p.layout = self
+        self._bind()
+
+    patches = property(lambda self: tuple(r() for r in self._refs))
+    time = property(lambda self: self._refs[0]().time)
+    time_old = property(lambda self: self._refs[0]().time_old)
+
+    def _boxes(self):
+        return [tuple(slice(o, o + n) for o, n in zip(off, p.spec.total_shape))
+                for off, p in zip(self.offsets, self.patches)]
+
+    def _bind(self):
+        self._views = [(p.state, p.state_old, p.aux) for p in self.patches]
+
+    def matches(self, patches) -> bool:
+        """True while `patches` are this layout's patches holding its views."""
+        return len(patches) == len(self._refs) and all(
+            p is r() and p.state is s and p.state_old is o and p.aux is a
+            for p, r, (s, o, a) in zip(patches, self._refs, self._views))
+
+    @classmethod
+    def of(cls, patches) -> "LevelLayout":
+        """The layout the patches hold, or a new one when it does not match."""
+        lay = patches[0].layout
+        return lay if lay is not None and lay.matches(patches) else cls(patches)
+
+    def save_old(self):
+        """Save every patch's state and time for space-time interpolation."""
+        if self.state_old is None:
+            self.state_old = np.empty_like(self.state)
+            for p, box in zip(self.patches, self._boxes()):
+                p.state_old = self.state_old[(slice(None), *box)]
+            self._bind()
+        np.copyto(self.state_old, self.state)
+        for p in self.patches:
+            p.time_old = p.time
+
+    def _cells(self, ghosts: bool):
+        """Packed flat and global indices of every ghost (or interior) cell."""
+        flat = np.flatnonzero(self._ghost if ghosts else self.interior)
+        shape = self.state.shape[1:]
+        gidx = [np.zeros(shape, dtype=np.int32) for _ in shape]
+        for p, box in zip(self.patches, self._boxes()):
+            for a, i in enumerate(gidx):
+                g = p.spec.ghost_width
+                i[box] = np.arange(p.spec.lo[a] - g, p.spec.hi[a] + g + 1).reshape(
+                    [-1 if c == a else 1 for c in range(len(shape))])
+        return flat, tuple(i.ravel()[flat] for i in gidx)
+
+    def _cover(self, idx):
+        """Packed flat index of the interior cell holding each global index in
+        `idx`: -1 where none does, the last in packed order where interiors
+        overlap."""
+        flat, gi = self._cells(ghosts=False)
+        lo = [min(i.min(), j.min(initial=i.min())) for i, j in zip(gi, idx)]
+        hi = [max(i.max(), j.max(initial=i.max())) for i, j in zip(gi, idx)]
+        cover = np.full([h - l + 1 for l, h in zip(lo, hi)], -1)
+        cover[tuple(i - l for i, l in zip(gi, lo))] = flat
+        return cover[tuple(i - l for i, l in zip(idx, lo))]
+
+    def fill_ghosts(self, hierarchy: PatchHierarchy, t: float, boundary: BoundarySpec,
+                    equation: EquationSet):
+        """Coarse space-time interpolation, same-level copies, then the
+        physical boundary conditions."""
+        if self.level >= 2:
+            self.fill_from_coarse(hierarchy, t)
+        self.fill_same_level()
+        self.fill_physical(boundary, equation, hierarchy.level_shape(self.level))
+
+    def fill_same_level(self):
+        dst, src = self.same_level
+        self.flat[:, dst] = self.flat[:, src]
+
+    def fill_physical(self, boundary: BoundarySpec, equation: EquationSet, level_shape):
+        key = (boundary, equation, tuple(level_shape))
+        if self._physical is None or self._physical[0] != key:
+            normal = [equation.normal_component(a) for a in range(len(level_shape))]
+            m, *shape = self.state.shape
+            dst, src, sign = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.ones((m, 0))]
+            for p, off in zip(self.patches, self.offsets):
+                if all(0 < l and h < n - 1 for l, h, n in zip(p.spec.lo, p.spec.hi, level_shape)):
+                    continue
+                maps, flips = _ghost_maps(p.spec, boundary, level_shape, off)
+                own = np.meshgrid(*(np.arange(o, o + n) for o, n in zip(off, p.spec.total_shape)),
+                                  indexing="ij")
+                mapped = np.meshgrid(*maps, indexing="ij")
+                moved = np.any([i != j for i, j in zip(own, mapped)], axis=0)
+                s = np.ones((m, *p.spec.total_shape))
+                for a, f in enumerate(flips):
+                    s[normal[a]] *= np.where(f, -1.0, 1.0).reshape(
+                        [-1 if b == a else 1 for b in range(len(shape))])
+                dst.append(np.ravel_multi_index(tuple(i[moved] for i in own), shape))
+                src.append(np.ravel_multi_index(tuple(i[moved] for i in mapped), shape))
+                sign.append(s[:, moved])
+            self._physical = (key, *(np.concatenate(c, axis=-1) for c in (dst, src, sign)))
+        _, dst, src, sign = self._physical
+        vals = self.flat[:, src]
+        vals *= sign
+        self.flat[:, dst] = vals
+
+    def fill_from_coarse(self, hierarchy: PatchHierarchy, t: float):
+        """In-domain ghosts that no same-level interior covers, interpolated
+        in space and time from the parent level."""
+        parent = level_layout(hierarchy, self.level - 1)
+        if parent is None:
+            return
+        if self._coarse is None or self._coarse[0] is not parent:
+            ghost, gi = self._open
+            inside = np.all([(i >= 0) & (i < n) for i, n
+                             in zip(gi, hierarchy.level_shape(self.level))], axis=0)
+            pieces = list(self._sample_parent(hierarchy, parent, tuple(i[inside] for i in gi)))
+            stencil = None if not pieces else Stencil(
+                tuple(np.concatenate(f) for f in zip(*(st.flat for _, st in pieces))),
+                *(None if getattr(pieces[0][1], k) is None
+                  else np.concatenate([getattr(st, k) for _, st in pieces])
+                  for k in ("wx", "cx", "wy", "cy")))
+            pos = np.concatenate([np.zeros(0, dtype=int)] + [pos for pos, _ in pieces])
+            self._coarse = (parent, ghost[inside][pos], stencil)
+        _, dst, stencil = self._coarse
+        if stencil is not None:
+            self.flat[:, dst] = space_time_apply(parent, stencil, t)
+
+    def fill_new(self, hierarchy: PatchHierarchy, t: float, old: "LevelLayout | None"):
+        """A new level's interiors: the parent level at time t, then the old
+        level's interior data wherever it covers them."""
+        parent = level_layout(hierarchy, self.level - 1)
+        cells, gi = self._cells(ghosts=False)
+        for k in range(0, len(cells), BAND_CELLS):     # bounds the temporaries
+            part = slice(k, k + BAND_CELLS)
+            for pos, st in self._sample_parent(hierarchy, parent, tuple(i[part] for i in gi)):
+                self.flat[:, cells[part][pos]] = space_time_apply(parent, st, t)
+        if old is not None:
+            src = old._cover(gi)
+            self.flat[:, cells[src >= 0]] = old.flat[:, src[src >= 0]]
+
+    def _sample_parent(self, hierarchy: PatchHierarchy, parent: "LevelLayout", idx):
+        """Per parent patch holding some of the cells `idx` (global indices on
+        this level; a cell goes to the first such patch): their positions in
+        `idx`, and that patch's own stencil there moved onto the packed parent."""
+        spec = self._refs[0]().spec
+        coarse = [i // hierarchy.ratio_to_finer(self.level - 1) for i in idx]
+        centers = [hierarchy.origin[a] + (i + 0.5) * spec.widths[a] for a, i in enumerate(idx)]
+        todo = np.ones(idx[0].shape, dtype=bool)
+        for cp, off in zip(parent.patches, parent.offsets):
+            inside = todo & np.all([(i >= l) & (i <= h)
+                                    for i, l, h in zip(coarse, cp.spec.lo, cp.spec.hi)], axis=0)
+            if not inside.any():
+                continue
+            todo &= ~inside
+            st = patch_stencil(cp.spec, *(c[inside] for c in centers))
+            if len(off) == 1:
+                flat = tuple(f + off[0] for f in st.flat)
+            else:       # (i, j) of the patch's own array onto the packed one
+                ny = cp.spec.total_shape[1]
+                flat = tuple((f // ny + off[0]) * parent.state.shape[2] + f % ny + off[1]
+                             for f in st.flat)
+            yield np.flatnonzero(inside), replace(st, flat=flat)
+
+    def step(self, dt: float, equation: EquationSet, limiter: str = "MC") -> float:
+        """Advance every patch by dt; the Courant number is max|s|·dt/dx over
+        interfaces touching a patch interior.  CflViolationError (above 1)
+        and NumericalBlowupError name the offending patch.  An interior
+        update reads only its own box: each cell gets its patch's own step.
+        """
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        if self._kernel is None or self._kernel[0] is not equation:
+            self._kernel = (equation, [None] * len(self.bands))
+        courant = max([self._step_band(b, dt, equation, limiter) for b in range(len(self.bands))])
+        for r in self._refs:
+            r().time += dt
+        if not np.isfinite(self.state).all():
+            for p in self.patches:
+                if not np.isfinite(p.interior()).all():
+                    raise NumericalBlowupError(f"{p}: non-finite state after the step")
+        return courant
+
+    def _faces(self, k: int, axis: int, x: slice):
+        """Patch k's interfaces along `axis` with an interior cell on either
+        side, as interface indices of band `x`."""
+        spec, off = self._refs[k]().spec, (self.offsets[k][0] - x.start, *self.offsets[k][1:])
+        g = spec.ghost_width
+        return tuple(slice(o + g - (c == axis), o + g + n)
+                     for c, (o, n) in enumerate(zip(off, spec.shape)))
+
+    def _step_band(self, band: int, dt: float, equation: EquationSet, limiter: str) -> float:
+        """Step one band and return its Courant number.
+
+        Built once per band and equation set: per axis, the (clamped, for
+        shallow water) materials left and right of each interface and the
+        coastline faces; in 2D the (below, above) pairs of the four
+        transverse splits; on the first step, each patch's max|s| per axis
+        (the speeds depend on the material only).  Only exact zeros are
+        skipped: the 2D middle wave family has speed 0, so only the first and
+        last are limited, and the solves along axis a touch components 0 and
+        1 + a only (all in 1D), so its updates and fluxes work on those two.
+        """
+        x, ks = self.bands[band]
+        q = self.state[:, x]
+        nd = q.ndim - 1
+        n = q.shape[1:]
+        dtd = [dt / w for w in self._refs[0]().spec.widths]
+        cache = self._kernel[1]
+        if cache[band] is None:
+            aux = self.aux[x]
+            mat = _swe_clamped_material(aux) if equation.is_swe else aux
+            cache[band] = [
+                [mat[_along(nd, a, slice(None, -1))] for a in range(nd)],
+                [mat[_along(nd, a, slice(1, None))] for a in range(nd)],
+                [_coast_faces(aux[_along(nd, a, slice(None, -1))],
+                              aux[_along(nd, a, slice(1, None))]) for a in range(nd)]
+                if equation.is_swe else None,
+                [(mat[_transverse_cells(nd, a, high, slice(None, -2))],
+                  mat[_transverse_cells(nd, a, high, slice(2, None))])
+                 for a in range(nd) for high in (False, True)] if nd == 2 else [],
+                None]
+        left, right, coast, transverse, speeds = cache[band]
+        moving = slice(None, None, 2) if nd == 2 else slice(None)
+        comps = [slice(0, 2 + a, 1 + a) for a in range(nd)]
+
+        def at(c, axis, s):
+            """Index of components c and the cells `s` along `axis`."""
+            return (c, *_along(nd, axis, s))
+
+        # an axis's waves are dropped once its correction flux is formed
+        flucts, flux, found = [], [], []
+        for a in range(nd):
+            res = _solve_axis(q, equation, a, left[a], right[a],
+                              None if coast is None else coast[a])
+            if speeds is None:
+                found.append([float(np.max(np.abs(res.speeds[(slice(None),
+                                                              *self._faces(k, a, x))]),
+                                           initial=0.0)) for k in ks])
+            flux.append(_correction_flux(res.waves[moving, comps[a]], res.speeds[moving],
+                                         dtd[a], limiter, a, res.fwave))
+            flucts.append((res.fluct_minus, res.fluct_plus))
+        del res
+        if speeds is None:
+            speeds = cache[band][4] = list(zip(*found))
+        courants = [max(0.0, *(s * d for s, d in zip(sp, dtd))) for sp in speeds]
+        for k, cfl in zip(ks, courants):
+            if cfl > 1.0 + 1e-12:
+                raise CflViolationError(f"{self._refs[k]()}: Courant number {cfl:.4f} > 1")
+
+        if nd == 2:
+            # transverse splits of the x-interface fluctuations feed the y
+            # correction fluxes in the rows above and below, and vice versa
+            pairs = iter(transverse)
+            for a in range(nd):
+                b = 1 - a
+                for high, fluct in zip((False, True), flucts[a]):
+                    below, above = next(pairs)
+                    bm, bp = equation.transverse_rp(
+                        a, fluct[at(slice(None), b, slice(1, -1))], below, above)
+                    target = flux[b][(slice(None), *_transverse_cells(nd, a, high, slice(None)))]
+                    target[at(slice(None), b, slice(0, n[b] - 2))] -= 0.5 * dtd[a] * bm[comps[b]]
+                    target[at(slice(None), b, slice(1, n[b] - 1))] -= 0.5 * dtd[a] * bp[comps[b]]
+        dq = np.zeros_like(q)
+        for a, (minus, plus) in enumerate(flucts):
+            dq[at(comps[a], a, slice(1, None))] -= dtd[a] * plus[comps[a]]
+            dq[at(comps[a], a, slice(None, -1))] -= dtd[a] * minus[comps[a]]
+        del flucts, minus, plus
+        if coast is not None:
+            for f, cf in zip(flux, coast):
+                np.copyto(f, 0.0, where=cf.not_wet_wet)
+        for a in range(nd):
+            dq[at(comps[a], a, slice(1, -1))] -= dtd[a] * (
+                flux[a][at(slice(None), a, slice(1, None))]
+                - flux[a][at(slice(None), a, slice(None, -1))])
+        if coast is not None:
+            dq *= self.aux.wet[x]
+        np.add(q, dq, out=q, where=self.interior[x])
+        return max(courants)
+
+
+def level_layout(hierarchy: PatchHierarchy, level: int) -> LevelLayout | None:
+    """The layout of a level's patches (None for an empty level)."""
+    patches = hierarchy.patches(level)
+    return LevelLayout.of(patches) if patches else None
+
+
 def step_patch(patch: Patch, dt: float, equation: EquationSet,
                limiter: str = "MC") -> float:
-    """Advance one patch by dt and return the step's Courant number.
-
-    The Courant number is max|s|·dt/dx over the interfaces that touch the
-    interior.  Raises CflViolationError above 1 and NumericalBlowupError on a
-    non-finite result, both naming the patch (level, box, time).
-
-    Only exact zeros are skipped.  The 2D systems have three wave families
-    (−c, 0, +c); the middle one has speed exactly 0, so its correction-flux
-    coefficient is 0 (|s| and sign(s) alike) and only the first and last
-    family are limited.  The waves and fluctuations of the solves along
-    axis a, and the transverse splits into that axis's correction fluxes,
-    are zero outside components 0 and 1 + a (all components in 1D), so the
-    updates and fluxes along axis a work on those two components only.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    spec = patch.spec
-    nd = spec.ndim
-    g = spec.ghost_width
-    q = patch.state
-    n = q.shape[1:]
-    dtd = [dt / w for w in spec.widths]
-    sa = _step_aux(patch, equation)
-    moving = slice(None, None, 2) if nd == 2 else slice(None)
-    comps = [slice(0, 2 + a, 1 + a) for a in range(nd)]
-
-    def at(c, axis, s):
-        """Index of components c and the cells `s` along `axis`."""
-        return (c, *_along(nd, axis, s))
-
-    res = [_solve_axis(q, equation, a, sa) for a in range(nd)]
-    if sa.courant_speeds is None:
-        # max|s| over the interfaces along axis a with an interior cell on
-        # at least one side
-        sa.courant_speeds = tuple(
-            float(np.max(np.abs(res[a].speeds[(slice(None), *(
-                slice(g - 1, n[b] - g) if b == a else slice(g, n[b] - g)
-                for b in range(nd)))]), initial=0.0))
-            for a in range(nd))
-    cfl = 0.0
-    for a in range(nd):
-        cfl = max(cfl, sa.courant_speeds[a] * dtd[a])
-    if cfl > 1.0 + 1e-12:
-        raise CflViolationError(f"{patch}: Courant number {cfl:.4f} > 1")
-
-    dq = np.zeros_like(q)
-    for a in range(nd):
-        dq[at(comps[a], a, slice(1, None))] -= dtd[a] * res[a].fluct_plus[comps[a]]
-        dq[at(comps[a], a, slice(None, -1))] -= dtd[a] * res[a].fluct_minus[comps[a]]
-    flux = [_correction_flux(res[a].waves[moving, comps[a]], res[a].speeds[moving],
-                             dtd[a], limiter, a, res[a].fwave)
-            for a in range(nd)]
-    if nd == 2:
-        # transverse splits of the x-interface fluctuations feed the y
-        # correction fluxes in the rows above and below, and vice versa
-        pairs = iter(sa.transverse)
-        for a in range(nd):
-            b = 1 - a
-            for high, fluct in ((False, res[a].fluct_minus), (True, res[a].fluct_plus)):
-                below, above = next(pairs)
-                bm, bp = equation.transverse_rp(
-                    a, fluct[at(slice(None), b, slice(1, -1))], below, above)
-                target = flux[b][(slice(None), *_transverse_cells(nd, a, high, slice(None)))]
-                target[at(slice(None), b, slice(0, n[b] - 2))] -= 0.5 * dtd[a] * bm[comps[b]]
-                target[at(slice(None), b, slice(1, n[b] - 1))] -= 0.5 * dtd[a] * bp[comps[b]]
-    if sa.coast is not None:
-        for f, cf in zip(flux, sa.coast):
-            np.copyto(f, 0.0, where=cf.not_wet_wet)
-    for a in range(nd):
-        dq[at(comps[a], a, slice(1, -1))] -= dtd[a] * (
-            flux[a][at(slice(None), a, slice(1, None))]
-            - flux[a][at(slice(None), a, slice(None, -1))])
-    if sa.coast is not None:
-        dq *= patch.aux.wet
-
-    inner = (slice(None), *spec.interior_slices())
-    q[inner] += dq[inner]
-    patch.time += dt
-    if not np.all(np.isfinite(q[inner])):
-        raise NumericalBlowupError(f"{patch}: non-finite state after the step")
-    return cfl
+    """Advance one patch by dt and return the step's Courant number
+    (`LevelLayout.step` on a layout of this patch alone)."""
+    return LevelLayout.of([patch]).step(dt, equation, limiter)
 
 
 def _cfl_dt(patches, equation: EquationSet, widths, courant_target: float,

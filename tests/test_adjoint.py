@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adjamr import adjoint as adjoint_module
 from adjamr import equations as eqs
 from adjamr.adjoint import (AdjointFlagging, AdjointSnapshotStore,
                             ConfigurationError, EmptyFunctionalError,
@@ -316,8 +317,7 @@ def test_inner_product_bitwise_equals_per_snapshot_loop_1d(t):
     assert np.array_equal(got, per_snapshot_inner_product(p, t, store, store.window))
 
 
-@pytest.mark.parametrize("t", [0.0, 0.37, 0.9])
-def test_inner_product_bitwise_equals_per_snapshot_loop_2d(t):
+def _inner_product_case_2d():
     rng = np.random.default_rng(2)
     eq = eqs.Acoustics2D(eqs.AcousticsMaterialModel(
         lambda x, y: np.full_like(x, 4.0), lambda x, y: np.where(x < 0.3, 1.0, 2.0)))
@@ -325,8 +325,24 @@ def test_inner_product_bitwise_equals_per_snapshot_loop_2d(t):
     p = refined_patch(eq, h, (6, 10), (33, 47), rng)
     store = random_store(rng, 3, (17, 23), (-1.0, 0.0), (2.0 / 17, 3.0 / 23),
                          TimeWindow(0.4, 1.0))
+    return p, store
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 0.9])
+def test_inner_product_bitwise_equals_per_snapshot_loop_2d(t):
+    p, store = _inner_product_case_2d()
     got = inner_product_field(p, t, store, store.window)
     assert np.array_equal(got, per_snapshot_inner_product(p, t, store, store.window))
+
+
+@pytest.mark.parametrize("per_slab", [1, 3])
+def test_inner_product_gathered_in_slabs_is_bitwise_equal(per_slab, monkeypatch):
+    # the window of 9 snapshots gathered one or three at a time
+    p, store = _inner_product_case_2d()
+    monkeypatch.setattr(adjoint_module, "GATHER_VALUES", per_slab * p.interior().size)
+    assert len(query_window_times(0.37, store.window, store)) > 3
+    got = inner_product_field(p, 0.37, store, store.window)
+    assert np.array_equal(got, per_snapshot_inner_product(p, 0.37, store, store.window))
 
 
 def test_inner_product_bitwise_equals_per_snapshot_loop_swe_dry():

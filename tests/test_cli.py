@@ -139,6 +139,8 @@ def test_run_forward_writes_outputs(cfg2d, tmp_path):
     assert os.path.exists(os.path.join(out, "gauges", "gauge_1.csv"))
     rep = read_timing(os.path.join(out, "timing.txt"))
     assert rep.total_cell_steps > 0
+    assert rep.max_courant.keys() == rep.cell_steps.keys()
+    assert all(0.0 < c <= 1.0 for c in rep.max_courant.values())
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

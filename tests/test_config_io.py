@@ -171,6 +171,9 @@ def test_store_round_trip_preserves_window_queries(tmp_path):
     for a, b in zip(loaded.fields, store.fields):
         assert np.array_equal(a.values, b.values)
         assert a.origin == b.origin
+    # one stacked array, of which every field is a view
+    assert loaded.stack.shape == (9, 2, 12)
+    assert all(np.shares_memory(f.values, loaded.stack) for f in loaded.fields)
 
 
 def saved_store_index(tmp_path):
@@ -196,6 +199,15 @@ def test_load_store_names_malformed_index_line(tmp_path):
     index = saved_store_index(tmp_path)
     index.write_text(index.read_text().replace("t_final = 1", "t_final = one"))
     with pytest.raises(StoreFormatError, match="index.txt:2: malformed 't_final'"):
+        load_store(str(index.parent))
+
+
+def test_load_store_names_a_snapshot_of_another_shape(tmp_path):
+    # (2, 1) would broadcast silently into the stack's (2, 4) rows
+    index = saved_store_index(tmp_path)
+    write_snapshot(UniformField(values=np.ones((2, 1)), origin=(0.0,), dx=1.0, dy=0.0),
+                   str(index.parent / "snap_0002.txt"))
+    with pytest.raises(StoreFormatError, match=r"snap_0002.txt: shape \(2, 1\)"):
         load_store(str(index.parent))
 
 
@@ -270,11 +282,14 @@ def test_compare_gauges_no_overlap_errors():
 
 def test_timing_round_trip(tmp_path):
     rep = TimingReport(adjoint_wall_seconds=0.5, forward_wall_seconds=2.25,
-                       cell_steps={1: 100, 2: 800}, flagged_per_regrid=[3, 9, 27])
+                       cell_steps={1: 100, 2: 800}, flagged_per_regrid=[3, 9, 27],
+                       max_courant={1: 0.9, 2: 0.1 + 0.2})
     write_timing(rep, str(tmp_path / "t.txt"))
+    assert "max_courant_level_2 = 0.30000000000000004\n" in (tmp_path / "t.txt").read_text()
     back = read_timing(str(tmp_path / "t.txt"))
     assert back.adjoint_wall_seconds == 0.5
     assert back.cell_steps == {1: 100, 2: 800}
+    assert back.max_courant == {1: 0.9, 2: 0.1 + 0.2}
     assert back.flagged_per_regrid == [3, 9, 27]
     assert back.total_cell_steps == 900
 
