@@ -14,7 +14,7 @@ import sys
 
 from . import driver
 from .adjoint import ConfigurationError
-from .config import ConfigError, parse_config
+from .config import STRATEGY_NAMES, ConfigError, parse_config
 from .runio import compare_gauges, load_store
 
 
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-forward", help="forward AMR run with one strategy")
     common(p)
     p.add_argument("--strategy",
-                   choices=["adjoint", "difference", "surface", "everywhere"],
+                   choices=STRATEGY_NAMES,
                    help="flagging strategy (default: from config)")
     p.set_defaults(fn=cmd_run_forward)
 

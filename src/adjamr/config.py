@@ -1,13 +1,18 @@
 """Run configuration: INI-style text files parsed into a validated RunConfig.
 
 Format: `[section]` headers, `key = value` lines, `#` comments.  Values are
-whitespace-separated tokens.  `gauge`, `region`, and `times` may repeat /
-hold lists.  Unknown sections or keys are rejected with their line number.
+whitespace-separated tokens.  Every key is one row of KEYS, which gives its
+section, its kind (token count and conversion), its default and its valid
+range; one loop checks every line against its row.  Unknown sections and
+keys, and repeats of any key but `gauge` and `region`, are rejected.  Every
+error names the line: `line N: [section] key ...`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,21 +28,89 @@ class ConfigError(ValueError):
 
 EQUATION_NAMES = ("acoustics-1d", "acoustics-2d", "swe-linear-2d")
 STRATEGY_NAMES = ("adjoint", "difference", "surface", "everywhere")
+_REQUIRED = "required"
+_REPEATABLE = ("gauge", "region")
 
-_KNOWN_KEYS = {
-    "problem": {"equation", "xlim", "ylim", "nx", "ny", "t0", "t_final"},
-    "material": {"bulk", "density", "bathymetry", "sea_level", "gravity"},
-    "initial": {"profile"},
-    "boundary": {"left", "right", "bottom", "top"},
-    "solver": {"courant", "limiter", "dt_fixed", "dt_max"},
-    "amr": {"max_levels", "ratios", "strategy", "tolerance",
-            "tolerance_adjoint", "tolerance_difference", "tolerance_surface",
-            "regrid_interval", "buffer_cells", "efficiency", "max_patch_edge",
-            "region"},
-    "functional": {"shape", "component", "weight", "t_start", "adjoint_nx",
-                   "adjoint_ny", "snapshot_dt"},
-    "output": {"num_frames", "times", "gauge"},
+# Primitive kind -> name -> count of the values after the name, in (1D, 2D);
+# None where the primitive does not exist in that dimension.
+_PRIMITIVES = {
+    "profile": {"gaussian": (3, 4), "cosine_hump": (None, 5),
+                "standing_mode": (1, 2), "table": (1, 1)},
+    "medium": {"constant": (1, 1), "piecewise_x": (3, 3), "piecewise_y": (None, 3)},
+    "bathymetry": {"flat": (None, 1), "gaussian_island": (None, 5),
+                   "linear_ramp_x": (None, 4)},
+    "shape": {"box": (2, 4), "disk": (None, 3)},
 }
+
+# Range name -> predicate; an error reads "must be <name>".
+_CHECKS = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "> 0": lambda v: v > 0,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "increasing": lambda v: v[0] < v[1],
+    ">= 2 each": lambda v: min(v) >= 2,
+    "positive-valued": lambda d: min(d[1:] if d[0] == "constant" else d[2:]) > 0,
+    "of positive width": lambda d: d[0] not in ("gaussian", "cosine_hump") or d[-1] > 0,
+    "of positive size": lambda d: (d[3] > 0 if d[0] == "disk"
+                                   else all(a < b for a, b in zip(d[1::2], d[2::2]))),
+}
+
+# (section, key, kind, default, check).  A kind is a tuple of choices, a
+# primitive kind, or one of "int", "float" (finite), "pair" (two floats),
+# "ints"/"floats" (one or more), "gauge" or "region" (both repeatable).
+KEYS = (
+    ("problem", "equation", EQUATION_NAMES, _REQUIRED, None),
+    ("problem", "xlim", "pair", _REQUIRED, "increasing"),
+    ("problem", "ylim", "pair", _REQUIRED, "increasing"),
+    ("problem", "nx", "int", _REQUIRED, ">= 1"),
+    ("problem", "ny", "int", _REQUIRED, ">= 1"),
+    ("problem", "t0", "float", 0.0, None),
+    ("problem", "t_final", "float", _REQUIRED, None),
+    ("material", "bulk", "medium", ("constant", 1.0), "positive-valued"),
+    ("material", "density", "medium", ("constant", 1.0), "positive-valued"),
+    ("material", "bathymetry", "bathymetry", _REQUIRED, None),
+    ("material", "sea_level", "float", 0.0, None),
+    ("material", "gravity", "float", 9.81, "> 0"),
+    ("initial", "profile", "profile", _REQUIRED, "of positive width"),
+    ("boundary", "left", ("wall", "outflow"), "wall", None),
+    ("boundary", "right", ("wall", "outflow"), "wall", None),
+    ("boundary", "bottom", ("wall", "outflow"), "wall", None),
+    ("boundary", "top", ("wall", "outflow"), "wall", None),
+    ("solver", "courant", "float", 0.9, "in (0, 1]"),
+    ("solver", "limiter", LIMITERS, "MC", None),
+    ("solver", "dt_fixed", "float", None, "> 0"),
+    ("solver", "dt_max", "float", math.inf, "> 0"),
+    ("amr", "max_levels", "int", 1, ">= 1"),
+    ("amr", "ratios", "ints", (), ">= 2 each"),
+    ("amr", "strategy", STRATEGY_NAMES, "difference", None),
+    ("amr", "tolerance", "float", 0.1, "> 0"),
+    ("amr", "tolerance_adjoint", "float", None, "> 0"),
+    ("amr", "tolerance_difference", "float", None, "> 0"),
+    ("amr", "tolerance_surface", "float", None, "> 0"),
+    ("amr", "regrid_interval", "int", 1, ">= 1"),
+    ("amr", "buffer_cells", "int", 3, ">= 0"),
+    ("amr", "efficiency", "float", 0.7, "in (0, 1]"),
+    ("amr", "max_patch_edge", "int", 60, ">= 1"),
+    ("amr", "region", "region", (), None),
+    ("functional", "shape", "shape", None, "of positive size"),
+    ("functional", "component", "int", 0, ">= 0"),
+    ("functional", "weight", "float", 1.0, None),
+    ("functional", "t_start", "float", None, None),        # None: t_final
+    ("functional", "adjoint_nx", "int", None, ">= 1"),     # None: nx
+    ("functional", "adjoint_ny", "int", None, ">= 1"),     # None: ny
+    ("functional", "snapshot_dt", "float", None, "> 0"),
+    ("output", "num_frames", "int", None, ">= 1"),
+    ("output", "times", "floats", None, None),
+    ("output", "gauge", "gauge", (), None),
+)
+_SECTION = {key: section for section, key, *_ in KEYS}
+
+# Keys that only some equations take; elsewhere they are rejected and None.
+_2D = EQUATION_NAMES[1:]
+_ONLY = {"ylim": _2D, "ny": _2D, "bottom": _2D, "top": _2D, "adjoint_ny": _2D,
+         "bulk": EQUATION_NAMES[:2], "density": EQUATION_NAMES[:2],
+         "bathymetry": _2D[1:], "sea_level": _2D[1:], "gravity": _2D[1:]}
 
 
 @dataclass
@@ -48,6 +121,8 @@ class GaugeSpec:
 
 @dataclass
 class RunConfig:
+    """A parsed configuration; KEYS holds every default and range."""
+
     equation: str
     xlim: tuple[float, float]
     ylim: tuple[float, float] | None
@@ -58,26 +133,26 @@ class RunConfig:
     material: dict
     initial: tuple                      # (profile name, params...)
     boundary: BoundarySpec
-    courant: float = 0.9
-    limiter: str = "MC"
-    dt_fixed: float | None = None
-    dt_max: float = np.inf
-    max_levels: int = 1
-    ratios: tuple[int, ...] = ()
-    strategy: str = "difference"
-    tolerance: float = 0.1
-    tolerances: dict = field(default_factory=dict)   # per-strategy overrides
-    regrid_interval: int = 1
-    buffer_cells: int = 3
-    efficiency: float = 0.7
-    max_patch_edge: int = 60
-    regions: tuple[RefinementRegion, ...] = ()
-    functional: FunctionalSpec | None = None
-    t_start: float | None = None
-    adjoint_shape: tuple[int, ...] | None = None
-    snapshot_dt: float | None = None
-    output_times: tuple[float, ...] = ()
-    gauges: tuple[GaugeSpec, ...] = ()
+    courant: float
+    limiter: str
+    dt_fixed: float | None
+    dt_max: float
+    max_levels: int
+    ratios: tuple[int, ...]
+    strategy: str
+    tolerance: float
+    tolerances: dict                    # per-strategy overrides
+    regrid_interval: int
+    buffer_cells: int
+    efficiency: float
+    max_patch_edge: int
+    regions: tuple[RefinementRegion, ...]
+    functional: FunctionalSpec | None
+    t_start: float | None
+    adjoint_shape: tuple[int, ...] | None
+    snapshot_dt: float | None
+    output_times: tuple[float, ...]
+    gauges: tuple[GaugeSpec, ...]
 
     @property
     def ndim(self) -> int:
@@ -96,8 +171,81 @@ class RunConfig:
         return TimeWindow(t_start=ts, t_final=self.t_final)
 
 
-def _tokenize(text: str):
-    """Yield (lineno, section, key, tokens) for every key = value line."""
+class _Bad(Exception):
+    """A value at fault; the loop adds its line, section and key."""
+
+
+def _num(tok: str, cast=float):
+    try:
+        v = cast(tok)
+    except ValueError:
+        what = "integer" if cast is int else "number"
+        raise _Bad(f"has malformed {what} {tok!r}") from None
+    if not math.isfinite(v):
+        raise _Bad(f"must be finite, got {tok}")
+    return v
+
+
+def _count(toks, n, what="values"):
+    if len(toks) != n:
+        raise _Bad(f"needs {n} {what}, got {len(toks)}")
+    return toks
+
+
+def _some(toks):
+    if not toks:
+        raise _Bad("needs at least one value")
+    return toks
+
+
+def _choice(names, toks):
+    if _count(toks, 1, "value")[0] not in names:
+        raise _Bad(f"must be one of {', '.join(names)}, got {toks[0]!r}")
+    return toks[0]
+
+
+def _primitive(kind, toks, ndim):
+    name = _choice(_PRIMITIVES[kind], _some(toks)[:1])
+    n = _PRIMITIVES[kind][name][ndim - 1]
+    if n is None:
+        raise _Bad(f"{name} needs a 2D problem")
+    args = _count(toks[1:], n, f"values after {name}")
+    if name == "table":
+        return (name, args[0])
+    return (name, *(_num(t, int if name == "standing_mode" else float) for t in args))
+
+
+def _gauge(toks, ndim):
+    _count(toks, 1 + ndim, f"values (id and {ndim} coordinates)")
+    return GaugeSpec(gauge_id=_num(toks[0], int),
+                     location=tuple(_num(t) for t in toks[1:]))
+
+
+def _region(toks, ndim):
+    _count(toks, 4 + 2 * ndim, "values (minlev maxlev t1 t2, then min max per axis)")
+    levels = [_num(t, int) for t in toks[:2]]
+    nums = [_num(t) for t in toks[2:]]
+    if any(lo > hi for lo, hi in zip(levels[::2] + nums[::2], levels[1::2] + nums[1::2])):
+        raise _Bad("needs min <= max for its levels, times and each axis")
+    return RefinementRegion(*levels, t1=nums[0], t2=nums[1], rect=tuple(nums[2:]))
+
+
+# kind -> (tokens, ndim) -> value
+_KINDS = {
+    "int": lambda toks, ndim: _num(_count(toks, 1, "value")[0], int),
+    "float": lambda toks, ndim: _num(_count(toks, 1, "value")[0]),
+    "pair": lambda toks, ndim: tuple(_num(t) for t in _count(toks, 2)),
+    "ints": lambda toks, ndim: tuple(_num(t, int) for t in _some(toks)),
+    "floats": lambda toks, ndim: tuple(_num(t) for t in _some(toks)),
+    "gauge": _gauge,
+    "region": _region,
+    **{kind: partial(_primitive, kind) for kind in _PRIMITIVES},
+}
+
+
+def _read(text: str) -> dict:
+    """key -> [(lineno, tokens), ...] for every `key = value` line."""
+    lines: dict[str, list] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,7 +253,7 @@ def _tokenize(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _KNOWN_KEYS:
+            if section not in _SECTION.values():
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -114,312 +262,126 @@ def _tokenize(text: str):
             raise ConfigError(f"line {lineno}: key outside any section")
         key, val = line.split("=", 1)
         key = key.strip().lower()
-        if key not in _KNOWN_KEYS[section]:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        yield lineno, section, key, val.split()
-
-
-def _num(tok: str, lineno: int) -> float:
-    try:
-        return float(tok)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: malformed number {tok!r}") from None
-
-
-def _int(tok: str, lineno: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: malformed integer {tok!r}") from None
+        if _SECTION.get(key) != section:
+            raise ConfigError(f"line {lineno}: [{section}] {key} is an unknown key")
+        if key in lines and key not in _REPEATABLE:
+            raise ConfigError(f"line {lineno}: [{section}] {key} repeats line "
+                              f"{lines[key][0][0]}")
+        lines.setdefault(key, []).append((lineno, val.split()))
+    return lines
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a configuration; raises ConfigError."""
-    vals: dict[tuple[str, str], tuple[int, list[str]]] = {}
-    regions = []
-    gauges = []
-    for lineno, section, key, toks in _tokenize(text):
-        if (section, key) == ("amr", "region"):
-            regions.append((lineno, toks))
-        elif (section, key) == ("output", "gauge"):
-            gauges.append((lineno, toks))
-        else:
-            vals[(section, key)] = (lineno, toks)
-
-    def get(section, key, default=None, required=False):
-        if (section, key) in vals:
-            return vals[(section, key)]
-        if required:
-            raise ConfigError(f"missing required key {key!r} in [{section}]")
-        return None, default
-
-    ln, toks = get("problem", "equation", required=True)
-    equation = toks[0]
-    if equation not in EQUATION_NAMES:
-        raise ConfigError(f"line {ln}: unknown equation {equation!r}")
-    ndim = 1 if equation == "acoustics-1d" else 2
-
-    ln, toks = get("problem", "xlim", required=True)
-    xlim = (_num(toks[0], ln), _num(toks[1], ln))
-    if xlim[1] <= xlim[0]:
-        raise ConfigError(f"line {ln}: xlim must be increasing")
-    ylim = None
-    ny = None
-    if ndim == 2:
-        ln, toks = get("problem", "ylim", required=True)
-        ylim = (_num(toks[0], ln), _num(toks[1], ln))
-        if ylim[1] <= ylim[0]:
-            raise ConfigError(f"line {ln}: ylim must be increasing")
-        ln, toks = get("problem", "ny", required=True)
-        ny = _int(toks[0], ln)
-    ln, toks = get("problem", "nx", required=True)
-    nx = _int(toks[0], ln)
-    ln, toks = get("problem", "t0", default=["0"])
-    t0 = _num(toks[0], ln or 0)
-    ln, toks = get("problem", "t_final", required=True)
-    t_final = _num(toks[0], ln)
-    if t_final <= t0:
-        raise ConfigError(f"line {ln}: t_final must exceed t0")
-
-    material = _parse_material(equation, vals)
-    initial = _parse_initial(vals)
-    boundary = _parse_boundary(ndim, vals)
-
-    ln, toks = get("solver", "courant", default=["0.9"])
-    courant = _num(toks[0], ln or 0)
-    if not (0 < courant <= 1):
-        raise ConfigError(f"line {ln}: courant must be in (0, 1]")
-    ln, toks = get("solver", "limiter", default=["MC"])
-    limiter = toks[0]
-    if limiter not in LIMITERS:
-        raise ConfigError(f"line {ln}: unknown limiter {limiter!r}")
-    ln, toks = get("solver", "dt_fixed", default=None)
-    dt_fixed = None if toks is None else _num(toks[0], ln)
-    ln, toks = get("solver", "dt_max", default=None)
-    dt_max = np.inf if toks is None else _num(toks[0], ln)
-
-    ln, toks = get("amr", "max_levels", default=["1"])
-    max_levels = _int(toks[0], ln or 0)
-    ln, toks = get("amr", "ratios", default=[])
-    ratios = tuple(_int(t, ln) for t in toks)
-    if max_levels > 1:
-        if len(ratios) < max_levels - 1:
-            raise ConfigError("ratios must list one entry per refined level")
-        ratios = ratios[:max_levels - 1]
-        if any(r < 2 for r in ratios):
-            raise ConfigError(f"line {ln}: refinement ratios must be >= 2")
-    else:
-        ratios = ()
-    ln, toks = get("amr", "strategy", default=["difference"])
-    strategy = toks[0]
-    if strategy not in STRATEGY_NAMES:
-        raise ConfigError(f"line {ln}: unknown strategy {strategy!r}")
-    ln, toks = get("amr", "tolerance", default=["0.1"])
-    tolerance = _num(toks[0], ln or 0)
-    if tolerance <= 0:
-        raise ConfigError(f"line {ln}: tolerance must be positive")
-    tolerances = {}
-    for sname in ("adjoint", "difference", "surface"):
-        ln2, toks = get("amr", f"tolerance_{sname}", default=None)
-        if toks is not None:
-            tolerances[sname] = _num(toks[0], ln2)
-            if tolerances[sname] <= 0:
-                raise ConfigError(f"line {ln2}: tolerance must be positive")
-    ln, toks = get("amr", "regrid_interval", default=["1"])
-    regrid_interval = _int(toks[0], ln or 0)
-    ln, toks = get("amr", "buffer_cells", default=["3"])
-    buffer_cells = _int(toks[0], ln or 0)
-    ln, toks = get("amr", "efficiency", default=["0.7"])
-    efficiency = _num(toks[0], ln or 0)
-    ln, toks = get("amr", "max_patch_edge", default=["60"])
-    max_patch_edge = _int(toks[0], ln or 0)
-
-    region_objs = []
-    for lineno, toks in regions:
-        want = 6 + 2 * (ndim - 1)
-        if len(toks) != want:
-            raise ConfigError(f"line {lineno}: region needs {want} values")
-        nums = [_num(t, lineno) for t in toks[2:]]
-        region_objs.append(RefinementRegion(
-            min_level=_int(toks[0], lineno), max_level=_int(toks[1], lineno),
-            t1=nums[0], t2=nums[1], rect=tuple(nums[2:])))
-
-    functional = None
-    t_start = None
-    adjoint_shape = None
-    snapshot_dt = None
-    if ("functional", "shape") in vals:
-        ln, toks = vals[("functional", "shape")]
-        kind = toks[0]
-        nums = [_num(t, ln) for t in toks[1:]]
-        if kind == "box":
-            want = 2 * ndim
-            if len(nums) != want:
-                raise ConfigError(f"line {ln}: box needs {want} bounds")
-        elif kind == "disk":
-            if ndim == 1:
-                raise ConfigError(f"line {ln}: disk functional needs a 2D problem")
-            if len(nums) != 3:
-                raise ConfigError(f"line {ln}: disk needs xc yc r")
-        else:
-            raise ConfigError(f"line {ln}: unknown functional shape {kind!r}")
-        ln2, toks = get("functional", "component", default=["0"])
-        comp = _int(toks[0], ln2 or 0)
-        m = 2 if ndim == 1 else 3
-        if not (0 <= comp < m):
-            raise ConfigError(f"line {ln2}: component out of range")
-        ln3, toks = get("functional", "weight", default=["1.0"])
-        weight = _num(toks[0], ln3 or 0)
-        weights = tuple(weight if k == comp else 0.0 for k in range(m))
-        functional = FunctionalSpec(kind=kind, bounds=tuple(nums), weights=weights)
-        ln4, toks = get("functional", "t_start", default=None)
-        t_start = t_final if toks is None else _num(toks[0], ln4)
-        if not (t0 <= t_start <= t_final):
-            raise ConfigError(f"t_start must lie in [{t0}, {t_final}]")
-        ln5, toks = get("functional", "adjoint_nx", default=None)
-        anx = nx if toks is None else _int(toks[0], ln5)
-        if ndim == 2:
-            ln6, toks = get("functional", "adjoint_ny", default=None)
-            any_ = ny if toks is None else _int(toks[0], ln6)
-            adjoint_shape = (anx, any_)
-        else:
-            adjoint_shape = (anx,)
-        ln7, toks = get("functional", "snapshot_dt", default=None)
-        snapshot_dt = None if toks is None else _num(toks[0], ln7)
-    elif strategy == "adjoint":
-        raise ConfigError("adjoint strategy requires a [functional] section")
-
-    ln, toks = get("output", "times", default=None)
-    if toks is not None:
-        output_times = tuple(_num(t, ln) for t in toks)
-    else:
-        ln, toks = get("output", "num_frames", default=None)
-        if toks is None:
-            output_times = (t0, t_final)
-        else:
-            nf = _int(toks[0], ln)
-            output_times = tuple(np.linspace(t0, t_final, nf + 1))
-    for t in output_times:
-        if not (t0 - 1e-12 <= t <= t_final + 1e-12):
-            raise ConfigError(f"output time {t} outside [{t0}, {t_final}]")
-
-    gauge_objs = []
-    for lineno, toks in gauges:
-        want = 1 + ndim
-        if len(toks) != want:
-            raise ConfigError(f"line {lineno}: gauge needs id and {ndim} coordinates")
-        gid = _int(toks[0], lineno)
-        loc = tuple(_num(t, lineno) for t in toks[1:])
-        if not (xlim[0] <= loc[0] <= xlim[1]):
-            raise ConfigError(f"line {lineno}: gauge x={loc[0]} outside domain")
-        if ndim == 2 and not (ylim[0] <= loc[1] <= ylim[1]):
-            raise ConfigError(f"line {lineno}: gauge y={loc[1]} outside domain")
-        gauge_objs.append(GaugeSpec(gauge_id=gid, location=loc))
-
-    return RunConfig(
-        equation=equation, xlim=xlim, ylim=ylim, nx=nx, ny=ny, t0=t0,
-        t_final=t_final, material=material, initial=initial, boundary=boundary,
-        courant=courant, limiter=limiter, dt_fixed=dt_fixed, dt_max=dt_max,
-        max_levels=max_levels, ratios=ratios, strategy=strategy,
-        tolerance=tolerance, tolerances=tolerances,
-        regrid_interval=regrid_interval,
-        buffer_cells=buffer_cells, efficiency=efficiency,
-        max_patch_edge=max_patch_edge, regions=tuple(region_objs),
-        functional=functional, t_start=t_start, adjoint_shape=adjoint_shape,
-        snapshot_dt=snapshot_dt, output_times=output_times,
-        gauges=tuple(gauge_objs),
-    )
-
-
-def _parse_material(equation: str, vals) -> dict:
-    mat = {}
-    if equation.startswith("acoustics"):
-        for key, default in (("bulk", ["constant", "1.0"]),
-                             ("density", ["constant", "1.0"])):
-            ln, toks = vals.get(("material", key), (0, default))
-            mat[key] = _piecewise_descriptor(toks, ln)
-        for bad in ("bathymetry", "sea_level", "gravity"):
-            if ("material", bad) in vals:
-                ln, _ = vals[("material", bad)]
-                raise ConfigError(f"line {ln}: {bad} is a shallow-water key")
-    else:
-        ln, toks = vals.get(("material", "bathymetry"), (0, None))
-        if toks is None:
-            raise ConfigError("shallow water needs a bathymetry definition")
-        mat["bathymetry"] = _bathymetry_descriptor(toks, ln)
-        ln, toks = vals.get(("material", "sea_level"), (0, ["0.0"]))
-        mat["sea_level"] = _num(toks[0], ln)
-        ln, toks = vals.get(("material", "gravity"), (0, ["9.81"]))
-        mat["gravity"] = _num(toks[0], ln)
-        if mat["gravity"] <= 0:
-            raise ConfigError(f"line {ln}: gravity must be positive")
-        for bad in ("bulk", "density"):
-            if ("material", bad) in vals:
-                ln, _ = vals[("material", bad)]
-                raise ConfigError(f"line {ln}: {bad} is an acoustics key")
-    return mat
-
-
-def _piecewise_descriptor(toks, ln):
-    kind = toks[0]
-    if kind == "constant":
-        v = _num(toks[1], ln)
-        if v <= 0:
-            raise ConfigError(f"line {ln}: material values must be positive")
-        return ("constant", v)
-    if kind in ("piecewise_x", "piecewise_y"):
-        x0, a, b = (_num(t, ln) for t in toks[1:4])
-        if a <= 0 or b <= 0:
-            raise ConfigError(f"line {ln}: material values must be positive")
-        return (kind, x0, a, b)
-    raise ConfigError(f"line {ln}: unknown material primitive {kind!r}")
-
-
-def _bathymetry_descriptor(toks, ln):
-    kind = toks[0]
-    nums = [_num(t, ln) for t in toks[1:]]
-    if kind == "flat" and len(nums) == 1:
-        return ("flat", *nums)
-    if kind == "gaussian_island" and len(nums) == 5:
-        return ("gaussian_island", *nums)     # base height xc yc radius
-    if kind == "linear_ramp_x" and len(nums) == 4:
-        return ("linear_ramp_x", *nums)       # x0 x1 B0 B1
-    raise ConfigError(f"line {ln}: bad bathymetry primitive {' '.join(toks)!r}")
-
-
-def _parse_initial(vals) -> tuple:
-    ln, toks = vals.get(("initial", "profile"), (0, None))
-    if toks is None:
-        raise ConfigError("missing required key 'profile' in [initial]")
-    kind = toks[0]
-    if kind == "gaussian":
-        return ("gaussian", *(_num(t, ln) for t in toks[1:]))
-    if kind == "cosine_hump":
-        if len(toks) != 6:
-            raise ConfigError(f"line {ln}: cosine_hump needs amp x0 y0 r0 width")
-        return ("cosine_hump", *(_num(t, ln) for t in toks[1:]))
-    if kind == "standing_mode":
-        return ("standing_mode", *(_int(t, ln) for t in toks[1:]))
-    if kind == "table":
-        if len(toks) != 2:
-            raise ConfigError(f"line {ln}: table needs a path")
-        return ("table", toks[1])
-    raise ConfigError(f"line {ln}: unknown initial profile {kind!r}")
-
-
-def _parse_boundary(ndim: int, vals) -> BoundarySpec:
-    out = {}
-    for side in ("left", "right", "bottom", "top"):
-        ln, toks = vals.get(("boundary", side), (0, None))
-        if toks is None:
-            out[side] = "wall"
+    lines = _read(text)
+    v = {}
+    ndim = None
+    for section, key, kind, default, check in KEYS:
+        given = lines.get(key, [])
+        if ndim is not None and v["equation"] not in _ONLY.get(key, EQUATION_NAMES):
+            if given:
+                raise ConfigError(f"line {given[0][0]}: [{section}] {key} is not a "
+                                  f"key of {v['equation']}")
+            v[key] = None
             continue
-        if ndim == 1 and side in ("bottom", "top"):
-            raise ConfigError(f"line {ln}: {side} boundary in a 1D problem")
-        if toks[0] not in ("wall", "outflow"):
-            raise ConfigError(f"line {ln}: unknown boundary condition {toks[0]!r}")
-        out[side] = toks[0]
-    return BoundarySpec(**out)
+        if not given and default is _REQUIRED:
+            raise ConfigError(f"missing required key [{section}] {key}")
+        values = []
+        for lineno, toks in given:
+            try:
+                val = (_choice(kind, toks) if isinstance(kind, tuple)
+                       else _KINDS[kind](toks, ndim))
+                if check is not None and not _CHECKS[check](val):
+                    raise _Bad(f"must be {check}")
+            except _Bad as exc:
+                raise ConfigError(f"line {lineno}: [{section}] {key} {exc}") from None
+            values.append(val)
+        v[key] = (tuple(values) if key in _REPEATABLE
+                  else values[0] if values else default)
+        if key == "equation":
+            ndim = 1 if v[key] == "acoustics-1d" else 2
+
+    def cite(*keys):
+        return ", ".join(f"[{_SECTION[k]}] {k} (" + (
+            f"line {lines[k][0][0]}" if k in lines
+            else "not set" if v[k] is None else "default") + ")" for k in keys)
+
+    def fail(key, msg, k=0):
+        raise ConfigError(f"line {lines[key][k][0]}: [{_SECTION[key]}] {key} {msg}")
+
+    t0, t_final = v["t0"], v["t_final"]
+    if t_final <= t0:
+        fail("t_final", f"must exceed {cite('t0')}")
+    ratios = v["ratios"][:v["max_levels"] - 1]
+    if len(ratios) < v["max_levels"] - 1:
+        fail("max_levels", f"needs {v['max_levels'] - 1} entries in {cite('ratios')}")
+
+    functional = adjoint_shape = None
+    t_start, m = v["t_start"], ndim + 1
+    if v["shape"] is not None:
+        if t_start is None:
+            t_start = t_final
+        elif not t0 <= t_start <= t_final:
+            fail("t_start", f"must lie in [t0, t_final] = [{t0:g}, {t_final:g}] "
+                            f"of {cite('t0', 't_final')}")
+        if v["component"] >= m:
+            fail("component", f"must be < {m} for {cite('equation')}")
+        functional = FunctionalSpec(
+            kind=v["shape"][0], bounds=v["shape"][1:],
+            weights=tuple(v["weight"] if k == v["component"] else 0.0 for k in range(m)))
+        adjoint_shape = ((v["adjoint_nx"] or v["nx"]),
+                         (v["adjoint_ny"] or v["ny"]))[:ndim]
+        if v["snapshot_dt"] is not None and v["snapshot_dt"] > t_final - t0:
+            fail("snapshot_dt", f"must be <= t_final - t0 of {cite('t0', 't_final')}")
+    else:
+        for key in lines:
+            if _SECTION[key] == "functional":
+                fail(key, f"needs {cite('shape')}")
+        if v["strategy"] == "adjoint":
+            fail("strategy", f"adjoint needs {cite('shape')}")
+
+    if v["times"] is not None:
+        if v["num_frames"] is not None:
+            fail("times", f"conflicts with {cite('num_frames')}")
+        for t in v["times"]:
+            if not t0 - 1e-12 <= t <= t_final + 1e-12:
+                fail("times", f"{t:g} lies outside [t0, t_final] of "
+                              f"{cite('t0', 't_final')}")
+        output_times = v["times"]
+    elif v["num_frames"] is not None:
+        output_times = tuple(np.linspace(t0, t_final, v["num_frames"] + 1))
+    else:
+        output_times = (t0, t_final)
+
+    ids = {}
+    for k, g in enumerate(v["gauge"]):
+        for axis, lim, x in zip(("x", "y"), ("xlim", "ylim"), g.location):
+            if not v[lim][0] <= x <= v[lim][1]:
+                fail("gauge", f"{axis} = {x:g} lies outside {cite(lim)}", k)
+        if g.gauge_id in ids:
+            fail("gauge", f"id {g.gauge_id} repeats line "
+                          f"{lines['gauge'][ids[g.gauge_id]][0]}", k)
+        ids[g.gauge_id] = k
+
+    sides = ("left", "right", "bottom", "top")
+    return RunConfig(
+        equation=v["equation"], xlim=v["xlim"], ylim=v["ylim"], nx=v["nx"],
+        ny=v["ny"], t0=t0, t_final=t_final,
+        material={k: v[k] for k in ("bulk", "density", "bathymetry", "sea_level",
+                                    "gravity") if v[k] is not None},
+        initial=v["profile"],
+        boundary=BoundarySpec(**{s: v[s] for s in sides if v[s] is not None}),
+        courant=v["courant"], limiter=v["limiter"], dt_fixed=v["dt_fixed"],
+        dt_max=v["dt_max"], max_levels=v["max_levels"], ratios=ratios,
+        strategy=v["strategy"], tolerance=v["tolerance"],
+        tolerances={s: v[f"tolerance_{s}"] for s in ("adjoint", "difference", "surface")
+                    if v[f"tolerance_{s}"] is not None},
+        regrid_interval=v["regrid_interval"], buffer_cells=v["buffer_cells"],
+        efficiency=v["efficiency"], max_patch_edge=v["max_patch_edge"],
+        regions=v["region"], functional=functional, t_start=t_start,
+        adjoint_shape=adjoint_shape, snapshot_dt=v["snapshot_dt"],
+        output_times=output_times, gauges=v["gauge"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +475,7 @@ def build_initial(cfg: RunConfig):
                 return out
         else:
             Ly = cfg.ylim[1] - cfg.ylim[0]
-            ky = (modes[1] if len(modes) > 1 else modes[0]) * np.pi / Ly
+            ky = modes[1] * np.pi / Ly
 
             def ic(x, y):
                 out = np.zeros((m, *np.shape(x)))
@@ -567,7 +529,7 @@ def standing_mode_solution(cfg: RunConfig):
         return exact
 
     Ly = cfg.ylim[1] - cfg.ylim[0]
-    ky = (modes[1] if len(modes) > 1 else modes[0]) * np.pi / Ly
+    ky = modes[1] * np.pi / Ly
     om = c * np.sqrt(kx ** 2 + ky ** 2)
 
     def exact(x, t, y=None):

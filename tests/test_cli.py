@@ -148,6 +148,16 @@ def test_bad_config_exit_code(tmp_path, capsys):
     bad.write_text("[problem]\nequation = nonsense\n")
     assert main(["run-adjoint", "--config", str(bad), "--out",
                  str(tmp_path / "o")]) == 2
+    # values that used to fail later, with exit 1 and no line number
+    for old, new in (("weight = 1.0", "weight = nan"),
+                     ("gaussian 1.0 1.0 1.0 8.0", "standing_mode")):
+        text = SMALL_2D.replace(old, new)
+        bad.write_text(text)
+        line = next(n for n, ln in enumerate(text.splitlines(), 1) if new in ln)
+        capsys.readouterr()
+        assert main(["run-forward", "--config", str(bad), "--out",
+                     str(tmp_path / "o"), "--strategy", "difference"]) == 2
+        assert f"error: line {line}: " in capsys.readouterr().err
 
 
 def test_compare_shares_single_adjoint_pass(cfg2d, tmp_path, monkeypatch):

@@ -1,11 +1,14 @@
+import importlib
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adjamr import equations as eqs
 from adjamr.adjoint import AdjointSnapshotStore, TimeWindow, query_window_times
-from adjamr.config import ConfigError, build_equation, build_initial, parse_config
+from adjamr.config import KEYS, ConfigError, build_equation, build_initial, parse_config
 from adjamr.geometry import Patch, PatchHierarchy, UniformField
 from adjamr.runio import (GaugeComparisonError, GaugeSeries, SnapshotFormatError,
                           StoreFormatError, TimingReport, compare_gauges,
@@ -15,6 +18,7 @@ from adjamr.runio import (GaugeComparisonError, GaugeSeries, SnapshotFormatError
 from adjamr.solver import BoundarySpec, sample_patch_material
 
 CFG_1D = open("configs/1d-interface.cfg").read()
+CFG_2D = open("configs/2d-walls-timepoint.cfg").read()
 
 
 def test_parse_1d_interface_values():
@@ -58,7 +62,8 @@ def test_parse_unknown_key_rejected():
 
 def test_parse_malformed_number_names_line():
     text = CFG_1D.replace("t_final = 20", "t_final = twenty")
-    with pytest.raises(ConfigError, match=r"line \d+: malformed number"):
+    with pytest.raises(ConfigError,
+                       match=r"line 10: \[problem\] t_final has malformed number 'twenty'"):
         parse_config(text)
 
 
@@ -75,6 +80,147 @@ def test_adjoint_strategy_requires_functional():
                                           "[functional]")))
     with pytest.raises(ConfigError, match="functional"):
         parse_config(text)
+
+
+def case(base, old, new, key, at=None):
+    """`base` with `old` replaced by `new` must fail on `key`, at the line
+    `at` (by default the last line of `new`)."""
+    at = at or new.splitlines()[-1]
+    return pytest.param(base.replace(old, new, 1), key, at, id=f"{key}:{at}")
+
+
+# Every value here was accepted, or failed with no line number, before the
+# key table; `key` and its line now lead the message.
+BAD_VALUES = [
+    case(CFG_2D, "[amr]\n", "[amr]\nregrid_interval = 0\n", "regrid_interval"),
+    case(CFG_2D, "[amr]\n", "[amr]\nbuffer_cells = -2\n", "buffer_cells"),
+    case(CFG_2D, "[amr]\n", "[amr]\nefficiency = 1.5\n", "efficiency"),
+    case(CFG_2D, "[amr]\n", "[amr]\nmax_patch_edge = 0\n", "max_patch_edge"),
+    case(CFG_2D, "nx = 50", "nx = 0", "nx"),
+    case(CFG_2D, "max_levels = 3", "max_levels = 0", "max_levels"),
+    case(CFG_2D, "t_start = 1.5", "t_start = 1.5\nsnapshot_dt = -1", "snapshot_dt"),
+    case(CFG_2D, "t_start = 1.5", "t_start = 1.5\nadjoint_nx = 0", "adjoint_nx"),
+    case(CFG_2D, "[solver]\n", "[solver]\ndt_fixed = -0.5\n", "dt_fixed"),
+    case(CFG_2D, "[solver]\n", "[solver]\ndt_max = 0\n", "dt_max"),
+    case(CFG_2D, "num_frames = 6", "num_frames = 0", "num_frames"),
+    case(CFG_2D, "weight = 2.0", "t_start = 99\nweight = 2.0", "t_start", "t_start = 1.5"),
+    case(CFG_2D, "courant = 0.9", "courant = 0.5\ncourant = 0.9", "courant"),
+    case(CFG_2D, "nx = 50", "nx = 50 60", "nx"),
+    case(CFG_2D, "limiter = MC", "limiter =", "limiter"),
+    case(CFG_2D, "weight = 2.0", "weight = nan", "weight"),
+    case(CFG_2D, "tolerance = 0.005", "tolerance = inf", "tolerance"),
+    case(CFG_2D, "[solver]\n", "[solver]\ndt_max = inf\n", "dt_max"),
+    case(CFG_2D, "[amr]\n", "[amr]\nregion = 3 1 0 1 -4 8 -1 11\n", "region"),
+    case(CFG_2D, "[amr]\n", "[amr]\nregion = 1 3 0 1 8 -4 -1 11\n", "region"),
+    case(CFG_2D, "profile = cosine_hump 1.0 0.5 1.0 0.5 0.15", "profile = gaussian 1.0 0.5",
+         "profile"),
+    case(CFG_2D, "profile = cosine_hump 1.0 0.5 1.0 0.5 0.15", "profile = standing_mode",
+         "profile"),
+    case(CFG_2D, "profile = cosine_hump 1.0 0.5 1.0 0.5 0.15", "profile = standing_mode 1",
+         "profile"),
+    case(CFG_1D, "profile = gaussian 1.0 -2.0 50.0", "profile = cosine_hump 1 0 0 1 1",
+         "profile"),
+    case(CFG_1D, "shape = box 1.8 2.3", "shape = disk 1 2 3", "shape"),
+    case(CFG_2D, "box 3.32 3.8", "box 3.8 3.32", "shape", "shape = box 3.8 3.32 0.32 0.8"),
+    case(CFG_1D, "bulk = constant 1.0", "bulk = piecewise_y 0 1 2", "bulk"),
+    case(CFG_2D, "bulk = constant 4.0", "bulk = constant 0", "bulk"),
+    case(CFG_2D, "0.5 0.15", "0.5 0", "profile", "profile = cosine_hump 1.0 0.5 1.0 0.5 0"),
+    case(CFG_1D, "50.0", "-50", "profile", "profile = gaussian 1.0 -2.0 -50"),
+    case(CFG_1D, "nx = 1000", "nx = 1000\nylim = 0 1", "ylim"),
+    case(CFG_2D, "ratios = 2 2", "ratios = 2", "max_levels", "max_levels = 3"),
+    case(CFG_2D, "t_start = 1.5", "t_start = 2", "t_start"),
+    case(CFG_2D, "t_final = 1.5", "t_final = 1", "t_start", "t_start = 1.5"),
+    case(CFG_2D, "component = 0", "component = 3", "component"),
+    case(CFG_1D, "snapshot_dt = 0.25", "snapshot_dt = 21", "snapshot_dt"),
+    case(CFG_1D, "num_frames = 20", "num_frames = 20\ntimes = 0 20", "times"),
+    case(CFG_1D, "num_frames = 20", "times = 0 21", "times"),
+    case(CFG_2D, "gauge = 1 3.5 0.5", "gauge = 1 3.5 0.5\ngauge = 1 0 0", "gauge"),
+    case(CFG_2D, "gauge = 1 3.5 0.5", "gauge = 1 3.5 12", "gauge"),
+    case(CFG_1D, "shape = box 1.8 2.3\n", "", "component", "component = 0"),
+]
+
+
+def line_of(text, content):
+    """1-based number of the last line whose key = value part is `content`."""
+    stripped = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    return len(stripped) - stripped[::-1].index(content)
+
+
+@pytest.mark.parametrize("text, key, at", BAD_VALUES)
+def test_bad_value_names_key_and_line(text, key, at):
+    section = [s for s, k, *_ in KEYS if k == key][0]
+    with pytest.raises(ConfigError,
+                       match=rf"^line {line_of(text, at)}: \[{section}\] {key}\b"):
+        parse_config(text)
+
+
+def test_bundled_configs_stay_valid_for_benchmark_seeds(monkeypatch):
+    monkeypatch.syspath_prepend("perfbench")
+    scenarios = importlib.import_module("scenarios")
+    for w in scenarios.WORKLOADS.values():
+        base = open(os.path.join("configs", w.config)).read()
+        for seed in range(10):
+            text = scenarios.generate(base, seed)
+            for variant in (text, scenarios.refined_uniform(text, 4)):
+                parse_config(variant)
+
+
+def numeric_tokens(text):
+    """(line index, token index) of every number in a key = value line."""
+    out = []
+    for i, ln in enumerate(text.splitlines()):
+        body = ln.split("#", 1)[0]
+        if "=" not in body:
+            continue
+        for k, tok in enumerate(body.split("=", 1)[1].split()):
+            if re.fullmatch(r"[-+.\deE]+", tok):
+                out.append((i, k))
+    return out
+
+
+def mutation_sites(text):
+    """Each numeric token of the config, then each single-number key it lacks
+    (added to its section); dt_fixed is left out, since a fixed step above
+    the Courant limit is refused at run time by CflViolationError."""
+    sites = [(text, i, k) for i, k in numeric_tokens(text)]
+    present = {ln.split("=", 1)[0].strip() for ln in text.splitlines() if "=" in ln}
+    for section, key, kind, default, check in KEYS:
+        if kind in ("int", "float") and key not in present and key != "dt_fixed":
+            added = text + f"\n[{section}]\n{key} = 0\n"
+            sites.append((added, len(added.splitlines()) - 1, 0))
+    return sites
+
+
+SITES = mutation_sites(CFG_2D) + mutation_sites(CFG_1D)
+
+
+@given(st.sampled_from(SITES),
+       st.sampled_from(["-1", "0", "0.5", "1", "1.5", "2", "nan", "inf"]))
+@settings(max_examples=200, deadline=None)
+def test_one_mutated_number_is_refused_or_runs(site, value):
+    from adjamr.amr import AmrContext, advance_hierarchy
+    from adjamr.driver import init_hierarchy, make_strategy
+    from adjamr.solver import select_dt
+    text, i, k = site
+    lines = text.splitlines()
+    key, rest = lines[i].split("#", 1)[0].split("=", 1)
+    toks = rest.split()
+    toks[k] = value
+    lines[i] = f"{key}= {' '.join(toks)}"
+    key = key.strip()
+    try:
+        cfg = parse_config("\n".join(lines))
+    except ConfigError as exc:
+        assert re.search(rf"\] {key}\b", str(exc)) and f"line {i + 1}" in str(exc), exc
+        return
+    eq = build_equation(cfg)
+    ctx = AmrContext(equation=eq, boundary=cfg.boundary,
+                     strategy=make_strategy(cfg, "difference"), limiter=cfg.limiter,
+                     regions=cfg.regions, regrid_interval=cfg.regrid_interval,
+                     buffer_cells=cfg.buffer_cells, efficiency=cfg.efficiency,
+                     max_patch_edge=cfg.max_patch_edge)
+    h = init_hierarchy(cfg, ctx)
+    advance_hierarchy(h, 1, select_dt(h, eq, cfg.courant, cfg.dt_max), ctx)
 
 
 def test_build_equation_and_initial_1d():
