@@ -7,8 +7,11 @@ compared against, difference flagging (surface flagging for shallow water),
 one line each.  The digest covers every gauge series (times
 and values) and every output frame: all patches of all levels, with their
 level, index box, time and interior values.  1D configs also digest the
-three x-t masks of `run_xt_map`.  Two versions of the program whose outputs
-are bitwise equal print the same lines.
+three x-t masks of `run_xt_map`.  Each line whose run solved an adjoint
+ends with `store=`, a digest of the store's snapshot times and stacked
+values, so a change to the adjoint solve shows even when it flips no flag.
+Two versions of the program whose outputs are bitwise equal print the same
+lines.
 
     PYTHONPATH=src python3 scripts/output_digest.py [--config-dir configs]
 """
@@ -60,14 +63,19 @@ def digest_config(path: str):
     store = None
     if cfg.strategy == "adjoint" or cfg.ndim == 1:
         store, _ = run_adjoint(cfg)
+    tail = ""
+    if store is not None:
+        digest = hashlib.sha256()
+        _update(digest, store.times, store.stack)
+        tail = f" store={digest.hexdigest()}"
     line = f"{name} {digest_run(cfg, cfg.strategy, store)}"
     if cfg.ndim == 1:
         xt = hashlib.sha256()
         _update(xt, *run_xt_map(cfg, store, XT_THRESHOLD))
         line += f" xt={xt.hexdigest()}"
-    yield line
+    yield line + tail
     other = "surface" if cfg.equation.startswith("swe") else "difference"
-    yield f"{name} {digest_run(cfg, other, store)}"
+    yield f"{name} {digest_run(cfg, other, store)}{tail}"
 
 
 def main():

@@ -10,14 +10,15 @@ and thresholds the windowed maximum of |q̂·q|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .amr import FlagField, FlaggingStrategy
 from .equations import EquationSet
-from .geometry import (Patch, PatchHierarchy, UniformField, apply_stencil,
-                       field_stencil, interpolate_uniform)
+from .geometry import (Patch, PatchHierarchy, UniformField, apply_stencil, field_stencil,
+                       in_box, interpolate_uniform, level_mask)
 from .solver import BoundarySpec, integrate_patch, sample_patch_material
 
 
@@ -46,13 +47,11 @@ class FunctionalSpec:
         if not all(np.isfinite(w) for w in self.weights):
             raise ValueError("functional weights must be finite")
 
-    def indicator(self, x, y=None):
+    def indicator(self, *coords):
+        """True at the points `coords` (one array per axis) inside the region."""
         if self.kind == "box":
-            if y is None:
-                return (x >= self.bounds[0]) & (x <= self.bounds[1])
-            x1, x2, y1, y2 = self.bounds
-            return (x >= x1) & (x <= x2) & (y >= y1) & (y <= y2)
-        xc, yc, r = self.bounds
+            return in_box(coords, self.bounds)
+        (x, y), (xc, yc, r) = coords, self.bounds
         return (x - xc) ** 2 + (y - yc) ** 2 <= r ** 2
 
 
@@ -124,21 +123,19 @@ class AdjointSnapshotStore:
 
 def build_phi(functional: FunctionalSpec, origin: tuple[float, ...],
               widths: tuple[float, float], shape: tuple[int, ...]) -> UniformField:
-    """Weight field: each component = weight x indicator at the cell center."""
+    """Weight field: each component = weight x indicator at the cell center.
+
+    `widths` is (dx, dy), with dy = 0.0 in 1D.
+    """
     m = len(functional.weights)
     values = np.zeros((m, *shape))
-    xs = origin[0] + (np.arange(shape[0]) + 0.5) * widths[0]
-    if len(shape) == 1:
-        ind = functional.indicator(xs)
-    else:
-        ys = origin[1] + (np.arange(shape[1]) + 0.5) * widths[1]
-        ind = functional.indicator(xs[:, None], ys[None, :])
+    centers = [o + (np.arange(n) + 0.5) * w for o, w, n in zip(origin, widths, shape)]
+    ind = functional.indicator(*np.ix_(*centers))
     if not ind.any():
         raise EmptyFunctionalError("functional region contains no cell centers")
     for k, w in enumerate(functional.weights):
         values[k] = w * ind
-    return UniformField(values=values, origin=origin,
-                        dx=widths[0], dy=widths[1] if len(shape) == 2 else 0.0)
+    return UniformField(values=values, origin=origin, dx=widths[0], dy=widths[1])
 
 
 def solve_adjoint(equation: EquationSet, boundary: BoundarySpec,
@@ -161,20 +158,16 @@ def solve_adjoint(equation: EquationSet, boundary: BoundarySpec,
     nsnap = max(1, round(duration / dt_snap))
     snap_times = np.linspace(0.0, duration, nsnap + 1)
 
-    ndim = 1 if domain_ylim is None else 2
-    origin = (domain_xlim[0],) if ndim == 1 else (domain_xlim[0], domain_ylim[0])
-    wx = (domain_xlim[1] - domain_xlim[0]) / grid_shape[0]
-    wy = 0.0 if ndim == 1 else (domain_ylim[1] - domain_ylim[0]) / grid_shape[1]
-
+    hierarchy = PatchHierarchy(xlim=tuple(domain_xlim),
+                               ylim=None if domain_ylim is None else tuple(domain_ylim),
+                               base_shape=tuple(grid_shape), ratios=[])
+    origin, (wx, wy) = hierarchy.origin, hierarchy.widths(1)
     phi = build_phi(functional, origin, (wx, wy), grid_shape)
     if np.all(phi.values == 0.0) and log is not None:
         log("warning: functional weight field is identically zero")
 
     reversed_eq = equation.adjoint().reversed()
-    hierarchy = PatchHierarchy(xlim=tuple(domain_xlim),
-                               ylim=None if ndim == 1 else tuple(domain_ylim),
-                               base_shape=tuple(grid_shape), ratios=[])
-    spec = hierarchy.make_spec(1, (0,) * ndim, tuple(n - 1 for n in grid_shape))
+    spec = hierarchy.make_spec(1, (0,) * hierarchy.ndim, tuple(n - 1 for n in grid_shape))
     patch = Patch(spec, reversed_eq.m, time=0.0)
     sample_patch_material(patch, reversed_eq, boundary, grid_shape)
     patch.interior()[...] = phi.values
@@ -225,14 +218,14 @@ def query_window_times(t: float, window: TimeWindow,
     return [int(k) for k in out]
 
 
-def _adjoint_dry_at(store: AdjointSnapshotStore, x, y):
-    """True where the adjoint cell containing the point is dry."""
+def _adjoint_dry_at(store: AdjointSnapshotStore, *coords):
+    """True where the adjoint cell containing the point is dry (None when
+    the store has no wet mask)."""
     if store.wet is None:
         return None
     g = store.grid
-    i = np.clip(((x - g.origin[0]) / g.dx).astype(int), 0, g.shape[0] - 1)
-    j = np.clip(((y - g.origin[1]) / g.dy).astype(int), 0, g.shape[1] - 1)
-    return ~store.wet[i, j]
+    return ~store.wet[tuple(np.clip(((c - o) / w).astype(int), 0, n - 1)
+                            for c, o, w, n in zip(coords, g.origin, g.widths, g.shape))]
 
 
 def inner_product_field(patch: Patch, t: float, store: AdjointSnapshotStore,
@@ -241,12 +234,8 @@ def inner_product_field(patch: Patch, t: float, store: AdjointSnapshotStore,
     if store is None:
         raise ConfigurationError("adjoint flagging requires a snapshot store")
     spec = patch.spec
-    cs = spec.cell_centers()
-    if spec.ndim == 1:
-        x, y = cs[0], None
-    else:
-        x, y = cs[0][:, None], cs[1][None, :]
-    stencil = field_stencil(store.grid, x, y)     # every snapshot shares the grid
+    coords = np.ix_(*spec.cell_centers())
+    stencil = field_stencil(store.grid, *coords)     # every snapshot shares the grid
     q = patch.interior()
     best = np.zeros(spec.shape)
     # the window's snapshots are consecutive: each slab of them is sampled
@@ -261,7 +250,7 @@ def inner_product_field(patch: Patch, t: float, store: AdjointSnapshotStore,
         np.maximum(best, np.max(np.abs(np.sum(qhat, axis=1)), axis=0), out=best)
     if hasattr(patch.aux, "wet"):
         best = np.where(patch.aux.wet[spec.interior_slices()], best, 0.0)
-    dry = _adjoint_dry_at(store, x, y) if spec.ndim == 2 else None
+    dry = _adjoint_dry_at(store, *coords)
     if dry is not None:
         best = np.where(dry, 0.0, best)
     return best
@@ -295,25 +284,6 @@ class AdjointFlagging(FlaggingStrategy):
                                    self.window, self.tolerance).flags
 
 
-def _uncovered_mask(hierarchy: PatchHierarchy, patch: Patch) -> np.ndarray:
-    """Interior cells of `patch` not covered by any finer patch."""
-    spec = patch.spec
-    mask = np.ones(spec.shape, dtype=bool)
-    finer = hierarchy.patches(spec.level + 1)
-    if not finer:
-        return mask
-    r = hierarchy.ratio_to_finer(spec.level)
-    for fp in finer:
-        lo = tuple(max(fp.spec.lo[a] // r, spec.lo[a]) for a in range(spec.ndim))
-        hi = tuple(min(fp.spec.hi[a] // r, spec.hi[a]) for a in range(spec.ndim))
-        if any(l > h for l, h in zip(lo, hi)):
-            continue
-        sl = tuple(slice(l - spec.lo[a], h - spec.lo[a] + 1)
-                   for a, (l, h) in enumerate(zip(lo, hi)))
-        mask[sl] = False
-    return mask
-
-
 def evaluate_J(source, store_or_phi, t: float) -> float:
     """Discrete inner-product integral over the finest available cells.
 
@@ -337,10 +307,15 @@ def evaluate_J(source, store_or_phi, t: float) -> float:
 
     total = 0.0
     for level in range(1, source.num_levels() + 1):
-        wx, wy = source.widths(level)
-        area = wx if source.ndim == 1 else wx * wy
+        area = math.prod(source.widths(level)[:source.ndim])
+        covered = np.zeros(source.level_shape(level), dtype=bool)
+        if level < source.num_levels():        # a coarse cell any finer cell covers
+            r = source.ratio_to_finer(level)
+            fine = level_mask(source, level + 1)
+            covered = fine.reshape([k for n in covered.shape for k in (n, r)]).any(
+                axis=tuple(range(1, 2 * source.ndim, 2)))
         for p in source.patches(level):
-            keep = _uncovered_mask(source, p)
+            keep = ~covered[tuple(slice(l, h + 1) for l, h in zip(p.spec.lo, p.spec.hi))]
             prod = np.sum(qhat_at(p.spec.cell_centers()) * p.interior(), axis=0)
             total += float(np.sum(prod[keep]) * area)
     return total

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Patch, PatchHierarchy, allowed_region_mask
+from .geometry import Patch, PatchHierarchy, allowed_region_mask, in_box
 from .solver import BoundarySpec, LevelLayout, level_layout, sample_patch_material
 
 
@@ -58,12 +58,8 @@ class RefinementRegion:
         return self.t1 <= t <= self.t2
 
     def cell_mask(self, spec) -> np.ndarray:
-        cs = spec.cell_centers()
-        if spec.ndim == 1:
-            return (cs[0] >= self.rect[0]) & (cs[0] <= self.rect[1])
-        mx = (cs[0] >= self.rect[0]) & (cs[0] <= self.rect[1])
-        my = (cs[1] >= self.rect[2]) & (cs[1] <= self.rect[3])
-        return mx[:, None] & my[None, :]
+        """True at the patch's interior cells whose centers lie in `rect`."""
+        return in_box(np.ix_(*spec.cell_centers()), self.rect)
 
 
 # ---------------------------------------------------------------------------
@@ -394,48 +390,47 @@ def _runs_1d(row: np.ndarray):
     return runs
 
 
+def _block_sum(a: np.ndarray, nd: int) -> np.ndarray:
+    """Sums of (m, n0, r[, n1, r]) blocks over their child axes, one axis at
+    a time and the last first, so each sum's order is fixed."""
+    for axis in range(2 * nd, 0, -2):
+        a = a.sum(axis=axis)
+    return a
+
+
 def restrict_fine_to_coarse(hierarchy: PatchHierarchy, level: int):
     """Replace coarse cells covered by level+1 with fine-cell averages.
 
-    For shallow water only wet fine children contribute, and only wet coarse
-    cells are overwritten.
+    Each fine patch is restricted on its own, through the coarse layout's
+    cover of its coarse box, so a coarse cell's value does not depend on how
+    the coarse level is cut into patches; cells no coarse interior holds are
+    skipped.  For shallow water only wet fine children contribute, and only
+    wet coarse cells are overwritten.
     """
-    fine_patches = hierarchy.patches(level + 1)
-    if not fine_patches:
+    fine = level_layout(hierarchy, level + 1)
+    if fine is None:
         return
+    coarse = level_layout(hierarchy, level)
     r = hierarchy.ratio_to_finer(level)
     nd = hierarchy.ndim
-    for cp in hierarchy.patches(level):
-        for fp in fine_patches:
-            flo = tuple(max(fp.spec.lo[a] // r, cp.spec.lo[a]) for a in range(nd))
-            fhi = tuple(min(fp.spec.hi[a] // r, cp.spec.hi[a]) for a in range(nd))
-            if any(l > h for l, h in zip(flo, fhi)):
-                continue
-            gs = fp.spec.ghost_width
-            fsl = tuple(slice(gs + (flo[a] * r - fp.spec.lo[a]),
-                              gs + ((fhi[a] + 1) * r - fp.spec.lo[a]))
-                        for a in range(nd))
-            fdata = fp.state[(slice(None), *fsl)]
-            gc = cp.spec.ghost_width
-            csl = tuple(slice(gc + flo[a] - cp.spec.lo[a],
-                              gc + fhi[a] + 1 - cp.spec.lo[a])
-                        for a in range(nd))
-            # fine cells as (n0, r[, n1, r]) blocks: a coarse cell's children
-            # lie along the r axes (1[, 3] of the mask, 2[, 4] of the state)
-            blocks = tuple(k for a in range(nd) for k in (fhi[a] - flo[a] + 1, r))
-            kids = tuple(2 * a + 1 for a in range(nd))
-            state_kids = tuple(k + 1 for k in kids)
-            fdata = fdata.reshape(fdata.shape[0], *blocks)
-            wet = getattr(fp.aux, "wet", None)
-            if wet is None:
-                cp.state[(slice(None), *csl)] = fdata.mean(axis=state_kids)
-                continue
-            w = wet[fsl].reshape(blocks).astype(float)
-            ws = w.sum(axis=kids)
-            avg = (fdata * w).sum(axis=state_kids) / np.where(ws > 0, ws, 1.0)
-            take = (ws > 0) & cp.aux.wet[csl]
-            tgt = cp.state[(slice(None), *csl)]
-            tgt[:, take] = avg[:, take]
+    boxes = [np.ix_(*(np.arange(l // r, h // r + 1) for l, h in zip(fp.spec.lo, fp.spec.hi)))
+             for fp in fine.patches]
+    for fp, dst in zip(fine.patches, coarse.cover(*boxes)):
+        dst = dst.ravel()
+        # the interior as (n0, r[, n1, r]) blocks: a coarse cell's children
+        # lie along the r axes (2[, 4] of the state)
+        sl = fp.spec.interior_slices()
+        blocks = [k for n in fp.spec.shape for k in (n // r, r)]
+        q = fp.state[(slice(None), *sl)].reshape(fp.num_components, *blocks)
+        take = dst >= 0
+        if getattr(fp.aux, "wet", None) is None:
+            avg = _block_sum(q, nd) / r ** nd
+        else:
+            w = fp.aux.wet[sl].reshape(blocks).astype(float)
+            ws = _block_sum(w[None], nd)[0]
+            avg = _block_sum(q * w, nd) / np.where(ws > 0, ws, 1.0)
+            take &= (ws.ravel() > 0) & coarse.aux.wet.reshape(-1)[dst]
+        coarse.flat[:, dst[take]] = avg.reshape(avg.shape[0], -1)[:, take]
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +554,6 @@ def advance_hierarchy(hierarchy: PatchHierarchy, level: int, dt: float,
     lay.save_old()
     ctx.count_step(level, lay.cells, lay.step(dt, ctx.equation, ctx.limiter))
     t_new = t + dt
-    for p in patches:
-        p.time = t_new    # guard against roundoff drift across patches
     if ctx.on_level_advanced is not None:
         ctx.on_level_advanced(hierarchy, level, t_new)
     ctx.step_counts[level] = count + 1

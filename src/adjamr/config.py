@@ -388,28 +388,19 @@ def parse_config(text: str) -> RunConfig:
 # Builders from the parsed descriptors
 
 
-def _eval_piecewise(desc, x, y):
-    kind = desc[0]
-    x = np.asarray(x, dtype=float)
-    if kind == "constant":
-        return np.full_like(x, desc[1])
-    if kind == "piecewise_x":
-        return np.where(x < desc[1], desc[2], desc[3])
-    coord = np.asarray(y, dtype=float)
+def _eval_medium(desc, *coords):
+    """A `medium` descriptor at the points `coords`, one array per axis."""
+    if desc[0] == "constant":
+        return np.full(np.broadcast(*coords).shape, desc[1])
+    coord = np.asarray(coords[desc[0] == "piecewise_y"], dtype=float)
     return np.where(coord < desc[1], desc[2], desc[3])
 
 
 def build_equation(cfg: RunConfig) -> eqs.EquationSet:
-    if cfg.equation == "acoustics-1d":
-        model = eqs.AcousticsMaterialModel(
-            lambda x: _eval_piecewise(cfg.material["bulk"], x, None),
-            lambda x: _eval_piecewise(cfg.material["density"], x, None))
-        return eqs.Acoustics1D(model)
-    if cfg.equation == "acoustics-2d":
-        model = eqs.AcousticsMaterialModel(
-            lambda x, y: _eval_piecewise(cfg.material["bulk"], x, y),
-            lambda x, y: _eval_piecewise(cfg.material["density"], x, y))
-        return eqs.Acoustics2D(model)
+    if cfg.equation.startswith("acoustics"):
+        model = eqs.AcousticsMaterialModel(partial(_eval_medium, cfg.material["bulk"]),
+                                           partial(_eval_medium, cfg.material["density"]))
+        return (eqs.Acoustics1D, eqs.Acoustics2D)[cfg.ndim - 1](model)
     desc = cfg.material["bathymetry"]
 
     def bathy(x, y):
@@ -431,26 +422,19 @@ def build_equation(cfg: RunConfig) -> eqs.EquationSet:
 
 
 def build_initial(cfg: RunConfig):
-    """State-initializer callable: ic(X[, Y]) -> (m, ...) array."""
+    """State-initializer callable: ic(*coords) -> (m, ...) array, one
+    coordinate array per axis."""
     kind = cfg.initial[0]
     m = cfg.num_components
 
     if kind == "gaussian":
-        if cfg.ndim == 1:
-            amp, x0, beta = cfg.initial[1:]
+        amp, *center, beta = cfg.initial[1:]
 
-            def ic(x, y=None):
-                out = np.zeros((m, *np.shape(x)))
-                out[0] = amp * np.exp(-beta * (np.asarray(x) - x0) ** 2)
-                return out
-        else:
-            amp, x0, y0, beta = cfg.initial[1:]
-
-            def ic(x, y):
-                out = np.zeros((m, *np.shape(x)))
-                r2 = (np.asarray(x) - x0) ** 2 + (np.asarray(y) - y0) ** 2
-                out[0] = amp * np.exp(-beta * r2)
-                return out
+        def ic(*coords):
+            r2 = sum((np.asarray(c) - c0) ** 2 for c, c0 in zip(coords, center))
+            out = np.zeros((m, *np.shape(r2)))
+            out[0] = amp * np.exp(-beta * r2)
+            return out
         return ic
 
     if kind == "cosine_hump":
@@ -465,36 +449,22 @@ def build_initial(cfg: RunConfig):
         return ic
 
     if kind == "standing_mode":
-        modes = cfg.initial[1:]
-        Lx = cfg.xlim[1] - cfg.xlim[0]
-        kx = modes[0] * np.pi / Lx
-        if cfg.ndim == 1:
-            def ic(x, y=None):
-                out = np.zeros((m, *np.shape(x)))
-                out[0] = np.cos(kx * (np.asarray(x) - cfg.xlim[0]))
-                return out
-        else:
-            Ly = cfg.ylim[1] - cfg.ylim[0]
-            ky = modes[1] * np.pi / Ly
+        lims = (cfg.xlim, cfg.ylim)[:cfg.ndim]
+        ks = [mode * np.pi / (hi - lo) for mode, (lo, hi) in zip(cfg.initial[1:], lims)]
 
-            def ic(x, y):
-                out = np.zeros((m, *np.shape(x)))
-                out[0] = (np.cos(kx * (np.asarray(x) - cfg.xlim[0]))
-                          * np.cos(ky * (np.asarray(y) - cfg.ylim[0])))
-                return out
+        def ic(*coords):
+            mode = math.prod(np.cos(k * (np.asarray(c) - lo))
+                             for k, c, (lo, _) in zip(ks, coords, lims))
+            out = np.zeros((m, *np.shape(mode)))
+            out[0] = mode
+            return out
         return ic
 
     if kind == "table":
+        from .geometry import interpolate_uniform
         from .runio import read_uniform_field
         table = read_uniform_field(cfg.initial[1])
-
-        def ic(x, y=None):
-            from .geometry import interpolate_uniform
-            if y is None:
-                return interpolate_uniform(table, np.asarray(x, float))
-            return interpolate_uniform(table, np.asarray(x, float),
-                                       np.asarray(y, float))
-        return ic
+        return lambda *coords: interpolate_uniform(table, *coords)
 
     raise ConfigError(f"unknown initial profile {kind!r}")
 
@@ -520,7 +490,7 @@ def standing_mode_solution(cfg: RunConfig):
     if cfg.ndim == 1:
         Z = rho * c
 
-        def exact(x, t, y=None):
+        def exact(t, x):
             out = np.zeros((2, *np.shape(x)))
             xs = np.asarray(x) - cfg.xlim[0]
             out[0] = np.cos(kx * xs) * np.cos(c * kx * t)
@@ -532,7 +502,7 @@ def standing_mode_solution(cfg: RunConfig):
     ky = modes[1] * np.pi / Ly
     om = c * np.sqrt(kx ** 2 + ky ** 2)
 
-    def exact(x, t, y=None):
+    def exact(t, x, y):
         xs = np.asarray(x) - cfg.xlim[0]
         ys = np.asarray(y) - cfg.ylim[0]
         out = np.zeros((3, *np.shape(x)))

@@ -6,6 +6,7 @@ gauges and timing, and writes the plain-text outputs the CLI promises.
 
 from __future__ import annotations
 
+import math
 import os
 import time as _time
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from . import adjoint as adj
 from .amr import (AmrContext, DifferenceFlagging, EverywhereFlagging,
                   SurfaceFlagging, advance_hierarchy, make_patch, regrid)
 from .adjoint import AdjointFlagging, AdjointSnapshotStore, ConfigurationError
-from .config import (RunConfig, build_equation, build_initial,
+from .config import (ConfigError, RunConfig, build_equation, build_initial,
                      standing_mode_solution)
 from .geometry import PatchHierarchy, apply_stencil, field_stencil
 from .runio import (GaugeSeries, TimingReport, record_gauge, save_store,
@@ -56,12 +57,19 @@ def make_strategy(cfg: RunConfig, name: str | None = None,
 
 
 def init_hierarchy(cfg: RunConfig, ctx: AmrContext) -> PatchHierarchy:
-    """Base grid plus initial refinement, all levels seeded from the IC."""
+    """Base grid plus initial refinement, all levels seeded from the IC.
+
+    A `dt_fixed` above the base grid's Courant limit is a ConfigError.
+    """
     h = PatchHierarchy(xlim=cfg.xlim, ylim=cfg.ylim,
                        base_shape=cfg.base_shape, ratios=list(cfg.ratios))
     base = make_patch(h, 1, (0,) * cfg.ndim,
                       tuple(n - 1 for n in cfg.base_shape), ctx, time=cfg.t0)
     h.levels = [[base]]
+    limit = select_dt(h, ctx.equation, 1.0)
+    if cfg.dt_fixed is not None and cfg.dt_fixed > limit * (1.0 + 1e-12):
+        raise ConfigError(f"[solver] dt_fixed = {cfg.dt_fixed:g} exceeds {limit:g}, the "
+                          f"largest step at Courant number 1 on the base grid")
     ic = build_initial(cfg)
     _apply_ic(base, ic)
     for level in range(2, cfg.max_levels + 1):
@@ -74,12 +82,7 @@ def init_hierarchy(cfg: RunConfig, ctx: AmrContext) -> PatchHierarchy:
 
 
 def _apply_ic(patch, ic):
-    cs = patch.spec.cell_centers()
-    if patch.spec.ndim == 1:
-        patch.interior()[...] = ic(cs[0])
-    else:
-        X, Y = np.meshgrid(cs[0], cs[1], indexing="ij")
-        patch.interior()[...] = ic(X, Y)
+    patch.interior()[...] = ic(*np.meshgrid(*patch.spec.cell_centers(), indexing="ij"))
 
 
 def run_adjoint(cfg: RunConfig, out_dir: str | None = None, log=None):
@@ -197,16 +200,10 @@ def run_convergence(cfg: RunConfig, levels_of_resolution: int):
         from .solver import integrate_patch
         patch = h.patches(1)[0]
         integrate_patch(patch, ctx.equation, sub.boundary, sub.base_shape,
-                        sub.t_final, courant_target=sub.courant,
-                        limiter=sub.limiter, dt_fixed=sub.dt_fixed)
-        cs = patch.spec.cell_centers()
-        if sub.ndim == 1:
-            ref = exact(cs[0], sub.t_final)
-            vol = patch.spec.dx
-        else:
-            X, Y = np.meshgrid(cs[0], cs[1], indexing="ij")
-            ref = exact(X, sub.t_final, Y)
-            vol = patch.spec.dx * patch.spec.dy
+                        sub.t_final, courant_target=sub.courant, limiter=sub.limiter,
+                        dt_max=sub.dt_max, dt_fixed=sub.dt_fixed)
+        ref = exact(sub.t_final, *np.meshgrid(*patch.spec.cell_centers(), indexing="ij"))
+        vol = math.prod(patch.spec.widths)
         err = float(np.sum(np.abs(patch.interior()[0] - ref[0])) * vol)
         order = None if prev_err is None else float(np.log2(prev_err / err))
         rows.append((int(np.prod(sub.base_shape)), err, order))
@@ -255,7 +252,7 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
     sample(patch)
     integrate_patch(patch, equation, cfg.boundary, sub.base_shape, cfg.t_final,
                     courant_target=cfg.courant, limiter=cfg.limiter,
-                    dt_fixed=cfg.dt_fixed, on_step=sample)
+                    dt_max=cfg.dt_max, dt_fixed=cfg.dt_fixed, on_step=sample)
     del qhat, qhat_norm         # freed before the masks are stacked
     return xs, np.asarray(times), np.asarray(mq), np.asarray(mqh), np.asarray(mi)
 

@@ -317,7 +317,8 @@ def adjoint_transverse(system: str, axis: int, fluct, mat_below, mat_above):
 class MaterialModel:
     """Analytic material definition, sampled per patch at cell centers."""
 
-    def sample(self, x: np.ndarray, y: np.ndarray | None = None):
+    def sample(self, *coords: np.ndarray):
+        """Material at the points `coords`, one array per axis."""
         raise NotImplementedError
 
 
@@ -326,10 +327,8 @@ class AcousticsMaterialModel(MaterialModel):
         self.bulk_fn = bulk_fn
         self.rho_fn = rho_fn
 
-    def sample(self, x, y=None):
-        if y is None:
-            return AcousticsMaterial.create(self.bulk_fn(x), self.rho_fn(x))
-        return AcousticsMaterial.create(self.bulk_fn(x, y), self.rho_fn(x, y))
+    def sample(self, *coords):
+        return AcousticsMaterial.create(self.bulk_fn(*coords), self.rho_fn(*coords))
 
 
 class SweMaterialModel(MaterialModel):
@@ -338,8 +337,8 @@ class SweMaterialModel(MaterialModel):
         self.sea_level = sea_level
         self.gravity = gravity
 
-    def sample(self, x, y=None):
-        return SweMaterial.create(self.bathymetry_fn(x, y), self.sea_level, self.gravity)
+    def sample(self, *coords):
+        return SweMaterial.create(self.bathymetry_fn(*coords), self.sea_level, self.gravity)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +359,8 @@ class EquationSet:
     def __init__(self, material: MaterialModel):
         self.material = material
 
-    def sample_material(self, x, y=None):
-        return self.material.sample(x, y)
+    def sample_material(self, *coords):
+        return self.material.sample(*coords)
 
     def normal_component(self, axis: int) -> int:
         """State component mirrored with a sign flip at a wall on this axis."""
@@ -465,9 +464,6 @@ class TimeReversed(EquationSet):
         self.name = inner.name + "-reversed"
         self.m = inner.m
         self.is_swe = inner.is_swe
-
-    def sample_material(self, x, y=None):
-        return self.inner.sample_material(x, y)
 
     def normal_component(self, axis):
         return self.inner.normal_component(axis)

@@ -10,7 +10,9 @@ ghost cells.  State arrays are laid out as (m, nx_tot) in 1D and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,7 +31,7 @@ class PatchSpec:
     dx: float
     dy: float                      # 0.0 in 1D
     origin: tuple[float, ...]      # physical domain corner
-    ghost_width: int = 2
+    ghost_width: ClassVar[int] = 2   # enough for the second-order stencils
 
     def __post_init__(self):
         if self.level < 1:
@@ -39,8 +41,6 @@ class PatchSpec:
         for lo, hi in zip(self.lo, self.hi):
             if hi < lo:
                 raise ValueError(f"hi {self.hi} < lo {self.lo}")
-        if self.ghost_width < 2:
-            raise ValueError("ghost_width must be >= 2 for second-order stencils")
 
     @property
     def ndim(self) -> int:
@@ -48,7 +48,7 @@ class PatchSpec:
 
     @property
     def widths(self) -> tuple[float, ...]:
-        return (self.dx,) if self.ndim == 1 else (self.dx, self.dy)
+        return (self.dx, self.dy)[:self.ndim]
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -148,9 +148,7 @@ class PatchHierarchy:
 
     @property
     def origin(self) -> tuple[float, ...]:
-        if self.ndim == 1:
-            return (self.xlim[0],)
-        return (self.xlim[0], self.ylim[0])
+        return tuple(lim[0] for lim in (self.xlim, self.ylim)[:self.ndim])
 
     @property
     def max_levels(self) -> int:
@@ -191,11 +189,9 @@ class PatchHierarchy:
                 n = k + 1
         return n
 
-    def make_spec(self, level: int, lo: tuple[int, ...], hi: tuple[int, ...],
-                  ghost_width: int = 2) -> PatchSpec:
+    def make_spec(self, level: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> PatchSpec:
         wx, wy = self.widths(level)
-        return PatchSpec(level=level, lo=lo, hi=hi, dx=wx, dy=wy,
-                         origin=self.origin, ghost_width=ghost_width)
+        return PatchSpec(level=level, lo=lo, hi=hi, dx=wx, dy=wy, origin=self.origin)
 
     def containing_cell(self, level: int, point: tuple[float, ...]) -> tuple[int, ...]:
         """Global cell index of `point` at a level, clipped to the domain."""
@@ -238,7 +234,7 @@ class UniformField:
 
     @property
     def widths(self) -> tuple[float, ...]:
-        return (self.dx,) if self.ndim == 1 else (self.dx, self.dy)
+        return (self.dx, self.dy)[:self.ndim]
 
     def centers(self) -> tuple[np.ndarray, ...]:
         return tuple(
@@ -267,57 +263,57 @@ def _axis_weights(coord: np.ndarray, origin: float, width: float, n: int):
 
 @dataclass(frozen=True)
 class Stencil:
-    """Clamped bi/linear interpolation weights for one set of sample points.
+    """Clamped multilinear interpolation weights for one set of sample points.
 
-    `flat` holds the corner indices into the data viewed as (m, cells): two
-    corners (lower, upper) in 1D, four (00, 10, 01, 11) in 2D.  `cx`/`cy` are
-    1 - `wx`/`wy`.  Weights and indices share the points' shape, or broadcast
-    to it when the points are a product of 1-D axes.  One stencil applies to
-    every array of the shape it was built for.
+    `flat` holds the 2**ndim corner indices into the data viewed as (m,
+    cells), x fastest: (lower, upper) in 1D, (00, 10, 01, 11) in 2D.  Per
+    axis, `w[a]` weighs the upper corner and `c[a]` = 1 - `w[a]` the lower.
+    Weights and indices share the points' shape, or broadcast to it when the
+    points are a product of 1-D axes.  One stencil applies to every array of
+    the shape it was built for.
     """
 
     flat: tuple[np.ndarray, ...]
-    wx: np.ndarray
-    cx: np.ndarray
-    wy: np.ndarray | None = None
-    cy: np.ndarray | None = None
+    w: tuple[np.ndarray, ...]
+    c: tuple[np.ndarray, ...]
 
 
-def build_stencil(x: np.ndarray, y: np.ndarray | None, lo_phys: tuple[float, ...],
-                  widths: tuple[float, ...], n: tuple[int, ...],
-                  total_shape: tuple[int, ...] | None = None,
-                  offset: int = 0) -> Stencil:
-    """Stencil sampling `n` cells whose first cell starts at `lo_phys`.
+def build_stencil(coords, lo_phys: tuple[float, ...], widths: tuple[float, ...],
+                  n: tuple[int, ...], total_shape: tuple[int, ...] | None = None,
+                  offset: tuple[int, ...] | None = None) -> Stencil:
+    """Stencil at the points `coords` (one array per axis) sampling `n`
+    cells whose first cell starts at `lo_phys`.
 
-    Those cells sit `offset` cells into every axis of data whose per-axis
+    Those cells sit `offset[a]` cells into axis a of data whose per-axis
     extent is `total_shape` (default `n`), so a stencil can read a patch's
-    interior without copying it out of the ghosted array.
+    interior without copying it out of the ghosted array, or one patch of a
+    packed level array.
     """
     total_shape = n if total_shape is None else total_shape
-    i0, wx = _axis_weights(np.asarray(x, dtype=float), lo_phys[0], widths[0], n[0])
-    i1 = np.minimum(i0 + 1, n[0] - 1)
-    if len(n) == 1:
-        return Stencil(flat=(i0 + offset, i1 + offset), wx=wx, cx=1.0 - wx)
-    j0, wy = _axis_weights(np.asarray(y, dtype=float), lo_phys[1], widths[1], n[1])
-    j1 = np.minimum(j0 + 1, n[1] - 1)
-    r0 = (i0 + offset) * total_shape[1] + offset
-    r1 = (i1 + offset) * total_shape[1] + offset
-    return Stencil(flat=(r0 + j0, r1 + j0, r0 + j1, r1 + j1),
-                   wx=wx, cx=1.0 - wx, wy=wy, cy=1.0 - wy)
+    strides = [math.prod(total_shape[a + 1:]) for a in range(len(n))]
+    base = 0 if offset is None else sum(o * s for o, s in zip(offset, strides))
+    terms, w = [], []
+    for a, coord in enumerate(coords):
+        i0, wa = _axis_weights(np.asarray(coord, dtype=float), lo_phys[a], widths[a], n[a])
+        i1 = np.minimum(i0 + 1, n[a] - 1)
+        terms.append((i0, i1) if strides[a] == 1 else (i0 * strides[a], i1 * strides[a]))
+        w.append(wa)
+    # corner k is the upper cell on axis a where bit a of k is set
+    flat = tuple(sum((t[(k >> a) & 1] for a, t in enumerate(terms)), base)
+                 for k in range(2 ** len(terms)))
+    return Stencil(flat=flat, w=tuple(w), c=tuple(1.0 - wa for wa in w))
 
 
 def apply_stencil(stencil: Stencil, data: np.ndarray) -> np.ndarray:
     """Interpolated values, shape (m, *points); data is (m, *total_shape)."""
-    # in place, but in the operation order of  v00*cx*cy + v10*wx*cy + ...
+    # in place, but in the operation order of  v00*c0*c1 + v10*w0*c1 + ...
     v = data.reshape(data.shape[0], -1)
     s = stencil
-    weights = (((s.cx,), (s.wx,)) if s.wy is None
-               else ((s.cx, s.cy), (s.wx, s.cy), (s.cx, s.wy), (s.wx, s.wy)))
     out = None
-    for flat, ws in zip(s.flat, weights):
+    for k, flat in enumerate(s.flat):
         term = v.take(flat, axis=1).astype(float, copy=False)
-        for w in ws:
-            term *= w
+        for a in range(len(s.w)):
+            term *= s.w[a] if (k >> a) & 1 else s.c[a]
         if out is None:
             out = term
         else:
@@ -325,62 +321,68 @@ def apply_stencil(stencil: Stencil, data: np.ndarray) -> np.ndarray:
     return out
 
 
-def field_stencil(field: UniformField, x: np.ndarray,
-                  y: np.ndarray | None = None) -> Stencil:
+def field_stencil(field: UniformField, *coords) -> Stencil:
     """Stencil over a uniform field's grid; points must lie in its domain."""
-    x = np.asarray(x, dtype=float)
+    coords = tuple(np.asarray(c, dtype=float) for c in coords)
     lo = field.origin
     hi = field.domain_hi()
     eps = 1e-12 * max(abs(hi[0] - lo[0]), 1.0)
-    if np.any(x < lo[0] - eps) or np.any(x > hi[0] + eps):
-        raise OutOfRangeError("interpolation point outside domain in x")
-    if field.ndim == 2:
-        y = np.asarray(y, dtype=float)
-        if np.any(y < lo[1] - eps) or np.any(y > hi[1] + eps):
-            raise OutOfRangeError("interpolation point outside domain in y")
-    return build_stencil(x, y, lo, field.widths, field.shape)
+    for a, c in enumerate(coords):
+        if np.any(c < lo[a] - eps) or np.any(c > hi[a] + eps):
+            raise OutOfRangeError(f"interpolation point outside domain in {'xy'[a]}")
+    return build_stencil(coords, lo, field.widths, field.shape)
 
 
-def interpolate_uniform(field: UniformField, x: np.ndarray,
-                        y: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized clamped bi/linear interpolation of a UniformField.
+def interpolate_uniform(field: UniformField, *coords) -> np.ndarray:
+    """Vectorized clamped multilinear interpolation of a UniformField.
 
-    Returns an array of shape (m, *x.shape).  Points must lie inside the
+    `coords` holds one array per axis (broadcastable against each other).
+    Returns an array of shape (m, *points).  Points must lie inside the
     physical domain; beyond the outermost cell centers values clamp to the
     boundary row/column.
     """
-    return apply_stencil(field_stencil(field, x, y), field.values)
+    return apply_stencil(field_stencil(field, *coords), field.values)
 
 
 def bilinear_interpolate(field: UniformField, point: tuple[float, ...]) -> np.ndarray:
     """Interpolate the field at one physical point; returns an (m,) vector."""
-    if field.ndim == 1:
-        out = interpolate_uniform(field, np.array([point[0]]))
-    else:
-        out = interpolate_uniform(field, np.array([point[0]]), np.array([point[1]]))
-    return out[:, 0]
+    return interpolate_uniform(field, *(np.array([p]) for p in point[:field.ndim]))[:, 0]
 
 
-def patch_stencil(spec: PatchSpec, x: np.ndarray, y: np.ndarray | None = None,
-                  interior_only: bool = False) -> Stencil:
-    """Stencil over one patch's state array (interior plus ghosts)."""
+def patch_stencil(spec: PatchSpec, *coords, interior_only: bool = False,
+                  packed=None) -> Stencil:
+    """Stencil over one patch's state array (interior plus ghosts).
+
+    `packed` = (shape, offset) reads the patch where it sits in a packed
+    level array instead.
+    """
     g = 0 if interior_only else spec.ghost_width
     lo_phys = tuple(spec.origin[a] + (spec.lo[a] - g) * spec.widths[a]
                     for a in range(spec.ndim))
     n = tuple(s + 2 * g for s in spec.shape)
-    return build_stencil(x, y, lo_phys, spec.widths, n, spec.total_shape,
-                         offset=spec.ghost_width - g)
+    shape, offset = packed or (spec.total_shape, (0,) * spec.ndim)
+    return build_stencil(coords, lo_phys, spec.widths, n, shape,
+                         tuple(o + spec.ghost_width - g for o in offset))
 
 
-def interpolate_patch(patch: Patch, x: np.ndarray, y: np.ndarray | None = None,
-                      interior_only: bool = False) -> np.ndarray:
-    """Clamped bi/linear interpolation against one patch's cell data.
+def interpolate_patch(patch: Patch, *coords, interior_only: bool = False) -> np.ndarray:
+    """Clamped multilinear interpolation against one patch's cell data.
 
     The stencil may reach into the patch's ghost cells unless `interior_only`
     is set, in which case it clamps at the interior edge (used for gauges,
     where ghost values can be stale).
     """
-    return apply_stencil(patch_stencil(patch.spec, x, y, interior_only), patch.state)
+    return apply_stencil(patch_stencil(patch.spec, *coords, interior_only=interior_only),
+                         patch.state)
+
+
+def in_box(coords, bounds: tuple[float, ...]) -> np.ndarray:
+    """True at the points `coords` (one array per axis, broadcastable) that
+    lie in the closed box `bounds` = (lo, hi) per axis."""
+    inside = True
+    for c, lo, hi in zip(coords, bounds[::2], bounds[1::2]):
+        inside = inside & (c >= lo) & (c <= hi)
+    return inside
 
 
 @dataclass(frozen=True)
@@ -394,7 +396,7 @@ class NestingViolation:
                 f"{len(self.cells)} coarse cells outside the buffered parent union")
 
 
-def _level_mask(hierarchy: PatchHierarchy, level: int) -> np.ndarray:
+def level_mask(hierarchy: PatchHierarchy, level: int) -> np.ndarray:
     """Boolean occupancy of a level over its global index space."""
     shape = hierarchy.level_shape(level)
     mask = np.zeros(shape, dtype=bool)
@@ -420,7 +422,7 @@ def allowed_region_mask(hierarchy: PatchHierarchy, parent_level: int) -> np.ndar
     The union of parent patches eroded by one cell, except that physical
     domain boundaries need no buffer.
     """
-    mask = _level_mask(hierarchy, parent_level)
+    mask = level_mask(hierarchy, parent_level)
     return _erode(mask, pad_edges=True)
 
 

@@ -239,9 +239,8 @@ def record_gauge(hierarchy: PatchHierarchy, series: GaugeSeries, t: float):
     patch = hierarchy.finest_patch_at(series.location)
     if patch is None:
         return
-    x = np.array([series.location[0]])
-    y = np.array([series.location[1]]) if len(series.location) == 2 else None
-    val = interpolate_patch(patch, x, y, interior_only=True)[:, 0]
+    val = interpolate_patch(patch, *(np.array([c]) for c in series.location),
+                            interior_only=True)[:, 0]
     series.times.append(float(t))
     series.values.append(val.copy())
 

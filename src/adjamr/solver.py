@@ -153,7 +153,7 @@ def fill_ghost_from_coarse(fine_patch: Patch, hierarchy: PatchHierarchy, t: floa
 
 
 def space_time_interp(coarse: Patch, pts, t: float):
-    """Sample a coarse patch at points `pts` ((x,) or (x, y)) and time t."""
+    """Sample a coarse patch at points `pts` (one array per axis) and time t."""
     return space_time_apply(coarse, patch_stencil(coarse.spec, *pts), t)
 
 
@@ -386,7 +386,7 @@ class LevelLayout:
             self.interior[tuple(slice(b.start + g, b.stop - g) for b in box)] = True
         self._ghost &= ~self.interior
         ghost, gi = self._cells(ghosts=True)
-        src = self._cover(gi)
+        src, = self.cover(gi)
         self.same_level = (ghost[src >= 0], src[src >= 0])
         self._open = (ghost[src < 0], tuple(i[src < 0] for i in gi))   # for the coarse fill
         self._coarse = self._physical = self._kernel = None
@@ -440,16 +440,17 @@ class LevelLayout:
                     [-1 if c == a else 1 for c in range(len(shape))])
         return flat, tuple(i.ravel()[flat] for i in gidx)
 
-    def _cover(self, idx):
-        """Packed flat index of the interior cell holding each global index in
-        `idx`: -1 where none does, the last in packed order where interiors
+    def cover(self, *idxs):
+        """For each `idx` of `idxs` (global indices, one broadcastable array
+        per axis), the packed flat index of the interior cell holding each
+        index: -1 where none does, the last in packed order where interiors
         overlap."""
         flat, gi = self._cells(ghosts=False)
-        lo = [min(i.min(), j.min(initial=i.min())) for i, j in zip(gi, idx)]
-        hi = [max(i.max(), j.max(initial=i.max())) for i, j in zip(gi, idx)]
-        cover = np.full([h - l + 1 for l, h in zip(lo, hi)], -1)
-        cover[tuple(i - l for i, l in zip(gi, lo))] = flat
-        return cover[tuple(i - l for i, l in zip(idx, lo))]
+        lo = [int(i.min()) - 1 for i in gi]     # the interiors' bounding box and a border of -1
+        table = np.full([int(i.max()) - l + 2 for i, l in zip(gi, lo)], -1)
+        table[tuple(i - l for i, l in zip(gi, lo))] = flat
+        return [table[tuple(np.clip(i - l, 0, n - 1) for i, l, n in zip(idx, lo, table.shape))]
+                for idx in idxs]
 
     def fill_ghosts(self, hierarchy: PatchHierarchy, t: float, boundary: BoundarySpec,
                     equation: EquationSet):
@@ -502,11 +503,9 @@ class LevelLayout:
             inside = np.all([(i >= 0) & (i < n) for i, n
                              in zip(gi, hierarchy.level_shape(self.level))], axis=0)
             pieces = list(self._sample_parent(hierarchy, parent, tuple(i[inside] for i in gi)))
-            stencil = None if not pieces else Stencil(
-                tuple(np.concatenate(f) for f in zip(*(st.flat for _, st in pieces))),
-                *(None if getattr(pieces[0][1], k) is None
-                  else np.concatenate([getattr(st, k) for _, st in pieces])
-                  for k in ("wx", "cx", "wy", "cy")))
+            stencil = None if not pieces else Stencil(*(
+                tuple(np.concatenate(f) for f in zip(*(getattr(st, k) for _, st in pieces)))
+                for k in ("flat", "w", "c")))
             pos = np.concatenate([np.zeros(0, dtype=int)] + [pos for pos, _ in pieces])
             self._coarse = (parent, ghost[inside][pos], stencil)
         _, dst, stencil = self._coarse
@@ -523,13 +522,13 @@ class LevelLayout:
             for pos, st in self._sample_parent(hierarchy, parent, tuple(i[part] for i in gi)):
                 self.flat[:, cells[part][pos]] = space_time_apply(parent, st, t)
         if old is not None:
-            src = old._cover(gi)
+            src, = old.cover(gi)
             self.flat[:, cells[src >= 0]] = old.flat[:, src[src >= 0]]
 
     def _sample_parent(self, hierarchy: PatchHierarchy, parent: "LevelLayout", idx):
         """Per parent patch holding some of the cells `idx` (global indices on
         this level; a cell goes to the first such patch): their positions in
-        `idx`, and that patch's own stencil there moved onto the packed parent."""
+        `idx`, and that patch's stencil there, built on the packed parent."""
         spec = self._refs[0]().spec
         coarse = [i // hierarchy.ratio_to_finer(self.level - 1) for i in idx]
         centers = [hierarchy.origin[a] + (i + 0.5) * spec.widths[a] for a, i in enumerate(idx)]
@@ -540,14 +539,8 @@ class LevelLayout:
             if not inside.any():
                 continue
             todo &= ~inside
-            st = patch_stencil(cp.spec, *(c[inside] for c in centers))
-            if len(off) == 1:
-                flat = tuple(f + off[0] for f in st.flat)
-            else:       # (i, j) of the patch's own array onto the packed one
-                ny = cp.spec.total_shape[1]
-                flat = tuple((f // ny + off[0]) * parent.state.shape[2] + f % ny + off[1]
-                             for f in st.flat)
-            yield np.flatnonzero(inside), replace(st, flat=flat)
+            yield np.flatnonzero(inside), patch_stencil(
+                cp.spec, *(c[inside] for c in centers), packed=(parent.state.shape[1:], off))
 
     def step(self, dt: float, equation: EquationSet, limiter: str = "MC") -> float:
         """Advance every patch by dt; the Courant number is max|s|·dt/dx over

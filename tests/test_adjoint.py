@@ -279,7 +279,7 @@ def per_snapshot_inner_product(patch, t, store, window):
     q = patch.interior()
     best = np.zeros(spec.shape)
     for n in query_window_times(t, window, store):
-        qhat = interpolate_uniform(store.fields[n], x, y)
+        qhat = interpolate_uniform(store.fields[n], *((x,) if y is None else (x, y)))
         best = np.maximum(best, np.abs(np.sum(qhat * q, axis=0)))
     if hasattr(patch.aux, "wet"):
         best = np.where(patch.aux.wet[spec.interior_slices()], best, 0.0)

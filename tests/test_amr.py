@@ -275,6 +275,29 @@ def test_restrict_1d_takes_the_mean_of_each_coarse_cells_children():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("ratio", [2, 4])
+def test_restrict_does_not_depend_on_coarse_cuts(ratio):
+    # the same fine data restricted onto 8x8 coarse cells held by one patch,
+    # then by two cut at y = 7 (a strip one coarse cell wide), must give
+    # bitwise-equal coarse cells
+    eq = const_ac2d()
+    ctx = basic_ctx(eq)
+    data = np.random.default_rng(11).normal(size=(eq.m, 8 * ratio, 8 * ratio))
+    got = []
+    for cuts in ([((0, 0), (7, 7))], [((0, 0), (7, 6)), ((0, 7), (7, 7))]):
+        h = PatchHierarchy(xlim=(0.0, 8.0), ylim=(0.0, 8.0),
+                           base_shape=(8, 8), ratios=[ratio])
+        fine = make_patch(h, 2, (0, 0), (8 * ratio - 1, 8 * ratio - 1), ctx, 0.0)
+        fine.interior()[...] = data
+        h.levels = [[make_patch(h, 1, lo, hi, ctx, 0.0) for lo, hi in cuts], [fine]]
+        restrict_fine_to_coarse(h, 1)
+        coarse = np.zeros((eq.m, 8, 8))
+        for p in h.patches(1):
+            coarse[:, p.spec.lo[0]:p.spec.hi[0] + 1, p.spec.lo[1]:p.spec.hi[1] + 1] = p.interior()
+        got.append(coarse)
+    assert np.array_equal(got[0], got[1])
+
+
 def test_restrict_swe_averages_wet_children_into_wet_coarse_cells():
     # coarse cells of width 1: x in [2, 3) is wet with one dry child column
     # (y > 4 only), x in [4, 5) is dry with wet children, x in [6, 7) is dry

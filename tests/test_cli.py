@@ -160,6 +160,16 @@ def test_bad_config_exit_code(tmp_path, capsys):
         assert f"error: line {line}: " in capsys.readouterr().err
 
 
+def test_dt_fixed_above_the_courant_limit_is_a_config_error(tmp_path, capsys):
+    # c = 2 on cells of width 0.2: the largest stable step is 0.1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_2D.replace("[boundary]\n", "[boundary]\n\n[solver]\ndt_fixed = 0.5\n"))
+    capsys.readouterr()
+    assert main(["run-forward", "--config", str(bad), "--out", str(tmp_path / "o"),
+                 "--strategy", "difference"]) == 2
+    assert "[solver] dt_fixed = 0.5 exceeds 0.1," in capsys.readouterr().err
+
+
 def test_compare_shares_single_adjoint_pass(cfg2d, tmp_path, monkeypatch):
     calls = []
     orig = driver.run_adjoint

@@ -181,7 +181,7 @@ def numeric_tokens(text):
 def mutation_sites(text):
     """Each numeric token of the config, then each single-number key it lacks
     (added to its section); dt_fixed is left out, since a fixed step above
-    the Courant limit is refused at run time by CflViolationError."""
+    the Courant limit is refused only once the base grid is built."""
     sites = [(text, i, k) for i, k in numeric_tokens(text)]
     present = {ln.split("=", 1)[0].strip() for ln in text.splitlines() if "=" in ln}
     for section, key, kind, default, check in KEYS:

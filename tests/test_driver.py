@@ -103,3 +103,12 @@ def test_xt_map_equals_per_step_snapshot_loop():
     assert mask_inner.any() and not mask_inner.all()
     assert np.array_equal(mask_qhat, ref_qhat)
     assert np.array_equal(mask_inner, ref_inner)
+
+
+def test_xt_map_rows_honour_dt_max():
+    # the CFL step on this grid is 0.072; dt_max caps every x-t row
+    cfg = replace(parse_config(CFG_1D), nx=100, dt_max=0.01)
+    store, _ = run_adjoint(cfg)
+    times = run_xt_map(cfg, store, 0.1)[1]
+    assert len(times) > 2000
+    assert np.all(np.diff(times) <= 0.01 * (1 + 1e-9))
