@@ -13,17 +13,29 @@ values, so a change to the adjoint solve shows even when it flips no flag.
 Two versions of the program whose outputs are bitwise equal print the same
 lines.
 
-    PYTHONPATH=src python3 scripts/output_digest.py [--config-dir configs]
+With `--files` it digests the files the command line writes instead, one
+line per file: for each config, `run-adjoint` then `run-forward` with the
+config's strategy, `compare` of that strategy against the comparison one,
+and, for 1D configs, `xt-map --threshold 0.1`.  The values of the
+`*wall_seconds` lines of `timing.txt` and `compare.txt` are masked, as they
+hold wall times.  Two versions of the program that write the same bytes
+print the same lines.
+
+    PYTHONPATH=src python3 scripts/output_digest.py [--files] [--config-dir configs]
 """
 
 import argparse
+import contextlib
 import hashlib
 import os
+import re
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
+from adjamr import cli
 from adjamr.config import parse_config
 from adjamr.driver import run_adjoint, run_forward, run_xt_map
 
@@ -78,14 +90,53 @@ def digest_config(path: str):
     yield f"{name} {digest_run(cfg, other, store)}{tail}"
 
 
+WALL_LINE = re.compile(rb"^(\w*wall_seconds = ).*$", re.M)
+
+
+def file_digest(path: str) -> str:
+    with open(path, "rb") as f:
+        data = f.read()
+    if os.path.basename(path) in ("timing.txt", "compare.txt"):
+        data = WALL_LINE.sub(rb"\1*", data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_files(path: str):
+    """Yield `<config> <file> <sha256>` for every file the CLI writes."""
+    with open(path) as f:
+        cfg = parse_config(f.read())
+    other = "surface" if cfg.equation.startswith("swe") else "difference"
+    name = os.path.basename(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {"run": [["run-adjoint"], ["run-forward", "--strategy", cfg.strategy]],
+                "compare": [["compare", cfg.strategy, other]]}
+        if cfg.ndim == 1:
+            runs["xt"] = [["xt-map", "--threshold", repr(XT_THRESHOLD)]]
+        for sub, commands in runs.items():
+            for command in commands:
+                argv = [command[0], "--config", path, "--out", os.path.join(tmp, sub),
+                        *command[1:]]
+                with contextlib.redirect_stdout(sys.stderr):
+                    rc = cli.main(argv)
+                if rc != 0:
+                    sys.exit(f"adjamr {' '.join(argv)} failed")
+        for root, _, files in sorted(os.walk(tmp)):
+            for fname in sorted(files):
+                full = os.path.join(root, fname)
+                yield f"{name} {os.path.relpath(full, tmp)} {file_digest(full)}"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--config-dir",
                     default=os.path.join(os.path.dirname(__file__), "..", "configs"))
+    ap.add_argument("--files", action="store_true",
+                    help="digest the files the command line writes")
     args = ap.parse_args()
+    digest = digest_files if args.files else digest_config
     for name in sorted(os.listdir(args.config_dir)):
         if name.endswith(".cfg"):
-            for line in digest_config(os.path.join(args.config_dir, name)):
+            for line in digest(os.path.join(args.config_dir, name)):
                 print(line, flush=True)
 
 

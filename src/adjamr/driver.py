@@ -20,8 +20,9 @@ from .adjoint import AdjointFlagging, AdjointSnapshotStore, ConfigurationError
 from .config import (ConfigError, RunConfig, build_equation, build_initial,
                      standing_mode_solution)
 from .geometry import PatchHierarchy, apply_stencil, field_stencil
-from .runio import (GaugeSeries, TimingReport, record_gauge, save_store,
-                    write_gauge, write_snapshot, write_timing)
+from .runio import (CHUNK_BYTES, GaugeSeries, TableFormatError, TextLines,
+                    TimingReport, format_rows, parse_floats, read_rows, record_gauge,
+                    save_store, write_gauge, write_snapshot, write_timing)
 from .solver import select_dt
 
 
@@ -258,24 +259,29 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
 
 
 def write_xt_table(path: str, xs, times, mask):
-    with open(path, "w") as f:
-        f.write("# x: " + " ".join(format(v, ".17g") for v in xs) + "\n")
-        for t, row in zip(times, mask):
-            f.write(format(t, ".17g") + " " + " ".join("1" if b else "0" for b in row) + "\n")
+    """`# x: ...` then one line per time: the time and a 0/1 flag per cell."""
+    width = 2 * len(xs) + 1                 # " 0" per cell, then the newline
+    step = max(1, CHUNK_BYTES // width)
+    with open(path, "wb") as f:
+        f.write(("# x: " + "".join(format_rows(np.asarray(xs)[None]))).encode())
+        for c in range(0, len(times), step):
+            block = np.asarray(mask[c:c + step])
+            flags = np.full((len(block), width), ord(" "), dtype=np.uint8)
+            flags[:, 1::2] = block + ord("0")
+            flags[:, -1] = ord("\n")
+            buf = flags.tobytes()
+            f.write(b"".join(b"%.17g%s" % (t, buf[i * width:(i + 1) * width])
+                             for i, t in enumerate(times[c:c + step])))
 
 
 def read_xt_table(path: str):
-    xs = None
-    times = []
-    rows = []
-    with open(path) as f:
-        for line in f:
-            if line.startswith("# x:"):
-                xs = np.array([float(v) for v in line[4:].split()])
-                continue
-            toks = line.split()
-            if not toks:
-                continue
-            times.append(float(toks[0]))
-            rows.append([tok == "1" for tok in toks[1:]])
-    return xs, np.asarray(times), np.asarray(rows, dtype=bool)
+    text = TextLines(path)
+    if not text.data.startswith(b"# x:"):
+        raise TableFormatError(f"{path}:1: expected '# x:'")
+    xs = parse_floats(text.data[4:text.start[1]], lambda j: TableFormatError(
+        f"{path}:1: malformed number"))
+    table = read_rows(text, 1, len(xs) + 1)
+    flagged = np.isin(table[:, 1:], (0, 1)).all(axis=1)
+    if not flagged.all():
+        raise TableFormatError(f"{path}:{flagged.argmin() + 2}: flags must be 0 or 1")
+    return xs, table[:, 0], table[:, 1:] == 1

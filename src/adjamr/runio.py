@@ -8,6 +8,7 @@ index.  The 17-digit format makes write/read round trips bitwise exact.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -25,6 +26,10 @@ class StoreFormatError(ValueError):
     """Malformed adjoint store index; message names the file and the key."""
 
 
+class TableFormatError(ValueError):
+    """Malformed gauge or x-t table; message names the file and the line."""
+
+
 class GaugeComparisonError(ValueError):
     """Gauge series cannot be compared (no overlapping time range)."""
 
@@ -39,31 +44,86 @@ class PatchRecord:
     time: float
     values: np.ndarray            # (m, nx[, ny])
 
-    @property
-    def shape(self):
-        return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+CHUNK_BYTES = 1 << 18   # text built per write, so no whole-file string is held
+
+
+def format_rows(rows, sep: str = " "):
+    """Lines of `format(v, ".17g")` values joined by `sep`, one per row of a
+    2D array, yielded as one string per chunk of rows."""
+    line = sep.join(["%.17g"] * rows.shape[1]) + "\n"
+    step = max(1, CHUNK_BYTES // (25 * rows.shape[1] + 1))     # <= 25 bytes a value
+    for c in range(0, len(rows), step):
+        yield line * len(rows[c:c + step]) % tuple(rows[c:c + step].ravel().tolist())
+
+
+class TextLines:
+    """A text file read once as bytes, its lines found by array operations.
+    `start[k]` is the byte offset of line k and `start[-1]` the file's length,
+    so offsets count the bytes as stored, CRLF included; `ntok[k]` counts the
+    whitespace-separated tokens on line k.  With `commas`, commas separate
+    tokens too, reading as blanks in `data`, and `ncomma[k]` counts them."""
+
+    def __init__(self, path: str, commas: bool = False):
+        self.path = path
+        with open(path, "rb") as f:
+            data = f.read()
+        raw = np.frombuffer(data, dtype=np.uint8)
+        start = np.r_[0, np.flatnonzero(raw == ord("\n")) + 1, len(raw)]
+        self.start = start[:-1] if start[-1] == start[-2] else start
+        if commas:
+            self.ncomma = self.per_line(raw == ord(","))
+            data = data.replace(b",", b" ")
+        self.data = data
+        b = np.frombuffer(data, dtype=np.uint8)
+        blank = (b == ord(" ")) | ((b >= ord("\t")) & (b <= ord("\r")))   # as bytes.split()
+        self.ntok = self.per_line(~blank & np.r_[True, blank[:-1]])
+
+    def per_line(self, marks: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(marks, self.start[:-1], dtype=np.intp)
+
+    def line(self, k: int) -> str:
+        return self.data[self.start[k]:self.start[k + 1]].decode("latin-1")
+
+
+def parse_floats(data: bytes, error) -> np.ndarray:
+    """The whitespace-separated tokens of `data` as floats, in one conversion.
+    The first token that is not a number raises `error(j)`, j its index."""
+    toks = data.split()
+    try:
+        return np.array(toks, dtype=float)
+    except ValueError:
+        for j, tok in enumerate(toks):
+            try:
+                float(tok)
+            except ValueError:
+                raise error(j) from None
+        raise
+
+
+def read_rows(text: TextLines, k: int, nf: int) -> np.ndarray:
+    """Lines k.. of `text` as an (n, nf) array.  A line without nf tokens, or
+    a token that is not a number, raises TableFormatError naming the line."""
+    ragged = np.flatnonzero(text.ntok[k:] != nf)
+    if ragged.size:
+        raise TableFormatError(f"{text.path}:{k + ragged[0] + 1}: expected {nf} numbers")
+    return parse_floats(text.data[text.start[k]:], lambda j: TableFormatError(
+        f"{text.path}:{k + j // nf + 1}: malformed number")).reshape(-1, nf)
+
+
 def _patch_records(obj) -> list[PatchRecord]:
     if isinstance(obj, UniformField):
-        nd = obj.ndim
-        return [PatchRecord(level=1, lo=(0,) * nd,
-                            hi=tuple(n - 1 for n in obj.shape),
-                            dx=obj.dx, dy=obj.dy, time=obj.time,
-                            values=obj.values)]
+        return [PatchRecord(1, (0,) * obj.ndim, tuple(n - 1 for n in obj.shape),
+                            obj.dx, obj.dy, obj.time, obj.values)]
     if isinstance(obj, PatchHierarchy):
-        recs = []
-        for level in range(1, obj.num_levels() + 1):
-            wx, wy = obj.widths(level)
-            for p in sorted(obj.patches(level), key=lambda q: q.spec.lo):
-                recs.append(PatchRecord(level=level, lo=p.spec.lo, hi=p.spec.hi,
-                                        dx=wx, dy=wy, time=p.time,
-                                        values=p.interior()))
-        return recs
+        return [PatchRecord(level, p.spec.lo, p.spec.hi, *obj.widths(level), p.time,
+                            p.interior())
+                for level in range(1, obj.num_levels() + 1)
+                for p in sorted(obj.patches(level), key=lambda q: q.spec.lo)]
     raise TypeError(f"cannot snapshot a {type(obj).__name__}")
 
 
@@ -76,60 +136,54 @@ def write_snapshot(obj, path: str):
             hi = ",".join(str(i) for i in r.hi)
             f.write(f"patch level={r.level} lo={lo} hi={hi} dx={_fmt(r.dx)} "
                     f"dy={_fmt(r.dy)} time={_fmt(r.time)} m={r.values.shape[0]}\n")
-            flat = r.values.reshape(r.values.shape[0], -1)
-            for col in range(flat.shape[1]):
-                f.write(" ".join(_fmt(v) for v in flat[:, col]) + "\n")
+            f.writelines(format_rows(r.values.reshape(r.values.shape[0], -1).T))
 
 
 def read_snapshot(path: str) -> list[PatchRecord]:
     """Parse a snapshot file back into patch records."""
+    text = TextLines(path)
     records = []
-    offset = 0
-    with open(path, "r") as f:
-        lines = f.readlines()
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if not line.strip():
-            offset += len(line.encode())
-            i += 1
+    k = 0
+    while k < len(text.ntok):
+        if text.ntok[k] == 0:
+            k += 1
             continue
-        if not line.startswith("patch "):
-            raise SnapshotFormatError(
-                f"{path}: expected patch header at byte {offset}")
-        fields = dict(tok.split("=", 1) for tok in line.split()[1:])
+        if not text.data.startswith(b"patch ", text.start[k]):
+            raise SnapshotFormatError(f"{path}: expected patch header at byte {text.start[k]}")
+        where = f"{path}: bad patch header at byte {text.start[k]}"
+        toks = [tok.partition("=") for tok in text.line(k).split()[1:]]
+        for key, eq, _ in toks:
+            if not eq:
+                raise SnapshotFormatError(f"{where}: {key!r} is not key=value")
+        fields = {key: val for key, _, val in toks}
         try:
             level = int(fields["level"])
-            lo = tuple(int(v) for v in fields["lo"].split(","))
-            hi = tuple(int(v) for v in fields["hi"].split(","))
-            dx = float(fields["dx"])
-            dy = float(fields["dy"])
-            time = float(fields["time"])
+            lo, hi = (tuple(int(v) for v in fields[key].split(",")) for key in ("lo", "hi"))
+            dx, dy, time = (float(fields[key]) for key in ("dx", "dy", "time"))
             m = int(fields["m"])
         except (KeyError, ValueError) as exc:
-            raise SnapshotFormatError(
-                f"{path}: bad patch header at byte {offset}: {exc}") from None
-        offset += len(line.encode())
-        i += 1
+            raise SnapshotFormatError(f"{where}: {exc}") from None
+        why = ("lo and hi differ in length" if len(lo) != len(hi) else "lo exceeds hi"
+               if any(h < l for l, h in zip(lo, hi)) else "m is below 1" if m < 1 else "")
+        if why:
+            raise SnapshotFormatError(f"{where}: {why}")
         shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        ncells = int(np.prod(shape))
-        vals = np.empty((m, ncells))
-        for c in range(ncells):
-            if i >= len(lines):
-                raise SnapshotFormatError(f"{path}: truncated at byte {offset}")
-            row = lines[i].split()
-            if len(row) != m:
-                raise SnapshotFormatError(
-                    f"{path}: expected {m} values at byte {offset}")
-            try:
-                vals[:, c] = [float(v) for v in row]
-            except ValueError:
-                raise SnapshotFormatError(
-                    f"{path}: malformed number at byte {offset}") from None
-            offset += len(lines[i].encode())
-            i += 1
-        records.append(PatchRecord(level=level, lo=lo, hi=hi, dx=dx, dy=dy,
-                                   time=time, values=vals.reshape(m, *shape)))
+        ncells = math.prod(shape)
+        # the first failing line is reported, in file order: a number that does
+        # not parse, a row without m values, or the end of the file
+        first, end = k + 1, k + 1 + ncells
+        stop = min(end, len(text.ntok))
+        uneven = np.flatnonzero(text.ntok[first:stop] != m)
+        good = first + (uneven[0] if uneven.size else stop - first)
+        flat = parse_floats(text.data[text.start[first]:text.start[good]], lambda j: (
+            SnapshotFormatError(f"{path}: malformed number at byte {text.start[first + j // m]}")))
+        if uneven.size:
+            raise SnapshotFormatError(f"{path}: expected {m} values at byte {text.start[good]}")
+        if stop < end:
+            raise SnapshotFormatError(f"{path}: truncated at byte {len(text.data)}")
+        records.append(PatchRecord(level=level, lo=lo, hi=hi, dx=dx, dy=dy, time=time,
+                                   values=flat.reshape(ncells, m).T.copy().reshape(m, *shape)))
+        k = end
     return records
 
 
@@ -249,26 +303,27 @@ def write_gauge(series: GaugeSeries, path: str):
     with open(path, "w") as f:
         loc = ",".join(_fmt(v) for v in series.location)
         f.write(f"# gauge {series.gauge_id} at {loc}\n")
-        for t, v in zip(series.times, series.values):
-            f.write(",".join([_fmt(t)] + [_fmt(x) for x in v]) + "\n")
+        if series.times:
+            f.writelines(format_rows(np.column_stack([series.times, series.values]), ","))
 
 
 def read_gauge(path: str) -> GaugeSeries:
-    times = []
-    values = []
-    gid = 0
-    loc = ()
-    with open(path) as f:
-        for line in f:
-            if line.startswith("#"):
-                toks = line.split()
-                gid = int(toks[2])
-                loc = tuple(float(v) for v in toks[4].split(","))
-                continue
-            row = [float(v) for v in line.strip().split(",")]
-            times.append(row[0])
-            values.append(np.asarray(row[1:]))
-    return GaugeSeries(gauge_id=gid, location=loc, times=times, values=values)
+    text = TextLines(path, commas=True)
+    gid, loc, k = 0, (), 0
+    while k < len(text.ntok) and text.data.startswith(b"#", text.start[k]):
+        toks = text.line(k).split()
+        try:
+            gid, loc = int(toks[2]), tuple(float(v) for v in toks[4:])
+        except (IndexError, ValueError):
+            raise TableFormatError(f"{path}:{k + 1}: malformed gauge header") from None
+        k += 1
+    nf = text.ncomma[k] + 1 if k < len(text.ntok) else 1
+    uneven = np.flatnonzero(text.ncomma[k:] != nf - 1)
+    if uneven.size:
+        raise TableFormatError(f"{path}:{k + uneven[0] + 1}: expected {nf - 1} commas")
+    rows = read_rows(text, k, nf)
+    return GaugeSeries(gauge_id=gid, location=loc, times=rows[:, 0].tolist(),
+                       values=list(rows[:, 1:]))
 
 
 def compare_gauges(a: GaugeSeries, b: GaugeSeries):

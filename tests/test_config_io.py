@@ -11,9 +11,9 @@ from adjamr.adjoint import AdjointSnapshotStore, TimeWindow, query_window_times
 from adjamr.config import KEYS, ConfigError, build_equation, build_initial, parse_config
 from adjamr.geometry import Patch, PatchHierarchy, UniformField
 from adjamr.runio import (GaugeComparisonError, GaugeSeries, SnapshotFormatError,
-                          StoreFormatError, TimingReport, compare_gauges,
-                          load_store, read_gauge,
-                          read_snapshot, read_timing, record_gauge, save_store,
+                          StoreFormatError, TableFormatError, TimingReport, compare_gauges,
+                          load_store, read_gauge, read_snapshot, read_timing,
+                          read_uniform_field, record_gauge, save_store,
                           write_gauge, write_snapshot, write_timing)
 from adjamr.solver import BoundarySpec, sample_patch_material
 
@@ -301,6 +301,103 @@ def test_snapshot_malformed_reports_offset(tmp_path):
         read_snapshot(str(path))
 
 
+HEADER = "patch level=1 lo=0 hi=1 dx=1 dy=0 time=0 m=2\n"        # 45 bytes
+HEADER3 = HEADER.replace("hi=1", "hi=2")
+
+# (input, message); {path} is the file.  The messages of every case the
+# byte-offset reader reported before the block reader are kept as they were.
+MALFORMED_SNAPSHOTS = {
+    "bad number": (HEADER + "1.0 2.0\nbad 2.0\n", "{path}: malformed number at byte 53"),
+    "short row": (HEADER + "1.0 2.0\n3.0\n", "{path}: expected 2 values at byte 53"),
+    "long row": (HEADER + "1.0 2.0 3.0\n4.0 5.0\n", "{path}: expected 2 values at byte 45"),
+    "blank row": (HEADER + "1.0 2.0\n\n3.0 4.0\n", "{path}: expected 2 values at byte 53"),
+    "truncated": (HEADER + "1.0 2.0\n", "{path}: truncated at byte 53"),
+    "number before short row": (HEADER3 + "1.0 x\n3.0\n5.0 6.0\n",
+                                "{path}: malformed number at byte 45"),
+    "short row before number": (HEADER3 + "1.0\n3.0 x\n5.0 6.0\n",
+                                "{path}: expected 2 values at byte 45"),
+    "two patches": (HEADER + "1 2\n3 4\n\n" + HEADER.replace("lo=0 hi=1", "lo=2 hi=3")
+                    + "1 2\n3 4\n", "{path}: expected a single uniform patch"),
+    "text before header": ("hello\n" + HEADER + "1 2\n3 4\n",
+                           "{path}: expected patch header at byte 0"),
+    "junk after body": ("\n  \n" + HEADER + "1 2\n3 4\njunk\n",
+                        "{path}: expected patch header at byte 57"),
+    "missing key": (HEADER.replace(" m=2", "") + "1 2\n3 4\n",
+                    "{path}: bad patch header at byte 0: 'm'"),
+    "bad header value": (HEADER.replace("level=1", "level=one") + "1 2\n3 4\n",
+                         "{path}: bad patch header at byte 0: "
+                         "invalid literal for int() with base 10: 'one'"),
+    # raised a bare ValueError before
+    "token without =": (HEADER.replace("m=2", "m=2 junk") + "1 2\n3 4\n",
+                        "{path}: bad patch header at byte 0: 'junk' is not key=value"),
+    # raised "negative dimensions are not allowed" before
+    "lo above hi": (HEADER.replace("lo=0", "lo=3") + "1 2\n3 4\n",
+                    "{path}: bad patch header at byte 0: lo exceeds hi"),
+    # read as an empty patch before
+    "m zero": (HEADER.replace("m=2", "m=0") + "\n\n",
+               "{path}: bad patch header at byte 0: m is below 1"),
+    # read as a 1D patch before
+    "lo and hi lengths": (HEADER.replace("lo=0", "lo=0,0") + "1 2\n3 4\n",
+                          "{path}: bad patch header at byte 0: lo and hi differ in length"),
+    # offsets count the bytes as stored; byte 61 before
+    "CRLF": ((HEADER3 + "1.0 2.0\n3.0 4.0\n5.0 x\n").replace("\n", "\r\n"),
+             "{path}: malformed number at byte 64"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SNAPSHOTS))
+def test_malformed_snapshot_messages(tmp_path, case):
+    text, message = MALFORMED_SNAPSHOTS[case]
+    path = tmp_path / "s.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(SnapshotFormatError) as info:
+        read_uniform_field(str(path))
+    assert str(info.value) == message.format(path=path)
+
+
+def test_snapshot_accepts_tabs_repeated_spaces_and_no_final_newline(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_bytes(b"\n\npatch  level=1\tlo=0 hi=1 dx=1 dy=0 time=0.5 m=2\n"
+                     b"1.0\t 2.0\n   3.0  \t4.0")
+    f = read_uniform_field(str(path))
+    assert f.time == 0.5
+    assert np.array_equal(f.values, [[1.0, 3.0], [2.0, 4.0]])
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.1, 1e16]
+
+
+def test_writers_format_each_value_as_17_digits(tmp_path):
+    from adjamr.driver import read_xt_table, write_xt_table
+    vals = np.array(SPECIAL_VALUES).reshape(2, 4)
+    g = lambda v: format(v, ".17g")
+    write_snapshot(UniformField(values=vals, origin=(0.0,), dx=0.1, dy=0.0, time=0.1),
+                   str(tmp_path / "s.txt"))
+    assert (tmp_path / "s.txt").read_text() == (
+        "patch level=1 lo=0 hi=3 dx=0.10000000000000001 dy=0 time=0.10000000000000001 m=2\n"
+        + "".join(" ".join(g(v) for v in col) + "\n" for col in vals.T))
+    back = read_snapshot(str(tmp_path / "s.txt"))[0].values
+    assert back.tobytes() == vals.tobytes() or np.array_equal(back, vals, equal_nan=True)
+    assert np.signbit(back[0, 0])
+
+    s = GaugeSeries(gauge_id=2, location=(0.5, 1e16), times=SPECIAL_VALUES,
+                    values=[np.array([v, -v]) for v in SPECIAL_VALUES])
+    write_gauge(s, str(tmp_path / "g.csv"))
+    assert (tmp_path / "g.csv").read_text() == "# gauge 2 at 0.5,10000000000000000\n" + "".join(
+        f"{g(v)},{g(v)},{g(-v)}\n" for v in SPECIAL_VALUES)
+    back = read_gauge(str(tmp_path / "g.csv"))
+    assert np.array_equal(back.as_arrays()[1], s.as_arrays()[1], equal_nan=True)
+
+    mask = np.array([[True, False, True]] * len(SPECIAL_VALUES))
+    write_xt_table(str(tmp_path / "x.txt"), np.array(SPECIAL_VALUES[:3]), SPECIAL_VALUES, mask)
+    assert (tmp_path / "x.txt").read_text() == (
+        "# x: " + " ".join(g(v) for v in SPECIAL_VALUES[:3]) + "\n"
+        + "".join(g(t) + " 1 0 1\n" for t in SPECIAL_VALUES))
+    xs, times, back = read_xt_table(str(tmp_path / "x.txt"))
+    assert np.array_equal(times, SPECIAL_VALUES, equal_nan=True)
+    assert np.array_equal(back, mask)
+
+
 def test_store_round_trip_preserves_window_queries(tmp_path):
     times = np.linspace(0.0, 2.0, 9)
     rng = np.random.default_rng(0)
@@ -357,6 +454,45 @@ def test_load_store_names_a_snapshot_of_another_shape(tmp_path):
         load_store(str(index.parent))
 
 
+# (file to edit, edit, message); {dir} is the store directory
+MALFORMED_STORES = {
+    "bad number": ("snap_0001.txt", lambda t: t.replace("1\n", "one\n", 2),
+                   "{dir}/snap_0001.txt: malformed number at byte 50"),
+    "short row": ("snap_0001.txt", lambda t: t.replace("1 1\n", "1\n", 3),
+                  "{dir}/snap_0001.txt: expected 2 values at byte 50"),
+    "truncated": ("snap_0002.txt", lambda t: t[:-4],
+                  "{dir}/snap_0002.txt: truncated at byte 60"),
+    "two patches": ("snap_0000.txt", lambda t: t + t,
+                    "{dir}/snap_0000.txt: expected a single uniform patch"),
+    # read as "expected 0 values at byte 48" before
+    "m zero": ("snap_0000.txt", lambda t: t.replace("m=2", "m=0"),
+               "{dir}/snap_0000.txt: bad patch header at byte 0: m is below 1"),
+    # byte 56 before
+    "CRLF": ("snap_0002.txt",
+             lambda t: t.replace("1 1\n1 1\n1 1\n", "1 1\n1 1\n1 z\n").replace("\n", "\r\n"),
+             "{dir}/snap_0002.txt: malformed number at byte 59"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STORES))
+def test_malformed_store_messages(tmp_path, case):
+    name, edit, message = MALFORMED_STORES[case]
+    directory = saved_store_index(tmp_path).parent
+    path = directory / name
+    path.write_bytes(edit(path.read_text()).encode())
+    with pytest.raises(SnapshotFormatError) as info:
+        load_store(str(directory))
+    assert str(info.value) == message.format(dir=directory)
+
+
+def test_store_snapshots_with_tabs_and_repeated_spaces_load(tmp_path):
+    directory = saved_store_index(tmp_path).parent
+    path = directory / "snap_0001.txt"
+    path.write_text(path.read_text().replace("\n1 1", "\n2 1").replace(" ", "  \t"))
+    store = load_store(str(directory))
+    assert np.array_equal(store.fields[1].values, [[2.0] * 4, [1.0] * 4])
+
+
 def test_forward_snapshot_index_times_parse_back(tmp_path):
     from adjamr.driver import run_forward
     text = open("configs/2d-walls-timepoint.cfg").read()
@@ -401,6 +537,42 @@ def test_gauge_round_trip(tmp_path):
     assert back.gauge_id == 3
     assert back.location == (3.5, 0.5)
     assert np.allclose(back.as_arrays()[1], s.as_arrays()[1])
+
+
+@pytest.mark.parametrize("text, line, why", [
+    ("# gauge 1 at 0.5\n0,1,2\n0.1,bad,2\n", 3, "malformed number"),
+    ("# gauge 1 at 0.5\n0,1,2\n0.1,1\n", 3, "expected 2 commas"),
+    ("# gauge 1 at 0.5\n0,1,2\n0.1,,2\n", 3, "expected 3 numbers"),
+    ("# gauge 1 at 0.5\n0,1,2\n0.1 1,2\n", 3, "expected 2 commas"),
+    ("# gauge 1 at 0.5\n0,1,2\n\n", 3, "expected 2 commas"),
+    ("# gauge 1 at 0.5\n0, 1 ,\t2\n0.1,1,2\n0.2,1_0,2\n", 4, None),
+    ("# gauge one at 0.5\n0,1,2\n", 1, "malformed gauge header"),
+])
+def test_read_gauge_names_a_malformed_row(tmp_path, text, line, why):
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    if why is None:                     # blanks around commas are fine
+        assert read_gauge(str(path)).as_arrays()[1].tolist() == [[1, 2], [1, 2], [10, 2]]
+        return
+    with pytest.raises(TableFormatError) as info:
+        read_gauge(str(path))
+    assert str(info.value) == f"{path}:{line}: {why}"
+
+
+@pytest.mark.parametrize("text, line, why", [
+    ("# x: 0.5 1.5\n0 1 0\n0.1 1 2\n", 3, "flags must be 0 or 1"),
+    ("# x: 0.5 1.5\n0 1 0\n0.1 1\n", 3, "expected 3 numbers"),
+    ("0 1 0\n", 1, "expected '# x:'"),
+    ("# x: 0.5 1.5\n0 1 0\nt 1 1\n", 3, "malformed number"),
+    ("# x: 0.5 x\n0 1 0\n", 1, "malformed number"),
+])
+def test_read_xt_table_names_a_malformed_row(tmp_path, text, line, why):
+    from adjamr.driver import read_xt_table
+    path = tmp_path / "x.txt"
+    path.write_text(text)
+    with pytest.raises(TableFormatError) as info:
+        read_xt_table(str(path))
+    assert str(info.value) == f"{path}:{line}: {why}"
 
 
 def test_compare_gauges_identical_and_offset():
