@@ -80,11 +80,14 @@ class TextLines:
             data = data.replace(b",", b" ")
         self.data = data
         b = np.frombuffer(data, dtype=np.uint8)
-        blank = (b == ord(" ")) | ((b >= ord("\t")) & (b <= ord("\r")))   # as bytes.split()
-        self.ntok = self.per_line(~blank & np.r_[True, blank[:-1]])
+        # what bytes.split() splits on: space and \t\n\v\f\r (uint8 wraps below \t)
+        blank = (b == ord(" ")) | (b - ord("\t") <= ord("\r") - ord("\t"))
+        first = ~blank
+        first[1:] &= blank[:-1]
+        self.ntok = self.per_line(first)
 
     def per_line(self, marks: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(marks, self.start[:-1], dtype=np.intp)
+        return np.diff(np.searchsorted(np.flatnonzero(marks), self.start))
 
     def line(self, k: int) -> str:
         return self.data[self.start[k]:self.start[k + 1]].decode("latin-1")
