@@ -42,6 +42,11 @@ from adjamr.driver import run_adjoint, run_forward, run_xt_map
 XT_THRESHOLD = 0.1
 
 
+def comparison_strategy(cfg) -> str:
+    """The strategy a config's own is compared against."""
+    return "surface" if cfg.equation.startswith("swe") else "difference"
+
+
 def _update(digest, *arrays):
     for a in arrays:
         digest.update(np.ascontiguousarray(a).tobytes())
@@ -86,8 +91,7 @@ def digest_config(path: str):
         _update(xt, *run_xt_map(cfg, store, XT_THRESHOLD))
         line += f" xt={xt.hexdigest()}"
     yield line + tail
-    other = "surface" if cfg.equation.startswith("swe") else "difference"
-    yield f"{name} {digest_run(cfg, other, store)}{tail}"
+    yield f"{name} {digest_run(cfg, comparison_strategy(cfg), store)}{tail}"
 
 
 WALL_LINE = re.compile(rb"^(\w*wall_seconds = ).*$", re.M)
@@ -105,21 +109,19 @@ def digest_files(path: str):
     """Yield `<config> <file> <sha256>` for every file the CLI writes."""
     with open(path) as f:
         cfg = parse_config(f.read())
-    other = "surface" if cfg.equation.startswith("swe") else "difference"
+    other = comparison_strategy(cfg)
     name = os.path.basename(path)
+    runs = [("run", ["run-adjoint"]), ("run", ["run-forward", "--strategy", cfg.strategy]),
+            ("compare", ["compare", cfg.strategy, other])]
+    if cfg.ndim == 1:
+        runs.append(("xt", ["xt-map", "--threshold", repr(XT_THRESHOLD)]))
     with tempfile.TemporaryDirectory() as tmp:
-        runs = {"run": [["run-adjoint"], ["run-forward", "--strategy", cfg.strategy]],
-                "compare": [["compare", cfg.strategy, other]]}
-        if cfg.ndim == 1:
-            runs["xt"] = [["xt-map", "--threshold", repr(XT_THRESHOLD)]]
-        for sub, commands in runs.items():
-            for command in commands:
-                argv = [command[0], "--config", path, "--out", os.path.join(tmp, sub),
-                        *command[1:]]
-                with contextlib.redirect_stdout(sys.stderr):
-                    rc = cli.main(argv)
-                if rc != 0:
-                    sys.exit(f"adjamr {' '.join(argv)} failed")
+        for sub, (command, *rest) in runs:
+            argv = [command, "--config", path, "--out", os.path.join(tmp, sub), *rest]
+            with contextlib.redirect_stdout(sys.stderr):
+                rc = cli.main(argv)
+            if rc != 0:
+                sys.exit(f"adjamr {' '.join(argv)} failed")
         for root, _, files in sorted(os.walk(tmp)):
             for fname in sorted(files):
                 full = os.path.join(root, fname)

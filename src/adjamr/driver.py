@@ -280,7 +280,8 @@ def read_xt_table(path: str):
         raise TableFormatError(f"{path}:1: expected '# x:'")
     xs = parse_floats(text.data[4:text.start[1]], lambda j: TableFormatError(
         f"{path}:1: malformed number"))
-    table = read_rows(text, 1, len(xs) + 1)
+    table = read_rows(text, 1, len(text.ntok), len(xs) + 1, lambda j, why: TableFormatError(
+        f"{path}:{j + 1}: {why}"))
     flagged = np.isin(table[:, 1:], (0, 1)).all(axis=1)
     if not flagged.all():
         raise TableFormatError(f"{path}:{flagged.argmin() + 2}: flags must be 0 or 1")

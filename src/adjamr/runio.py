@@ -69,7 +69,6 @@ class TextLines:
     tokens too, reading as blanks in `data`, and `ncomma[k]` counts them."""
 
     def __init__(self, path: str, commas: bool = False):
-        self.path = path
         with open(path, "rb") as f:
             data = f.read()
         raw = np.frombuffer(data, dtype=np.uint8)
@@ -108,14 +107,17 @@ def parse_floats(data: bytes, error) -> np.ndarray:
         raise
 
 
-def read_rows(text: TextLines, k: int, nf: int) -> np.ndarray:
-    """Lines k.. of `text` as an (n, nf) array.  A line without nf tokens, or
-    a token that is not a number, raises TableFormatError naming the line."""
-    ragged = np.flatnonzero(text.ntok[k:] != nf)
-    if ragged.size:
-        raise TableFormatError(f"{text.path}:{k + ragged[0] + 1}: expected {nf} numbers")
-    return parse_floats(text.data[text.start[k]:], lambda j: TableFormatError(
-        f"{text.path}:{k + j // nf + 1}: malformed number")).reshape(-1, nf)
+def read_rows(text: TextLines, a: int, b: int, nf: int, error) -> np.ndarray:
+    """Lines a..b-1 of `text` as an (n, nf) array.  The first line, in file
+    order, without nf tokens or with a token that is not a number raises
+    `error(k, why)`, k being that line."""
+    uneven = np.flatnonzero(text.ntok[a:b] != nf)
+    good = a + (uneven[0] if uneven.size else b - a)
+    rows = parse_floats(text.data[text.start[a]:text.start[good]],
+                        lambda j: error(a + j // nf, "malformed number"))
+    if uneven.size:
+        raise error(good, f"expected {nf} values")
+    return rows.reshape(-1, nf)
 
 
 def _patch_records(obj) -> list[PatchRecord]:
@@ -171,21 +173,13 @@ def read_snapshot(path: str) -> list[PatchRecord]:
         if why:
             raise SnapshotFormatError(f"{where}: {why}")
         shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        ncells = math.prod(shape)
-        # the first failing line is reported, in file order: a number that does
-        # not parse, a row without m values, or the end of the file
-        first, end = k + 1, k + 1 + ncells
-        stop = min(end, len(text.ntok))
-        uneven = np.flatnonzero(text.ntok[first:stop] != m)
-        good = first + (uneven[0] if uneven.size else stop - first)
-        flat = parse_floats(text.data[text.start[first]:text.start[good]], lambda j: (
-            SnapshotFormatError(f"{path}: malformed number at byte {text.start[first + j // m]}")))
-        if uneven.size:
-            raise SnapshotFormatError(f"{path}: expected {m} values at byte {text.start[good]}")
-        if stop < end:
+        end = k + 1 + math.prod(shape)
+        rows = read_rows(text, k + 1, min(end, len(text.ntok)), m, lambda j, why: (
+            SnapshotFormatError(f"{path}: {why} at byte {text.start[j]}")))
+        if end > len(text.ntok):
             raise SnapshotFormatError(f"{path}: truncated at byte {len(text.data)}")
         records.append(PatchRecord(level=level, lo=lo, hi=hi, dx=dx, dy=dy, time=time,
-                                   values=flat.reshape(ncells, m).T.copy().reshape(m, *shape)))
+                                   values=rows.T.copy().reshape(m, *shape)))
         k = end
     return records
 
@@ -324,7 +318,8 @@ def read_gauge(path: str) -> GaugeSeries:
     uneven = np.flatnonzero(text.ncomma[k:] != nf - 1)
     if uneven.size:
         raise TableFormatError(f"{path}:{k + uneven[0] + 1}: expected {nf - 1} commas")
-    rows = read_rows(text, k, nf)
+    rows = read_rows(text, k, len(text.ntok), nf, lambda j, why: TableFormatError(
+        f"{path}:{j + 1}: {why}"))
     return GaugeSeries(gauge_id=gid, location=loc, times=rows[:, 0].tolist(),
                        values=list(rows[:, 1:]))
 

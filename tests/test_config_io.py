@@ -542,7 +542,7 @@ def test_gauge_round_trip(tmp_path):
 @pytest.mark.parametrize("text, line, why", [
     ("# gauge 1 at 0.5\n0,1,2\n0.1,bad,2\n", 3, "malformed number"),
     ("# gauge 1 at 0.5\n0,1,2\n0.1,1\n", 3, "expected 2 commas"),
-    ("# gauge 1 at 0.5\n0,1,2\n0.1,,2\n", 3, "expected 3 numbers"),
+    ("# gauge 1 at 0.5\n0,1,2\n0.1,,2\n", 3, "expected 3 values"),
     ("# gauge 1 at 0.5\n0,1,2\n0.1 1,2\n", 3, "expected 2 commas"),
     ("# gauge 1 at 0.5\n0,1,2\n\n", 3, "expected 2 commas"),
     ("# gauge 1 at 0.5\n0, 1 ,\t2\n0.1,1,2\n0.2,1_0,2\n", 4, None),
@@ -561,7 +561,7 @@ def test_read_gauge_names_a_malformed_row(tmp_path, text, line, why):
 
 @pytest.mark.parametrize("text, line, why", [
     ("# x: 0.5 1.5\n0 1 0\n0.1 1 2\n", 3, "flags must be 0 or 1"),
-    ("# x: 0.5 1.5\n0 1 0\n0.1 1\n", 3, "expected 3 numbers"),
+    ("# x: 0.5 1.5\n0 1 0\n0.1 1\n", 3, "expected 3 values"),
     ("0 1 0\n", 1, "expected '# x:'"),
     ("# x: 0.5 1.5\n0 1 0\nt 1 1\n", 3, "malformed number"),
     ("# x: 0.5 x\n0 1 0\n", 1, "malformed number"),
