@@ -50,6 +50,7 @@ def _fmt(x: float) -> str:
 
 
 CHUNK_BYTES = 1 << 18   # text built per write, so no whole-file string is held
+CHUNK_TOKENS = 1 << 11  # numbers converted at once, so no whole-file token list is held
 
 
 def format_rows(rows, sep: str = " "):
@@ -113,11 +114,15 @@ def read_rows(text: TextLines, a: int, b: int, nf: int, error) -> np.ndarray:
     `error(k, why)`, k being that line."""
     uneven = np.flatnonzero(text.ntok[a:b] != nf)
     good = a + (uneven[0] if uneven.size else b - a)
-    rows = parse_floats(text.data[text.start[a]:text.start[good]],
-                        lambda j: error(a + j // nf, "malformed number"))
+    rows = np.empty((good - a, nf))
+    step = max(1, CHUNK_TOKENS // nf)        # lines converted at once
+    for c in range(a, good, step):
+        e = min(c + step, good)
+        rows[c - a:e - a] = parse_floats(text.data[text.start[c]:text.start[e]], lambda j: (
+            error(c + j // nf, "malformed number"))).reshape(-1, nf)
     if uneven.size:
         raise error(good, f"expected {nf} values")
-    return rows.reshape(-1, nf)
+    return rows
 
 
 def _patch_records(obj) -> list[PatchRecord]:

@@ -304,8 +304,8 @@ def test_snapshot_malformed_reports_offset(tmp_path):
 HEADER = "patch level=1 lo=0 hi=1 dx=1 dy=0 time=0 m=2\n"        # 45 bytes
 HEADER3 = HEADER.replace("hi=1", "hi=2")
 
-# (input, message); {path} is the file.  The messages of every case the
-# byte-offset reader reported before the block reader are kept as they were.
+# (input, message); {path} is the file.  Cases without a note were reported
+# with the same message by the line-by-line reader this one replaced.
 MALFORMED_SNAPSHOTS = {
     "bad number": (HEADER + "1.0 2.0\nbad 2.0\n", "{path}: malformed number at byte 53"),
     "short row": (HEADER + "1.0 2.0\n3.0\n", "{path}: expected 2 values at byte 53"),
@@ -541,6 +541,7 @@ def test_gauge_round_trip(tmp_path):
 
 @pytest.mark.parametrize("text, line, why", [
     ("# gauge 1 at 0.5\n0,1,2\n0.1,bad,2\n", 3, "malformed number"),
+    ("# gauge 1 at 0.5\n" + "0,1,2\n" * 1500 + "0.1,bad,2\n", 1502, "malformed number"),
     ("# gauge 1 at 0.5\n0,1,2\n0.1,1\n", 3, "expected 2 commas"),
     ("# gauge 1 at 0.5\n0,1,2\n0.1,,2\n", 3, "expected 3 values"),
     ("# gauge 1 at 0.5\n0,1,2\n0.1 1,2\n", 3, "expected 2 commas"),
