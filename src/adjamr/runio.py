@@ -49,7 +49,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-CHUNK_BYTES = 1 << 18   # text built per write, so no whole-file string is held
+CHUNK_BYTES = 1 << 16   # text built per write, so no whole-file string is held
 CHUNK_TOKENS = 1 << 11  # numbers converted at once, so no whole-file token list is held
 
 
