@@ -305,7 +305,7 @@ def write_gauge(series: GaugeSeries, path: str):
     with open(path, "w") as f:
         loc = ",".join(_fmt(v) for v in series.location)
         f.write(f"# gauge {series.gauge_id} at {loc}\n")
-        if series.times:
+        if len(series.times):
             f.writelines(format_rows(np.column_stack([series.times, series.values]), ","))
 
 
