@@ -41,23 +41,22 @@ def cmd_run_adjoint(args) -> int:
     return 0
 
 
-def _get_store(cfg, args, required: bool):
+def _get_store(args, required: bool):
     adj_dir = os.path.join(args.out, "adjoint")
     if os.path.exists(os.path.join(adj_dir, "index.txt")):
-        return load_store(adj_dir), 0.0
+        return load_store(adj_dir)
     if required:
         raise ConfigurationError(
             f"adjoint-flagged run needs a store; run-adjoint first (looked in {adj_dir})")
-    return None, 0.0
+    return None
 
 
 def cmd_run_forward(args) -> int:
     cfg = _load_config(args.config)
     strategy = args.strategy or cfg.strategy
     os.makedirs(args.out, exist_ok=True)
-    store, adj_wall = _get_store(cfg, args, required=(strategy == "adjoint"))
-    res = driver.run_forward(cfg, strategy_name=strategy, store=store,
-                             out_dir=args.out, adjoint_wall=adj_wall)
+    store = _get_store(args, required=(strategy == "adjoint"))
+    res = driver.run_forward(cfg, strategy_name=strategy, store=store, out_dir=args.out)
     print(f"forward[{strategy}]: {len(res.snapshot_paths)} snapshots, "
           f"cell steps {res.timing.cell_steps} "
           f"({res.timing.forward_wall_seconds:.2f}s)")
@@ -141,7 +140,7 @@ def cmd_convergence(args) -> int:
 def cmd_xt_map(args) -> int:
     cfg = _load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    store, _ = _get_store(cfg, args, required=False)
+    store = _get_store(args, required=False)
     if store is None:
         store, _ = driver.run_adjoint(cfg, out_dir=args.out)
     xs, times, mq, mqh, mi = driver.run_xt_map(cfg, store, args.threshold)

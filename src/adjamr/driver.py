@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .geometry import PatchHierarchy, apply_stencil, field_stencil
 from .runio import (CHUNK_BYTES, GaugeSeries, TableFormatError, TextLines,
                     TimingReport, format_rows, parse_floats, read_rows, record_gauge,
                     save_store, write_gauge, write_snapshot, write_timing)
-from .solver import select_dt
+from .solver import integrate_patch, march, select_dt
 
 
 class UnsupportedConfigError(RuntimeError):
@@ -137,33 +137,23 @@ def run_forward(cfg: RunConfig, strategy_name: str | None = None,
 
     result = ForwardResult(hierarchy=h, gauges=gauges,
                            timing=TimingReport(adjoint_wall_seconds=adjoint_wall))
-    pending = sorted(cfg.output_times)
-    eps = 1e-9 * max(abs(cfg.t_final), 1.0)
     index_lines = []
 
-    def emit_outputs(t):
-        while pending and pending[0] <= t + eps:
-            t_out = pending.pop(0)
-            result.output_times.append(t_out)
-            if on_output is not None:
-                on_output(t_out, h)
-            if snap_dir is not None:
-                name = f"snap_{len(index_lines):04d}.txt"
-                write_snapshot(h, os.path.join(snap_dir, name))
-                index_lines.append(f"{name} {float(t_out):.17g}")
-                result.snapshot_paths.append(os.path.join(snap_dir, name))
+    def emit_output(t_out):
+        result.output_times.append(t_out)
+        if on_output is not None:
+            on_output(t_out, h)
+        if snap_dir is not None:
+            name = f"snap_{len(index_lines):04d}.txt"
+            write_snapshot(h, os.path.join(snap_dir, name))
+            index_lines.append(f"{name} {float(t_out):.17g}")
+            result.snapshot_paths.append(os.path.join(snap_dir, name))
 
     wall0 = _time.perf_counter()
-    emit_outputs(cfg.t0)
-    t = cfg.t0
-    while t < cfg.t_final - eps:
-        dt = cfg.dt_fixed or select_dt(h, equation, cfg.courant, cfg.dt_max)
-        dt = min(dt, cfg.t_final - t)
-        if pending:
-            dt = min(dt, max(pending[0] - t, eps))
-        advance_hierarchy(h, 1, dt, ctx)
-        t = h.patches(1)[0].time
-        emit_outputs(t)
+    # level 1 is never rebuilt and materials are static, so one dt serves the run
+    dt = cfg.dt_fixed or select_dt(h, equation, cfg.courant, cfg.dt_max)
+    march(lambda: h.patches(1)[0].time, lambda step: advance_hierarchy(h, 1, step, ctx),
+          cfg.t_final, dt, cfg.output_times, emit_output)
     result.timing.forward_wall_seconds = _time.perf_counter() - wall0
     result.timing.cell_steps = dict(ctx.cell_steps)
     result.timing.max_courant = dict(ctx.max_courant)
@@ -187,22 +177,14 @@ def run_convergence(cfg: RunConfig, levels_of_resolution: int):
     if exact is None:
         raise UnsupportedConfigError(
             "convergence study needs a constant-coefficient standing_mode config")
-    from dataclasses import replace
     rows = []
     prev_err = None
     for k in range(levels_of_resolution):
         scale = 2 ** k
         sub = replace(cfg, nx=cfg.nx * scale,
                       ny=None if cfg.ny is None else cfg.ny * scale,
-                      max_levels=1, ratios=(), output_times=(cfg.t_final,))
-        ctx = AmrContext(equation=build_equation(sub), boundary=sub.boundary,
-                         strategy=EverywhereFlagging(), limiter=sub.limiter)
-        h = init_hierarchy(sub, ctx)
-        from .solver import integrate_patch
-        patch = h.patches(1)[0]
-        integrate_patch(patch, ctx.equation, sub.boundary, sub.base_shape,
-                        sub.t_final, courant_target=sub.courant, limiter=sub.limiter,
-                        dt_max=sub.dt_max, dt_fixed=sub.dt_fixed)
+                      max_levels=1, ratios=(), output_times=())
+        patch = run_forward(sub, "everywhere").hierarchy.patches(1)[0]
         ref = exact(sub.t_final, *np.meshgrid(*patch.spec.cell_centers(), indexing="ij"))
         vol = math.prod(patch.spec.widths)
         err = float(np.sum(np.abs(patch.interior()[0] - ref[0])) * vol)
@@ -223,7 +205,6 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
     equation = build_equation(cfg)
     ctx = AmrContext(equation=equation, boundary=cfg.boundary,
                      strategy=EverywhereFlagging(), limiter=cfg.limiter)
-    from dataclasses import replace
     sub = replace(cfg, max_levels=1, ratios=())
     h = init_hierarchy(sub, ctx)
     patch = h.patches(1)[0]
@@ -249,7 +230,6 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
         inner = np.abs(np.sum(qhat[idxs] * q, axis=1))
         mi.append(np.max(inner, axis=0, initial=0.0) >= threshold)
 
-    from .solver import integrate_patch
     sample(patch)
     integrate_patch(patch, equation, cfg.boundary, sub.base_shape, cfg.t_final,
                     courant_target=cfg.courant, limiter=cfg.limiter,

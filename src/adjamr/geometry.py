@@ -73,13 +73,6 @@ class PatchSpec:
             out.append(self.origin[axis] + (idx + 0.5) * self.widths[axis])
         return tuple(out)
 
-    def bounds(self) -> tuple[tuple[float, float], ...]:
-        """Physical extent of the interior, per dimension."""
-        return tuple(
-            (self.origin[a] + lo * self.widths[a], self.origin[a] + (hi + 1) * self.widths[a])
-            for a, (lo, hi) in enumerate(zip(self.lo, self.hi))
-        )
-
 
 def cell_center(spec: PatchSpec, i: int, j: int | None = None) -> tuple[float, ...]:
     """Physical coordinates of cell (i[, j]), valid over interior plus ghosts."""
@@ -406,9 +399,9 @@ def level_mask(hierarchy: PatchHierarchy, level: int) -> np.ndarray:
     return mask
 
 
-def _erode(mask: np.ndarray, pad_edges: bool = True) -> np.ndarray:
-    """Box erosion by one cell; domain edges count as inside when padded."""
-    padded = np.pad(mask, 1, mode="edge" if pad_edges else "constant")
+def _erode(mask: np.ndarray) -> np.ndarray:
+    """Box erosion by one cell; domain edges count as inside."""
+    padded = np.pad(mask, 1, mode="edge")
     out = np.ones_like(mask)
     for shifts in np.ndindex(*(3,) * mask.ndim):
         sl = tuple(slice(s, s + n) for s, n in zip(shifts, mask.shape))
@@ -423,7 +416,7 @@ def allowed_region_mask(hierarchy: PatchHierarchy, parent_level: int) -> np.ndar
     domain boundaries need no buffer.
     """
     mask = level_mask(hierarchy, parent_level)
-    return _erode(mask, pad_edges=True)
+    return _erode(mask)
 
 
 def enforce_nesting(hierarchy: PatchHierarchy) -> list[NestingViolation]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import AdjointSnapshotStore, TimeWindow
-from .geometry import Patch, PatchHierarchy, UniformField, interpolate_patch
+from .geometry import PatchHierarchy, UniformField, interpolate_patch
 
 
 class SnapshotFormatError(ValueError):
@@ -27,7 +27,7 @@ class StoreFormatError(ValueError):
 
 
 class TableFormatError(ValueError):
-    """Malformed gauge or x-t table; message names the file and the line."""
+    """Malformed gauge, x-t or timing table; message names the file and the line."""
 
 
 class GaugeComparisonError(ValueError):
@@ -393,18 +393,21 @@ def write_timing(report: TimingReport, path: str):
 def read_timing(path: str) -> TimingReport:
     rep = TimingReport()
     with open(path) as f:
-        for line in f:
+        for k, line in enumerate(f, 1):
             key, _, val = line.partition("=")
             key = key.strip()
             toks = val.split()
-            if key == "adjoint_wall_seconds":
-                rep.adjoint_wall_seconds = float(toks[0])
-            elif key == "forward_wall_seconds":
-                rep.forward_wall_seconds = float(toks[0])
-            elif key.startswith("cell_steps_level_"):
-                rep.cell_steps[int(key.rsplit("_", 1)[1])] = int(toks[0])
-            elif key.startswith("max_courant_level_"):
-                rep.max_courant[int(key.rsplit("_", 1)[1])] = float(toks[0])
-            elif key == "flagged_cells_per_regrid":
-                rep.flagged_per_regrid = [int(v) for v in toks]
+            try:
+                if key == "adjoint_wall_seconds":
+                    rep.adjoint_wall_seconds = float(toks[0])
+                elif key == "forward_wall_seconds":
+                    rep.forward_wall_seconds = float(toks[0])
+                elif key.startswith("cell_steps_level_"):
+                    rep.cell_steps[int(key.rsplit("_", 1)[1])] = int(toks[0])
+                elif key.startswith("max_courant_level_"):
+                    rep.max_courant[int(key.rsplit("_", 1)[1])] = float(toks[0])
+                elif key == "flagged_cells_per_regrid":
+                    rep.flagged_per_regrid = [int(v) for v in toks]
+            except (IndexError, ValueError):
+                raise TableFormatError(f"{path}:{k}: malformed {key!r} entry") from None
     return rep

@@ -695,6 +695,28 @@ def select_dt(hierarchy: PatchHierarchy, equation: EquationSet,
                    hierarchy.widths(1)[:hierarchy.ndim], courant_target, dt_max)
 
 
+def march(clock, advance, t_end: float, dt: float, output_times=(), on_output=None):
+    """Call advance(step) until clock() reaches t_end, in steps of at most dt
+    clipped so every output time is hit exactly; on_output(t) fires once at
+    each (including the start when listed)."""
+    pending = sorted(output_times)
+    eps = 1e-9 * max(abs(t_end), 1.0)
+
+    def flush_outputs():
+        while pending and pending[0] <= clock() + eps:
+            t_out = pending.pop(0)
+            if on_output is not None:
+                on_output(t_out)
+
+    flush_outputs()
+    while (t := clock()) < t_end - eps:
+        step = min(dt, t_end - t)
+        if pending:
+            step = min(step, pending[0] - t)
+        advance(step)
+        flush_outputs()
+
+
 def integrate_patch(patch: Patch, equation: EquationSet, boundary: BoundarySpec,
                     level_shape: tuple[int, ...], t_end: float, *,
                     courant_target: float = 0.9, limiter: str = "MC",
@@ -702,29 +724,17 @@ def integrate_patch(patch: Patch, equation: EquationSet, boundary: BoundarySpec,
                     output_times=(), on_output=None, on_step=None):
     """Advance one uniform patch to t_end with physical boundaries only.
 
-    Steps are clipped so every requested output time is hit exactly;
-    on_output(t, patch) fires at each (including t0 when listed), and
-    on_step(patch) after every accepted step.
+    Steps go through `march`; on_output(t, patch) fires at each output time,
+    and on_step(patch) after every accepted step.
     """
-    base_dt = dt_fixed if dt_fixed is not None else _cfl_dt(
+    dt = dt_fixed if dt_fixed is not None else _cfl_dt(
         [patch], equation, patch.spec.widths, courant_target, dt_max)
 
-    pending = sorted(output_times)
-    eps = 1e-9 * max(abs(t_end), 1.0)
-
-    def flush_outputs():
-        while pending and pending[0] <= patch.time + eps:
-            t_out = pending.pop(0)
-            if on_output is not None:
-                on_output(t_out, patch)
-
-    flush_outputs()
-    while patch.time < t_end - eps:
-        dt = min(base_dt, t_end - patch.time)
-        if pending:
-            dt = min(dt, pending[0] - patch.time)
+    def advance(step):
         fill_ghost_physical(patch, boundary, equation, level_shape)
-        step_patch(patch, dt, equation, limiter)
+        step_patch(patch, step, equation, limiter)
         if on_step is not None:
             on_step(patch)
-        flush_outputs()
+
+    march(lambda: patch.time, advance, t_end, dt, output_times,
+          None if on_output is None else lambda t: on_output(t, patch))

@@ -240,6 +240,24 @@ def test_criterion_4_convergence_order():
            f"2D orders {[f'{o:.2f}' for o in orders2]}")
 
 
+# l1 errors and orders as the study gave them before it ran through run_forward
+CONV_ROWS = {
+    CONV_1D: [(50, "0x1.11d86dc835ddap-14", None),
+              (100, "0x1.033d8ee9a1d6cp-16", "0x1.0a1efe86701bfp+1"),
+              (200, "0x1.db76c49ca386cp-19", "0x1.0ffe866a6f512p+1")],
+    CONV_2D: [(625, "0x1.9f2a842f5e176p-11", None),
+              (2500, "0x1.a7c29de648eddp-13", "0x1.f86ec84f80a13p+0"),
+              (10000, "0x1.a379e34c96ae5p-15", "0x1.01e05c8cd45b4p+1")],
+}
+
+
+@pytest.mark.parametrize("text", CONV_ROWS, ids=["1d", "2d"])
+def test_convergence_rows_bitwise(text):
+    rows = [(n, err.hex(), None if order is None else order.hex())
+            for n, err, order in run_convergence(parse_config(text), 3)]
+    assert rows == CONV_ROWS[text]
+
+
 # ---------------------------------------------------------------------------
 # 5 & 6. Flag economy and accuracy preservation on the 5.2 scenarios
 

@@ -165,6 +165,14 @@ def test_bundled_configs_stay_valid_for_benchmark_seeds(monkeypatch):
                 parse_config(variant)
 
 
+def test_benchmark_layers_name_callables(monkeypatch):
+    monkeypatch.syspath_prepend("perfbench")
+    layers = importlib.import_module("layers")
+    for mod, fn, _ in layers.LAYERS:
+        assert callable(getattr(importlib.import_module(f"adjamr.{mod}"), fn, None)), \
+            f"adjamr.{mod}.{fn}"
+
+
 def numeric_tokens(text):
     """(line index, token index) of every number in a key = value line."""
     out = []
@@ -617,6 +625,16 @@ def test_timing_empty_flag_list(tmp_path):
     rep = TimingReport()
     write_timing(rep, str(tmp_path / "t.txt"))
     assert read_timing(str(tmp_path / "t.txt")).flagged_per_regrid == []
+
+
+@pytest.mark.parametrize("line", ["cell_steps_level_1 = 12x", "cell_steps_level_one = 5"])
+def test_timing_bad_value_names_file_and_line(tmp_path, line):
+    path = str(tmp_path / "t.txt")
+    with open(path, "w") as f:
+        f.write(f"adjoint_wall_seconds = 0\n{line}\n")
+    key = line.split(" =")[0]
+    with pytest.raises(TableFormatError, match=rf"^{re.escape(path)}:2: malformed '{key}' entry$"):
+        read_timing(path)
 
 
 def test_timing_subcycling_cell_step_arithmetic():

@@ -4,7 +4,7 @@ import pytest
 from adjamr import equations as eqs
 from adjamr.geometry import Patch, PatchHierarchy
 from adjamr.solver import (BoundarySpec, SchedulingError, fill_ghost_from_coarse,
-                           fill_ghost_physical, integrate_patch, limiter_phi,
+                           fill_ghost_physical, integrate_patch, limiter_phi, march,
                            sample_patch_material, select_dt, step_patch)
 
 
@@ -199,6 +199,25 @@ def test_energy_decay_wall_bounded():
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-12 * e0)            # non-increasing
     assert (e0 - energies[-1]) / e0 < 0.01        # < 1% per transit
+
+
+@pytest.mark.parametrize("last", [-0.5, 0.5])
+def test_march_hits_every_output_once(last):
+    t0, t_end, dt = 0.25, 2.0, 0.3
+    eps = 1e-9 * t_end
+    outputs = [t0, 0.8, 1.3, 1.3 + dt, t_end + last * eps]
+    clock, steps, fired = [t0], [], []
+
+    def advance(step):
+        steps.append(step)
+        clock[0] += step
+
+    march(lambda: clock[0], advance, t_end, dt, outputs[::-1],
+          lambda t: fired.append((t, clock[0])))
+    assert [t for t, _ in fired] == outputs
+    assert all(abs(t - at) <= eps for t, at in fired)
+    assert all(0.0 < s <= dt for s in steps)
+    assert abs(clock[0] - t_end) <= eps
 
 
 def test_select_dt_arithmetic_and_degenerate():
