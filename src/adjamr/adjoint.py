@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amr import FlagField, FlaggingStrategy
+from .amr import FlaggingStrategy
 from .equations import EquationSet
 from .geometry import (Patch, PatchHierarchy, UniformField, apply_stencil, field_stencil,
                        in_box, interpolate_uniform, level_mask)
@@ -23,6 +23,14 @@ from .solver import BoundarySpec, integrate_patch, sample_patch_material
 
 
 GATHER_VALUES = 1 << 16     # most samples per gather of the windowed inner product
+
+# Slack on the envelope bound of the windowed inner product.  Evaluated,
+# |q̂·q| rounds up at most some ten half-ulps: c = 1 - w, the 2d products
+# and 2**d - 1 sums of a stencil sample, the m products and m - 1 sums of
+# the dot product; the bound rounds down at most three.  32 eps covers that
+# with room, and the smallest normal number products that underflow.
+BOUND_SLACK = 2.0 ** -47       # 32 eps
+BOUND_FLOOR = 2.0 ** -1022     # the smallest normal double
 
 
 class ConfigurationError(RuntimeError):
@@ -228,6 +236,21 @@ def _adjoint_dry_at(store: AdjointSnapshotStore, *coords):
                             for c, o, w, n in zip(coords, g.origin, g.widths, g.shape))]
 
 
+def _window_max(stencil, q, store: AdjointSnapshotStore, window_idx):
+    """max over the consecutive snapshots `window_idx` of |q̂·q| at the
+    stencil's points, q being (m, *points); each slab of at most
+    GATHER_VALUES samples is one take per stencil corner."""
+    best = np.zeros(q.shape[1:])
+    per_slab = max(1, GATHER_VALUES // max(q.size, 1))
+    for k in window_idx[::per_slab]:
+        slab = store.stack[k:min(k + per_slab, window_idx[-1] + 1)]
+        qhat = apply_stencil(stencil, slab.reshape(-1, *slab.shape[2:]))
+        qhat = qhat.reshape(len(slab), *q.shape)
+        qhat *= q
+        np.maximum(best, np.max(np.abs(np.sum(qhat, axis=1)), axis=0), out=best)
+    return best
+
+
 def inner_product_field(patch: Patch, t: float, store: AdjointSnapshotStore,
                         window: TimeWindow):
     """Windowed max of |q̂·q| per interior cell, with wet/dry masking."""
@@ -235,19 +258,8 @@ def inner_product_field(patch: Patch, t: float, store: AdjointSnapshotStore,
         raise ConfigurationError("adjoint flagging requires a snapshot store")
     spec = patch.spec
     coords = np.ix_(*spec.cell_centers())
-    stencil = field_stencil(store.grid, *coords)     # every snapshot shares the grid
-    q = patch.interior()
-    best = np.zeros(spec.shape)
-    # the window's snapshots are consecutive: each slab of them is sampled
-    # with one take per stencil corner (at most GATHER_VALUES samples)
-    window_idx = query_window_times(t, window, store)
-    per_slab = max(1, GATHER_VALUES // q.size)
-    for k in window_idx[::per_slab]:
-        slab = store.stack[k:min(k + per_slab, window_idx[-1] + 1)]
-        qhat = apply_stencil(stencil, slab.reshape(-1, *slab.shape[2:]))
-        qhat = qhat.reshape(len(slab), *q.shape)
-        qhat *= q
-        np.maximum(best, np.max(np.abs(np.sum(qhat, axis=1)), axis=0), out=best)
+    best = _window_max(field_stencil(store.grid, *coords), patch.interior(), store,
+                       query_window_times(t, window, store))
     if hasattr(patch.aux, "wet"):
         best = np.where(patch.aux.wet[spec.interior_slices()], best, 0.0)
     dry = _adjoint_dry_at(store, *coords)
@@ -256,16 +268,14 @@ def inner_product_field(patch: Patch, t: float, store: AdjointSnapshotStore,
     return best
 
 
-def inner_product_flags(patch: Patch, t: float, store: AdjointSnapshotStore,
-                        window: TimeWindow, tolerance: float) -> FlagField:
-    """Flag cells whose windowed inner-product magnitude exceeds tolerance."""
-    values = inner_product_field(patch, t, store, window)
-    return FlagField(flags=values > tolerance, lo=patch.spec.lo,
-                     level=patch.spec.level, strategy_name="adjoint", time=t)
-
-
 class AdjointFlagging(FlaggingStrategy):
-    """Flagging strategy backed by an adjoint snapshot store."""
+    """Flags `inner_product_field(...) > tolerance`, a level at a time.
+
+    Cells dry in either grid are never evaluated.  A stencil sample is a
+    convex combination of its corners, so |q̂·q| <= B = sum_c max over
+    corners and window of |Q̂_c| * |q_c|; the windowed loop runs only where
+    B (with BOUND_SLACK) exceeds the tolerance.
+    """
 
     name = "adjoint"
 
@@ -273,15 +283,45 @@ class AdjointFlagging(FlaggingStrategy):
                  tolerance: float):
         if store is None:
             raise ConfigurationError("adjoint strategy configured without a store")
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        super().__init__(tolerance)
         self.store = store
         self.window = window
-        self.tolerance = tolerance
+        self._envelopes = {}     # level -> (first, last, max |Q̂| over those snapshots)
 
-    def evaluate(self, patch):
-        return inner_product_flags(patch, patch.time, self.store,
-                                   self.window, self.tolerance).flags
+    def _live(self, lay):
+        """Interior cells wet in both grids, and the stencil there (kept on the layout)."""
+        memo = lay.memo.get("adjoint")
+        if memo is None or memo[0] is not self.store:
+            coords = lay.centers()
+            live = np.ones(len(coords[0]), dtype=bool)
+            if hasattr(lay.aux, "wet"):
+                live &= lay.aux.wet.reshape(-1)[lay.interior_cells[0]]
+            dry = _adjoint_dry_at(self.store, *coords)
+            live = np.flatnonzero(live if dry is None else live & ~dry)
+            memo = lay.memo["adjoint"] = (
+                self.store, live, field_stencil(self.store.grid, *(c[live] for c in coords)))
+        return memo[1:]
+
+    def evaluate(self, lay, t):
+        flags = np.zeros(len(lay.interior_cells[0]), dtype=bool)
+        window_idx = query_window_times(t, self.window, self.store)
+        if not window_idx:
+            return flags
+        live, stencil = self._live(lay)
+        q = lay.flat[:, lay.interior_cells[0][live]]
+        first, last = window_idx[0], window_idx[-1]
+        env = self._envelopes.get(lay.level)
+        if env is None or env[:2] != (first, last):     # one (m, adjoint cells) per level
+            env = self._envelopes[lay.level] = (first, last, np.abs(self.store.stack[first]))
+            for snap in self.store.stack[first + 1:last + 1]:   # a snapshot at a time
+                np.maximum(env[2], np.abs(snap), out=env[2])
+        env = env[2].reshape(len(env[2]), -1)
+        corner = np.max([env.take(f, axis=1) for f in stencil.flat], axis=0)
+        bound = np.sum(corner * np.abs(q), axis=0)
+        keep = np.flatnonzero(bound * (1.0 + BOUND_SLACK) + BOUND_FLOOR > self.tolerance)
+        values = _window_max(stencil.subset(keep), q[:, keep], self.store, window_idx)
+        flags[live[keep]] = values > self.tolerance
+        return flags
 
 
 def evaluate_J(source, store_or_phi, t: float) -> float:

@@ -9,12 +9,13 @@ each subcycle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Patch, PatchHierarchy, allowed_region_mask, in_box
-from .solver import BoundarySpec, LevelLayout, level_layout, sample_patch_material
+from .solver import BAND_CELLS, BoundarySpec, LevelLayout, level_layout
 
 
 @dataclass
@@ -24,8 +25,6 @@ class FlagField:
     flags: np.ndarray
     lo: tuple[int, ...]          # global index of the patch corner
     level: int
-    strategy_name: str
-    time: float
 
 
 @dataclass(frozen=True)
@@ -57,20 +56,23 @@ class RefinementRegion:
     def contains_time(self, t: float) -> bool:
         return self.t1 <= t <= self.t2
 
-    def cell_mask(self, spec) -> np.ndarray:
-        """True at the patch's interior cells whose centers lie in `rect`."""
-        return in_box(np.ix_(*spec.cell_centers()), self.rect)
-
 
 # ---------------------------------------------------------------------------
 # Flagging strategies
 
 
 class FlaggingStrategy:
+    """Flags over a packed level's interior cells, in `interior_cells` order,
+    from its packed state (ghosts filled) and material."""
+
     name = "base"
 
-    def evaluate(self, patch: Patch) -> np.ndarray:
-        """Boolean flags over the patch interior."""
+    def __init__(self, tolerance: float | None = None):
+        if tolerance is not None and tolerance <= 0:
+            raise ValueError("tolerance must be positive")
+        self.tolerance = tolerance
+
+    def evaluate(self, lay: LevelLayout, t: float) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -79,24 +81,14 @@ class DifferenceFlagging(FlaggingStrategy):
 
     name = "difference"
 
-    def __init__(self, tolerance: float):
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        self.tolerance = tolerance
-
-    def evaluate(self, patch):
-        g = patch.spec.ghost_width
-        q = patch.state
-        big = np.zeros(patch.spec.shape)
-        for axis in range(patch.spec.ndim):
-            ax = 1 + axis
-            fwd = np.abs(np.diff(q, axis=ax))
-            lo = [slice(g, g + n) for n in patch.spec.shape]
-            hi = [slice(g, g + n) for n in patch.spec.shape]
-            lo[axis] = slice(g - 1, g - 1 + patch.spec.shape[axis])
-            hi[axis] = slice(g, g + patch.spec.shape[axis])
-            big = np.maximum(big, np.max(fwd[(slice(None), *lo)], axis=0))
-            big = np.maximum(big, np.max(fwd[(slice(None), *hi)], axis=0))
+    def evaluate(self, lay, t):
+        cells, shape = lay.interior_cells[0], lay.interior.shape
+        q = lay.flat[:, cells]
+        big = np.zeros(len(cells))
+        for axis in range(len(shape)):
+            step = int(np.prod(shape[axis + 1:]))        # the packed neighbour along axis
+            for near in (cells - step, cells + step):
+                big = np.maximum(big, np.max(np.abs(q - lay.flat[:, near]), axis=0))
         return big > self.tolerance
 
 
@@ -105,17 +97,11 @@ class SurfaceFlagging(FlaggingStrategy):
 
     name = "surface"
 
-    def __init__(self, tolerance: float):
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        self.tolerance = tolerance
-
-    def evaluate(self, patch):
-        sl = patch.spec.interior_slices()
-        eta = patch.state[(0, *sl)]
-        flags = np.abs(eta) > self.tolerance
-        if hasattr(patch.aux, "wet"):
-            flags &= patch.aux.wet[sl]
+    def evaluate(self, lay, t):
+        cells = lay.interior_cells[0]
+        flags = np.abs(lay.flat[0, cells]) > self.tolerance
+        if hasattr(lay.aux, "wet"):
+            flags &= lay.aux.wet.reshape(-1)[cells]
         return flags
 
 
@@ -124,53 +110,48 @@ class EverywhereFlagging(FlaggingStrategy):
 
     name = "everywhere"
 
-    def evaluate(self, patch):
-        return np.ones(patch.spec.shape, dtype=bool)
+    def evaluate(self, lay, t):
+        return np.ones(len(lay.interior_cells[0]), dtype=bool)
+
+
+def level_flags(lay: LevelLayout, strategy: FlaggingStrategy, t: float,
+                regions: tuple[RefinementRegion, ...] = ()) -> np.ndarray:
+    """A strategy's flags on a packed level at time t, in `interior_cells`
+    order.  Flags on level n propose level n+1 patches; regions then force
+    flags where n+1 <= min_level, then clear them where n+1 > max_level."""
+    flags = strategy.evaluate(lay, t)
+    new_level = lay.level + 1
+    active = [r for r in regions if r.contains_time(t)]
+    centers = lay.centers() if active else None
+    for r in active:
+        if new_level <= r.min_level:
+            flags |= in_box(centers, r.rect)
+    for r in active:
+        if new_level > r.max_level:
+            flags &= ~in_box(centers, r.rect)
+    return flags
 
 
 def flag_cells(patch: Patch, strategy: FlaggingStrategy,
                regions: tuple[RefinementRegion, ...] = ()) -> FlagField:
-    """Evaluate a strategy on one patch, then apply region overrides.
-
-    Flags on a level-n patch propose level n+1 patches; regions first force
-    flags where n+1 <= min_level, then clear them where n+1 > max_level.
-    """
-    flags = strategy.evaluate(patch)
-    new_level = patch.spec.level + 1
-    t = patch.time
-    for r in regions:
-        if r.contains_time(t) and new_level <= r.min_level:
-            flags |= r.cell_mask(patch.spec)
-    for r in regions:
-        if r.contains_time(t) and new_level > r.max_level:
-            flags &= ~r.cell_mask(patch.spec)
-    return FlagField(flags=flags, lo=patch.spec.lo, level=patch.spec.level,
-                     strategy_name=strategy.name, time=t)
+    """`level_flags` on a layout of one patch alone, at the patch's time."""
+    flags = level_flags(LevelLayout.of([patch]), strategy, patch.time, regions)
+    return FlagField(flags=flags.reshape(patch.spec.shape), lo=patch.spec.lo,
+                     level=patch.spec.level)
 
 
 def buffer_flags(flags: FlagField, buffer_cells: int) -> FlagField:
     """Dilate the flag set by a box of radius buffer_cells (clipped to patch)."""
     if buffer_cells < 0:
         raise ValueError("buffer_cells must be >= 0")
-    out = flags.flags.copy()
-    for axis in range(out.ndim):
-        acc = out.copy()
+    out = flags.flags
+    for axis in range(out.ndim):        # one axis at a time: a box is separable
+        acc, pre = out.copy(), (slice(None),) * axis
         for s in range(1, buffer_cells + 1):
-            shifted = np.zeros_like(out)
-            src = [slice(None)] * out.ndim
-            dst = [slice(None)] * out.ndim
-            src[axis] = slice(s, None)
-            dst[axis] = slice(None, -s)
-            shifted[tuple(dst)] = out[tuple(src)]
-            acc |= shifted
-            shifted = np.zeros_like(out)
-            src[axis] = slice(None, -s)
-            dst[axis] = slice(s, None)
-            shifted[tuple(dst)] = out[tuple(src)]
-            acc |= shifted
+            acc[pre + (slice(None, -s),)] |= out[pre + (slice(s, None),)]
+            acc[pre + (slice(s, None),)] |= out[pre + (slice(None, -s),)]
         out = acc
-    return FlagField(flags=out, lo=flags.lo, level=flags.level,
-                     strategy_name=flags.strategy_name, time=flags.time)
+    return FlagField(flags=out, lo=flags.lo, level=flags.level)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +233,10 @@ def cluster(flags, efficiency_threshold: float, max_edge: int | None = None) -> 
         mask = np.asarray(flags, dtype=bool)
         offset = (0,) * mask.ndim
     out: list[ClusterBox] = []
+
+    def emit(lo, hi, eff):
+        out.append(ClusterBox(lo=tuple(l + o for l, o in zip(lo, offset)),
+                              hi=tuple(h + o for h, o in zip(hi, offset)), efficiency=eff))
     bb = _bounding_box(mask)
     if bb is None:
         return out
@@ -274,51 +259,33 @@ def cluster(flags, efficiency_threshold: float, max_edge: int | None = None) -> 
             # speculative split: take a signature cut only when both shrunk
             # children are strictly more efficient (separates plateaus such
             # as L-shaped flag sets without fragmenting solid rectangles)
-            accept = True
-            if eff < 1.0:
-                split = _find_split(sub)
-                if split is not None:
-                    children = _split_children(lo, hi, split)
-                    effs = [_shrunk_efficiency(mask, c) for c in children]
-                    if effs and min(effs) > eff + 1e-12:
-                        stack.extend(children)
-                        accept = False
-            if accept:
-                out.append(ClusterBox(lo=tuple(l + o for l, o in zip(lo, offset)),
-                                      hi=tuple(h + o for h, o in zip(hi, offset)),
-                                      efficiency=eff))
+            split = _find_split(sub) if eff < 1.0 else None
+            children = [] if split is None else _split_children(lo, hi, split)
+            if children and min(_shrunk_efficiency(mask, c) for c in children) > eff + 1e-12:
+                stack.extend(children)
+            else:
+                emit(lo, hi, eff)
             continue
         if too_big and eff >= efficiency_threshold:
             axis = int(np.argmax(sub.shape))
-            k = sub.shape[axis] // 2 - 1
-            split = ("edge", axis, k)
+            split = ("edge", axis, sub.shape[axis] // 2 - 1)
         else:
             split = _find_split(sub)
         if split is None:
-            out.append(ClusterBox(lo=tuple(l + o for l, o in zip(lo, offset)),
-                                  hi=tuple(h + o for h, o in zip(hi, offset)),
-                                  efficiency=eff))
-            continue
-        stack.extend(_split_children(lo, hi, split))
+            emit(lo, hi, eff)
+        else:
+            stack.extend(_split_children(lo, hi, split))
     return out
 
 
 def _split_children(lo, hi, split):
+    """The boxes either side of an 'edge' cut or a removed 'hole' slice."""
     kind, axis, k = split
-    lo1, hi1 = list(lo), list(hi)
-    lo2, hi2 = list(lo), list(hi)
-    if kind == "hole":
-        hi1[axis] = lo[axis] + k - 1
-        lo2[axis] = lo[axis] + k + 1
-    else:
-        hi1[axis] = lo[axis] + k
-        lo2[axis] = lo[axis] + k + 1
-    out = []
-    if hi1[axis] >= lo1[axis]:
-        out.append((tuple(lo1), tuple(hi1)))
-    if hi2[axis] >= lo2[axis]:
-        out.append((tuple(lo2), tuple(hi2)))
-    return out
+    hi1, lo2 = list(hi), list(lo)
+    hi1[axis] = lo[axis] + k - (kind == "hole")
+    lo2[axis] = lo[axis] + k + 1
+    return [(a, b) for a, b in ((tuple(lo), tuple(hi1)), (tuple(lo2), tuple(hi)))
+            if b[axis] >= a[axis]]
 
 
 def _shrunk_efficiency(mask, box):
@@ -341,96 +308,69 @@ def _allowed_rectangles(box: ClusterBox, allowed: np.ndarray, mask: np.ndarray):
     Consecutive rows with identical allowed runs merge into one rectangle;
     only rectangles containing at least one flagged cell survive.
     """
-    sl = tuple(slice(l, h + 1) for l, h in zip(box.lo, box.hi))
-    sub_allowed = allowed[sl]
+    sub_allowed = allowed[tuple(slice(l, h + 1) for l, h in zip(box.lo, box.hi))]
     if sub_allowed.all():
         return [box]
-    rects = []
     if sub_allowed.ndim == 1:
-        runs = _runs_1d(sub_allowed)
-        for a, b in runs:
-            lo = (box.lo[0] + a,)
-            hi = (box.lo[0] + b,)
-            rects.append((lo, hi))
+        rects = [((box.lo[0] + a,), (box.lo[0] + b,)) for a, b in _runs_1d(sub_allowed)]
     else:
         # merge consecutive x-rows whose allowed y-runs are identical
-        nx = sub_allowed.shape[0]
-        i = 0
-        while i < nx:
-            runs = _runs_1d(sub_allowed[i])
-            j = i
-            while j + 1 < nx and _runs_1d(sub_allowed[j + 1]) == runs:
-                j += 1
-            for a, b in runs:
-                rects.append(((box.lo[0] + i, box.lo[1] + a),
-                              (box.lo[0] + j, box.lo[1] + b)))
+        rects, i = [], 0
+        for runs, rows in itertools.groupby(_runs_1d(row) for row in sub_allowed):
+            j = i + len(list(rows)) - 1
+            rects += [((box.lo[0] + i, box.lo[1] + a), (box.lo[0] + j, box.lo[1] + b))
+                      for a, b in runs]
             i = j + 1
     out = []
     for lo, hi in rects:
-        s = tuple(slice(l, h + 1) for l, h in zip(lo, hi))
-        flagged = mask[s]
+        flagged = mask[tuple(slice(l, h + 1) for l, h in zip(lo, hi))]
         if flagged.any():
-            cnt = int(flagged.sum())
-            area = int(np.prod([h - l + 1 for l, h in zip(lo, hi)]))
-            out.append(ClusterBox(lo=lo, hi=hi, efficiency=cnt / area))
+            out.append(ClusterBox(lo=lo, hi=hi, efficiency=int(flagged.sum()) / flagged.size))
     return out
 
 
 def _runs_1d(row: np.ndarray):
-    runs = []
-    start = None
-    for k, v in enumerate(row):
-        if v and start is None:
-            start = k
-        elif not v and start is not None:
-            runs.append((start, k - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(row) - 1))
-    return runs
-
-
-def _block_sum(a: np.ndarray, nd: int) -> np.ndarray:
-    """Sums of (m, n0, r[, n1, r]) blocks over their child axes, one axis at
-    a time and the last first, so each sum's order is fixed."""
-    for axis in range(2 * nd, 0, -2):
-        a = a.sum(axis=axis)
-    return a
+    """(first, last) of every run of True in a 1D mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], row.astype(np.int8), [0]))))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def restrict_fine_to_coarse(hierarchy: PatchHierarchy, level: int):
-    """Replace coarse cells covered by level+1 with fine-cell averages.
-
-    Each fine patch is restricted on its own, through the coarse layout's
-    cover of its coarse box, so a coarse cell's value does not depend on how
-    the coarse level is cut into patches; cells no coarse interior holds are
+    """Replace coarse cells covered by level+1 with fine-cell averages, the
+    whole fine level at once: fine patches are ratio-aligned and disjoint,
+    so a coarse cell's children lie in one patch and its value does not
+    depend on how either level is cut.  Cells no coarse interior holds are
     skipped.  For shallow water only wet fine children contribute, and only
-    wet coarse cells are overwritten.
-    """
+    wet coarse cells are overwritten."""
     fine = level_layout(hierarchy, level + 1)
     if fine is None:
         return
     coarse = level_layout(hierarchy, level)
     r = hierarchy.ratio_to_finer(level)
     nd = hierarchy.ndim
-    boxes = [np.ix_(*(np.arange(l // r, h // r + 1) for l, h in zip(fp.spec.lo, fp.spec.hi)))
-             for fp in fine.patches]
-    for fp, dst in zip(fine.patches, coarse.cover(*boxes)):
-        dst = dst.ravel()
-        # the interior as (n0, r[, n1, r]) blocks: a coarse cell's children
-        # lie along the r axes (2[, 4] of the state)
-        sl = fp.spec.interior_slices()
-        blocks = [k for n in fp.spec.shape for k in (n // r, r)]
-        q = fp.state[(slice(None), *sl)].reshape(fp.num_components, *blocks)
-        take = dst >= 0
-        if getattr(fp.aux, "wet", None) is None:
+    cells, gi = fine.interior_cells
+    first = np.flatnonzero(np.all([i % r == 0 for i in gi], axis=0))   # a child per coarse cell
+    for part in np.split(first, range(BAND_CELLS, len(first), BAND_CELLS)):
+        # the packed flat index of each coarse cell's children, (K, r[, r])
+        kids = cells[part].reshape(-1, *(1,) * nd) + np.ravel_multi_index(
+            np.indices((r,) * nd), fine.interior.shape)
+        dst = coarse.cover([i[part] // r for i in gi])
+        q, take = fine.flat[:, kids], dst >= 0
+        if getattr(fine.aux, "wet", None) is None:
             avg = _block_sum(q, nd) / r ** nd
         else:
-            w = fp.aux.wet[sl].reshape(blocks).astype(float)
-            ws = _block_sum(w[None], nd)[0]
+            w = fine.aux.wet.reshape(-1)[kids].astype(float)
+            ws = _block_sum(w, nd)
             avg = _block_sum(q * w, nd) / np.where(ws > 0, ws, 1.0)
-            take &= (ws.ravel() > 0) & coarse.aux.wet.reshape(-1)[dst]
-        coarse.flat[:, dst[take]] = avg.reshape(avg.shape[0], -1)[:, take]
+            take &= (ws > 0) & coarse.aux.wet.reshape(-1)[dst]
+        coarse.flat[:, dst[take]] = avg[:, take]
+
+
+def _block_sum(a: np.ndarray, nd: int) -> np.ndarray:
+    """Sums over the nd trailing child axes, the last first."""
+    for _ in range(nd):
+        a = a.sum(axis=-1)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -471,60 +411,63 @@ def fill_level_ghosts(hierarchy: PatchHierarchy, level: int, t: float,
         lay.fill_ghosts(hierarchy, t, ctx.boundary, ctx.equation)
 
 
+def new_level(hierarchy: PatchHierarchy, level: int, boxes, ctx: AmrContext,
+              time: float) -> list[Patch]:
+    """Zero-state patches over the index boxes (lo, hi) of one level, packed
+    into one layout with the material sampled straight into it."""
+    patches = [Patch(hierarchy.make_spec(level, lo, hi), ctx.equation.m, time=time)
+               for lo, hi in boxes]
+    if patches:
+        LevelLayout(patches, sample=(ctx.equation, ctx.boundary, hierarchy.level_shape(level)))
+    return patches
+
+
 def make_patch(hierarchy: PatchHierarchy, level: int,
                lo: tuple[int, ...], hi: tuple[int, ...],
                ctx: AmrContext, time: float) -> Patch:
-    spec = hierarchy.make_spec(level, lo, hi)
-    patch = Patch(spec, ctx.equation.m, time=time)
-    sample_patch_material(patch, ctx.equation, ctx.boundary,
-                          hierarchy.level_shape(level))
-    return patch
+    """`new_level` of one box."""
+    return new_level(hierarchy, level, [(lo, hi)], ctx, time)[0]
 
 
 def regrid(hierarchy: PatchHierarchy, level: int, ctx: AmrContext,
            deepest: int | None = None):
-    """Rebuild levels `level` .. `deepest` from flags on each parent level."""
+    """Rebuild levels `level` .. `deepest` from flags on each parent level.
+
+    A parent level is flagged at once (`level_flags`); the flags are
+    buffered patch by patch, so a buffer never crosses a patch edge.
+    """
     if level < 2:
         raise ValueError("cannot regrid the base level")
     deepest = deepest if deepest is not None else hierarchy.max_levels
     for lev in range(level, deepest + 1):
         parent = lev - 1
-        parents = hierarchy.patches(parent)
-        if not parents:
-            while len(hierarchy.levels) < lev:
-                hierarchy.levels.append([])
-            hierarchy.levels[lev - 1] = []
-            ctx.rebuilt_at.pop(lev, None)
-            continue
-        t = parents[0].time
-        fill_level_ghosts(hierarchy, parent, t, ctx)
-        shape = hierarchy.level_shape(parent)
-        mask = np.zeros(shape, dtype=bool)
-        raw_count = 0
-        for p in parents:
-            ff = flag_cells(p, ctx.strategy, ctx.regions)
-            raw_count += int(ff.flags.sum())
-            bf = buffer_flags(ff, ctx.buffer_cells)
-            sl = tuple(slice(l, h + 1) for l, h in zip(p.spec.lo, p.spec.hi))
-            mask[sl] |= bf.flags
-        ctx.flagged_per_regrid.append(raw_count)
-        allowed = allowed_region_mask(hierarchy, parent)
-        clipped = mask & allowed
-        ratio = hierarchy.ratio_to_finer(parent)
-        max_edge = max(1, ctx.max_patch_edge // ratio)
-        boxes = cluster(clipped, ctx.efficiency, max_edge=max_edge)
-        rects = []
-        for b in boxes:
-            rects.extend(_allowed_rectangles(b, allowed, clipped))
-        new_patches = [make_patch(hierarchy, lev, tuple(l * ratio for l in rb.lo),
-                                  tuple((h + 1) * ratio - 1 for h in rb.hi), ctx, time=t)
-                       for rb in rects]
-        if new_patches:
-            LevelLayout(new_patches).fill_new(hierarchy, t, level_layout(hierarchy, lev))
-        while len(hierarchy.levels) < lev:
-            hierarchy.levels.append([])
+        parents, new_patches = hierarchy.patches(parent), []
+        ctx.rebuilt_at.pop(lev, None)
+        if parents:
+            t = ctx.rebuilt_at[lev] = parents[0].time
+            fill_level_ghosts(hierarchy, parent, t, ctx)
+            lay = level_layout(hierarchy, parent)
+            flags = level_flags(lay, ctx.strategy, t, ctx.regions)
+            ctx.flagged_per_regrid.append(int(flags.sum()))
+            raw = np.zeros(hierarchy.level_shape(parent), dtype=bool)
+            raw[lay.interior_cells[1]] = flags
+            mask = np.zeros_like(raw)
+            for p in parents:
+                sl = tuple(slice(l, h + 1) for l, h in zip(p.spec.lo, p.spec.hi))
+                mask[sl] |= buffer_flags(FlagField(raw[sl], p.spec.lo, parent),
+                                         ctx.buffer_cells).flags
+            allowed = allowed_region_mask(hierarchy, parent)
+            clipped = mask & allowed
+            r = hierarchy.ratio_to_finer(parent)
+            boxes = cluster(clipped, ctx.efficiency, max(1, ctx.max_patch_edge // r))
+            rects = [rect for b in boxes for rect in _allowed_rectangles(b, allowed, clipped)]
+            new_patches = new_level(hierarchy, lev, [(tuple(l * r for l in b.lo),
+                                                      tuple((h + 1) * r - 1 for h in b.hi))
+                                                     for b in rects], ctx, t)
+            if new_patches:
+                new_patches[0].layout.fill_new(hierarchy, t, level_layout(hierarchy, lev))
+        hierarchy.levels += [[] for _ in range(lev - len(hierarchy.levels))]
         hierarchy.levels[lev - 1] = new_patches
-        ctx.rebuilt_at[lev] = t
 
 
 def advance_hierarchy(hierarchy: PatchHierarchy, level: int, dt: float,

@@ -239,19 +239,16 @@ class UniformField:
         return tuple(self.origin[a] + n * self.widths[a] for a, n in enumerate(self.shape))
 
 
-def _axis_weights(coord: np.ndarray, origin: float, width: float, n: int):
-    """Lower stencil index and weight for clamped linear interpolation."""
+def _axis_weights(coord: np.ndarray, origin, width: float, n):
+    """Lower index and weight of clamped linear interpolation (scalar or per-point n)."""
     s = (coord - origin) / width - 0.5
     i0 = np.floor(s).astype(int)
     w = s - i0
     # clamp to the outermost cell-center interval: nearest-edge extension
-    below = i0 < 0
+    below = (i0 < 0) | (n == 1)
     above = i0 > n - 2
-    i0 = np.clip(i0, 0, max(n - 2, 0))
-    w = np.where(below, 0.0, np.where(above, 1.0, w))
-    if n == 1:
-        w = np.zeros_like(w)
-    return i0, w
+    i0 = np.clip(i0, 0, np.maximum(n - 2, 0))
+    return i0, np.where(below, 0.0, np.where(above, 1.0, w))
 
 
 @dataclass(frozen=True)
@@ -270,6 +267,10 @@ class Stencil:
     w: tuple[np.ndarray, ...]
     c: tuple[np.ndarray, ...]
 
+    def subset(self, sel) -> "Stencil":
+        """The stencil at the points `sel` selects (flat points only)."""
+        return Stencil(*(tuple(a[sel] for a in arrays) for arrays in (self.flat, self.w, self.c)))
+
 
 def build_stencil(coords, lo_phys: tuple[float, ...], widths: tuple[float, ...],
                   n: tuple[int, ...], total_shape: tuple[int, ...] | None = None,
@@ -279,8 +280,8 @@ def build_stencil(coords, lo_phys: tuple[float, ...], widths: tuple[float, ...],
 
     Those cells sit `offset[a]` cells into axis a of data whose per-axis
     extent is `total_shape` (default `n`), so a stencil can read a patch's
-    interior without copying it out of the ghosted array, or one patch of a
-    packed level array.
+    interior without copying it out of the ghosted array.  Per axis, `lo_phys`,
+    `n` and `offset` may hold a value per point: points in different patches.
     """
     total_shape = n if total_shape is None else total_shape
     strides = [math.prod(total_shape[a + 1:]) for a in range(len(n))]
@@ -342,20 +343,14 @@ def bilinear_interpolate(field: UniformField, point: tuple[float, ...]) -> np.nd
     return interpolate_uniform(field, *(np.array([p]) for p in point[:field.ndim]))[:, 0]
 
 
-def patch_stencil(spec: PatchSpec, *coords, interior_only: bool = False,
-                  packed=None) -> Stencil:
-    """Stencil over one patch's state array (interior plus ghosts).
-
-    `packed` = (shape, offset) reads the patch where it sits in a packed
-    level array instead.
-    """
+def patch_stencil(spec: PatchSpec, *coords, interior_only: bool = False) -> Stencil:
+    """Stencil over one patch's state array (interior plus ghosts)."""
     g = 0 if interior_only else spec.ghost_width
     lo_phys = tuple(spec.origin[a] + (spec.lo[a] - g) * spec.widths[a]
                     for a in range(spec.ndim))
     n = tuple(s + 2 * g for s in spec.shape)
-    shape, offset = packed or (spec.total_shape, (0,) * spec.ndim)
-    return build_stencil(coords, lo_phys, spec.widths, n, shape,
-                         tuple(o + spec.ghost_width - g for o in offset))
+    return build_stencil(coords, lo_phys, spec.widths, n, spec.total_shape,
+                         (spec.ghost_width - g,) * spec.ndim)
 
 
 def interpolate_patch(patch: Patch, *coords, interior_only: bool = False) -> np.ndarray:

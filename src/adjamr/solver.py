@@ -22,7 +22,7 @@ import numpy as np
 
 from .equations import AcousticsMaterial, EquationSet, SweMaterial
 from .geometry import (Patch, PatchHierarchy, PatchSpec, Stencil, apply_stencil,
-                       patch_stencil)
+                       build_stencil, patch_stencil)
 
 LIMITERS = ("none", "minmod", "MC", "superbee")
 
@@ -116,17 +116,9 @@ def _ghost_maps(spec: PatchSpec, boundary: BoundarySpec, level_shape, start):
 
 def sample_patch_material(patch: Patch, equation: EquationSet,
                           boundary: BoundarySpec, level_shape: tuple[int, ...]):
-    """Sample the material at every cell center, interior and ghost.
-
-    Ghosts behind a wall take the material of the mirrored interior cell, so
-    reflections are exact; ghosts behind an outflow side take the edge cell's.
-    The ghost indices are remapped by the maps the physical ghost fill copies
-    along (materials are pointwise, so sampling there equals copying).
-    """
-    spec = patch.spec
-    idx, _ = _ghost_maps(spec, boundary, level_shape, [l - spec.ghost_width for l in spec.lo])
-    centers = [spec.origin[a] + (i + 0.5) * spec.widths[a] for a, i in enumerate(idx)]
-    patch.aux = equation.sample_material(*np.meshgrid(*centers, indexing="ij"))
+    """Sample the material at every cell center, interior and ghost (the
+    rule of `LevelLayout`'s `sample`, on a layout of this patch alone)."""
+    LevelLayout([patch], sample=(equation, boundary, level_shape))
     return patch.aux
 
 
@@ -331,6 +323,13 @@ def _shelf_pack(boxes):
     return offsets, (edges[-1], ny)[:nd], bands
 
 
+def _padding_material(like, shape):
+    """Padding of `like`'s kind in which solves stay finite: dry, or unit."""
+    if isinstance(like, SweMaterial):
+        return SweMaterial.create(np.zeros(shape), 0.0, like.gravity)
+    return AcousticsMaterial.create(np.ones(shape), np.ones(shape))
+
+
 class LevelLayout:
     """One level's ghost-padded patches shelf-packed into one array.
 
@@ -345,7 +344,12 @@ class LevelLayout:
     writes interiors only: ghosts keep their last fill, padding its zeros.
     """
 
-    def __init__(self, patches):
+    def __init__(self, patches, sample=None):
+        """Pack `patches`, copying their state and material, or with `sample` =
+        (equation, boundary, level_shape) sampling the material at each box
+        cell's center straight into the packed arrays; behind a domain side it
+        is then copied along the physical ghost fill's map (materials are
+        pointwise, so copying equals sampling at the mirrored or edge cell)."""
         self._refs = tuple(weakref.ref(p) for p in patches)
         p0 = patches[0]
         self.level = p0.spec.level
@@ -357,11 +361,9 @@ class LevelLayout:
             self.state = np.zeros((p0.num_components, *shape))
             self.state_old = (None if any(p.state_old is None for p in patches)
                               else self.state.copy())
-            self.aux = None if p0.aux is None else (
-                SweMaterial.create(np.zeros(shape), 0.0, p0.aux.gravity)
-                if isinstance(p0.aux, SweMaterial)
-                else AcousticsMaterial.create(np.ones(shape), np.ones(shape)))
-            if not all(getattr(p.aux, "validated", True) for p in patches):
+            self.aux = None if p0.aux is None or sample else _padding_material(p0.aux, shape)
+            if self.aux is not None and not all(
+                    getattr(p.aux, "validated", True) for p in patches):
                 self.aux = replace(self.aux)      # unmarked: the solvers check it
             for p, box in zip(patches, self._boxes()):
                 self.state[(slice(None), *box)] = p.state
@@ -380,16 +382,47 @@ class LevelLayout:
         self.cells = sum(int(np.prod(p.spec.shape)) for p in patches)
         shape = self.state.shape[1:]
         self.interior, self._ghost = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
-        for p, box in zip(patches, self._boxes()):
+        gidx = [np.zeros(shape, dtype=np.int32) for _ in shape]
+        self._owner = np.zeros(shape, dtype=np.int32)       # the patch holding each box cell
+        for k, (p, box) in enumerate(zip(patches, self._boxes())):
             g = p.spec.ghost_width
+            self._owner[box] = k
             self._ghost[box] = True
             self.interior[tuple(slice(b.start + g, b.stop - g) for b in box)] = True
+            for a, i in enumerate(gidx):
+                i[box] = np.arange(p.spec.lo[a] - g, p.spec.hi[a] + g + 1).reshape(
+                    [-1 if c == a else 1 for c in range(len(shape))])
         self._ghost &= ~self.interior
-        ghost, gi = self._cells(ghosts=True)
-        src, = self.cover(gi)
+        # packed flat and global indices of every interior, then ghost, cell;
+        # `cover` looks global indices up in the interiors' bounding box
+        self.interior_cells, (ghost, gi) = [
+            (np.flatnonzero(m).astype(np.int32), tuple(i[m] for i in gidx))
+            for m in (self.interior, self._ghost)]
+        flat, inner = self.interior_cells
+        lo = [int(i.min()) - 1 for i in inner]
+        self._table = lo, np.full([int(i.max()) - l + 2 for i, l in zip(inner, lo)], -1,
+                                  dtype=np.int32)
+        self._table[1][tuple(i - l for i, l in zip(inner, lo))] = flat
+        src = self.cover(gi)
         self.same_level = (ghost[src >= 0], src[src >= 0])
         self._open = (ghost[src < 0], tuple(i[src < 0] for i in gi))   # for the coarse fill
         self._coarse = self._physical = self._kernel = None
+        self.memo = {}     # plans other modules derive from these patches
+        if sample:
+            _, dst, src, _ = self._physical_plan(sample[1], sample[0], sample[2])
+            at = (self.interior | self._ghost).reshape(-1)
+            at[dst], at[src] = False, True       # a copy's source is sampled
+            sampled = sample[0].sample_material(*(o + (i.reshape(-1)[at] + 0.5) * w for o, i, w
+                                                  in zip(p0.spec.origin, gidx, p0.spec.widths)))
+            self.aux = _padding_material(sampled, shape)
+            for f in fields(self.aux):
+                if isinstance(a := getattr(self.aux, f.name), np.ndarray):
+                    a.reshape(-1)[at] = getattr(sampled, f.name)
+            for f in fields(self.aux):
+                if isinstance(a := getattr(self.aux, f.name), np.ndarray):
+                    a.reshape(-1)[dst] = a.reshape(-1)[src]
+            for p, box in zip(patches, self._boxes()):
+                p.aux = self.aux[box]
         for p in patches:
             p.layout = self
         self._bind()
@@ -428,29 +461,18 @@ class LevelLayout:
         for p in self.patches:
             p.time_old = p.time
 
-    def _cells(self, ghosts: bool):
-        """Packed flat and global indices of every ghost (or interior) cell."""
-        flat = np.flatnonzero(self._ghost if ghosts else self.interior)
-        shape = self.state.shape[1:]
-        gidx = [np.zeros(shape, dtype=np.int32) for _ in shape]
-        for p, box in zip(self.patches, self._boxes()):
-            for a, i in enumerate(gidx):
-                g = p.spec.ghost_width
-                i[box] = np.arange(p.spec.lo[a] - g, p.spec.hi[a] + g + 1).reshape(
-                    [-1 if c == a else 1 for c in range(len(shape))])
-        return flat, tuple(i.ravel()[flat] for i in gidx)
+    def cover(self, idx):
+        """The packed flat index of the interior cell holding each global index
+        of `idx` (one broadcastable array per axis): -1 where none does, the
+        last in packed order where interiors overlap."""
+        lo, table = self._table
+        return table[tuple(np.clip(i - l, 0, n - 1) for i, l, n in zip(idx, lo, table.shape))]
 
-    def cover(self, *idxs):
-        """For each `idx` of `idxs` (global indices, one broadcastable array
-        per axis), the packed flat index of the interior cell holding each
-        index: -1 where none does, the last in packed order where interiors
-        overlap."""
-        flat, gi = self._cells(ghosts=False)
-        lo = [int(i.min()) - 1 for i in gi]     # the interiors' bounding box and a border of -1
-        table = np.full([int(i.max()) - l + 2 for i, l in zip(gi, lo)], -1)
-        table[tuple(i - l for i, l in zip(gi, lo))] = flat
-        return [table[tuple(np.clip(i - l, 0, n - 1) for i, l, n in zip(idx, lo, table.shape))]
-                for idx in idxs]
+    def centers(self):
+        """Cell-center coordinates of the interior cells, one array per axis."""
+        spec = self._refs[0]().spec
+        return tuple(spec.origin[a] + (i + 0.5) * spec.widths[a]
+                     for a, i in enumerate(self.interior_cells[1]))
 
     def fill_ghosts(self, hierarchy: PatchHierarchy, t: float, boundary: BoundarySpec,
                     equation: EquationSet):
@@ -466,6 +488,14 @@ class LevelLayout:
         self.flat[:, dst] = self.flat[:, src]
 
     def fill_physical(self, boundary: BoundarySpec, equation: EquationSet, level_shape):
+        _, dst, src, sign = self._physical_plan(boundary, equation, level_shape)
+        vals = self.flat[:, src]
+        vals *= sign
+        self.flat[:, dst] = vals
+
+    def _physical_plan(self, boundary: BoundarySpec, equation: EquationSet, level_shape):
+        """(key, dst, src, sign): every ghost behind a domain side, the cell
+        it reads and the sign per component, packed flat."""
         key = (boundary, equation, tuple(level_shape))
         if self._physical is None or self._physical[0] != key:
             normal = [equation.normal_component(a) for a in range(len(level_shape))]
@@ -487,10 +517,7 @@ class LevelLayout:
                 src.append(np.ravel_multi_index(tuple(i[moved] for i in mapped), shape))
                 sign.append(s[:, moved])
             self._physical = (key, *(np.concatenate(c, axis=-1) for c in (dst, src, sign)))
-        _, dst, src, sign = self._physical
-        vals = self.flat[:, src]
-        vals *= sign
-        self.flat[:, dst] = vals
+        return self._physical
 
     def fill_from_coarse(self, hierarchy: PatchHierarchy, t: float):
         """In-domain ghosts that no same-level interior covers, interpolated
@@ -502,45 +529,39 @@ class LevelLayout:
             ghost, gi = self._open
             inside = np.all([(i >= 0) & (i < n) for i, n
                              in zip(gi, hierarchy.level_shape(self.level))], axis=0)
-            pieces = list(self._sample_parent(hierarchy, parent, tuple(i[inside] for i in gi)))
-            stencil = None if not pieces else Stencil(*(
-                tuple(np.concatenate(f) for f in zip(*(getattr(st, k) for _, st in pieces)))
-                for k in ("flat", "w", "c")))
-            pos = np.concatenate([np.zeros(0, dtype=int)] + [pos for pos, _ in pieces])
+            pos, stencil = self._parent_stencil(hierarchy, parent, tuple(i[inside] for i in gi))
             self._coarse = (parent, ghost[inside][pos], stencil)
         _, dst, stencil = self._coarse
-        if stencil is not None:
+        if len(dst):
             self.flat[:, dst] = space_time_apply(parent, stencil, t)
 
     def fill_new(self, hierarchy: PatchHierarchy, t: float, old: "LevelLayout | None"):
         """A new level's interiors: the parent level at time t, then the old
         level's interior data wherever it covers them."""
         parent = level_layout(hierarchy, self.level - 1)
-        cells, gi = self._cells(ghosts=False)
+        cells, gi = self.interior_cells
         for k in range(0, len(cells), BAND_CELLS):     # bounds the temporaries
             part = slice(k, k + BAND_CELLS)
-            for pos, st in self._sample_parent(hierarchy, parent, tuple(i[part] for i in gi)):
-                self.flat[:, cells[part][pos]] = space_time_apply(parent, st, t)
+            pos, st = self._parent_stencil(hierarchy, parent, tuple(i[part] for i in gi))
+            self.flat[:, cells[part][pos]] = space_time_apply(parent, st, t)
         if old is not None:
-            src, = old.cover(gi)
+            src = old.cover(gi)
             self.flat[:, cells[src >= 0]] = old.flat[:, src[src >= 0]]
 
-    def _sample_parent(self, hierarchy: PatchHierarchy, parent: "LevelLayout", idx):
-        """Per parent patch holding some of the cells `idx` (global indices on
-        this level; a cell goes to the first such patch): their positions in
-        `idx`, and that patch's stencil there, built on the packed parent."""
-        spec = self._refs[0]().spec
-        coarse = [i // hierarchy.ratio_to_finer(self.level - 1) for i in idx]
-        centers = [hierarchy.origin[a] + (i + 0.5) * spec.widths[a] for a, i in enumerate(idx)]
-        todo = np.ones(idx[0].shape, dtype=bool)
-        for cp, off in zip(parent.patches, parent.offsets):
-            inside = todo & np.all([(i >= l) & (i <= h)
-                                    for i, l, h in zip(coarse, cp.spec.lo, cp.spec.hi)], axis=0)
-            if not inside.any():
-                continue
-            todo &= ~inside
-            yield np.flatnonzero(inside), patch_stencil(
-                cp.spec, *(c[inside] for c in centers), packed=(parent.state.shape[1:], off))
+    def _parent_stencil(self, hierarchy: PatchHierarchy, parent: "LevelLayout", idx):
+        """The positions in `idx` (global indices on this level) whose parent
+        cell a parent interior holds, and the stencil there over the packed
+        parent, each point read in the box of the patch holding it."""
+        held = parent.cover([i // hierarchy.ratio_to_finer(self.level - 1) for i in idx])
+        pos = np.flatnonzero(held >= 0)
+        k = parent._owner.reshape(-1)[held[pos]]
+        specs, ws = [p.spec for p in parent.patches], self._refs[0]().spec.widths
+        g, widths = specs[0].ghost_width, specs[0].widths
+        lo, n = (np.array([getattr(s, f) for s in specs])[k].T for f in ("lo", "total_shape"))
+        centers = [o + (i[pos] + 0.5) * w for o, i, w in zip(hierarchy.origin, idx, ws)]
+        return pos, build_stencil(centers, [o + (l - g) * w for o, l, w in zip(
+            hierarchy.origin, lo, widths)], widths, tuple(n), parent.state.shape[1:],
+            tuple(np.array(parent.offsets)[k].T))
 
     def step(self, dt: float, equation: EquationSet, limiter: str = "MC") -> float:
         """Advance every patch by dt; the Courant number is max|s|·dt/dx over

@@ -7,8 +7,9 @@ from adjamr import equations as eqs
 from adjamr.adjoint import (AdjointFlagging, AdjointSnapshotStore,
                             ConfigurationError, EmptyFunctionalError,
                             FunctionalSpec, TimeWindow, build_phi, evaluate_J,
-                            inner_product_field, inner_product_flags,
-                            query_window_times, solve_adjoint)
+                            inner_product_field, query_window_times,
+                            solve_adjoint)
+from adjamr.amr import flag_cells
 from adjamr.geometry import Patch, PatchHierarchy, UniformField, interpolate_uniform
 from adjamr.solver import BoundarySpec, sample_patch_material
 
@@ -191,14 +192,19 @@ def patch_1d(eq, nx=100, xlim=(0.0, 1.0)):
     return h, p
 
 
+def adjoint_flags(p, t, store, tolerance):
+    """AdjointFlagging's flags on one patch at time t."""
+    p.time = t
+    return flag_cells(p, AdjointFlagging(store, store.window, tolerance)).flags
+
+
 def test_inner_product_zero_state_no_flags():
     eq = const_eq_1d()
     _, p = patch_1d(eq)
     store = make_store(t0=0.0, tf=1.0, dt=0.25)
     for f in store.fields:
         f.values[...] = 1.0
-    out = inner_product_flags(p, 0.5, store, store.window, 0.02)
-    assert not out.flags.any()
+    assert not adjoint_flags(p, 0.5, store, 0.02).any()
 
 
 def test_inner_product_constant_dot():
@@ -210,8 +216,7 @@ def test_inner_product_constant_dot():
         f.values[0] = 1.0
     vals = inner_product_field(p, 0.5, store, store.window)
     assert np.allclose(vals, 0.5)
-    out = inner_product_flags(p, 0.5, store, store.window, 0.02)
-    assert out.flags.all()
+    assert adjoint_flags(p, 0.5, store, 0.02).all()
 
 
 def test_inner_product_missing_store_errors():

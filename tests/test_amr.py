@@ -23,10 +23,9 @@ def basic_ctx(eq, **kw):
                       strategy=kw.pop("strategy", EverywhereFlagging()), **kw)
 
 
-def ff(mask, lo=None, level=1, t=0.0):
+def ff(mask, lo=None, level=1):
     mask = np.asarray(mask, dtype=bool)
-    return FlagField(flags=mask, lo=lo or (0,) * mask.ndim, level=level,
-                     strategy_name="test", time=t)
+    return FlagField(flags=mask, lo=lo or (0,) * mask.ndim, level=level)
 
 
 # ---------------------------------------------------------------------------
