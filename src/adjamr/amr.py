@@ -82,14 +82,13 @@ class DifferenceFlagging(FlaggingStrategy):
     name = "difference"
 
     def evaluate(self, lay, t):
-        cells, shape = lay.interior_cells[0], lay.interior.shape
-        q = lay.flat[:, cells]
-        big = np.zeros(len(cells))
-        for axis in range(len(shape)):
-            step = int(np.prod(shape[axis + 1:]))        # the packed neighbour along axis
-            for near in (cells - step, cells + step):
-                big = np.maximum(big, np.max(np.abs(q - lay.flat[:, near]), axis=0))
-        return big > self.tolerance
+        big = np.zeros(lay.interior.shape)
+        for axis in range(big.ndim):        # each face's largest jump goes to both its cells
+            jump = np.max(np.abs(np.diff(lay.state, axis=1 + axis)), axis=0)
+            for side in (slice(None, -1), slice(1, None)):
+                at = big[(slice(None),) * axis + (side,)]
+                np.maximum(at, jump, out=at)
+        return big.reshape(-1)[lay.interior_cells[0]] > self.tolerance
 
 
 class SurfaceFlagging(FlaggingStrategy):

@@ -409,18 +409,16 @@ class LevelLayout:
         self._coarse = self._physical = self._kernel = None
         self.memo = {}     # plans other modules derive from these patches
         if sample:
-            _, dst, src, _ = self._physical_plan(sample[1], sample[0], sample[2])
+            _, behind, reads, _ = self._physical_plan(sample[1], sample[0], sample[2])
             at = (self.interior | self._ghost).reshape(-1)
-            at[dst], at[src] = False, True       # a copy's source is sampled
+            at[behind], at[reads] = False, True       # a copy's source is sampled
             sampled = sample[0].sample_material(*(o + (i.reshape(-1)[at] + 0.5) * w for o, i, w
                                                   in zip(p0.spec.origin, gidx, p0.spec.widths)))
             self.aux = _padding_material(sampled, shape)
             for f in fields(self.aux):
                 if isinstance(a := getattr(self.aux, f.name), np.ndarray):
                     a.reshape(-1)[at] = getattr(sampled, f.name)
-            for f in fields(self.aux):
-                if isinstance(a := getattr(self.aux, f.name), np.ndarray):
-                    a.reshape(-1)[dst] = a.reshape(-1)[src]
+                    a.reshape(-1)[behind] = a.reshape(-1)[reads]
             for p, box in zip(patches, self._boxes()):
                 p.aux = self.aux[box]
         for p in patches:
