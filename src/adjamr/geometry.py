@@ -240,7 +240,7 @@ class UniformField:
 
 
 def _axis_weights(coord: np.ndarray, origin, width: float, n):
-    """Lower index and weight of clamped linear interpolation (scalar or per-point n)."""
+    """Lower index and weight of clamped linear interpolation; origin and n may vary per point."""
     s = (coord - origin) / width - 0.5
     i0 = np.floor(s).astype(int)
     w = s - i0
