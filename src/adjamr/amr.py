@@ -157,71 +157,58 @@ def buffer_flags(flags: FlagField, buffer_cells: int) -> FlagField:
 # Signature-bisection clustering
 
 
-def _signature(mask: np.ndarray, axis: int) -> np.ndarray:
-    axes = tuple(a for a in range(mask.ndim) if a != axis)
-    return mask.sum(axis=axes) if axes else mask.astype(int)
-
-
-def _find_split(sub: np.ndarray):
-    """Split index for a shrunk flag box: holes first, then Laplacian
-    inflections, then the midpoint of the longest axis.
+def _find_split(sigs):
+    """Split index for a shrunk flag box from its signature (flags per slice)
+    along each axis: holes first, then Laplacian inflections, then the
+    midpoint of the longest axis; among equals the first axis, then the
+    first index, wins.
 
     Returns (kind, axis, index): 'hole' removes slice `index`, 'edge' cuts
     between `index` and `index + 1`.  None when the box is a single cell.
     """
-    nd = sub.ndim
     best_hole = None
-    for axis in range(nd):
-        sig = _signature(sub, axis)
-        zeros = np.nonzero(sig == 0)[0]
-        if len(zeros):
-            center = (len(sig) - 1) / 2.0
-            k = zeros[np.argmin(np.abs(zeros - center))]
-            score = abs(k - center) / max(len(sig), 1)
+    for axis, sig in enumerate(sigs):
+        center = (len(sig) - 1) / 2.0
+        zeros = [k for k, v in enumerate(sig) if not v]
+        if zeros:
+            k = min(zeros, key=lambda k: abs(k - center))
+            score = abs(k - center) / len(sig)
             if best_hole is None or score < best_hole[0]:
-                best_hole = (score, axis, int(k))
+                best_hole = (score, axis, k)
     if best_hole is not None:
         return ("hole", best_hole[1], best_hole[2])
 
     best_edge = None
-    for axis in range(nd):
-        sig = _signature(sub, axis)
+    for axis, sig in enumerate(sigs):
         n = len(sig)
         if n < 4:
             continue
-        lap = sig[2:] - 2 * sig[1:-1] + sig[:-2]       # lap[k] at slice k+1
-        for k in range(len(lap) - 1):
-            if lap[k] * lap[k + 1] < 0:
-                strength = abs(lap[k + 1] - lap[k])
-                center = (n - 1) / 2.0
-                dist = abs((k + 1.5) - center)
-                cand = (strength, -dist, axis, k + 1)   # edge between k+1, k+2
-                if best_edge is None or cand[:2] > best_edge[:2]:
-                    best_edge = cand
+        lap = [a - 2 * b + c for a, b, c in zip(sig, sig[1:], sig[2:])]   # lap[k] at slice k+1
+        center = (n - 1) / 2.0
+        for k, (l0, l1) in enumerate(zip(lap, lap[1:])):
+            if l0 * l1 < 0:
+                cand = (abs(l1 - l0), -abs((k + 1.5) - center))
+                if best_edge is None or cand > best_edge[:2]:
+                    best_edge = (*cand, axis, k + 1)           # edge between k+1, k+2
     if best_edge is not None:
         return ("edge", best_edge[2], best_edge[3])
 
-    axis = int(np.argmax(sub.shape))
-    n = sub.shape[axis]
-    if n < 2:
+    shape = [len(sig) for sig in sigs]
+    axis = shape.index(max(shape))
+    if shape[axis] < 2:
         return None
-    return ("edge", axis, n // 2 - 1)
-
-
-def _bounding_box(mask: np.ndarray):
-    nz = np.nonzero(mask)
-    if len(nz[0]) == 0:
-        return None
-    return (tuple(int(a.min()) for a in nz), tuple(int(a.max()) for a in nz))
+    return ("edge", axis, shape[axis] // 2 - 1)
 
 
 def cluster(flags, efficiency_threshold: float, max_edge: int | None = None) -> list[ClusterBox]:
     """Cover all flagged cells with efficient rectangles.
 
-    Accepts a FlagField or a bare boolean array; box indices come back in the
-    flags' global index space.  Every flagged cell lands in exactly one box;
-    boxes are split until they meet the efficiency threshold (or are single
-    cells) and never exceed max_edge per side.
+    Accepts a 1D or 2D FlagField or bare boolean array; box indices come
+    back in the flags' global index space.  Every flagged cell lands in
+    exactly one box; boxes are split until they meet the efficiency
+    threshold (or are single cells) and never exceed max_edge per side.
+    A box's signatures come from per-row and per-column prefix counts of
+    the flags, one subtraction of two slices each.
     """
     if not (0.0 < efficiency_threshold <= 1.0):
         raise ValueError("efficiency_threshold must be in (0, 1]")
@@ -231,49 +218,64 @@ def cluster(flags, efficiency_threshold: float, max_edge: int | None = None) -> 
     else:
         mask = np.asarray(flags, dtype=bool)
         offset = (0,) * mask.ndim
+    if mask.ndim not in (1, 2):
+        raise ValueError("cluster takes 1D or 2D flags")
     out: list[ClusterBox] = []
 
     def emit(lo, hi, eff):
         out.append(ClusterBox(lo=tuple(l + o for l, o in zip(lo, offset)),
                               hi=tuple(h + o for h, o in zip(hi, offset)), efficiency=eff))
-    bb = _bounding_box(mask)
-    if bb is None:
+    if not mask.any():
         return out
-    stack = [bb]
+    m2 = mask.reshape(len(mask), -1)           # a 1D mask is one column
+    rows = np.zeros((m2.shape[0], m2.shape[1] + 1), dtype=np.int32)
+    cols = np.zeros((m2.shape[0] + 1, m2.shape[1]), dtype=np.int32)
+    np.cumsum(m2, axis=1, dtype=np.int32, out=rows[:, 1:])
+    np.cumsum(m2, axis=0, dtype=np.int32, out=cols[1:])
+
+    def shrunk(box):
+        """(lo, hi, signatures, count) of the bounding box of the flags in
+        box (lo, hi); None when it holds none."""
+        (l0, l1), (h0, h1) = box
+        sigs = ((rows[l0:h0 + 1, h1 + 1] - rows[l0:h0 + 1, l1]).tolist(),
+                (cols[h0 + 1, l1:h1 + 1] - cols[l0, l1:h1 + 1]).tolist())
+        count = sum(sigs[0])
+        if not count:
+            return None
+        first = [next(k for k, v in enumerate(s) if v) for s in sigs]
+        last = [len(s) - next(k for k, v in enumerate(reversed(s)) if v) for s in sigs]
+        return ((l0 + first[0], l1 + first[1]), (l0 + last[0] - 1, l1 + last[1] - 1),
+                [s[a:b] for s, a, b in zip(sigs, first, last)], count)
+
+    def children(lo, hi, split):
+        return [c for c in map(shrunk, _split_children(lo, hi, split)) if c is not None]
+
+    stack = [shrunk(((0, 0), (m2.shape[0] - 1, m2.shape[1] - 1)))]
     while stack:
-        lo, hi = stack.pop()
-        sub = mask[tuple(slice(l, h + 1) for l, h in zip(lo, hi))]
-        bb = _bounding_box(sub)
-        if bb is None:
-            continue
-        # shrink to the bounding box of the contained flags
-        hi = tuple(l + b for l, b in zip(lo, bb[1]))
-        lo = tuple(l + b for l, b in zip(lo, bb[0]))
-        sub = mask[tuple(slice(l, h + 1) for l, h in zip(lo, hi))]
-        count = int(sub.sum())
-        area = sub.size
-        eff = count / area
-        too_big = max_edge is not None and any(s > max_edge for s in sub.shape)
+        lo, hi, sigs, count = stack.pop()
+        shape = [len(s) for s in sigs]
+        eff = count / (shape[0] * shape[1])
+        too_big = max_edge is not None and max(shape) > max_edge
         if eff >= efficiency_threshold and not too_big:
             # speculative split: take a signature cut only when both shrunk
             # children are strictly more efficient (separates plateaus such
             # as L-shaped flag sets without fragmenting solid rectangles)
-            split = _find_split(sub) if eff < 1.0 else None
-            children = [] if split is None else _split_children(lo, hi, split)
-            if children and min(_shrunk_efficiency(mask, c) for c in children) > eff + 1e-12:
-                stack.extend(children)
+            split = _find_split(sigs) if eff < 1.0 else None
+            kids = [] if split is None else children(lo, hi, split)
+            if kids and min(c[3] / (len(c[2][0]) * len(c[2][1])) for c in kids) > eff + 1e-12:
+                stack.extend(kids)
             else:
                 emit(lo, hi, eff)
             continue
         if too_big and eff >= efficiency_threshold:
-            axis = int(np.argmax(sub.shape))
-            split = ("edge", axis, sub.shape[axis] // 2 - 1)
+            axis = shape.index(max(shape))
+            split = ("edge", axis, shape[axis] // 2 - 1)
         else:
-            split = _find_split(sub)
+            split = _find_split(sigs)
         if split is None:
             emit(lo, hi, eff)
         else:
-            stack.extend(_split_children(lo, hi, split))
+            stack.extend(children(lo, hi, split))
     return out
 
 
@@ -285,16 +287,6 @@ def _split_children(lo, hi, split):
     lo2[axis] = lo[axis] + k + 1
     return [(a, b) for a, b in ((tuple(lo), tuple(hi1)), (tuple(lo2), tuple(hi)))
             if b[axis] >= a[axis]]
-
-
-def _shrunk_efficiency(mask, box):
-    lo, hi = box
-    sub = mask[tuple(slice(l, h + 1) for l, h in zip(lo, hi))]
-    bb = _bounding_box(sub)
-    if bb is None:
-        return 1.0
-    shr = sub[tuple(slice(a, b + 1) for a, b in zip(bb[0], bb[1]))]
-    return float(shr.sum()) / shr.size
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def run_forward(cfg: RunConfig, strategy_name: str | None = None,
         for series in gauges.values():
             p = h.finest_patch_at(series.location)
             if p is not None and p.spec.level == level:
-                record_gauge(h, series, t)
+                record_gauge(h, series, t, p)
 
     ctx = AmrContext(equation=equation, boundary=cfg.boundary,
                      strategy=strategy, limiter=cfg.limiter,

@@ -74,21 +74,6 @@ class PatchSpec:
         return tuple(out)
 
 
-def cell_center(spec: PatchSpec, i: int, j: int | None = None) -> tuple[float, ...]:
-    """Physical coordinates of cell (i[, j]), valid over interior plus ghosts."""
-    g = spec.ghost_width
-    idx = (i,) if spec.ndim == 1 else (i, j if j is not None else 0)
-    if spec.ndim == 2 and j is None:
-        raise OutOfRangeError("2D patch requires a j index")
-    for a, k in enumerate(idx):
-        if not (spec.lo[a] - g <= k <= spec.hi[a] + g):
-            raise OutOfRangeError(
-                f"index {k} outside interior+ghost range "
-                f"[{spec.lo[a] - g}, {spec.hi[a] + g}] on axis {a}"
-            )
-    return tuple(spec.origin[a] + (k + 0.5) * spec.widths[a] for a, k in enumerate(idx))
-
-
 class Patch:
     """Cell-averaged state over one patch, interior plus ghost cells.
 
@@ -115,10 +100,6 @@ class Patch:
     def interior(self) -> np.ndarray:
         """View of the interior cells."""
         return self.state[(slice(None), *self.spec.interior_slices())]
-
-    def save_old(self):
-        self.state_old = self.state.copy()
-        self.time_old = self.time
 
     def __repr__(self):
         s = self.spec
@@ -190,10 +171,8 @@ class PatchHierarchy:
         """Global cell index of `point` at a level, clipped to the domain."""
         widths = self.widths(level)
         shape = self.level_shape(level)
-        return tuple(
-            int(np.clip(np.floor((point[a] - self.origin[a]) / widths[a]), 0, shape[a] - 1))
-            for a in range(self.ndim)
-        )
+        return tuple(min(max(math.floor((point[a] - self.origin[a]) / widths[a]), 0), shape[a] - 1)
+                     for a in range(self.ndim))
 
     def finest_patch_at(self, point: tuple[float, ...]) -> Patch | None:
         """Finest patch whose interior contains `point`; lowest index wins ties."""
@@ -336,11 +315,6 @@ def interpolate_uniform(field: UniformField, *coords) -> np.ndarray:
     boundary row/column.
     """
     return apply_stencil(field_stencil(field, *coords), field.values)
-
-
-def bilinear_interpolate(field: UniformField, point: tuple[float, ...]) -> np.ndarray:
-    """Interpolate the field at one physical point; returns an (m,) vector."""
-    return interpolate_uniform(field, *(np.array([p]) for p in point[:field.ndim]))[:, 0]
 
 
 def patch_stencil(spec: PatchSpec, *coords, interior_only: bool = False) -> Stencil:

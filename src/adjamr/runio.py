@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import AdjointSnapshotStore, TimeWindow
-from .geometry import PatchHierarchy, UniformField, interpolate_patch
+from .geometry import Patch, PatchHierarchy, UniformField, interpolate_patch
 
 
 class SnapshotFormatError(ValueError):
@@ -290,9 +290,12 @@ class GaugeSeries:
         return np.asarray(self.times), np.asarray(self.values)
 
 
-def record_gauge(hierarchy: PatchHierarchy, series: GaugeSeries, t: float):
-    """Append the interpolated state at the gauge from the finest cover."""
-    patch = hierarchy.finest_patch_at(series.location)
+def record_gauge(hierarchy: PatchHierarchy, series: GaugeSeries, t: float,
+                 patch: Patch | None = None):
+    """Append the interpolated state at the gauge from the finest cover,
+    `patch` when the caller has already looked it up."""
+    if patch is None:
+        patch = hierarchy.finest_patch_at(series.location)
     if patch is None:
         return
     val = interpolate_patch(patch, *(np.array([c]) for c in series.location),

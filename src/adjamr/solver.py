@@ -15,13 +15,14 @@ patches it has.  The one-patch entry points (`step_patch`,
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .equations import AcousticsMaterial, EquationSet, SweMaterial
-from .geometry import (Patch, PatchHierarchy, PatchSpec, Stencil, apply_stencil,
+from .geometry import (Patch, PatchHierarchy, Stencil, apply_stencil,
                        build_stencil, patch_stencil)
 
 LIMITERS = ("none", "minmod", "MC", "superbee")
@@ -87,31 +88,6 @@ def _along(ndim: int, ax: int, s: slice) -> tuple[slice, ...]:
     out = [slice(None)] * ndim
     out[ax] = s
     return tuple(out)
-
-
-def _ghost_maps(spec: PatchSpec, boundary: BoundarySpec, level_shape, start):
-    """Per axis, the index (counted from `start`) each position of the padded
-    box reads, and where that read is reflected (negates the normal
-    component).  Behind a domain side a ghost reads its mirrored interior
-    cell ('wall') or the edge cell ('outflow'), low sides before high ones.
-    The axes' maps commute, so a corner ghost reads both at once."""
-    g = spec.ghost_width
-    maps, flips = [], []
-    for a, n in enumerate(spec.total_shape):
-        idx, flip = np.arange(start[a], start[a] + n), np.zeros(n, dtype=bool)
-        for high in (False, True):
-            if (spec.hi[a] == level_shape[a] - 1) if high else (spec.lo[a] == 0):
-                ghost = slice(n - g, n) if high else slice(0, g)
-                if boundary.side(a, high) == "wall":
-                    src = (slice(n - g - 1, n - 2 * g - 1, -1) if high
-                           else slice(2 * g - 1, g - 1, -1))
-                    idx[ghost], flip[ghost] = idx[src], ~flip[src]
-                else:
-                    src = slice(n - g - 1, n - g) if high else slice(g, g + 1)
-                    idx[ghost], flip[ghost] = idx[src], flip[src]
-        maps.append(idx)
-        flips.append(flip)
-    return maps, flips
 
 
 def sample_patch_material(patch: Patch, equation: EquationSet,
@@ -299,28 +275,47 @@ def _solve_axis(q, equation, axis, matl, matr, cf: _CoastFaces | None):
 BAND_CELLS = 8192
 
 
+# Shelf widths tried, as multiples of the square root of the boxes' total
+# area; the first wins ties, so no level packs larger than at that width.
+SHELF_FACTORS = (1.0, 0.7, 0.8, 0.9, 1.1, 1.25, 1.5, 2.0, 2.5, 3.0)
+
+
 def _shelf_pack(boxes):
     """Box offsets, the packed extent, and bands (x-ranges of whole shelves
     of at most BAND_CELLS cells).  2D boxes go thickest first onto shelves
-    filled along y to the square root of their total area; shelves stack
-    along x.  A 1D box is a shelf of its own."""
+    filled along y up to a width; shelves stack along x.  The width is the
+    one of max(widest box, f·√(total area)), f in SHELF_FACTORS, that packs
+    into the smallest area.  A 1D box is a shelf of its own."""
     nd = len(boxes[0])
-    width = max(max(b[-1] for b in boxes), int(np.ceil(np.sqrt(sum(np.prod(b) for b in boxes)))))
-    offsets, shelves, y, ny = [None] * len(boxes), [0], width, 1
-    for k in sorted(range(len(boxes)), key=lambda k: -boxes[k][0]):
-        if nd == 1 or y + boxes[k][1] > width:
-            shelves.append(boxes[k][0])
-            y = 0
-        offsets[k] = (sum(shelves) - shelves[-1], y)[:nd]
-        if nd == 2:
-            y += boxes[k][1]
-            ny = max(ny, y)
+    order = sorted(range(len(boxes)), key=lambda k: -boxes[k][0])
+    root, widest = math.sqrt(sum(math.prod(b) for b in boxes)), max(b[-1] for b in boxes)
+    factors = SHELF_FACTORS if nd == 2 else SHELF_FACTORS[:1]     # 1D: any width alike
+    packs = [_shelves(boxes, order, w)
+             for w in dict.fromkeys(max(widest, math.ceil(f * root)) for f in factors)]
+    offsets, shelves, ny = min(packs, key=lambda p: sum(p[1]) * p[2])
     edges, bands = np.cumsum(shelves).tolist(), [[0, 0]]
     for lo, hi in zip(edges[:-1], edges[1:]):
         if bands[-1][1] > 0 and (hi - bands[-1][0]) * ny > BAND_CELLS:
             bands.append([lo, lo])
         bands[-1][1] = hi
     return offsets, (edges[-1], ny)[:nd], bands
+
+
+def _shelves(boxes, order, width):
+    """Offsets, shelf thicknesses (after a leading 0) and the filled y-extent
+    of the boxes laid in `order` onto shelves `width` wide."""
+    nd = len(boxes[0])
+    offsets, shelves, x, y, ny = [None] * len(boxes), [0], 0, width, 1
+    for k in order:
+        if nd == 1 or y + boxes[k][1] > width:
+            x += shelves[-1]
+            shelves.append(boxes[k][0])
+            y = 0
+        offsets[k] = (x, y)[:nd]
+        if nd == 2:
+            y += boxes[k][1]
+            ny = max(ny, y)
+    return offsets, shelves, ny
 
 
 def _padding_material(like, shape):
@@ -379,7 +374,7 @@ class LevelLayout:
         self.bands = [(slice(a, b), [k for k, o in enumerate(self.offsets) if a <= o[0] < b])
                       for a, b in bands]
         self.flat = self.state.reshape(self.state.shape[0], -1)
-        self.cells = sum(int(np.prod(p.spec.shape)) for p in patches)
+        self.cells = sum(math.prod(p.spec.shape) for p in patches)
         shape = self.state.shape[1:]
         self.interior, self._ghost = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
         gidx = [np.zeros(shape, dtype=np.int32) for _ in shape]
@@ -493,28 +488,28 @@ class LevelLayout:
 
     def _physical_plan(self, boundary: BoundarySpec, equation: EquationSet, level_shape):
         """(key, dst, src, sign): every ghost behind a domain side, the cell
-        it reads and the sign per component, packed flat."""
+        it reads and the sign per component, packed flat.  Such ghosts are
+        all open (no interior holds them).  Behind a wall a ghost reads its
+        mirror cell with the normal component negated, behind an outflow
+        side the edge cell; a corner ghost does both.  The source lies in
+        the ghost's own box, so its packed index is the ghost's plus the
+        index shift along each axis times that axis's packed stride."""
         key = (boundary, equation, tuple(level_shape))
         if self._physical is None or self._physical[0] != key:
-            normal = [equation.normal_component(a) for a in range(len(level_shape))]
-            m, *shape = self.state.shape
-            dst, src, sign = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.ones((m, 0))]
-            for p, off in zip(self.patches, self.offsets):
-                if all(0 < l and h < n - 1 for l, h, n in zip(p.spec.lo, p.spec.hi, level_shape)):
-                    continue
-                maps, flips = _ghost_maps(p.spec, boundary, level_shape, off)
-                own = np.meshgrid(*(np.arange(o, o + n) for o, n in zip(off, p.spec.total_shape)),
-                                  indexing="ij")
-                mapped = np.meshgrid(*maps, indexing="ij")
-                moved = np.any([i != j for i, j in zip(own, mapped)], axis=0)
-                s = np.ones((m, *p.spec.total_shape))
-                for a, f in enumerate(flips):
-                    s[normal[a]] *= np.where(f, -1.0, 1.0).reshape(
-                        [-1 if b == a else 1 for b in range(len(shape))])
-                dst.append(np.ravel_multi_index(tuple(i[moved] for i in own), shape))
-                src.append(np.ravel_multi_index(tuple(i[moved] for i in mapped), shape))
-                sign.append(s[:, moved])
-            self._physical = (key, *(np.concatenate(c, axis=-1) for c in (dst, src, sign)))
+            ghost, gi = self._open
+            out = np.any([(i < 0) | (i >= n) for i, n in zip(gi, level_shape)], axis=0)
+            shape = self.state.shape[1:]
+            dst = ghost[out].astype(np.intp)
+            src, sign = dst.copy(), np.ones((self.state.shape[0], len(dst)))
+            for a, (i, n) in enumerate(zip(gi, level_shape)):
+                i = i[out]
+                low, high = i < 0, i >= n
+                wall_lo, wall_hi = (boundary.side(a, h) == "wall" for h in (False, True))
+                j = np.where(low, -1 - i if wall_lo else 0,
+                             np.where(high, 2 * n - 1 - i if wall_hi else n - 1, i))
+                src += (j - i) * math.prod(shape[a + 1:])
+                sign[equation.normal_component(a), (low & wall_lo) | (high & wall_hi)] *= -1.0
+            self._physical = (key, dst, src, sign)
         return self._physical
 
     def fill_from_coarse(self, hierarchy: PatchHierarchy, t: float):
@@ -534,17 +529,19 @@ class LevelLayout:
             self.flat[:, dst] = space_time_apply(parent, stencil, t)
 
     def fill_new(self, hierarchy: PatchHierarchy, t: float, old: "LevelLayout | None"):
-        """A new level's interiors: the parent level at time t, then the old
-        level's interior data wherever it covers them."""
+        """A new level's interiors: the old level's interior data wherever it
+        covers them, the parent level at time t elsewhere."""
         parent = level_layout(hierarchy, self.level - 1)
         cells, gi = self.interior_cells
+        if old is not None:
+            src = old.cover(gi)
+            self.flat[:, cells[src >= 0]] = old.flat[:, src[src >= 0]]
+            rest = np.flatnonzero(src < 0)
+            cells, gi = cells[rest], tuple(i[rest] for i in gi)
         for k in range(0, len(cells), BAND_CELLS):     # bounds the temporaries
             part = slice(k, k + BAND_CELLS)
             pos, st = self._parent_stencil(hierarchy, parent, tuple(i[part] for i in gi))
             self.flat[:, cells[part][pos]] = space_time_apply(parent, st, t)
-        if old is not None:
-            src = old.cover(gi)
-            self.flat[:, cells[src >= 0]] = old.flat[:, src[src >= 0]]
 
     def _parent_stencil(self, hierarchy: PatchHierarchy, parent: "LevelLayout", idx):
         """The positions in `idx` (global indices on this level) whose parent
@@ -580,27 +577,22 @@ class LevelLayout:
                     raise NumericalBlowupError(f"{p}: non-finite state after the step")
         return courant
 
-    def _faces(self, k: int, axis: int, x: slice):
-        """Patch k's interfaces along `axis` with an interior cell on either
-        side, as interface indices of band `x`."""
-        spec, off = self._refs[k]().spec, (self.offsets[k][0] - x.start, *self.offsets[k][1:])
-        g = spec.ghost_width
-        return tuple(slice(o + g - (c == axis), o + g + n)
-                     for c, (o, n) in enumerate(zip(off, spec.shape)))
-
     def _step_band(self, band: int, dt: float, equation: EquationSet, limiter: str) -> float:
         """Step one band and return its Courant number.
 
         Built once per band and equation set: per axis, the (clamped, for
         shallow water) materials left and right of each interface and the
         coastline faces; in 2D the (below, above) pairs of the four
-        transverse splits; on the first step, each patch's max|s| per axis
-        (the speeds depend on the material only).  Only exact zeros are
-        skipped: the 2D middle wave family has speed 0, so only the first and
-        last are limited, and the solves along axis a touch components 0 and
-        1 + a only (all in 1D), so its updates and fluxes work on those two.
+        transverse splits; on the first step, max|s| per axis over the
+        interfaces touching an interior (the speeds depend on the material
+        only).  The band's Courant number is the largest s·dt/dx of these,
+        which equals the largest over its patches bit for bit.  Only exact
+        zeros are skipped: the 2D middle wave family has speed 0, so only
+        the first and last are limited, and the solves along axis a touch
+        components 0 and 1 + a only (all in 1D), so its updates and fluxes
+        work on those two.
         """
-        x, ks = self.bands[band]
+        x = self.bands[band][0]
         q = self.state[:, x]
         nd = q.ndim - 1
         n = q.shape[1:]
@@ -633,19 +625,19 @@ class LevelLayout:
             res = _solve_axis(q, equation, a, left[a], right[a],
                               None if coast is None else coast[a])
             if speeds is None:
-                found.append([float(np.max(np.abs(res.speeds[(slice(None),
-                                                              *self._faces(k, a, x))]),
-                                           initial=0.0)) for k in ks])
+                lo, hi = (self.interior[x][_along(nd, a, s)]
+                          for s in (slice(None, -1), slice(1, None)))
+                found.append(float(np.max(np.abs(res.speeds), initial=0.0, where=lo | hi)))
             flux.append(_correction_flux(res.waves[moving, comps[a]], res.speeds[moving],
                                          dtd[a], limiter, a, res.fwave))
             flucts.append((res.fluct_minus, res.fluct_plus))
         del res
         if speeds is None:
-            speeds = cache[band][4] = list(zip(*found))
-        courants = [max(0.0, *(s * d for s, d in zip(sp, dtd))) for sp in speeds]
-        for k, cfl in zip(ks, courants):
-            if cfl > 1.0 + 1e-12:
-                raise CflViolationError(f"{self._refs[k]()}: Courant number {cfl:.4f} > 1")
+            speeds = cache[band][4] = found
+        courant = max(0.0, *(s * d for s, d in zip(speeds, dtd)))
+        if courant > 1.0 + 1e-12:
+            patch, cfl = self._cfl_offender(band, dtd, equation)
+            raise CflViolationError(f"{patch}: Courant number {cfl:.4f} > 1")
 
         if nd == 2:
             # transverse splits of the x-interface fluctuations feed the y
@@ -675,7 +667,28 @@ class LevelLayout:
         if coast is not None:
             dq *= self.aux.wet[x]
         np.add(q, dq, out=q, where=self.interior[x])
-        return max(courants)
+        return courant
+
+    def _cfl_offender(self, band: int, dtd, equation: EquationSet):
+        """The band's first patch above the unit Courant number, and its
+        Courant number: the band's interfaces are solved again and each one
+        touching an interior is charged to that interior's patch."""
+        x, ks = self.bands[band]
+        left, right, coast = self._kernel[1][band][:3]
+        q, inside, owner = self.state[:, x], self.interior[x], self._owner[x]
+        nd = q.ndim - 1
+        cfl = np.zeros(len(self.offsets))
+        for a in range(nd):
+            res = _solve_axis(q, equation, a, left[a], right[a],
+                              None if coast is None else coast[a])
+            lo, hi = _along(nd, a, slice(None, -1)), _along(nd, a, slice(1, None))
+            touch = inside[lo] | inside[hi]
+            fastest = np.zeros(len(self.offsets))
+            np.maximum.at(fastest, np.where(inside[lo], owner[lo], owner[hi])[touch],
+                          np.max(np.abs(res.speeds), axis=0)[touch])
+            np.maximum(cfl, fastest * dtd[a], out=cfl)
+        k = next(k for k in ks if cfl[k] > 1.0 + 1e-12)
+        return self._refs[k](), float(cfl[k])
 
 
 def level_layout(hierarchy: PatchHierarchy, level: int) -> LevelLayout | None:

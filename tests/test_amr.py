@@ -9,7 +9,7 @@ from adjamr.amr import (AmrContext, DifferenceFlagging,
                         cluster, flag_cells, make_patch, regrid,
                         restrict_fine_to_coarse)
 from adjamr.geometry import Patch, PatchHierarchy, enforce_nesting
-from adjamr.solver import (BoundarySpec, fill_ghost_from_coarse, fill_ghost_physical,
+from adjamr.solver import (BoundarySpec, LevelLayout, fill_ghost_from_coarse, fill_ghost_physical,
                            sample_patch_material, step_patch)
 
 
@@ -207,6 +207,355 @@ def test_cluster_random_properties(nx, ny, density, seed):
         assert boxes
     coverage_ok(mask, boxes, 0.7)
     assert all(max(b.shape) <= 16 for b in boxes)
+
+
+# Boxes `cluster` picked on its split table, captured before it ran on prefix
+# sums; ties must go the same way.  A row is (shape, density, seed,
+# threshold, max_edge, boxes) for the mask `default_rng(seed).random(shape) <
+# density`, and each box is (lo, hi, efficiency).
+SPLIT_TABLE = [
+    ((40,), 0.9, 0, 0.5, None,
+     [((39,), (39,), 1.0), ((28,), (37,), 1.0), ((0,), (25,), 0.9230769230769231)]),
+    ((17, 5), 0.21, 1, 0.7, None,
+     [((14, 0), (15, 0), 1.0), ((12, 1), (12, 1), 1.0), ((11, 0), (11, 0), 1.0),
+      ((10, 4), (10, 4), 1.0), ((9, 3), (9, 3), 1.0), ((10, 2), (10, 2), 1.0),
+      ((7, 4), (7, 4), 1.0), ((5, 3), (5, 3), 1.0), ((6, 1), (7, 1), 1.0),
+      ((3, 3), (3, 3), 1.0), ((3, 1), (3, 1), 1.0), ((1, 4), (1, 4), 1.0),
+      ((0, 2), (0, 2), 1.0)]),
+    ((13,), 0.36, 2, 1.0, None,
+     [((11,), (11,), 1.0), ((6,), (8,), 1.0), ((3,), (3,), 1.0), ((0,), (1,), 1.0)]),
+    ((10, 31), 0.65, 3, 0.5, 16,
+     [((0, 15), (9, 30), 0.63125), ((0, 0), (9, 14), 0.6333333333333333)]),
+    ((43,), 0.86, 4, 0.7, 16,
+     [((36,), (42,), 1.0), ((33,), (34,), 1.0), ((28,), (31,), 1.0), ((22,), (26,), 1.0),
+      ((18,), (20,), 1.0), ((15,), (15,), 1.0), ((11,), (13,), 1.0), ((9,), (9,), 1.0),
+      ((3,), (7,), 1.0), ((1,), (1,), 1.0)]),
+    ((8, 20), 0.05, 5, 1.0, 16,
+     [((7, 16), (7, 16), 1.0), ((6, 14), (6, 14), 1.0), ((5, 12), (5, 12), 1.0),
+      ((6, 9), (6, 10), 1.0), ((4, 8), (4, 8), 1.0), ((1, 11), (1, 11), 1.0),
+      ((2, 8), (2, 8), 1.0), ((1, 9), (1, 9), 1.0), ((0, 7), (0, 8), 1.0)]),
+    ((55,), 0.54, 6, 0.5, 30,
+     [((28,), (54,), 0.5555555555555556), ((25,), (26,), 1.0), ((21,), (23,), 1.0),
+      ((19,), (19,), 1.0), ((16,), (17,), 1.0), ((12,), (12,), 1.0), ((9,), (10,), 1.0),
+      ((7,), (7,), 1.0), ((0,), (3,), 1.0)]),
+    ((7, 30), 0.28, 7, 0.7, 30,
+     [((5, 29), (6, 29), 1.0), ((2, 29), (2, 29), 1.0), ((6, 25), (6, 25), 1.0),
+      ((4, 26), (4, 26), 1.0), ((6, 23), (6, 23), 1.0), ((5, 23), (5, 24), 1.0),
+      ((3, 27), (3, 27), 1.0), ((3, 24), (3, 24), 1.0), ((2, 23), (2, 23), 1.0),
+      ((3, 22), (3, 22), 1.0), ((2, 19), (2, 20), 1.0), ((1, 25), (1, 25), 1.0),
+      ((0, 24), (0, 24), 1.0), ((0, 23), (0, 23), 1.0), ((1, 22), (1, 22), 1.0),
+      ((0, 21), (0, 21), 1.0), ((0, 20), (0, 20), 1.0), ((6, 16), (6, 16), 1.0),
+      ((1, 16), (1, 16), 1.0), ((6, 14), (6, 14), 1.0), ((5, 13), (5, 13), 1.0),
+      ((6, 12), (6, 12), 1.0), ((5, 8), (6, 10), 1.0), ((6, 5), (6, 7), 1.0),
+      ((4, 13), (4, 13), 1.0), ((2, 14), (2, 14), 1.0), ((0, 11), (0, 12), 1.0),
+      ((1, 10), (1, 10), 1.0), ((4, 8), (4, 8), 1.0), ((3, 8), (3, 9), 1.0),
+      ((1, 9), (2, 9), 1.0), ((1, 7), (2, 7), 1.0), ((4, 5), (4, 6), 1.0),
+      ((3, 6), (3, 6), 1.0), ((2, 5), (2, 5), 1.0), ((1, 5), (1, 5), 1.0),
+      ((0, 6), (0, 6), 1.0), ((2, 3), (2, 3), 1.0), ((3, 0), (5, 0), 1.0),
+      ((1, 2), (1, 3), 1.0), ((0, 3), (0, 3), 1.0), ((1, 1), (1, 1), 1.0)]),
+    ((23,), 0.46, 8, 1.0, 30,
+     [((21,), (22,), 1.0), ((15,), (16,), 1.0), ((10,), (13,), 1.0), ((5,), (8,), 1.0),
+      ((2,), (2,), 1.0), ((0,), (0,), 1.0)]),
+    ((27, 11), 0.88, 9, 0.5, None,
+     [((0, 0), (26, 10), 0.8787878787878788)]),
+    ((30,), 0.28, 10, 0.7, None,
+     [((20,), (20,), 1.0), ((18,), (18,), 1.0), ((16,), (16,), 1.0), ((5,), (5,), 1.0),
+      ((3,), (3,), 1.0), ((1,), (1,), 1.0)]),
+    ((4, 36), 0.65, 11, 1.0, None,
+     [((3, 34), (3, 34), 1.0), ((2, 34), (2, 35), 1.0), ((3, 32), (3, 33), 1.0),
+      ((2, 33), (2, 33), 1.0), ((3, 29), (3, 29), 1.0), ((2, 28), (2, 29), 1.0),
+      ((2, 26), (2, 27), 1.0), ((3, 23), (3, 25), 1.0), ((3, 20), (3, 21), 1.0),
+      ((2, 21), (2, 21), 1.0), ((3, 19), (3, 19), 1.0), ((2, 16), (3, 18), 1.0),
+      ((3, 14), (3, 15), 1.0), ((2, 15), (2, 15), 1.0), ((2, 11), (3, 13), 1.0),
+      ((3, 9), (3, 10), 1.0), ((2, 6), (3, 8), 1.0), ((3, 3), (3, 4), 1.0),
+      ((2, 4), (2, 4), 1.0), ((2, 1), (3, 2), 1.0), ((2, 0), (2, 0), 1.0),
+      ((1, 35), (1, 35), 1.0), ((0, 34), (0, 35), 1.0), ((1, 33), (1, 33), 1.0),
+      ((0, 32), (0, 32), 1.0), ((0, 29), (1, 31), 1.0), ((1, 26), (1, 27), 1.0),
+      ((0, 26), (0, 26), 1.0), ((1, 24), (1, 24), 1.0), ((0, 24), (0, 25), 1.0),
+      ((0, 23), (1, 23), 1.0), ((0, 21), (1, 22), 1.0), ((1, 19), (1, 20), 1.0),
+      ((0, 19), (0, 19), 1.0), ((1, 16), (1, 17), 1.0), ((0, 17), (0, 17), 1.0),
+      ((1, 14), (1, 14), 1.0), ((0, 13), (0, 14), 1.0), ((1, 12), (1, 12), 1.0),
+      ((0, 10), (1, 11), 1.0), ((0, 9), (0, 9), 1.0), ((0, 6), (1, 7), 1.0),
+      ((1, 5), (1, 5), 1.0), ((0, 3), (1, 4), 1.0), ((0, 2), (0, 2), 1.0),
+      ((1, 1), (1, 1), 1.0), ((0, 0), (0, 1), 1.0)]),
+    ((44,), 0.88, 12, 0.5, 16,
+     [((38,), (43,), 1.0), ((34,), (36,), 1.0), ((26,), (33,), 1.0), ((24,), (24,), 1.0),
+      ((18,), (20,), 1.0), ((10,), (16,), 1.0), ((9,), (9,), 1.0), ((2,), (7,), 1.0),
+      ((0,), (0,), 1.0)]),
+    ((61, 5), 0.11, 13, 0.7, 16,
+     [((60, 4), (60, 4), 1.0), ((59, 2), (59, 2), 1.0), ((55, 2), (55, 3), 1.0),
+      ((50, 3), (50, 4), 1.0), ((49, 1), (49, 1), 1.0), ((43, 4), (43, 4), 1.0),
+      ((36, 3), (36, 3), 1.0), ((42, 0), (42, 0), 1.0), ((32, 1), (32, 1), 1.0),
+      ((31, 2), (31, 2), 1.0), ((30, 2), (30, 3), 1.0), ((29, 0), (29, 0), 1.0),
+      ((26, 2), (26, 2), 1.0), ((27, 0), (27, 0), 1.0), ((15, 4), (15, 4), 1.0),
+      ((15, 0), (15, 0), 1.0), ((12, 3), (12, 3), 1.0), ((11, 4), (11, 4), 1.0),
+      ((7, 3), (7, 3), 1.0), ((7, 0), (7, 0), 1.0), ((5, 1), (5, 1), 1.0),
+      ((0, 4), (0, 4), 1.0), ((1, 2), (2, 2), 1.0)]),
+    ((57,), 0.89, 14, 1.0, 16,
+     [((50,), (56,), 1.0), ((35,), (48,), 1.0), ((33,), (33,), 1.0), ((31,), (31,), 1.0),
+      ((22,), (29,), 1.0), ((19,), (20,), 1.0), ((9,), (17,), 1.0), ((0,), (8,), 1.0)]),
+    ((14, 22), 0.83, 15, 0.5, 30,
+     [((0, 0), (13, 21), 0.814935064935065)]),
+    ((55,), 0.25, 16, 0.7, 30,
+     [((48,), (48,), 1.0), ((45,), (45,), 1.0), ((41,), (41,), 1.0), ((34,), (34,), 1.0),
+      ((30,), (30,), 1.0), ((24,), (24,), 1.0), ((17,), (17,), 1.0), ((12,), (12,), 1.0),
+      ((10,), (10,), 1.0), ((8,), (8,), 1.0), ((5,), (5,), 1.0), ((2,), (2,), 1.0)]),
+    ((27, 5), 0.65, 17, 1.0, 30,
+     [((26, 4), (26, 4), 1.0), ((25, 3), (25, 4), 1.0), ((25, 2), (26, 2), 1.0),
+      ((25, 0), (26, 1), 1.0), ((24, 1), (24, 1), 1.0), ((22, 3), (23, 4), 1.0),
+      ((21, 3), (21, 3), 1.0), ((20, 3), (20, 4), 1.0), ((19, 3), (19, 3), 1.0),
+      ((18, 4), (18, 4), 1.0), ((15, 3), (17, 4), 1.0), ((23, 1), (23, 2), 1.0),
+      ((22, 1), (22, 1), 1.0), ((23, 0), (23, 0), 1.0), ((21, 2), (21, 2), 1.0),
+      ((20, 1), (20, 1), 1.0), ((19, 0), (19, 0), 1.0), ((18, 1), (18, 2), 1.0),
+      ((17, 1), (17, 1), 1.0), ((17, 0), (17, 0), 1.0), ((15, 0), (16, 2), 1.0),
+      ((14, 2), (14, 2), 1.0), ((14, 0), (14, 0), 1.0), ((13, 3), (13, 4), 1.0),
+      ((12, 3), (12, 3), 1.0), ((12, 2), (13, 2), 1.0), ((12, 0), (13, 1), 1.0),
+      ((10, 3), (11, 4), 1.0), ((11, 2), (11, 2), 1.0), ((11, 0), (11, 1), 1.0),
+      ((10, 1), (10, 1), 1.0), ((9, 3), (9, 4), 1.0), ((8, 4), (8, 4), 1.0),
+      ((7, 3), (7, 4), 1.0), ((6, 3), (6, 3), 1.0), ((5, 3), (5, 3), 1.0),
+      ((4, 3), (4, 3), 1.0), ((3, 3), (3, 4), 1.0), ((1, 4), (1, 4), 1.0),
+      ((0, 3), (0, 4), 1.0), ((8, 1), (9, 2), 1.0), ((9, 0), (9, 0), 1.0),
+      ((7, 1), (7, 2), 1.0), ((6, 2), (6, 2), 1.0), ((5, 1), (5, 2), 1.0),
+      ((6, 0), (6, 0), 1.0), ((2, 0), (4, 2), 1.0), ((0, 1), (1, 2), 1.0),
+      ((1, 0), (1, 0), 1.0)]),
+    ((51,), 0.75, 18, 0.5, None,
+     [((0,), (50,), 0.8235294117647058)]),
+    ((6, 46), 0.17, 19, 0.7, None,
+     [((4, 45), (4, 45), 1.0), ((3, 44), (3, 44), 1.0), ((3, 40), (3, 42), 1.0),
+      ((2, 43), (2, 43), 1.0), ((0, 45), (0, 45), 1.0), ((1, 41), (1, 41), 1.0),
+      ((0, 40), (0, 40), 1.0), ((3, 38), (3, 38), 1.0), ((4, 36), (4, 36), 1.0),
+      ((4, 34), (4, 34), 1.0), ((2, 35), (2, 35), 1.0), ((5, 30), (5, 30), 1.0),
+      ((4, 28), (4, 28), 1.0), ((3, 29), (3, 29), 1.0), ((0, 31), (0, 32), 1.0),
+      ((5, 21), (5, 21), 1.0), ((4, 22), (4, 22), 1.0), ((3, 21), (3, 21), 1.0),
+      ((2, 23), (2, 23), 1.0), ((1, 22), (1, 22), 1.0), ((0, 20), (0, 21), 1.0),
+      ((2, 19), (2, 19), 1.0), ((1, 18), (1, 18), 1.0), ((2, 17), (2, 17), 1.0),
+      ((2, 15), (2, 15), 1.0), ((4, 11), (5, 11), 1.0), ((3, 12), (3, 12), 1.0),
+      ((2, 11), (2, 12), 1.0), ((5, 8), (5, 8), 1.0), ((5, 6), (5, 6), 1.0),
+      ((5, 0), (5, 0), 1.0), ((3, 7), (3, 9), 1.0), ((3, 4), (3, 5), 1.0),
+      ((2, 2), (2, 2), 1.0), ((3, 0), (3, 0), 1.0), ((1, 12), (1, 14), 1.0),
+      ((1, 9), (1, 10), 1.0), ((1, 4), (1, 4), 1.0), ((0, 3), (0, 3), 1.0),
+      ((1, 1), (1, 2), 1.0)]),
+    ((26,), 0.07, 20, 1.0, None,
+     [((17,), (17,), 1.0), ((14,), (14,), 1.0)]),
+    ((49, 6), 0.17, 21, 0.5, 16,
+     [((47, 4), (47, 5), 1.0), ((45, 5), (45, 5), 1.0), ((44, 3), (44, 3), 1.0),
+      ((47, 0), (47, 0), 1.0), ((45, 0), (45, 0), 1.0), ((43, 1), (43, 1), 1.0),
+      ((37, 2), (39, 5), 0.5833333333333334), ((34, 0), (34, 0), 1.0),
+      ((30, 0), (31, 2), 0.5), ((27, 5), (27, 5), 1.0), ((27, 0), (28, 2), 0.5),
+      ((25, 3), (25, 3), 1.0), ((24, 0), (25, 0), 1.0), ((22, 1), (23, 1), 1.0),
+      ((19, 4), (19, 4), 1.0), ((17, 4), (17, 4), 1.0), ((14, 5), (14, 5), 1.0),
+      ((12, 5), (12, 5), 1.0), ((19, 1), (19, 1), 1.0), ((16, 1), (17, 1), 1.0),
+      ((13, 1), (13, 2), 1.0), ((10, 4), (10, 4), 1.0), ((9, 4), (9, 5), 1.0),
+      ((9, 3), (9, 3), 1.0), ((8, 5), (8, 5), 1.0), ((8, 1), (8, 1), 1.0),
+      ((6, 4), (6, 4), 1.0), ((6, 1), (6, 1), 1.0), ((3, 5), (3, 5), 1.0),
+      ((0, 3), (0, 3), 1.0), ((1, 1), (1, 1), 1.0)]),
+    ((61,), 0.59, 22, 0.7, 16,
+     [((59,), (60,), 1.0), ((56,), (56,), 1.0), ((53,), (53,), 1.0), ((47,), (48,), 1.0),
+      ((41,), (41,), 1.0), ((36,), (39,), 1.0), ((31,), (32,), 1.0),
+      ((16,), (29,), 0.7142857142857143), ((11,), (14,), 1.0), ((8,), (9,), 1.0),
+      ((4,), (4,), 1.0), ((0,), (2,), 1.0)]),
+    ((27, 1), 0.34, 23, 1.0, 16,
+     [((25, 0), (25, 0), 1.0), ((20, 0), (20, 0), 1.0), ((14, 0), (14, 0), 1.0),
+      ((12, 0), (12, 0), 1.0), ((6, 0), (7, 0), 1.0), ((2, 0), (3, 0), 1.0)]),
+    ((41,), 0.75, 24, 0.5, 30,
+     [((20,), (40,), 0.8571428571428571), ((0,), (19,), 0.8)]),
+    ((11, 29), 0.71, 25, 0.7, 30,
+     [((6, 27), (10, 28), 0.8), ((9, 25), (10, 26), 1.0), ((7, 25), (7, 25), 1.0),
+      ((10, 23), (10, 24), 1.0), ((6, 23), (8, 24), 0.8333333333333334),
+      ((7, 21), (10, 22), 0.75), ((10, 19), (10, 19), 1.0), ((9, 20), (9, 20), 1.0),
+      ((9, 18), (10, 18), 1.0), ((8, 19), (8, 20), 1.0), ((6, 18), (6, 18), 1.0),
+      ((10, 16), (10, 16), 1.0), ((9, 17), (9, 17), 1.0), ((9, 15), (10, 15), 1.0),
+      ((8, 16), (8, 17), 1.0), ((6, 15), (7, 16), 1.0),
+      ((8, 10), (10, 14), 0.7333333333333333), ((10, 8), (10, 8), 1.0),
+      ((8, 7), (8, 8), 1.0), ((9, 6), (10, 6), 1.0), ((8, 5), (8, 5), 1.0),
+      ((8, 0), (10, 4), 0.7333333333333333), ((6, 7), (7, 14), 0.75),
+      ((6, 0), (7, 5), 0.8333333333333334), ((0, 0), (5, 28), 0.7471264367816092)]),
+    ((59,), 0.59, 26, 1.0, 30,
+     [((57,), (58,), 1.0), ((51,), (52,), 1.0), ((48,), (48,), 1.0), ((44,), (45,), 1.0),
+      ((39,), (42,), 1.0), ((37,), (37,), 1.0), ((29,), (32,), 1.0), ((27,), (27,), 1.0),
+      ((25,), (25,), 1.0), ((20,), (20,), 1.0), ((18,), (18,), 1.0), ((13,), (16,), 1.0),
+      ((7,), (11,), 1.0), ((5,), (5,), 1.0), ((0,), (2,), 1.0)]),
+    ((9, 35), 0.53, 27, 0.5, None,
+     [((6, 28), (8, 34), 0.5238095238095238), ((7, 25), (8, 25), 1.0),
+      ((7, 22), (7, 22), 1.0), ((7, 20), (8, 20), 1.0), ((6, 21), (6, 21), 1.0),
+      ((8, 18), (8, 19), 1.0), ((7, 17), (8, 17), 1.0), ((6, 18), (6, 18), 1.0),
+      ((6, 13), (7, 16), 0.5), ((7, 11), (7, 12), 1.0), ((8, 9), (8, 10), 1.0),
+      ((6, 0), (8, 7), 0.5416666666666666), ((0, 22), (5, 34), 0.5384615384615384),
+      ((0, 5), (5, 20), 0.5104166666666666), ((5, 3), (5, 3), 1.0), ((3, 0), (3, 0), 1.0),
+      ((0, 0), (1, 3), 0.875)]),
+    ((35,), 0.87, 28, 0.7, None,
+     [((32,), (34,), 1.0), ((15,), (27,), 1.0), ((8,), (13,), 1.0), ((2,), (5,), 1.0),
+      ((0,), (0,), 1.0)]),
+    ((36, 4), 0.25, 29, 1.0, None,
+     [((31, 3), (32, 3), 1.0), ((30, 2), (30, 3), 1.0), ((29, 3), (29, 3), 1.0),
+      ((28, 3), (28, 3), 1.0), ((29, 1), (29, 1), 1.0), ((28, 0), (28, 0), 1.0),
+      ((25, 2), (25, 3), 1.0), ((24, 2), (24, 2), 1.0), ((24, 0), (24, 1), 1.0),
+      ((23, 0), (23, 0), 1.0), ((17, 2), (17, 3), 1.0), ((16, 3), (16, 3), 1.0),
+      ((15, 2), (15, 2), 1.0), ((18, 0), (18, 1), 1.0), ((15, 1), (16, 1), 1.0),
+      ((13, 1), (13, 1), 1.0), ((12, 1), (12, 2), 1.0), ((12, 0), (12, 0), 1.0),
+      ((9, 2), (10, 2), 1.0), ((9, 0), (10, 0), 1.0), ((8, 1), (8, 1), 1.0),
+      ((7, 0), (7, 0), 1.0), ((4, 2), (4, 2), 1.0), ((3, 3), (3, 3), 1.0),
+      ((1, 0), (2, 1), 1.0), ((0, 0), (0, 0), 1.0)]),
+    ((19,), 0.9, 30, 0.5, 16,
+     [((13,), (18,), 1.0), ((9,), (11,), 1.0), ((0,), (8,), 1.0)]),
+    ((5, 63), 0.48, 31, 0.7, 16,
+     [((4, 60), (4, 61), 1.0), ((3, 61), (3, 61), 1.0), ((2, 61), (2, 61), 1.0),
+      ((3, 58), (4, 59), 1.0), ((4, 57), (4, 57), 1.0), ((2, 57), (2, 57), 1.0),
+      ((1, 59), (1, 61), 1.0), ((1, 58), (1, 58), 1.0), ((0, 57), (0, 57), 1.0),
+      ((2, 55), (2, 56), 1.0), ((1, 55), (1, 55), 1.0), ((0, 55), (0, 55), 1.0),
+      ((4, 53), (4, 53), 1.0), ((3, 53), (3, 54), 1.0), ((3, 52), (3, 52), 1.0),
+      ((2, 51), (2, 51), 1.0), ((4, 50), (4, 50), 1.0), ((2, 49), (2, 50), 1.0),
+      ((0, 52), (0, 53), 1.0), ((1, 51), (1, 51), 1.0), ((1, 49), (1, 49), 1.0),
+      ((0, 49), (0, 50), 1.0), ((4, 48), (4, 48), 1.0), ((3, 47), (3, 47), 1.0),
+      ((2, 48), (2, 48), 1.0), ((1, 47), (1, 48), 1.0), ((0, 48), (0, 48), 1.0),
+      ((4, 45), (4, 45), 1.0), ((3, 43), (3, 43), 1.0), ((2, 44), (2, 44), 1.0),
+      ((4, 42), (4, 42), 1.0), ((3, 41), (3, 42), 1.0), ((2, 42), (2, 42), 1.0),
+      ((4, 39), (4, 40), 1.0), ((3, 40), (3, 40), 1.0), ((3, 38), (3, 38), 1.0),
+      ((2, 40), (2, 40), 1.0), ((4, 37), (4, 37), 1.0), ((3, 36), (3, 36), 1.0),
+      ((2, 36), (2, 36), 1.0), ((4, 34), (4, 35), 1.0), ((3, 34), (3, 34), 1.0),
+      ((4, 33), (4, 33), 1.0), ((2, 33), (2, 33), 1.0),
+      ((2, 30), (4, 31), 0.8333333333333334), ((4, 28), (4, 29), 1.0),
+      ((3, 28), (3, 28), 1.0), ((4, 27), (4, 27), 1.0), ((1, 44), (1, 45), 1.0),
+      ((0, 45), (0, 45), 1.0), ((0, 42), (0, 43), 1.0), ((0, 40), (1, 41), 1.0),
+      ((1, 37), (1, 39), 1.0), ((1, 35), (1, 35), 1.0), ((0, 34), (0, 34), 1.0),
+      ((1, 33), (1, 33), 1.0), ((0, 32), (0, 33), 1.0), ((1, 28), (1, 29), 1.0),
+      ((0, 27), (1, 27), 1.0), ((4, 25), (4, 25), 1.0), ((4, 22), (4, 22), 1.0),
+      ((2, 23), (2, 24), 1.0), ((1, 24), (1, 24), 1.0),
+      ((2, 19), (4, 21), 0.7777777777777778), ((3, 17), (3, 17), 1.0),
+      ((4, 15), (4, 15), 1.0), ((3, 14), (3, 14), 1.0), ((4, 13), (4, 13), 1.0),
+      ((2, 12), (2, 13), 1.0), ((4, 10), (4, 10), 1.0), ((3, 9), (3, 10), 1.0),
+      ((2, 8), (2, 8), 1.0), ((4, 6), (4, 6), 1.0), ((3, 7), (3, 7), 1.0),
+      ((4, 5), (4, 5), 1.0), ((2, 5), (2, 5), 1.0), ((4, 3), (4, 3), 1.0),
+      ((3, 2), (3, 2), 1.0), ((2, 2), (2, 2), 1.0), ((4, 0), (4, 1), 1.0),
+      ((1, 21), (1, 21), 1.0), ((0, 16), (1, 18), 0.8333333333333334),
+      ((0, 14), (0, 15), 1.0), ((1, 12), (1, 13), 1.0), ((0, 13), (0, 13), 1.0),
+      ((1, 11), (1, 11), 1.0), ((0, 6), (1, 9), 0.75), ((1, 4), (1, 4), 1.0),
+      ((0, 5), (0, 5), 1.0), ((0, 3), (0, 3), 1.0), ((0, 1), (1, 1), 1.0)]),
+    ((8,), 0.72, 32, 1.0, 16,
+     [((7,), (7,), 1.0), ((0,), (4,), 1.0)]),
+    ((52, 6), 0.12, 33, 0.5, 30,
+     [((51, 2), (51, 2), 1.0), ((48, 5), (48, 5), 1.0), ((47, 2), (47, 2), 1.0),
+      ((44, 5), (44, 5), 1.0), ((42, 3), (42, 3), 1.0), ((42, 0), (42, 0), 1.0),
+      ((41, 1), (41, 1), 1.0), ((39, 2), (40, 2), 1.0), ((40, 0), (40, 0), 1.0),
+      ((37, 5), (37, 5), 1.0), ((35, 4), (35, 4), 1.0), ((35, 2), (35, 2), 1.0),
+      ((35, 0), (35, 0), 1.0), ((33, 0), (33, 0), 1.0), ((30, 4), (30, 4), 1.0),
+      ((29, 3), (29, 3), 1.0), ((25, 3), (25, 3), 1.0), ((24, 4), (24, 4), 1.0),
+      ((22, 4), (22, 4), 1.0), ((21, 1), (21, 1), 1.0), ((19, 3), (19, 3), 1.0),
+      ((16, 5), (16, 5), 1.0), ((15, 2), (15, 2), 1.0), ((16, 0), (16, 0), 1.0),
+      ((12, 5), (12, 5), 1.0), ((12, 2), (12, 2), 1.0), ((12, 0), (12, 0), 1.0),
+      ((8, 0), (8, 1), 1.0), ((1, 5), (2, 5), 1.0), ((3, 3), (3, 3), 1.0),
+      ((2, 2), (2, 2), 1.0), ((2, 0), (2, 0), 1.0)]),
+    ((61,), 0.86, 34, 0.7, 30,
+     [((60,), (60,), 1.0), ((51,), (58,), 1.0), ((45,), (49,), 1.0),
+      ((30,), (44,), 0.8666666666666667), ((0,), (29,), 0.7)]),
+    ((3, 44), 0.45, 35, 1.0, 30,
+     [((2, 42), (2, 42), 1.0), ((1, 42), (1, 43), 1.0), ((0, 42), (0, 42), 1.0),
+      ((1, 41), (1, 41), 1.0), ((0, 40), (0, 40), 1.0), ((0, 39), (0, 39), 1.0),
+      ((2, 37), (2, 38), 1.0), ((0, 38), (0, 38), 1.0), ((1, 34), (2, 35), 1.0),
+      ((0, 34), (0, 34), 1.0), ((2, 32), (2, 32), 1.0), ((1, 32), (1, 33), 1.0),
+      ((1, 31), (2, 31), 1.0), ((0, 33), (0, 33), 1.0), ((0, 31), (0, 31), 1.0),
+      ((2, 30), (2, 30), 1.0), ((1, 29), (1, 29), 1.0), ((2, 28), (2, 28), 1.0),
+      ((0, 28), (0, 29), 1.0), ((2, 26), (2, 26), 1.0), ((1, 26), (1, 27), 1.0),
+      ((1, 24), (2, 24), 1.0), ((0, 25), (0, 25), 1.0), ((0, 22), (2, 23), 1.0),
+      ((2, 20), (2, 21), 1.0), ((0, 21), (0, 21), 1.0), ((1, 18), (2, 18), 1.0),
+      ((0, 19), (0, 19), 1.0), ((0, 15), (0, 16), 1.0), ((0, 14), (1, 14), 1.0),
+      ((1, 12), (1, 12), 1.0), ((0, 13), (0, 13), 1.0), ((0, 11), (1, 11), 1.0),
+      ((2, 8), (2, 8), 1.0), ((1, 9), (1, 9), 1.0), ((1, 7), (1, 7), 1.0),
+      ((2, 6), (2, 6), 1.0), ((1, 5), (1, 6), 1.0), ((2, 4), (2, 4), 1.0),
+      ((0, 4), (0, 5), 1.0), ((2, 2), (2, 3), 1.0), ((1, 1), (2, 1), 1.0),
+      ((0, 0), (0, 0), 1.0)]),
+    ((62,), 0.6, 36, 0.5, None,
+     [((32,), (61,), 0.7333333333333333), ((22,), (30,), 1.0), ((14,), (18,), 1.0),
+      ((0,), (11,), 0.75)]),
+    ((44, 7), 0.31, 37, 0.7, None,
+     [((43, 6), (43, 6), 1.0), ((42, 5), (42, 6), 1.0), ((43, 4), (43, 4), 1.0),
+      ((42, 1), (43, 1), 1.0), ((40, 5), (40, 6), 1.0), ((39, 5), (39, 5), 1.0),
+      ((38, 5), (38, 5), 1.0), ((40, 1), (40, 2), 1.0), ((41, 0), (41, 0), 1.0),
+      ((39, 2), (39, 4), 1.0), ((39, 0), (39, 1), 1.0), ((38, 0), (38, 0), 1.0),
+      ((35, 6), (35, 6), 1.0), ((34, 5), (34, 5), 1.0), ((36, 4), (36, 4), 1.0),
+      ((34, 3), (34, 3), 1.0), ((36, 2), (36, 2), 1.0), ((35, 1), (35, 1), 1.0),
+      ((36, 0), (36, 0), 1.0), ((34, 2), (34, 2), 1.0), ((32, 6), (32, 6), 1.0),
+      ((30, 4), (30, 5), 1.0), ((29, 5), (29, 5), 1.0), ((28, 5), (28, 5), 1.0),
+      ((26, 6), (26, 6), 1.0), ((24, 4), (24, 6), 1.0), ((22, 6), (22, 6), 1.0),
+      ((22, 4), (22, 4), 1.0), ((20, 6), (20, 6), 1.0), ((19, 5), (19, 5), 1.0),
+      ((20, 4), (20, 4), 1.0), ((16, 6), (16, 6), 1.0), ((16, 4), (16, 4), 1.0),
+      ((32, 2), (32, 2), 1.0), ((31, 3), (31, 3), 1.0), ((30, 0), (31, 0), 1.0),
+      ((27, 3), (27, 3), 1.0), ((26, 2), (26, 2), 1.0), ((28, 0), (28, 0), 1.0),
+      ((27, 0), (27, 1), 1.0), ((25, 2), (25, 3), 1.0), ((23, 2), (23, 2), 1.0),
+      ((25, 1), (25, 1), 1.0), ((24, 0), (24, 0), 1.0), ((23, 0), (23, 0), 1.0),
+      ((18, 3), (19, 3), 1.0), ((16, 2), (17, 3), 1.0), ((15, 2), (15, 2), 1.0),
+      ((14, 3), (14, 3), 1.0), ((13, 2), (13, 3), 1.0), ((12, 3), (12, 3), 1.0),
+      ((11, 3), (11, 3), 1.0), ((20, 0), (21, 0), 1.0), ((17, 0), (18, 1), 1.0),
+      ((15, 0), (15, 0), 1.0), ((14, 1), (14, 1), 1.0), ((11, 1), (12, 1), 1.0),
+      ((10, 5), (10, 5), 1.0), ((9, 4), (9, 5), 1.0), ((10, 3), (10, 3), 1.0),
+      ((8, 5), (8, 5), 1.0), ((7, 6), (7, 6), 1.0), ((7, 3), (7, 4), 1.0),
+      ((4, 5), (4, 6), 1.0), ((5, 4), (5, 4), 1.0), ((3, 6), (3, 6), 1.0),
+      ((3, 4), (3, 4), 1.0), ((2, 5), (2, 5), 1.0), ((1, 5), (1, 6), 1.0),
+      ((2, 4), (2, 4), 1.0), ((10, 0), (10, 2), 1.0), ((8, 1), (8, 1), 1.0),
+      ((7, 2), (7, 2), 1.0), ((6, 1), (6, 2), 1.0), ((4, 1), (4, 1), 1.0),
+      ((1, 1), (2, 2), 1.0), ((1, 0), (1, 0), 1.0), ((0, 2), (0, 2), 1.0)]),
+    ((28,), 0.88, 38, 1.0, None,
+     [((5,), (27,), 1.0), ((0,), (3,), 1.0)]),
+    ((6, 51), 0.14, 39, 0.5, 16,
+     [((4, 50), (4, 50), 1.0), ((3, 47), (3, 47), 1.0), ((0, 46), (0, 47), 1.0),
+      ((0, 43), (0, 43), 1.0), ((2, 38), (2, 38), 1.0), ((1, 39), (1, 39), 1.0),
+      ((0, 34), (4, 36), 0.5333333333333333), ((3, 32), (4, 32), 1.0),
+      ((5, 30), (5, 30), 1.0), ((5, 28), (5, 28), 1.0), ((2, 30), (2, 30), 1.0),
+      ((3, 28), (3, 28), 1.0), ((1, 29), (1, 29), 1.0), ((2, 26), (2, 26), 1.0),
+      ((2, 18), (2, 18), 1.0), ((0, 19), (0, 19), 1.0), ((5, 15), (5, 15), 1.0),
+      ((3, 15), (3, 16), 1.0), ((5, 11), (5, 11), 1.0), ((3, 11), (3, 12), 1.0),
+      ((1, 11), (1, 11), 1.0), ((3, 8), (3, 9), 1.0), ((2, 9), (2, 9), 1.0),
+      ((2, 7), (2, 7), 1.0), ((1, 8), (1, 8), 1.0), ((3, 4), (5, 5), 0.5),
+      ((4, 2), (4, 2), 1.0), ((2, 2), (2, 2), 1.0), ((0, 2), (0, 2), 1.0)]),
+]
+SPLIT_TIES = {
+    "holes_on_both_axes":
+        [((4, 6), (8, 8), 1.0), ((4, 0), (8, 4), 1.0), ((0, 6), (2, 8), 1.0),
+         ((0, 0), (2, 4), 1.0)],
+    "holes_on_one_axis":
+        [((5, 0), (6, 2), 1.0), ((3, 0), (3, 2), 1.0), ((0, 1), (0, 2), 1.0),
+         ((0, 0), (1, 0), 1.0)],
+    "plus_inflections":
+        [((5, 3), (7, 4), 1.0), ((3, 0), (4, 7), 1.0), ((0, 3), (2, 4), 1.0)],
+    "l_shape":
+        [((4, 0), (7, 3), 1.0), ((0, 0), (3, 7), 1.0)],
+}
+
+
+def tie_masks():
+    """Masks whose first split is a tie: a hole as far from the centre on
+    both axes, two holes as far from it on one axis, Laplacian inflections
+    of equal strength and distance on both axes (the plus), and the L-shape
+    that takes a speculative split."""
+    holes = np.ones((9, 9), dtype=bool)
+    holes[3] = False
+    holes[:, 5] = False
+    rows = np.array([[1, 1, 1], [1, 0, 0], [0, 0, 0], [1, 1, 1], [0, 0, 0], [1, 1, 1],
+                     [1, 1, 1]], dtype=bool)
+    plus = np.zeros((8, 8), dtype=bool)
+    plus[3:5] = True
+    plus[:, 3:5] = True
+    ell = np.zeros((8, 8), dtype=bool)
+    ell[:4] = True
+    ell[:, :4] = True
+    return {"holes_on_both_axes": (holes, 0.5), "holes_on_one_axis": (rows, 0.5),
+            "plus_inflections": (plus, 0.5), "l_shape": (ell, 0.7)}
+
+
+def boxes_of(boxes):
+    return [(b.lo, b.hi, b.efficiency) for b in boxes]
+
+
+def test_cluster_reproduces_the_split_table():
+    for shape, density, seed, threshold, max_edge, want in SPLIT_TABLE:
+        mask = np.random.default_rng(seed).random(shape) < density
+        assert boxes_of(cluster(mask, threshold, max_edge)) == want, (shape, seed)
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_TIES))
+def test_cluster_breaks_ties_as_the_split_table(name):
+    mask, threshold = tie_masks()[name]
+    assert boxes_of(cluster(mask, threshold)) == SPLIT_TIES[name]
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +785,7 @@ def test_coarse_ghost_fill_never_uses_a_stale_plan():
         for p in patches:
             p.state[...] = rng.normal(size=p.state.shape)
             p.time = t_old
-            p.save_old()
+            LevelLayout.of([p]).save_old()
             p.state[...] = rng.normal(size=p.state.shape)
             p.time = t_new
         h.levels[1] = patches

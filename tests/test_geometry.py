@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adjamr.geometry import (OutOfRangeError, Patch, PatchHierarchy,
-                             PatchSpec, UniformField, bilinear_interpolate,
-                             cell_center, enforce_nesting, interpolate_patch,
-                             interpolate_uniform)
+                             PatchSpec, UniformField, enforce_nesting,
+                             interpolate_patch, interpolate_uniform)
 
 
 def spec_1d(nx=10, lo=0, level=1, dx=1.0, origin=0.0):
@@ -13,28 +12,33 @@ def spec_1d(nx=10, lo=0, level=1, dx=1.0, origin=0.0):
                      origin=(origin,))
 
 
+def center(spec, i):
+    """Center of cell i (interior or ghost) from the ghost-inclusive centers."""
+    xs, = spec.cell_centers(include_ghost=True)
+    return (xs[i - spec.lo[0] + spec.ghost_width],)
+
+
 def test_cell_center_half_offset():
     s = spec_1d(dx=1.0, origin=0.0)
-    assert cell_center(s, 0) == (0.5,)
+    assert center(s, 0) == (0.5,)
 
 
 def test_cell_center_fine_grid_arithmetic():
     s = spec_1d(nx=1000, dx=0.008, origin=-5.0)
-    x, = cell_center(s, 0)
+    x, = center(s, 0)
     assert x == pytest.approx(-4.996, abs=1e-12)
 
 
 def test_cell_center_level2_first_fine_center():
     fine = PatchSpec(level=2, lo=(0,), hi=(19,), dx=0.5, dy=0.0, origin=(0.0,))
-    assert cell_center(fine, 0) == (0.25,)
+    assert center(fine, 0) == (0.25,)
 
 
 def test_cell_center_out_of_range():
     s = spec_1d(nx=4)
-    with pytest.raises(OutOfRangeError):
-        cell_center(s, 6)       # beyond hi + ghost_width
-    with pytest.raises(OutOfRangeError):
-        cell_center(s, -3)
+    xs, = s.cell_centers(include_ghost=True)
+    # cells lo - ghost_width .. hi + ghost_width: 6 and -3 have no center
+    assert xs.tolist() == [-1.5, -0.5, 0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
 
 
 def test_cell_centers_spacing():
@@ -49,18 +53,23 @@ def field_2d(nx=4, ny=4, dx=1.0, dy=1.0, m=1):
     return UniformField(values=vals, origin=(0.0, 0.0), dx=dx, dy=dy)
 
 
+def at(field, point):
+    """`interpolate_uniform` at one point, an (m,) vector."""
+    return interpolate_uniform(field, *(np.array([p]) for p in point))[:, 0]
+
+
 def test_bilinear_constant_field():
     f = field_2d()
     f.values[...] = 7.25
     for pt in [(0.1, 0.1), (2.0, 3.3), (3.99, 0.02)]:
-        assert bilinear_interpolate(f, pt)[0] == pytest.approx(7.25, abs=1e-14)
+        assert at(f, pt)[0] == pytest.approx(7.25, abs=1e-14)
 
 
 def test_bilinear_nodal_exactness():
     f = field_2d()
     rng = np.random.default_rng(0)
     f.values[0] = rng.normal(size=(4, 4))
-    assert bilinear_interpolate(f, (1.5, 2.5))[0] == pytest.approx(
+    assert at(f, (1.5, 2.5))[0] == pytest.approx(
         f.values[0, 1, 2], abs=1e-14)
 
 
@@ -69,14 +78,14 @@ def test_bilinear_midpoint_average():
     f = field_2d()
     xs, ys = f.centers()
     f.values[0] = xs[:, None] + 0.0 * ys[None, :]
-    got = bilinear_interpolate(f, (1.0, 1.5))[0]
+    got = at(f, (1.0, 1.5))[0]
     assert got == pytest.approx(0.5 * (f.values[0, 0, 1] + f.values[0, 1, 1]), abs=1e-14)
 
 
 def test_bilinear_out_of_domain_raises():
     f = field_2d()
     with pytest.raises(OutOfRangeError):
-        bilinear_interpolate(f, (-0.5, 1.0))
+        at(f, (-0.5, 1.0))
 
 
 def test_bilinear_edge_clamps():
@@ -84,7 +93,7 @@ def test_bilinear_edge_clamps():
     xs, ys = f.centers()
     f.values[0] = xs[:, None] + 0.0 * ys[None, :]
     # inside the domain but outside the outermost centers: clamp to edge value
-    assert bilinear_interpolate(f, (0.1, 2.0))[0] == pytest.approx(0.5, abs=1e-14)
+    assert at(f, (0.1, 2.0))[0] == pytest.approx(0.5, abs=1e-14)
 
 
 @given(st.floats(0.01, 3.99), st.floats(0.01, 3.99),
@@ -97,8 +106,8 @@ def test_bilinear_linear_in_field(x, y, a, b):
     g.values[0] = rng.normal(size=(4, 4))
     combo = field_2d()
     combo.values[0] = a * f.values[0] + b * g.values[0]
-    lhs = bilinear_interpolate(combo, (x, y))[0]
-    rhs = a * bilinear_interpolate(f, (x, y))[0] + b * bilinear_interpolate(g, (x, y))[0]
+    lhs = at(combo, (x, y))[0]
+    rhs = a * at(f, (x, y))[0] + b * at(g, (x, y))[0]
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 

@@ -6,6 +6,8 @@ overlapping same-level interior, then the domain sides one after the other,
 x before y, low before high) and are stepped with `step_patch`.
 """
 
+import itertools
+import math
 import re
 
 import numpy as np
@@ -54,7 +56,7 @@ def _hierarchy(eq, seed=0):
     rng = np.random.default_rng(seed)
     h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 1.5), base_shape=(8, 6), ratios=[2])
     coarse = _patch(h, eq, 1, (0, 0), (7, 5), rng)
-    coarse.save_old()
+    LevelLayout.of([coarse]).save_old()
     coarse.state[...] = rng.uniform(-1.0, 1.0, coarse.state.shape)
     coarse.time = 0.1
     h.levels = [[coarse], [_patch(h, eq, 2, lo, hi, rng) for lo, hi in BOXES]]
@@ -166,3 +168,122 @@ def test_level_step_errors_name_the_offending_patch():
     with pytest.raises(NumericalBlowupError) as err:
         lay.step(1e-3, eq, "MC")
     assert str(err.value).startswith(repr(bad))
+
+
+# ---------------------------------------------------------------------------
+# The physical-boundary plan and the shelf packing
+
+
+def _ghost_maps(spec, boundary, level_shape, start):
+    """Per axis, the packed index each position of a patch's padded box reads
+    and whether that read is reflected: the per-patch rule the level-wide
+    plan replaced.  Low sides go before high ones."""
+    g = spec.ghost_width
+    maps, flips = [], []
+    for a, n in enumerate(spec.total_shape):
+        idx, flip = np.arange(start[a], start[a] + n), np.zeros(n, dtype=bool)
+        for high in (False, True):
+            if (spec.hi[a] == level_shape[a] - 1) if high else (spec.lo[a] == 0):
+                ghost = slice(n - g, n) if high else slice(0, g)
+                if boundary.side(a, high) == "wall":
+                    src = (slice(n - g - 1, n - 2 * g - 1, -1) if high
+                           else slice(2 * g - 1, g - 1, -1))
+                    idx[ghost], flip[ghost] = idx[src], ~flip[src]
+                else:
+                    src = slice(n - g - 1, n - g) if high else slice(g, g + 1)
+                    idx[ghost], flip[ghost] = idx[src], flip[src]
+        maps.append(idx)
+        flips.append(flip)
+    return maps, flips
+
+
+def _per_patch_plan(lay, boundary, eq, level_shape):
+    """{(dst, src, signs)} of the per-patch physical plan."""
+    m, *shape = lay.state.shape
+    out = set()
+    for p, off in zip(lay.patches, lay.offsets):
+        maps, flips = _ghost_maps(p.spec, boundary, level_shape, off)
+        own = np.meshgrid(*(np.arange(o, o + n) for o, n in zip(off, p.spec.total_shape)),
+                          indexing="ij")
+        mapped = np.meshgrid(*maps, indexing="ij")
+        moved = np.any([i != j for i, j in zip(own, mapped)], axis=0)
+        s = np.ones((m, *p.spec.total_shape))
+        for a, f in enumerate(flips):
+            s[eq.normal_component(a)] *= np.where(f, -1.0, 1.0).reshape(
+                [-1 if b == a else 1 for b in range(len(shape))])
+        dst = np.ravel_multi_index(tuple(i[moved] for i in own), shape)
+        src = np.ravel_multi_index(tuple(i[moved] for i in mapped), shape)
+        out |= set(zip(dst.tolist(), src.tolist(), map(tuple, s[:, moved].T.tolist())))
+    return out
+
+
+def _random_level(rng, ndim):
+    """Level-2 patches on a random ratio-2 grid of tiles: every tile on a
+    domain side and a random half of the rest, so each side is met."""
+    base = tuple(int(n) for n in rng.integers(3, 9, size=ndim))
+    h = PatchHierarchy(xlim=(0.0, 1.0), ylim=(0.0, 1.0) if ndim == 2 else None,
+                       base_shape=base, ratios=[2])
+    cuts = [np.unique(np.concatenate(([0, n], rng.integers(1, n, size=2)))) * 2 for n in base]
+    tiles = [list(zip(c[:-1].tolist(), (c[1:] - 1).tolist())) for c in cuts]
+    boxes = [(tuple(t[0] for t in b), tuple(t[1] for t in b))
+             for b in itertools.product(*tiles)]
+    keep = [b for b in boxes if any(l == 0 or h == 2 * n - 1 for l, h, n in zip(*b, base))
+            or rng.random() < 0.5]
+    order = rng.permutation(len(keep))
+    return h, [Patch(h.make_spec(2, *keep[k]), 3 if ndim == 2 else 2) for k in order]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_physical_plan_equals_the_per_patch_maps(ndim, seed):
+    rng = np.random.default_rng(seed)
+    h, patches = _random_level(rng, ndim)
+    eq = _acoustics() if ndim == 2 else eqs.Acoustics1D(eqs.AcousticsMaterialModel(
+        lambda x: np.full_like(x, 2.0), lambda x: np.full_like(x, 1.0)))
+    lay = LevelLayout(patches)
+    shape = h.level_shape(2)
+    for sides in itertools.product(("wall", "outflow"), repeat=2 * ndim):
+        bc = BoundarySpec(*sides, *("wall",) * (4 - len(sides)))
+        _, dst, src, sign = lay._physical_plan(bc, eq, shape)
+        got = set(zip(dst.tolist(), src.tolist(), map(tuple, sign.T.tolist())))
+        assert len(got) == len(dst) and got == _per_patch_plan(lay, bc, eq, shape), sides
+
+
+def _old_width_area(boxes):
+    """Packed area under the one-width rule: shelves ceil(sqrt(total area))
+    wide (at least the widest box)."""
+    if len(boxes[0]) == 1:
+        return sum(b[0] for b in boxes)
+    width = max(max(b[1] for b in boxes), int(np.ceil(np.sqrt(sum(np.prod(b) for b in boxes)))))
+    x, y, thick, ny = 0, width, 0, 1
+    for b in sorted(boxes, key=lambda b: -b[0]):
+        if y + b[1] > width:
+            x, y, thick = x + thick, 0, b[0]
+        y += b[1]
+        ny = max(ny, y)
+    return (x + thick) * ny
+
+
+@pytest.mark.parametrize("band_cells", [64, 2048, solver.BAND_CELLS])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_shelf_pack_is_disjoint_banded_and_no_larger(ndim, band_cells, monkeypatch):
+    monkeypatch.setattr(solver, "BAND_CELLS", band_cells)
+    rng = np.random.default_rng(ndim * 100 + band_cells)
+    for _ in range(40):
+        boxes = [tuple(int(e) for e in rng.integers(5, 70, size=ndim))
+                 for _ in range(rng.integers(1, 25))]
+        offsets, shape, bands = solver._shelf_pack(boxes)
+        taken = np.zeros(shape, dtype=int)
+        for off, b in zip(offsets, boxes):
+            assert all(o >= 0 and o + e <= n for o, e, n in zip(off, b, shape))
+            taken[tuple(slice(o, o + e) for o, e in zip(off, b))] += 1
+        assert taken.max() == 1 and taken.sum() == sum(np.prod(b) for b in boxes)
+        assert math.prod(shape) <= _old_width_area(boxes)
+        assert bands[0][0] == 0 and bands[-1][1] == shape[0]
+        assert all(a[1] == b[0] for a, b in zip(bands, bands[1:]))
+        for lo, hi in bands:
+            inside = [off[0] for off, b in zip(offsets, boxes) if lo <= off[0] < hi]
+            assert all(off[0] + b[0] <= hi for off, b in zip(offsets, boxes)
+                       if lo <= off[0] < hi)                     # whole shelves
+            ny = shape[1] if ndim == 2 else 1
+            assert (hi - lo) * ny <= band_cells or len(set(inside)) == 1

@@ -113,7 +113,7 @@ def _three_patch_level(eq, seed=0):
     ctx = AmrContext(equation=eq, boundary=BC, strategy=EverywhereFlagging())
     coarse = make_patch(h, 1, (0, 0), (7, 5), ctx, 0.0)
     coarse.state[...] = rng.normal(size=coarse.state.shape)
-    coarse.save_old()
+    LevelLayout.of([coarse]).save_old()
     coarse.state[...] = rng.normal(size=coarse.state.shape)
     coarse.time = 0.1
     boxes = (((0, 0), (5, 4)), ((6, 0), (15, 3)), ((10, 6), (15, 11)))

@@ -3,7 +3,7 @@ import pytest
 
 from adjamr import equations as eqs
 from adjamr.geometry import Patch, PatchHierarchy
-from adjamr.solver import (BoundarySpec, SchedulingError, fill_ghost_from_coarse,
+from adjamr.solver import (BoundarySpec, LevelLayout, SchedulingError, fill_ghost_from_coarse,
                            fill_ghost_physical, integrate_patch, limiter_phi, march,
                            sample_patch_material, select_dt, step_patch)
 
@@ -253,7 +253,7 @@ def test_fill_ghost_from_coarse_rules():
     xs, ys = cspec.cell_centers(include_ghost=True)
     lin = xs[:, None] + 0.0 * ys[None, :]
     coarse.state[0] = lin                      # linear in x at told
-    coarse.save_old()
+    LevelLayout.of([coarse]).save_old()
     coarse.time = 1.0
     coarse.state[0] = lin + 10.0               # jumps by 10 at tnew
     h.levels = [[coarse], []]
