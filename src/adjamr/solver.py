@@ -285,14 +285,18 @@ def _shelf_pack(boxes):
     of at most BAND_CELLS cells).  2D boxes go thickest first onto shelves
     filled along y up to a width; shelves stack along x.  The width is the
     one of max(widest box, f·√(total area)), f in SHELF_FACTORS, that packs
-    into the smallest area.  A 1D box is a shelf of its own."""
+    into the smallest area with no shelf over BAND_CELLS cells (which would
+    widen the kernel's temporaries); the first width is always a candidate.
+    A 1D box is a shelf of its own."""
     nd = len(boxes[0])
     order = sorted(range(len(boxes)), key=lambda k: -boxes[k][0])
     root, widest = math.sqrt(sum(math.prod(b) for b in boxes)), max(b[-1] for b in boxes)
     factors = SHELF_FACTORS if nd == 2 else SHELF_FACTORS[:1]     # 1D: any width alike
     packs = [_shelves(boxes, order, w)
              for w in dict.fromkeys(max(widest, math.ceil(f * root)) for f in factors)]
-    offsets, shelves, ny = min(packs, key=lambda p: sum(p[1]) * p[2])
+    offsets, shelves, ny = min((p for k, p in enumerate(packs)
+                                if k == 0 or max(p[1]) * p[2] <= BAND_CELLS),
+                               key=lambda p: sum(p[1]) * p[2])
     edges, bands = np.cumsum(shelves).tolist(), [[0, 0]]
     for lo, hi in zip(edges[:-1], edges[1:]):
         if bands[-1][1] > 0 and (hi - bands[-1][0]) * ny > BAND_CELLS:

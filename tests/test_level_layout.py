@@ -249,11 +249,11 @@ def test_physical_plan_equals_the_per_patch_maps(ndim, seed):
         assert len(got) == len(dst) and got == _per_patch_plan(lay, bc, eq, shape), sides
 
 
-def _old_width_area(boxes):
-    """Packed area under the one-width rule: shelves ceil(sqrt(total area))
-    wide (at least the widest box)."""
+def _one_width_pack(boxes):
+    """(packed area, cells of the largest shelf) under the one-width rule:
+    shelves ceil(sqrt(total area)) wide (at least the widest box)."""
     if len(boxes[0]) == 1:
-        return sum(b[0] for b in boxes)
+        return sum(b[0] for b in boxes), max(b[0] for b in boxes)
     width = max(max(b[1] for b in boxes), int(np.ceil(np.sqrt(sum(np.prod(b) for b in boxes)))))
     x, y, thick, ny = 0, width, 0, 1
     for b in sorted(boxes, key=lambda b: -b[0]):
@@ -261,7 +261,7 @@ def _old_width_area(boxes):
             x, y, thick = x + thick, 0, b[0]
         y += b[1]
         ny = max(ny, y)
-    return (x + thick) * ny
+    return (x + thick) * ny, max(b[0] for b in boxes) * ny
 
 
 @pytest.mark.parametrize("band_cells", [64, 2048, solver.BAND_CELLS])
@@ -278,7 +278,8 @@ def test_shelf_pack_is_disjoint_banded_and_no_larger(ndim, band_cells, monkeypat
             assert all(o >= 0 and o + e <= n for o, e, n in zip(off, b, shape))
             taken[tuple(slice(o, o + e) for o, e in zip(off, b))] += 1
         assert taken.max() == 1 and taken.sum() == sum(np.prod(b) for b in boxes)
-        assert math.prod(shape) <= _old_width_area(boxes)
+        area, shelf = _one_width_pack(boxes)
+        assert math.prod(shape) <= area
         assert bands[0][0] == 0 and bands[-1][1] == shape[0]
         assert all(a[1] == b[0] for a, b in zip(bands, bands[1:]))
         for lo, hi in bands:
@@ -287,3 +288,4 @@ def test_shelf_pack_is_disjoint_banded_and_no_larger(ndim, band_cells, monkeypat
                        if lo <= off[0] < hi)                     # whole shelves
             ny = shape[1] if ndim == 2 else 1
             assert (hi - lo) * ny <= band_cells or len(set(inside)) == 1
+            assert (hi - lo) * ny <= max(band_cells, shelf)        # no wider than before
