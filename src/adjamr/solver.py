@@ -375,8 +375,7 @@ class LevelLayout:
                         if isinstance(getattr(self.aux, f.name), np.ndarray):
                             getattr(self.aux, f.name)[box] = getattr(p.aux, f.name)
                     p.aux = self.aux[box]
-        self.bands = [(slice(a, b), [k for k, o in enumerate(self.offsets) if a <= o[0] < b])
-                      for a, b in bands]
+        self.bands = [slice(a, b) for a, b in bands]
         self.flat = self.state.reshape(self.state.shape[0], -1)
         self.cells = sum(math.prod(p.spec.shape) for p in patches)
         shape = self.state.shape[1:]
@@ -596,7 +595,7 @@ class LevelLayout:
         components 0 and 1 + a only (all in 1D), so its updates and fluxes
         work on those two.
         """
-        x = self.bands[band][0]
+        x = self.bands[band]
         q = self.state[:, x]
         nd = q.ndim - 1
         n = q.shape[1:]
@@ -677,7 +676,7 @@ class LevelLayout:
         """The band's first patch above the unit Courant number, and its
         Courant number: the band's interfaces are solved again and each one
         touching an interior is charged to that interior's patch."""
-        x, ks = self.bands[band]
+        x = self.bands[band]
         left, right, coast = self._kernel[1][band][:3]
         q, inside, owner = self.state[:, x], self.interior[x], self._owner[x]
         nd = q.ndim - 1
@@ -691,7 +690,7 @@ class LevelLayout:
             np.maximum.at(fastest, np.where(inside[lo], owner[lo], owner[hi])[touch],
                           np.max(np.abs(res.speeds), axis=0)[touch])
             np.maximum(cfl, fastest * dtd[a], out=cfl)
-        k = next(k for k in ks if cfl[k] > 1.0 + 1e-12)
+        k = int(np.argmax(cfl > 1.0 + 1e-12))
         return self._refs[k](), float(cfl[k])
 
 
