@@ -4,7 +4,9 @@
 Each equation set (1D and 2D acoustics with variable material, linear
 shallow water with a dry shelf, and the time-reversed adjoint of each)
 steps one uniform patch of edge 16, 32 and 64 cells from a seeded random
-state at Courant number 0.9, refilling its wall ghosts before every step.
+state at Courant number 0.9, refilling its wall ghosts before every step;
+the 1D sets also step a 1000-cell patch, the one band of the 1d-interface
+x-t map run.
 Each 2D set then steps a level shaped like the median finest-level layout
 of the 2d-walls-timerange run under adjoint flagging (12 patches of edge
 12 to 16), patch by patch with `step_patch` and as one `LevelLayout`.
@@ -27,6 +29,7 @@ from adjamr.solver import (BoundarySpec, LevelLayout, fill_ghost_physical,
                            sample_patch_material, step_patch)
 
 EDGES = (16, 32, 64)
+XT_EDGE = 1000      # the 1d-interface grid: x-t map runs step one such band
 SECONDS = 0.3       # timed seconds of steps per run
 REPEATS = 3         # runs per line; the best is kept
 LEVEL_EDGES = (12, 13, 14, 14, 15, 16, 12, 14, 14, 15, 13, 16)
@@ -126,7 +129,7 @@ def main():
     for name, make in EQUATIONS:
         forward = make()
         for eq in (forward, forward.adjoint().reversed()):
-            for edge in EDGES:
+            for edge in EDGES + (XT_EDGE,) * (eq.m == 2):
                 rate = cell_updates_per_s(eq, edge, SECONDS, REPEATS)
                 print(f"{eq.name:32s} {edge:5d} {rate:15.4g}", flush=True)
             if eq.m == 3:

@@ -206,24 +206,20 @@ def query_window_times(t: float, window: TimeWindow,
     """Snapshot indices covering tau in [t, min(t + span, t_final)].
 
     When t or the upper endpoint is not aligned with a snapshot, the nearest
-    snapshot below / above is included as a bracket.
+    snapshot below / above is included as a bracket.  With no snapshot
+    inside, the brackets alone are returned.
     """
     times = store.times
     eps = 1e-9 * max(store.dt_snap, abs(float(times[-1])), 1.0)
     if t > times[-1] + eps:
         return []
     upper = min(t + window.span, window.t_final)
-    inside = np.nonzero((times >= t - eps) & (times <= upper + eps))[0]
-    out = list(inside)
-    if len(inside) == 0 or times[inside[0]] > t + eps:
-        below = np.nonzero(times < t - eps)[0]
-        if len(below):
-            out.insert(0, int(below[-1]))
-    if len(inside) == 0 or times[inside[-1]] < upper - eps:
-        above = np.nonzero(times > upper + eps)[0]
-        if len(above):
-            out.append(int(above[0]))
-    return [int(k) for k in out]
+    i = int(np.searchsorted(times, t - eps, side="left"))        # first >= t - eps
+    j = int(np.searchsorted(times, upper + eps, side="right"))   # first > upper + eps
+    if i >= j:
+        return [k for k in (i - 1, j) if 0 <= k < len(times)]
+    return list(range(i - 1 if i > 0 and times[i] > t + eps else i,
+                      j + 1 if j < len(times) and times[j - 1] < upper - eps else j))
 
 
 def _adjoint_dry_at(store: AdjointSnapshotStore, *coords):

@@ -219,15 +219,20 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
 
     times = []
     mq, mqh, mi = [], [], []
+    last = [None, None]      # the latest window and its windowed |q̂|_1 mask
 
     def sample(p):
         t = p.time
         q = p.interior()
         times.append(t)
         mq.append(np.sum(np.abs(q), axis=0) >= threshold)
-        idxs = adj.query_window_times(t, window, store)
-        mqh.append(np.max(qhat_norm[idxs], axis=0, initial=0.0) >= threshold)
-        inner = np.abs(np.sum(qhat[idxs] * q, axis=1))
+        idxs = adj.query_window_times(t, window, store)      # consecutive indices
+        w = slice(*(idxs[0], idxs[-1] + 1) if idxs else (0, 0))
+        if last[0] != w:
+            last[:] = w, np.max(qhat_norm[w], axis=0, initial=0.0) >= threshold
+        mqh.append(last[1])
+        s = qhat[w]
+        inner = np.abs(s[:, 0] * q[0] + s[:, 1] * q[1])      # m = 2 in 1D
         mi.append(np.max(inner, axis=0, initial=0.0) >= threshold)
 
     sample(patch)

@@ -118,37 +118,56 @@ def _check_wet(mat_l: SweMaterial, mat_r: SweMaterial, message: str):
         raise DryCellError(message)
 
 
+def split_jump(dp, dr, x, xs, den, a, w):
+    """Split the jump (dp, dr) onto the two moving wave families.
+
+    In every system here the left-going eigenvector has 1 in a component p
+    and −x_l in a component r, the right-going 1 and x_r; x is the impedance
+    (acoustics) or the wave speed (shallow water).  `x` stacks (x_l, x_r),
+    `xs` (x_r, x_l), and den = x_l + x_r.  Writes family k's (k = 0
+    left-going) component-p entry into a[k], its component-r entry into w[k].
+    """
+    np.multiply(xs, dp, out=a)
+    np.subtract(a[0], dr, out=a[0])
+    np.add(a[1], dr, out=a[1])
+    np.divide(a, den, out=a)
+    np.multiply(a, x, out=w)
+    np.negative(w[0], out=w[0])
+
+
+def transverse_parts(fp, fr, x, xs, c, den, t, bp, br):
+    """Split a fluctuation's (fp, fr) onto the down- and up-going transverse
+    families, weighted by their speeds (−c_b, +c_a): `split_jump` across the
+    face normal with x = (x_b, x_a), xs = (x_a, x_b), c = (c_b, c_a), den =
+    x_b + x_a and work space t.  Writes component p of the (down, up) parts
+    into bp, component r into br.  fp or fr may be one signed zero (x·fp = fp).
+    """
+    if np.ndim(fp):
+        np.multiply(xs, fp, out=t)
+        np.subtract(t[0], fr, out=t[0])
+        np.add(t[1], fr, out=t[1])
+    else:
+        np.subtract(fp, fr, out=t[0])
+        np.add(fp, fr, out=t[1])
+    np.divide(t, den, out=t)
+    np.multiply(c, t, out=bp)
+    np.negative(bp[0], out=bp[0])
+    np.multiply(t, x, out=br)
+    np.multiply(br, c, out=br)
+
+
 def _two_wave_solve(d, p: int, r: int, x_l, x_r, c_l, c_r, m: int, fwave: bool,
                     zero_wave=None) -> RiemannResult:
-    """Split the jump `d` onto the two moving wave families.
-
-    Every system here has m components, m wave families and the same
-    structure: the left-going family (first, speed −c_l) has eigenvector 1
-    in component p and −x_l in component r, the right-going family (last,
-    speed +c_r) 1 and x_r; x is the impedance (acoustics) or the wave speed
-    (shallow water).  In 2D a middle family of speed exactly 0 carries
-    `zero_wave` = (component, values), the state jump transverse to the
-    face (zero in f-wave form).  `d` is the state jump in wave form and the
-    flux jump in f-wave form; only its components p and r are read.
-
-    Waves and speeds are written into one zeroed array.  Because c > 0 for
-    every valid material, the left-going fluctuation is the first family
-    alone and the right-going one the last: speed-weighted in wave form,
-    the f-waves themselves in f-wave form.
+    """`split_jump` of the jump `d` (of the state, or of the flux in f-wave
+    form) as a RiemannResult of m families.  In 2D a middle family of speed
+    exactly 0 carries `zero_wave` = (component, values).  As c > 0, the
+    left-going fluctuation is the first family alone, the right-going one
+    the last: speed-weighted in wave form, the f-waves in f-wave form.
     """
-    buf = np.zeros((m, m + 1, *d[p].shape))
+    buf = np.zeros((m, m + 1, *np.shape(d[p])))
     waves, speeds = buf[:, :m], buf[:, m]
-    a1, a2 = waves[0, p], waves[-1, p]
-    den = x_l + x_r
-    np.multiply(x_r, d[p], out=a1)
-    a1 -= d[r]
-    a1 /= den
-    np.multiply(x_l, d[p], out=a2)
-    a2 += d[r]
-    a2 /= den
-    np.multiply(a1, x_l, out=waves[0, r])
-    np.negative(waves[0, r], out=waves[0, r])
-    np.multiply(a2, x_r, out=waves[-1, r])
+    x = np.stack(np.broadcast_arrays(x_l, x_r, d[p])[:2])
+    split_jump(d[p], d[r], x, x[::-1], x[0] + x[1], waves[::m - 1, p], waves[::m - 1, r])
     np.negative(c_l, out=speeds[0])
     speeds[-1] = c_r
     if zero_wave is not None:
@@ -162,29 +181,11 @@ def _two_wave_solve(d, p: int, r: int, x_l, x_r, c_l, c_r, m: int, fwave: bool,
 
 
 def _transverse_split(f, p: int, r: int, x_b, x_a, c_b, c_a):
-    """Split a fluctuation onto the down- and up-going transverse families.
-
-    The same structure as `_two_wave_solve` across the face normal: the
-    down-going eigenvector has 1 in component p and −x_b in component r, the
-    up-going 1 and x_a; each part is weighted by its speed (−c_b, +c_a).
-    Returns (down-going, up-going).
-    """
-    den = x_b + x_a
-    bd = x_a * f[p]
-    bd -= f[r]
-    bd /= den
-    bu = x_b * f[p]
-    bu += f[r]
-    bu /= den
-    bm, bp = np.zeros((2, *f.shape))
-    np.multiply(c_b, bd, out=bm[p])
-    np.negative(bm[p], out=bm[p])
-    np.multiply(bd, x_b, out=bm[r])
-    bm[r] *= c_b
-    np.multiply(c_a, bu, out=bp[p])
-    np.multiply(bu, x_a, out=bp[r])
-    bp[r] *= c_a
-    return bm, bp
+    """`transverse_parts` of the fluctuation f: (down-going, up-going)."""
+    out = np.zeros((3, *f.shape))           # down-going, up-going, work space
+    x, c = (np.stack(np.broadcast_arrays(u, v, f[p])[:2]) for u, v in ((x_b, x_a), (c_b, c_a)))
+    transverse_parts(f[p], f[r], x, x[::-1], c, x[0] + x[1], out[2, :2], out[:2, p], out[:2, r])
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +208,15 @@ def acoustics_rp_normal_2d(axis: int, q_l, q_r, mat_l: AcousticsMaterial,
     """
     _check_acoustics(mat_l, mat_r)
     dq = np.asarray(q_r, dtype=float) - np.asarray(q_l, dtype=float)
-    mu = 1 + axis          # normal velocity component
-    mv = 2 - axis          # transverse velocity component
+    mu, mv = 1 + axis, 2 - axis          # normal and transverse velocity components
     return _two_wave_solve(dq, mu, 0, mat_l.z, mat_r.z, mat_l.c, mat_r.c, 3, False,
                            zero_wave=(mv, dq[mv]))
 
 
 def acoustics_rp_transverse_2d(axis: int, fluct, mat_below: AcousticsMaterial,
                                mat_above: AcousticsMaterial):
-    """Split a normal fluctuation into transverse down/up-going parts.
-
-    For an x-face fluctuation the transverse direction is y and vice versa.
-    Returns (down-going, up-going) speed-weighted contributions.
-    """
+    """Split a normal fluctuation into (down-going, up-going) speed-weighted
+    parts across the face normal (y for an x-face fluctuation, and vice versa)."""
     _check_acoustics(mat_below, mat_above)
     f = np.asarray(fluct, dtype=float)
     mv = 2 - axis          # velocity component transverse to the face normal
@@ -233,14 +230,10 @@ def acoustics_rp_transverse_2d(axis: int, fluct, mat_below: AcousticsMaterial,
 
 def swe_linear_rp(axis: int, q_l, q_r, mat_l: SweMaterial, mat_r: SweMaterial) -> RiemannResult:
     """Linear SWE normal solve: gravity waves (1, ±√(g·h̄), 0) at speeds ∓√(g·h̄).
-
-    Both sides must be wet; coastline handling lives in the solver's
-    wet/dry masking, not here.
-    """
+    Both sides must be wet; the step kernel handles coastlines."""
     _check_wet(mat_l, mat_r, "swe_linear_rp requires wet cells on both sides")
     dq = np.asarray(q_r, dtype=float) - np.asarray(q_l, dtype=float)
-    mu = 1 + axis
-    mv = 2 - axis
+    mu, mv = 1 + axis, 2 - axis
     return _two_wave_solve(dq, 0, mu, mat_l.c, mat_r.c, mat_l.c, mat_r.c, 3, False,
                            zero_wave=(mv, dq[mv]))
 
@@ -278,12 +271,10 @@ def adjoint_flux(system: str, axis: int, q, mat):
 
 
 def adjoint_fwave_rp(system: str, axis: int, q_l, q_r, mat_l, mat_r) -> RiemannResult:
-    """f-wave Riemann solve for the adjoint of one of the three systems.
-
-    The flux jump is split onto eigenvectors of the transposed coefficient
-    matrix, left-going families using left-cell material and right-going
-    using right-cell material, so speed sets match the forward solver.
-    """
+    """f-wave Riemann solve for the adjoint of one of the three systems: the
+    flux jump split onto eigenvectors of the transposed coefficient matrix,
+    left-going families with the left cell's material, right-going with the
+    right's, so speed sets match the forward solver."""
     fl = _adjoint_flux_parts(system, axis, np.asarray(q_l, dtype=float), mat_l)
     fr = _adjoint_flux_parts(system, axis, np.asarray(q_r, dtype=float), mat_r)
     df = {comp: fr[comp] - fl[comp] for comp in fl}
@@ -349,12 +340,19 @@ class EquationSet:
     """One hyperbolic system bound to a material model.
 
     Subclasses provide normal/transverse interface solvers, the per-cell
-    maximum signal speed, and their adjoint counterpart.
+    maximum signal speed, and their adjoint counterpart.  The step kernel
+    reads their two-family structure: `p_slot`, the slot of p of `split_jump`
+    among (component 0, normal component); `x_field`, its material field x;
+    whether the flux jump is split (`fwave`) and the flux negated.
     """
 
     name: str
     m: int
     is_swe = False
+    p_slot = 1
+    x_field = "z"
+    fwave = False
+    time_reversed = False
 
     def __init__(self, material: MaterialModel):
         self.material = material
@@ -408,6 +406,8 @@ class SweLinear2D(EquationSet):
     name = "swe-linear-2d"
     m = 3
     is_swe = True
+    p_slot = 0
+    x_field = "c"
 
     def normal_rp(self, axis, ql, qr, matl, matr):
         return swe_linear_rp(axis, ql, qr, matl, matr)
@@ -421,6 +421,8 @@ class SweLinear2D(EquationSet):
 
 class _AdjointBase(EquationSet):
     system: str
+    p_slot = 0
+    fwave = True
 
     def normal_rp(self, axis, ql, qr, matl, matr):
         return adjoint_fwave_rp(self.system, axis, ql, qr, matl, matr)
@@ -449,6 +451,8 @@ class AdjointSweLinear2D(_AdjointBase):
     system = "swe-linear-2d"
     m = 3
     is_swe = True
+    p_slot = 1
+    x_field = "c"
 
 
 class TimeReversed(EquationSet):
@@ -460,10 +464,10 @@ class TimeReversed(EquationSet):
 
     def __init__(self, inner: EquationSet):
         super().__init__(inner.material)
-        self.inner = inner
-        self.name = inner.name + "-reversed"
-        self.m = inner.m
-        self.is_swe = inner.is_swe
+        self.inner, self.name = inner, inner.name + "-reversed"
+        self.m, self.is_swe, self.p_slot, self.x_field, self.fwave = (
+            inner.m, inner.is_swe, inner.p_slot, inner.x_field, inner.fwave)
+        self.time_reversed = not inner.time_reversed
 
     def normal_component(self, axis):
         return self.inner.normal_component(axis)
@@ -476,13 +480,8 @@ class TimeReversed(EquationSet):
             np.negative(res.waves, out=res.waves)
         for a in (res.speeds, res.fluct_minus, res.fluct_plus):
             np.negative(a, out=a)
-        return RiemannResult(
-            waves=res.waves[::-1],
-            speeds=res.speeds[::-1],
-            fluct_minus=res.fluct_plus,
-            fluct_plus=res.fluct_minus,
-            fwave=res.fwave,
-        )
+        return RiemannResult(res.waves[::-1], res.speeds[::-1], fluct_minus=res.fluct_plus,
+                             fluct_plus=res.fluct_minus, fwave=res.fwave)
 
     def transverse_rp(self, axis, fluct, mat_below, mat_above):
         bm, bp = self.inner.transverse_rp(axis, fluct, mat_below, mat_above)

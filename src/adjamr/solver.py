@@ -18,10 +18,13 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .equations import AcousticsMaterial, EquationSet, SweMaterial
+from .equations import (AcousticsMaterial, EquationSet, InvalidMaterialError, SweMaterial,
+                        _check_acoustics, split_jump, transverse_parts)
 from .geometry import (Patch, PatchHierarchy, Stencil, apply_stencil,
                        build_stencil, patch_stencil)
 
@@ -64,19 +67,31 @@ class BoundarySpec:
         return self.top if high else self.bottom
 
 
+def _phi_ops(name: str, theta, out, work):
+    """phi(theta) of the named limiter as array operations into `out`
+    (which may be theta itself), with `work` an array of theta's shape."""
+    def into(ufunc, a, b, to):
+        return partial(ufunc, out=to), a, b
+
+    ops = {"none": [(np.copyto, out, 1.0)],
+           "minmod": [into(np.minimum, 1.0, theta, out)],
+           "MC": [into(np.add, 1.0, theta, work), into(np.divide, work, 2.0, work),
+                  into(np.minimum, work, 2.0, work), into(np.multiply, 2.0, theta, out),
+                  into(np.minimum, work, out, out)],
+           "superbee": [into(np.multiply, 2.0, theta, work), into(np.minimum, 1.0, work, work),
+                        into(np.minimum, 2.0, theta, out), into(np.maximum, work, out, out)]}
+    if name not in ops:
+        raise ValueError(f"unknown limiter {name!r}")
+    return ops[name] + ([] if name == "none" else [into(np.maximum, 0.0, out, out)])
+
+
 def limiter_phi(name: str, theta: np.ndarray) -> np.ndarray:
     """Flux-limiter function phi(theta) for each supported limiter."""
-    if name == "none":
-        return np.ones_like(theta)
-    if name == "minmod":
-        return np.maximum(0.0, np.minimum(1.0, theta))
-    if name == "MC":
-        return np.maximum(0.0, np.minimum(np.minimum((1.0 + theta) / 2.0, 2.0),
-                                          2.0 * theta))
-    if name == "superbee":
-        return np.maximum(0.0, np.maximum(np.minimum(1.0, 2.0 * theta),
-                                          np.minimum(2.0, theta)))
-    raise ValueError(f"unknown limiter {name!r}")
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty_like(theta)
+    for op, *args in _phi_ops(name, theta, out, np.empty_like(theta)):
+        op(*args)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,126 +167,192 @@ def space_time_apply(coarse, stencil: Stencil, t: float):
 # Wave-propagation stepping
 
 
-def _limited_waves(waves, speeds, limiter: str, axis: int):
-    """Apply the wave limiter comparing each wave with its upwind neighbor.
-
-    Both neighbor dot products come from one product of each interface's
-    waves with the next interface's; at the array ends the missing neighbor
-    counts as a zero wave.
-    """
-    if limiter == "none":
-        return waves
-    ax = 2 + axis  # waves axes: (family, component, interfaces...)
-    dots = np.sum(waves * waves, axis=1)
-    n = waves.shape[ax]
-
-    def interfaces(s):
-        return _along(dots.ndim, ax - 1, s)
-
-    # pairs[i + 1] = W_i·W_{i+1}; pairs[0] and pairs[n] stay zero
-    shape = list(dots.shape)
-    shape[ax - 1] = n + 1
-    pairs = np.zeros(shape)
-    np.sum(waves[_along(waves.ndim, ax, slice(None, -1))]
-           * waves[_along(waves.ndim, ax, slice(1, None))],
-           axis=1, out=pairs[interfaces(slice(1, n))])
-    upwind = np.where(speeds > 0, pairs[interfaces(slice(None, -1))],
-                      pairs[interfaces(slice(1, None))])
-    theta = np.divide(upwind, dots, out=np.zeros_like(dots), where=dots > 0)
-    phi = limiter_phi(limiter, theta)
-    return phi[:, None] * waves
+def _pair(a, axis: int, shift: int, n: int):
+    """One read-only view stacking a[.., i, ..] and a[.., i + shift, ..] for
+    i < n along array axis `axis`; its first axis picks the side."""
+    first = a[_along(a.ndim, axis, slice(0, n))]
+    return as_strided(first, (2, *first.shape), (shift * a.strides[axis], *first.strides),
+                      writeable=False)
 
 
-def _correction_flux(waves, speeds, dtd, limiter: str, axis: int, fwave: bool):
-    """Limited second-order correction flux at each interface."""
-    lw = _limited_waves(waves, speeds, limiter, axis)
-    absS = np.abs(speeds)
-    if fwave:
-        coef = 0.5 * np.sign(speeds) * (1.0 - dtd * absS)
-    else:
-        coef = 0.5 * absS * (1.0 - dtd * absS)
-    return np.sum(coef[:, None] * lw, axis=0)
+def _face_speeds(c, dry):
+    """Each face's max|s|: the larger c of its two sides, 0 on dry/dry faces."""
+    speed = np.maximum(c[0], c[1])
+    return speed if dry is None else np.where(dry, 0.0, speed)
 
 
-def _mirror_state(q, comp):
-    out = q.copy()
-    out[comp] *= -1.0
-    return out
+class _Scratch:
+    """The band step's work arrays, one set that every band of every level
+    reuses.  It grows to the largest plan carved; the plans carved before
+    drop their operations (freeing the old set) and are built again."""
+
+    floats, flags, gen, plans = np.empty(0), np.empty(0, dtype=bool), 0, weakref.WeakSet()
+
+    @classmethod
+    def carve(cls, shapes, temp: int, flags: int):
+        """Views of `shapes`, then `temp` floats and `flags` bools (flat)."""
+        sizes = [math.prod(s) for s in shapes]
+        if sum(sizes) + temp > len(cls.floats) or flags > len(cls.flags):
+            for plan in cls.plans:
+                plan.ops, plan.gen = None, -1
+            size, nflags = max(sum(sizes) + temp, len(cls.floats)), max(flags, len(cls.flags))
+            cls.floats = cls.flags = None           # freed before the new set is taken
+            cls.floats, cls.flags = np.empty(size), np.empty(nflags, dtype=bool)
+            cls.gen += 1
+        ends = np.cumsum([0, *sizes]).tolist()
+        return ([cls.floats[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)],
+                cls.floats[ends[-1]:ends[-1] + temp], cls.flags[:flags])
 
 
-@dataclass
-class _CoastFaces:
-    """The state-independent half of the coastline rule on one axis.
+class _BandPlan:
+    """One band's step as a fixed run of array operations on views of its
+    state, its (face) materials and the shared `_Scratch`, built once per
+    band, equation set and limiter; `dtd` holds the step's dt/dx.
 
-    Interface states are mirrored across wet/dry faces: `wet_l`/`wet_r` say
-    where a side keeps its own state.  The solve on a wet/dry face uses the
-    wet side's material on both sides: `from_right` marks faces whose left
-    material comes from the right cell, `from_left` the reverse.  Dry/dry
-    faces (`dry_dry`) are solved with a dummy unit depth and zeroed; faces
-    that are not wet/wet (`not_wet_wet`) carry no correction flux.
+    On axis a only components 0 and 1 + a (the "slots") and the two moving
+    families enter: the 2D middle family has speed 0.  Every valid, padding
+    and clamped material has c > 0 (checked here), so the left-going family
+    moves at −c of the face's left material, the right-going one at +c of
+    its right (swapped for a time-reversed system), and the left-going one
+    compares with the next face in the limiter, the right-going one with
+    the previous.  The README's design notes give the signed zeros.
     """
 
-    wet_l: np.ndarray
-    wet_r: np.ndarray
-    from_right: np.ndarray
-    from_left: np.ndarray
-    dry_dry: np.ndarray
-    not_wet_wet: np.ndarray
+    def __init__(self, lay: "LevelLayout", band: int, eq: EquationSet, limiter: str):
+        x = lay.bands[band]
+        q, inside, aux = lay.state[:, x], lay.interior[x], lay.aux[x]
+        n = q.shape[1:]
+        nd, size = len(n), math.prod(n)
+        if eq.is_swe:       # dry cells clamped to unit depth, so solves there stay finite
+            gd = aux.gravity * np.where(aux.wet, aux.depth, 1.0)
+            cells = {"c": np.sqrt(gd), "gd": gd} if eq.fwave else {"c": np.sqrt(gd)}
+        else:
+            _check_acoustics(aux)
+            cells = {k: getattr(aux, k) for k in ("z", "c", "rho", "bulk")}
+        if not (cells["c"] > 0).all():
+            raise InvalidMaterialError(f"{lay.patches[0]}: wave speeds must be positive")
+        faces = [tuple(k - (b == a) for b, k in enumerate(n)) for a in range(nd)]
+        views, tmp, flags = _Scratch.carve(
+            [(eq.m, *n)] + [s for f in faces for s in ((2, 2, *f), (2, *f))], 10 * size, 2 * size)
+        self.band, self.gen = band, _Scratch.gen
+        _Scratch.plans.add(self)
 
+        def work(start: int, *shape):
+            """Work space `start` band sizes in: at 0 four sizes, at 4, 6 and 8 two."""
+            return tmp[start * size:][:math.prod(shape)].reshape(shape)
 
-def _coast_faces(matl: SweMaterial, matr: SweMaterial) -> _CoastFaces:
-    wl, wr = matl.wet, matr.wet
-    return _CoastFaces(wet_l=wl, wet_r=wr, from_right=~wl & wr, from_left=wl & ~wr,
-                       dry_dry=~wl & ~wr, not_wet_wet=~(wl & wr))
-
-
-def _pick(mask, if_true: SweMaterial, if_false: SweMaterial) -> SweMaterial:
-    """Per-cell choice between two materials of the same shape."""
-    return SweMaterial(*(np.where(mask, getattr(if_true, k), getattr(if_false, k))
-                         for k in ("bathymetry", "depth", "wet", "c")),
-                       gravity=if_true.gravity)
-
-
-def _swe_clamped_material(mat):
-    """Clamp dry cells to unit depth so the solves there stay finite.
-
-    This is the material of the transverse splits, and the dummy depth of
-    dry/dry faces in the normal solves.
-    """
-    return SweMaterial.create(-np.where(mat.wet, mat.depth, 1.0), 0.0, mat.gravity)
-
-
-def _transverse_cells(nd: int, a: int, high: bool, b_slice: slice):
-    """Cells on the low (fluct_minus) or high (fluct_plus) side of the
-    axis-a interfaces, restricted to `b_slice` along the other axis."""
-    out = [slice(None)] * nd
-    out[a] = slice(1, None) if high else slice(None, -1)
-    out[1 - a] = b_slice
-    return tuple(out)
-
-
-def _solve_axis(q, equation, axis, matl, matr, cf: _CoastFaces | None):
-    """All interface solves along one axis from the state q."""
-    ql = q[(slice(None), *_along(q.ndim - 1, axis, slice(None, -1)))]
-    qr = q[(slice(None), *_along(q.ndim - 1, axis, slice(1, None)))]
-    if cf is None:
-        return equation.normal_rp(axis, ql, qr, matl, matr)
-    mu = 1 + axis
-    ql_eff = np.where(cf.wet_l, ql, _mirror_state(qr, mu))
-    qr_eff = np.where(cf.wet_r, qr, _mirror_state(ql, mu))
-    res = equation.normal_rp(axis, ql_eff, qr_eff, _pick(cf.from_right, matr, matl),
-                             _pick(cf.from_left, matl, matr))
-    for a in (res.waves, res.speeds, res.fluct_minus, res.fluct_plus):
-        np.copyto(a, 0.0, where=cf.dry_dry)
-    return res
+        p, left, fwave = eq.p_slot, int(eq.time_reversed), eq.fwave    # left: left-going family
+        ones, every = (1,) * nd, slice(None)
+        sign_half = np.array([0.5, -0.5] if left else [-0.5, 0.5]).reshape(2, *ones)
+        dq = views[0]
+        self.dtd = [np.zeros(()) for _ in range(2 * nd)]       # dt/dx per axis, then halves
+        ops, tail, self.faces, self.speeds = [(np.copyto, dq, 0.0)], [], [], []
+        for a, fs in enumerate(faces):
+            d = self.dtd[a]
+            cs = slice(0, 2 + a, 1 + a)
+            lo, hi = _along(nd, a, slice(None, -1)), _along(nd, a, slice(1, None))
+            fl, flux = views[1 + 2 * a], views[2 + 2 * a]     # waves, then fluctuations
+            qs, dry = _pair(q[cs], 1 + a, 1, n[a] - 1), None   # (side, slot, faces)
+            if eq.is_swe:
+                wl, wr = aux.wet[lo], aux.wet[hi]
+                mat = {k: np.stack((np.where(~wl & wr, v[hi], v[lo]),
+                                    np.where(wl & ~wr, v[lo], v[hi]))) for k, v in cells.items()}
+                dry = ~wl & ~wr
+                raw, qs = qs, work(0, 2, 2, *fs)       # states mirrored across wet/dry faces
+                wet = _pair(aux.wet[None], 1 + a, 1, n[a] - 1)
+                ops += [(np.multiply, raw[::-1], np.array([1.0, -1.0]).reshape(2, *ones), qs),
+                        (np.copyto, qs, raw, "same_kind", wet)]
+                tail.append((np.copyto, flux, 0.0, "same_kind", ~(wl & wr)))
+            else:
+                mat = {k: _pair(v, a, 1, n[a] - 1) for k, v in cells.items()}
+            jump, den, c, xm = work(4, 2, *fs), work(6, *fs), mat["c"], mat[eq.x_field]
+            if not fwave:       # the jump in the state, or in the flux for f-waves
+                ops.append((np.subtract, qs[1], qs[0], jump))
+            elif eq.is_swe:
+                ff = work(6, 2, *fs)
+                ops += [(np.multiply, mat["gd"], qs[:, 1], ff),
+                        (np.subtract, ff[1], ff[0], jump[0]),
+                        (np.subtract, qs[1, 0], qs[0, 0], jump[1])]
+            else:
+                ff = work(0, 2, 2, *fs)
+                ops += [(np.divide, qs[:, 1], mat["rho"], ff[0]),
+                        (np.multiply, mat["bulk"], qs[:, 0], ff[1]),
+                        (np.subtract, ff[:, 1], ff[:, 0], jump)]
+            ops += [(np.add, xm[0], xm[1], den),
+                    (split_jump, jump[p], jump[1 - p], xm, xm[::-1], den, fl[:, p], fl[:, 1 - p])]
+            if fwave and left:
+                ops.append((np.negative, fl, fl))
+            if dry is not None:
+                ops.append((np.copyto, fl, 0.0, "same_kind", dry))
+            t4, waves = work(0, 2, 2, *fs), fl
+            if limiter != "none":
+                # each family's dot with itself and the products with the next
+                # face, padded by zeros at both ends, read at its upwind side
+                dots, pairs, theta = work(4, 2, *fs), work(6, 2, *n), work(8, 2, *fs)
+                t4_lo, mask = t4[(every, every, *lo)], flags[:2 * math.prod(fs)].reshape(2, *fs)
+                first = pairs[0][_along(nd, a, slice(1 - left, 1 - left + fs[a]))]
+                upwind = as_strided(first, (2, *fs), ((pairs.strides[0] + (2 * left - 1)
+                                                       * pairs.strides[1 + a]), *first.strides))
+                mid, ends = (pairs[(every, *_along(nd, a, s))]
+                             for s in (slice(1, fs[a]), slice(None, None, fs[a])))
+                ops += [(np.multiply, fl, fl, t4), (np.add, t4[:, 0], t4[:, 1], dots),
+                        (np.multiply, fl[(every, every, *lo)], fl[(every, every, *hi)], t4_lo),
+                        (np.add, t4_lo[:, 0], t4_lo[:, 1], mid), (np.copyto, ends, 0.0),
+                        (np.greater, dots, 0.0, mask), (np.copyto, theta, 0.0),
+                        (partial(np.divide, where=mask), upwind, dots, theta),
+                        *_phi_ops(limiter, theta, theta, work(6, 2, *fs)),
+                        (np.multiply, theta[:, None], fl, t4)]
+                waves = t4
+            coef = work(4, 2, *fs)
+            ops += [(np.multiply, d, c, coef), (np.subtract, 1.0, coef, coef)]
+            if fwave:
+                ops.append((np.multiply, sign_half, coef, coef))
+            else:
+                half = work(8, 2, *fs)
+                ops += [(np.multiply, 0.5, c, half), (np.multiply, half, coef, coef)]
+            ops += [(np.multiply, coef[:, None], waves, t4), (np.add, t4[0], t4[1], flux)]
+            if not fwave:       # the fluctuations: speed-weighted waves, or the f-waves
+                ops += [(np.multiply, c[:, None], fl, fl), (np.negative, fl[left], fl[left])]
+                if dry is not None:
+                    ops.append((np.copyto, fl, 0.0, "same_kind", dry))
+            dq_l, dq_r, mid = dq[(cs, *lo)], dq[(cs, *hi)], dq[(cs, *_along(nd, a, slice(1, -1)))]
+            diff = work(4, *mid.shape)
+            ops += [(np.multiply, d, fl, t4), (np.subtract, dq_r, t4[1 - left], dq_r),
+                    (np.subtract, dq_l, t4[left], dq_l)]
+            tail += [(np.subtract, flux[(every, *hi)], flux[(every, *lo)], diff),
+                     (np.multiply, d, diff, diff), (np.subtract, mid, diff, mid)]
+            self.faces.append((c, dry))
+            self.speeds.append(float(np.max(_face_speeds(c, dry), initial=0.0,
+                                            where=inside[lo] | inside[hi])))
+        # transverse splits of each side's axis-a fluctuations feed the
+        # other axis's fluxes in the rows below and above
+        zeros = (-0.0, -0.0) if fwave and left else (0.0, 0.0) if fwave else (-0.0, 0.0)
+        update = np.add if left else np.subtract
+        for a in range(nd if nd == 2 else 0):
+            b = 1 - a
+            for high, side, zero in ((False, left, zeros[0]), (True, 1 - left, zeros[1])):
+                at = _along(nd, a, slice(1, None) if high else slice(None, -1))
+                fl0 = views[1 + 2 * a][side, 0][_along(nd, b, slice(1, -1))]
+                xt, ct = (_pair(cells[k][at], b, 2, n[b] - 2) for k in (eq.x_field, "c"))
+                k, den = work(0, 2, 2, *fl0.shape), work(6, *fl0.shape)
+                lo_t, hi_t = (views[2 + 2 * b][(every, *at)][(every, *_along(
+                    nd, b, slice(s, s + n[b] - 2)))] for s in (0, 1))
+                ops += [(np.add, xt[0], xt[1], den),
+                        (transverse_parts, *((zero, fl0) if p else (fl0, zero)), xt, xt[::-1], ct,
+                         den, work(4, 2, *fl0.shape), k[:, p], k[:, 1 - p]),
+                        (np.multiply, self.dtd[nd + a], k, k),
+                        (update, lo_t, k[left], lo_t), (update, hi_t, k[1 - left], hi_t)]
+        if eq.is_swe:
+            tail.append((np.multiply, dq, aux.wet, dq))
+        self.ops = ops + tail + [(partial(np.add, where=inside), q, dq, q)]
 
 
 # ---------------------------------------------------------------------------
 # Level layouts
 
 # A level steps in bands of whole shelves of at most about this many cells,
-# and samples its parent in blocks of this many; it bounds the temporaries
-# (some forty floats per cell in the step kernel).
+# and samples its parent in blocks of this many; it bounds the step's work
+# arrays (a first step of an 8,100-cell band peaks at 1.9 MB in tracemalloc).
 BAND_CELLS = 8192
 
 
@@ -566,12 +647,27 @@ class LevelLayout:
         interfaces touching a patch interior.  CflViolationError (above 1)
         and NumericalBlowupError name the offending patch.  An interior
         update reads only its own box: each cell gets its patch's own step.
+        A band steps by its `_BandPlan`, whose max|s| (of the material only)
+        gives a Courant number equal to the largest of its patches'.
         """
         if dt <= 0:
             raise ValueError("dt must be positive")
-        if self._kernel is None or self._kernel[0] is not equation:
-            self._kernel = (equation, [None] * len(self.bands))
-        courant = max([self._step_band(b, dt, equation, limiter) for b in range(len(self.bands))])
+        if self._kernel is None or self._kernel[:2] != (equation, limiter):
+            self._kernel = (equation, limiter, [None] * len(self.bands))
+        plans, dtd = self._kernel[2], [dt / w for w in self._refs[0]().spec.widths]
+        courant = 0.0
+        for b, plan in enumerate(plans):
+            if plan is None or plan.gen != _Scratch.gen:
+                plan = plans[b] = _BandPlan(self, b, equation, limiter)
+            band = max(0.0, *(s * d for s, d in zip(plan.speeds, dtd)))
+            if band > 1.0 + 1e-12:
+                patch, cfl = self._cfl_offender(plan, dtd)
+                raise CflViolationError(f"{patch}: Courant number {cfl:.4f} > 1")
+            for a, d in enumerate(dtd):
+                plan.dtd[a][...], plan.dtd[len(dtd) + a][...] = d, 0.5 * d
+            for op, *args in plan.ops:
+                op(*args)
+            courant = max(courant, band)
         for r in self._refs:
             r().time += dt
         if not np.isfinite(self.state).all():
@@ -580,115 +676,19 @@ class LevelLayout:
                     raise NumericalBlowupError(f"{p}: non-finite state after the step")
         return courant
 
-    def _step_band(self, band: int, dt: float, equation: EquationSet, limiter: str) -> float:
-        """Step one band and return its Courant number.
-
-        Built once per band and equation set: per axis, the (clamped, for
-        shallow water) materials left and right of each interface and the
-        coastline faces; in 2D the (below, above) pairs of the four
-        transverse splits; on the first step, max|s| per axis over the
-        interfaces touching an interior (the speeds depend on the material
-        only).  The band's Courant number is the largest s·dt/dx of these,
-        which equals the largest over its patches bit for bit.  Only exact
-        zeros are skipped: the 2D middle wave family has speed 0, so only
-        the first and last are limited, and the solves along axis a touch
-        components 0 and 1 + a only (all in 1D), so its updates and fluxes
-        work on those two.
-        """
-        x = self.bands[band]
-        q = self.state[:, x]
-        nd = q.ndim - 1
-        n = q.shape[1:]
-        dtd = [dt / w for w in self._refs[0]().spec.widths]
-        cache = self._kernel[1]
-        if cache[band] is None:
-            aux = self.aux[x]
-            mat = _swe_clamped_material(aux) if equation.is_swe else aux
-            cache[band] = [
-                [mat[_along(nd, a, slice(None, -1))] for a in range(nd)],
-                [mat[_along(nd, a, slice(1, None))] for a in range(nd)],
-                [_coast_faces(aux[_along(nd, a, slice(None, -1))],
-                              aux[_along(nd, a, slice(1, None))]) for a in range(nd)]
-                if equation.is_swe else None,
-                [(mat[_transverse_cells(nd, a, high, slice(None, -2))],
-                  mat[_transverse_cells(nd, a, high, slice(2, None))])
-                 for a in range(nd) for high in (False, True)] if nd == 2 else [],
-                None]
-        left, right, coast, transverse, speeds = cache[band]
-        moving = slice(None, None, 2) if nd == 2 else slice(None)
-        comps = [slice(0, 2 + a, 1 + a) for a in range(nd)]
-
-        def at(c, axis, s):
-            """Index of components c and the cells `s` along `axis`."""
-            return (c, *_along(nd, axis, s))
-
-        # an axis's waves are dropped once its correction flux is formed
-        flucts, flux, found = [], [], []
-        for a in range(nd):
-            res = _solve_axis(q, equation, a, left[a], right[a],
-                              None if coast is None else coast[a])
-            if speeds is None:
-                lo, hi = (self.interior[x][_along(nd, a, s)]
-                          for s in (slice(None, -1), slice(1, None)))
-                found.append(float(np.max(np.abs(res.speeds), initial=0.0, where=lo | hi)))
-            flux.append(_correction_flux(res.waves[moving, comps[a]], res.speeds[moving],
-                                         dtd[a], limiter, a, res.fwave))
-            flucts.append((res.fluct_minus, res.fluct_plus))
-        del res
-        if speeds is None:
-            speeds = cache[band][4] = found
-        courant = max(0.0, *(s * d for s, d in zip(speeds, dtd)))
-        if courant > 1.0 + 1e-12:
-            patch, cfl = self._cfl_offender(band, dtd, equation)
-            raise CflViolationError(f"{patch}: Courant number {cfl:.4f} > 1")
-
-        if nd == 2:
-            # transverse splits of the x-interface fluctuations feed the y
-            # correction fluxes in the rows above and below, and vice versa
-            pairs = iter(transverse)
-            for a in range(nd):
-                b = 1 - a
-                for high, fluct in zip((False, True), flucts[a]):
-                    below, above = next(pairs)
-                    bm, bp = equation.transverse_rp(
-                        a, fluct[at(slice(None), b, slice(1, -1))], below, above)
-                    target = flux[b][(slice(None), *_transverse_cells(nd, a, high, slice(None)))]
-                    target[at(slice(None), b, slice(0, n[b] - 2))] -= 0.5 * dtd[a] * bm[comps[b]]
-                    target[at(slice(None), b, slice(1, n[b] - 1))] -= 0.5 * dtd[a] * bp[comps[b]]
-        dq = np.zeros_like(q)
-        for a, (minus, plus) in enumerate(flucts):
-            dq[at(comps[a], a, slice(1, None))] -= dtd[a] * plus[comps[a]]
-            dq[at(comps[a], a, slice(None, -1))] -= dtd[a] * minus[comps[a]]
-        del flucts, minus, plus
-        if coast is not None:
-            for f, cf in zip(flux, coast):
-                np.copyto(f, 0.0, where=cf.not_wet_wet)
-        for a in range(nd):
-            dq[at(comps[a], a, slice(1, -1))] -= dtd[a] * (
-                flux[a][at(slice(None), a, slice(1, None))]
-                - flux[a][at(slice(None), a, slice(None, -1))])
-        if coast is not None:
-            dq *= self.aux.wet[x]
-        np.add(q, dq, out=q, where=self.interior[x])
-        return courant
-
-    def _cfl_offender(self, band: int, dtd, equation: EquationSet):
+    def _cfl_offender(self, plan: _BandPlan, dtd):
         """The band's first patch above the unit Courant number, and its
-        Courant number: the band's interfaces are solved again and each one
-        touching an interior is charged to that interior's patch."""
-        x = self.bands[band]
-        left, right, coast = self._kernel[1][band][:3]
-        q, inside, owner = self.state[:, x], self.interior[x], self._owner[x]
-        nd = q.ndim - 1
+        Courant number: each interface touching an interior is charged to
+        that interior's patch."""
+        inside, owner = self.interior[self.bands[plan.band]], self._owner[self.bands[plan.band]]
+        nd = inside.ndim
         cfl = np.zeros(len(self.offsets))
-        for a in range(nd):
-            res = _solve_axis(q, equation, a, left[a], right[a],
-                              None if coast is None else coast[a])
+        for a, (c, dry) in enumerate(plan.faces):
             lo, hi = _along(nd, a, slice(None, -1)), _along(nd, a, slice(1, None))
             touch = inside[lo] | inside[hi]
             fastest = np.zeros(len(self.offsets))
             np.maximum.at(fastest, np.where(inside[lo], owner[lo], owner[hi])[touch],
-                          np.max(np.abs(res.speeds), axis=0)[touch])
+                          _face_speeds(c, dry)[touch])
             np.maximum(cfl, fastest * dtd[a], out=cfl)
         k = int(np.argmax(cfl > 1.0 + 1e-12))
         return self._refs[k](), float(cfl[k])

@@ -120,6 +120,44 @@ def test_window_nesting_property():
         assert narrow_set <= wide_set
 
 
+def _query_window_times_scans(t, window, store):
+    """The window query as three scans of the snapshot times: the oracle."""
+    times = store.times
+    eps = 1e-9 * max(store.dt_snap, abs(float(times[-1])), 1.0)
+    if t > times[-1] + eps:
+        return []
+    upper = min(t + window.span, window.t_final)
+    inside = np.nonzero((times >= t - eps) & (times <= upper + eps))[0]
+    out = list(inside)
+    if len(inside) == 0 or times[inside[0]] > t + eps:
+        below = np.nonzero(times < t - eps)[0]
+        if len(below):
+            out.insert(0, int(below[-1]))
+    if len(inside) == 0 or times[inside[-1]] < upper - eps:
+        above = np.nonzero(times > upper + eps)[0]
+        if len(above):
+            out.append(int(above[0]))
+    return [int(k) for k in out]
+
+
+def test_window_query_equals_the_scans():
+    # aligned and unaligned ends (within eps of a snapshot too), t before the
+    # first and past the last snapshot, point windows and windows ending
+    # before t (no snapshot inside)
+    rng = np.random.default_rng(11)
+    for t0, tf, dt in ((0.0, 20.0, 1.0), (-1.5, 2.25, 0.25), (3.0, 3.0 + 7 * 0.1, 0.1)):
+        store = make_store(t0, tf, dt)
+        times, eps = store.times, 1e-9 * max(dt, abs(tf), 1.0)
+        ts = np.concatenate([times, times + 0.4 * eps, times - 0.4 * eps, times + 3 * eps,
+                             rng.uniform(t0 - 2 * dt, tf + 2 * dt, 200)])
+        for t in ts:
+            for t_start in (tf, tf - 3.5 * dt, tf - 2 * dt, t0, t0 - dt):
+                for t_final in (tf, tf - 2.5 * dt):
+                    w = TimeWindow(t_start=min(t_start, t_final), t_final=t_final)
+                    assert query_window_times(t, w, store) == \
+                        _query_window_times_scans(t, w, store), (t, w)
+
+
 @given(st.floats(0.0, 20.0), st.floats(0.0, 20.0))
 @settings(max_examples=60, deadline=None)
 def test_window_query_bounds_hypothesis(t, span):

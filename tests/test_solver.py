@@ -66,11 +66,27 @@ def test_ghost_outflow_extrapolation_rule():
 
 
 def test_swe_coastline_mirror_state():
-    # the wall mirror used at wet/dry faces: (eta, mu, gamma) -> (eta, -mu, gamma)
-    from adjamr.solver import _mirror_state
-    q = np.array([[0.1], [5.0], [1.0]])
-    out = _mirror_state(q, 1)
-    assert np.allclose(out[:, 0], [0.1, -5.0, 1.0])
+    # a wet/dry face is a wall: the dry side takes the wet side's state
+    # mirrored, (eta, mu, gamma) -> (eta, -mu, gamma).  Water at rest stays
+    # at rest, and water moving onto the coast keeps its mass.
+    eq = eqs.SweLinear2D(eqs.SweMaterialModel(lambda x, y: -10.0 + 20.0 * x + 0.0 * y,
+                                              sea_level=0.0, gravity=9.81))
+    _, p = uniform_patch_2d(eq, 10, 6)
+    wet = p.aux.wet[p.spec.interior_slices()]
+    assert wet.any() and not wet.all()
+    dt = 0.8 * 0.1 / float(np.max(p.aux.c))
+    p.interior()[0] = 0.1 * wet
+    before = p.interior().copy()
+    fill_ghost_physical(p, BoundarySpec(), eq, (10, 6))
+    step_patch(p, dt, eq, "MC")
+    assert np.array_equal(p.interior(), before)
+    p.interior()[1] = 0.3 * wet
+    mass = p.interior()[0].sum()
+    for _ in range(5):
+        fill_ghost_physical(p, BoundarySpec(), eq, (10, 6))
+        step_patch(p, dt, eq, "MC")
+    assert p.interior()[0].sum() == pytest.approx(mass, abs=1e-13)
+    assert not p.interior()[:, ~wet].any()
 
 
 def test_constant_state_fixed_point_1d_and_2d():
