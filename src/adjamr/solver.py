@@ -98,13 +98,6 @@ def limiter_phi(name: str, theta: np.ndarray) -> np.ndarray:
 # Ghost filling
 
 
-def _along(ndim: int, ax: int, s: slice) -> tuple[slice, ...]:
-    """Index tuple selecting `s` on array axis `ax` and everything elsewhere."""
-    out = [slice(None)] * ndim
-    out[ax] = s
-    return tuple(out)
-
-
 def sample_patch_material(patch: Patch, equation: EquationSet,
                           boundary: BoundarySpec, level_shape: tuple[int, ...]):
     """Sample the material at every cell center, interior and ghost (the
@@ -167,11 +160,11 @@ def space_time_apply(coarse, stencil: Stencil, t: float):
 # Wave-propagation stepping
 
 
-def _pair(a, axis: int, shift: int, n: int):
-    """One read-only view stacking a[.., i, ..] and a[.., i + shift, ..] for
-    i < n along array axis `axis`; its first axis picks the side."""
-    first = a[_along(a.ndim, axis, slice(0, n))]
-    return as_strided(first, (2, *first.shape), (shift * a.strides[axis], *first.strides),
+def _pair(a, shift: int, n: int):
+    """One read-only view stacking a[..., k] and a[..., k + shift] for k < n;
+    its first axis picks the side."""
+    first = a[..., :n]
+    return as_strided(first, (2, *first.shape), (shift * a.strides[-1], *first.strides),
                       writeable=False)
 
 
@@ -209,6 +202,13 @@ class _BandPlan:
     state, its (face) materials and the shared `_Scratch`, built once per
     band, equation set and limiter; `dtd` holds the step's dt/dx.
 
+    Every operation runs over the band's cells flat, in packed order.  Along
+    axis a, whose neighbours lie `steps[a]` cells apart, face k joins cells
+    k and k + steps[a], and the transverse splits reach steps[b] cells to
+    either side.  On axis 1 this counts one face per row joining its last
+    cell to the next row's first: both are ghost or padding (every box has
+    two ghost columns), so its finite values reach no interior.
+
     On axis a only components 0 and 1 + a (the "slots") and the two moving
     families enter: the 2D middle family has speed 0.  Every valid, padding
     and clamped material has c > 0 (checked here), so the left-going family
@@ -220,20 +220,23 @@ class _BandPlan:
 
     def __init__(self, lay: "LevelLayout", band: int, eq: EquationSet, limiter: str):
         x = lay.bands[band]
-        q, inside, aux = lay.state[:, x], lay.interior[x], lay.aux[x]
-        n = q.shape[1:]
-        nd, size = len(n), math.prod(n)
+        inside, aux = lay.interior[x].reshape(-1), lay.aux[x]
+        size, nd = len(inside), lay.interior.ndim
+        q = lay.state[:, x].reshape(-1, size)
+        self.steps = [math.prod(lay.state.shape[2 + a:]) for a in range(nd)]
         if eq.is_swe:       # dry cells clamped to unit depth, so solves there stay finite
-            gd = aux.gravity * np.where(aux.wet, aux.depth, 1.0)
+            wet = aux.wet.reshape(size)
+            gd = aux.gravity * np.where(wet, aux.depth.reshape(size), 1.0)
             cells = {"c": np.sqrt(gd), "gd": gd} if eq.fwave else {"c": np.sqrt(gd)}
         else:
             _check_acoustics(aux)
-            cells = {k: getattr(aux, k) for k in ("z", "c", "rho", "bulk")}
+            cells = {k: getattr(aux, k).reshape(size) for k in ("z", "c", "rho", "bulk")}
         if not (cells["c"] > 0).all():
-            raise InvalidMaterialError(f"{lay.patches[0]}: wave speeds must be positive")
-        faces = [tuple(k - (b == a) for b, k in enumerate(n)) for a in range(nd)]
+            k = lay._owner[x].reshape(size)[np.argmin(cells["c"] > 0)]
+            raise InvalidMaterialError(f"{lay.patches[k]}: wave speeds must be positive")
+        faces = [size - s for s in self.steps]
         views, tmp, flags = _Scratch.carve(
-            [(eq.m, *n)] + [s for f in faces for s in ((2, 2, *f), (2, *f))], 10 * size, 2 * size)
+            [(eq.m, size)] + [s for f in faces for s in ((2, 2, f), (2, f))], 10 * size, 2 * size)
         self.band, self.gen = band, _Scratch.gen
         _Scratch.plans.add(self)
 
@@ -242,39 +245,37 @@ class _BandPlan:
             return tmp[start * size:][:math.prod(shape)].reshape(shape)
 
         p, left, fwave = eq.p_slot, int(eq.time_reversed), eq.fwave    # left: left-going family
-        ones, every = (1,) * nd, slice(None)
-        sign_half = np.array([0.5, -0.5] if left else [-0.5, 0.5]).reshape(2, *ones)
+        sign_half = np.array([0.5, -0.5] if left else [-0.5, 0.5]).reshape(2, 1)
         dq = views[0]
         self.dtd = [np.zeros(()) for _ in range(2 * nd)]       # dt/dx per axis, then halves
         ops, tail, self.faces, self.speeds = [(np.copyto, dq, 0.0)], [], [], []
-        for a, fs in enumerate(faces):
+        for a, (s, nf) in enumerate(zip(self.steps, faces)):
             d = self.dtd[a]
             cs = slice(0, 2 + a, 1 + a)
-            lo, hi = _along(nd, a, slice(None, -1)), _along(nd, a, slice(1, None))
+            lo, hi = slice(0, nf), slice(s, size)
             fl, flux = views[1 + 2 * a], views[2 + 2 * a]     # waves, then fluctuations
-            qs, dry = _pair(q[cs], 1 + a, 1, n[a] - 1), None   # (side, slot, faces)
+            qs, dry = _pair(q[cs], s, nf), None     # (side, slot, faces)
             if eq.is_swe:
-                wl, wr = aux.wet[lo], aux.wet[hi]
+                wl, wr = wet[lo], wet[hi]
                 mat = {k: np.stack((np.where(~wl & wr, v[hi], v[lo]),
                                     np.where(wl & ~wr, v[lo], v[hi]))) for k, v in cells.items()}
                 dry = ~wl & ~wr
-                raw, qs = qs, work(0, 2, 2, *fs)       # states mirrored across wet/dry faces
-                wet = _pair(aux.wet[None], 1 + a, 1, n[a] - 1)
-                ops += [(np.multiply, raw[::-1], np.array([1.0, -1.0]).reshape(2, *ones), qs),
-                        (np.copyto, qs, raw, "same_kind", wet)]
+                raw, qs = qs, work(0, 2, 2, nf)       # states mirrored across wet/dry faces
+                ops += [(np.multiply, raw[::-1], np.array([1.0, -1.0]).reshape(2, 1), qs),
+                        (np.copyto, qs, raw, "same_kind", _pair(wet[None], s, nf))]
                 tail.append((np.copyto, flux, 0.0, "same_kind", ~(wl & wr)))
             else:
-                mat = {k: _pair(v, a, 1, n[a] - 1) for k, v in cells.items()}
-            jump, den, c, xm = work(4, 2, *fs), work(6, *fs), mat["c"], mat[eq.x_field]
+                mat = {k: _pair(v, s, nf) for k, v in cells.items()}
+            jump, den, c, xm = work(4, 2, nf), work(6, nf), mat["c"], mat[eq.x_field]
             if not fwave:       # the jump in the state, or in the flux for f-waves
                 ops.append((np.subtract, qs[1], qs[0], jump))
             elif eq.is_swe:
-                ff = work(6, 2, *fs)
+                ff = work(6, 2, nf)
                 ops += [(np.multiply, mat["gd"], qs[:, 1], ff),
                         (np.subtract, ff[1], ff[0], jump[0]),
                         (np.subtract, qs[1, 0], qs[0, 0], jump[1])]
             else:
-                ff = work(0, 2, 2, *fs)
+                ff = work(0, 2, 2, nf)
                 ops += [(np.divide, qs[:, 1], mat["rho"], ff[0]),
                         (np.multiply, mat["bulk"], qs[:, 0], ff[1]),
                         (np.subtract, ff[:, 1], ff[:, 0], jump)]
@@ -284,66 +285,66 @@ class _BandPlan:
                 ops.append((np.negative, fl, fl))
             if dry is not None:
                 ops.append((np.copyto, fl, 0.0, "same_kind", dry))
-            t4, waves = work(0, 2, 2, *fs), fl
+            t4, waves = work(0, 2, 2, nf), fl
             if limiter != "none":
                 # each family's dot with itself and the products with the next
                 # face, padded by zeros at both ends, read at its upwind side
-                dots, pairs, theta = work(4, 2, *fs), work(6, 2, *n), work(8, 2, *fs)
-                t4_lo, mask = t4[(every, every, *lo)], flags[:2 * math.prod(fs)].reshape(2, *fs)
-                first = pairs[0][_along(nd, a, slice(1 - left, 1 - left + fs[a]))]
-                upwind = as_strided(first, (2, *fs), ((pairs.strides[0] + (2 * left - 1)
-                                                       * pairs.strides[1 + a]), *first.strides))
-                mid, ends = (pairs[(every, *_along(nd, a, s))]
-                             for s in (slice(1, fs[a]), slice(None, None, fs[a])))
+                dots, pairs, theta = work(4, 2, nf), work(6, 2, size), work(8, 2, nf)
+                t4_lo, mask = t4[:, :, :nf - s], flags[:2 * nf].reshape(2, nf)
+                first = pairs[0, (1 - left) * s:][:nf]
+                upwind = as_strided(first, (2, nf), (pairs.strides[0] + (2 * left - 1)
+                                                     * s * pairs.strides[1], *first.strides))
                 ops += [(np.multiply, fl, fl, t4), (np.add, t4[:, 0], t4[:, 1], dots),
-                        (np.multiply, fl[(every, every, *lo)], fl[(every, every, *hi)], t4_lo),
-                        (np.add, t4_lo[:, 0], t4_lo[:, 1], mid), (np.copyto, ends, 0.0),
+                        (np.multiply, fl[:, :, :nf - s], fl[:, :, s:], t4_lo),
+                        (np.add, t4_lo[:, 0], t4_lo[:, 1], pairs[:, s:nf]),
+                        (np.copyto, pairs.reshape(2, -1, s)[:, ::size // s - 1], 0.0),
                         (np.greater, dots, 0.0, mask), (np.copyto, theta, 0.0),
                         (partial(np.divide, where=mask), upwind, dots, theta),
-                        *_phi_ops(limiter, theta, theta, work(6, 2, *fs)),
+                        *_phi_ops(limiter, theta, theta, work(6, 2, nf)),
                         (np.multiply, theta[:, None], fl, t4)]
                 waves = t4
-            coef = work(4, 2, *fs)
+            coef = work(4, 2, nf)
             ops += [(np.multiply, d, c, coef), (np.subtract, 1.0, coef, coef)]
             if fwave:
                 ops.append((np.multiply, sign_half, coef, coef))
             else:
-                half = work(8, 2, *fs)
+                half = work(8, 2, nf)
                 ops += [(np.multiply, 0.5, c, half), (np.multiply, half, coef, coef)]
             ops += [(np.multiply, coef[:, None], waves, t4), (np.add, t4[0], t4[1], flux)]
             if not fwave:       # the fluctuations: speed-weighted waves, or the f-waves
                 ops += [(np.multiply, c[:, None], fl, fl), (np.negative, fl[left], fl[left])]
                 if dry is not None:
                     ops.append((np.copyto, fl, 0.0, "same_kind", dry))
-            dq_l, dq_r, mid = dq[(cs, *lo)], dq[(cs, *hi)], dq[(cs, *_along(nd, a, slice(1, -1)))]
-            diff = work(4, *mid.shape)
+            dq_l, dq_r, mid = dq[cs, lo], dq[cs, hi], dq[cs, s:nf]
+            diff = work(4, 2, nf - s)
             ops += [(np.multiply, d, fl, t4), (np.subtract, dq_r, t4[1 - left], dq_r),
                     (np.subtract, dq_l, t4[left], dq_l)]
-            tail += [(np.subtract, flux[(every, *hi)], flux[(every, *lo)], diff),
+            tail += [(np.subtract, flux[:, s:], flux[:, :nf - s], diff),
                      (np.multiply, d, diff, diff), (np.subtract, mid, diff, mid)]
             self.faces.append((c, dry))
             self.speeds.append(float(np.max(_face_speeds(c, dry), initial=0.0,
                                             where=inside[lo] | inside[hi])))
         # transverse splits of each side's axis-a fluctuations feed the
-        # other axis's fluxes in the rows below and above
+        # other axis's fluxes at the faces below and above the cell entered
         zeros = (-0.0, -0.0) if fwave and left else (0.0, 0.0) if fwave else (-0.0, 0.0)
         update = np.add if left else np.subtract
         for a in range(nd if nd == 2 else 0):
-            b = 1 - a
-            for high, side, zero in ((False, left, zeros[0]), (True, 1 - left, zeros[1])):
-                at = _along(nd, a, slice(1, None) if high else slice(None, -1))
-                fl0 = views[1 + 2 * a][side, 0][_along(nd, b, slice(1, -1))]
-                xt, ct = (_pair(cells[k][at], b, 2, n[b] - 2) for k in (eq.x_field, "c"))
-                k, den = work(0, 2, 2, *fl0.shape), work(6, *fl0.shape)
-                lo_t, hi_t = (views[2 + 2 * b][(every, *at)][(every, *_along(
-                    nd, b, slice(s, s + n[b] - 2)))] for s in (0, 1))
+            sa, sb, flux = self.steps[a], self.steps[1 - a], views[4 - 2 * a]
+            for h, side, zero in ((0, left, zeros[0]), (1, 1 - left, zeros[1])):
+                # cells c0.. with a face on side h and neighbours at ±sb
+                c0 = max(sb, h * sa)
+                n = min(size - sb, size - sa + h * sa) - c0
+                fl0 = views[1 + 2 * a][side, 0, c0 - h * sa:][:n]
+                xt, ct = (_pair(cells[k][c0 - sb:], 2 * sb, n) for k in (eq.x_field, "c"))
+                k, den = work(0, 2, 2, n), work(6, n)
+                lo_t, hi_t = flux[:, c0 - sb:c0 - sb + n], flux[:, c0:c0 + n]
                 ops += [(np.add, xt[0], xt[1], den),
                         (transverse_parts, *((zero, fl0) if p else (fl0, zero)), xt, xt[::-1], ct,
-                         den, work(4, 2, *fl0.shape), k[:, p], k[:, 1 - p]),
+                         den, work(4, 2, n), k[:, p], k[:, 1 - p]),
                         (np.multiply, self.dtd[nd + a], k, k),
                         (update, lo_t, k[left], lo_t), (update, hi_t, k[1 - left], hi_t)]
         if eq.is_swe:
-            tail.append((np.multiply, dq, aux.wet, dq))
+            tail.append((np.multiply, dq, wet, dq))
         self.ops = ops + tail + [(partial(np.add, where=inside), q, dq, q)]
 
 
@@ -680,16 +681,15 @@ class LevelLayout:
         """The band's first patch above the unit Courant number, and its
         Courant number: each interface touching an interior is charged to
         that interior's patch."""
-        inside, owner = self.interior[self.bands[plan.band]], self._owner[self.bands[plan.band]]
-        nd = inside.ndim
+        inside, owner = (v[self.bands[plan.band]].reshape(-1) for v in (self.interior, self._owner))
         cfl = np.zeros(len(self.offsets))
-        for a, (c, dry) in enumerate(plan.faces):
-            lo, hi = _along(nd, a, slice(None, -1)), _along(nd, a, slice(1, None))
+        for (c, dry), s, d in zip(plan.faces, plan.steps, dtd):
+            lo, hi = slice(0, len(inside) - s), slice(s, None)
             touch = inside[lo] | inside[hi]
             fastest = np.zeros(len(self.offsets))
             np.maximum.at(fastest, np.where(inside[lo], owner[lo], owner[hi])[touch],
                           _face_speeds(c, dry)[touch])
-            np.maximum(cfl, fastest * dtd[a], out=cfl)
+            np.maximum(cfl, fastest * d, out=cfl)
         k = int(np.argmax(cfl > 1.0 + 1e-12))
         return self._refs[k](), float(cfl[k])
 

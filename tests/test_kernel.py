@@ -7,6 +7,7 @@ floating-point operations shows up here before it reaches the run outputs.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,23 +150,101 @@ def _level(name, boxes, seed):
     return eq, LevelLayout(patches), 0.8 * min(h.widths(1)[:nd]) / speed, patches
 
 
+def _stepped_levels(order, padding=None):
+    """The LEVELS levels, level k stepped once per k in `order` (MC on odd k,
+    superbee on even); `padding` (a Generator) fills padding with random state."""
+    levels = [_level(name, boxes, k) for k, (name, boxes) in enumerate(LEVELS)]
+    for eq, lay, *_ in levels if padding else ():
+        pad = ~(lay.interior | lay._ghost)
+        lay.state[:, pad] = padding.uniform(-1.0, 1.0, (len(lay.state), int(pad.sum())))
+    for k in order:
+        eq, lay, dt, _ = levels[k]
+        lay.step(dt, eq, "MC" if k % 2 else "superbee")
+    return levels
+
+
 def test_interleaved_levels_step_as_each_alone(monkeypatch):
     # every band of every level shares the kernel's work arrays: stepping
     # levels of other shapes and equation sets in between changes no byte
     monkeypatch.setattr(solver, "BAND_CELLS", 16)       # a band per shelf
-
-    def run(order):
-        levels = [_level(name, boxes, k) for k, (name, boxes) in enumerate(LEVELS)]
-        for k in order:
-            eq, lay, dt, _ = levels[k]
-            lay.step(dt, eq, "MC" if k % 2 else "superbee")
-        return levels
-
     steps = 3
-    alone = run([k for k in range(len(LEVELS)) for _ in range(steps)])
-    mixed = run([k for _ in range(steps) for k in reversed(range(len(LEVELS)))])
+    alone = _stepped_levels([k for k in range(len(LEVELS)) for _ in range(steps)])
+    mixed = _stepped_levels([k for _ in range(steps) for k in reversed(range(len(LEVELS)))])
     for (name, _), (eq, a, *_), (_, b, *_) in zip(LEVELS, alone, mixed):
         assert len(a.bands) > 1, name
         if eq.is_swe:
             assert a.aux.wet.any() and not a.aux.wet[a.interior].all(), name
         assert a.state.tobytes() == b.state.tobytes(), name
+
+
+# sha256 of each LEVELS level's packed state after three steps (padding and
+# ghosts included), recorded from the kernel that stepped a 2D band's axis 1
+# on strided (rows, columns) views; the band size changes the packing
+LEVEL_DIGESTS = {
+    16: ("7389345f8ccbe3a39cc8a3a06d52e7e24d5bb8446abe3b1a02f3cb48cbea3a6b",
+         "432709f5ffcccebe6c93da89791221ba132aaaac5dd691869bdd9ce95312f873",
+         "a028348571aba5c1ffc44a9747f3bf0e99d47ca6f77ac1dacc7a59b24b299483",
+         "afebbeabf7c422a284b71b4f1242bd509605bdd23f3bf5e9180b9e9cc52a8d3c",
+         "a450387ad51e1821010a659366ed09bb93d83f2d35458b6d07ef5feeae656db5",
+         "5766e0dbc12e095646407a0122effcfdacbff934b4a83e1d4db7bf7bdf93dd53"),
+    solver.BAND_CELLS: (
+        "7389345f8ccbe3a39cc8a3a06d52e7e24d5bb8446abe3b1a02f3cb48cbea3a6b",
+        "432709f5ffcccebe6c93da89791221ba132aaaac5dd691869bdd9ce95312f873",
+        "ec2479f5ffac06a4d6d37db0f44f4334647dd03e4c7b2b931bad4f37eafec8f3",
+        "ac9f377ae634966262df3037cc6cd18c009bf3700ae5bf6c78b2c55ba4182a81",
+        "a450387ad51e1821010a659366ed09bb93d83f2d35458b6d07ef5feeae656db5",
+        "b35f8208ea44bd64b78aa5b7b7eb9f2d605de073c1adc1efcb75b98cabf0b685"),
+}
+
+
+@pytest.mark.parametrize("band_cells", sorted(LEVEL_DIGESTS))
+def test_packed_levels_bitwise(band_cells, monkeypatch):
+    monkeypatch.setattr(solver, "BAND_CELLS", band_cells)
+    levels = _stepped_levels([k for k in range(len(LEVELS)) for _ in range(3)])
+    got = [hashlib.sha256(lay.state.tobytes()).hexdigest() for _, lay, *_ in levels]
+    assert dict(zip([n for n, _ in LEVELS], got)) == dict(
+        zip([n for n, _ in LEVELS], LEVEL_DIGESTS[band_cells]))
+
+
+@pytest.mark.parametrize("band_cells", sorted(LEVEL_DIGESTS))
+def test_padding_state_reaches_no_interior(band_cells, monkeypatch):
+    # faces between a row's last cell and the next row's first join boxes
+    # and padding of different shelves: random padding must change no
+    # interior byte (zero padding would hide a leak)
+    monkeypatch.setattr(solver, "BAND_CELLS", band_cells)
+    order = [k for k in range(len(LEVELS)) for _ in range(3)]
+    zero, noisy = _stepped_levels(order), _stepped_levels(order, np.random.default_rng(3))
+    padded = [name for (name, _), (_, a, *_) in zip(LEVELS, zero)
+              if (~(a.interior | a._ghost)).any()]
+    assert len(padded) >= 3, padded
+    for (name, _), (_, a, *_), (_, b, *_) in zip(LEVELS, zero, noisy):
+        assert a.state[:, a.interior].tobytes() == b.state[:, b.interior].tobytes(), name
+
+
+def _third_step_peak(name, shape):
+    """tracemalloc's peak over the third step of one uniform patch (a band)."""
+    eq = _equation(name)
+    nd = len(shape)
+    h = PatchHierarchy(xlim=(0.0, 1.0), ylim=None if nd == 1 else (0.0, 1.0),
+                       base_shape=shape, ratios=[])
+    p = Patch(h.make_spec(1, (0,) * nd, tuple(n - 1 for n in shape)), eq.m)
+    sample_patch_material(p, eq, BC, shape)
+    p.interior()[...] = np.random.default_rng(7).uniform(-1.0, 1.0, p.interior().shape)
+    dt = 0.8 * min(p.spec.widths) / float(np.max(eq.max_speed(p.aux)))
+    for _ in range(2):
+        fill_ghost_physical(p, BC, eq, shape)
+        step_patch(p, dt, eq, "MC")
+    fill_ghost_physical(p, BC, eq, shape)
+    tracemalloc.start()
+    try:
+        step_patch(p, dt, eq, "MC")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_both_axes_step_without_iterator_buffers():
+    # a 54 x 54 2D band steps both axes as flat runs, as a 1D band of as
+    # many cells steps its one: no larger traced peak (strided axis-1 views
+    # made numpy's iterator allocate about four times the 1D figure)
+    assert _third_step_peak("acoustics-2d", (50, 50)) <= _third_step_peak("acoustics-1d", (2912,))

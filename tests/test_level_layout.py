@@ -170,6 +170,23 @@ def test_level_step_errors_name_the_offending_patch():
     assert str(err.value).startswith(repr(bad))
 
 
+def test_bad_wave_speed_names_the_patch_holding_it():
+    # a NaN bulk modulus passes the material's `<= 0` check; the band's step
+    # rejects it naming the second patch, which holds it, not the band's first
+    eq = eqs.Acoustics2D(eqs.AcousticsMaterialModel(
+        lambda x, y: np.where((x > 1.5) & (y > 1.0), np.nan, 1.0 + 0.5 * x),
+        lambda x, y: 1.0 + 0.1 * y))
+    h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 1.5), base_shape=(16, 12), ratios=[])
+    rng = np.random.default_rng(0)
+    patches = [_patch(h, eq, 1, lo, hi, rng) for lo, hi in (BOXES[0], BOXES[3])]
+    assert np.isnan(patches[1].aux.c).any() and not np.isnan(patches[0].aux.c).any()
+    lay = LevelLayout(patches)
+    assert len(lay.bands) == 1
+    with pytest.raises(eqs.InvalidMaterialError) as err:
+        lay.step(1e-3, eq, "MC")
+    assert str(err.value).startswith(repr(patches[1]) + ": wave speeds must be positive")
+
+
 # ---------------------------------------------------------------------------
 # The physical-boundary plan and the shelf packing
 
