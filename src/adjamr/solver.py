@@ -236,13 +236,24 @@ class _BandPlan:
             raise InvalidMaterialError(f"{lay.patches[k]}: wave speeds must be positive")
         faces = [size - s for s in self.steps]
         views, tmp, flags = _Scratch.carve(
-            [(eq.m, size)] + [s for f in faces for s in ((2, 2, f), (2, f))], 10 * size, 2 * size)
+            [(eq.m, size), *((2, f) for f in faces), (2 * faces[0] + 2 * nd * faces[-1],)],
+            10 * size, 2 * size)
         self.band, self.gen = band, _Scratch.gen
         _Scratch.plans.add(self)
 
         def work(start: int, *shape):
             """Work space `start` band sizes in: at 0 four sizes, at 4, 6 and 8 two."""
             return tmp[start * size:][:math.prod(shape)].reshape(shape)
+
+        def by_family(block, a: int):
+            """Axis a's (family, slot, face) view of a (slot, family, face)
+            block, whose slots axis 1 stores in reverse."""
+            return block[:4 * faces[a]].reshape(2, 2, faces[a])[::1 - 2 * a].transpose(1, 0, 2)
+
+        # the waves: axis 0's component-0 half (all the transverse splits
+        # read), the other slot's half that the axes share, axis 1's
+        # component-0 half
+        fls = [by_family(views[-1][2 * faces[0] * a:], a) for a in range(nd)]
 
         p, left, fwave = eq.p_slot, int(eq.time_reversed), eq.fwave    # left: left-going family
         sign_half = np.array([0.5, -0.5] if left else [-0.5, 0.5]).reshape(2, 1)
@@ -253,7 +264,7 @@ class _BandPlan:
             d = self.dtd[a]
             cs = slice(0, 2 + a, 1 + a)
             lo, hi = slice(0, nf), slice(s, size)
-            fl, flux = views[1 + 2 * a], views[2 + 2 * a]     # waves, then fluctuations
+            fl, flux = fls[a], views[1 + a]     # waves, then fluctuations
             qs, dry = _pair(q[cs], s, nf), None     # (side, slot, faces)
             if eq.is_swe:
                 wl, wr = wet[lo], wet[hi]
@@ -285,7 +296,7 @@ class _BandPlan:
                 ops.append((np.negative, fl, fl))
             if dry is not None:
                 ops.append((np.copyto, fl, 0.0, "same_kind", dry))
-            t4, waves = work(0, 2, 2, nf), fl
+            t4, waves = by_family(tmp, a), fl
             if limiter != "none":
                 # each family's dot with itself and the products with the next
                 # face, padded by zeros at both ends, read at its upwind side
@@ -329,12 +340,12 @@ class _BandPlan:
         zeros = (-0.0, -0.0) if fwave and left else (0.0, 0.0) if fwave else (-0.0, 0.0)
         update = np.add if left else np.subtract
         for a in range(nd if nd == 2 else 0):
-            sa, sb, flux = self.steps[a], self.steps[1 - a], views[4 - 2 * a]
+            sa, sb, flux = self.steps[a], self.steps[1 - a], views[2 - a]
             for h, side, zero in ((0, left, zeros[0]), (1, 1 - left, zeros[1])):
                 # cells c0.. with a face on side h and neighbours at ±sb
                 c0 = max(sb, h * sa)
                 n = min(size - sb, size - sa + h * sa) - c0
-                fl0 = views[1 + 2 * a][side, 0, c0 - h * sa:][:n]
+                fl0 = fls[a][side, 0, c0 - h * sa:][:n]
                 xt, ct = (_pair(cells[k][c0 - sb:], 2 * sb, n) for k in (eq.x_field, "c"))
                 k, den = work(0, 2, 2, n), work(6, n)
                 lo_t, hi_t = flux[:, c0 - sb:c0 - sb + n], flux[:, c0:c0 + n]
