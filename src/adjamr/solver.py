@@ -202,12 +202,13 @@ class _BandPlan:
     state, its (face) materials and the shared `_Scratch`, built once per
     band, equation set and limiter; `dtd` holds the step's dt/dx.
 
-    Every operation runs over the band's cells flat, in packed order.  Along
-    axis a, whose neighbours lie `steps[a]` cells apart, face k joins cells
-    k and k + steps[a], and the transverse splits reach steps[b] cells to
-    either side.  On axis 1 this counts one face per row joining its last
-    cell to the next row's first: both are ghost or padding (every box has
-    two ghost columns), so its finite values reach no interior.
+    Every operation is a run over the band's cells flat, in packed order:
+    face k of axis a joins cells k and k + steps[a], and the transverse
+    splits reach steps[b] cells to either side.  Axis 1's face from a row's
+    last cell to the next row's first joins ghost or padding cells (every
+    box has two ghost columns), so no interior reads its finite values.
+    The splits read only the waves' component-0 halves; the axes share one
+    region for the other half.
 
     On axis a only components 0 and 1 + a (the "slots") and the two moving
     families enter: the 2D middle family has speed 0.  Every valid, padding
@@ -219,10 +220,9 @@ class _BandPlan:
     """
 
     def __init__(self, lay: "LevelLayout", band: int, eq: EquationSet, limiter: str):
-        x = lay.bands[band]
+        x, nd = lay.bands[band], lay.interior.ndim
         inside, aux = lay.interior[x].reshape(-1), lay.aux[x]
-        size, nd = len(inside), lay.interior.ndim
-        q = lay.state[:, x].reshape(-1, size)
+        size, q = len(inside), lay.state[:, x].reshape(len(lay.state), -1)
         self.steps = [math.prod(lay.state.shape[2 + a:]) for a in range(nd)]
         if eq.is_swe:       # dry cells clamped to unit depth, so solves there stay finite
             wet = aux.wet.reshape(size)
@@ -246,22 +246,16 @@ class _BandPlan:
             return tmp[start * size:][:math.prod(shape)].reshape(shape)
 
         def by_family(block, a: int):
-            """Axis a's (family, slot, face) view of a (slot, family, face)
-            block, whose slots axis 1 stores in reverse."""
+            """Axis a's (family, slot, face) view of a (slot, family, face) block."""
             return block[:4 * faces[a]].reshape(2, 2, faces[a])[::1 - 2 * a].transpose(1, 0, 2)
 
-        # the waves: axis 0's component-0 half (all the transverse splits
-        # read), the other slot's half that the axes share, axis 1's
-        # component-0 half
-        fls = [by_family(views[-1][2 * faces[0] * a:], a) for a in range(nd)]
-
+        fls = [by_family(views[-1][2 * faces[0] * a:], a) for a in range(nd)]     # the waves
         p, left, fwave = eq.p_slot, int(eq.time_reversed), eq.fwave    # left: left-going family
         sign_half = np.array([0.5, -0.5] if left else [-0.5, 0.5]).reshape(2, 1)
         dq = views[0]
         self.dtd = [np.zeros(()) for _ in range(2 * nd)]       # dt/dx per axis, then halves
         ops, tail, self.faces, self.speeds = [(np.copyto, dq, 0.0)], [], [], []
-        for a, (s, nf) in enumerate(zip(self.steps, faces)):
-            d = self.dtd[a]
+        for a, (s, nf, d) in enumerate(zip(self.steps, faces, self.dtd)):
             cs = slice(0, 2 + a, 1 + a)
             lo, hi = slice(0, nf), slice(s, size)
             fl, flux = fls[a], views[1 + a]     # waves, then fluctuations
@@ -302,9 +296,7 @@ class _BandPlan:
                 # face, padded by zeros at both ends, read at its upwind side
                 dots, pairs, theta = work(4, 2, nf), work(6, 2, size), work(8, 2, nf)
                 t4_lo, mask = t4[:, :, :nf - s], flags[:2 * nf].reshape(2, nf)
-                first = pairs[0, (1 - left) * s:][:nf]
-                upwind = as_strided(first, (2, nf), (pairs.strides[0] + (2 * left - 1)
-                                                     * s * pairs.strides[1], *first.strides))
+                upwind = _pair(pairs.reshape(-1)[(1 - left) * s:], size + (2 * left - 1) * s, nf)
                 ops += [(np.multiply, fl, fl, t4), (np.add, t4[:, 0], t4[:, 1], dots),
                         (np.multiply, fl[:, :, :nf - s], fl[:, :, s:], t4_lo),
                         (np.add, t4_lo[:, 0], t4_lo[:, 1], pairs[:, s:nf]),
@@ -326,8 +318,7 @@ class _BandPlan:
                 ops += [(np.multiply, c[:, None], fl, fl), (np.negative, fl[left], fl[left])]
                 if dry is not None:
                     ops.append((np.copyto, fl, 0.0, "same_kind", dry))
-            dq_l, dq_r, mid = dq[cs, lo], dq[cs, hi], dq[cs, s:nf]
-            diff = work(4, 2, nf - s)
+            dq_l, dq_r, mid, diff = dq[cs, lo], dq[cs, hi], dq[cs, s:nf], work(4, 2, nf - s)
             ops += [(np.multiply, d, fl, t4), (np.subtract, dq_r, t4[1 - left], dq_r),
                     (np.subtract, dq_l, t4[left], dq_l)]
             tail += [(np.subtract, flux[:, s:], flux[:, :nf - s], diff),
@@ -341,10 +332,9 @@ class _BandPlan:
         update = np.add if left else np.subtract
         for a in range(nd if nd == 2 else 0):
             sa, sb, flux = self.steps[a], self.steps[1 - a], views[2 - a]
+            n = size - sb - max(sa, sb)     # from c0: cells with a side-h face, ±sb neighbours
             for h, side, zero in ((0, left, zeros[0]), (1, 1 - left, zeros[1])):
-                # cells c0.. with a face on side h and neighbours at ±sb
                 c0 = max(sb, h * sa)
-                n = min(size - sb, size - sa + h * sa) - c0
                 fl0 = fls[a][side, 0, c0 - h * sa:][:n]
                 xt, ct = (_pair(cells[k][c0 - sb:], 2 * sb, n) for k in (eq.x_field, "c"))
                 k, den = work(0, 2, 2, n), work(6, n)
@@ -692,15 +682,14 @@ class LevelLayout:
         """The band's first patch above the unit Courant number, and its
         Courant number: each interface touching an interior is charged to
         that interior's patch."""
-        inside, owner = (v[self.bands[plan.band]].reshape(-1) for v in (self.interior, self._owner))
+        x = self.bands[plan.band]
+        inside, owner = self.interior[x].reshape(-1), self._owner[x].reshape(-1)
         cfl = np.zeros(len(self.offsets))
-        for (c, dry), s, d in zip(plan.faces, plan.steps, dtd):
+        for (c, dry), s, d in zip(plan.faces, plan.steps, dtd):      # d > 0: max(v)·d = max(v·d)
             lo, hi = slice(0, len(inside) - s), slice(s, None)
             touch = inside[lo] | inside[hi]
-            fastest = np.zeros(len(self.offsets))
-            np.maximum.at(fastest, np.where(inside[lo], owner[lo], owner[hi])[touch],
-                          _face_speeds(c, dry)[touch])
-            np.maximum(cfl, fastest * d, out=cfl)
+            np.maximum.at(cfl, np.where(inside[lo], owner[lo], owner[hi])[touch],
+                          _face_speeds(c, dry)[touch] * d)
         k = int(np.argmax(cfl > 1.0 + 1e-12))
         return self._refs[k](), float(cfl[k])
 
