@@ -6,12 +6,14 @@ shallow water with a dry shelf, and the time-reversed adjoint of each)
 steps one uniform patch of edge 16, 32 and 64 cells from a seeded random
 state at Courant number 0.9, refilling its wall ghosts before every step;
 the 1D sets also step a 1000-cell patch, the one band of the 1d-interface
-x-t map run.
+x-t map run, and the 2D sets a 50 x 50 patch, a 54 x 54 band with its
+ghosts: the most common band of both 2d-walls runs.
 Each 2D set then steps a level shaped like the median finest-level layout
 of the 2d-walls-timerange run under adjoint flagging (12 patches of edge
 12 to 16), patch by patch with `step_patch` and as one `LevelLayout`.
 Only the steps are timed; a line reports the best of REPEATS runs of
-SECONDS each.
+SECONDS each, and next to it tracemalloc's peak over one later step (the
+third, once plans are built and work arrays carved), in KiB.
 
     PYTHONPATH=src python3 scripts/kernel_bench.py
 """
@@ -19,6 +21,7 @@ SECONDS each.
 import os
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -30,6 +33,7 @@ from adjamr.solver import (BoundarySpec, LevelLayout, fill_ghost_physical,
 
 EDGES = (16, 32, 64)
 XT_EDGE = 1000      # the 1d-interface grid: x-t map runs step one such band
+BAND_EDGE = 50      # the 2d-walls runs' most common band: 54 x 54 with ghosts
 SECONDS = 0.3       # timed seconds of steps per run
 REPEATS = 3         # runs per line; the best is kept
 LEVEL_EDGES = (12, 13, 14, 14, 15, 16, 12, 14, 14, 15, 13, 16)
@@ -71,7 +75,21 @@ def uniform_patch(equation, edge: int, seed: int = 0):
     return p, 0.9 * min(p.spec.widths) / speed, shape
 
 
-def cell_updates_per_s(equation, edge: int, seconds: float, repeats: int) -> float:
+def later_step_peak(step, before=lambda: None) -> float:
+    """tracemalloc's peak in KiB over the third call of `step`, each call
+    after one of `before` (untraced)."""
+    for k in range(3):
+        before()
+        if k == 2:
+            tracemalloc.start()
+        step()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak / 1024
+
+
+def cell_updates_per_s(equation, edge: int, seconds: float, repeats: int):
+    """(best cell-updates/s, later-step peak KiB) of one uniform patch."""
     best = 0.0
     for _ in range(repeats):
         p, dt, shape = uniform_patch(equation, edge)
@@ -84,7 +102,9 @@ def cell_updates_per_s(equation, edge: int, seconds: float, repeats: int) -> flo
             spent += time.perf_counter() - t0
             steps += 1
         best = max(best, cells * steps / spent)
-    return best
+    p, dt, shape = uniform_patch(equation, edge)
+    return best, later_step_peak(lambda: step_patch(p, dt, equation, "MC"),
+                                 lambda: fill_ghost_physical(p, BoundarySpec(), equation, shape))
 
 
 def level_patches(equation):
@@ -106,8 +126,9 @@ def level_patches(equation):
 
 
 def level_cell_updates_per_s(equation, seconds: float, repeats: int):
-    """(patch by patch, as one level) cell-updates/s on `level_patches`."""
-    rates = []
+    """(patch by patch, as one level) cell-updates/s on `level_patches`, and
+    their later-step peaks in KiB."""
+    rates, peaks = [], []
     for as_level in (False, True):
         best = 0.0
         for _ in range(repeats):
@@ -121,21 +142,26 @@ def level_cell_updates_per_s(equation, seconds: float, repeats: int):
                 steps += 1
             best = max(best, cells * steps / (time.perf_counter() - t0))
         rates.append(best)
-    return rates
+        patches, dt = level_patches(equation)
+        step = (LevelLayout(patches).step if as_level else
+                lambda dt, eq, lim: [step_patch(p, dt, eq, lim) for p in patches])
+        peaks.append(later_step_peak(lambda: step(dt, equation, "MC")))
+    return rates, peaks
 
 
 def main():
-    print(f"{'equation':32s} {'edge':>5s} {'cell-updates/s':>15s}")
+    print(f"{'equation':32s} {'edge':>5s} {'cell-updates/s':>15s} {'peak KiB':>9s}")
     for name, make in EQUATIONS:
         forward = make()
         for eq in (forward, forward.adjoint().reversed()):
-            for edge in EDGES + (XT_EDGE,) * (eq.m == 2):
-                rate = cell_updates_per_s(eq, edge, SECONDS, REPEATS)
-                print(f"{eq.name:32s} {edge:5d} {rate:15.4g}", flush=True)
+            for edge in EDGES + ((XT_EDGE,) if eq.m == 2 else (BAND_EDGE,)):
+                rate, peak = cell_updates_per_s(eq, edge, SECONDS, REPEATS)
+                print(f"{eq.name:32s} {edge:5d} {rate:15.4g} {peak:9.1f}", flush=True)
             if eq.m == 3:
-                by_patch, as_level = level_cell_updates_per_s(eq, SECONDS, REPEATS)
-                print(f"{eq.name:32s} {'level':>5s} {by_patch:15.4g} patch by patch, "
-                      f"{as_level:.4g} as one level", flush=True)
+                (by_patch, as_level), (peak_patch, peak_level) = level_cell_updates_per_s(
+                    eq, SECONDS, REPEATS)
+                print(f"{eq.name:32s} {'level':>5s} {by_patch:15.4g} {peak_patch:9.1f} patch by "
+                      f"patch, {as_level:.4g} {peak_level:.1f} as one level", flush=True)
 
 
 if __name__ == "__main__":
