@@ -246,7 +246,7 @@ class _BandPlan:
             return tmp[start * size:][:math.prod(shape)].reshape(shape)
 
         def by_family(block, a: int):
-            """Axis a's (family, slot, face) view of a (slot, family, face) block."""
+            """(family, slot, face) view of a (slot, family, face) block; axis 1 reverses slots."""
             return block[:4 * faces[a]].reshape(2, 2, faces[a])[::1 - 2 * a].transpose(1, 0, 2)
 
         fls = [by_family(views[-1][2 * faces[0] * a:], a) for a in range(nd)]     # the waves

@@ -178,8 +178,8 @@ def test_interleaved_levels_step_as_each_alone(monkeypatch):
 
 
 # sha256 of each LEVELS level's packed state after three steps (padding and
-# ghosts included), recorded from the kernel that stepped a 2D band's axis 1
-# on strided (rows, columns) views; the band size changes the packing
+# ghosts included), recorded from an earlier version of the kernel; the band
+# size changes the packing
 LEVEL_DIGESTS = {
     16: ("7389345f8ccbe3a39cc8a3a06d52e7e24d5bb8446abe3b1a02f3cb48cbea3a6b",
          "432709f5ffcccebe6c93da89791221ba132aaaac5dd691869bdd9ce95312f873",
@@ -245,6 +245,6 @@ def _third_step_peak(name, shape):
 
 def test_both_axes_step_without_iterator_buffers():
     # a 54 x 54 2D band steps both axes as flat runs, as a 1D band of as
-    # many cells steps its one: no larger traced peak (strided axis-1 views
-    # made numpy's iterator allocate about four times the 1D figure)
+    # many cells steps its one: no larger traced peak (numpy's iterator
+    # buffers strided (row, column) views, about four times the 1D figure)
     assert _third_step_peak("acoustics-2d", (50, 50)) <= _third_step_peak("acoustics-1d", (2912,))
