@@ -207,8 +207,8 @@ class _BandPlan:
     splits reach steps[b] cells to either side.  Axis 1's face from a row's
     last cell to the next row's first joins ghost or padding cells (every
     box has two ghost columns), so no interior reads its finite values.
-    The splits read only the waves' component-0 halves; the axes share one
-    region for the other half.
+    The splits read only the waves' component-0 halves, so axis 0's other
+    half is stored where axis 1's component-0 half goes.
 
     On axis a only components 0 and 1 + a (the "slots") and the two moving
     families enter: the 2D middle family has speed 0.  Every valid, padding
@@ -245,11 +245,8 @@ class _BandPlan:
             """Work space `start` band sizes in: at 0 four sizes, at 4, 6 and 8 two."""
             return tmp[start * size:][:math.prod(shape)].reshape(shape)
 
-        def by_family(block, a: int):
-            """(family, slot, face) view of a (slot, family, face) block; axis 1 reverses slots."""
-            return block[:4 * faces[a]].reshape(2, 2, faces[a])[::1 - 2 * a].transpose(1, 0, 2)
-
-        fls = [by_family(views[-1][2 * faces[0] * a:], a) for a in range(nd)]     # the waves
+        # each axis's waves, (slot, family, face)
+        fls = [views[-1][2 * faces[0] * a:][:4 * f].reshape(2, 2, f) for a, f in enumerate(faces)]
         p, left, fwave = eq.p_slot, int(eq.time_reversed), eq.fwave    # left: left-going family
         sign_half = np.array([0.5, -0.5] if left else [-0.5, 0.5]).reshape(2, 1)
         dq = views[0]
@@ -285,26 +282,26 @@ class _BandPlan:
                         (np.multiply, mat["bulk"], qs[:, 0], ff[1]),
                         (np.subtract, ff[:, 1], ff[:, 0], jump)]
             ops += [(np.add, xm[0], xm[1], den),
-                    (split_jump, jump[p], jump[1 - p], xm, xm[::-1], den, fl[:, p], fl[:, 1 - p])]
+                    (split_jump, jump[p], jump[1 - p], xm, xm[::-1], den, fl[p], fl[1 - p])]
             if fwave and left:
                 ops.append((np.negative, fl, fl))
             if dry is not None:
                 ops.append((np.copyto, fl, 0.0, "same_kind", dry))
-            t4, waves = by_family(tmp, a), fl
+            t4, waves = work(0, 2, 2, nf), fl
             if limiter != "none":
                 # each family's dot with itself and the products with the next
                 # face, padded by zeros at both ends, read at its upwind side
                 dots, pairs, theta = work(4, 2, nf), work(6, 2, size), work(8, 2, nf)
                 t4_lo, mask = t4[:, :, :nf - s], flags[:2 * nf].reshape(2, nf)
                 upwind = _pair(pairs.reshape(-1)[(1 - left) * s:], size + (2 * left - 1) * s, nf)
-                ops += [(np.multiply, fl, fl, t4), (np.add, t4[:, 0], t4[:, 1], dots),
+                ops += [(np.multiply, fl, fl, t4), (np.add, t4[0], t4[1], dots),
                         (np.multiply, fl[:, :, :nf - s], fl[:, :, s:], t4_lo),
-                        (np.add, t4_lo[:, 0], t4_lo[:, 1], pairs[:, s:nf]),
+                        (np.add, t4_lo[0], t4_lo[1], pairs[:, s:nf]),
                         (np.copyto, pairs.reshape(2, -1, s)[:, ::size // s - 1], 0.0),
                         (np.greater, dots, 0.0, mask), (np.copyto, theta, 0.0),
                         (partial(np.divide, where=mask), upwind, dots, theta),
                         *_phi_ops(limiter, theta, theta, work(6, 2, nf)),
-                        (np.multiply, theta[:, None], fl, t4)]
+                        (np.multiply, theta, fl, t4)]
                 waves = t4
             coef = work(4, 2, nf)
             ops += [(np.multiply, d, c, coef), (np.subtract, 1.0, coef, coef)]
@@ -313,14 +310,14 @@ class _BandPlan:
             else:
                 half = work(8, 2, nf)
                 ops += [(np.multiply, 0.5, c, half), (np.multiply, half, coef, coef)]
-            ops += [(np.multiply, coef[:, None], waves, t4), (np.add, t4[0], t4[1], flux)]
+            ops += [(np.multiply, coef, waves, t4), (np.add, t4[:, 0], t4[:, 1], flux)]
             if not fwave:       # the fluctuations: speed-weighted waves, or the f-waves
-                ops += [(np.multiply, c[:, None], fl, fl), (np.negative, fl[left], fl[left])]
+                ops += [(np.multiply, c, fl, fl), (np.negative, fl[:, left], fl[:, left])]
                 if dry is not None:
                     ops.append((np.copyto, fl, 0.0, "same_kind", dry))
             dq_l, dq_r, mid, diff = dq[cs, lo], dq[cs, hi], dq[cs, s:nf], work(4, 2, nf - s)
-            ops += [(np.multiply, d, fl, t4), (np.subtract, dq_r, t4[1 - left], dq_r),
-                    (np.subtract, dq_l, t4[left], dq_l)]
+            ops += [(np.multiply, d, fl, t4), (np.subtract, dq_r, t4[:, 1 - left], dq_r),
+                    (np.subtract, dq_l, t4[:, left], dq_l)]
             tail += [(np.subtract, flux[:, s:], flux[:, :nf - s], diff),
                      (np.multiply, d, diff, diff), (np.subtract, mid, diff, mid)]
             self.faces.append((c, dry))
@@ -335,7 +332,7 @@ class _BandPlan:
             n = size - sb - max(sa, sb)     # from c0: cells with a side-h face, ±sb neighbours
             for h, side, zero in ((0, left, zeros[0]), (1, 1 - left, zeros[1])):
                 c0 = max(sb, h * sa)
-                fl0 = fls[a][side, 0, c0 - h * sa:][:n]
+                fl0 = fls[a][0, side, c0 - h * sa:][:n]
                 xt, ct = (_pair(cells[k][c0 - sb:], 2 * sb, n) for k in (eq.x_field, "c"))
                 k, den = work(0, 2, 2, n), work(6, n)
                 lo_t, hi_t = flux[:, c0 - sb:c0 - sb + n], flux[:, c0:c0 + n]
