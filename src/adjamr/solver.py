@@ -351,7 +351,7 @@ class _BandPlan:
 
 # A level steps in bands of whole shelves of at most about this many cells,
 # and samples its parent in blocks of this many; it bounds the step's work
-# arrays (a first step of an 8,100-cell band peaks at 1.9 MB in tracemalloc).
+# arrays (a first step of an 8,100-cell band peaks at 1.6 MB in tracemalloc).
 BAND_CELLS = 8192
 
 
