@@ -62,6 +62,20 @@ def frame_hasher(digest):
     return on_output
 
 
+def store_digest(store) -> str:
+    """sha256 of an adjoint store's snapshot times and stacked values."""
+    digest = hashlib.sha256()
+    _update(digest, store.times, store.stack)
+    return digest.hexdigest()
+
+
+def xt_digest(cfg, store) -> str:
+    """sha256 of the x-t map's cell centers, times and three masks."""
+    digest = hashlib.sha256()
+    _update(digest, *run_xt_map(cfg, store, XT_THRESHOLD))
+    return digest.hexdigest()
+
+
 def digest_run(cfg, strategy: str, store) -> str:
     digest = hashlib.sha256()
     res = run_forward(cfg, strategy_name=strategy, store=store,
@@ -80,16 +94,10 @@ def digest_config(path: str):
     store = None
     if cfg.strategy == "adjoint" or cfg.ndim == 1:
         store, _ = run_adjoint(cfg)
-    tail = ""
-    if store is not None:
-        digest = hashlib.sha256()
-        _update(digest, store.times, store.stack)
-        tail = f" store={digest.hexdigest()}"
+    tail = "" if store is None else f" store={store_digest(store)}"
     line = f"{name} {digest_run(cfg, cfg.strategy, store)}"
     if cfg.ndim == 1:
-        xt = hashlib.sha256()
-        _update(xt, *run_xt_map(cfg, store, XT_THRESHOLD))
-        line += f" xt={xt.hexdigest()}"
+        line += f" xt={xt_digest(cfg, store)}"
     yield line + tail
     yield f"{name} {digest_run(cfg, comparison_strategy(cfg), store)}{tail}"
 

@@ -1,10 +1,14 @@
-"""Bitwise outputs: the digests of three bundled runs must equal the lines
-in tests/data/output_digest.txt.
+"""Bitwise outputs: the digests of three bundled runs, their adjoint stores
+and one x-t map must equal the lines in tests/data/output_digest.txt.
 
-Each line is `<config> <strategy> <sha256> cell_steps=<n>` as
+A run's line is `<config> <strategy> <sha256> cell_steps=<n>` as
 `scripts/output_digest.py`'s `digest_run` prints it: every gauge series and
-every output frame of one `run_forward`.  A change that alters outputs on
-purpose regenerates the file (see README) and says why in CHANGES.md.
+every output frame of one `run_forward`.  Adjoint lines end with
+`store=<sha256>` of the store's snapshot times and values, so a change to
+the adjoint solve shows even when it flips no flag.  The last line is
+`1d-interface.cfg xt=<sha256>` of `run_xt_map` at threshold 0.1.  A change
+that alters outputs on purpose regenerates the file (see README) and says
+why in CHANGES.md.
 """
 
 import importlib.util
@@ -15,6 +19,7 @@ from adjamr.driver import run_adjoint
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 RUNS = (("2d-walls-timepoint.cfg", ("adjoint", "difference")), ("swe-basin.cfg", ("adjoint",)))
+XT_CONFIG = "1d-interface.cfg"
 
 
 def _output_digest():
@@ -25,15 +30,26 @@ def _output_digest():
     return module
 
 
+def _config(name):
+    with open(os.path.join(ROOT, "configs", name)) as f:
+        return parse_config(f.read())
+
+
 def digest_lines():
-    """The digest line of each run in RUNS; adjoint runs get an in-memory store."""
-    digest_run = _output_digest().digest_run
+    """The digest line of each run in RUNS (adjoint runs get an in-memory
+    store), then the x-t map's."""
+    module = _output_digest()
     for name, strategies in RUNS:
-        with open(os.path.join(ROOT, "configs", name)) as f:
-            cfg = parse_config(f.read())
+        cfg = _config(name)
         store, _ = run_adjoint(cfg)
         for strategy in strategies:
-            yield f"{name} {digest_run(cfg, strategy, store if strategy == 'adjoint' else None)}"
+            if strategy == "adjoint":
+                yield (f"{name} {module.digest_run(cfg, strategy, store)}"
+                       f" store={module.store_digest(store)}")
+            else:
+                yield f"{name} {module.digest_run(cfg, strategy, None)}"
+    cfg = _config(XT_CONFIG)
+    yield f"{XT_CONFIG} xt={module.xt_digest(cfg, run_adjoint(cfg)[0])}"
 
 
 def test_outputs_are_bitwise_those_recorded():
