@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amr import FlaggingStrategy
+from .amr import AmrContext, FlaggingStrategy, advance_hierarchy, make_patch
 from .equations import EquationSet
 from .geometry import (Patch, PatchHierarchy, UniformField, apply_stencil, field_stencil,
                        in_box, interpolate_uniform, level_mask)
-from .solver import BoundarySpec, integrate_patch, sample_patch_material
+from .solver import BoundarySpec, march, select_dt
 
 
 GATHER_VALUES = 1 << 16     # most samples per gather of the windowed inner product
@@ -174,29 +174,30 @@ def solve_adjoint(equation: EquationSet, boundary: BoundarySpec,
     if np.all(phi.values == 0.0) and log is not None:
         log("warning: functional weight field is identically zero")
 
-    reversed_eq = equation.adjoint().reversed()
-    spec = hierarchy.make_spec(1, (0,) * hierarchy.ndim, tuple(n - 1 for n in grid_shape))
-    patch = Patch(spec, reversed_eq.m, time=0.0)
-    sample_patch_material(patch, reversed_eq, boundary, grid_shape)
+    ctx = AmrContext(equation=equation.adjoint().reversed(), boundary=boundary,
+                     strategy=None, limiter=limiter)    # one level: never flagged
+    patch = make_patch(hierarchy, 1, (0,) * hierarchy.ndim,
+                       tuple(n - 1 for n in grid_shape), ctx, time=0.0)
+    hierarchy.levels = [[patch]]
     patch.interior()[...] = phi.values
 
     # the reversed run outputs the forward times in descending order, so
     # each snapshot goes straight to its place in the ascending stack
-    stack = np.empty((len(snap_times), reversed_eq.m, *grid_shape))
+    stack = np.empty((len(snap_times), patch.num_components, *grid_shape))
     t_rev = []
 
-    def on_output(t, p):
+    def on_output(t):
         t_rev.append(t)
-        stack[len(stack) - len(t_rev)] = p.interior()
+        stack[len(stack) - len(t_rev)] = patch.interior()
 
-    integrate_patch(patch, reversed_eq, boundary, grid_shape, duration,
-                    courant_target=courant_target, limiter=limiter,
-                    output_times=list(snap_times), on_output=on_output)
+    march(lambda: patch.time, lambda step: advance_hierarchy(hierarchy, 1, step, ctx),
+          duration, select_dt(hierarchy, ctx.equation, courant_target), snap_times, on_output)
 
     times = (window.t_final - np.array(t_rev))[::-1].copy()
     fields = [UniformField(values=v, origin=origin, dx=wx, dy=wy, time=float(t))
               for v, t in zip(stack, times)]
-    wet = patch.aux.wet[spec.interior_slices()].copy() if hasattr(patch.aux, "wet") else None
+    wet = getattr(patch.aux, "wet", None)
+    wet = None if wet is None else wet[patch.spec.interior_slices()].copy()
     return AdjointSnapshotStore(times=times, fields=fields, window=window, wet=wet,
                                 stack=stack)
 

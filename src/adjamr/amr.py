@@ -467,11 +467,12 @@ def advance_hierarchy(hierarchy: PatchHierarchy, level: int, dt: float,
 
     Regrids child levels every `regrid_interval` steps of this level, fills
     ghosts before stepping, saves the pre-step state for child space-time
-    interpolation, and restricts children back afterwards.  A child level
-    already rebuilt at this level's current time (by the parent's regrid,
-    from the same data) is not rebuilt again.  The level steps as one
-    packed array (solver.LevelLayout); a step above the unit Courant number
-    raises solver.CflViolationError naming the patch.
+    interpolation (not on the finest allowed level, which has no children),
+    and restricts children back afterwards.  A child level already rebuilt
+    at this level's current time (by the parent's regrid, from the same
+    data) is not rebuilt again.  The level steps as one packed array
+    (solver.LevelLayout); a step above the unit Courant number raises
+    solver.CflViolationError naming the patch.
     """
     count = ctx.step_counts.get(level, 0)
     patches = hierarchy.patches(level)
@@ -485,7 +486,8 @@ def advance_hierarchy(hierarchy: PatchHierarchy, level: int, dt: float,
     t = patches[0].time
     fill_level_ghosts(hierarchy, level, t, ctx)
     lay = level_layout(hierarchy, level)
-    lay.save_old()
+    if level < hierarchy.max_levels:
+        lay.save_old()
     ctx.count_step(level, lay.cells, lay.step(dt, ctx.equation, ctx.limiter))
     t_new = t + dt
     if ctx.on_level_advanced is not None:

@@ -23,7 +23,7 @@ from .geometry import PatchHierarchy, apply_stencil, field_stencil
 from .runio import (CHUNK_BYTES, GaugeSeries, TableFormatError, TextLines,
                     TimingReport, format_rows, parse_floats, read_rows, record_gauge,
                     save_store, write_gauge, write_snapshot, write_timing)
-from .solver import integrate_patch, march, select_dt
+from .solver import march, select_dt
 
 
 class UnsupportedConfigError(RuntimeError):
@@ -197,16 +197,15 @@ def run_convergence(cfg: RunConfig, levels_of_resolution: int):
 def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
     """Space-time masks |q|_1 >= v, windowed |q̂|_1 >= v, windowed |q̂·q| >= v.
 
-    Runs the 1D problem on its coarse grid without refinement, sampling every
-    step.  Returns (x_centers, times, mask_q, mask_qhat, mask_inner).
+    Runs the 1D problem on its coarse grid as a one-level hierarchy, sampling
+    every step.  Returns (x_centers, times, mask_q, mask_qhat, mask_inner).
     """
     if cfg.ndim != 1:
         raise UnsupportedConfigError("the x-t map is defined for 1D configs only")
     equation = build_equation(cfg)
     ctx = AmrContext(equation=equation, boundary=cfg.boundary,
                      strategy=EverywhereFlagging(), limiter=cfg.limiter)
-    sub = replace(cfg, max_levels=1, ratios=())
-    h = init_hierarchy(sub, ctx)
+    h = init_hierarchy(replace(cfg, max_levels=1, ratios=()), ctx)
     patch = h.patches(1)[0]
     xs, = patch.spec.cell_centers()
     window = cfg.window()
@@ -236,9 +235,9 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
         mi.append(np.max(inner, axis=0, initial=0.0) >= threshold)
 
     sample(patch)
-    integrate_patch(patch, equation, cfg.boundary, sub.base_shape, cfg.t_final,
-                    courant_target=cfg.courant, limiter=cfg.limiter,
-                    dt_max=cfg.dt_max, dt_fixed=cfg.dt_fixed, on_step=sample)
+    ctx.on_level_advanced = lambda h, level, t: sample(patch)
+    dt = cfg.dt_fixed or select_dt(h, equation, cfg.courant, cfg.dt_max)
+    march(lambda: patch.time, lambda step: advance_hierarchy(h, 1, step, ctx), cfg.t_final, dt)
     del qhat, qhat_norm         # freed before the masks are stacked
     return xs, np.asarray(times), np.asarray(mq), np.asarray(mqh), np.asarray(mi)
 

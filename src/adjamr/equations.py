@@ -12,6 +12,7 @@ materials are per-cell arrays of the same batch shape.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -339,11 +340,11 @@ class SweMaterialModel(MaterialModel):
 class EquationSet:
     """One hyperbolic system bound to a material model.
 
-    Subclasses provide normal/transverse interface solvers, the per-cell
-    maximum signal speed, and their adjoint counterpart.  The step kernel
-    reads their two-family structure: `p_slot`, the slot of p of `split_jump`
-    among (component 0, normal component); `x_field`, its material field x;
-    whether the flux jump is split (`fwave`) and the flux negated.
+    Subclasses provide the per-cell maximum signal speed and their adjoint
+    counterpart.  The step kernel reads their two-family structure:
+    `p_slot`, the slot of p of `split_jump` among (component 0, normal
+    component); `x_field`, its material field x; whether the flux jump is
+    split (`fwave`) and the flux negated (`time_reversed`).
     """
 
     name: str
@@ -364,12 +365,6 @@ class EquationSet:
         """State component mirrored with a sign flip at a wall on this axis."""
         return 1 if self.m == 2 else 1 + axis
 
-    def normal_rp(self, axis, ql, qr, matl, matr) -> RiemannResult:
-        raise NotImplementedError
-
-    def transverse_rp(self, axis, fluct, mat_below, mat_above):
-        raise NotImplementedError
-
     def max_speed(self, mat) -> np.ndarray:
         return mat.c
 
@@ -381,9 +376,6 @@ class Acoustics1D(EquationSet):
     name = "acoustics-1d"
     m = 2
 
-    def normal_rp(self, axis, ql, qr, matl, matr):
-        return acoustics_rp_1d(ql, qr, matl, matr)
-
     def adjoint(self):
         return AdjointAcoustics1D(self.material)
 
@@ -391,12 +383,6 @@ class Acoustics1D(EquationSet):
 class Acoustics2D(EquationSet):
     name = "acoustics-2d"
     m = 3
-
-    def normal_rp(self, axis, ql, qr, matl, matr):
-        return acoustics_rp_normal_2d(axis, ql, qr, matl, matr)
-
-    def transverse_rp(self, axis, fluct, mat_below, mat_above):
-        return acoustics_rp_transverse_2d(axis, fluct, mat_below, mat_above)
 
     def adjoint(self):
         return AdjointAcoustics2D(self.material)
@@ -409,85 +395,35 @@ class SweLinear2D(EquationSet):
     p_slot = 0
     x_field = "c"
 
-    def normal_rp(self, axis, ql, qr, matl, matr):
-        return swe_linear_rp(axis, ql, qr, matl, matr)
-
-    def transverse_rp(self, axis, fluct, mat_below, mat_above):
-        return swe_linear_transverse(axis, fluct, mat_below, mat_above)
-
     def adjoint(self):
         return AdjointSweLinear2D(self.material)
 
 
 class _AdjointBase(EquationSet):
-    system: str
     p_slot = 0
     fwave = True
 
-    def normal_rp(self, axis, ql, qr, matl, matr):
-        return adjoint_fwave_rp(self.system, axis, ql, qr, matl, matr)
-
-    def transverse_rp(self, axis, fluct, mat_below, mat_above):
-        return adjoint_transverse(self.system, axis, fluct, mat_below, mat_above)
-
-    def reversed(self) -> "TimeReversed":
-        return TimeReversed(self)
+    def reversed(self) -> "_AdjointBase":
+        """The flux-negated system, so the backward problem runs forward."""
+        rev = copy.copy(self)
+        rev.time_reversed, rev.name = True, self.name + "-reversed"
+        return rev
 
 
 class AdjointAcoustics1D(_AdjointBase):
     name = "adjoint-acoustics-1d"
-    system = "acoustics-1d"
     m = 2
 
 
 class AdjointAcoustics2D(_AdjointBase):
     name = "adjoint-acoustics-2d"
-    system = "acoustics-2d"
     m = 3
 
 
 class AdjointSweLinear2D(_AdjointBase):
     name = "adjoint-swe-linear-2d"
-    system = "swe-linear-2d"
     m = 3
     is_swe = True
     p_slot = 1
     x_field = "c"
 
-
-class TimeReversed(EquationSet):
-    """Flux-negated wrapper so a backward-in-time problem runs forward.
-
-    If the wrapped system has flux f(q), this one has flux −f(q): every wave
-    flips sign and speed, and the left/right fluctuations swap (negated).
-    """
-
-    def __init__(self, inner: EquationSet):
-        super().__init__(inner.material)
-        self.inner, self.name = inner, inner.name + "-reversed"
-        self.m, self.is_swe, self.p_slot, self.x_field, self.fwave = (
-            inner.m, inner.is_swe, inner.p_slot, inner.x_field, inner.fwave)
-        self.time_reversed = not inner.time_reversed
-
-    def normal_component(self, axis):
-        return self.inner.normal_component(axis)
-
-    def normal_rp(self, axis, ql, qr, matl, matr):
-        # the inner result is fresh, so it is flipped in place; f-waves are
-        # flux jumps and flip with the flux, state-jump waves do not
-        res = self.inner.normal_rp(axis, ql, qr, matl, matr)
-        if res.fwave:
-            np.negative(res.waves, out=res.waves)
-        for a in (res.speeds, res.fluct_minus, res.fluct_plus):
-            np.negative(a, out=a)
-        return RiemannResult(res.waves[::-1], res.speeds[::-1], fluct_minus=res.fluct_plus,
-                             fluct_plus=res.fluct_minus, fwave=res.fwave)
-
-    def transverse_rp(self, axis, fluct, mat_below, mat_above):
-        bm, bp = self.inner.transverse_rp(axis, fluct, mat_below, mat_above)
-        np.negative(bm, out=bm)
-        np.negative(bp, out=bp)
-        return bp, bm
-
-    def max_speed(self, mat):
-        return self.inner.max_speed(mat)

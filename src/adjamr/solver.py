@@ -9,8 +9,10 @@ across wet/dry faces so closed basins conserve mass to roundoff.
 
 A `LevelLayout` packs the ghost-padded patches of one level into one array,
 so a level steps and fills its ghosts in a few array operations however many
-patches it has.  The one-patch entry points (`step_patch`,
-`fill_ghost_physical`, ...) run the same code on a layout of that patch alone.
+patches it has; every run, a uniform one included, steps levels this way
+through `amr.advance_hierarchy`.  The one-patch entry points (`step_patch`,
+`integrate_patch`, ... at the end) run the same code on a layout of that patch
+alone, rebinding its arrays; they are kept only for tests and perfbench's `LAYERS`.
 """
 
 from __future__ import annotations
@@ -96,36 +98,6 @@ def limiter_phi(name: str, theta: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Ghost filling
-
-
-def sample_patch_material(patch: Patch, equation: EquationSet,
-                          boundary: BoundarySpec, level_shape: tuple[int, ...]):
-    """Sample the material at every cell center, interior and ghost (the
-    rule of `LevelLayout`'s `sample`, on a layout of this patch alone)."""
-    LevelLayout([patch], sample=(equation, boundary, level_shape))
-    return patch.aux
-
-
-def fill_ghost_physical(patch: Patch, boundary: BoundarySpec, equation: EquationSet,
-                        level_shape: tuple[int, ...]):
-    """Fill the ghosts behind domain sides: a wall mirrors the interior with
-    the normal velocity/momentum negated, an outflow side copies the edge
-    cell, and a corner ghost outside the domain in both directions takes both."""
-    LevelLayout.of([patch]).fill_physical(boundary, equation, level_shape)
-
-
-def fill_ghost_same_level(patch: Patch, level_patches: list[Patch]):
-    """Copy same-level interior data into the ghosts of `patch` and of every
-    other patch of `level_patches`, its level."""
-    LevelLayout.of(level_patches).fill_same_level()
-
-
-def fill_ghost_from_coarse(fine_patch: Patch, hierarchy: PatchHierarchy, t: float):
-    """Fill in-domain ghosts by bilinear-in-space, linear-in-time interpolation
-    of the parent level, which must hold a saved (time_old, state_old) pair
-    bracketing t; anything else is a driver scheduling bug."""
-    if fine_patch.spec.level >= 2:
-        LevelLayout.of([fine_patch]).fill_from_coarse(hierarchy, t)
 
 
 def space_time_interp(coarse: Patch, pts, t: float):
@@ -561,7 +533,8 @@ class LevelLayout:
 
     def fill_same_level(self):
         dst, src = self.same_level
-        self.flat[:, dst] = self.flat[:, src]
+        if len(dst):
+            self.flat[:, dst] = self.flat[:, src]
 
     def fill_physical(self, boundary: BoundarySpec, equation: EquationSet, level_shape):
         _, dst, src, sign = self._physical_plan(boundary, equation, level_shape)
@@ -697,13 +670,6 @@ def level_layout(hierarchy: PatchHierarchy, level: int) -> LevelLayout | None:
     return LevelLayout.of(patches) if patches else None
 
 
-def step_patch(patch: Patch, dt: float, equation: EquationSet,
-               limiter: str = "MC") -> float:
-    """Advance one patch by dt and return the step's Courant number
-    (`LevelLayout.step` on a layout of this patch alone)."""
-    return LevelLayout.of([patch]).step(dt, equation, limiter)
-
-
 def _cfl_dt(patches, equation: EquationSet, widths, courant_target: float,
             dt_max: float) -> float:
     """The dt at the target Courant number for the fastest interior cell of
@@ -749,6 +715,49 @@ def march(clock, advance, t_end: float, dt: float, output_times=(), on_output=No
         flush_outputs()
 
 
+# ---------------------------------------------------------------------------
+# One-patch entry points, kept only for tests and perfbench's `LAYERS`: no run
+# calls them.  Each rebinds the patch's arrays to a layout of it alone, which
+# detaches a patch of a multi-patch level from its level's layout.
+
+
+def sample_patch_material(patch: Patch, equation: EquationSet,
+                          boundary: BoundarySpec, level_shape: tuple[int, ...]):
+    """Sample the material at every cell center, interior and ghost (the
+    rule of `LevelLayout`'s `sample`, on a layout of this patch alone)."""
+    LevelLayout([patch], sample=(equation, boundary, level_shape))
+    return patch.aux
+
+
+def fill_ghost_physical(patch: Patch, boundary: BoundarySpec, equation: EquationSet,
+                        level_shape: tuple[int, ...]):
+    """Fill the ghosts behind domain sides: a wall mirrors the interior with
+    the normal velocity/momentum negated, an outflow side copies the edge
+    cell, and a corner ghost outside the domain in both directions takes both."""
+    LevelLayout.of([patch]).fill_physical(boundary, equation, level_shape)
+
+
+def fill_ghost_same_level(patch: Patch, level_patches: list[Patch]):
+    """Copy same-level interior data into the ghosts of `patch` and of every
+    other patch of `level_patches`, its level."""
+    LevelLayout.of(level_patches).fill_same_level()
+
+
+def fill_ghost_from_coarse(fine_patch: Patch, hierarchy: PatchHierarchy, t: float):
+    """Fill in-domain ghosts by bilinear-in-space, linear-in-time interpolation
+    of the parent level, which must hold a saved (time_old, state_old) pair
+    bracketing t; anything else is a driver scheduling bug."""
+    if fine_patch.spec.level >= 2:
+        LevelLayout.of([fine_patch]).fill_from_coarse(hierarchy, t)
+
+
+def step_patch(patch: Patch, dt: float, equation: EquationSet,
+               limiter: str = "MC") -> float:
+    """Advance one patch by dt and return the step's Courant number
+    (`LevelLayout.step` on a layout of this patch alone)."""
+    return LevelLayout.of([patch]).step(dt, equation, limiter)
+
+
 def integrate_patch(patch: Patch, equation: EquationSet, boundary: BoundarySpec,
                     level_shape: tuple[int, ...], t_end: float, *,
                     courant_target: float = 0.9, limiter: str = "MC",
@@ -763,8 +772,8 @@ def integrate_patch(patch: Patch, equation: EquationSet, boundary: BoundarySpec,
         [patch], equation, patch.spec.widths, courant_target, dt_max)
 
     def advance(step):
-        fill_ghost_physical(patch, boundary, equation, level_shape)
-        step_patch(patch, step, equation, limiter)
+        LevelLayout.of([patch]).fill_physical(boundary, equation, level_shape)
+        LevelLayout.of([patch]).step(step, equation, limiter)
         if on_step is not None:
             on_step(patch)
 

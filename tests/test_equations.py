@@ -295,23 +295,6 @@ def test_adjoint_forward_same_speed_sets():
     assert np.allclose(fwd.speeds, adj.speeds)
 
 
-def test_time_reversed_negates_speeds_and_fluxes():
-    model = eqs.AcousticsMaterialModel(lambda x: np.full_like(x, 2.0),
-                                       lambda x: np.full_like(x, 0.5))
-    eq = eqs.Acoustics1D(model).adjoint()
-    rev = eq.reversed()
-    x = np.array([0.0])
-    mat = eq.sample_material(x)
-    ql = np.array([[1.0], [0.3]])
-    qr = np.array([[-0.2], [0.9]])
-    a = eq.normal_rp(0, ql, qr, mat, mat)
-    b = rev.normal_rp(0, ql, qr, mat, mat)
-    assert np.allclose(np.sort(b.speeds, axis=0), np.sort(-a.speeds, axis=0))
-    assert np.allclose(b.fluct_minus, -a.fluct_plus)
-    assert np.allclose(b.fluct_plus, -a.fluct_minus)
-    assert np.allclose(b.waves.sum(axis=0), -a.waves.sum(axis=0))
-
-
 # ---------------------------------------------------------------------------
 # Bulk random-property suites (the 1e4-sample reconstruction checks live in
 # test_acceptance; these cover each solver on smaller batches)
