@@ -70,8 +70,8 @@ def uniform_patch(equation, edge: int, seed: int = 0):
     sample_patch_material(p, equation, BoundarySpec(), shape)
     p.interior()[...] = np.random.default_rng(seed).normal(size=p.interior().shape)
     if equation.is_swe:
-        p.interior()[...] *= p.aux.wet[p.spec.interior_slices()]
-    speed = float(np.max(equation.max_speed(p.aux)))
+        p.interior()[...] *= eqs.wet(p.aux)[p.spec.interior_slices()]
+    speed = float(np.max(p.aux[eqs.C]))
     return p, 0.9 * min(p.spec.widths) / speed, shape
 
 
@@ -119,9 +119,9 @@ def level_patches(equation):
         sample_patch_material(p, equation, BoundarySpec(), h.level_shape(1))
         p.interior()[...] = rng.normal(size=p.interior().shape)
         if equation.is_swe:
-            p.interior()[...] *= p.aux.wet[p.spec.interior_slices()]
+            p.interior()[...] *= eqs.wet(p.aux)[p.spec.interior_slices()]
         patches.append(p)
-    speed = max(float(np.max(equation.max_speed(p.aux))) for p in patches)
+    speed = max(float(np.max(p.aux[eqs.C])) for p in patches)
     return patches, 0.9 * min(h.widths(1)) / speed
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amr import AmrContext, FlaggingStrategy, advance_hierarchy, make_patch
-from .equations import EquationSet
+from .equations import EquationSet, wet as wet_cells
 from .geometry import (Patch, PatchHierarchy, UniformField, apply_stencil, field_stencil,
                        in_box, interpolate_uniform, level_mask)
 from .solver import BoundarySpec, march, select_dt
@@ -196,8 +196,8 @@ def solve_adjoint(equation: EquationSet, boundary: BoundarySpec,
     times = (window.t_final - np.array(t_rev))[::-1].copy()
     fields = [UniformField(values=v, origin=origin, dx=wx, dy=wy, time=float(t))
               for v, t in zip(stack, times)]
-    wet = getattr(patch.aux, "wet", None)
-    wet = None if wet is None else wet[patch.spec.interior_slices()].copy()
+    wet = (wet_cells(patch.aux[(slice(None), *patch.spec.interior_slices())])
+           if equation.is_swe else None)
     return AdjointSnapshotStore(times=times, fields=fields, window=window, wet=wet,
                                 stack=stack)
 
@@ -257,8 +257,7 @@ def inner_product_field(patch: Patch, t: float, store: AdjointSnapshotStore,
     coords = np.ix_(*spec.cell_centers())
     best = _window_max(field_stencil(store.grid, *coords), patch.interior(), store,
                        query_window_times(t, window, store))
-    if hasattr(patch.aux, "wet"):
-        best = np.where(patch.aux.wet[spec.interior_slices()], best, 0.0)
+    best = np.where(wet_cells(patch.aux)[spec.interior_slices()], best, 0.0)
     dry = _adjoint_dry_at(store, *coords)
     if dry is not None:
         best = np.where(dry, 0.0, best)
@@ -290,9 +289,7 @@ class AdjointFlagging(FlaggingStrategy):
         memo = lay.memo.get("adjoint")
         if memo is None or memo[0] is not self.store:
             coords = lay.centers()
-            live = np.ones(len(coords[0]), dtype=bool)
-            if hasattr(lay.aux, "wet"):
-                live &= lay.aux.wet.reshape(-1)[lay.interior_cells[0]]
+            live = wet_cells(lay.aux).reshape(-1)[lay.interior_cells[0]]
             dry = _adjoint_dry_at(self.store, *coords)
             live = np.flatnonzero(live if dry is None else live & ~dry)
             memo = lay.memo["adjoint"] = (

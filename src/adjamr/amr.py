@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .equations import wet
 from .geometry import Patch, PatchHierarchy, allowed_region_mask, in_box
 from .solver import BAND_CELLS, BoundarySpec, LevelLayout, level_layout
 
@@ -98,10 +99,7 @@ class SurfaceFlagging(FlaggingStrategy):
 
     def evaluate(self, lay, t):
         cells = lay.interior_cells[0]
-        flags = np.abs(lay.flat[0, cells]) > self.tolerance
-        if hasattr(lay.aux, "wet"):
-            flags &= lay.aux.wet.reshape(-1)[cells]
-        return flags
+        return (np.abs(lay.flat[0, cells]) > self.tolerance) & wet(lay.aux).reshape(-1)[cells]
 
 
 class EverywhereFlagging(FlaggingStrategy):
@@ -331,8 +329,8 @@ def restrict_fine_to_coarse(hierarchy: PatchHierarchy, level: int):
     whole fine level at once: fine patches are ratio-aligned and disjoint,
     so a coarse cell's children lie in one patch and its value does not
     depend on how either level is cut.  Cells no coarse interior holds are
-    skipped.  For shallow water only wet fine children contribute, and only
-    wet coarse cells are overwritten."""
+    skipped.  Where either level has a dry cell, only wet fine children
+    contribute, and only wet coarse cells are overwritten."""
     fine = level_layout(hierarchy, level + 1)
     if fine is None:
         return
@@ -340,6 +338,8 @@ def restrict_fine_to_coarse(hierarchy: PatchHierarchy, level: int):
     r = hierarchy.ratio_to_finer(level)
     nd = hierarchy.ndim
     cells, gi = fine.interior_cells
+    fine_wet, coarse_wet = (wet(lay.aux).reshape(-1) for lay in (fine, coarse))
+    weighted = not (fine_wet.all() and coarse_wet.all())    # else equal to the plain mean
     first = np.flatnonzero(np.all([i % r == 0 for i in gi], axis=0))   # a child per coarse cell
     for part in np.split(first, range(BAND_CELLS, len(first), BAND_CELLS)):
         # the packed flat index of each coarse cell's children, (K, r[, r])
@@ -347,13 +347,13 @@ def restrict_fine_to_coarse(hierarchy: PatchHierarchy, level: int):
             np.indices((r,) * nd), fine.interior.shape)
         dst = coarse.cover([i[part] // r for i in gi])
         q, take = fine.flat[:, kids], dst >= 0
-        if getattr(fine.aux, "wet", None) is None:
+        if not weighted:
             avg = _block_sum(q, nd) / r ** nd
         else:
-            w = fine.aux.wet.reshape(-1)[kids].astype(float)
+            w = fine_wet[kids].astype(float)
             ws = _block_sum(w, nd)
             avg = _block_sum(q * w, nd) / np.where(ws > 0, ws, 1.0)
-            take &= (ws > 0) & coarse.aux.wet.reshape(-1)[dst]
+            take &= (ws > 0) & coarse_wet[dst]
         coarse.flat[:, dst[take]] = avg[:, take]
 
 

@@ -1,4 +1,4 @@
-"""Run configuration: INI-style text files parsed into a validated RunConfig.
+"""Run configuration: INI-style text files parsed and checked into a RunConfig.
 
 Format: `[section]` headers, `key = value` lines, `#` comments.  Values are
 whitespace-separated tokens.  Every key is one row of KEYS, which gives its

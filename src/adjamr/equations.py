@@ -7,13 +7,13 @@ in conservation form with flux transpose(A)·q and use the f-wave form: the
 interface jump in the *flux* is split, and fluctuations are sums of f-waves.
 
 All solvers are vectorized: states are (m, ...) arrays over any batch shape,
-materials are per-cell arrays of the same batch shape.
+materials (rows, ...) arrays over the same batch shape.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,64 +27,46 @@ class DryCellError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Materials
+# Materials: one float array (field, *cells) per patch or level, like
+# Clawpack's `aux`, copied, packed and ghost-filled the way the state is.
+# Row C is the wave speed in every system; a cell is dry where it is 0.
+
+ACOUSTICS_ROWS = ("c", "z", "bulk", "rho")
+SWE_ROWS = ("c", "depth", "gravity")
+C, Z, BULK, RHO = range(4)
+DEPTH, GRAVITY = 1, 2
 
 
-@dataclass(frozen=True)
-class AcousticsMaterial:
-    """Per-cell bulk modulus and density with derived sound speed and impedance.
-
-    `validated` marks a material made by `create`, which rejects nonpositive
-    bulk modulus or density; slices keep the mark, so the Riemann solvers
-    check only hand-built materials.  The mark is not a constructor field,
-    so a hand-built material or a `dataclasses.replace` copy is checked again.
-    """
-
-    bulk: np.ndarray
-    rho: np.ndarray
-    c: np.ndarray
-    z: np.ndarray
-    validated: bool = field(default=False, init=False, repr=False, compare=False)
-
-    @classmethod
-    def create(cls, bulk, rho) -> "AcousticsMaterial":
-        bulk = np.asarray(bulk, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        if np.any(bulk <= 0) or np.any(rho <= 0):
-            raise InvalidMaterialError("bulk modulus and density must be positive")
-        c = np.sqrt(bulk / rho)
-        return cls(bulk=bulk, rho=rho, c=c, z=rho * c)._marked()
-
-    def __getitem__(self, sl) -> "AcousticsMaterial":
-        sub = AcousticsMaterial(self.bulk[sl], self.rho[sl], self.c[sl], self.z[sl])
-        return sub._marked() if self.validated else sub
-
-    def _marked(self) -> "AcousticsMaterial":
-        object.__setattr__(self, "validated", True)
-        return self
+def acoustics_material(bulk, rho) -> np.ndarray:
+    """Rows (c, z, bulk, rho) of per-cell bulk modulus and density, with the
+    sound speed c = √(bulk/rho) and impedance z = rho·c; both must be positive."""
+    bulk = np.asarray(bulk, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    if np.any(bulk <= 0) or np.any(rho <= 0):
+        raise InvalidMaterialError("bulk modulus and density must be positive")
+    aux = np.empty((4, *np.broadcast_shapes(bulk.shape, rho.shape)))
+    aux[BULK], aux[RHO] = bulk, rho
+    np.sqrt(np.divide(bulk, rho, out=aux[C]), out=aux[C])
+    np.multiply(rho, aux[C], out=aux[Z])
+    return aux
 
 
-@dataclass(frozen=True)
-class SweMaterial:
-    """Per-cell background depth h̄ = η̄ − B, wet mask, and gravity wave speed."""
+def swe_material(bathymetry, sea_level: float, gravity: float) -> np.ndarray:
+    """Rows (c, depth, gravity): background depth h̄ = η̄ − B and the gravity
+    wave speed √(g·max(h̄, 0))."""
+    b = np.asarray(bathymetry, dtype=float)
+    aux = np.empty((3, *b.shape))
+    np.subtract(sea_level, b, out=aux[DEPTH])
+    np.maximum(aux[DEPTH], 0.0, out=aux[C])
+    np.sqrt(np.multiply(gravity, aux[C], out=aux[C]), out=aux[C])
+    aux[GRAVITY] = gravity
+    return aux
 
-    bathymetry: np.ndarray
-    depth: np.ndarray
-    wet: np.ndarray
-    c: np.ndarray
-    gravity: float
 
-    @classmethod
-    def create(cls, bathymetry, sea_level: float, gravity: float) -> "SweMaterial":
-        b = np.asarray(bathymetry, dtype=float)
-        depth = sea_level - b
-        wet = depth > 0.0
-        c = np.sqrt(gravity * np.maximum(depth, 0.0))
-        return cls(bathymetry=b, depth=depth, wet=wet, c=c, gravity=gravity)
-
-    def __getitem__(self, sl) -> "SweMaterial":
-        return SweMaterial(self.bathymetry[sl], self.depth[sl], self.wet[sl],
-                           self.c[sl], self.gravity)
+def wet(aux) -> np.ndarray:
+    """The wet cells of a material: those of positive wave speed (every
+    acoustics cell)."""
+    return aux[C] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +90,14 @@ class RiemannResult:
     fwave: bool = False
 
 
-def _check_acoustics(*mats: AcousticsMaterial):
+def _check_acoustics(*mats):
     for m in mats:
-        if not m.validated and (np.any(m.bulk <= 0) or np.any(m.rho <= 0)):
+        if np.any(m[BULK] <= 0) or np.any(m[RHO] <= 0):
             raise InvalidMaterialError("bulk modulus and density must be positive")
 
 
-def _check_wet(mat_l: SweMaterial, mat_r: SweMaterial, message: str):
-    if not (mat_l.wet.all() and mat_r.wet.all()):
+def _check_wet(mat_l, mat_r, message: str):
+    if not (wet(mat_l).all() and wet(mat_r).all()):
         raise DryCellError(message)
 
 
@@ -193,15 +175,14 @@ def _transverse_split(f, p: int, r: int, x_b, x_a, c_b, c_a):
 # Acoustics, forward (wave form)
 
 
-def acoustics_rp_1d(q_l, q_r, mat_l: AcousticsMaterial, mat_r: AcousticsMaterial) -> RiemannResult:
+def acoustics_rp_1d(q_l, q_r, mat_l, mat_r) -> RiemannResult:
     """Variable-coefficient 1D acoustics: two waves along (−Z_l,1) and (Z_r,1)."""
     _check_acoustics(mat_l, mat_r)
     dq = np.asarray(q_r, dtype=float) - np.asarray(q_l, dtype=float)
-    return _two_wave_solve(dq, 1, 0, mat_l.z, mat_r.z, mat_l.c, mat_r.c, 2, False)
+    return _two_wave_solve(dq, 1, 0, mat_l[Z], mat_r[Z], mat_l[C], mat_r[C], 2, False)
 
 
-def acoustics_rp_normal_2d(axis: int, q_l, q_r, mat_l: AcousticsMaterial,
-                           mat_r: AcousticsMaterial) -> RiemannResult:
+def acoustics_rp_normal_2d(axis: int, q_l, q_r, mat_l, mat_r) -> RiemannResult:
     """Normal Riemann solve for 2D acoustics (axis 0 = x, 1 = y).
 
     Three wave families ordered by speed (−c, 0, +c); the transverse velocity
@@ -210,42 +191,40 @@ def acoustics_rp_normal_2d(axis: int, q_l, q_r, mat_l: AcousticsMaterial,
     _check_acoustics(mat_l, mat_r)
     dq = np.asarray(q_r, dtype=float) - np.asarray(q_l, dtype=float)
     mu, mv = 1 + axis, 2 - axis          # normal and transverse velocity components
-    return _two_wave_solve(dq, mu, 0, mat_l.z, mat_r.z, mat_l.c, mat_r.c, 3, False,
+    return _two_wave_solve(dq, mu, 0, mat_l[Z], mat_r[Z], mat_l[C], mat_r[C], 3, False,
                            zero_wave=(mv, dq[mv]))
 
 
-def acoustics_rp_transverse_2d(axis: int, fluct, mat_below: AcousticsMaterial,
-                               mat_above: AcousticsMaterial):
+def acoustics_rp_transverse_2d(axis: int, fluct, mat_below, mat_above):
     """Split a normal fluctuation into (down-going, up-going) speed-weighted
     parts across the face normal (y for an x-face fluctuation, and vice versa)."""
     _check_acoustics(mat_below, mat_above)
     f = np.asarray(fluct, dtype=float)
     mv = 2 - axis          # velocity component transverse to the face normal
-    return _transverse_split(f, mv, 0, mat_below.z, mat_above.z,
-                             mat_below.c, mat_above.c)
+    return _transverse_split(f, mv, 0, mat_below[Z], mat_above[Z],
+                             mat_below[C], mat_above[C])
 
 
 # ---------------------------------------------------------------------------
 # Linearized shallow water, forward (wave form)
 
 
-def swe_linear_rp(axis: int, q_l, q_r, mat_l: SweMaterial, mat_r: SweMaterial) -> RiemannResult:
+def swe_linear_rp(axis: int, q_l, q_r, mat_l, mat_r) -> RiemannResult:
     """Linear SWE normal solve: gravity waves (1, ±√(g·h̄), 0) at speeds ∓√(g·h̄).
     Both sides must be wet; the step kernel handles coastlines."""
     _check_wet(mat_l, mat_r, "swe_linear_rp requires wet cells on both sides")
     dq = np.asarray(q_r, dtype=float) - np.asarray(q_l, dtype=float)
     mu, mv = 1 + axis, 2 - axis
-    return _two_wave_solve(dq, 0, mu, mat_l.c, mat_r.c, mat_l.c, mat_r.c, 3, False,
+    return _two_wave_solve(dq, 0, mu, mat_l[C], mat_r[C], mat_l[C], mat_r[C], 3, False,
                            zero_wave=(mv, dq[mv]))
 
 
-def swe_linear_transverse(axis: int, fluct, mat_below: SweMaterial,
-                          mat_above: SweMaterial):
+def swe_linear_transverse(axis: int, fluct, mat_below, mat_above):
     """Transverse split of a linear SWE fluctuation (wave form)."""
     f = np.asarray(fluct, dtype=float)
     mv = 2 - axis
-    return _transverse_split(f, 0, mv, mat_below.c, mat_above.c,
-                             mat_below.c, mat_above.c)
+    return _transverse_split(f, 0, mv, mat_below[C], mat_above[C],
+                             mat_below[C], mat_above[C])
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +235,9 @@ def _adjoint_flux_parts(system: str, axis: int, q, mat) -> dict:
     """The nonzero components of transpose(A)·q̂: {component: values}."""
     mu = 1 + axis
     if system in ("acoustics-1d", "acoustics-2d"):
-        return {0: q[mu] / mat.rho, mu: mat.bulk * q[0]}
+        return {0: q[mu] / mat[RHO], mu: mat[BULK] * q[0]}
     if system == "swe-linear-2d":
-        return {0: mat.gravity * mat.depth * q[mu], mu: q[0]}
+        return {0: mat[GRAVITY] * mat[DEPTH] * q[mu], mu: q[0]}
     raise ValueError(f"unknown system {system!r}")
 
 
@@ -283,9 +262,9 @@ def adjoint_fwave_rp(system: str, axis: int, q_l, q_r, mat_l, mat_r) -> RiemannR
     m = 2 if system == "acoustics-1d" else 3
     if system == "swe-linear-2d":
         _check_wet(mat_l, mat_r, "adjoint SWE solve requires wet cells")
-        return _two_wave_solve(df, mu, 0, mat_l.c, mat_r.c, mat_l.c, mat_r.c, m, True)
+        return _two_wave_solve(df, mu, 0, mat_l[C], mat_r[C], mat_l[C], mat_r[C], m, True)
     _check_acoustics(mat_l, mat_r)
-    return _two_wave_solve(df, 0, mu, mat_l.z, mat_r.z, mat_l.c, mat_r.c, m, True)
+    return _two_wave_solve(df, 0, mu, mat_l[Z], mat_r[Z], mat_l[C], mat_r[C], m, True)
 
 
 def adjoint_transverse(system: str, axis: int, fluct, mat_below, mat_above):
@@ -294,11 +273,11 @@ def adjoint_transverse(system: str, axis: int, fluct, mat_below, mat_above):
     mv = 2 - axis
     if system == "acoustics-2d":
         _check_acoustics(mat_below, mat_above)
-        return _transverse_split(f, 0, mv, mat_below.z, mat_above.z,
-                                 mat_below.c, mat_above.c)
+        return _transverse_split(f, 0, mv, mat_below[Z], mat_above[Z],
+                                 mat_below[C], mat_above[C])
     if system == "swe-linear-2d":
-        return _transverse_split(f, mv, 0, mat_below.c, mat_above.c,
-                                 mat_below.c, mat_above.c)
+        return _transverse_split(f, mv, 0, mat_below[C], mat_above[C],
+                                 mat_below[C], mat_above[C])
     raise ValueError(f"no transverse solve for system {system!r}")
 
 
@@ -320,7 +299,7 @@ class AcousticsMaterialModel(MaterialModel):
         self.rho_fn = rho_fn
 
     def sample(self, *coords):
-        return AcousticsMaterial.create(self.bulk_fn(*coords), self.rho_fn(*coords))
+        return acoustics_material(self.bulk_fn(*coords), self.rho_fn(*coords))
 
 
 class SweMaterialModel(MaterialModel):
@@ -330,7 +309,7 @@ class SweMaterialModel(MaterialModel):
         self.gravity = gravity
 
     def sample(self, *coords):
-        return SweMaterial.create(self.bathymetry_fn(*coords), self.sea_level, self.gravity)
+        return swe_material(self.bathymetry_fn(*coords), self.sea_level, self.gravity)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +319,10 @@ class SweMaterialModel(MaterialModel):
 class EquationSet:
     """One hyperbolic system bound to a material model.
 
-    Subclasses provide the per-cell maximum signal speed and their adjoint
-    counterpart.  The step kernel reads their two-family structure:
-    `p_slot`, the slot of p of `split_jump` among (component 0, normal
-    component); `x_field`, its material field x; whether the flux jump is
+    Subclasses provide their adjoint counterpart.  The step kernel reads
+    their two-family structure: `p_slot`, the slot of p of `split_jump`
+    among (component 0, normal component); `x_field`, the name of its
+    material row x; whether the flux jump is
     split (`fwave`) and the flux negated (`time_reversed`).
     """
 
@@ -364,9 +343,6 @@ class EquationSet:
     def normal_component(self, axis: int) -> int:
         """State component mirrored with a sign flip at a wall on this axis."""
         return 1 if self.m == 2 else 1 + axis
-
-    def max_speed(self, mat) -> np.ndarray:
-        return mat.c
 
     def adjoint(self) -> "EquationSet":
         raise NotImplementedError

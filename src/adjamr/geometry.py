@@ -77,8 +77,9 @@ class PatchSpec:
 class Patch:
     """Cell-averaged state over one patch, interior plus ghost cells.
 
-    `aux` holds per-cell material arrays sampled by the equation set; they
-    cover the same interior+ghost extent as the state.  `state_old`/`time_old`
+    `aux` holds the material sampled by the equation set, one float array
+    (rows, *cells) over the same interior+ghost extent as the state (see
+    `equations.ACOUSTICS_ROWS` and `SWE_ROWS`).  `state_old`/`time_old`
     are snapshots kept by the multilevel driver for space-time interpolation.
     `state`, `state_old` and `aux` may be views of their level's packed
     arrays (`layout`); rebinding one detaches the patch from that layout.

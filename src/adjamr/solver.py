@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .equations import (AcousticsMaterial, EquationSet, InvalidMaterialError, SweMaterial,
-                        _check_acoustics, split_jump, transverse_parts)
+from .equations import (ACOUSTICS_ROWS, C, SWE_ROWS, EquationSet, InvalidMaterialError,
+                        split_jump, transverse_parts, wet as wet_cells)
 from .geometry import (Patch, PatchHierarchy, Stencil, apply_stencil,
                        build_stencil, patch_stencil)
 
@@ -171,8 +171,9 @@ class _Scratch:
 
 class _BandPlan:
     """One band's step as a fixed run of array operations on views of its
-    state, its (face) materials and the shared `_Scratch`, built once per
-    band, equation set and limiter; `dtd` holds the step's dt/dx.
+    state, its (face) material rows and the shared `_Scratch`, built once
+    per band, equation set and limiter; `dtd` holds the step's dt/dx.
+    Material rows are read by name (`ACOUSTICS_ROWS` or `SWE_ROWS`).
 
     Every operation is a run over the band's cells flat, in packed order:
     face k of axis a joins cells k and k + steps[a], and the transverse
@@ -193,16 +194,14 @@ class _BandPlan:
 
     def __init__(self, lay: "LevelLayout", band: int, eq: EquationSet, limiter: str):
         x, nd = lay.bands[band], lay.interior.ndim
-        inside, aux = lay.interior[x].reshape(-1), lay.aux[x]
+        inside, aux = lay.interior[x].reshape(-1), lay.aux[:, x].reshape(len(lay.aux), -1)
         size, q = len(inside), lay.state[:, x].reshape(len(lay.state), -1)
         self.steps = [math.prod(lay.state.shape[2 + a:]) for a in range(nd)]
+        cells = dict(zip(SWE_ROWS if eq.is_swe else ACOUSTICS_ROWS, aux))
         if eq.is_swe:       # dry cells clamped to unit depth, so solves there stay finite
-            wet = aux.wet.reshape(size)
-            gd = aux.gravity * np.where(wet, aux.depth.reshape(size), 1.0)
+            wet = wet_cells(aux)
+            gd = cells["gravity"] * np.where(wet, cells["depth"], 1.0)
             cells = {"c": np.sqrt(gd), "gd": gd} if eq.fwave else {"c": np.sqrt(gd)}
-        else:
-            _check_acoustics(aux)
-            cells = {k: getattr(aux, k).reshape(size) for k in ("z", "c", "rho", "bulk")}
         if not (cells["c"] > 0).all():
             k = lay._owner[x].reshape(size)[np.argmin(cells["c"] > 0)]
             raise InvalidMaterialError(f"{lay.patches[k]}: wave speeds must be positive")
@@ -374,21 +373,15 @@ def _shelves(boxes, order, width):
     return offsets, shelves, ny
 
 
-def _padding_material(like, shape):
-    """Padding of `like`'s kind in which solves stay finite: dry, or unit."""
-    if isinstance(like, SweMaterial):
-        return SweMaterial.create(np.zeros(shape), 0.0, like.gravity)
-    return AcousticsMaterial.create(np.ones(shape), np.ones(shape))
-
-
 class LevelLayout:
     """One level's ghost-padded patches shelf-packed into one array.
 
-    `state` (m, NX[, NY]), the saved `state_old` and the material `aux` hold
-    every patch's box; each patch's `state`, `state_old` and `aux` are views of
-    them.  Padding holds zero state and a material in which solves stay
-    finite (dry, or unit).  A lone contiguous patch is adopted without a
-    copy.  The layout and its cached plans hold while the level is the same
+    `state` (m, NX[, NY]), the saved `state_old` and the material rows `aux`
+    (rows, NX[, NY]) hold every patch's box; each patch's `state`,
+    `state_old` and `aux` are views of them.  Padding holds zero state and
+    unit material rows, in which solves stay finite (wet, for shallow
+    water).  A lone contiguous patch is adopted without a copy.  The layout
+    and its cached plans hold while the level is the same
     patches with the same views (`matches`); patches hold their layout,
     which holds them weakly.  Ghost fills are copies over the packed arrays,
     and the coarse one a stencil over the packed parent level.  A step
@@ -412,21 +405,12 @@ class LevelLayout:
             self.state = np.zeros((p0.num_components, *shape))
             self.state_old = (None if any(p.state_old is None for p in patches)
                               else self.state.copy())
-            self.aux = None if p0.aux is None or sample else _padding_material(p0.aux, shape)
-            if self.aux is not None and not all(
-                    getattr(p.aux, "validated", True) for p in patches):
-                self.aux = replace(self.aux)      # unmarked: the solvers check it
+            self.aux = None if p0.aux is None or sample else np.ones((len(p0.aux), *shape))
             for p, box in zip(patches, self._boxes()):
-                self.state[(slice(None), *box)] = p.state
-                p.state = self.state[(slice(None), *box)]
-                if self.state_old is not None:
-                    self.state_old[(slice(None), *box)] = p.state_old
-                    p.state_old = self.state_old[(slice(None), *box)]
-                if self.aux is not None:
-                    for f in fields(self.aux):
-                        if isinstance(getattr(self.aux, f.name), np.ndarray):
-                            getattr(self.aux, f.name)[box] = getattr(p.aux, f.name)
-                    p.aux = self.aux[box]
+                for name in ("state", "state_old", "aux"):
+                    if (packed := getattr(self, name)) is not None:
+                        packed[(slice(None), *box)] = getattr(p, name)
+                        setattr(p, name, packed[(slice(None), *box)])
         self.bands = [slice(a, b) for a, b in bands]
         self.flat = self.state.reshape(self.state.shape[0], -1)
         self.cells = sum(math.prod(p.spec.shape) for p in patches)
@@ -464,13 +448,12 @@ class LevelLayout:
             at[behind], at[reads] = False, True       # a copy's source is sampled
             sampled = sample[0].sample_material(*(o + (i.reshape(-1)[at] + 0.5) * w for o, i, w
                                                   in zip(p0.spec.origin, gidx, p0.spec.widths)))
-            self.aux = _padding_material(sampled, shape)
-            for f in fields(self.aux):
-                if isinstance(a := getattr(self.aux, f.name), np.ndarray):
-                    a.reshape(-1)[at] = getattr(sampled, f.name)
-                    a.reshape(-1)[behind] = a.reshape(-1)[reads]
+            self.aux = np.ones((len(sampled), *shape))
+            flat = self.aux.reshape(len(sampled), -1)
+            flat[:, at] = sampled
+            flat[:, behind] = flat[:, reads]
             for p, box in zip(patches, self._boxes()):
-                p.aux = self.aux[box]
+                p.aux = self.aux[(slice(None), *box)]
         for p in patches:
             p.layout = self
         self._bind()
@@ -670,15 +653,14 @@ def level_layout(hierarchy: PatchHierarchy, level: int) -> LevelLayout | None:
     return LevelLayout.of(patches) if patches else None
 
 
-def _cfl_dt(patches, equation: EquationSet, widths, courant_target: float,
-            dt_max: float) -> float:
+def _cfl_dt(patches, widths, courant_target: float, dt_max: float) -> float:
     """The dt at the target Courant number for the fastest interior cell of
-    `patches` on cells of these widths, capped at dt_max."""
+    `patches` (the largest of material row C) on cells of these widths,
+    capped at dt_max."""
     max_speed = 0.0
     for p in patches:
         sl = p.spec.interior_slices()
-        max_speed = max(max_speed, float(np.max(equation.max_speed(p.aux[sl]),
-                                                initial=0.0)))
+        max_speed = max(max_speed, float(np.max(p.aux[(C, *sl)], initial=0.0)))
     if max_speed == 0.0:
         return dt_max
     return min(min(courant_target * w / max_speed for w in widths), dt_max)
@@ -686,11 +668,12 @@ def _cfl_dt(patches, equation: EquationSet, widths, courant_target: float,
 
 def select_dt(hierarchy: PatchHierarchy, equation: EquationSet,
               courant_target: float = 0.9, dt_max: float = np.inf) -> float:
-    """Coarse-level dt from the CFL target; finer levels subcycle by ratio."""
+    """Coarse-level dt from the CFL target; finer levels subcycle by ratio.
+    The wave speed is row C of every system's material."""
     if not (0.0 < courant_target <= 1.0):
         raise ValueError("courant_target must be in (0, 1]")
-    return _cfl_dt(hierarchy.patches(1), equation,
-                   hierarchy.widths(1)[:hierarchy.ndim], courant_target, dt_max)
+    return _cfl_dt(hierarchy.patches(1), hierarchy.widths(1)[:hierarchy.ndim],
+                   courant_target, dt_max)
 
 
 def march(clock, advance, t_end: float, dt: float, output_times=(), on_output=None):
@@ -769,7 +752,7 @@ def integrate_patch(patch: Patch, equation: EquationSet, boundary: BoundarySpec,
     and on_step(patch) after every accepted step.
     """
     dt = dt_fixed if dt_fixed is not None else _cfl_dt(
-        [patch], equation, patch.spec.widths, courant_target, dt_max)
+        [patch], patch.spec.widths, courant_target, dt_max)
 
     def advance(step):
         LevelLayout.of([patch]).fill_physical(boundary, equation, level_shape)

@@ -15,9 +15,9 @@ from adjamr.adjoint import evaluate_J, inner_product_field
 from adjamr.amr import AmrContext, EverywhereFlagging, advance_hierarchy
 from adjamr.config import parse_config
 from adjamr.driver import run_adjoint, run_forward, run_convergence, run_xt_map
-from adjamr.equations import (AcousticsMaterial, SweMaterial, acoustics_rp_1d,
+from adjamr.equations import (acoustics_material, acoustics_rp_1d,
                               acoustics_rp_normal_2d, adjoint_flux,
-                              adjoint_fwave_rp, swe_linear_rp)
+                              adjoint_fwave_rp, swe_linear_rp, swe_material)
 from adjamr.geometry import Patch, PatchHierarchy
 from adjamr.runio import compare_gauges
 from adjamr.solver import (BoundarySpec, fill_ghost_physical, integrate_patch,
@@ -355,7 +355,7 @@ def test_criterion_8_swe_desk_analog():
     def on_output(t, h):
         base = h.patches(1)[0]
         sl = base.spec.interior_slices()
-        wet = base.aux.wet[sl]
+        wet = eqs.wet(base.aux)[sl]
         vals = inner_product_field(base, t, store, cfg.window())
         if np.any(vals[~wet] != 0.0):
             dry_violations.append(t)
@@ -379,7 +379,7 @@ def test_criterion_8_swe_desk_analog():
     def track(h, level, t):
         p = h.patches(1)[0]
         sl = p.spec.interior_slices()
-        masses.append(float(np.sum(p.interior()[0] * p.aux.wet[sl])
+        masses.append(float(np.sum(p.interior()[0] * eqs.wet(p.aux)[sl])
                             * p.spec.dx * p.spec.dy))
 
     ctx = AmrContext(equation=eq, boundary=cfg.boundary,
@@ -415,24 +415,24 @@ def test_criterion_9_riemann_property_suites():
     worst = 0.0
 
     # wave form: acoustics 1D / 2D (both axes), linear SWE (both axes)
-    ml = AcousticsMaterial.create(rng.uniform(0.1, 10, n), rng.uniform(0.1, 10, n))
-    mr = AcousticsMaterial.create(rng.uniform(0.1, 10, n), rng.uniform(0.1, 10, n))
+    ml = acoustics_material(rng.uniform(0.1, 10, n), rng.uniform(0.1, 10, n))
+    mr = acoustics_material(rng.uniform(0.1, 10, n), rng.uniform(0.1, 10, n))
     ql = rng.normal(size=(2, n))
     qr = rng.normal(size=(2, n))
     res = acoustics_rp_1d(ql, qr, ml, mr)
     worst = max(worst, rel_err(res.waves.sum(axis=0), qr - ql))
-    assert np.all(np.abs(res.speeds) <= np.maximum(ml.c, mr.c) + 1e-13)
+    assert np.all(np.abs(res.speeds) <= np.maximum(ml[eqs.C], mr[eqs.C]) + 1e-13)
 
     for axis in (0, 1):
         ql = rng.normal(size=(3, n))
         qr = rng.normal(size=(3, n))
         res = acoustics_rp_normal_2d(axis, ql, qr, ml, mr)
         worst = max(worst, rel_err(res.waves.sum(axis=0), qr - ql))
-        sl = SweMaterial.create(-rng.uniform(0.5, 300, n), 0.0, 9.81)
-        sr = SweMaterial.create(-rng.uniform(0.5, 300, n), 0.0, 9.81)
+        sl = swe_material(-rng.uniform(0.5, 300, n), 0.0, 9.81)
+        sr = swe_material(-rng.uniform(0.5, 300, n), 0.0, 9.81)
         res = swe_linear_rp(axis, ql, qr, sl, sr)
         worst = max(worst, rel_err(res.waves.sum(axis=0), qr - ql))
-        assert np.all(np.abs(res.speeds) <= np.maximum(sl.c, sr.c) + 1e-13)
+        assert np.all(np.abs(res.speeds) <= np.maximum(sl[eqs.C], sr[eqs.C]) + 1e-13)
 
     # f-wave form incl. material jumps: reconstruction of the flux difference
     for system, m, mats in (("acoustics-1d", 2, (ml, mr)),
@@ -440,8 +440,8 @@ def test_criterion_9_riemann_property_suites():
                             ("swe-linear-2d", 3, None)):
         for axis in range(1 if m == 2 else 2):
             if mats is None:
-                a = SweMaterial.create(-rng.uniform(0.5, 300, n), 0.0, 9.81)
-                b = SweMaterial.create(-rng.uniform(0.5, 300, n), 0.0, 9.81)
+                a = swe_material(-rng.uniform(0.5, 300, n), 0.0, 9.81)
+                b = swe_material(-rng.uniform(0.5, 300, n), 0.0, 9.81)
             else:
                 a, b = mats
             ql = rng.normal(size=(m, n))

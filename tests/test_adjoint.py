@@ -280,7 +280,7 @@ def test_inner_product_dry_forward_cell_zero():
                            dx=0.1, dy=0.1, time=t) for t in times]
     store = AdjointSnapshotStore(times=times, fields=fields,
                                  window=TimeWindow(1.0, 1.0),
-                                 wet=p.aux.wet[p.spec.interior_slices()].copy())
+                                 wet=eqs.wet(p.aux)[p.spec.interior_slices()].copy())
     vals = inner_product_field(p, 0.5, store, store.window)
     xs = p.spec.cell_centers()[0]
     assert np.all(vals[xs > 0.5] == 0.0)      # dry forward cells masked
@@ -324,8 +324,7 @@ def per_snapshot_inner_product(patch, t, store, window):
     for n in query_window_times(t, window, store):
         qhat = interpolate_uniform(store.fields[n], *((x,) if y is None else (x, y)))
         best = np.maximum(best, np.abs(np.sum(qhat * q, axis=0)))
-    if hasattr(patch.aux, "wet"):
-        best = np.where(patch.aux.wet[spec.interior_slices()], best, 0.0)
+    best = np.where(eqs.wet(patch.aux)[spec.interior_slices()], best, 0.0)
     if store.wet is not None:
         g = store.grid
         i = np.clip(((x - g.origin[0]) / g.dx).astype(int), 0, g.shape[0] - 1)
@@ -401,7 +400,7 @@ def test_inner_product_bitwise_equals_per_snapshot_loop_swe_dry():
     store = random_store(rng, 3, (15, 15), (0.0, 0.0), (2.0 / 15, 2.0 / 15),
                          TimeWindow(0.0, 1.0), wet=adjoint_wet)
     got = inner_product_field(p, 0.25, store, store.window)
-    assert not p.aux.wet.all() and not adjoint_wet.all()
+    assert not eqs.wet(p.aux).all() and not adjoint_wet.all()
     assert (got == 0.0).any() and (got > 0.0).any()
     assert np.array_equal(got, per_snapshot_inner_product(p, 0.25, store, store.window))
 

@@ -676,7 +676,7 @@ def test_restrict_swe_averages_wet_children_into_wet_coarse_cells():
             if key == "state":
                 out[(slice(None), *sl)] = p.interior()
             else:
-                out[sl] = p.aux.wet[p.spec.interior_slices()]
+                out[sl] = eqs.wet(p.aux)[p.spec.interior_slices()]
             cov[sl] = True
         return out, cov
 

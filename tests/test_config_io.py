@@ -236,7 +236,7 @@ def test_build_equation_and_initial_1d():
     eq = build_equation(cfg)
     assert isinstance(eq, eqs.Acoustics1D)
     mat = eq.sample_material(np.array([-1.0, 1.0]))
-    assert np.allclose(mat.c, [1.0, 0.5])
+    assert np.allclose(mat[eqs.C], [1.0, 0.5])
     ic = build_initial(cfg)
     out = ic(np.array([-2.0, 0.0]))
     assert out[0, 0] == pytest.approx(1.0)

@@ -1,23 +1,21 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from adjamr import equations as eqs
-from adjamr.equations import (AcousticsMaterial, DryCellError,
-                              InvalidMaterialError, SweMaterial,
-                              acoustics_rp_1d, acoustics_rp_normal_2d,
+from adjamr.equations import (DryCellError, InvalidMaterialError,
+                              acoustics_material, acoustics_rp_1d, acoustics_rp_normal_2d,
                               acoustics_rp_transverse_2d, adjoint_flux,
-                              adjoint_fwave_rp, adjoint_transverse, swe_linear_rp)
+                              adjoint_fwave_rp, adjoint_transverse, swe_linear_rp,
+                              swe_material)
 
 
 def amat(K, rho):
-    return AcousticsMaterial.create(np.asarray(K, float), np.asarray(rho, float))
+    return acoustics_material(np.asarray(K, float), np.asarray(rho, float))
 
 
 def smat(depth, g=9.81):
     depth = np.asarray(depth, float)
-    return SweMaterial.create(-depth, sea_level=0.0, gravity=g)
+    return swe_material(-depth, sea_level=0.0, gravity=g)
 
 
 # ---------------------------------------------------------------------------
@@ -117,26 +115,14 @@ def test_acoustics_1d_invalid_material():
     with pytest.raises(InvalidMaterialError):
         amat([-1.0], [1.0])
     good = amat([1.0], [1.0])
-    bad = AcousticsMaterial(np.array([0.0]), np.array([1.0]),
-                            np.array([0.0]), np.array([0.0]))
+    bad = np.array([[0.0], [0.0], [0.0], [1.0]])       # rows (c, z, bulk, rho)
     with pytest.raises(InvalidMaterialError):
         acoustics_rp_1d(np.zeros((2, 1)), np.zeros((2, 1)), good, bad)
 
 
-def test_materials_from_create_and_slicing_are_validated():
-    m = amat([1.0, 2.0, 3.0], [1.0, 0.5, 2.0])
-    assert m.validated and m[1:].validated and m[None, :2].validated
-    sampled = eqs.AcousticsMaterialModel(lambda x: 1.0 + x * x,
-                                         lambda x: 2.0 + x).sample(np.linspace(0, 1, 4))
-    assert sampled.validated and sampled[::2].validated
-    hand = AcousticsMaterial(np.ones(2), np.ones(2), np.ones(2), np.ones(2))
-    assert not hand.validated and not hand[:1].validated
-
-
 def test_hand_built_invalid_material_rejected_by_each_acoustics_solver():
     good = amat([1.0], [1.0])
-    bad = AcousticsMaterial(np.array([1.0]), np.array([-1.0]),
-                            np.array([1.0]), np.array([1.0]))
+    bad = np.array([[1.0], [1.0], [1.0], [-1.0]])      # rows (c, z, bulk, rho)
     q = np.zeros((3, 1))
     with pytest.raises(InvalidMaterialError):
         acoustics_rp_normal_2d(0, q, q, good, bad)
@@ -145,13 +131,9 @@ def test_hand_built_invalid_material_rejected_by_each_acoustics_solver():
     with pytest.raises(InvalidMaterialError):
         adjoint_fwave_rp("acoustics-2d", 1, q, q, bad, good)
     with pytest.raises(InvalidMaterialError):
-        adjoint_fwave_rp("acoustics-1d", 0, q[:2], q[:2], good, bad[0:1])
+        adjoint_fwave_rp("acoustics-1d", 0, q[:2], q[:2], good, bad[:, 0:1])
     with pytest.raises(InvalidMaterialError):
         adjoint_transverse("acoustics-2d", 0, q, good, bad)
-    replaced = dataclasses.replace(good, rho=np.array([-1.0]))
-    assert not replaced.validated
-    with pytest.raises(InvalidMaterialError):
-        acoustics_rp_normal_2d(1, q, q, replaced, good)
     with pytest.raises(DryCellError):
         adjoint_fwave_rp("swe-linear-2d", 0, q, q, smat([10.0]), smat([-1.0]))
 
@@ -282,6 +264,20 @@ def test_swe_dry_cell_error():
         swe_linear_rp(0, np.zeros((3, 1)), np.zeros((3, 1)), wet, dry)
 
 
+def test_wet_rule_is_positive_depth():
+    """A cell is wet where its wave speed is positive: for shallow water
+    exactly where η − b > 0, exact zeros included; every acoustics cell."""
+    rng = np.random.default_rng(5)
+    b = rng.uniform(-2.0, 2.0, (40, 30))
+    b[rng.random(b.shape) < 0.2] = 0.0      # cells of exactly zero depth at sea level 0
+    b[rng.random(b.shape) < 0.1] = 1.5      # and at sea level 1.5
+    for sea_level in (0.0, 1.5):
+        for g in (9.81, 1.0):
+            aux = swe_material(b, sea_level, g)
+            assert np.array_equal(eqs.wet(aux), sea_level - b > 0)
+    assert eqs.wet(amat(rng.uniform(0.1, 10, 50), rng.uniform(0.1, 10, 50))).all()
+
+
 def test_adjoint_forward_same_speed_sets():
     rng = np.random.default_rng(3)
     K = rng.uniform(0.5, 4.0, 10)
@@ -312,7 +308,7 @@ def test_wave_sum_and_speed_bound_batches():
     qr = rng.normal(size=(2, n))
     res = acoustics_rp_1d(ql, qr, ml, mr)
     assert rel_err(res.waves.sum(axis=0), qr - ql) < 1e-12
-    assert np.all(np.abs(res.speeds) <= np.maximum(ml.c, mr.c) + 1e-14)
+    assert np.all(np.abs(res.speeds) <= np.maximum(ml[eqs.C], mr[eqs.C]) + 1e-14)
     # fluctuation identity: minus + plus = sum(speed * wave)
     total = np.sum(res.speeds[:, None] * res.waves, axis=0)
     assert rel_err(res.fluct_minus + res.fluct_plus, total) < 1e-12

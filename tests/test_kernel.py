@@ -64,9 +64,9 @@ def run_case(name: str, limiter: str):
     sample_patch_material(p, eq, BC, shape)
     p.interior()[...] = np.random.default_rng(7).uniform(-1.0, 1.0, p.interior().shape)
     if eq.is_swe:
-        assert not p.aux.wet.all() and p.aux.wet.any()
-        p.interior()[...] *= p.aux.wet[p.spec.interior_slices()]
-    dt = 0.8 * min(p.spec.widths) / float(np.max(eq.max_speed(p.aux)))
+        assert not eqs.wet(p.aux).all() and eqs.wet(p.aux).any()
+        p.interior()[...] *= eqs.wet(p.aux)[p.spec.interior_slices()]
+    dt = 0.8 * min(p.spec.widths) / float(np.max(p.aux[eqs.C]))
     courants = []
     for _ in range(STEPS):
         fill_ghost_physical(p, BC, eq, shape)
@@ -144,19 +144,21 @@ def _level(name, boxes, seed):
         sample_patch_material(p, eq, BC, shape)
         p.state[...] = rng.uniform(-1.0, 1.0, p.state.shape)
         if eq.is_swe:
-            p.state *= p.aux.wet
+            p.state *= eqs.wet(p.aux)
         patches.append(p)
-    speed = max(float(np.max(eq.max_speed(p.aux))) for p in patches)
+    speed = max(float(np.max(p.aux[eqs.C])) for p in patches)
     return eq, LevelLayout(patches), 0.8 * min(h.widths(1)[:nd]) / speed, patches
 
 
 def _stepped_levels(order, padding=None):
     """The LEVELS levels, level k stepped once per k in `order` (MC on odd k,
-    superbee on even); `padding` (a Generator) fills padding with random state."""
+    superbee on even); `padding` (a Generator) fills padding with random state
+    and random positive material rows."""
     levels = [_level(name, boxes, k) for k, (name, boxes) in enumerate(LEVELS)]
     for eq, lay, *_ in levels if padding else ():
         pad = ~(lay.interior | lay._ghost)
         lay.state[:, pad] = padding.uniform(-1.0, 1.0, (len(lay.state), int(pad.sum())))
+        lay.aux[:, pad] = padding.uniform(0.1, 10.0, (len(lay.aux), int(pad.sum())))
     for k in order:
         eq, lay, dt, _ = levels[k]
         lay.step(dt, eq, "MC" if k % 2 else "superbee")
@@ -173,7 +175,7 @@ def test_interleaved_levels_step_as_each_alone(monkeypatch):
     for (name, _), (eq, a, *_), (_, b, *_) in zip(LEVELS, alone, mixed):
         assert len(a.bands) > 1, name
         if eq.is_swe:
-            assert a.aux.wet.any() and not a.aux.wet[a.interior].all(), name
+            assert eqs.wet(a.aux).any() and not eqs.wet(a.aux)[a.interior].all(), name
         assert a.state.tobytes() == b.state.tobytes(), name
 
 
@@ -209,8 +211,9 @@ def test_packed_levels_bitwise(band_cells, monkeypatch):
 @pytest.mark.parametrize("band_cells", sorted(LEVEL_DIGESTS))
 def test_padding_state_reaches_no_interior(band_cells, monkeypatch):
     # faces between a row's last cell and the next row's first join boxes
-    # and padding of different shelves: random padding must change no
-    # interior byte (zero padding would hide a leak)
+    # and padding of different shelves: random padding state and material
+    # must change no interior byte (zero state or unit material padding
+    # would hide a leak; shallow-water padding is wet)
     monkeypatch.setattr(solver, "BAND_CELLS", band_cells)
     order = [k for k in range(len(LEVELS)) for _ in range(3)]
     zero, noisy = _stepped_levels(order), _stepped_levels(order, np.random.default_rng(3))
@@ -230,7 +233,7 @@ def _third_step_peak(name, shape):
     p = Patch(h.make_spec(1, (0,) * nd, tuple(n - 1 for n in shape)), eq.m)
     sample_patch_material(p, eq, BC, shape)
     p.interior()[...] = np.random.default_rng(7).uniform(-1.0, 1.0, p.interior().shape)
-    dt = 0.8 * min(p.spec.widths) / float(np.max(eq.max_speed(p.aux)))
+    dt = 0.8 * min(p.spec.widths) / float(np.max(p.aux[eqs.C]))
     for _ in range(2):
         fill_ghost_physical(p, BC, eq, shape)
         step_patch(p, dt, eq, "MC")

@@ -1,0 +1,34 @@
+"""Smoke test of `scripts/kernel_bench.py`: its set-ups build and step for
+every equation set it lists, so a change to the patch or material API that
+breaks the script fails here rather than at its next manual run."""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def _kernel_bench():
+    path = os.path.join(ROOT, "scripts", "kernel_bench.py")
+    spec = importlib.util.spec_from_file_location("kernel_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _kernel_bench()
+
+
+@pytest.mark.parametrize("name", [name for name, _ in BENCH.EQUATIONS])
+def test_kernel_bench_setups_step(name):
+    forward = dict(BENCH.EQUATIONS)[name]()
+    for eq in (forward, forward.adjoint().reversed()):
+        p, dt, _ = BENCH.uniform_patch(eq, 16)
+        assert 0.0 < BENCH.step_patch(p, dt, eq, "MC") <= 0.9 + 1e-12, eq.name
+        assert np.isfinite(p.state).all(), eq.name
+        if eq.m == 3:       # the script steps levels of 2D sets only
+            patches, dt = BENCH.level_patches(eq)
+            assert 0.0 < BENCH.step_patch(patches[0], dt, eq, "MC") <= 0.9 + 1e-12, eq.name

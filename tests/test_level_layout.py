@@ -47,7 +47,7 @@ def _patch(h, eq, level, lo, hi, rng):
     sample_patch_material(p, eq, BC, h.level_shape(level))
     p.state[...] = rng.uniform(-1.0, 1.0, p.state.shape)
     if eq.is_swe:
-        p.state *= p.aux.wet
+        p.state *= eqs.wet(p.aux)
     return p
 
 
@@ -139,8 +139,8 @@ def test_level_step_equals_per_patch_steps(name, band_cells, monkeypatch):
     assert lay.state[0].size > boxes                      # the packing has padding
     assert (len(lay.bands) > 1) == (band_cells == 1)
     if eq.is_swe:
-        assert sum(p.aux.wet.any() and not p.aux.wet.all() for p in patches) >= 2
-    dt = 0.8 * min(patches[0].spec.widths) / max(float(np.max(p.aux.c)) for p in patches)
+        assert sum(eqs.wet(p.aux).any() and not eqs.wet(p.aux).all() for p in patches) >= 2
+    dt = 0.8 * min(patches[0].spec.widths) / max(float(np.max(p.aux[eqs.C])) for p in patches)
     for _ in range(3):
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             cfl = lay.step(dt, eq, "MC")
@@ -179,7 +179,7 @@ def test_bad_wave_speed_names_the_patch_holding_it():
     h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 1.5), base_shape=(16, 12), ratios=[])
     rng = np.random.default_rng(0)
     patches = [_patch(h, eq, 1, lo, hi, rng) for lo, hi in (BOXES[0], BOXES[3])]
-    assert np.isnan(patches[1].aux.c).any() and not np.isnan(patches[0].aux.c).any()
+    assert np.isnan(patches[1].aux[eqs.C]).any() and not np.isnan(patches[0].aux[eqs.C]).any()
     lay = LevelLayout(patches)
     assert len(lay.bands) == 1
     with pytest.raises(eqs.InvalidMaterialError) as err:

@@ -71,7 +71,7 @@ def _adjoint_case(seed):
     wet = None
     if swe:
         xs, ys = (o + (np.arange(n) + 0.5) * w for o, n, w in zip(origin, shape, widths))
-        wet = eq.sample_material(*np.meshgrid(xs, ys, indexing="ij")).wet
+        wet = eqs.wet(eq.sample_material(*np.meshgrid(xs, ys, indexing="ij")))
     t_start = float(rng.uniform(0.0, 1.0))
     window = TimeWindow(t_start, 1.0)
     store = AdjointSnapshotStore(
@@ -176,25 +176,22 @@ def _restrict_reference(h, level):
     """The coarse interiors after restricting one fine patch at a time."""
     r, nd = h.ratio_to_finer(level), h.ndim
     coarse = {p.spec.lo: p.interior().copy() for p in h.patches(level)}
-    wet_c = {p.spec.lo: getattr(p.aux, "wet", None) for p in h.patches(level)}
+    wet_c = {p.spec.lo: eqs.wet(p.aux) for p in h.patches(level)}
     for fp in h.patches(level + 1):
         sl = fp.spec.interior_slices()
         blocks = [k for n in fp.spec.shape for k in (n // r, r)]
         q = fp.state[(slice(None), *sl)].reshape(fp.num_components, *blocks)
         sums = tuple(range(2 * nd, 0, -2))
-        if getattr(fp.aux, "wet", None) is None:
-            avg, ws = q.sum(axis=sums) / r ** nd, None
-        else:
-            w = fp.aux.wet[sl].reshape(blocks).astype(float)
-            ws = w.sum(axis=tuple(a - 1 for a in sums))
-            avg = (q * w).sum(axis=sums) / np.where(ws > 0, ws, 1.0)
+        w = eqs.wet(fp.aux)[sl].reshape(blocks).astype(float)    # all 1 for acoustics
+        ws = w.sum(axis=tuple(a - 1 for a in sums))
+        avg = (q * w).sum(axis=sums) / np.where(ws > 0, ws, 1.0)
         for idx in np.ndindex(*avg.shape[1:]):
             cell = tuple(l // r + i for l, i in zip(fp.spec.lo, idx))
             for cp in h.patches(level):
                 local = tuple(c - l for c, l in zip(cell, cp.spec.lo))
                 if not all(0 <= k < n for k, n in zip(local, cp.spec.shape)):
                     continue
-                if ws is not None and not (ws[idx] > 0 and wet_c[cp.spec.lo][
+                if not (ws[idx] > 0 and wet_c[cp.spec.lo][
                         tuple(k + cp.spec.ghost_width for k in local)]):
                     continue
                 coarse[cp.spec.lo][(slice(None), *local)] = avg[(slice(None), *idx)]
@@ -217,7 +214,7 @@ def test_level_restriction_equals_per_patch_restriction(eq, ratio):
         lay = level_layout(h, level)
         lay.state[...] = rng.normal(size=lay.state.shape)
     if eq.is_swe:
-        fine_wet = np.concatenate([p.aux.wet[p.spec.interior_slices()].ravel()
+        fine_wet = np.concatenate([eqs.wet(p.aux)[p.spec.interior_slices()].ravel()
                                    for p in h.patches(2)])
         assert fine_wet.any() and not fine_wet.all()        # dry children occur
     want = _restrict_reference(h, 1)

@@ -72,9 +72,9 @@ def test_swe_coastline_mirror_state():
     eq = eqs.SweLinear2D(eqs.SweMaterialModel(lambda x, y: -10.0 + 20.0 * x + 0.0 * y,
                                               sea_level=0.0, gravity=9.81))
     _, p = uniform_patch_2d(eq, 10, 6)
-    wet = p.aux.wet[p.spec.interior_slices()]
+    wet = eqs.wet(p.aux)[p.spec.interior_slices()]
     assert wet.any() and not wet.all()
-    dt = 0.8 * 0.1 / float(np.max(p.aux.c))
+    dt = 0.8 * 0.1 / float(np.max(p.aux[eqs.C]))
     p.interior()[0] = 0.1 * wet
     before = p.interior().copy()
     fill_ghost_physical(p, BoundarySpec(), eq, (10, 6))
@@ -338,8 +338,8 @@ def _assert_material_ghosts(h, eq, bc, level, lo, hi):
         centers.append(spec.origin[a] + (src + 0.5) * spec.widths[a])
     # a corner ghost takes the x source and the y source at once: x then y
     want = eq.sample_material(*np.meshgrid(*centers, indexing="ij"))
-    for name in ("bulk", "rho", "c", "z"):
-        assert np.array_equal(getattr(p.aux, name), getattr(want, name)), (name, lo, hi)
+    for row, name in enumerate(eqs.ACOUSTICS_ROWS):
+        assert np.array_equal(p.aux[row], want[row]), (name, lo, hi)
 
 
 def test_material_ghosts_mirror_at_walls_and_clamp_at_outflow_1d():
@@ -378,13 +378,13 @@ def test_step_patch_returns_courant_number_over_interior_interfaces():
     g, n, dt = p.spec.ghost_width, p.state.shape[1], 0.01
     cfl = step_patch(p, dt, eq, "MC")
     assert isinstance(cfl, float)
-    assert cfl == float(np.max(p.aux.c[g - 1:n - g + 1])) * (dt / p.spec.dx)
+    assert cfl == float(np.max(p.aux[eqs.C, g - 1:n - g + 1])) * (dt / p.spec.dx)
 
     eq2 = eqs.Acoustics2D(eqs.AcousticsMaterialModel(
         lambda x, y: 1.0 + x + 2.0 * y, lambda x, y: np.ones_like(x)))
     _, p2 = uniform_patch_2d(eq2, 8, 8, ylim=(0.0, 2.0))
     nx, ny = p2.state.shape[1:]
-    c = p2.aux.c
+    c = p2.aux[eqs.C]
     cfl = step_patch(p2, dt, eq2, "MC")
     assert isinstance(cfl, float)
     assert cfl == max(float(np.max(c[g - 1:nx - g + 1, g:ny - g])) * (dt / p2.spec.dx),
