@@ -27,7 +27,7 @@ class DryCellError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Materials: one float array (field, *cells) per patch or level, like
+# Materials: one float array (rows, *cells) per patch or level, like
 # Clawpack's `aux`, copied, packed and ghost-filled the way the state is.
 # Row C is the wave speed in every system; a cell is dry where it is 0.
 
