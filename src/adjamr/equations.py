@@ -221,6 +221,7 @@ def swe_linear_rp(axis: int, q_l, q_r, mat_l, mat_r) -> RiemannResult:
 
 def swe_linear_transverse(axis: int, fluct, mat_below, mat_above):
     """Transverse split of a linear SWE fluctuation (wave form)."""
+    _check_wet(mat_below, mat_above, "swe_linear_transverse requires wet cells")
     f = np.asarray(fluct, dtype=float)
     mv = 2 - axis
     return _transverse_split(f, 0, mv, mat_below[C], mat_above[C],
@@ -276,6 +277,7 @@ def adjoint_transverse(system: str, axis: int, fluct, mat_below, mat_above):
         return _transverse_split(f, 0, mv, mat_below[Z], mat_above[Z],
                                  mat_below[C], mat_above[C])
     if system == "swe-linear-2d":
+        _check_wet(mat_below, mat_above, "adjoint SWE transverse solve requires wet cells")
         return _transverse_split(f, mv, 0, mat_below[C], mat_above[C],
                                  mat_below[C], mat_above[C])
     raise ValueError(f"no transverse solve for system {system!r}")

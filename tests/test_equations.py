@@ -262,11 +262,16 @@ def test_swe_dry_cell_error():
     dry = smat([-1.0])
     with pytest.raises(DryCellError):
         swe_linear_rp(0, np.zeros((3, 1)), np.zeros((3, 1)), wet, dry)
+    with pytest.raises(DryCellError):       # c = 0 on a dry side: no transverse split
+        eqs.swe_linear_transverse(0, np.ones((3, 1)), dry, wet)
+    with pytest.raises(DryCellError):
+        adjoint_transverse("swe-linear-2d", 1, np.ones((3, 1)), wet, dry)
 
 
 def test_wet_rule_is_positive_depth():
     """A cell is wet where its wave speed is positive: for shallow water
-    exactly where η − b > 0, exact zeros included; every acoustics cell."""
+    exactly where η − b > 0, exact zeros included, unless g·(η − b)
+    underflows to 0; every acoustics cell."""
     rng = np.random.default_rng(5)
     b = rng.uniform(-2.0, 2.0, (40, 30))
     b[rng.random(b.shape) < 0.2] = 0.0      # cells of exactly zero depth at sea level 0
@@ -275,6 +280,7 @@ def test_wet_rule_is_positive_depth():
         for g in (9.81, 1.0):
             aux = swe_material(b, sea_level, g)
             assert np.array_equal(eqs.wet(aux), sea_level - b > 0)
+    assert not eqs.wet(swe_material([-5e-324], 0.0, 0.1)).any()     # depth > 0, c = 0
     assert eqs.wet(amat(rng.uniform(0.1, 10, 50), rng.uniform(0.1, 10, 50))).all()
 
 
