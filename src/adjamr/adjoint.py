@@ -191,7 +191,7 @@ def solve_adjoint(equation: EquationSet, boundary: BoundarySpec,
         stack[len(stack) - len(t_rev)] = patch.interior()
 
     march(lambda: patch.time, lambda step: advance_hierarchy(hierarchy, 1, step, ctx),
-          duration, select_dt(hierarchy, ctx.equation, courant_target), snap_times, on_output)
+          duration, select_dt(hierarchy, courant_target), snap_times, on_output)
 
     times = (window.t_final - np.array(t_rev))[::-1].copy()
     fields = [UniformField(values=v, origin=origin, dx=wx, dy=wy, time=float(t))

@@ -67,7 +67,7 @@ def init_hierarchy(cfg: RunConfig, ctx: AmrContext) -> PatchHierarchy:
     base = make_patch(h, 1, (0,) * cfg.ndim,
                       tuple(n - 1 for n in cfg.base_shape), ctx, time=cfg.t0)
     h.levels = [[base]]
-    limit = select_dt(h, ctx.equation, 1.0)
+    limit = select_dt(h, 1.0)
     if cfg.dt_fixed is not None and cfg.dt_fixed > limit * (1.0 + 1e-12):
         raise ConfigError(f"[solver] dt_fixed = {cfg.dt_fixed:g} exceeds {limit:g}, the "
                           f"largest step at Courant number 1 on the base grid")
@@ -151,7 +151,7 @@ def run_forward(cfg: RunConfig, strategy_name: str | None = None,
 
     wall0 = _time.perf_counter()
     # level 1 is never rebuilt and materials are static, so one dt serves the run
-    dt = cfg.dt_fixed or select_dt(h, equation, cfg.courant, cfg.dt_max)
+    dt = cfg.dt_fixed or select_dt(h, cfg.courant, cfg.dt_max)
     march(lambda: h.patches(1)[0].time, lambda step: advance_hierarchy(h, 1, step, ctx),
           cfg.t_final, dt, cfg.output_times, emit_output)
     result.timing.forward_wall_seconds = _time.perf_counter() - wall0
@@ -236,7 +236,7 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
 
     sample(patch)
     ctx.on_level_advanced = lambda h, level, t: sample(patch)
-    dt = cfg.dt_fixed or select_dt(h, equation, cfg.courant, cfg.dt_max)
+    dt = cfg.dt_fixed or select_dt(h, cfg.courant, cfg.dt_max)
     march(lambda: patch.time, lambda step: advance_hierarchy(h, 1, step, ctx), cfg.t_final, dt)
     del qhat, qhat_norm         # freed before the masks are stacked
     return xs, np.asarray(times), np.asarray(mq), np.asarray(mqh), np.asarray(mi)

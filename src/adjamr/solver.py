@@ -666,8 +666,8 @@ def _cfl_dt(patches, widths, courant_target: float, dt_max: float) -> float:
     return min(min(courant_target * w / max_speed for w in widths), dt_max)
 
 
-def select_dt(hierarchy: PatchHierarchy, equation: EquationSet,
-              courant_target: float = 0.9, dt_max: float = np.inf) -> float:
+def select_dt(hierarchy: PatchHierarchy, courant_target: float = 0.9,
+              dt_max: float = np.inf) -> float:
     """Coarse-level dt from the CFL target; finer levels subcycle by ratio.
     The wave speed is row C of every system's material."""
     if not (0.0 < courant_target <= 1.0):

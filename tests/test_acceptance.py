@@ -389,7 +389,7 @@ def test_criterion_8_swe_desk_analog():
     track(h, 1, 0.0)
     t = 0.0
     while t < cfg.t_final - 1e-9:
-        dt = min(select_dt(h, eq, cfg.courant), cfg.t_final - t)
+        dt = min(select_dt(h, cfg.courant), cfg.t_final - t)
         advance_hierarchy(h, 1, dt, ctx)
         t = h.patches(1)[0].time
     m = np.asarray(masses)

@@ -228,7 +228,7 @@ def test_one_mutated_number_is_refused_or_runs(site, value):
                      buffer_cells=cfg.buffer_cells, efficiency=cfg.efficiency,
                      max_patch_edge=cfg.max_patch_edge)
     h = init_hierarchy(cfg, ctx)
-    advance_hierarchy(h, 1, select_dt(h, eq, cfg.courant, cfg.dt_max), ctx)
+    advance_hierarchy(h, 1, select_dt(h, cfg.courant, cfg.dt_max), ctx)
 
 
 def test_build_equation_and_initial_1d():

@@ -240,14 +240,14 @@ def test_select_dt_arithmetic_and_degenerate():
     eq = const_acoustics_2d(K=4.0, rho=1.0)      # c = 2
     h, p = uniform_patch_2d(eq, 50, 50, xlim=(-4, 8), ylim=(-1, 11))
     h.levels.append([p])
-    assert select_dt(h, eq, 0.9) == pytest.approx(0.9 * 0.24 / 2.0)
+    assert select_dt(h, 0.9) == pytest.approx(0.9 * 0.24 / 2.0)
 
     def dry(x, y):
         return np.full_like(np.asarray(x, float), 5.0)   # land everywhere
     eq2 = eqs.SweLinear2D(eqs.SweMaterialModel(dry))
     h2, p2 = uniform_patch_2d(eq2, 10, 10)
     h2.levels.append([p2])
-    assert select_dt(h2, eq2, 0.9, dt_max=123.0) == 123.0
+    assert select_dt(h2, 0.9, dt_max=123.0) == 123.0
 
 
 def test_select_dt_governed_by_fast_side():
@@ -257,7 +257,7 @@ def test_select_dt_governed_by_fast_side():
         lambda x: np.where(np.asarray(x) < 0, 1.0, 4.0)))
     h, p = uniform_patch_1d(eq, 100, xlim=(-5.0, 3.0))
     h.levels.append([p])
-    assert select_dt(h, eq, 0.9) == pytest.approx(0.9 * 0.08 / 1.0)
+    assert select_dt(h, 0.9) == pytest.approx(0.9 * 0.08 / 1.0)
 
 
 def test_fill_ghost_from_coarse_rules():
