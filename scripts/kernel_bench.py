@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Microbenchmark of the step kernel: `step_patch` cell-updates per second.
+"""Microbenchmark of the step kernel: `LevelLayout.step` cell-updates per second.
 
 Each equation set (1D and 2D acoustics with variable material, linear
 shallow water with a dry shelf, and the time-reversed adjoint of each)
-steps one uniform patch of edge 16, 32 and 64 cells from a seeded random
-state at Courant number 0.9, refilling its wall ghosts before every step;
+steps a level of one uniform patch of edge 16, 32 and 64 cells from a
+seeded random state at Courant number 0.9, refilling its wall ghosts
+(`fill_physical`) before every step;
 the 1D sets also step a 1000-cell patch, the one band of the 1d-interface
 x-t map run, and the 2D sets a 50 x 50 patch, a 54 x 54 band with its
 ghosts: the most common band of both 2d-walls runs.
 Each 2D set then steps a level shaped like the median finest-level layout
 of the 2d-walls-timerange run under adjoint flagging (12 patches of edge
-12 to 16), patch by patch with `step_patch` and as one `LevelLayout`.
+12 to 16), patch by patch (a layout each) and as one `LevelLayout`.
+Levels are built as runs build them, by `amr.new_level`.
 Only the steps are timed; a line reports the best of REPEATS runs of
 SECONDS each, and next to it tracemalloc's peak over one later step (the
 third, once plans are built and work arrays carved), in KiB.
@@ -27,9 +29,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 from adjamr import equations as eqs
-from adjamr.geometry import Patch, PatchHierarchy
-from adjamr.solver import (BoundarySpec, LevelLayout, fill_ghost_physical,
-                           sample_patch_material, step_patch)
+from adjamr.amr import AmrContext, EverywhereFlagging, new_level
+from adjamr.geometry import PatchHierarchy
+from adjamr.solver import BoundarySpec
 
 EDGES = (16, 32, 64)
 XT_EDGE = 1000      # the 1d-interface grid: x-t map runs step one such band
@@ -60,14 +62,21 @@ EQUATIONS = (("acoustics-1d", _acoustics_1d), ("acoustics-2d", _acoustics_2d),
              ("swe-linear-2d", _swe))
 
 
+def _patches(equation, h, boxes):
+    """The patches of level 1 of `h` over the index boxes (lo, hi), packed
+    into one layout with walls on every side."""
+    ctx = AmrContext(equation=equation, boundary=BoundarySpec(), strategy=EverywhereFlagging())
+    return new_level(h, 1, boxes, ctx, 0.0)
+
+
 def uniform_patch(equation, edge: int, seed: int = 0):
-    """A seeded edge^ndim patch on the unit square (or interval) with walls."""
+    """A seeded edge^ndim patch on the unit square (or interval) with walls,
+    alone in its layout (`p.layout`); dt at Courant 0.9 and the level shape."""
     nd = 1 if equation.m == 2 else 2
     shape = (edge,) * nd
     h = PatchHierarchy(xlim=(0.0, 1.0), ylim=None if nd == 1 else (0.0, 1.0),
                        base_shape=shape, ratios=[])
-    p = Patch(h.make_spec(1, (0,) * nd, tuple(n - 1 for n in shape)), equation.m)
-    sample_patch_material(p, equation, BoundarySpec(), shape)
+    p, = _patches(equation, h, [((0,) * nd, tuple(n - 1 for n in shape))])
     p.interior()[...] = np.random.default_rng(seed).normal(size=p.interior().shape)
     if equation.is_swe:
         p.interior()[...] *= eqs.wet(p.aux)[p.spec.interior_slices()]
@@ -96,31 +105,31 @@ def cell_updates_per_s(equation, edge: int, seconds: float, repeats: int):
         cells = int(np.prod(shape))
         steps, spent = 0, 0.0
         while spent < seconds:
-            fill_ghost_physical(p, BoundarySpec(), equation, shape)
+            p.layout.fill_physical(BoundarySpec(), equation, shape)
             t0 = time.perf_counter()
-            step_patch(p, dt, equation, "MC")
+            p.layout.step(dt, equation, "MC")
             spent += time.perf_counter() - t0
             steps += 1
         best = max(best, cells * steps / spent)
     p, dt, shape = uniform_patch(equation, edge)
-    return best, later_step_peak(lambda: step_patch(p, dt, equation, "MC"),
-                                 lambda: fill_ghost_physical(p, BoundarySpec(), equation, shape))
+    return best, later_step_peak(lambda: p.layout.step(dt, equation, "MC"),
+                                 lambda: p.layout.fill_physical(BoundarySpec(), equation, shape))
 
 
-def level_patches(equation):
+def level_patches(equation, as_level: bool = True):
     """LEVEL_EDGES square patches, 4 x 3 and 18 cells apart, on a 72 x 54
-    level of the unit square, with seeded interiors; and dt at Courant 0.9."""
+    level of the unit square, with seeded interiors, packed into one layout
+    or (`as_level` False) each into its own; and dt at Courant 0.9."""
     h = PatchHierarchy(xlim=(0.0, 1.0), ylim=(0.0, 1.0), base_shape=(72, 54), ratios=[])
+    boxes = [((18 * (k % 4), 18 * (k // 4)), (18 * (k % 4) + edge - 1, 18 * (k // 4) + edge - 1))
+             for k, edge in enumerate(LEVEL_EDGES)]
+    patches = (_patches(equation, h, boxes) if as_level else
+               [_patches(equation, h, [box])[0] for box in boxes])
     rng = np.random.default_rng(0)
-    patches = []
-    for k, edge in enumerate(LEVEL_EDGES):
-        lo = (18 * (k % 4), 18 * (k // 4))
-        p = Patch(h.make_spec(1, lo, (lo[0] + edge - 1, lo[1] + edge - 1)), equation.m)
-        sample_patch_material(p, equation, BoundarySpec(), h.level_shape(1))
+    for p in patches:
         p.interior()[...] = rng.normal(size=p.interior().shape)
         if equation.is_swe:
             p.interior()[...] *= eqs.wet(p.aux)[p.spec.interior_slices()]
-        patches.append(p)
     speed = max(float(np.max(p.aux[eqs.C])) for p in patches)
     return patches, 0.9 * min(h.widths(1)) / speed
 
@@ -128,24 +137,25 @@ def level_patches(equation):
 def level_cell_updates_per_s(equation, seconds: float, repeats: int):
     """(patch by patch, as one level) cell-updates/s on `level_patches`, and
     their later-step peaks in KiB."""
+    def stepper(as_level):
+        patches, dt = level_patches(equation, as_level)
+        layouts = {p.layout: None for p in patches}       # one, or one per patch
+        return patches, lambda: [lay.step(dt, equation, "MC") for lay in layouts]
+
     rates, peaks = [], []
     for as_level in (False, True):
         best = 0.0
         for _ in range(repeats):
-            patches, dt = level_patches(equation)
-            step = (LevelLayout(patches).step if as_level else
-                    lambda dt, eq, lim: [step_patch(p, dt, eq, lim) for p in patches])
+            patches, step = stepper(as_level)
             cells = sum(int(np.prod(p.spec.shape)) for p in patches)
             steps, t0 = 0, time.perf_counter()
             while time.perf_counter() - t0 < seconds:
-                step(dt, equation, "MC")
+                step()
                 steps += 1
             best = max(best, cells * steps / (time.perf_counter() - t0))
         rates.append(best)
-        patches, dt = level_patches(equation)
-        step = (LevelLayout(patches).step if as_level else
-                lambda dt, eq, lim: [step_patch(p, dt, eq, lim) for p in patches])
-        peaks.append(later_step_peak(lambda: step(dt, equation, "MC")))
+        patches, step = stepper(as_level)
+        peaks.append(later_step_peak(step))
     return rates, peaks
 
 

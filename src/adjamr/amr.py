@@ -16,16 +16,7 @@ import numpy as np
 
 from .equations import wet
 from .geometry import Patch, PatchHierarchy, allowed_region_mask, in_box
-from .solver import BAND_CELLS, BoundarySpec, LevelLayout, level_layout
-
-
-@dataclass
-class FlagField:
-    """Boolean refinement flags over one patch's interior."""
-
-    flags: np.ndarray
-    lo: tuple[int, ...]          # global index of the patch corner
-    level: int
+from .solver import BAND_CELLS, BoundarySpec, LevelLayout, level_layout, sample_level_material
 
 
 @dataclass(frozen=True)
@@ -130,25 +121,25 @@ def level_flags(lay: LevelLayout, strategy: FlaggingStrategy, t: float,
 
 
 def flag_cells(patch: Patch, strategy: FlaggingStrategy,
-               regions: tuple[RefinementRegion, ...] = ()) -> FlagField:
-    """`level_flags` on a layout of one patch alone, at the patch's time."""
-    flags = level_flags(LevelLayout.of([patch]), strategy, patch.time, regions)
-    return FlagField(flags=flags.reshape(patch.spec.shape), lo=patch.spec.lo,
-                     level=patch.spec.level)
+               regions: tuple[RefinementRegion, ...] = ()) -> np.ndarray:
+    """`level_flags` on a layout of one patch alone, at the patch's time,
+    over the patch's interior."""
+    return level_flags(LevelLayout.of([patch]), strategy, patch.time,
+                       regions).reshape(patch.spec.shape)
 
 
-def buffer_flags(flags: FlagField, buffer_cells: int) -> FlagField:
-    """Dilate the flag set by a box of radius buffer_cells (clipped to patch)."""
+def buffer_flags(flags: np.ndarray, buffer_cells: int) -> np.ndarray:
+    """Dilate a flag array by a box of radius buffer_cells (clipped to it)."""
     if buffer_cells < 0:
         raise ValueError("buffer_cells must be >= 0")
-    out = flags.flags
+    out = flags
     for axis in range(out.ndim):        # one axis at a time: a box is separable
         acc, pre = out.copy(), (slice(None),) * axis
         for s in range(1, buffer_cells + 1):
             acc[pre + (slice(None, -s),)] |= out[pre + (slice(s, None),)]
             acc[pre + (slice(s, None),)] |= out[pre + (slice(None, -s),)]
         out = acc
-    return FlagField(flags=out, lo=flags.lo, level=flags.level)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +190,8 @@ def _find_split(sigs):
 
 
 def cluster(flags, efficiency_threshold: float, max_edge: int | None = None) -> list[ClusterBox]:
-    """Cover all flagged cells with efficient rectangles.
-
-    Accepts a 1D or 2D FlagField or bare boolean array; box indices come
-    back in the flags' global index space.  Every flagged cell lands in
+    """Cover all flagged cells of a 1D or 2D boolean array with efficient
+    rectangles, in the array's indices.  Every flagged cell lands in
     exactly one box; boxes are split until they meet the efficiency
     threshold (or are single cells) and never exceed max_edge per side.
     A box's signatures come from per-row and per-column prefix counts of
@@ -210,19 +199,13 @@ def cluster(flags, efficiency_threshold: float, max_edge: int | None = None) -> 
     """
     if not (0.0 < efficiency_threshold <= 1.0):
         raise ValueError("efficiency_threshold must be in (0, 1]")
-    if isinstance(flags, FlagField):
-        mask = flags.flags
-        offset = flags.lo
-    else:
-        mask = np.asarray(flags, dtype=bool)
-        offset = (0,) * mask.ndim
+    mask = np.asarray(flags, dtype=bool)
     if mask.ndim not in (1, 2):
         raise ValueError("cluster takes 1D or 2D flags")
     out: list[ClusterBox] = []
 
-    def emit(lo, hi, eff):
-        out.append(ClusterBox(lo=tuple(l + o for l, o in zip(lo, offset)),
-                              hi=tuple(h + o for h, o in zip(hi, offset)), efficiency=eff))
+    def emit(lo, hi, eff):      # a 1D mask drops its column index
+        out.append(ClusterBox(lo=lo[:mask.ndim], hi=hi[:mask.ndim], efficiency=eff))
     if not mask.any():
         return out
     m2 = mask.reshape(len(mask), -1)           # a 1D mask is one column
@@ -404,12 +387,13 @@ def fill_level_ghosts(hierarchy: PatchHierarchy, level: int, t: float,
 
 def new_level(hierarchy: PatchHierarchy, level: int, boxes, ctx: AmrContext,
               time: float) -> list[Patch]:
-    """Zero-state patches over the index boxes (lo, hi) of one level, packed
-    into one layout with the material sampled straight into it."""
+    """Zero-state patches over the index boxes (lo, hi) of one level, each
+    with its material sampled over its box, packed into one layout."""
     patches = [Patch(hierarchy.make_spec(level, lo, hi), ctx.equation.m, time=time)
                for lo, hi in boxes]
     if patches:
-        LevelLayout(patches, sample=(ctx.equation, ctx.boundary, hierarchy.level_shape(level)))
+        sample_level_material(patches, ctx.equation, ctx.boundary, hierarchy.level_shape(level))
+        LevelLayout(patches)
     return patches
 
 
@@ -445,8 +429,7 @@ def regrid(hierarchy: PatchHierarchy, level: int, ctx: AmrContext,
             mask = np.zeros_like(raw)
             for p in parents:
                 sl = tuple(slice(l, h + 1) for l, h in zip(p.spec.lo, p.spec.hi))
-                mask[sl] |= buffer_flags(FlagField(raw[sl], p.spec.lo, parent),
-                                         ctx.buffer_cells).flags
+                mask[sl] |= buffer_flags(raw[sl], ctx.buffer_cells)
             allowed = allowed_region_mask(hierarchy, parent)
             clipped = mask & allowed
             r = hierarchy.ratio_to_finer(parent)

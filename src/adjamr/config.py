@@ -166,6 +166,11 @@ class RunConfig:
     def base_shape(self) -> tuple[int, ...]:
         return (self.nx,) if self.ndim == 1 else (self.nx, self.ny)
 
+    @property
+    def origin(self) -> tuple[float, ...]:
+        """The domain corner."""
+        return tuple(lim[0] for lim in (self.xlim, self.ylim)[:self.ndim])
+
     def window(self) -> TimeWindow:
         ts = self.t_final if self.t_start is None else self.t_start
         return TimeWindow(t_start=ts, t_final=self.t_final)
@@ -463,7 +468,7 @@ def build_initial(cfg: RunConfig):
     if kind == "table":
         from .geometry import interpolate_uniform
         from .runio import read_uniform_field
-        table = read_uniform_field(cfg.initial[1])
+        table = read_uniform_field(cfg.initial[1], origin=cfg.origin)
         return lambda *coords: interpolate_uniform(table, *coords)
 
     raise ConfigError(f"unknown initial profile {kind!r}")

@@ -10,6 +10,7 @@ import math
 import os
 import time as _time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +40,17 @@ class ForwardResult:
     snapshot_paths: list = field(default_factory=list)
 
 
+def _check_store(cfg: RunConfig, store: AdjointSnapshotStore):
+    """Refuse a store solved for another run: its window's t_final and its
+    grid origin must be the config's.  Both round-trip exactly through the
+    stored text; the solve does not depend on t_start."""
+    for key, have, want in (("t_final", float(store.window.t_final), cfg.t_final),
+                            ("origin", tuple(float(o) for o in store.grid.origin), cfg.origin)):
+        if have != want:
+            raise ConfigurationError(f"the adjoint store was solved for {key} = {have}, "
+                                     f"but the config has {key} = {want}")
+
+
 def make_strategy(cfg: RunConfig, name: str | None = None,
                   store: AdjointSnapshotStore | None = None):
     name = name or cfg.strategy
@@ -53,6 +65,7 @@ def make_strategy(cfg: RunConfig, name: str | None = None,
         if store is None:
             raise ConfigurationError(
                 "adjoint flagging requested but no snapshot store was provided")
+        _check_store(cfg, store)
         return AdjointFlagging(store, cfg.window(), tol)
     raise ValueError(f"unknown strategy {name!r}")
 
@@ -112,22 +125,16 @@ def run_forward(cfg: RunConfig, strategy_name: str | None = None,
     strategy = make_strategy(cfg, strategy_name, store)
     gauges = {g.gauge_id: GaugeSeries(gauge_id=g.gauge_id, location=g.location)
               for g in cfg.gauges}
-
-    def on_level_advanced(h, level, t):
-        for series in gauges.values():
-            p = h.finest_patch_at(series.location)
-            if p is not None and p.spec.level == level:
-                record_gauge(h, series, t, p)
-
+    record = partial(record_gauge, list(gauges.values())) if gauges else None
     ctx = AmrContext(equation=equation, boundary=cfg.boundary,
                      strategy=strategy, limiter=cfg.limiter,
                      regions=cfg.regions, regrid_interval=cfg.regrid_interval,
                      buffer_cells=cfg.buffer_cells, efficiency=cfg.efficiency,
                      max_patch_edge=cfg.max_patch_edge,
-                     on_level_advanced=on_level_advanced if gauges else None)
+                     on_level_advanced=record)
     h = init_hierarchy(cfg, ctx)
-    for series in gauges.values():
-        record_gauge(h, series, cfg.t0)
+    for level in range(1, h.num_levels() + 1 if gauges else 1):
+        record(h, level, cfg.t0)
 
     snap_dir = None
     if out_dir is not None:
@@ -202,6 +209,7 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
     """
     if cfg.ndim != 1:
         raise UnsupportedConfigError("the x-t map is defined for 1D configs only")
+    _check_store(cfg, store)
     equation = build_equation(cfg)
     ctx = AmrContext(equation=equation, boundary=cfg.boundary,
                      strategy=EverywhereFlagging(), limiter=cfg.limiter)

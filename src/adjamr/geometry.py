@@ -168,24 +168,6 @@ class PatchHierarchy:
         wx, wy = self.widths(level)
         return PatchSpec(level=level, lo=lo, hi=hi, dx=wx, dy=wy, origin=self.origin)
 
-    def containing_cell(self, level: int, point: tuple[float, ...]) -> tuple[int, ...]:
-        """Global cell index of `point` at a level, clipped to the domain."""
-        widths = self.widths(level)
-        shape = self.level_shape(level)
-        return tuple(min(max(math.floor((point[a] - self.origin[a]) / widths[a]), 0), shape[a] - 1)
-                     for a in range(self.ndim))
-
-    def finest_patch_at(self, point: tuple[float, ...]) -> Patch | None:
-        """Finest patch whose interior contains `point`; lowest index wins ties."""
-        found = None
-        for lev, ps in enumerate(self.levels, start=1):
-            cell = self.containing_cell(lev, point)
-            for p in ps:
-                if all(l <= c <= h for l, c, h in zip(p.spec.lo, cell, p.spec.hi)):
-                    found = p
-                    break   # lowest patch index at this level
-        return found
-
 
 @dataclass
 class UniformField:
@@ -318,25 +300,16 @@ def interpolate_uniform(field: UniformField, *coords) -> np.ndarray:
     return apply_stencil(field_stencil(field, *coords), field.values)
 
 
-def patch_stencil(spec: PatchSpec, *coords, interior_only: bool = False) -> Stencil:
+def patch_stencil(spec: PatchSpec, *coords) -> Stencil:
     """Stencil over one patch's state array (interior plus ghosts)."""
-    g = 0 if interior_only else spec.ghost_width
-    lo_phys = tuple(spec.origin[a] + (spec.lo[a] - g) * spec.widths[a]
-                    for a in range(spec.ndim))
-    n = tuple(s + 2 * g for s in spec.shape)
-    return build_stencil(coords, lo_phys, spec.widths, n, spec.total_shape,
-                         (spec.ghost_width - g,) * spec.ndim)
+    lo_phys = [o + (l - spec.ghost_width) * w for o, l, w in zip(spec.origin, spec.lo, spec.widths)]
+    return build_stencil(coords, lo_phys, spec.widths, spec.total_shape)
 
 
-def interpolate_patch(patch: Patch, *coords, interior_only: bool = False) -> np.ndarray:
-    """Clamped multilinear interpolation against one patch's cell data.
-
-    The stencil may reach into the patch's ghost cells unless `interior_only`
-    is set, in which case it clamps at the interior edge (used for gauges,
-    where ghost values can be stale).
-    """
-    return apply_stencil(patch_stencil(patch.spec, *coords, interior_only=interior_only),
-                         patch.state)
+def interpolate_patch(patch: Patch, *coords) -> np.ndarray:
+    """Clamped multilinear interpolation against one patch's cell data,
+    ghost cells included."""
+    return apply_stencil(patch_stencil(patch.spec, *coords), patch.state)
 
 
 def in_box(coords, bounds: tuple[float, ...]) -> np.ndarray:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import AdjointSnapshotStore, TimeWindow
-from .geometry import Patch, PatchHierarchy, UniformField, interpolate_patch
+from .geometry import PatchHierarchy, UniformField, apply_stencil
+from .solver import level_layout
 
 
 class SnapshotFormatError(ValueError):
@@ -290,18 +291,27 @@ class GaugeSeries:
         return np.asarray(self.times), np.asarray(self.values)
 
 
-def record_gauge(hierarchy: PatchHierarchy, series: GaugeSeries, t: float,
-                 patch: Patch | None = None):
-    """Append the interpolated state at the gauge from the finest cover,
-    `patch` when the caller has already looked it up."""
-    if patch is None:
-        patch = hierarchy.finest_patch_at(series.location)
-    if patch is None:
-        return
-    val = interpolate_patch(patch, *(np.array([c]) for c in series.location),
-                            interior_only=True)[:, 0]
-    series.times.append(float(t))
-    series.values.append(val.copy())
+def _gauge_stencil(gauges: list[GaugeSeries], hierarchy: PatchHierarchy, lay):
+    """`LevelLayout.stencil` at the gauges, clamped to interiors, kept in `lay.memo`."""
+    key = ("gauges", tuple(s.location for s in gauges))
+    if key not in lay.memo:
+        coords = [np.array(c, dtype=float) for c in zip(*key[1])]
+        lay.memo[key] = lay.stencil(hierarchy, coords, ghosts=False)
+    return lay.memo[key]
+
+
+def record_gauge(gauges: list[GaugeSeries], hierarchy: PatchHierarchy, level: int, t: float):
+    """Append the state at time t to each series of `gauges` whose point
+    `level` holds and no finer level does, read in the patch holding it and
+    clamped to its interior (ghosts may be stale)."""
+    lay, finer = level_layout(hierarchy, level), level_layout(hierarchy, level + 1)
+    pos, stencil = _gauge_stencil(gauges, hierarchy, lay)
+    taken = () if finer is None else _gauge_stencil(gauges, hierarchy, finer)[0].tolist()
+    mine = [(j, k) for j, k in enumerate(pos.tolist()) if k not in taken]
+    values = apply_stencil(stencil, lay.state) if mine else None
+    for j, k in mine:
+        gauges[k].times.append(float(t))
+        gauges[k].values.append(values[:, j].copy())
 
 
 def write_gauge(series: GaugeSeries, path: str):

@@ -128,6 +128,38 @@ def space_time_apply(coarse, stencil: Stencil, t: float):
     return (1.0 - w) * v_old + w * v_new
 
 
+def _source(i, n: int, boundary: BoundarySpec, axis: int):
+    """The index of the cell a ghost fill reads for each global index `i` on
+    an axis of n cells: behind a wall the mirror cell, behind an outflow
+    side the edge cell, and inside the domain `i` itself."""
+    wall_lo, wall_hi = (boundary.side(axis, h) == "wall" for h in (False, True))
+    i = np.maximum(i, -1 - i if wall_lo else 0)
+    return np.minimum(i, 2 * n - 1 - i if wall_hi else n - 1)
+
+
+def sample_level_material(patches, equation: EquationSet, boundary: BoundarySpec,
+                          level_shape: tuple[int, ...]):
+    """Set the material of each patch of one level, sampled once over its
+    box (interior and ghosts) on `np.ix_` axes at the cell centers of
+    `_source`: a ghost behind a domain side holds the material of the cell
+    its fill reads.  The axes are built once for the whole level."""
+    spec, g = patches[0].spec, patches[0].spec.ghost_width
+    axes = [o + (_source(np.arange(-g, n + g), n, boundary, a) + 0.5) * w
+            for a, (o, w, n) in enumerate(zip(spec.origin, spec.widths, level_shape))]
+    for p in patches:
+        aux = equation.sample_material(*np.ix_(*(x[l:h + 2 * g + 1] for x, l, h
+                                                  in zip(axes, p.spec.lo, p.spec.hi))))
+        p.aux = np.empty((len(aux), *p.spec.total_shape))
+        p.aux[...] = aux        # a material constant along an axis broadcasts
+
+
+def sample_patch_material(patch: Patch, equation: EquationSet,
+                          boundary: BoundarySpec, level_shape: tuple[int, ...]):
+    """`sample_level_material` of one patch; returns its material."""
+    sample_level_material([patch], equation, boundary, level_shape)
+    return patch.aux
+
+
 # ---------------------------------------------------------------------------
 # Wave-propagation stepping
 
@@ -380,45 +412,38 @@ class LevelLayout:
     (rows, NX[, NY]) hold every patch's box; each patch's `state`,
     `state_old` and `aux` are views of them.  Padding holds zero state and
     unit material rows, in which solves stay finite (wet, for shallow
-    water).  A lone contiguous patch is adopted without a copy.  The layout
-    and its cached plans hold while the level is the same
-    patches with the same views (`matches`); patches hold their layout,
+    water).  The layout and its cached plans hold while the level is the
+    same patches with the same views (`matches`); patches hold their layout,
     which holds them weakly.  Ghost fills are copies over the packed arrays,
-    and the coarse one a stencil over the packed parent level.  A step
+    and the coarse one a `stencil` over the packed parent level.  A step
     writes interiors only: ghosts keep their last fill, padding its zeros.
     """
 
-    def __init__(self, patches, sample=None):
-        """Pack `patches`, copying their state and material, or with `sample` =
-        (equation, boundary, level_shape) sampling the material at each box
-        cell's center straight into the packed arrays; behind a domain side it
-        is then copied along the physical ghost fill's map (materials are
-        pointwise, so copying equals sampling at the mirrored or edge cell)."""
+    def __init__(self, patches):
+        """Pack `patches`, copying their state, saved state and material in;
+        each patch's arrays become views of the packed ones."""
         self._refs = tuple(weakref.ref(p) for p in patches)
         p0 = patches[0]
         self.level = p0.spec.level
-        if len(patches) == 1 and p0.state.flags.c_contiguous:
-            self.offsets, bands = [(0,) * p0.spec.ndim], [[0, p0.state.shape[1]]]
-            self.state, self.state_old, self.aux = p0.state, p0.state_old, p0.aux
-        else:
-            self.offsets, shape, bands = _shelf_pack([p.spec.total_shape for p in patches])
-            self.state = np.zeros((p0.num_components, *shape))
-            self.state_old = (None if any(p.state_old is None for p in patches)
-                              else self.state.copy())
-            self.aux = None if p0.aux is None or sample else np.ones((len(p0.aux), *shape))
-            for p, box in zip(patches, self._boxes()):
-                for name in ("state", "state_old", "aux"):
-                    if (packed := getattr(self, name)) is not None:
-                        packed[(slice(None), *box)] = getattr(p, name)
-                        setattr(p, name, packed[(slice(None), *box)])
+        self.offsets, shape, bands = _shelf_pack([p.spec.total_shape for p in patches])
+        self.boxes = [tuple(slice(o, o + n) for o, n in zip(off, p.spec.total_shape))
+                      for off, p in zip(self.offsets, patches)]
+        self.state = np.zeros((p0.num_components, *shape))
+        self.state_old = (None if any(p.state_old is None for p in patches)
+                          else self.state.copy())
+        self.aux = None if p0.aux is None else np.ones((len(p0.aux), *shape))
+        for p, box in zip(patches, self.boxes):
+            for name in ("state", "state_old", "aux"):
+                if (packed := getattr(self, name)) is not None:
+                    packed[(slice(None), *box)] = getattr(p, name)
+                    setattr(p, name, packed[(slice(None), *box)])
         self.bands = [slice(a, b) for a, b in bands]
         self.flat = self.state.reshape(self.state.shape[0], -1)
         self.cells = sum(math.prod(p.spec.shape) for p in patches)
-        shape = self.state.shape[1:]
         self.interior, self._ghost = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
         gidx = [np.zeros(shape, dtype=np.int32) for _ in shape]
         self._owner = np.zeros(shape, dtype=np.int32)       # the patch holding each box cell
-        for k, (p, box) in enumerate(zip(patches, self._boxes())):
+        for k, (p, box) in enumerate(zip(patches, self.boxes)):
             g = p.spec.ghost_width
             self._owner[box] = k
             self._ghost[box] = True
@@ -442,18 +467,6 @@ class LevelLayout:
         self._open = (ghost[src < 0], tuple(i[src < 0] for i in gi))   # for the coarse fill
         self._coarse = self._physical = self._kernel = None
         self.memo = {}     # plans other modules derive from these patches
-        if sample:
-            _, behind, reads, _ = self._physical_plan(sample[1], sample[0], sample[2])
-            at = (self.interior | self._ghost).reshape(-1)
-            at[behind], at[reads] = False, True       # a copy's source is sampled
-            sampled = sample[0].sample_material(*(o + (i.reshape(-1)[at] + 0.5) * w for o, i, w
-                                                  in zip(p0.spec.origin, gidx, p0.spec.widths)))
-            self.aux = np.ones((len(sampled), *shape))
-            flat = self.aux.reshape(len(sampled), -1)
-            flat[:, at] = sampled
-            flat[:, behind] = flat[:, reads]
-            for p, box in zip(patches, self._boxes()):
-                p.aux = self.aux[(slice(None), *box)]
         for p in patches:
             p.layout = self
         self._bind()
@@ -461,10 +474,6 @@ class LevelLayout:
     patches = property(lambda self: tuple(r() for r in self._refs))
     time = property(lambda self: self._refs[0]().time)
     time_old = property(lambda self: self._refs[0]().time_old)
-
-    def _boxes(self):
-        return [tuple(slice(o, o + n) for o, n in zip(off, p.spec.total_shape))
-                for off, p in zip(self.offsets, self.patches)]
 
     def _bind(self):
         self._views = [(p.state, p.state_old, p.aux) for p in self.patches]
@@ -485,7 +494,7 @@ class LevelLayout:
         """Save every patch's state and time for space-time interpolation."""
         if self.state_old is None:
             self.state_old = np.empty_like(self.state)
-            for p, box in zip(self.patches, self._boxes()):
+            for p, box in zip(self.patches, self.boxes):
                 p.state_old = self.state_old[(slice(None), *box)]
             self._bind()
         np.copyto(self.state_old, self.state)
@@ -499,11 +508,12 @@ class LevelLayout:
         lo, table = self._table
         return table[tuple(np.clip(i - l, 0, n - 1) for i, l, n in zip(idx, lo, table.shape))]
 
-    def centers(self):
-        """Cell-center coordinates of the interior cells, one array per axis."""
+    def centers(self, idx=None):
+        """Cell-center coordinates of the global indices `idx` on this level
+        (one array per axis), by default of the interior cells."""
         spec = self._refs[0]().spec
-        return tuple(spec.origin[a] + (i + 0.5) * spec.widths[a]
-                     for a, i in enumerate(self.interior_cells[1]))
+        return tuple(o + (i + 0.5) * w for o, i, w in zip(
+            spec.origin, self.interior_cells[1] if idx is None else idx, spec.widths))
 
     def fill_ghosts(self, hierarchy: PatchHierarchy, t: float, boundary: BoundarySpec,
                     equation: EquationSet):
@@ -527,12 +537,11 @@ class LevelLayout:
 
     def _physical_plan(self, boundary: BoundarySpec, equation: EquationSet, level_shape):
         """(key, dst, src, sign): every ghost behind a domain side, the cell
-        it reads and the sign per component, packed flat.  Such ghosts are
-        all open (no interior holds them).  Behind a wall a ghost reads its
-        mirror cell with the normal component negated, behind an outflow
-        side the edge cell; a corner ghost does both.  The source lies in
-        the ghost's own box, so its packed index is the ghost's plus the
-        index shift along each axis times that axis's packed stride."""
+        it reads (`_source` on each axis) and the sign per component, packed
+        flat.  Such ghosts are all open (no interior holds them).  Behind a
+        wall the normal component is negated.  The source lies in the
+        ghost's own box, so its packed index is the ghost's plus the index
+        shift along each axis times that axis's packed stride."""
         key = (boundary, equation, tuple(level_shape))
         if self._physical is None or self._physical[0] != key:
             ghost, gi = self._open
@@ -542,12 +551,9 @@ class LevelLayout:
             src, sign = dst.copy(), np.ones((self.state.shape[0], len(dst)))
             for a, (i, n) in enumerate(zip(gi, level_shape)):
                 i = i[out]
-                low, high = i < 0, i >= n
+                src += (_source(i, n, boundary, a) - i) * math.prod(shape[a + 1:])
                 wall_lo, wall_hi = (boundary.side(a, h) == "wall" for h in (False, True))
-                j = np.where(low, -1 - i if wall_lo else 0,
-                             np.where(high, 2 * n - 1 - i if wall_hi else n - 1, i))
-                src += (j - i) * math.prod(shape[a + 1:])
-                sign[equation.normal_component(a), (low & wall_lo) | (high & wall_hi)] *= -1.0
+                sign[equation.normal_component(a), (i < 0) & wall_lo | (i >= n) & wall_hi] *= -1.0
             self._physical = (key, dst, src, sign)
         return self._physical
 
@@ -561,7 +567,7 @@ class LevelLayout:
             ghost, gi = self._open
             inside = np.all([(i >= 0) & (i < n) for i, n
                              in zip(gi, hierarchy.level_shape(self.level))], axis=0)
-            pos, stencil = self._parent_stencil(hierarchy, parent, tuple(i[inside] for i in gi))
+            pos, stencil = parent.stencil(hierarchy, self.centers(tuple(i[inside] for i in gi)))
             self._coarse = (parent, ghost[inside][pos], stencil)
         _, dst, stencil = self._coarse
         if len(dst):
@@ -579,23 +585,26 @@ class LevelLayout:
             cells, gi = cells[rest], tuple(i[rest] for i in gi)
         for k in range(0, len(cells), BAND_CELLS):     # bounds the temporaries
             part = slice(k, k + BAND_CELLS)
-            pos, st = self._parent_stencil(hierarchy, parent, tuple(i[part] for i in gi))
+            pos, st = parent.stencil(hierarchy, self.centers(tuple(i[part] for i in gi)))
             self.flat[:, cells[part][pos]] = space_time_apply(parent, st, t)
 
-    def _parent_stencil(self, hierarchy: PatchHierarchy, parent: "LevelLayout", idx):
-        """The positions in `idx` (global indices on this level) whose parent
-        cell a parent interior holds, and the stencil there over the packed
-        parent, each point read in the box of the patch holding it."""
-        held = parent.cover([i // hierarchy.ratio_to_finer(self.level - 1) for i in idx])
+    def stencil(self, hierarchy: PatchHierarchy, coords, ghosts: bool = True):
+        """(pos, stencil): the positions in `coords` (points in the domain, one
+        array per axis) whose cell an interior of this level holds (the last
+        cell on the domain's upper side), and the stencil there over the
+        packed arrays.  Each point is read in the box of the patch holding it,
+        with its ghosts or clamped to its interior (for stale ghosts)."""
+        spec, shape = self._refs[0]().spec, hierarchy.level_shape(self.level)
+        held = self.cover([np.minimum(np.floor((c - o) / w).astype(int), n - 1)
+                           for c, o, w, n in zip(coords, spec.origin, spec.widths, shape)])
         pos = np.flatnonzero(held >= 0)
-        k = parent._owner.reshape(-1)[held[pos]]
-        specs, ws = [p.spec for p in parent.patches], self._refs[0]().spec.widths
-        g, widths = specs[0].ghost_width, specs[0].widths
-        lo, n = (np.array([getattr(s, f) for s in specs])[k].T for f in ("lo", "total_shape"))
-        centers = [o + (i[pos] + 0.5) * w for o, i, w in zip(hierarchy.origin, idx, ws)]
-        return pos, build_stencil(centers, [o + (l - g) * w for o, l, w in zip(
-            hierarchy.origin, lo, widths)], widths, tuple(n), parent.state.shape[1:],
-            tuple(np.array(parent.offsets)[k].T))
+        k = self._owner.reshape(-1)[held[pos]]
+        g, inset = spec.ghost_width, 0 if ghosts else spec.ghost_width
+        lo, n = (np.array([getattr(p.spec, f) for p in self.patches])[k].T
+                 for f in ("lo", "total_shape"))
+        first = [o + (l - g + inset) * w for o, l, w in zip(spec.origin, lo, spec.widths)]
+        return pos, build_stencil([c[pos] for c in coords], first, spec.widths, tuple(n - 2 * inset),
+                                  self.state.shape[1:], tuple(np.array(self.offsets)[k].T + inset))
 
     def step(self, dt: float, equation: EquationSet, limiter: str = "MC") -> float:
         """Advance every patch by dt; the Courant number is max|s|·dt/dx over
@@ -702,14 +711,6 @@ def march(clock, advance, t_end: float, dt: float, output_times=(), on_output=No
 # One-patch entry points, kept only for tests and perfbench's `LAYERS`: no run
 # calls them.  Each rebinds the patch's arrays to a layout of it alone, which
 # detaches a patch of a multi-patch level from its level's layout.
-
-
-def sample_patch_material(patch: Patch, equation: EquationSet,
-                          boundary: BoundarySpec, level_shape: tuple[int, ...]):
-    """Sample the material at every cell center, interior and ghost (the
-    rule of `LevelLayout`'s `sample`, on a layout of this patch alone)."""
-    LevelLayout([patch], sample=(equation, boundary, level_shape))
-    return patch.aux
 
 
 def fill_ghost_physical(patch: Patch, boundary: BoundarySpec, equation: EquationSet,

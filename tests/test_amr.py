@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from adjamr import equations as eqs
 from adjamr.amr import (AmrContext, DifferenceFlagging,
-                        EverywhereFlagging, FlagField, RefinementRegion,
+                        EverywhereFlagging, RefinementRegion,
                         SurfaceFlagging, advance_hierarchy, buffer_flags,
                         cluster, flag_cells, make_patch, regrid,
                         restrict_fine_to_coarse)
@@ -23,9 +23,8 @@ def basic_ctx(eq, **kw):
                       strategy=kw.pop("strategy", EverywhereFlagging()), **kw)
 
 
-def ff(mask, lo=None, level=1):
-    mask = np.asarray(mask, dtype=bool)
-    return FlagField(flags=mask, lo=lo or (0,) * mask.ndim, level=level)
+def ff(mask):
+    return np.asarray(mask, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +43,7 @@ def test_difference_flagging_constant_state_empty():
     _, p = patch_2d(eq)
     p.state[...] = 3.0
     out = flag_cells(p, DifferenceFlagging(0.1))
-    assert not out.flags.any()
+    assert not out.any()
 
 
 def test_difference_flagging_spike_flags_neighbors():
@@ -57,7 +56,7 @@ def test_difference_flagging_spike_flags_neighbors():
     want = np.zeros((10, 10), dtype=bool)
     want[5, 5] = True
     want[4, 5] = want[6, 5] = want[5, 4] = want[5, 6] = True
-    assert np.array_equal(out.flags, want)
+    assert np.array_equal(out, want)
 
 
 def test_difference_flag_monotone_in_tolerance():
@@ -65,8 +64,8 @@ def test_difference_flag_monotone_in_tolerance():
     _, p = patch_2d(eq)
     rng = np.random.default_rng(2)
     p.state[...] = rng.normal(size=p.state.shape)
-    loose = flag_cells(p, DifferenceFlagging(0.5)).flags
-    tight = flag_cells(p, DifferenceFlagging(0.1)).flags
+    loose = flag_cells(p, DifferenceFlagging(0.5))
+    tight = flag_cells(p, DifferenceFlagging(0.1))
     assert np.all(tight | ~loose)       # lowering tol never shrinks the set
 
 
@@ -78,8 +77,8 @@ def test_surface_flagging_wet_only():
     p.interior()[0] = 1.0          # big surface perturbation everywhere
     out = flag_cells(p, SurfaceFlagging(0.1))
     xs = p.spec.cell_centers()[0]
-    assert out.flags[xs < 5.0].all()
-    assert not out.flags[xs > 5.0].any()
+    assert out[xs < 5.0].all()
+    assert not out[xs > 5.0].any()
 
 
 def test_region_require_and_forbid_idempotent():
@@ -92,10 +91,10 @@ def test_region_require_and_forbid_idempotent():
                               rect=(7.0, 10.0, 7.0, 10.0))
     strat = EverywhereFlagging()
     once = flag_cells(p, strat, (require, forbid))
-    assert once.flags[0, 0]                 # required corner set
-    assert not once.flags[9, 9]             # forbidden corner cleared
+    assert once[0, 0]                       # required corner set
+    assert not once[9, 9]                   # forbidden corner cleared
     twice = flag_cells(p, strat, (require, forbid, require, forbid))
-    assert np.array_equal(once.flags, twice.flags)
+    assert np.array_equal(once, twice)
 
 
 def test_region_outside_time_window_ignored():
@@ -105,7 +104,7 @@ def test_region_outside_time_window_ignored():
     forbid = RefinementRegion(min_level=1, max_level=1, t1=0.0, t2=1.0,
                               rect=(0.0, 10.0, 0.0, 10.0))
     out = flag_cells(p, EverywhereFlagging(), (forbid,))
-    assert out.flags.all()
+    assert out.all()
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +113,7 @@ def test_region_outside_time_window_ignored():
 
 def test_buffer_empty_stays_empty():
     out = buffer_flags(ff(np.zeros((8, 8))), 2)
-    assert not out.flags.any()
+    assert not out.any()
 
 
 def test_buffer_single_cell_becomes_block():
@@ -123,7 +122,7 @@ def test_buffer_single_cell_becomes_block():
     out = buffer_flags(ff(mask), 2)
     want = np.zeros((9, 9), dtype=bool)
     want[2:7, 2:7] = True
-    assert np.array_equal(out.flags, want)
+    assert np.array_equal(out, want)
 
 
 def test_buffer_merges_nearby_cells():
@@ -134,8 +133,8 @@ def test_buffer_merges_nearby_cells():
     want = np.zeros((12,), dtype=bool)
     for k in np.nonzero(mask)[0]:
         want[max(0, k - 2):k + 3] = True
-    assert np.array_equal(out.flags, want)
-    assert out.flags[3:9].all()
+    assert np.array_equal(out, want)
+    assert out[3:9].all()
 
 
 @given(st.integers(0, 3), st.integers(1, 30))
@@ -143,7 +142,7 @@ def test_buffer_merges_nearby_cells():
 def test_buffer_matches_bruteforce_dilation(buf, n):
     rng = np.random.default_rng(n)
     mask = rng.random((n, max(1, n // 2))) < 0.2
-    out = buffer_flags(ff(mask), buf).flags
+    out = buffer_flags(ff(mask), buf)
     want = np.zeros_like(mask)
     for i, j in zip(*np.nonzero(mask)):
         want[max(0, i - buf):i + buf + 1, max(0, j - buf):j + buf + 1] = True
@@ -192,8 +191,8 @@ def test_cluster_respects_max_edge():
 def test_cluster_offset_flagfield():
     mask = np.zeros((6, 6), dtype=bool)
     mask[1:3, 2:5] = True
-    boxes = cluster(ff(mask, lo=(10, 20)), 0.7)
-    assert boxes[0].lo == (11, 22) and boxes[0].hi == (12, 24)
+    boxes = cluster(ff(mask), 0.7)
+    assert boxes[0].lo == (1, 2) and boxes[0].hi == (2, 4)
 
 
 @given(st.integers(1, 32), st.integers(1, 32), st.floats(0.05, 0.95),

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from adjamr import equations as eqs
 from adjamr.adjoint import AdjointSnapshotStore, TimeWindow, query_window_times
 from adjamr.config import KEYS, ConfigError, build_equation, build_initial, parse_config
-from adjamr.geometry import Patch, PatchHierarchy, UniformField
+from adjamr.geometry import Patch, PatchHierarchy, UniformField, apply_stencil, build_stencil
 from adjamr.runio import (GaugeComparisonError, GaugeSeries, SnapshotFormatError,
                           StoreFormatError, TableFormatError, TimingReport, compare_gauges,
                           load_store, read_gauge, read_snapshot, read_timing,
@@ -520,19 +520,49 @@ def test_forward_snapshot_index_times_parse_back(tmp_path):
 # gauges
 
 
-def test_record_gauge_constant_state():
-    eq = eqs.Acoustics1D(eqs.AcousticsMaterialModel(
-        lambda x: np.ones_like(x), lambda x: np.ones_like(x)))
-    h = PatchHierarchy(xlim=(0.0, 1.0), ylim=None, base_shape=(10,), ratios=[])
-    p = Patch(h.make_spec(1, (0,), (9,)), 2)
-    sample_patch_material(p, eq, BoundarySpec(), (10,))
-    p.interior()[0] = 4.25
-    h.levels = [[p]]
-    s = GaugeSeries(gauge_id=1, location=(0.37,))
-    for t in (0.0, 0.1, 0.2):
-        record_gauge(h, s, t)
-    assert len(s.times) == 3
-    assert all(v[0] == pytest.approx(4.25) for v in s.values)
+def test_record_gauge_reads_the_finest_level_interior():
+    # three levels packed by hand, every ghost NaN: a gauge is read on the
+    # finest level holding it, in the patch holding it, clamped to that
+    # interior, once per step of that level (the advance's callback order)
+    h = PatchHierarchy(xlim=(0.0, 8.0), ylim=(0.0, 8.0), base_shape=(8, 8), ratios=[2, 2])
+    boxes = {1: [((0, 0), (7, 7))], 2: [((2, 2), (9, 9)), ((10, 2), (13, 9))],
+             3: [((8, 8), (15, 15)), ((16, 8), (19, 11))]}
+    rng = np.random.default_rng(3)
+    h.levels = [[Patch(h.make_spec(level, lo, hi), 3) for lo, hi in boxes[level]]
+                for level in (1, 2, 3)]
+    for level in (1, 2, 3):
+        for p in h.patches(level):
+            p.state[...] = np.nan
+            p.interior()[...] = rng.normal(size=p.interior().shape)
+    # level 3, within half a cell (0.125) of its patch's low-x and high-y
+    # edges; level 2 only, on the edge two patches share (the higher one
+    # holds it); level 1 only
+    where = {(2.05, 3.9): h.patches(3)[0], (5.0, 1.1): h.patches(2)[1],
+             (0.3, 7.5): h.patches(1)[0]}
+    gauges = [GaugeSeries(gauge_id=k, location=loc) for k, loc in enumerate(where)]
+
+    def reference(loc, p):
+        spec = p.spec
+        st = build_stencil([np.array([c]) for c in loc],
+                           [o + l * w for o, l, w in zip(spec.origin, spec.lo, spec.widths)],
+                           spec.widths, spec.shape)
+        return apply_stencil(st, p.interior().copy())[:, 0]
+
+    steps = [(level, 0.0) for level in (1, 2, 3)] + [
+        (1, 1.0), (2, 0.5), (3, 0.25), (3, 0.5), (2, 1.0), (3, 0.75), (3, 1.0)]
+    want = {k: [] for k in range(3)}
+    for level, t in steps:
+        for p in h.patches(level):
+            p.interior()[...] += 1.0
+        record_gauge(gauges, h, level, t)
+        for k, (loc, p) in enumerate(where.items()):
+            if p.spec.level == level:
+                want[k].append((t, reference(loc, p)))
+    for k, s in enumerate(gauges):
+        assert s.times == [t for t, _ in want[k]]
+        assert len(s.times) == {0: 5, 1: 3, 2: 2}[k]
+        for got, (_, ref) in zip(s.values, want[k]):
+            assert np.isfinite(got).all() and np.array_equal(got, ref)
 
 
 def test_gauge_round_trip(tmp_path):

@@ -1,11 +1,15 @@
-import numpy as np
+import re
 from dataclasses import replace
 
-from adjamr.adjoint import query_window_times
+import numpy as np
+import pytest
+
+from adjamr.adjoint import AdjointFlagging, ConfigurationError, query_window_times
 from adjamr.amr import AmrContext, EverywhereFlagging
-from adjamr.config import GaugeSpec, build_equation, parse_config
-from adjamr.driver import init_hierarchy, run_adjoint, run_forward, run_xt_map
-from adjamr.geometry import apply_stencil, field_stencil
+from adjamr.config import GaugeSpec, build_equation, build_initial, parse_config
+from adjamr.driver import init_hierarchy, make_strategy, run_adjoint, run_forward, run_xt_map
+from adjamr.geometry import UniformField, apply_stencil, field_stencil
+from adjamr.runio import load_store, write_snapshot
 from adjamr.solver import integrate_patch
 
 CFG_1D = open("configs/1d-interface.cfg").read()
@@ -112,3 +116,37 @@ def test_xt_map_rows_honour_dt_max():
     times = run_xt_map(cfg, store, 0.1)[1]
     assert len(times) > 2000
     assert np.all(np.diff(times) <= 0.01 * (1 + 1e-9))
+
+
+def test_table_profile_is_anchored_at_the_domain_corner(tmp_path):
+    # a table written on the config's own grid, whose corner is x = -5,
+    # reproduces the profile it tabulates, initially and after a run
+    cfg = replace(parse_config(CFG_1D), nx=200, t_final=1.0, output_times=(1.0,))
+    xs = cfg.origin[0] + (np.arange(cfg.nx) + 0.5) * (cfg.xlim[1] - cfg.xlim[0]) / cfg.nx
+    path = tmp_path / "profile.txt"
+    write_snapshot(UniformField(values=build_initial(cfg)(xs), origin=cfg.origin,
+                                dx=(cfg.xlim[1] - cfg.xlim[0]) / cfg.nx, dy=0.0), str(path))
+    table = replace(cfg, initial=("table", str(path)))
+    got = {}
+    for c in (cfg, table):
+        run_forward(c, "difference", on_output=lambda t, h: got.setdefault(
+            c.initial[0], h.patches(1)[0].interior().copy()))
+    assert np.allclose(got["table"], got["gaussian"], rtol=0, atol=1e-12)
+    ctx = AmrContext(equation=build_equation(table), boundary=table.boundary,
+                     strategy=EverywhereFlagging())
+    base = init_hierarchy(table, ctx).patches(1)[0].interior()
+    assert np.allclose(base, build_initial(cfg)(xs), rtol=0, atol=1e-12)
+
+
+def test_store_solved_for_another_run_is_refused(tmp_path):
+    cfg = replace(parse_config(CFG_1D), nx=100, adjoint_shape=None)
+    store, _ = run_adjoint(cfg, out_dir=str(tmp_path))
+    loaded = load_store(str(tmp_path / "adjoint"))
+    for s in (store, loaded):      # t_final and origin round-trip exactly
+        assert isinstance(make_strategy(cfg, "adjoint", s), AdjointFlagging)
+    for other, named in ((replace(cfg, t_final=19.5), "t_final = 20.0"),
+                         (replace(cfg, xlim=(-4.0, 3.0)), "origin = (-5.0,)")):
+        for run in (lambda: make_strategy(other, "adjoint", loaded),
+                    lambda: run_xt_map(other, loaded, 0.1)):
+            with pytest.raises(ConfigurationError, match=re.escape(named)):
+                run()

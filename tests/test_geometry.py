@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adjamr.geometry import (OutOfRangeError, Patch, PatchHierarchy,
-                             PatchSpec, UniformField, enforce_nesting,
+                             PatchSpec, UniformField, apply_stencil, enforce_nesting,
                              interpolate_patch, interpolate_uniform)
+from adjamr.solver import LevelLayout
 
 
 def spec_1d(nx=10, lo=0, level=1, dx=1.0, origin=0.0):
@@ -112,23 +113,34 @@ def test_bilinear_linear_in_field(x, y, a, b):
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
-@pytest.mark.parametrize("interior_only", [False, True])
-def test_patch_interpolation_is_uniform_interpolation_of_its_data(ndim, interior_only):
-    # one kernel: sampling a patch equals sampling a copy of the array it reads
+@pytest.mark.parametrize("clamped", [False, True])
+def test_patch_interpolation_is_uniform_interpolation_of_its_data(ndim, clamped):
+    # one kernel: sampling a patch, or its level's packed arrays with ghosts
+    # or clamped to the interior, equals sampling a copy of the array it reads
     rng = np.random.default_rng(5)
-    spec = PatchSpec(level=2, lo=(3, 5)[:ndim], hi=(11, 8)[:ndim], dx=0.5,
-                     dy=0.25 if ndim == 2 else 0.0, origin=(-1.0, 2.0)[:ndim])
+    h = PatchHierarchy(xlim=(-1.0, 9.0), ylim=(2.0, 7.0) if ndim == 2 else None,
+                       base_shape=(10, 10)[:ndim], ratios=[2])
+    spec = h.make_spec(2, (3, 5)[:ndim], (11, 8)[:ndim])
+    assert spec.widths == (0.5, 0.25)[:ndim]
     p = Patch(spec, 3)
     p.state[...] = rng.normal(size=p.state.shape)
-    g = 0 if interior_only else spec.ghost_width
-    data = p.interior() if interior_only else p.state
+    g = spec.ghost_width if clamped else 0
+    data = p.state[(slice(None), *(slice(g, n - g) for n in spec.total_shape))]
     f = UniformField(values=data.copy(), dx=spec.dx, dy=spec.dy,
-                     origin=tuple(spec.origin[a] + (spec.lo[a] - g) * spec.widths[a]
-                                  for a in range(ndim)))
+                     origin=tuple(spec.origin[a] + (spec.lo[a] - spec.ghost_width + g)
+                                  * spec.widths[a] for a in range(ndim)))
     hi = f.domain_hi()
     pts = [rng.uniform(f.origin[a], hi[a], size=50) for a in range(ndim)]
-    assert np.array_equal(interpolate_patch(p, *pts, interior_only=interior_only),
-                          interpolate_uniform(f, *pts))
+    if not clamped:
+        assert np.array_equal(interpolate_patch(p, *pts), interpolate_uniform(f, *pts))
+    lay = LevelLayout([p])
+    pos, stencil = lay.stencil(h, pts, ghosts=not clamped)
+    inside = np.all([(c >= o + l * w) & (c < o + (l + n) * w) for c, o, l, n, w
+                     in zip(pts, spec.origin, spec.lo, spec.shape, spec.widths)], axis=0)
+    assert np.array_equal(pos, np.flatnonzero(inside))
+    assert len(pos) == 50 if clamped else 0 < len(pos) < 50     # ghosts: held by none
+    assert np.array_equal(apply_stencil(stencil, lay.state),
+                          interpolate_uniform(f, *(c[pos] for c in pts)))
 
 
 def make_hierarchy_2d(nx=8, ny=8, ratios=(2,)):
@@ -192,14 +204,3 @@ def test_nesting_invariant_under_reordering():
     h.levels[1] = h.levels[1][::-1]
     second = enforce_nesting(h)
     assert first == second == []
-
-
-def test_finest_patch_tiebreak_lowest_index():
-    h = make_hierarchy_2d()
-    add_patch(h, 1, (0, 0), (7, 7))
-    a = add_patch(h, 2, (0, 0), (7, 7))
-    b = add_patch(h, 2, (8, 0), (15, 7))
-    # point on the shared edge belongs to the cell on the higher side,
-    # hence patch b; a point strictly inside a's cells returns a
-    assert h.finest_patch_at((2.0, 2.0)) is a
-    assert h.finest_patch_at((6.0, 2.0)) is b

@@ -26,9 +26,12 @@ BENCH = _kernel_bench()
 def test_kernel_bench_setups_step(name):
     forward = dict(BENCH.EQUATIONS)[name]()
     for eq in (forward, forward.adjoint().reversed()):
-        p, dt, _ = BENCH.uniform_patch(eq, 16)
-        assert 0.0 < BENCH.step_patch(p, dt, eq, "MC") <= 0.9 + 1e-12, eq.name
+        p, dt, shape = BENCH.uniform_patch(eq, 16)
+        p.layout.fill_physical(BENCH.BoundarySpec(), eq, shape)
+        assert 0.0 < p.layout.step(dt, eq, "MC") <= 0.9 + 1e-12, eq.name
         assert np.isfinite(p.state).all(), eq.name
         if eq.m == 3:       # the script steps levels of 2D sets only
-            patches, dt = BENCH.level_patches(eq)
-            assert 0.0 < BENCH.step_patch(patches[0], dt, eq, "MC") <= 0.9 + 1e-12, eq.name
+            for as_level in (False, True):
+                patches, dt = BENCH.level_patches(eq, as_level)
+                assert len({q.layout for q in patches}) == (1 if as_level else len(patches))
+                assert 0.0 < patches[0].layout.step(dt, eq, "MC") <= 0.9 + 1e-12, eq.name

@@ -18,7 +18,7 @@ from adjamr.amr import (AmrContext, DifferenceFlagging, EverywhereFlagging,
                         RefinementRegion, SurfaceFlagging, flag_cells, level_flags,
                         make_patch, restrict_fine_to_coarse)
 from adjamr.geometry import Patch, PatchHierarchy, UniformField
-from adjamr.solver import BoundarySpec, LevelLayout, level_layout
+from adjamr.solver import BoundarySpec, LevelLayout, level_layout, sample_level_material
 
 BC = BoundarySpec(left="wall", right="outflow", bottom="outflow", top="wall")
 
@@ -58,7 +58,8 @@ def _adjoint_case(seed):
     level = int(rng.integers(1, 3))
     patches = [Patch(h.make_spec(level, lo, hi), eq.m) for lo, hi
                in _tiles(rng, h.level_shape(level))]
-    lay = LevelLayout(patches, sample=(eq, BC, h.level_shape(level)))
+    sample_level_material(patches, eq, BC, h.level_shape(level))
+    lay = LevelLayout(patches)
     lay.state[...] = rng.normal(size=lay.state.shape) * (rng.random(lay.state.shape) < 0.6)
 
     shape = base if rng.random() < 0.5 else tuple(int(n) for n in rng.integers(3, 17, size=ndim))
@@ -167,9 +168,9 @@ def test_level_flags_equal_per_patch_flag_cells(eq, strategy, regions):
     for p in patches:
         sl = tuple(slice(l, hi + 1) for l, hi in zip(p.spec.lo, p.spec.hi))
         per_patch = flag_cells(p, strategy, regions)     # on a copy of the patch alone
-        assert np.array_equal(got[sl], per_patch.flags), p
+        assert np.array_equal(got[sl], per_patch), p
         if isinstance(strategy, DifferenceFlagging) and not regions:
-            assert np.array_equal(per_patch.flags, _difference_reference(p, 0.4))
+            assert np.array_equal(per_patch, _difference_reference(p, 0.4))
 
 
 def _restrict_reference(h, level):
