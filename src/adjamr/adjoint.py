@@ -202,25 +202,32 @@ def solve_adjoint(equation: EquationSet, boundary: BoundarySpec,
                                 stack=stack)
 
 
-def query_window_times(t: float, window: TimeWindow,
-                       store: AdjointSnapshotStore) -> list[int]:
+def query_window_times(t, window: TimeWindow, store: AdjointSnapshotStore):
     """Snapshot indices covering tau in [t, min(t + span, t_final)].
 
     When t or the upper endpoint is not aligned with a snapshot, the nearest
     snapshot below / above is included as a bracket.  With no snapshot
-    inside, the brackets alone are returned.
+    inside, the brackets alone are returned.  For an array of times the
+    result is the pair of int arrays (lo, hi): time k's indices are
+    range(lo[k], hi[k]), the list a scalar t gets.  A t past the window's
+    own t_final lists its two brackets, below t first; its range spans them.
     """
-    times = store.times
+    times, n = store.times, len(store.times)
     eps = 1e-9 * max(store.dt_snap, abs(float(times[-1])), 1.0)
-    if t > times[-1] + eps:
-        return []
-    upper = min(t + window.span, window.t_final)
-    i = int(np.searchsorted(times, t - eps, side="left"))        # first >= t - eps
-    j = int(np.searchsorted(times, upper + eps, side="right"))   # first > upper + eps
-    if i >= j:
-        return [k for k in (i - 1, j) if 0 <= k < len(times)]
-    return list(range(i - 1 if i > 0 and times[i] > t + eps else i,
-                      j + 1 if j < len(times) and times[j - 1] < upper - eps else j))
+    t = np.asarray(t, dtype=float)
+    upper = np.minimum(t + window.span, window.t_final)
+    i = np.searchsorted(times, t - eps, side="left")         # first >= t - eps
+    j = np.searchsorted(times, upper + eps, side="right")    # first > upper + eps
+    inside = i < j
+    lo = np.where(inside, i - ((i > 0) & (times[np.minimum(i, n - 1)] > t + eps)),
+                  np.maximum(np.minimum(i - 1, j), 0))
+    hi = np.where(t > times[-1] + eps, lo, np.where(     # past the last snapshot: none
+        inside, j + ((j < n) & (times[j - 1] < upper - eps)), np.minimum(np.maximum(i, j + 1), n)))
+    if t.ndim:
+        return lo, hi
+    if i > j and lo < hi:           # an inverted window: its two brackets
+        return [int(i) - 1, int(j)]
+    return list(range(lo, hi))
 
 
 def _adjoint_dry_at(store: AdjointSnapshotStore, *coords):
@@ -282,7 +289,7 @@ class AdjointFlagging(FlaggingStrategy):
         super().__init__(tolerance)
         self.store = store
         self.window = window
-        self._envelopes = {}     # level -> (first, last, max |Q̂| over those snapshots)
+        self._envelope = None    # (first, last, max |Q̂| over those snapshots)
 
     def _live(self, lay):
         """Interior cells wet in both grids, and the stencil there (kept on the layout)."""
@@ -304,9 +311,9 @@ class AdjointFlagging(FlaggingStrategy):
         live, stencil = self._live(lay)
         q = lay.flat[:, lay.interior_cells[0][live]]
         first, last = window_idx[0], window_idx[-1]
-        env = self._envelopes.get(lay.level)
-        if env is None or env[:2] != (first, last):     # one (m, adjoint cells) per level
-            env = self._envelopes[lay.level] = (first, last, np.abs(self.store.stack[first]))
+        env = self._envelope
+        if env is None or env[:2] != (first, last):     # levels flagged at one t share it
+            env = self._envelope = (first, last, np.abs(self.store.stack[first]))
             for snap in self.store.stack[first + 1:last + 1]:   # a snapshot at a time
                 np.maximum(env[2], np.abs(snap), out=env[2])
         env = env[2].reshape(len(env[2]), -1)

@@ -202,52 +202,76 @@ def run_convergence(cfg: RunConfig, levels_of_resolution: int):
 
 
 def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
-    """Space-time masks |q|_1 >= v, windowed |q̂|_1 >= v, windowed |q̂·q| >= v.
-
-    Runs the 1D problem on its coarse grid as a one-level hierarchy, sampling
-    every step.  Returns (x_centers, times, mask_q, mask_qhat, mask_inner).
+    """Space-time masks |q|_1 >= v, windowed |q̂|_1 >= v, windowed |q̂·q| >= v,
+    for a positive finite v.  Runs the 1D problem on its coarse grid as a
+    one-level hierarchy and samples blocks of at most GATHER_VALUES state
+    values; |q̂·q| is evaluated only where its bound max|q̂|·|q|_1 reaches v.
+    Returns (x_centers, times, mask_q, mask_qhat, mask_inner).
     """
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"the x-t threshold must be positive and finite, not {threshold!r}")
     if cfg.ndim != 1:
         raise UnsupportedConfigError("the x-t map is defined for 1D configs only")
     _check_store(cfg, store)
-    equation = build_equation(cfg)
-    ctx = AmrContext(equation=equation, boundary=cfg.boundary,
+    ctx = AmrContext(equation=build_equation(cfg), boundary=cfg.boundary,
                      strategy=EverywhereFlagging(), limiter=cfg.limiter)
     h = init_hierarchy(replace(cfg, max_levels=1, ratios=()), ctx)
     patch = h.patches(1)[0]
     xs, = patch.spec.cell_centers()
     window = cfg.window()
-    # every snapshot is sampled on the run's grid once; a step then only
-    # takes its window's rows
+    # every snapshot is sampled on the run's grid once; a block then only
+    # takes its windows' rows
     stencil = field_stencil(store.grid, xs)
     qhat = apply_stencil(stencil, store.stack.reshape(-1, store.grid.shape[0]))
     qhat = qhat.reshape(*store.stack.shape[:2], -1)
-    qhat_norm = np.sum(np.abs(qhat), axis=1)
+    qhat_norm, qhat_max = np.sum(np.abs(qhat), axis=1), np.max(np.abs(qhat), axis=1)
 
-    times = []
-    mq, mqh, mi = [], [], []
-    last = [None, None]      # the latest window and its windowed |q̂|_1 mask
+    dt = cfg.dt_fixed or select_dt(h, cfg.courant, cfg.dt_max)
+    rows = math.ceil((cfg.t_final - cfg.t0) / dt) + 1      # march's steps and t0
+    times, (mq, mqh, mi) = np.empty(rows), np.zeros((3, rows, len(xs)), bool)
+    block = np.empty((max(1, adj.GATHER_VALUES // patch.interior().size),
+                      *patch.interior().shape))
+    done = [0, 0]                # rows sampled, rows in the block
+    last = [None]                # the latest window, its |q̂|_1 mask and slack max|q̂|
+
+    def sample_block():
+        n0, k = done
+        q, qn = block[:k], np.sum(np.abs(block[:k]), axis=1)
+        mq[n0:n0 + k] = qn >= threshold
+        lo, hi = adj.query_window_times(times[n0:n0 + k], window, store)
+        runs = np.flatnonzero(np.diff(lo, prepend=-1) | np.diff(hi, prepend=-1))
+        for a, b in zip(runs, [*runs[1:], k]):      # steps a..b-1 share one window
+            w = slice(lo[a], hi[a])
+            if last[0] != w:
+                last[:] = (w, np.max(qhat_norm[w], axis=0, initial=0.0) >= threshold,
+                           np.max(qhat_max[w], axis=0, initial=0.0) * (1.0 + adj.BOUND_SLACK))
+            mqh[n0 + a:n0 + b] = last[1]
+            # |q̂·q| <= max|q̂|·|q|_1: only pairs whose bound reaches v are evaluated
+            r, x = np.divmod(np.flatnonzero(qn[a:b] * last[2] + adj.BOUND_FLOOR >= threshold),
+                             len(xs))
+            per = max(1, adj.GATHER_VALUES // (w.stop - w.start + 1))
+            for c in range(0, len(r), per):
+                rc, xc = r[c:c + per] + a, x[c:c + per]
+                s = qhat[w][:, :, xc]
+                inner = np.abs(s[:, 0] * q[rc, 0, xc] + s[:, 1] * q[rc, 1, xc])   # m = 2
+                mi[n0 + rc, xc] = np.max(inner, axis=0, initial=0.0) >= threshold
+        done[:] = n0 + k, 0
 
     def sample(p):
-        t = p.time
-        q = p.interior()
-        times.append(t)
-        mq.append(np.sum(np.abs(q), axis=0) >= threshold)
-        idxs = adj.query_window_times(t, window, store)      # consecutive indices
-        w = slice(*(idxs[0], idxs[-1] + 1) if idxs else (0, 0))
-        if last[0] != w:
-            last[:] = w, np.max(qhat_norm[w], axis=0, initial=0.0) >= threshold
-        mqh.append(last[1])
-        s = qhat[w]
-        inner = np.abs(s[:, 0] * q[0] + s[:, 1] * q[1])      # m = 2 in 1D
-        mi.append(np.max(inner, axis=0, initial=0.0) >= threshold)
+        if sum(done) == rows:
+            raise RuntimeError(f"the x-t map took more than the {rows - 1} steps "
+                               f"of dt = {dt!r} it was sized for")
+        times[sum(done)], block[done[1]] = p.time, p.interior()
+        done[1] += 1
+        if done[1] == len(block):
+            sample_block()
 
     sample(patch)
     ctx.on_level_advanced = lambda h, level, t: sample(patch)
-    dt = cfg.dt_fixed or select_dt(h, cfg.courant, cfg.dt_max)
     march(lambda: patch.time, lambda step: advance_hierarchy(h, 1, step, ctx), cfg.t_final, dt)
-    del qhat, qhat_norm         # freed before the masks are stacked
-    return xs, np.asarray(times), np.asarray(mq), np.asarray(mqh), np.asarray(mi)
+    sample_block()
+    n = done[0]
+    return xs, times[:n], mq[:n], mqh[:n], mi[:n]
 
 
 def write_xt_table(path: str, xs, times, mask):

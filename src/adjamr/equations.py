@@ -42,9 +42,9 @@ def acoustics_material(bulk, rho) -> np.ndarray:
     sound speed c = √(bulk/rho) and impedance z = rho·c; both must be positive."""
     bulk = np.asarray(bulk, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    if np.any(bulk <= 0) or np.any(rho <= 0):
+    if (bulk <= 0).any() or (rho <= 0).any():
         raise InvalidMaterialError("bulk modulus and density must be positive")
-    aux = np.empty((4, *np.broadcast_shapes(bulk.shape, rho.shape)))
+    aux = np.empty((4, *np.broadcast(bulk, rho).shape))
     aux[BULK], aux[RHO] = bulk, rho
     np.sqrt(np.divide(bulk, rho, out=aux[C]), out=aux[C])
     np.multiply(rho, aux[C], out=aux[Z])

@@ -150,12 +150,17 @@ def test_window_query_equals_the_scans():
         times, eps = store.times, 1e-9 * max(dt, abs(tf), 1.0)
         ts = np.concatenate([times, times + 0.4 * eps, times - 0.4 * eps, times + 3 * eps,
                              rng.uniform(t0 - 2 * dt, tf + 2 * dt, 200)])
-        for t in ts:
-            for t_start in (tf, tf - 3.5 * dt, tf - 2 * dt, t0, t0 - dt):
-                for t_final in (tf, tf - 2.5 * dt):
-                    w = TimeWindow(t_start=min(t_start, t_final), t_final=t_final)
-                    assert query_window_times(t, w, store) == \
-                        _query_window_times_scans(t, w, store), (t, w)
+        for t_start in (tf, tf - 3.5 * dt, tf - 2 * dt, t0, t0 - dt):
+            for t_final in (tf, tf - 2.5 * dt):
+                w = TimeWindow(t_start=min(t_start, t_final), t_final=t_final)
+                lo, hi = query_window_times(ts, w, store)      # the array form
+                for t, a, b in zip(ts, lo, hi):
+                    want = _query_window_times_scans(t, w, store)
+                    assert query_window_times(t, w, store) == want, (t, w)
+                    # past the window's t_final its two brackets may come
+                    # descending or twice; the range spans them once
+                    assert list(range(a, b)) == (sorted(set(want)) if t > t_final
+                                                 else want), (t, w)
 
 
 @given(st.floats(0.0, 20.0), st.floats(0.0, 20.0))

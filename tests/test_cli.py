@@ -244,6 +244,15 @@ def test_xt_map_writes_tables_and_huge_threshold_empty(cfg1d, tmp_path):
         assert not mask.any()
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+def test_xt_map_refuses_a_threshold_that_is_not_positive_and_finite(cfg1d, tmp_path, capsys,
+                                                                    threshold):
+    assert main(["xt-map", "--config", cfg1d, "--out", str(tmp_path / "xt"),
+                 "--threshold", threshold]) != 0
+    assert repr(float(threshold)) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "xt" / "xt_q.txt")
+
+
 def test_reproducible_outputs(cfg2d, tmp_path):
     out1 = str(tmp_path / "r1")
     out2 = str(tmp_path / "r2")

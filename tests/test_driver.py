@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adjamr.adjoint import AdjointFlagging, ConfigurationError, query_window_times
+from adjamr.adjoint import (GATHER_VALUES, AdjointFlagging, ConfigurationError,
+                            query_window_times)
 from adjamr.amr import AmrContext, EverywhereFlagging
 from adjamr.config import GaugeSpec, build_equation, build_initial, parse_config
 from adjamr.driver import init_hierarchy, make_strategy, run_adjoint, run_forward, run_xt_map
@@ -74,11 +75,27 @@ def test_gauge_identical_under_duplicate_strategy():
 
 
 def test_xt_map_equals_per_step_snapshot_loop():
-    # the x-t map samples each store snapshot once per run; its masks must
-    # equal a loop that samples every window snapshot again at every step
-    cfg = replace(parse_config(CFG_1D), nx=200)
+    # 557 rows: three blocks of 163 and a partial one
+    _assert_xt_map_equals_per_step_loop(200, None, 0.1, partial=True)
+
+
+@pytest.mark.parametrize("nx, dt_fixed, threshold, partial", [
+    (200, None, 1e-12, True),        # the bound keeps almost every pair
+    (100, 20.0 / 653, 0.1, False),   # 654 rows: two full blocks of 327, none partial
+])
+def test_xt_map_blocks_equal_per_step_snapshot_loop(nx, dt_fixed, threshold, partial):
+    _assert_xt_map_equals_per_step_loop(nx, dt_fixed, threshold, partial)
+
+
+def _assert_xt_map_equals_per_step_loop(nx, dt_fixed, threshold, partial):
+    # the x-t map samples each store snapshot once per run and a block of
+    # steps at a time; its masks must equal a loop that samples every window
+    # snapshot again at every step
+    cfg = replace(parse_config(CFG_1D), nx=nx, dt_fixed=dt_fixed)
     store, _ = run_adjoint(cfg)
-    xs, times, _, mask_qhat, mask_inner = run_xt_map(cfg, store, 0.1)
+    xs, times, mask_q, mask_qhat, mask_inner = run_xt_map(cfg, store, threshold)
+    block = GATHER_VALUES // (2 * nx)
+    assert len(times) > block and (len(times) % block != 0) == partial
 
     sub = replace(cfg, max_levels=1, ratios=())
     eq = build_equation(cfg)
@@ -86,7 +103,7 @@ def test_xt_map_equals_per_step_snapshot_loop():
                      strategy=EverywhereFlagging(), limiter=cfg.limiter)
     patch = init_hierarchy(sub, ctx).patches(1)[0]
     stencil = field_stencil(store.grid, xs)
-    ref_qhat, ref_inner = [], []
+    ref_t, ref_q, ref_qhat, ref_inner = [], [], [], []
 
     def sample(p):
         q = p.interior()
@@ -96,17 +113,28 @@ def test_xt_map_equals_per_step_snapshot_loop():
             qhat = apply_stencil(stencil, store.fields[n].values)
             norm = np.maximum(norm, np.sum(np.abs(qhat), axis=0))
             inner = np.maximum(inner, np.abs(np.sum(qhat * q, axis=0)))
-        ref_qhat.append(norm >= 0.1)
-        ref_inner.append(inner >= 0.1)
+        ref_t.append(p.time)
+        ref_q.append(np.sum(np.abs(q), axis=0) >= threshold)
+        ref_qhat.append(norm >= threshold)
+        ref_inner.append(inner >= threshold)
 
     sample(patch)
     integrate_patch(patch, eq, cfg.boundary, sub.base_shape, cfg.t_final,
                     courant_target=cfg.courant, limiter=cfg.limiter,
                     dt_fixed=cfg.dt_fixed, on_step=sample)
-    assert len(times) == len(ref_qhat)
+    assert np.array_equal(times, ref_t)
     assert mask_inner.any() and not mask_inner.all()
+    assert np.array_equal(mask_q, ref_q)
     assert np.array_equal(mask_qhat, ref_qhat)
     assert np.array_equal(mask_inner, ref_inner)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
+def test_xt_map_refuses_a_threshold_that_is_not_positive_and_finite(threshold):
+    cfg = replace(parse_config(CFG_1D), nx=100)
+    store, _ = run_adjoint(cfg)
+    with pytest.raises(ValueError, match=re.escape(repr(threshold))):
+        run_xt_map(cfg, store, threshold)
 
 
 def test_xt_map_rows_honour_dt_max():

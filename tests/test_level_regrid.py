@@ -106,6 +106,35 @@ def test_bounded_level_adjoint_flags_equal_per_patch_inner_products(seed):
         assert np.array_equal(got, want), (tol, np.argwhere(got != want)[:5])
 
 
+def test_levels_flagged_at_one_t_share_one_envelope():
+    # the envelope depends on the window only: level 2, flagged at level 1's
+    # t, reuses level 1's, and each level flags as a fresh strategy does
+    rng = np.random.default_rng(5)
+    eq = _equation(rng, 1, False)
+    h = PatchHierarchy(xlim=(-1.0, 1.0), ylim=None, base_shape=(12,), ratios=[2])
+    levels = []
+    for level, boxes in ((1, [((0,), (11,))]), (2, [((2,), (9,)), ((14,), (21,))])):
+        patches = [Patch(h.make_spec(level, lo, hi), eq.m) for lo, hi in boxes]
+        sample_level_material(patches, eq, BC, h.level_shape(level))
+        lay = LevelLayout(patches)
+        lay.state[...] = rng.normal(size=lay.state.shape)
+        levels.append((lay, patches))       # the layout holds its patches weakly
+    times = np.linspace(0.0, 1.0, 9)
+    store = AdjointSnapshotStore(
+        times=times, window=TimeWindow(0.5, 1.0),
+        fields=[UniformField(values=rng.normal(size=(eq.m, 10)), origin=h.origin, dx=0.2,
+                             dy=0.0, time=float(s)) for s in times])
+    strategy = AdjointFlagging(store, store.window, 0.5)
+    built = []
+    for t in (0.3, 0.55):
+        for lay, _ in levels:
+            flags = strategy.evaluate(lay, t)
+            assert flags.any()
+            assert np.array_equal(flags, AdjointFlagging(store, store.window, 0.5).evaluate(lay, t))
+            built.append(strategy._envelope)
+    assert built[0] is built[1] and built[2] is built[3] and built[1] is not built[2]
+
+
 def _three_patch_level(eq, seed=0):
     """Level 2 of three patches over level 1, each meeting a wall or an
     outflow side, ghosts filled from the coarse level at t = 0.05."""
