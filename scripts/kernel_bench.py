@@ -11,8 +11,8 @@ x-t map run, and the 2D sets a 50 x 50 patch, a 54 x 54 band with its
 ghosts: the most common band of both 2d-walls runs.
 Each 2D set then steps a level shaped like the median finest-level layout
 of the 2d-walls-timerange run under adjoint flagging (12 patches of edge
-12 to 16), patch by patch (a layout each) and as one `LevelLayout`.
-Levels are built as runs build them, by `amr.new_level`.
+12 to 16), as free patches (`geometry.Patch`, a one-patch level each) and
+as one level built as runs build them, by `amr.new_level`.
 Only the steps are timed; a line reports the best of REPEATS runs of
 SECONDS each, and next to it tracemalloc's peak over one later step (the
 third, once plans are built and work arrays carved), in KiB.
@@ -30,8 +30,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 from adjamr import equations as eqs
 from adjamr.amr import AmrContext, EverywhereFlagging, new_level
-from adjamr.geometry import PatchHierarchy
-from adjamr.solver import BoundarySpec
+from adjamr.geometry import Patch, PatchHierarchy
+from adjamr.solver import BoundarySpec, sample_patch_material
 
 EDGES = (16, 32, 64)
 XT_EDGE = 1000      # the 1d-interface grid: x-t map runs step one such band
@@ -69,9 +69,17 @@ def _patches(equation, h, boxes):
     return new_level(h, 1, boxes, ctx, 0.0)
 
 
+def _free_patch(equation, h, box):
+    """A free patch of level 1 of `h` over the index box (lo, hi): a level
+    of its own, its material sampled with walls on every side."""
+    p = Patch(h.make_spec(1, *box), equation.m)
+    sample_patch_material(p, equation, BoundarySpec(), h.level_shape(1))
+    return p
+
+
 def uniform_patch(equation, edge: int, seed: int = 0):
     """A seeded edge^ndim patch on the unit square (or interval) with walls,
-    alone in its layout (`p.layout`); dt at Courant 0.9 and the level shape."""
+    the one patch of its level (`p.layout`); dt at Courant 0.9 and the level shape."""
     nd = 1 if equation.m == 2 else 2
     shape = (edge,) * nd
     h = PatchHierarchy(xlim=(0.0, 1.0), ylim=None if nd == 1 else (0.0, 1.0),
@@ -118,13 +126,14 @@ def cell_updates_per_s(equation, edge: int, seconds: float, repeats: int):
 
 def level_patches(equation, as_level: bool = True):
     """LEVEL_EDGES square patches, 4 x 3 and 18 cells apart, on a 72 x 54
-    level of the unit square, with seeded interiors, packed into one layout
-    or (`as_level` False) each into its own; and dt at Courant 0.9."""
+    level of the unit square, with seeded interiors, one level or
+    (`as_level` False) free patches, a one-patch level each; and dt at
+    Courant 0.9."""
     h = PatchHierarchy(xlim=(0.0, 1.0), ylim=(0.0, 1.0), base_shape=(72, 54), ratios=[])
     boxes = [((18 * (k % 4), 18 * (k // 4)), (18 * (k % 4) + edge - 1, 18 * (k // 4) + edge - 1))
              for k, edge in enumerate(LEVEL_EDGES)]
     patches = (_patches(equation, h, boxes) if as_level else
-               [_patches(equation, h, [box])[0] for box in boxes])
+               [_free_patch(equation, h, box) for box in boxes])
     rng = np.random.default_rng(0)
     for p in patches:
         p.interior()[...] = rng.normal(size=p.interior().shape)

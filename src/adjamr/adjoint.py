@@ -196,8 +196,7 @@ def solve_adjoint(equation: EquationSet, boundary: BoundarySpec,
     times = (window.t_final - np.array(t_rev))[::-1].copy()
     fields = [UniformField(values=v, origin=origin, dx=wx, dy=wy, time=float(t))
               for v, t in zip(stack, times)]
-    wet = (wet_cells(patch.aux[(slice(None), *patch.spec.interior_slices())])
-           if equation.is_swe else None)
+    wet = wet_cells(patch.aux)[patch.spec.interior_slices()] if equation.is_swe else None
     return AdjointSnapshotStore(times=times, fields=fields, window=window, wet=wet,
                                 stack=stack)
 

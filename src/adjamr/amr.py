@@ -16,7 +16,7 @@ import numpy as np
 
 from .equations import wet
 from .geometry import Patch, PatchHierarchy, allowed_region_mask, in_box
-from .solver import BAND_CELLS, BoundarySpec, LevelLayout, level_layout, sample_level_material
+from .solver import BAND_CELLS, BoundarySpec, LevelLayout, alone, level_layout
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class FlaggingStrategy:
     name = "base"
 
     def __init__(self, tolerance: float | None = None):
-        if tolerance is not None and tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if tolerance is not None and not 0.0 < tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
         self.tolerance = tolerance
 
     def evaluate(self, lay: LevelLayout, t: float) -> np.ndarray:
@@ -122,10 +122,9 @@ def level_flags(lay: LevelLayout, strategy: FlaggingStrategy, t: float,
 
 def flag_cells(patch: Patch, strategy: FlaggingStrategy,
                regions: tuple[RefinementRegion, ...] = ()) -> np.ndarray:
-    """`level_flags` on a layout of one patch alone, at the patch's time,
+    """`level_flags` on the one-patch level of a free patch, at its time,
     over the patch's interior."""
-    return level_flags(LevelLayout.of([patch]), strategy, patch.time,
-                       regions).reshape(patch.spec.shape)
+    return level_flags(alone(patch), strategy, patch.time, regions).reshape(patch.spec.shape)
 
 
 def buffer_flags(flags: np.ndarray, buffer_cells: int) -> np.ndarray:
@@ -387,14 +386,14 @@ def fill_level_ghosts(hierarchy: PatchHierarchy, level: int, t: float,
 
 def new_level(hierarchy: PatchHierarchy, level: int, boxes, ctx: AmrContext,
               time: float) -> list[Patch]:
-    """Zero-state patches over the index boxes (lo, hi) of one level, each
-    with its material sampled over its box, packed into one layout."""
-    patches = [Patch(hierarchy.make_spec(level, lo, hi), ctx.equation.m, time=time)
-               for lo, hi in boxes]
-    if patches:
-        sample_level_material(patches, ctx.equation, ctx.boundary, hierarchy.level_shape(level))
-        LevelLayout(patches)
-    return patches
+    """The patches of a new level over the index boxes (lo, hi): views of
+    one layout with zero state and the material sampled straight into it."""
+    if not boxes:
+        return []
+    lay = LevelLayout([hierarchy.make_spec(level, lo, hi) for lo, hi in boxes],
+                      ctx.equation.m, time)
+    lay.sample_material(ctx.equation, ctx.boundary, hierarchy.level_shape(level))
+    return [Patch.view(lay, k) for k in range(len(lay.specs))]
 
 
 def make_patch(hierarchy: PatchHierarchy, level: int,
@@ -415,20 +414,19 @@ def regrid(hierarchy: PatchHierarchy, level: int, ctx: AmrContext,
         raise ValueError("cannot regrid the base level")
     deepest = deepest if deepest is not None else hierarchy.max_levels
     for lev in range(level, deepest + 1):
-        parent = lev - 1
-        parents, new_patches = hierarchy.patches(parent), []
+        parent, new_patches = lev - 1, []
+        lay = level_layout(hierarchy, parent)
         ctx.rebuilt_at.pop(lev, None)
-        if parents:
-            t = ctx.rebuilt_at[lev] = parents[0].time
+        if lay is not None:
+            t = ctx.rebuilt_at[lev] = lay.time
             fill_level_ghosts(hierarchy, parent, t, ctx)
-            lay = level_layout(hierarchy, parent)
             flags = level_flags(lay, ctx.strategy, t, ctx.regions)
             ctx.flagged_per_regrid.append(int(flags.sum()))
             raw = np.zeros(hierarchy.level_shape(parent), dtype=bool)
             raw[lay.interior_cells[1]] = flags
             mask = np.zeros_like(raw)
-            for p in parents:
-                sl = tuple(slice(l, h + 1) for l, h in zip(p.spec.lo, p.spec.hi))
+            for s in lay.specs:
+                sl = tuple(slice(l, h + 1) for l, h in zip(s.lo, s.hi))
                 mask[sl] |= buffer_flags(raw[sl], ctx.buffer_cells)
             allowed = allowed_region_mask(hierarchy, parent)
             clipped = mask & allowed
@@ -458,17 +456,16 @@ def advance_hierarchy(hierarchy: PatchHierarchy, level: int, dt: float,
     solver.CflViolationError naming the patch.
     """
     count = ctx.step_counts.get(level, 0)
-    patches = hierarchy.patches(level)
+    lay = level_layout(hierarchy, level)
     if (level < hierarchy.max_levels and count > 0
             and count % ctx.regrid_interval == 0
-            and not (patches and ctx.rebuilt_at.get(level + 1) == patches[0].time)):
+            and not (lay and ctx.rebuilt_at.get(level + 1) == lay.time)):
         regrid(hierarchy, level + 1, ctx)
 
-    if not patches:
+    if lay is None:
         return
-    t = patches[0].time
+    t = lay.time
     fill_level_ghosts(hierarchy, level, t, ctx)
-    lay = level_layout(hierarchy, level)
     if level < hierarchy.max_levels:
         lay.save_old()
     ctx.count_step(level, lay.cells, lay.step(dt, ctx.equation, ctx.limiter))

@@ -139,6 +139,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_xt_map(args) -> int:
     cfg = _load_config(args.config)
+    driver.check_xt_threshold(args.threshold)      # before the adjoint solve
     os.makedirs(args.out, exist_ok=True)
     store = _get_store(args, required=False)
     if store is None:

@@ -201,6 +201,12 @@ def run_convergence(cfg: RunConfig, levels_of_resolution: int):
     return rows
 
 
+def check_xt_threshold(threshold: float):
+    """Refuse an x-t threshold that is not positive and finite."""
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"the x-t threshold must be positive and finite, not {threshold!r}")
+
+
 def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
     """Space-time masks |q|_1 >= v, windowed |q̂|_1 >= v, windowed |q̂·q| >= v,
     for a positive finite v.  Runs the 1D problem on its coarse grid as a
@@ -208,8 +214,7 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
     values; |q̂·q| is evaluated only where its bound max|q̂|·|q|_1 reaches v.
     Returns (x_centers, times, mask_q, mask_qhat, mask_inner).
     """
-    if not 0.0 < threshold < math.inf:
-        raise ValueError(f"the x-t threshold must be positive and finite, not {threshold!r}")
+    check_xt_threshold(threshold)
     if cfg.ndim != 1:
         raise UnsupportedConfigError("the x-t map is defined for 1D configs only")
     _check_store(cfg, store)

@@ -330,6 +330,7 @@ class EquationSet:
 
     name: str
     m: int
+    rows = ACOUSTICS_ROWS       # the names of the material's rows
     is_swe = False
     p_slot = 1
     x_field = "z"
@@ -370,6 +371,7 @@ class SweLinear2D(EquationSet):
     name = "swe-linear-2d"
     m = 3
     is_swe = True
+    rows = SWE_ROWS
     p_slot = 0
     x_field = "c"
 
@@ -402,6 +404,7 @@ class AdjointSweLinear2D(_AdjointBase):
     name = "adjoint-swe-linear-2d"
     m = 3
     is_swe = True
+    rows = SWE_ROWS
     p_slot = 1
     x_field = "c"
 

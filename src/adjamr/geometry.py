@@ -75,28 +75,36 @@ class PatchSpec:
 
 
 class Patch:
-    """Cell-averaged state over one patch, interior plus ghost cells.
-
-    `aux` holds the material sampled by the equation set, one float array
-    (rows, *cells) over the same interior+ghost extent as the state (see
-    `equations.ACOUSTICS_ROWS` and `SWE_ROWS`).  `state_old`/`time_old`
-    are snapshots kept by the multilevel driver for space-time interpolation.
-    `state`, `state_old` and `aux` may be views of their level's packed
-    arrays (`layout`); rebinding one detaches the patch from that layout.
+    """One box of a level: its spec and its place (`layout`, `index`) in the
+    `solver.LevelLayout` that owns the level's data.  `state` (m, *cells),
+    `state_old` and the material `aux` (rows, *cells) are read-only views of
+    the box, ghosts included, made on access (None until the level has one);
+    `time` and `time_old` are the level's.  `Patch(spec, m, time)` is a free
+    patch: a one-patch level of its own, with zero state.
     """
 
-    def __init__(self, spec: PatchSpec, num_components: int, time: float = 0.0):
-        self.spec = spec
-        self.state = np.zeros((num_components, *spec.total_shape))
-        self.time = float(time)
-        self.aux = None
-        self.state_old: np.ndarray | None = None
-        self.time_old: float | None = None
-        self.layout = None                # solver.LevelLayout holding these arrays
+    __slots__ = ("spec", "layout", "index")
 
-    @property
-    def num_components(self) -> int:
-        return self.state.shape[0]
+    def __init__(self, spec: PatchSpec, num_components: int, time: float = 0.0):
+        from .solver import LevelLayout     # solver builds on this module
+        self.spec, self.layout, self.index = spec, LevelLayout([spec], num_components, time), 0
+
+    @classmethod
+    def view(cls, layout, index: int) -> "Patch":
+        """Box `index` of `layout`'s level."""
+        p = cls.__new__(cls)
+        p.spec, p.layout, p.index = layout.specs[index], layout, index
+        return p
+
+    def _box(self, packed):
+        return None if packed is None else packed[(slice(None), *self.layout.boxes[self.index])]
+
+    state = property(lambda self: self._box(self.layout.state))
+    state_old = property(lambda self: self._box(self.layout.state_old))
+    aux = property(lambda self: self._box(self.layout.aux))
+    time = property(lambda self: self.layout.time)
+    time_old = property(lambda self: self.layout.time_old)
+    num_components = property(lambda self: len(self.layout.state))
 
     def interior(self) -> np.ndarray:
         """View of the interior cells."""

@@ -7,12 +7,13 @@ masking for shallow water is handled inside the step by mirroring interface
 states, discarding updates into dry cells, and suppressing correction fluxes
 across wet/dry faces so closed basins conserve mass to roundoff.
 
-A `LevelLayout` packs the ghost-padded patches of one level into one array,
-so a level steps and fills its ghosts in a few array operations however many
-patches it has; every run, a uniform one included, steps levels this way
-through `amr.advance_hierarchy`.  The one-patch entry points (`step_patch`,
-`integrate_patch`, ... at the end) run the same code on a layout of that patch
-alone, rebinding its arrays; they are kept only for tests and perfbench's `LAYERS`.
+A `LevelLayout` owns one level's data: its ghost-padded boxes packed into
+one array, so a level steps and fills its ghosts in a few array operations
+however many patches it has; every run, a uniform one included, steps levels
+this way through `amr.advance_hierarchy`.  A patch is a view of its level.
+The one-patch entry points (`step_patch`, ... at the end) run the same code
+on a free patch's one-patch level; they are kept only for tests and
+perfbench's `LAYERS`.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from functools import partial
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .equations import (ACOUSTICS_ROWS, C, SWE_ROWS, EquationSet, InvalidMaterialError,
-                        split_jump, transverse_parts, wet as wet_cells)
-from .geometry import (Patch, PatchHierarchy, Stencil, apply_stencil,
+from .equations import (C, EquationSet, InvalidMaterialError, split_jump, transverse_parts,
+                        wet as wet_cells)
+from .geometry import (Patch, PatchHierarchy, PatchSpec, Stencil, apply_stencil,
                        build_stencil, patch_stencil)
 
 LIMITERS = ("none", "minmod", "MC", "superbee")
@@ -137,29 +138,6 @@ def _source(i, n: int, boundary: BoundarySpec, axis: int):
     return np.minimum(i, 2 * n - 1 - i if wall_hi else n - 1)
 
 
-def sample_level_material(patches, equation: EquationSet, boundary: BoundarySpec,
-                          level_shape: tuple[int, ...]):
-    """Set the material of each patch of one level, sampled once over its
-    box (interior and ghosts) on `np.ix_` axes at the cell centers of
-    `_source`: a ghost behind a domain side holds the material of the cell
-    its fill reads.  The axes are built once for the whole level."""
-    spec, g = patches[0].spec, patches[0].spec.ghost_width
-    axes = [o + (_source(np.arange(-g, n + g), n, boundary, a) + 0.5) * w
-            for a, (o, w, n) in enumerate(zip(spec.origin, spec.widths, level_shape))]
-    for p in patches:
-        aux = equation.sample_material(*np.ix_(*(x[l:h + 2 * g + 1] for x, l, h
-                                                  in zip(axes, p.spec.lo, p.spec.hi))))
-        p.aux = np.empty((len(aux), *p.spec.total_shape))
-        p.aux[...] = aux        # a material constant along an axis broadcasts
-
-
-def sample_patch_material(patch: Patch, equation: EquationSet,
-                          boundary: BoundarySpec, level_shape: tuple[int, ...]):
-    """`sample_level_material` of one patch; returns its material."""
-    sample_level_material([patch], equation, boundary, level_shape)
-    return patch.aux
-
-
 # ---------------------------------------------------------------------------
 # Wave-propagation stepping
 
@@ -205,7 +183,7 @@ class _BandPlan:
     """One band's step as a fixed run of array operations on views of its
     state, its (face) material rows and the shared `_Scratch`, built once
     per band, equation set and limiter; `dtd` holds the step's dt/dx.
-    Material rows are read by name (`ACOUSTICS_ROWS` or `SWE_ROWS`).
+    Material rows are read by name (`EquationSet.rows`).
 
     Every operation is a run over the band's cells flat, in packed order:
     face k of axis a joins cells k and k + steps[a], and the transverse
@@ -229,14 +207,14 @@ class _BandPlan:
         inside, aux = lay.interior[x].reshape(-1), lay.aux[:, x].reshape(len(lay.aux), -1)
         size, q = len(inside), lay.state[:, x].reshape(len(lay.state), -1)
         self.steps = [math.prod(lay.state.shape[2 + a:]) for a in range(nd)]
-        cells = dict(zip(SWE_ROWS if eq.is_swe else ACOUSTICS_ROWS, aux))
+        cells = dict(zip(eq.rows, aux))
         if eq.is_swe:       # dry cells clamped to unit depth, so solves there stay finite
             wet = wet_cells(aux)
             gd = cells["gravity"] * np.where(wet, cells["depth"], 1.0)
             cells = {"c": np.sqrt(gd), "gd": gd} if eq.fwave else {"c": np.sqrt(gd)}
         if not (cells["c"] > 0).all():
             k = lay._owner[x].reshape(size)[np.argmin(cells["c"] > 0)]
-            raise InvalidMaterialError(f"{lay.patches[k]}: wave speeds must be positive")
+            raise InvalidMaterialError(f"{Patch.view(lay, int(k))}: wave speeds must be positive")
         faces = [size - s for s in self.steps]
         views, tmp, flags = _Scratch.carve(
             [(eq.m, size), *((2, f) for f in faces), (2 * faces[0] + 2 * nd * faces[-1],)],
@@ -406,50 +384,39 @@ def _shelves(boxes, order, width):
 
 
 class LevelLayout:
-    """One level's ghost-padded patches shelf-packed into one array.
-
-    `state` (m, NX[, NY]), the saved `state_old` and the material rows `aux`
-    (rows, NX[, NY]) hold every patch's box; each patch's `state`,
-    `state_old` and `aux` are views of them.  Padding holds zero state and
-    unit material rows, in which solves stay finite (wet, for shallow
-    water).  The layout and its cached plans hold while the level is the
-    same patches with the same views (`matches`); patches hold their layout,
-    which holds them weakly.  Ghost fills are copies over the packed arrays,
-    and the coarse one a `stencil` over the packed parent level.  A step
-    writes interiors only: ghosts keep their last fill, padding its zeros.
+    """The one owner of a level's data: its ghost-padded boxes shelf-packed
+    into one array.  `state` (m, NX[, NY]), the saved `state_old` and the
+    material rows `aux` (rows, NX[, NY]) hold every box, and `time` and
+    `time_old` are the level's; its patches (`Patch.view`) are views of it.
+    It keeps specs, not patches, so a replaced level is freed by reference
+    counting.  Padding holds zero state and unit material rows, in which
+    solves stay finite (wet, for shallow water).  Ghost fills are copies over
+    the packed arrays, and the coarse one a `stencil` over the packed parent
+    level.  A step writes interiors only: ghosts keep their last fill,
+    padding its zeros.
     """
 
-    def __init__(self, patches):
-        """Pack `patches`, copying their state, saved state and material in;
-        each patch's arrays become views of the packed ones."""
-        self._refs = tuple(weakref.ref(p) for p in patches)
-        p0 = patches[0]
-        self.level = p0.spec.level
-        self.offsets, shape, bands = _shelf_pack([p.spec.total_shape for p in patches])
-        self.boxes = [tuple(slice(o, o + n) for o, n in zip(off, p.spec.total_shape))
-                      for off, p in zip(self.offsets, patches)]
-        self.state = np.zeros((p0.num_components, *shape))
-        self.state_old = (None if any(p.state_old is None for p in patches)
-                          else self.state.copy())
-        self.aux = None if p0.aux is None else np.ones((len(p0.aux), *shape))
-        for p, box in zip(patches, self.boxes):
-            for name in ("state", "state_old", "aux"):
-                if (packed := getattr(self, name)) is not None:
-                    packed[(slice(None), *box)] = getattr(p, name)
-                    setattr(p, name, packed[(slice(None), *box)])
+    def __init__(self, specs: list[PatchSpec], num_components: int, time: float = 0.0):
+        """Zero state over the boxes of `specs`, one level's, at `time`."""
+        self.specs, spec = tuple(specs), specs[0]
+        self.level, self.time, self.time_old = spec.level, float(time), None
+        self.offsets, shape, bands = _shelf_pack([s.total_shape for s in self.specs])
+        self.boxes = [tuple(slice(o, o + n) for o, n in zip(off, s.total_shape))
+                      for off, s in zip(self.offsets, self.specs)]
+        self.state, self.state_old, self.aux = np.zeros((num_components, *shape)), None, None
         self.bands = [slice(a, b) for a, b in bands]
         self.flat = self.state.reshape(self.state.shape[0], -1)
-        self.cells = sum(math.prod(p.spec.shape) for p in patches)
+        self.cells = sum(math.prod(s.shape) for s in self.specs)
         self.interior, self._ghost = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
         gidx = [np.zeros(shape, dtype=np.int32) for _ in shape]
         self._owner = np.zeros(shape, dtype=np.int32)       # the patch holding each box cell
-        for k, (p, box) in enumerate(zip(patches, self.boxes)):
-            g = p.spec.ghost_width
+        g = spec.ghost_width
+        for k, (s, box) in enumerate(zip(self.specs, self.boxes)):
             self._owner[box] = k
             self._ghost[box] = True
             self.interior[tuple(slice(b.start + g, b.stop - g) for b in box)] = True
             for a, i in enumerate(gidx):
-                i[box] = np.arange(p.spec.lo[a] - g, p.spec.hi[a] + g + 1).reshape(
+                i[box] = np.arange(s.lo[a] - g, s.hi[a] + g + 1).reshape(
                     [-1 if c == a else 1 for c in range(len(shape))])
         self._ghost &= ~self.interior
         # packed flat and global indices of every interior, then ghost, cell;
@@ -466,40 +433,47 @@ class LevelLayout:
         self.same_level = (ghost[src >= 0], src[src >= 0])
         self._open = (ghost[src < 0], tuple(i[src < 0] for i in gi))   # for the coarse fill
         self._coarse = self._physical = self._kernel = None
-        self.memo = {}     # plans other modules derive from these patches
-        for p in patches:
-            p.layout = self
-        self._bind()
-
-    patches = property(lambda self: tuple(r() for r in self._refs))
-    time = property(lambda self: self._refs[0]().time)
-    time_old = property(lambda self: self._refs[0]().time_old)
-
-    def _bind(self):
-        self._views = [(p.state, p.state_old, p.aux) for p in self.patches]
-
-    def matches(self, patches) -> bool:
-        """True while `patches` are this layout's patches holding its views."""
-        return len(patches) == len(self._refs) and all(
-            p is r() and p.state is s and p.state_old is o and p.aux is a
-            for p, r, (s, o, a) in zip(patches, self._refs, self._views))
+        self.memo = {}     # plans other modules derive from this level
 
     @classmethod
-    def of(cls, patches) -> "LevelLayout":
-        """The layout the patches hold, or a new one when it does not match."""
-        lay = patches[0].layout
-        return lay if lay is not None and lay.matches(patches) else cls(patches)
+    def join(cls, patches) -> "LevelLayout":
+        """One level of patches built apart, at the first one's times: each
+        array they all have is copied in once, and each patch re-pointed."""
+        p0 = patches[0]
+        lay = cls([p.spec for p in patches], p0.num_components, p0.time)
+        lay.time_old = p0.time_old
+        for name, fill in (("state_old", np.zeros), ("aux", np.ones)):
+            if all(getattr(p.layout, name) is not None for p in patches):
+                setattr(lay, name, fill((len(getattr(p0, name)), *lay.state.shape[1:])))
+        for k, p in enumerate(patches):
+            for name in ("state", "state_old", "aux"):
+                if (packed := getattr(lay, name)) is not None:
+                    packed[(slice(None), *lay.boxes[k])] = getattr(p, name)
+            p.layout, p.index = lay, k
+        return lay
 
     def save_old(self):
-        """Save every patch's state and time for space-time interpolation."""
+        """Save the level's state and time for space-time interpolation."""
         if self.state_old is None:
             self.state_old = np.empty_like(self.state)
-            for p, box in zip(self.patches, self.boxes):
-                p.state_old = self.state_old[(slice(None), *box)]
-            self._bind()
         np.copyto(self.state_old, self.state)
-        for p in self.patches:
-            p.time_old = p.time
+        self.time_old = self.time
+
+    def sample_material(self, equation: EquationSet, boundary: BoundarySpec,
+                        level_shape: tuple[int, ...]):
+        """Sample the material into each box of `aux` (allocated at the first
+        sample, padding unit rows) on `np.ix_` axes built once for the level,
+        at the cell centers of `_source`: a ghost behind a domain side holds
+        the material of the cell its fill reads."""
+        spec, g = self.specs[0], self.specs[0].ghost_width
+        axes = [o + (_source(np.arange(-g, n + g), n, boundary, a) + 0.5) * w
+                for a, (o, w, n) in enumerate(zip(spec.origin, spec.widths, level_shape))]
+        if self.aux is None:
+            self.aux = np.ones((len(equation.rows), *self.state.shape[1:]))
+        for s, box in zip(self.specs, self.boxes):
+            # a material constant along an axis broadcasts
+            self.aux[(slice(None), *box)] = equation.sample_material(*np.ix_(
+                *(x[l:h + 2 * g + 1] for x, l, h in zip(axes, s.lo, s.hi))))
 
     def cover(self, idx):
         """The packed flat index of the interior cell holding each global index
@@ -511,7 +485,7 @@ class LevelLayout:
     def centers(self, idx=None):
         """Cell-center coordinates of the global indices `idx` on this level
         (one array per axis), by default of the interior cells."""
-        spec = self._refs[0]().spec
+        spec = self.specs[0]
         return tuple(o + (i + 0.5) * w for o, i, w in zip(
             spec.origin, self.interior_cells[1] if idx is None else idx, spec.widths))
 
@@ -519,8 +493,7 @@ class LevelLayout:
                     equation: EquationSet):
         """Coarse space-time interpolation, same-level copies, then the
         physical boundary conditions."""
-        if self.level >= 2:
-            self.fill_from_coarse(hierarchy, t)
+        self.fill_from_coarse(hierarchy, t)
         self.fill_same_level()
         self.fill_physical(boundary, equation, hierarchy.level_shape(self.level))
 
@@ -559,8 +532,8 @@ class LevelLayout:
 
     def fill_from_coarse(self, hierarchy: PatchHierarchy, t: float):
         """In-domain ghosts that no same-level interior covers, interpolated
-        in space and time from the parent level."""
-        parent = level_layout(hierarchy, self.level - 1)
+        in space and time from the parent level (none on level 1)."""
+        parent = level_layout(hierarchy, self.level - 1) if self.level > 1 else None
         if parent is None:
             return
         if self._coarse is None or self._coarse[0] is not parent:
@@ -594,20 +567,20 @@ class LevelLayout:
         cell on the domain's upper side), and the stencil there over the
         packed arrays.  Each point is read in the box of the patch holding it,
         with its ghosts or clamped to its interior (for stale ghosts)."""
-        spec, shape = self._refs[0]().spec, hierarchy.level_shape(self.level)
+        spec, shape = self.specs[0], hierarchy.level_shape(self.level)
         held = self.cover([np.minimum(np.floor((c - o) / w).astype(int), n - 1)
                            for c, o, w, n in zip(coords, spec.origin, spec.widths, shape)])
         pos = np.flatnonzero(held >= 0)
         k = self._owner.reshape(-1)[held[pos]]
         g, inset = spec.ghost_width, 0 if ghosts else spec.ghost_width
-        lo, n = (np.array([getattr(p.spec, f) for p in self.patches])[k].T
+        lo, n = (np.array([getattr(s, f) for s in self.specs])[k].T
                  for f in ("lo", "total_shape"))
         first = [o + (l - g + inset) * w for o, l, w in zip(spec.origin, lo, spec.widths)]
         return pos, build_stencil([c[pos] for c in coords], first, spec.widths, tuple(n - 2 * inset),
                                   self.state.shape[1:], tuple(np.array(self.offsets)[k].T + inset))
 
     def step(self, dt: float, equation: EquationSet, limiter: str = "MC") -> float:
-        """Advance every patch by dt; the Courant number is max|s|·dt/dx over
+        """Advance the level by dt; the Courant number is max|s|·dt/dx over
         interfaces touching a patch interior.  CflViolationError (above 1)
         and NumericalBlowupError name the offending patch.  An interior
         update reads only its own box: each cell gets its patch's own step.
@@ -618,7 +591,7 @@ class LevelLayout:
             raise ValueError("dt must be positive")
         if self._kernel is None or self._kernel[:2] != (equation, limiter):
             self._kernel = (equation, limiter, [None] * len(self.bands))
-        plans, dtd = self._kernel[2], [dt / w for w in self._refs[0]().spec.widths]
+        plans, dtd = self._kernel[2], [dt / w for w in self.specs[0].widths]
         courant = 0.0
         for b, plan in enumerate(plans):
             if plan is None or plan.gen != _Scratch.gen:
@@ -632,12 +605,12 @@ class LevelLayout:
             for op, *args in plan.ops:
                 op(*args)
             courant = max(courant, band)
-        for r in self._refs:
-            r().time += dt
-        if not np.isfinite(self.state).all():
-            for p in self.patches:
-                if not np.isfinite(p.interior()).all():
-                    raise NumericalBlowupError(f"{p}: non-finite state after the step")
+        self.time += dt
+        if not np.isfinite(self.state).all():       # the first patch with a non-finite interior
+            bad = self._owner[self.interior & ~np.isfinite(self.state).all(axis=0)]
+            if len(bad):
+                raise NumericalBlowupError(
+                    f"{Patch.view(self, int(bad.min()))}: non-finite state after the step")
         return courant
 
     def _cfl_offender(self, plan: _BandPlan, dtd):
@@ -653,26 +626,30 @@ class LevelLayout:
             np.maximum.at(cfl, np.where(inside[lo], owner[lo], owner[hi])[touch],
                           _face_speeds(c, dry)[touch] * d)
         k = int(np.argmax(cfl > 1.0 + 1e-12))
-        return self._refs[k](), float(cfl[k])
+        return Patch.view(self, k), float(cfl[k])
 
 
 def level_layout(hierarchy: PatchHierarchy, level: int) -> LevelLayout | None:
-    """The layout of a level's patches (None for an empty level)."""
+    """The layout that owns a level (None for an empty level)."""
     patches = hierarchy.patches(level)
-    return LevelLayout.of(patches) if patches else None
+    return _layout_of(patches, f"level {level}") if patches else None
 
 
-def _cfl_dt(patches, widths, courant_target: float, dt_max: float) -> float:
+def _layout_of(patches, what: str) -> LevelLayout:
+    """The layout whose patches are exactly `patches`, in order."""
+    lay = patches[0].layout
+    if [(p.layout, p.index) for p in patches] != [(lay, k) for k in range(len(lay.specs))]:
+        raise ValueError(f"{what}: not one layout's patches in order (see LevelLayout.join)")
+    return lay
+
+
+def _cfl_dt(lay: LevelLayout, courant_target: float, dt_max: float) -> float:
     """The dt at the target Courant number for the fastest interior cell of
-    `patches` (the largest of material row C) on cells of these widths,
-    capped at dt_max."""
-    max_speed = 0.0
-    for p in patches:
-        sl = p.spec.interior_slices()
-        max_speed = max(max_speed, float(np.max(p.aux[(C, *sl)], initial=0.0)))
+    a level (the largest of material row C), capped at dt_max."""
+    max_speed = float(np.max(lay.aux[C][lay.interior], initial=0.0))
     if max_speed == 0.0:
         return dt_max
-    return min(min(courant_target * w / max_speed for w in widths), dt_max)
+    return min(min(courant_target * w / max_speed for w in lay.specs[0].widths), dt_max)
 
 
 def select_dt(hierarchy: PatchHierarchy, courant_target: float = 0.9,
@@ -681,8 +658,7 @@ def select_dt(hierarchy: PatchHierarchy, courant_target: float = 0.9,
     The wave speed is row C of every system's material."""
     if not (0.0 < courant_target <= 1.0):
         raise ValueError("courant_target must be in (0, 1]")
-    return _cfl_dt(hierarchy.patches(1), hierarchy.widths(1)[:hierarchy.ndim],
-                   courant_target, dt_max)
+    return _cfl_dt(level_layout(hierarchy, 1), courant_target, dt_max)
 
 
 def march(clock, advance, t_end: float, dt: float, output_times=(), on_output=None):
@@ -709,8 +685,14 @@ def march(clock, advance, t_end: float, dt: float, output_times=(), on_output=No
 
 # ---------------------------------------------------------------------------
 # One-patch entry points, kept only for tests and perfbench's `LAYERS`: no run
-# calls them.  Each rebinds the patch's arrays to a layout of it alone, which
-# detaches a patch of a multi-patch level from its level's layout.
+# calls them.  Each runs on the one-patch level of a free patch (`alone`).
+
+
+def alone(patch: Patch) -> LevelLayout:
+    """The level of a free patch; ValueError for a patch that shares its level."""
+    if len(patch.layout.specs) > 1:
+        raise ValueError(f"{patch} shares its level with {len(patch.layout.specs) - 1} others")
+    return patch.layout
 
 
 def fill_ghost_physical(patch: Patch, boundary: BoundarySpec, equation: EquationSet,
@@ -718,28 +700,31 @@ def fill_ghost_physical(patch: Patch, boundary: BoundarySpec, equation: Equation
     """Fill the ghosts behind domain sides: a wall mirrors the interior with
     the normal velocity/momentum negated, an outflow side copies the edge
     cell, and a corner ghost outside the domain in both directions takes both."""
-    LevelLayout.of([patch]).fill_physical(boundary, equation, level_shape)
+    alone(patch).fill_physical(boundary, equation, level_shape)
 
 
 def fill_ghost_same_level(patch: Patch, level_patches: list[Patch]):
-    """Copy same-level interior data into the ghosts of `patch` and of every
-    other patch of `level_patches`, its level."""
-    LevelLayout.of(level_patches).fill_same_level()
+    """Same-level copies into the ghosts of `level_patches`, `patch`'s level."""
+    _layout_of(level_patches, repr(patch)).fill_same_level()
 
 
 def fill_ghost_from_coarse(fine_patch: Patch, hierarchy: PatchHierarchy, t: float):
     """Fill in-domain ghosts by bilinear-in-space, linear-in-time interpolation
     of the parent level, which must hold a saved (time_old, state_old) pair
     bracketing t; anything else is a driver scheduling bug."""
-    if fine_patch.spec.level >= 2:
-        LevelLayout.of([fine_patch]).fill_from_coarse(hierarchy, t)
+    alone(fine_patch).fill_from_coarse(hierarchy, t)
+
+
+def sample_patch_material(patch: Patch, equation: EquationSet,
+                          boundary: BoundarySpec, level_shape: tuple[int, ...]):
+    """`LevelLayout.sample_material` of a free patch."""
+    alone(patch).sample_material(equation, boundary, level_shape)
 
 
 def step_patch(patch: Patch, dt: float, equation: EquationSet,
                limiter: str = "MC") -> float:
-    """Advance one patch by dt and return the step's Courant number
-    (`LevelLayout.step` on a layout of this patch alone)."""
-    return LevelLayout.of([patch]).step(dt, equation, limiter)
+    """Advance one patch by dt and return the step's Courant number."""
+    return alone(patch).step(dt, equation, limiter)
 
 
 def integrate_patch(patch: Patch, equation: EquationSet, boundary: BoundarySpec,
@@ -752,12 +737,12 @@ def integrate_patch(patch: Patch, equation: EquationSet, boundary: BoundarySpec,
     Steps go through `march`; on_output(t, patch) fires at each output time,
     and on_step(patch) after every accepted step.
     """
-    dt = dt_fixed if dt_fixed is not None else _cfl_dt(
-        [patch], patch.spec.widths, courant_target, dt_max)
+    lay = alone(patch)
+    dt = dt_fixed if dt_fixed is not None else _cfl_dt(lay, courant_target, dt_max)
 
     def advance(step):
-        LevelLayout.of([patch]).fill_physical(boundary, equation, level_shape)
-        LevelLayout.of([patch]).step(step, equation, limiter)
+        lay.fill_physical(boundary, equation, level_shape)
+        lay.step(step, equation, limiter)
         if on_step is not None:
             on_step(patch)
 

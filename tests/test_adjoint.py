@@ -237,7 +237,7 @@ def patch_1d(eq, nx=100, xlim=(0.0, 1.0)):
 
 def adjoint_flags(p, t, store, tolerance):
     """AdjointFlagging's flags on one patch at time t."""
-    p.time = t
+    p.layout.time = t
     return flag_cells(p, AdjointFlagging(store, store.window, tolerance))
 
 

@@ -6,10 +6,10 @@ from adjamr import equations as eqs
 from adjamr.amr import (AmrContext, DifferenceFlagging,
                         EverywhereFlagging, RefinementRegion,
                         SurfaceFlagging, advance_hierarchy, buffer_flags,
-                        cluster, flag_cells, make_patch, regrid,
+                        cluster, flag_cells, make_patch, new_level, regrid,
                         restrict_fine_to_coarse)
 from adjamr.geometry import Patch, PatchHierarchy, enforce_nesting
-from adjamr.solver import (BoundarySpec, LevelLayout, fill_ghost_from_coarse, fill_ghost_physical,
+from adjamr.solver import (BoundarySpec, fill_ghost_from_coarse, fill_ghost_physical,
                            sample_patch_material, step_patch)
 
 
@@ -69,6 +69,13 @@ def test_difference_flag_monotone_in_tolerance():
     assert np.all(tight | ~loose)       # lowering tol never shrinks the set
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_flagging_refuses_a_tolerance_that_is_not_positive_and_finite(tolerance):
+    # nan <= 0 is False: a NaN tolerance would construct and then flag nothing
+    with pytest.raises(ValueError, match=f"tolerance must be finite and positive, got {tolerance}"):
+        DifferenceFlagging(tolerance)
+
+
 def test_surface_flagging_wet_only():
     def bathy(x, y):
         return np.where(np.asarray(x) < 5.0, -10.0, 5.0)    # right half dry
@@ -100,7 +107,7 @@ def test_region_require_and_forbid_idempotent():
 def test_region_outside_time_window_ignored():
     eq = const_ac2d()
     _, p = patch_2d(eq)
-    p.time = 5.0
+    p.layout.time = 5.0
     forbid = RefinementRegion(min_level=1, max_level=1, t1=0.0, t2=1.0,
                               rect=(0.0, 10.0, 0.0, 10.0))
     out = flag_cells(p, EverywhereFlagging(), (forbid,))
@@ -602,10 +609,8 @@ def test_restrict_1d_takes_the_mean_of_each_coarse_cells_children():
     ctx = basic_ctx(eq)
     rng = np.random.default_rng(7)
     h = PatchHierarchy(xlim=(0.0, 8.0), ylim=None, base_shape=(8,), ratios=[2])
-    h.levels = [[make_patch(h, 1, (0,), (4,), ctx, 0.0),
-                 make_patch(h, 1, (5,), (7,), ctx, 0.0)],
-                [make_patch(h, 2, (2,), (7,), ctx, 0.0),
-                 make_patch(h, 2, (10,), (13,), ctx, 0.0)]]
+    h.levels = [new_level(h, 1, [((0,), (4,)), ((5,), (7,))], ctx, 0.0),
+                new_level(h, 2, [((2,), (7,)), ((10,), (13,))], ctx, 0.0)]
     for p in h.patches(1) + h.patches(2):
         p.state[...] = rng.normal(size=p.state.shape)
     coarse = np.concatenate([p.interior() for p in h.patches(1)], axis=1)
@@ -636,7 +641,7 @@ def test_restrict_does_not_depend_on_coarse_cuts(ratio):
                            base_shape=(8, 8), ratios=[ratio])
         fine = make_patch(h, 2, (0, 0), (8 * ratio - 1, 8 * ratio - 1), ctx, 0.0)
         fine.interior()[...] = data
-        h.levels = [[make_patch(h, 1, lo, hi, ctx, 0.0) for lo, hi in cuts], [fine]]
+        h.levels = [new_level(h, 1, cuts, ctx, 0.0), [fine]]
         restrict_fine_to_coarse(h, 1)
         coarse = np.zeros((eq.m, 8, 8))
         for p in h.patches(1):
@@ -659,10 +664,8 @@ def test_restrict_swe_averages_wet_children_into_wet_coarse_cells():
     rng = np.random.default_rng(8)
     h = PatchHierarchy(xlim=(0.0, 8.0), ylim=(0.0, 8.0),
                        base_shape=(8, 8), ratios=[2])
-    h.levels = [[make_patch(h, 1, (0, 0), (3, 7), ctx, 0.0),
-                 make_patch(h, 1, (4, 0), (7, 7), ctx, 0.0)],
-                [make_patch(h, 2, (2, 2), (11, 15), ctx, 0.0),
-                 make_patch(h, 2, (12, 0), (15, 9), ctx, 0.0)]]
+    h.levels = [new_level(h, 1, [((0, 0), (3, 7)), ((4, 0), (7, 7))], ctx, 0.0),
+                new_level(h, 2, [((2, 2), (11, 15)), ((12, 0), (15, 9))], ctx, 0.0)]
     for p in h.patches(1) + h.patches(2):
         p.state[...] = rng.normal(size=p.state.shape)
 
@@ -781,12 +784,12 @@ def test_coarse_ghost_fill_never_uses_a_stale_plan():
                 [make_patch(h, 2, (4, 4), (11, 11), ctx, 0.0)]]
 
     def fill_level_2(patches, t_old, t_new):
-        for p in patches:
-            p.state[...] = rng.normal(size=p.state.shape)
-            p.time = t_old
-            LevelLayout.of([p]).save_old()
-            p.state[...] = rng.normal(size=p.state.shape)
-            p.time = t_new
+        lay = patches[0].layout
+        lay.state[...] = rng.normal(size=lay.state.shape)
+        lay.time = t_old
+        lay.save_old()
+        lay.state[...] = rng.normal(size=lay.state.shape)
+        lay.time = t_new
         h.levels[1] = patches
 
     fill_level_2(h.patches(2), 0.0, 0.5)
@@ -795,9 +798,8 @@ def test_coarse_ghost_fill_never_uses_a_stale_plan():
     fill_ghost_from_coarse(fine, h, 0.25)
 
     replacements = (
-        [make_patch(h, 2, (4, 4), (11, 11), ctx, 0.0)],                # same box
-        [make_patch(h, 2, (4, 4), (7, 11), ctx, 0.0),
-         make_patch(h, 2, (8, 4), (11, 11), ctx, 0.0)],                # split box
+        new_level(h, 2, [((4, 4), (11, 11))], ctx, 0.0),               # same box
+        new_level(h, 2, [((4, 4), (7, 11)), ((8, 4), (11, 11))], ctx, 0.0),    # split box
     )
     for patches in replacements:
         fill_level_2(patches, 0.5, 1.0)

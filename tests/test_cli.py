@@ -251,6 +251,7 @@ def test_xt_map_refuses_a_threshold_that_is_not_positive_and_finite(cfg1d, tmp_p
                  "--threshold", threshold]) != 0
     assert repr(float(threshold)) in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "xt" / "xt_q.txt")
+    assert not os.path.exists(tmp_path / "xt" / "adjoint")      # refused before any work
 
 
 def test_reproducible_outputs(cfg2d, tmp_path):

@@ -15,7 +15,7 @@ from adjamr.runio import (GaugeComparisonError, GaugeSeries, SnapshotFormatError
                           load_store, read_gauge, read_snapshot, read_timing,
                           read_uniform_field, record_gauge, save_store,
                           write_gauge, write_snapshot, write_timing)
-from adjamr.solver import BoundarySpec, sample_patch_material
+from adjamr.solver import BoundarySpec, LevelLayout, sample_patch_material
 
 CFG_1D = open("configs/1d-interface.cfg").read()
 CFG_2D = open("configs/2d-walls-timepoint.cfg").read()
@@ -261,7 +261,7 @@ def small_hierarchy():
             p = Patch(h.make_spec(level, lo, hi), 3)
             sample_patch_material(p, eq, BoundarySpec(), h.level_shape(level))
             p.state[...] = rng.normal(size=p.state.shape)
-            p.time = 1.234567890123456789
+            p.layout.time = 1.234567890123456789
             ps.append(p)
         h.levels.append(ps)
     return h
@@ -530,6 +530,8 @@ def test_record_gauge_reads_the_finest_level_interior():
     rng = np.random.default_rng(3)
     h.levels = [[Patch(h.make_spec(level, lo, hi), 3) for lo, hi in boxes[level]]
                 for level in (1, 2, 3)]
+    for patches in h.levels:
+        LevelLayout.join(patches)
     for level in (1, 2, 3):
         for p in h.patches(level):
             p.state[...] = np.nan

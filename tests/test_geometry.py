@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from adjamr.geometry import (OutOfRangeError, Patch, PatchHierarchy,
                              PatchSpec, UniformField, apply_stencil, enforce_nesting,
                              interpolate_patch, interpolate_uniform)
-from adjamr.solver import LevelLayout
 
 
 def spec_1d(nx=10, lo=0, level=1, dx=1.0, origin=0.0):
@@ -133,7 +132,7 @@ def test_patch_interpolation_is_uniform_interpolation_of_its_data(ndim, clamped)
     pts = [rng.uniform(f.origin[a], hi[a], size=50) for a in range(ndim)]
     if not clamped:
         assert np.array_equal(interpolate_patch(p, *pts), interpolate_uniform(f, *pts))
-    lay = LevelLayout([p])
+    lay = p.layout
     pos, stencil = lay.stencil(h, pts, ghosts=not clamped)
     inside = np.all([(c >= o + l * w) & (c < o + (l + n) * w) for c, o, l, n, w
                      in zip(pts, spec.origin, spec.lo, spec.shape, spec.widths)], axis=0)

@@ -144,10 +144,10 @@ def _level(name, boxes, seed):
         sample_patch_material(p, eq, BC, shape)
         p.state[...] = rng.uniform(-1.0, 1.0, p.state.shape)
         if eq.is_swe:
-            p.state *= eqs.wet(p.aux)
+            p.state[...] *= eqs.wet(p.aux)
         patches.append(p)
     speed = max(float(np.max(p.aux[eqs.C])) for p in patches)
-    return eq, LevelLayout(patches), 0.8 * min(h.widths(1)[:nd]) / speed, patches
+    return eq, LevelLayout.join(patches), 0.8 * min(h.widths(1)[:nd]) / speed, patches
 
 
 def _stepped_levels(order, padding=None):

@@ -34,4 +34,6 @@ def test_kernel_bench_setups_step(name):
             for as_level in (False, True):
                 patches, dt = BENCH.level_patches(eq, as_level)
                 assert len({q.layout for q in patches}) == (1 if as_level else len(patches))
+                assert all(len(q.layout.specs) == (len(patches) if as_level else 1)
+                           for q in patches)
                 assert 0.0 < patches[0].layout.step(dt, eq, "MC") <= 0.9 + 1e-12, eq.name

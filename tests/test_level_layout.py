@@ -6,19 +6,22 @@ overlapping same-level interior, then the domain sides one after the other,
 x before y, low before high) and are stepped with `step_patch`.
 """
 
+import gc
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from adjamr import equations as eqs
 from adjamr import solver
+from adjamr.amr import AmrContext, EverywhereFlagging, new_level
 from adjamr.geometry import Patch, PatchHierarchy
 from adjamr.solver import (BoundarySpec, CflViolationError, LevelLayout,
-                           NumericalBlowupError, fill_ghost_from_coarse,
-                           sample_patch_material, step_patch)
+                           NumericalBlowupError, fill_ghost_from_coarse, fill_ghost_physical,
+                           level_layout, sample_patch_material, step_patch)
 
 BC = BoundarySpec(left="wall", right="outflow", bottom="outflow", top="wall")
 # four touching level-2 boxes of different shapes on a 16 x 12 level: each
@@ -47,7 +50,7 @@ def _patch(h, eq, level, lo, hi, rng):
     sample_patch_material(p, eq, BC, h.level_shape(level))
     p.state[...] = rng.uniform(-1.0, 1.0, p.state.shape)
     if eq.is_swe:
-        p.state *= eqs.wet(p.aux)
+        p.state[...] *= eqs.wet(p.aux)
     return p
 
 
@@ -56,12 +59,11 @@ def _hierarchy(eq, seed=0):
     rng = np.random.default_rng(seed)
     h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 1.5), base_shape=(8, 6), ratios=[2])
     coarse = _patch(h, eq, 1, (0, 0), (7, 5), rng)
-    LevelLayout.of([coarse]).save_old()
+    coarse.layout.save_old()
     coarse.state[...] = rng.uniform(-1.0, 1.0, coarse.state.shape)
-    coarse.time = 0.1
+    coarse.layout.time = 0.1
     h.levels = [[coarse], [_patch(h, eq, 2, lo, hi, rng) for lo, hi in BOXES]]
-    for p in h.patches(2):
-        p.time = 0.05
+    LevelLayout.join(h.patches(2)).time = 0.05
     return h
 
 
@@ -116,7 +118,7 @@ def _filled_pair(name):
         _same_level_reference(c, copies)
     for c in copies:
         _physical_reference(c, eq, h.level_shape(2))
-    lay = LevelLayout(h.patches(2))
+    lay = solver.level_layout(h, 2)
     lay.fill_ghosts(h, 0.05, BC, eq)
     return eq, h, lay, copies
 
@@ -180,11 +182,86 @@ def test_bad_wave_speed_names_the_patch_holding_it():
     rng = np.random.default_rng(0)
     patches = [_patch(h, eq, 1, lo, hi, rng) for lo, hi in (BOXES[0], BOXES[3])]
     assert np.isnan(patches[1].aux[eqs.C]).any() and not np.isnan(patches[0].aux[eqs.C]).any()
-    lay = LevelLayout(patches)
+    lay = LevelLayout.join(patches)
     assert len(lay.bands) == 1
     with pytest.raises(eqs.InvalidMaterialError) as err:
         lay.step(1e-3, eq, "MC")
     assert str(err.value).startswith(repr(patches[1]) + ": wave speeds must be positive")
+
+
+# ---------------------------------------------------------------------------
+# One owner per level
+
+
+def _new_level(eq, h, level, boxes, t=0.0):
+    return new_level(h, level, boxes, AmrContext(equation=eq, boundary=BC,
+                                                 strategy=EverywhereFlagging()), t)
+
+
+def test_a_patch_is_a_read_only_view_of_its_level():
+    eq = _acoustics()
+    h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 1.5), base_shape=(16, 12), ratios=[])
+    patches = _new_level(eq, h, 1, BOXES, 0.25)
+    lay = patches[0].layout
+    lay.save_old()
+    for k, p in enumerate(patches):
+        assert p.layout is lay and p.index == k and p.time == p.time_old == 0.25
+        for name in ("state", "state_old", "aux"):
+            assert getattr(p, name).base is getattr(lay, name)
+            with pytest.raises(AttributeError):
+                setattr(p, name, getattr(p, name).copy())
+    lay.step(1e-3, eq, "MC")
+    assert all(p.time == 0.25 + 1e-3 and p.time_old == 0.25 for p in patches)
+
+
+def test_one_patch_entry_points_refuse_a_patch_that_shares_its_level():
+    # they ran on a copy of the patch alone and left it detached from its level
+    eq = _acoustics()
+    h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 1.5), base_shape=(16, 12), ratios=[])
+    h.levels = [_new_level(eq, h, 1, BOXES[:3])]
+    lay = level_layout(h, 1)
+    state, p = lay.state, h.patches(1)[1]
+    with pytest.raises(ValueError, match="shares its level with 2 others"):
+        step_patch(p, 1e-3, eq, "MC")
+    with pytest.raises(ValueError, match="shares its level"):
+        fill_ghost_physical(p, BC, eq, h.level_shape(1))
+    assert level_layout(h, 1) is lay and lay.state is state and lay.time == 0.0
+    assert p.layout is lay and p.state.base is state
+
+
+def test_a_level_of_patches_built_apart_needs_a_join():
+    eq = _acoustics()
+    h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 1.5), base_shape=(16, 12), ratios=[])
+    rng = np.random.default_rng(1)
+    h.levels = [[_patch(h, eq, 1, lo, hi, rng) for lo, hi in BOXES]]
+    with pytest.raises(ValueError, match="level 1"):
+        level_layout(h, 1)
+    values = [p.state.copy() for p in h.patches(1)]
+    lay = LevelLayout.join(h.patches(1))
+    assert level_layout(h, 1) is lay
+    for p, v in zip(h.patches(1), values):
+        assert p.state.base is lay.state and np.array_equal(p.state, v)
+    h.levels[0] = h.levels[0][::-1]           # the same patches out of order
+    with pytest.raises(ValueError, match="level 1"):
+        level_layout(h, 1)
+
+
+def test_a_replaced_level_is_freed_without_the_cycle_collector():
+    # the layout keeps specs, not patches: no reference cycle holds a level
+    eq = _acoustics()
+    h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 1.5), base_shape=(8, 6), ratios=[2])
+    gc.disable()
+    try:
+        h.levels = [_new_level(eq, h, 1, [((0, 0), (7, 5))]), _new_level(eq, h, 2, BOXES)]
+        lay = level_layout(h, 2)
+        lay.fill_ghosts(h, 0.0, BC, eq)          # its fill and step plans built
+        lay.step(1e-3, eq, "MC")
+        state = weakref.ref(lay.state)
+        del lay
+        h.levels[1] = _new_level(eq, h, 2, BOXES[:2])
+        assert state() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +295,13 @@ def _per_patch_plan(lay, boundary, eq, level_shape):
     """{(dst, src, signs)} of the per-patch physical plan."""
     m, *shape = lay.state.shape
     out = set()
-    for p, off in zip(lay.patches, lay.offsets):
-        maps, flips = _ghost_maps(p.spec, boundary, level_shape, off)
-        own = np.meshgrid(*(np.arange(o, o + n) for o, n in zip(off, p.spec.total_shape)),
+    for spec, off in zip(lay.specs, lay.offsets):
+        maps, flips = _ghost_maps(spec, boundary, level_shape, off)
+        own = np.meshgrid(*(np.arange(o, o + n) for o, n in zip(off, spec.total_shape)),
                           indexing="ij")
         mapped = np.meshgrid(*maps, indexing="ij")
         moved = np.any([i != j for i, j in zip(own, mapped)], axis=0)
-        s = np.ones((m, *p.spec.total_shape))
+        s = np.ones((m, *spec.total_shape))
         for a, f in enumerate(flips):
             s[eq.normal_component(a)] *= np.where(f, -1.0, 1.0).reshape(
                 [-1 if b == a else 1 for b in range(len(shape))])
@@ -257,7 +334,7 @@ def test_physical_plan_equals_the_per_patch_maps(ndim, seed):
     h, patches = _random_level(rng, ndim)
     eq = _acoustics() if ndim == 2 else eqs.Acoustics1D(eqs.AcousticsMaterialModel(
         lambda x: np.full_like(x, 2.0), lambda x: np.full_like(x, 1.0)))
-    lay = LevelLayout(patches)
+    lay = LevelLayout.join(patches)
     shape = h.level_shape(2)
     for sides in itertools.product(("wall", "outflow"), repeat=2 * ndim):
         bc = BoundarySpec(*sides, *("wall",) * (4 - len(sides)))

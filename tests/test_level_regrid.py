@@ -16,9 +16,9 @@ from adjamr.adjoint import (AdjointFlagging, AdjointSnapshotStore, TimeWindow,
                             inner_product_field)
 from adjamr.amr import (AmrContext, DifferenceFlagging, EverywhereFlagging,
                         RefinementRegion, SurfaceFlagging, flag_cells, level_flags,
-                        make_patch, restrict_fine_to_coarse)
+                        new_level, restrict_fine_to_coarse)
 from adjamr.geometry import Patch, PatchHierarchy, UniformField
-from adjamr.solver import BoundarySpec, LevelLayout, level_layout, sample_level_material
+from adjamr.solver import BoundarySpec, level_layout, sample_patch_material
 
 BC = BoundarySpec(left="wall", right="outflow", bottom="outflow", top="wall")
 
@@ -45,6 +45,10 @@ def _equation(rng, ndim, swe):
         lambda x, y: 1.0 + 0.5 * x * x, lambda x, y: np.where(y < 0.7, 1.0, 2.0)))
 
 
+def _ctx(eq):
+    return AmrContext(equation=eq, boundary=BC, strategy=EverywhereFlagging())
+
+
 def _adjoint_case(seed):
     """A packed multi-patch level with random state, a random store whose
     grid is the base grid or not, and a time inside or before the window."""
@@ -56,10 +60,8 @@ def _adjoint_case(seed):
     h = PatchHierarchy(xlim=(-1.0, 1.0), ylim=None if ndim == 1 else (0.0, 1.5),
                        base_shape=base, ratios=[2])
     level = int(rng.integers(1, 3))
-    patches = [Patch(h.make_spec(level, lo, hi), eq.m) for lo, hi
-               in _tiles(rng, h.level_shape(level))]
-    sample_level_material(patches, eq, BC, h.level_shape(level))
-    lay = LevelLayout(patches)
+    patches = new_level(h, level, _tiles(rng, h.level_shape(level)), _ctx(eq), 0.0)
+    lay = patches[0].layout
     lay.state[...] = rng.normal(size=lay.state.shape) * (rng.random(lay.state.shape) < 0.6)
 
     shape = base if rng.random() < 0.5 else tuple(int(n) for n in rng.integers(3, 17, size=ndim))
@@ -81,7 +83,7 @@ def _adjoint_case(seed):
                              dy=widths[1] if ndim == 2 else 0.0, time=float(s))
                 for v, s in zip(values, times)])
     t = float(rng.uniform(0.0, t_start) if rng.random() < 0.4 else rng.uniform(t_start, 1.0))
-    return h, patches, lay, store, window, t, rng     # the layout holds patches weakly
+    return h, patches, lay, store, window, t, rng
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -114,11 +116,9 @@ def test_levels_flagged_at_one_t_share_one_envelope():
     h = PatchHierarchy(xlim=(-1.0, 1.0), ylim=None, base_shape=(12,), ratios=[2])
     levels = []
     for level, boxes in ((1, [((0,), (11,))]), (2, [((2,), (9,)), ((14,), (21,))])):
-        patches = [Patch(h.make_spec(level, lo, hi), eq.m) for lo, hi in boxes]
-        sample_level_material(patches, eq, BC, h.level_shape(level))
-        lay = LevelLayout(patches)
+        lay = new_level(h, level, boxes, _ctx(eq), 0.0)[0].layout
         lay.state[...] = rng.normal(size=lay.state.shape)
-        levels.append((lay, patches))       # the layout holds its patches weakly
+        levels.append(lay)
     times = np.linspace(0.0, 1.0, 9)
     store = AdjointSnapshotStore(
         times=times, window=TimeWindow(0.5, 1.0),
@@ -127,7 +127,7 @@ def test_levels_flagged_at_one_t_share_one_envelope():
     strategy = AdjointFlagging(store, store.window, 0.5)
     built = []
     for t in (0.3, 0.55):
-        for lay, _ in levels:
+        for lay in levels:
             flags = strategy.evaluate(lay, t)
             assert flags.any()
             assert np.array_equal(flags, AdjointFlagging(store, store.window, 0.5).evaluate(lay, t))
@@ -140,18 +140,26 @@ def _three_patch_level(eq, seed=0):
     outflow side, ghosts filled from the coarse level at t = 0.05."""
     rng = np.random.default_rng(seed)
     h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 1.5), base_shape=(8, 6), ratios=[2])
-    ctx = AmrContext(equation=eq, boundary=BC, strategy=EverywhereFlagging())
-    coarse = make_patch(h, 1, (0, 0), (7, 5), ctx, 0.0)
+    ctx = _ctx(eq)
+    coarse, = new_level(h, 1, [((0, 0), (7, 5))], ctx, 0.0)
     coarse.state[...] = rng.normal(size=coarse.state.shape)
-    LevelLayout.of([coarse]).save_old()
+    coarse.layout.save_old()
     coarse.state[...] = rng.normal(size=coarse.state.shape)
-    coarse.time = 0.1
+    coarse.layout.time = 0.1
     boxes = (((0, 0), (5, 4)), ((6, 0), (15, 3)), ((10, 6), (15, 11)))
-    h.levels = [[coarse], [make_patch(h, 2, lo, hi, ctx, 0.05) for lo, hi in boxes]]
+    h.levels = [[coarse], new_level(h, 2, boxes, ctx, 0.05)]
     lay = level_layout(h, 2)
     lay.state[...] = rng.normal(size=lay.state.shape) * 0.3
     lay.fill_ghosts(h, 0.05, BC, eq)
     return h, lay
+
+
+def _copy(h, eq, p):
+    """A free patch holding a copy of a level's patch, its one-patch level."""
+    c = Patch(p.spec, eq.m, time=p.time)
+    sample_patch_material(c, eq, BC, h.level_shape(p.spec.level))
+    c.state[...] = p.state
+    return c
 
 
 def _difference_reference(p, tol):
@@ -189,14 +197,14 @@ def _acoustics():
 def test_level_flags_equal_per_patch_flag_cells(eq, strategy, regions):
     eq = eq()
     h, lay = _three_patch_level(eq)
-    patches = lay.patches
+    patches = h.patches(2)
     flags = level_flags(lay, strategy, 0.05, regions)
     assert flags.any() and (not flags.all() or not regions)
     got = np.zeros(h.level_shape(2), dtype=bool)
     got[lay.interior_cells[1]] = flags
     for p in patches:
         sl = tuple(slice(l, hi + 1) for l, hi in zip(p.spec.lo, p.spec.hi))
-        per_patch = flag_cells(p, strategy, regions)     # on a copy of the patch alone
+        per_patch = flag_cells(_copy(h, eq, p), strategy, regions)
         assert np.array_equal(got[sl], per_patch), p
         if isinstance(strategy, DifferenceFlagging) and not regions:
             assert np.array_equal(per_patch, _difference_reference(p, 0.4))
@@ -232,14 +240,13 @@ def _restrict_reference(h, level):
 def test_level_restriction_equals_per_patch_restriction(eq, ratio):
     eq = eq()
     rng = np.random.default_rng(5)
-    ctx = AmrContext(equation=eq, boundary=BC, strategy=EverywhereFlagging())
+    ctx = _ctx(eq)
     h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 1.5), base_shape=(8, 6), ratios=[ratio])
     r = ratio
-    h.levels = [[make_patch(h, 1, lo, hi, ctx, 0.0)
-                 for lo, hi in (((0, 0), (3, 5)), ((4, 0), (7, 2)), ((4, 3), (7, 5)))],
-                [make_patch(h, 2, (r * lo[0], r * lo[1]), (r * hi[0] + r - 1, r * hi[1] + r - 1),
-                            ctx, 0.0)
-                 for lo, hi in (((1, 1), (4, 2)), ((1, 3), (2, 4)), ((5, 1), (6, 4)))]]
+    fine = [((r * lo[0], r * lo[1]), (r * hi[0] + r - 1, r * hi[1] + r - 1))
+            for lo, hi in (((1, 1), (4, 2)), ((1, 3), (2, 4)), ((5, 1), (6, 4)))]
+    h.levels = [new_level(h, 1, (((0, 0), (3, 5)), ((4, 0), (7, 2)), ((4, 3), (7, 5))), ctx, 0.0),
+                new_level(h, 2, fine, ctx, 0.0)]
     for level in (1, 2):
         lay = level_layout(h, level)
         lay.state[...] = rng.normal(size=lay.state.shape)

@@ -269,8 +269,8 @@ def test_fill_ghost_from_coarse_rules():
     xs, ys = cspec.cell_centers(include_ghost=True)
     lin = xs[:, None] + 0.0 * ys[None, :]
     coarse.state[0] = lin                      # linear in x at told
-    LevelLayout.of([coarse]).save_old()
-    coarse.time = 1.0
+    coarse.layout.save_old()
+    coarse.layout.time = 1.0
     coarse.state[0] = lin + 10.0               # jumps by 10 at tnew
     h.levels = [[coarse], []]
     fspec = h.make_spec(2, (4, 4), (11, 11))
