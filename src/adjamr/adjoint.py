@@ -18,7 +18,7 @@ import numpy as np
 from .amr import AmrContext, FlaggingStrategy, advance_hierarchy, make_patch
 from .equations import EquationSet, wet as wet_cells
 from .geometry import (Patch, PatchHierarchy, UniformField, apply_stencil, field_stencil,
-                       in_box, interpolate_uniform, level_mask)
+                       in_box)
 from .solver import BoundarySpec, march, select_dt
 
 
@@ -81,26 +81,24 @@ class TimeWindow:
 
 @dataclass
 class AdjointSnapshotStore:
-    """Uniform-grid adjoint snapshots labeled by forward time, ascending.
+    """Adjoint snapshots on one uniform grid, labeled by forward time.
 
-    Every field's values are a view of `stack`, (nsnap, m, nx[, ny]); a store
-    built without it stacks the fields once and rebinds them to views.
+    `stack` (nsnap, m, nx[, ny]) owns the snapshots, one per ascending entry
+    of `times`.  The grid is `origin` and `widths` (dx, dy; dy = 0.0 in 1D),
+    its shape that of a snapshot; `wet` is its wet mask (shallow water).
     """
 
     times: np.ndarray
-    fields: list[UniformField]
+    stack: np.ndarray
+    origin: tuple[float, ...]
+    widths: tuple[float, float]
     window: TimeWindow
-    wet: np.ndarray | None = None     # adjoint-grid wet mask (shallow water)
-    stack: np.ndarray | None = None
+    wet: np.ndarray | None = None
 
     def __post_init__(self):
         dt = np.diff(self.times)
         if len(dt) and (np.any(dt <= 0) or np.ptp(dt) > 1e-9 * max(dt[0], 1.0)):
             raise ValueError("snapshot times must be strictly increasing and uniform")
-        if self.stack is None:
-            self.stack = np.stack([f.values for f in self.fields])
-            for f, values in zip(self.fields, self.stack):
-                f.values = values
 
     @property
     def dt_snap(self) -> float:
@@ -108,25 +106,14 @@ class AdjointSnapshotStore:
 
     @property
     def grid(self) -> UniformField:
-        return self.fields[0]
+        """The first snapshot as a field: the grid every snapshot shares."""
+        return UniformField(self.stack[0], self.origin, *self.widths)
 
-    def phi(self) -> UniformField:
-        """The functional weight field (the snapshot labeled t_final)."""
-        return self.fields[-1]
-
-    def interpolate_time(self, t: float) -> UniformField:
-        """Linear-in-time interpolation between bracketing snapshots."""
-        times = self.times
-        eps = 1e-9 * max(abs(times[-1]), 1.0)
-        if t <= times[0] + eps:
-            return self.fields[0]
-        if t >= times[-1] - eps:
-            return self.fields[-1]
-        n = int(np.searchsorted(times, t) - 1)
-        w = (t - times[n]) / (times[n + 1] - times[n])
-        vals = (1 - w) * self.fields[n].values + w * self.fields[n + 1].values
-        f = self.fields[n]
-        return UniformField(values=vals, origin=f.origin, dx=f.dx, dy=f.dy, time=t)
+    @property
+    def fields(self) -> list[UniformField]:
+        """Each snapshot as a field whose values are a view of `stack`."""
+        return [UniformField(v, self.origin, *self.widths, time=float(t))
+                for v, t in zip(self.stack, self.times)]
 
 
 def build_phi(functional: FunctionalSpec, origin: tuple[float, ...],
@@ -135,15 +122,13 @@ def build_phi(functional: FunctionalSpec, origin: tuple[float, ...],
 
     `widths` is (dx, dy), with dy = 0.0 in 1D.
     """
-    m = len(functional.weights)
-    values = np.zeros((m, *shape))
-    centers = [o + (np.arange(n) + 0.5) * w for o, w, n in zip(origin, widths, shape)]
-    ind = functional.indicator(*np.ix_(*centers))
+    phi = UniformField(np.zeros((len(functional.weights), *shape)), origin, *widths)
+    ind = functional.indicator(*np.ix_(*phi.centers()))
     if not ind.any():
         raise EmptyFunctionalError("functional region contains no cell centers")
     for k, w in enumerate(functional.weights):
-        values[k] = w * ind
-    return UniformField(values=values, origin=origin, dx=widths[0], dy=widths[1])
+        phi.values[k] = w * ind
+    return phi
 
 
 def solve_adjoint(equation: EquationSet, boundary: BoundarySpec,
@@ -194,11 +179,9 @@ def solve_adjoint(equation: EquationSet, boundary: BoundarySpec,
           duration, select_dt(hierarchy, courant_target), snap_times, on_output)
 
     times = (window.t_final - np.array(t_rev))[::-1].copy()
-    fields = [UniformField(values=v, origin=origin, dx=wx, dy=wy, time=float(t))
-              for v, t in zip(stack, times)]
     wet = wet_cells(patch.aux)[patch.spec.interior_slices()] if equation.is_swe else None
-    return AdjointSnapshotStore(times=times, fields=fields, window=window, wet=wet,
-                                stack=stack)
+    return AdjointSnapshotStore(times=times, stack=stack, origin=origin, widths=(wx, wy),
+                                window=window, wet=wet)
 
 
 def query_window_times(t, window: TimeWindow, store: AdjointSnapshotStore):
@@ -324,38 +307,34 @@ class AdjointFlagging(FlaggingStrategy):
         return flags
 
 
-def evaluate_J(source, store_or_phi, t: float) -> float:
-    """Discrete inner-product integral over the finest available cells.
+def evaluate_J(hierarchy: PatchHierarchy, store: AdjointSnapshotStore, t: float) -> float:
+    """J(t) = sum of q̂(t)·q(t) times the cell area over the finest cells.
 
-    `source` is a UniformField or a PatchHierarchy holding the forward state
-    at time t; `store_or_phi` is an AdjointSnapshotStore (time-interpolated
-    to t) or a UniformField such as the functional weight field itself.
+    Coarse cells that a finer level covers are skipped.  q̂(t) blends the
+    two snapshots that bracket t linearly in time (the first or the last
+    snapshot alone outside them).  Each layout among a level's patches is
+    read through one stencil over the adjoint grid at its interior centers.
     """
-    if isinstance(store_or_phi, AdjointSnapshotStore):
-        qhat_field = store_or_phi.interpolate_time(t)
-    else:
-        qhat_field = store_or_phi
-
-    def qhat_at(centers):
-        return interpolate_uniform(qhat_field, *np.meshgrid(*centers, indexing="ij"))
-
-    if isinstance(source, UniformField):
-        total = np.sum(qhat_at(source.centers()) * source.values)
-        for w in source.widths:
-            total = total * w
-        return float(total)
-
+    times = store.times
+    eps = 1e-9 * max(abs(times[-1]), 1.0)
+    n, blend = (0 if t <= times[0] + eps else len(times) - 1), (1.0,)
+    if times[0] + eps < t < times[-1] - eps:
+        n = int(np.searchsorted(times, t)) - 1
+        w = (t - times[n]) / (times[n + 1] - times[n])
+        blend = (1 - w, w)
+    snaps = store.stack[n:n + len(blend)].reshape(-1, *store.stack.shape[2:])
     total = 0.0
-    for level in range(1, source.num_levels() + 1):
-        area = math.prod(source.widths(level)[:source.ndim])
-        covered = np.zeros(source.level_shape(level), dtype=bool)
-        if level < source.num_levels():        # a coarse cell any finer cell covers
-            r = source.ratio_to_finer(level)
-            fine = level_mask(source, level + 1)
-            covered = fine.reshape([k for n in covered.shape for k in (n, r)]).any(
-                axis=tuple(range(1, 2 * source.ndim, 2)))
-        for p in source.patches(level):
-            keep = ~covered[tuple(slice(l, h + 1) for l, h in zip(p.spec.lo, p.spec.hi))]
-            prod = np.sum(qhat_at(p.spec.cell_centers()) * p.interior(), axis=0)
-            total += float(np.sum(prod[keep]) * area)
+    for level in range(1, hierarchy.num_levels() + 1):
+        area = math.prod(hierarchy.widths(level)[:hierarchy.ndim])
+        covered = np.zeros(hierarchy.level_shape(level), dtype=bool)
+        for p in hierarchy.patches(level + 1):      # a coarse cell any finer cell covers
+            r = hierarchy.ratio_to_finer(level)
+            covered[tuple(slice(l // r, h // r + 1) for l, h in zip(p.spec.lo, p.spec.hi))] = True
+        for lay in dict.fromkeys(p.layout for p in hierarchy.patches(level)):
+            flat, idx = lay.interior_cells
+            keep = np.flatnonzero(~covered[idx])
+            stencil = field_stencil(store.grid, *(c[keep] for c in lay.centers()))
+            qhat = apply_stencil(stencil, snaps).reshape(len(blend), store.stack.shape[1], -1)
+            qhat = sum(b * q for b, q in zip(blend, qhat))
+            total += float(np.sum(np.sum(qhat * lay.flat[:, flat[keep]], axis=0)) * area)
     return total

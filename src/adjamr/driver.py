@@ -41,12 +41,19 @@ class ForwardResult:
 
 
 def _check_store(cfg: RunConfig, store: AdjointSnapshotStore):
-    """Refuse a store solved for another run: its window's t_final and its
-    grid origin must be the config's.  Both round-trip exactly through the
+    """Refuse a store solved for another run: its window's t_final, its grid
+    origin and, to within 1e-9 of the extent, its grid's far corner must be
+    the config's.  t_final and the origin round-trip exactly through the
     stored text; the solve does not depend on t_start."""
-    for key, have, want in (("t_final", float(store.window.t_final), cfg.t_final),
-                            ("origin", tuple(float(o) for o in store.grid.origin), cfg.origin)):
-        if have != want:
+    lims, grid = (cfg.xlim, cfg.ylim)[:cfg.ndim], store.grid
+    t_final, origin = float(store.window.t_final), tuple(float(o) for o in grid.origin)
+    far = tuple(float(h) for h in grid.domain_hi())
+    for key, have, want, same in (
+            ("t_final", t_final, cfg.t_final, t_final == cfg.t_final),
+            ("origin", origin, cfg.origin, origin == cfg.origin),
+            ("far corner", far, tuple(hi for _, hi in lims),
+             all(abs(f - hi) <= 1e-9 * (hi - lo) for f, (lo, hi) in zip(far, lims)))):
+        if not same:
             raise ConfigurationError(f"the adjoint store was solved for {key} = {have}, "
                                      f"but the config has {key} = {want}")
 
@@ -227,7 +234,7 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
     # every snapshot is sampled on the run's grid once; a block then only
     # takes its windows' rows
     stencil = field_stencil(store.grid, xs)
-    qhat = apply_stencil(stencil, store.stack.reshape(-1, store.grid.shape[0]))
+    qhat = apply_stencil(stencil, store.stack.reshape(-1, store.stack.shape[-1]))
     qhat = qhat.reshape(*store.stack.shape[:2], -1)
     qhat_norm, qhat_max = np.sum(np.abs(qhat), axis=1), np.max(np.abs(qhat), axis=1)
 

@@ -161,7 +161,7 @@ class PatchHierarchy:
 
     def patches(self, level: int) -> list[Patch]:
         """Patches at a 1-based level (empty list when the level is absent)."""
-        if level - 1 < len(self.levels):
+        if 1 <= level <= len(self.levels):
             return self.levels[level - 1]
         return []
 

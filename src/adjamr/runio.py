@@ -211,15 +211,13 @@ def save_store(store: AdjointSnapshotStore, directory: str):
     with open(os.path.join(directory, "index.txt"), "w") as f:
         f.write(f"t_start = {_fmt(store.window.t_start)}\n")
         f.write(f"t_final = {_fmt(store.window.t_final)}\n")
-        g = store.grid
-        f.write("origin = " + " ".join(_fmt(v) for v in g.origin) + "\n")
-        for k, (t, fld) in enumerate(zip(store.times, store.fields)):
+        f.write("origin = " + " ".join(_fmt(v) for v in store.origin) + "\n")
+        for k, fld in enumerate(store.fields):
             name = f"snap_{k:04d}.txt"
             write_snapshot(fld, os.path.join(directory, name))
-            f.write(f"snapshot = {name} {_fmt(t)}\n")
+            f.write(f"snapshot = {name} {_fmt(fld.time)}\n")
         if store.wet is not None:
-            wet = UniformField(values=store.wet[None].astype(float),
-                               origin=g.origin, dx=g.dx, dy=g.dy)
+            wet = UniformField(store.wet[None].astype(float), store.origin, *store.widths)
             write_snapshot(wet, os.path.join(directory, "wet_mask.txt"))
             f.write("wet_mask = wet_mask.txt\n")
 
@@ -258,22 +256,19 @@ def load_store(directory: str) -> AdjointSnapshotStore:
         raise StoreFormatError(f"{index}: no 'snapshot' entries")
     if wet_name is not None:
         wet = read_uniform_field(os.path.join(directory, wet_name)).values[0] > 0.5
-    stack = None
-    fields = []
-    for k, (name, t) in enumerate(entries):
+    stack = widths = None
+    for k, (name, _) in enumerate(entries):
         path = os.path.join(directory, name)
         fld = read_uniform_field(path, origin=origin)
         if stack is None:
-            stack = np.empty((len(entries), *fld.values.shape))
+            stack, widths = np.empty((len(entries), *fld.values.shape)), (fld.dx, fld.dy)
         elif fld.values.shape != stack.shape[1:]:
             raise StoreFormatError(f"{path}: shape {fld.values.shape} differs "
                                    f"from the first snapshot's {stack.shape[1:]}")
         stack[k] = fld.values
-        fields.append(UniformField(values=stack[k], origin=origin,
-                                   dx=fld.dx, dy=fld.dy, time=t))
-    return AdjointSnapshotStore(times=np.asarray([t for _, t in entries]), fields=fields,
-                                window=TimeWindow(t_start=t_start, t_final=t_final),
-                                wet=wet, stack=stack)
+    return AdjointSnapshotStore(times=np.asarray([t for _, t in entries]), stack=stack,
+                                origin=origin, widths=widths,
+                                window=TimeWindow(t_start=t_start, t_final=t_final), wet=wet)
 
 
 # ---------------------------------------------------------------------------

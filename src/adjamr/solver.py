@@ -533,7 +533,7 @@ class LevelLayout:
     def fill_from_coarse(self, hierarchy: PatchHierarchy, t: float):
         """In-domain ghosts that no same-level interior covers, interpolated
         in space and time from the parent level (none on level 1)."""
-        parent = level_layout(hierarchy, self.level - 1) if self.level > 1 else None
+        parent = level_layout(hierarchy, self.level - 1)
         if parent is None:
             return
         if self._coarse is None or self._coarse[0] is not parent:

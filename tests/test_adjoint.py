@@ -79,10 +79,9 @@ def test_build_phi_empty_region_raises():
 def make_store(t0=0.0, tf=20.0, dt=1.0, t_start=None):
     n = int(round((tf - t0) / dt))
     times = np.linspace(t0, tf, n + 1)
-    fields = [UniformField(values=np.zeros((2, 4)), origin=(0.0,), dx=1.0,
-                           dy=0.0, time=t) for t in times]
     window = TimeWindow(t_start=tf if t_start is None else t_start, t_final=tf)
-    return AdjointSnapshotStore(times=times, fields=fields, window=window)
+    return AdjointSnapshotStore(times=times, stack=np.zeros((len(times), 2, 4)),
+                                origin=(0.0,), widths=(1.0, 0.0), window=window)
 
 
 def test_query_point_window_brackets():
@@ -187,7 +186,7 @@ def test_solve_adjoint_reversal_and_zero_functional():
     store = solve_adjoint(eq, bc, f, w, (0.0, 1.0), None, (100,), dt_snap=0.125)
     # snapshot labeled t_final is exactly phi
     phi = build_phi(f, (0.0,), (0.01, 0.0), (100,))
-    assert np.array_equal(store.phi().values, phi.values)
+    assert np.array_equal(store.stack[-1], phi.values)
     assert store.times[-1] == pytest.approx(1.0)
     assert store.times[0] == pytest.approx(0.0)
     dt = np.diff(store.times)
@@ -204,7 +203,7 @@ def test_solve_adjoint_round_trip_reflection():
     f = FunctionalSpec(kind="box", bounds=(0.4, 0.6), weights=(1.0, 0.0))
     w = TimeWindow(t_start=2.0, t_final=2.0)
     store = solve_adjoint(eq, bc, f, w, (0.0, 1.0), None, (400,), dt_snap=0.25)
-    phi = store.phi().values
+    phi = store.stack[-1]
     k = int(np.argmin(np.abs(store.times - 1.0)))   # one transit earlier
     recurred = store.fields[k].values
     assert np.sum(np.abs(recurred[0] - phi[0])) / 400 < 0.01
@@ -245,8 +244,7 @@ def test_inner_product_zero_state_no_flags():
     eq = const_eq_1d()
     _, p = patch_1d(eq)
     store = make_store(t0=0.0, tf=1.0, dt=0.25)
-    for f in store.fields:
-        f.values[...] = 1.0
+    store.stack[...] = 1.0
     assert not adjoint_flags(p, 0.5, store, 0.02).any()
 
 
@@ -255,8 +253,7 @@ def test_inner_product_constant_dot():
     _, p = patch_1d(eq)
     p.interior()[0] = 0.5
     store = make_store(t0=0.0, tf=1.0, dt=0.25)
-    for f in store.fields:
-        f.values[0] = 1.0
+    store.stack[:, 0] = 1.0
     vals = inner_product_field(p, 0.5, store, store.window)
     assert np.allclose(vals, 0.5)
     assert adjoint_flags(p, 0.5, store, 0.02).all()
@@ -281,10 +278,8 @@ def test_inner_product_dry_forward_cell_zero():
     sample_patch_material(p, eq, BoundarySpec(), (10, 10))
     p.interior()[0] = 1.0
     times = np.linspace(0.0, 1.0, 5)
-    fields = [UniformField(values=np.ones((3, 10, 10)), origin=(0.0, 0.0),
-                           dx=0.1, dy=0.1, time=t) for t in times]
-    store = AdjointSnapshotStore(times=times, fields=fields,
-                                 window=TimeWindow(1.0, 1.0),
+    store = AdjointSnapshotStore(times=times, stack=np.ones((5, 3, 10, 10)), origin=(0.0, 0.0),
+                                 widths=(0.1, 0.1), window=TimeWindow(1.0, 1.0),
                                  wet=eqs.wet(p.aux)[p.spec.interior_slices()].copy())
     vals = inner_product_field(p, 0.5, store, store.window)
     xs = p.spec.cell_centers()[0]
@@ -303,12 +298,10 @@ def test_inner_product_adjoint_dry_location_zero():
     sample_patch_material(p, eq, BoundarySpec(), (10, 10))
     p.interior()[0] = 1.0
     times = np.linspace(0.0, 1.0, 5)
-    fields = [UniformField(values=np.ones((3, 10, 10)), origin=(0.0, 0.0),
-                           dx=0.1, dy=0.1, time=t) for t in times]
     adjoint_wet = np.ones((10, 10), dtype=bool)
     adjoint_wet[5:, :] = False
-    store = AdjointSnapshotStore(times=times, fields=fields,
-                                 window=TimeWindow(1.0, 1.0), wet=adjoint_wet)
+    store = AdjointSnapshotStore(times=times, stack=np.ones((5, 3, 10, 10)), origin=(0.0, 0.0),
+                                 widths=(0.1, 0.1), window=TimeWindow(1.0, 1.0), wet=adjoint_wet)
     vals = inner_product_field(p, 0.5, store, store.window)
     xs = p.spec.cell_centers()[0]
     assert np.all(vals[xs > 0.5] == 0.0)
@@ -340,9 +333,9 @@ def per_snapshot_inner_product(patch, t, store, window):
 
 def random_store(rng, m, shape, origin, widths, window, wet=None):
     times = np.linspace(0.0, window.t_final, 13)
-    fields = [UniformField(values=rng.normal(size=(m, *shape)), origin=origin,
-                           dx=widths[0], dy=widths[1], time=t) for t in times]
-    return AdjointSnapshotStore(times=times, fields=fields, window=window, wet=wet)
+    stack = np.stack([rng.normal(size=(m, *shape)) for _ in times])
+    return AdjointSnapshotStore(times=times, stack=stack, origin=origin, widths=widths,
+                                window=window, wet=wet)
 
 
 def refined_patch(eq, h, lo, hi, rng):
@@ -410,14 +403,22 @@ def test_inner_product_bitwise_equals_per_snapshot_loop_swe_dry():
     assert np.array_equal(got, per_snapshot_inner_product(p, 0.25, store, store.window))
 
 
+def one_snapshot_store(field, t):
+    """A store whose one snapshot, at t, is `field`."""
+    return AdjointSnapshotStore(times=np.array([t]), stack=field.values[None],
+                                origin=field.origin, widths=(field.dx, field.dy),
+                                window=TimeWindow(t, t))
+
+
 def test_evaluate_J_zero_and_indicator():
     f = FunctionalSpec(kind="box", bounds=(1.8, 2.3), weights=(1.0, 0.0))
-    phi = build_phi(f, origin=(-5.0,), widths=(0.008, 0.0), shape=(1000,))
-    q = UniformField(values=np.zeros((2, 1000)), origin=(-5.0,), dx=0.008,
-                     dy=0.0)
+    phi = one_snapshot_store(build_phi(f, origin=(-5.0,), widths=(0.008, 0.0),
+                                       shape=(1000,)), 20.0)
+    q = PatchHierarchy(xlim=(-5.0, 3.0), ylim=None, base_shape=(1000,), ratios=[])
+    q.levels = [[Patch(q.make_spec(1, (0,), (999,)), 2)]]
     assert evaluate_J(q, phi, 20.0) == 0.0
     # q equals phi: J = sum of indicator * dx ~ interval length 0.5
-    q.values[...] = phi.values
+    q.patches(1)[0].interior()[...] = phi.stack[0]
     assert evaluate_J(q, phi, 20.0) == pytest.approx(0.5, abs=0.01)
 
 
@@ -431,7 +432,31 @@ def test_evaluate_J_hierarchy_counts_finest_only():
     sample_patch_material(fine, eq, BoundarySpec(), (20,))
     fine.interior()[0] = 1.0
     h.levels = [[coarse], [fine]]
-    ones = UniformField(values=np.ones((2, 10)), origin=(0.0,), dx=0.1, dy=0.0)
-    ones.values[1] = 0.0
+    ones = one_snapshot_store(UniformField(values=np.ones((2, 10)), origin=(0.0,), dx=0.1,
+                                           dy=0.0), 0.0)
+    ones.stack[0, 1] = 0.0
     # J = integral of pressure = 1.0 regardless of the overlap double-count
     assert evaluate_J(h, ones, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_evaluate_J_blends_the_bracketing_snapshots_linearly():
+    # J is linear in q̂: between snapshots it is the blend of their Js, and
+    # at a snapshot time it reads that snapshot alone
+    rng = np.random.default_rng(4)
+    h = PatchHierarchy(xlim=(-1.0, 1.0), ylim=(0.0, 3.0), base_shape=(20, 30), ratios=[2])
+    h.levels = [[Patch(h.make_spec(1, (0, 0), (19, 29)), 3)],
+                [Patch(h.make_spec(2, lo, hi), 3) for lo, hi in (((6, 10), (17, 47)),
+                                                                  ((18, 10), (33, 30)))]]
+    for p in (*h.patches(1), *h.patches(2)):
+        p.state[...] = rng.normal(size=p.state.shape)
+    store = random_store(rng, 3, (17, 23), (-1.0, 0.0), (2.0 / 17, 3.0 / 23),
+                         TimeWindow(0.4, 1.0))
+    times = store.times
+    for n, frac in ((0, 0.25), (5, 0.5), (11, 0.9)):
+        t = times[n] + frac * (times[n + 1] - times[n])
+        w = (t - times[n]) / (times[n + 1] - times[n])
+        want = (1 - w) * evaluate_J(h, store, times[n]) + w * evaluate_J(h, store, times[n + 1])
+        assert evaluate_J(h, store, t) == pytest.approx(want, rel=1e-12, abs=0.0)
+    for k in (0, 6, 12):
+        alone = one_snapshot_store(store.fields[k], times[k])
+        assert evaluate_J(h, store, times[k]) == evaluate_J(h, alone, times[k])

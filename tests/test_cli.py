@@ -129,6 +129,18 @@ def test_run_forward_without_store_fails_fast(cfg2d, tmp_path, capsys):
     assert "store" in capsys.readouterr().err
 
 
+def test_run_forward_refuses_a_store_from_another_domain(cfg2d, tmp_path, capsys):
+    out, taller = str(tmp_path / "out"), tmp_path / "taller.cfg"
+    taller.write_text(SMALL_2D.replace("ylim = 0 4", "ylim = 0 5"))
+    assert main(["run-adjoint", "--config", str(taller), "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["run-forward", "--config", cfg2d, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "the adjoint store was solved for far corner = (4.0, 5.0), " \
+           "but the config has far corner = (4.0, 4.0)" in err
+    assert not os.path.exists(os.path.join(out, "snapshots", "index.txt"))
+
+
 def test_run_forward_writes_outputs(cfg2d, tmp_path):
     out = str(tmp_path / "out")
     main(["run-adjoint", "--config", cfg2d, "--out", out])

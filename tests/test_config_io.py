@@ -173,6 +173,34 @@ def test_benchmark_layers_name_callables(monkeypatch):
             f"adjamr.{mod}.{fn}"
 
 
+def test_benchmark_traced_run_and_rebuilt_frames_keep_J(monkeypatch):
+    # the benchmark's traced run, and its verification: every output frame
+    # rebuilt as free patches (one layout each) gives the live frame's J
+    monkeypatch.syspath_prepend("perfbench")
+    layers, checks, spans = (importlib.import_module(n) for n in ("layers", "checks", "spans"))
+    from adjamr import driver      # called through the module, whose functions the tracer wraps
+    from adjamr.adjoint import evaluate_J
+    cfg = parse_config(CFG_2D)
+    frames, live = [], []
+
+    def on_output(t, h):
+        frames.append((t, checks.frame_of(h)))
+        live.append(evaluate_J(h, store, t))
+    tracer = spans.Tracer()
+    layers.install(tracer, full=True)
+    try:
+        store, _ = driver.run_adjoint(cfg)
+        driver.run_forward(cfg, "adjoint", store, on_output=on_output)
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["adjoint.store.bytes"] == store.stack.nbytes
+    assert any(max(np.unique([rec[0] for rec in fr], return_counts=True)[1]) >= 2
+               for _, fr in frames)
+    assert np.isfinite(checks.j_drift(cfg, store, frames))
+    for (t, fr), j in zip(frames, live):
+        assert evaluate_J(checks._hierarchy(cfg, fr, t), store, t) == pytest.approx(j, rel=1e-12)
+
+
 def numeric_tokens(text):
     """(line index, token index) of every number in a key = value line."""
     out = []
@@ -409,9 +437,8 @@ def test_writers_format_each_value_as_17_digits(tmp_path):
 def test_store_round_trip_preserves_window_queries(tmp_path):
     times = np.linspace(0.0, 2.0, 9)
     rng = np.random.default_rng(0)
-    fields = [UniformField(values=rng.normal(size=(2, 12)), origin=(-1.0,),
-                           dx=0.25, dy=0.0, time=t) for t in times]
-    store = AdjointSnapshotStore(times=times, fields=fields,
+    stack = np.stack([rng.normal(size=(2, 12)) for _ in times])
+    store = AdjointSnapshotStore(times=times, stack=stack, origin=(-1.0,), widths=(0.25, 0.0),
                                  window=TimeWindow(1.5, 2.0))
     save_store(store, str(tmp_path / "store"))
     loaded = load_store(str(tmp_path / "store"))
@@ -429,11 +456,10 @@ def test_store_round_trip_preserves_window_queries(tmp_path):
 
 def saved_store_index(tmp_path):
     times = np.linspace(0.0, 1.0, 3)
-    fields = [UniformField(values=np.ones((2, 4)), origin=(0.0,), dx=0.25, dy=0.0,
-                           time=t) for t in times]
     directory = tmp_path / "store"
-    save_store(AdjointSnapshotStore(times=times, fields=fields,
-                                    window=TimeWindow(0.5, 1.0)), str(directory))
+    save_store(AdjointSnapshotStore(times=times, stack=np.ones((3, 2, 4)), origin=(0.0,),
+                                    widths=(0.25, 0.0), window=TimeWindow(0.5, 1.0)),
+               str(directory))
     return directory / "index.txt"
 
 

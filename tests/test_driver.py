@@ -110,7 +110,7 @@ def _assert_xt_map_equals_per_step_loop(nx, dt_fixed, threshold, partial):
         norm = np.zeros(xs.shape)
         inner = np.zeros(xs.shape)
         for n in query_window_times(p.time, cfg.window(), store):
-            qhat = apply_stencil(stencil, store.fields[n].values)
+            qhat = apply_stencil(stencil, store.stack[n])
             norm = np.maximum(norm, np.sum(np.abs(qhat), axis=0))
             inner = np.maximum(inner, np.abs(np.sum(qhat * q, axis=0)))
         ref_t.append(p.time)
@@ -173,8 +173,10 @@ def test_store_solved_for_another_run_is_refused(tmp_path):
     for s in (store, loaded):      # t_final and origin round-trip exactly
         assert isinstance(make_strategy(cfg, "adjoint", s), AdjointFlagging)
     for other, named in ((replace(cfg, t_final=19.5), "t_final = 20.0"),
-                         (replace(cfg, xlim=(-4.0, 3.0)), "origin = (-5.0,)")):
+                         (replace(cfg, xlim=(-4.0, 3.0)), "origin = (-5.0,)"),
+                         (replace(cfg, xlim=(-5.0, 4.0)), "far corner = (4.0,)")):
         for run in (lambda: make_strategy(other, "adjoint", loaded),
-                    lambda: run_xt_map(other, loaded, 0.1)):
+                    lambda: run_xt_map(other, loaded, 0.1),
+                    lambda: run_forward(other, "adjoint", loaded)):
             with pytest.raises(ConfigurationError, match=re.escape(named)):
                 run()

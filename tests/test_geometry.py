@@ -155,6 +155,19 @@ def add_patch(h, level, lo, hi, m=1):
     return p
 
 
+def test_levels_below_one_have_no_patches():
+    from adjamr.solver import level_layout
+    h = make_hierarchy_2d()
+    coarse = add_patch(h, 1, (0, 0), (7, 7))
+    fine = add_patch(h, 2, (4, 4), (9, 9))
+    assert h.patches(0) == [] and h.patches(-1) == [] and h.patches(3) == []
+    assert h.patches(1) == [coarse] and h.patches(2) == [fine]
+    assert level_layout(h, 0) is None and level_layout(h, 2) is fine.layout
+    coarse.state[...] = 1.0
+    coarse.layout.fill_from_coarse(h, 0.0)      # level 1 has no parent: no fill
+    assert np.all(coarse.state == 1.0)
+
+
 def test_nesting_single_level_empty():
     h = make_hierarchy_2d()
     add_patch(h, 1, (0, 0), (7, 7))

@@ -17,7 +17,7 @@ from adjamr.adjoint import (AdjointFlagging, AdjointSnapshotStore, TimeWindow,
 from adjamr.amr import (AmrContext, DifferenceFlagging, EverywhereFlagging,
                         RefinementRegion, SurfaceFlagging, flag_cells, level_flags,
                         new_level, restrict_fine_to_coarse)
-from adjamr.geometry import Patch, PatchHierarchy, UniformField
+from adjamr.geometry import Patch, PatchHierarchy
 from adjamr.solver import BoundarySpec, level_layout, sample_patch_material
 
 BC = BoundarySpec(left="wall", right="outflow", bottom="outflow", top="wall")
@@ -77,11 +77,9 @@ def _adjoint_case(seed):
         wet = eqs.wet(eq.sample_material(*np.meshgrid(xs, ys, indexing="ij")))
     t_start = float(rng.uniform(0.0, 1.0))
     window = TimeWindow(t_start, 1.0)
-    store = AdjointSnapshotStore(
-        times=times, window=window, wet=wet,
-        fields=[UniformField(values=v.copy(), origin=origin, dx=widths[0],
-                             dy=widths[1] if ndim == 2 else 0.0, time=float(s))
-                for v, s in zip(values, times)])
+    store = AdjointSnapshotStore(times=times, stack=values, origin=origin,
+                                 widths=(widths[0], widths[1] if ndim == 2 else 0.0),
+                                 window=window, wet=wet)
     t = float(rng.uniform(0.0, t_start) if rng.random() < 0.4 else rng.uniform(t_start, 1.0))
     return h, patches, lay, store, window, t, rng
 
@@ -120,10 +118,9 @@ def test_levels_flagged_at_one_t_share_one_envelope():
         lay.state[...] = rng.normal(size=lay.state.shape)
         levels.append(lay)
     times = np.linspace(0.0, 1.0, 9)
-    store = AdjointSnapshotStore(
-        times=times, window=TimeWindow(0.5, 1.0),
-        fields=[UniformField(values=rng.normal(size=(eq.m, 10)), origin=h.origin, dx=0.2,
-                             dy=0.0, time=float(s)) for s in times])
+    stack = np.stack([rng.normal(size=(eq.m, 10)) for _ in times])
+    store = AdjointSnapshotStore(times=times, stack=stack, origin=h.origin, widths=(0.2, 0.0),
+                                 window=TimeWindow(0.5, 1.0))
     strategy = AdjointFlagging(store, store.window, 0.5)
     built = []
     for t in (0.3, 0.55):
