@@ -199,7 +199,7 @@ def run_convergence(cfg: RunConfig, levels_of_resolution: int):
                       ny=None if cfg.ny is None else cfg.ny * scale,
                       max_levels=1, ratios=(), output_times=())
         patch = run_forward(sub, "everywhere").hierarchy.patches(1)[0]
-        ref = exact(sub.t_final, *np.meshgrid(*patch.spec.cell_centers(), indexing="ij"))
+        ref = exact(sub.t_final - sub.t0, *np.meshgrid(*patch.spec.cell_centers(), indexing="ij"))
         vol = math.prod(patch.spec.widths)
         err = float(np.sum(np.abs(patch.interior()[0] - ref[0])) * vol)
         order = None if prev_err is None else float(np.log2(prev_err / err))

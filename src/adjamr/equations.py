@@ -7,13 +7,14 @@ in conservation form with flux transpose(A)·q and use the f-wave form: the
 interface jump in the *flux* is split, and fluctuations are sums of f-waves.
 
 All solvers are vectorized: states are (m, ...) arrays over any batch shape,
-materials (rows, ...) arrays over the same batch shape.
+materials (rows, ...) arrays over the same batch shape.  An `EquationSet` is
+one record per system and form; `adjoint()` and `reversed()` copy it.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -242,15 +243,6 @@ def _adjoint_flux_parts(system: str, axis: int, q, mat) -> dict:
     raise ValueError(f"unknown system {system!r}")
 
 
-def adjoint_flux(system: str, axis: int, q, mat):
-    """Adjoint flux transpose(A)·q̂ (or transpose(B)·q̂ for the y axis)."""
-    q = np.asarray(q, dtype=float)
-    f = np.zeros_like(q)
-    for comp, values in _adjoint_flux_parts(system, axis, q, mat).items():
-        f[comp] = values
-    return f
-
-
 def adjoint_fwave_rp(system: str, axis: int, q_l, q_r, mat_l, mat_r) -> RiemannResult:
     """f-wave Riemann solve for the adjoint of one of the three systems: the
     flux jump split onto eigenvectors of the transposed coefficient matrix,
@@ -284,127 +276,76 @@ def adjoint_transverse(system: str, axis: int, fluct, mat_below, mat_above):
 
 
 # ---------------------------------------------------------------------------
-# Material models (analytic, sampled onto patch grids)
-
-
-class MaterialModel:
-    """Analytic material definition, sampled per patch at cell centers."""
-
-    def sample(self, *coords: np.ndarray):
-        """Material at the points `coords`, one array per axis."""
-        raise NotImplementedError
-
-
-class AcousticsMaterialModel(MaterialModel):
-    def __init__(self, bulk_fn, rho_fn):
-        self.bulk_fn = bulk_fn
-        self.rho_fn = rho_fn
-
-    def sample(self, *coords):
-        return acoustics_material(self.bulk_fn(*coords), self.rho_fn(*coords))
-
-
-class SweMaterialModel(MaterialModel):
-    def __init__(self, bathymetry_fn, sea_level: float = 0.0, gravity: float = 9.81):
-        self.bathymetry_fn = bathymetry_fn
-        self.sea_level = sea_level
-        self.gravity = gravity
-
-    def sample(self, *coords):
-        return swe_material(self.bathymetry_fn(*coords), self.sea_level, self.gravity)
-
-
-# ---------------------------------------------------------------------------
 # Equation sets
 
 
-class EquationSet:
-    """One hyperbolic system bound to a material model.
+def AcousticsMaterialModel(bulk_fn, rho_fn):
+    """The sampler coords -> acoustics material of the analytic bulk modulus
+    and density, one array per axis in `coords`."""
+    return lambda *coords: acoustics_material(bulk_fn(*coords), rho_fn(*coords))
 
-    Subclasses provide their adjoint counterpart.  The step kernel reads
-    their two-family structure: `p_slot`, the slot of p of `split_jump`
-    among (component 0, normal component); `x_field`, the name of its
-    material row x; whether the flux jump is
-    split (`fwave`) and the flux negated (`time_reversed`).
+
+def SweMaterialModel(bathymetry_fn, sea_level: float = 0.0, gravity: float = 9.81):
+    """The sampler coords -> shallow-water material of the analytic bathymetry."""
+    return lambda *coords: swe_material(bathymetry_fn(*coords), sea_level, gravity)
+
+
+@dataclass(frozen=True, eq=False)
+class EquationSet:
+    """One hyperbolic system bound to its material sampler.
+
+    `sample_material(*coords)` gives the (rows, *cells) material at the
+    points `coords`.  The step kernel reads the two-family structure, all
+    derived from `is_swe` and `fwave`: `rows`, the material's row names;
+    `x_field`, the row x of `split_jump`; `p_slot`, the slot of its p among
+    (component 0, normal component).  `fwave` splits the flux jump and
+    `time_reversed` negates the flux.  Equality is identity, so kernel and
+    ghost-fill plans keyed on an equation set stay its own.
     """
 
     name: str
     m: int
-    rows = ACOUSTICS_ROWS       # the names of the material's rows
-    is_swe = False
-    p_slot = 1
-    x_field = "z"
-    fwave = False
-    time_reversed = False
+    sample_material: Callable[..., np.ndarray]
+    is_swe: bool = False
+    fwave: bool = False
+    time_reversed: bool = False
 
-    def __init__(self, material: MaterialModel):
-        self.material = material
+    @property
+    def rows(self) -> tuple[str, ...]:
+        return SWE_ROWS if self.is_swe else ACOUSTICS_ROWS
 
-    def sample_material(self, *coords):
-        return self.material.sample(*coords)
+    @property
+    def x_field(self) -> str:
+        return "c" if self.is_swe else "z"
+
+    @property
+    def p_slot(self) -> int:
+        return int(self.is_swe == self.fwave)
 
     def normal_component(self, axis: int) -> int:
         """State component mirrored with a sign flip at a wall on this axis."""
         return 1 if self.m == 2 else 1 + axis
 
     def adjoint(self) -> "EquationSet":
-        raise NotImplementedError
+        """The adjoint system, in f-wave form with flux transpose(A)·q̂."""
+        if self.fwave:
+            raise NotImplementedError(f"{self.name} is already an adjoint system")
+        return replace(self, name="adjoint-" + self.name, fwave=True)
+
+    def reversed(self) -> "EquationSet":
+        """The flux-negated adjoint system, so the backward problem runs forward."""
+        if not self.fwave:
+            raise NotImplementedError(f"{self.name} is not an adjoint system")
+        return replace(self, name=self.name + "-reversed", time_reversed=True)
 
 
-class Acoustics1D(EquationSet):
-    name = "acoustics-1d"
-    m = 2
-
-    def adjoint(self):
-        return AdjointAcoustics1D(self.material)
+def Acoustics1D(material) -> EquationSet:
+    return EquationSet("acoustics-1d", 2, material)
 
 
-class Acoustics2D(EquationSet):
-    name = "acoustics-2d"
-    m = 3
-
-    def adjoint(self):
-        return AdjointAcoustics2D(self.material)
+def Acoustics2D(material) -> EquationSet:
+    return EquationSet("acoustics-2d", 3, material)
 
 
-class SweLinear2D(EquationSet):
-    name = "swe-linear-2d"
-    m = 3
-    is_swe = True
-    rows = SWE_ROWS
-    p_slot = 0
-    x_field = "c"
-
-    def adjoint(self):
-        return AdjointSweLinear2D(self.material)
-
-
-class _AdjointBase(EquationSet):
-    p_slot = 0
-    fwave = True
-
-    def reversed(self) -> "_AdjointBase":
-        """The flux-negated system, so the backward problem runs forward."""
-        rev = copy.copy(self)
-        rev.time_reversed, rev.name = True, self.name + "-reversed"
-        return rev
-
-
-class AdjointAcoustics1D(_AdjointBase):
-    name = "adjoint-acoustics-1d"
-    m = 2
-
-
-class AdjointAcoustics2D(_AdjointBase):
-    name = "adjoint-acoustics-2d"
-    m = 3
-
-
-class AdjointSweLinear2D(_AdjointBase):
-    name = "adjoint-swe-linear-2d"
-    m = 3
-    is_swe = True
-    rows = SWE_ROWS
-    p_slot = 1
-    x_field = "c"
-
+def SweLinear2D(material) -> EquationSet:
+    return EquationSet("swe-linear-2d", 3, material, is_swe=True)

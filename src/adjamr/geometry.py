@@ -64,14 +64,10 @@ class PatchSpec:
         g = self.ghost_width
         return tuple(slice(g, g + n) for n in self.shape)
 
-    def cell_centers(self, include_ghost: bool = False) -> tuple[np.ndarray, ...]:
-        """1D arrays of cell-center coordinates per dimension."""
-        g = self.ghost_width if include_ghost else 0
-        out = []
-        for axis, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            idx = np.arange(lo - g, hi + g + 1)
-            out.append(self.origin[axis] + (idx + 0.5) * self.widths[axis])
-        return tuple(out)
+    def cell_centers(self) -> tuple[np.ndarray, ...]:
+        """1D arrays of interior cell-center coordinates per dimension."""
+        return tuple(o + (np.arange(lo, hi + 1) + 0.5) * w
+                     for o, lo, hi, w in zip(self.origin, self.lo, self.hi, self.widths))
 
 
 class Patch:

@@ -254,8 +254,6 @@ def load_store(directory: str) -> AdjointSnapshotStore:
             raise StoreFormatError(f"{index}: missing {key!r}")
     if not entries:
         raise StoreFormatError(f"{index}: no 'snapshot' entries")
-    if wet_name is not None:
-        wet = read_uniform_field(os.path.join(directory, wet_name)).values[0] > 0.5
     stack = widths = None
     for k, (name, _) in enumerate(entries):
         path = os.path.join(directory, name)
@@ -266,6 +264,12 @@ def load_store(directory: str) -> AdjointSnapshotStore:
             raise StoreFormatError(f"{path}: shape {fld.values.shape} differs "
                                    f"from the first snapshot's {stack.shape[1:]}")
         stack[k] = fld.values
+    if wet_name is not None:
+        path = os.path.join(directory, wet_name)
+        wet = read_uniform_field(path).values[0] > 0.5
+        if wet.shape != stack.shape[2:]:
+            raise StoreFormatError(f"{path}: shape {wet.shape} differs "
+                                   f"from the snapshots' {stack.shape[2:]}")
     return AdjointSnapshotStore(times=np.asarray([t for _, t in entries]), stack=stack,
                                 origin=origin, widths=widths,
                                 window=TimeWindow(t_start=t_start, t_final=t_final), wet=wet)

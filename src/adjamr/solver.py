@@ -88,15 +88,6 @@ def _phi_ops(name: str, theta, out, work):
     return ops[name] + ([] if name == "none" else [into(np.maximum, 0.0, out, out)])
 
 
-def limiter_phi(name: str, theta: np.ndarray) -> np.ndarray:
-    """Flux-limiter function phi(theta) for each supported limiter."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty_like(theta)
-    for op, *args in _phi_ops(name, theta, out, np.empty_like(theta)):
-        op(*args)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Ghost filling
 

@@ -262,7 +262,7 @@ def test_one_mutated_number_is_refused_or_runs(site, value):
 def test_build_equation_and_initial_1d():
     cfg = parse_config(CFG_1D)
     eq = build_equation(cfg)
-    assert isinstance(eq, eqs.Acoustics1D)
+    assert eq.name == "acoustics-1d"
     mat = eq.sample_material(np.array([-1.0, 1.0]))
     assert np.allclose(mat[eqs.C], [1.0, 0.5])
     ic = build_initial(cfg)
@@ -486,6 +486,23 @@ def test_load_store_names_a_snapshot_of_another_shape(tmp_path):
                    str(index.parent / "snap_0002.txt"))
     with pytest.raises(StoreFormatError, match=r"snap_0002.txt: shape \(2, 1\)"):
         load_store(str(index.parent))
+
+
+@pytest.mark.parametrize("mask_shape", [(2, 5), (6, 5)], ids=["fewer-rows", "more-rows"])
+def test_load_store_names_a_wet_mask_of_another_shape(tmp_path, mask_shape):
+    # fewer rows failed later with a bare IndexError; more were read silently
+    directory = tmp_path / "store"
+    save_store(AdjointSnapshotStore(times=np.linspace(0.0, 1.0, 3), stack=np.ones((3, 3, 4, 5)),
+                                    origin=(0.0, 0.0), widths=(0.25, 0.25),
+                                    window=TimeWindow(0.5, 1.0), wet=np.ones((4, 5), dtype=bool)),
+               str(directory))
+    assert load_store(str(directory)).wet.shape == (4, 5)
+    write_snapshot(UniformField(values=np.ones((1, *mask_shape)), origin=(0.0, 0.0),
+                                dx=0.25, dy=0.25), str(directory / "wet_mask.txt"))
+    with pytest.raises(StoreFormatError,
+                       match=rf"wet_mask.txt: shape \({mask_shape[0]}, 5\) differs "
+                             r"from the snapshots' \(4, 5\)"):
+        load_store(str(directory))
 
 
 # (file to edit, edit, message); {dir} is the store directory

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from adjamr import equations as eqs
 from adjamr.equations import (DryCellError, InvalidMaterialError,
                               acoustics_material, acoustics_rp_1d, acoustics_rp_normal_2d,
-                              acoustics_rp_transverse_2d, adjoint_flux,
+                              acoustics_rp_transverse_2d,
                               adjoint_fwave_rp, adjoint_transverse, swe_linear_rp,
                               swe_material)
 
@@ -40,6 +42,18 @@ def matrix_swe(axis, depth, g):
     A[0, mu] = 1.0
     A[mu, 0] = g * depth
     return A
+
+
+def transposed_flux(system, axis, q, mat):
+    """transpose(A)·q̂ per sample, A the coefficient matrix of the sample's
+    material along `axis`."""
+    def matrix(k):
+        if system == "swe-linear-2d":
+            return matrix_swe(axis, mat[eqs.DEPTH][k], mat[eqs.GRAVITY][k])
+        if system == "acoustics-1d":
+            return matrix_acoustics_1d(mat[eqs.BULK][k], mat[eqs.RHO][k])
+        return matrix_acoustics_2d(axis, mat[eqs.BULK][k], mat[eqs.RHO][k])
+    return np.stack([matrix(k).T @ q[:, k] for k in range(q.shape[1])], axis=1)
 
 
 def oracle_two_sided_split(A_l, A_r, delta):
@@ -228,8 +242,8 @@ def test_adjoint_fwave_material_jump_constant_state():
     mr = amat([1.0], [4.0])
     q = np.array([[0.3], [0.7]])
     res = adjoint_fwave_rp("acoustics-1d", 0, q, q, ml, mr)
-    fl = adjoint_flux("acoustics-1d", 0, q, ml)
-    fr = adjoint_flux("acoustics-1d", 0, q, mr)
+    fl = transposed_flux("acoustics-1d", 0, q, ml)
+    fr = transposed_flux("acoustics-1d", 0, q, mr)
     assert np.allclose(res.waves.sum(axis=0), fr - fl, atol=1e-14)
 
 
@@ -334,8 +348,56 @@ def test_fwave_sum_batches_all_systems():
             ql = rng.normal(size=(m, n))
             qr = rng.normal(size=(m, n))
             res = adjoint_fwave_rp(system, axis, ql, qr, ml, mr)
-            df = (adjoint_flux(system, axis, qr, mr)
-                  - adjoint_flux(system, axis, ql, ml))
+            df = (transposed_flux(system, axis, qr, mr)
+                  - transposed_flux(system, axis, ql, ml))
             assert rel_err(res.waves.sum(axis=0), df) < 1e-12
             assert rel_err(res.fluct_minus + res.fluct_plus,
                            res.waves.sum(axis=0)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The equation-set record: its fields and derived two-family parameters
+
+def ones(*coords):
+    return np.ones(np.broadcast(*coords).shape)
+
+
+FORWARD_SYSTEMS = {
+    "acoustics-1d": lambda: eqs.Acoustics1D(eqs.AcousticsMaterialModel(ones, ones)),
+    "acoustics-2d": lambda: eqs.Acoustics2D(eqs.AcousticsMaterialModel(ones, ones)),
+    "swe-linear-2d": lambda: eqs.SweLinear2D(eqs.SweMaterialModel(ones)),
+}
+AC, SW = ("c", "z", "bulk", "rho"), ("c", "depth", "gravity")
+# (forward system, form): name, m, rows, x_field, p_slot, fwave, time_reversed,
+# normal_component(0), normal_component(1)
+EQUATION_RECORDS = {
+    ("acoustics-1d", "forward"): ("acoustics-1d", 2, AC, "z", 1, False, False, 1, 1),
+    ("acoustics-1d", "adjoint"): ("adjoint-acoustics-1d", 2, AC, "z", 0, True, False, 1, 1),
+    ("acoustics-1d", "reversed"):
+        ("adjoint-acoustics-1d-reversed", 2, AC, "z", 0, True, True, 1, 1),
+    ("acoustics-2d", "forward"): ("acoustics-2d", 3, AC, "z", 1, False, False, 1, 2),
+    ("acoustics-2d", "adjoint"): ("adjoint-acoustics-2d", 3, AC, "z", 0, True, False, 1, 2),
+    ("acoustics-2d", "reversed"):
+        ("adjoint-acoustics-2d-reversed", 3, AC, "z", 0, True, True, 1, 2),
+    ("swe-linear-2d", "forward"): ("swe-linear-2d", 3, SW, "c", 0, False, False, 1, 2),
+    ("swe-linear-2d", "adjoint"): ("adjoint-swe-linear-2d", 3, SW, "c", 1, True, False, 1, 2),
+    ("swe-linear-2d", "reversed"):
+        ("adjoint-swe-linear-2d-reversed", 3, SW, "c", 1, True, True, 1, 2),
+}
+
+
+@pytest.mark.parametrize("system", FORWARD_SYSTEMS)
+def test_equation_set_records(system):
+    forward = FORWARD_SYSTEMS[system]()
+    forms = {"forward": forward, "adjoint": forward.adjoint(),
+             "reversed": forward.adjoint().reversed()}
+    for form, eq in forms.items():
+        got = (eq.name, eq.m, eq.rows, eq.x_field, eq.p_slot, eq.fwave, eq.time_reversed,
+               eq.normal_component(0), eq.normal_component(1))
+        assert got == EQUATION_RECORDS[system, form], form
+        assert eq.sample_material is forward.sample_material
+    assert replace(forward) != forward          # equality is identity
+    with pytest.raises(NotImplementedError):
+        forward.adjoint().adjoint()
+    with pytest.raises(NotImplementedError):
+        forward.reversed()

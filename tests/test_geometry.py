@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,9 +14,16 @@ def spec_1d(nx=10, lo=0, level=1, dx=1.0, origin=0.0):
                      origin=(origin,))
 
 
+def ghost_centers(spec):
+    """Cell centers of the patch's cells and ghost cells."""
+    g = spec.ghost_width
+    return replace(spec, lo=tuple(i - g for i in spec.lo),
+                   hi=tuple(i + g for i in spec.hi)).cell_centers()
+
+
 def center(spec, i):
     """Center of cell i (interior or ghost) from the ghost-inclusive centers."""
-    xs, = spec.cell_centers(include_ghost=True)
+    xs, = ghost_centers(spec)
     return (xs[i - spec.lo[0] + spec.ghost_width],)
 
 
@@ -36,7 +45,7 @@ def test_cell_center_level2_first_fine_center():
 
 def test_cell_center_out_of_range():
     s = spec_1d(nx=4)
-    xs, = s.cell_centers(include_ghost=True)
+    xs, = ghost_centers(s)
     # cells lo - ghost_width .. hi + ghost_width: 6 and -3 have no center
     assert xs.tolist() == [-1.5, -0.5, 0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
 

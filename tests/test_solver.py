@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from adjamr import equations as eqs
 from adjamr.geometry import Patch, PatchHierarchy
 from adjamr.solver import (BoundarySpec, LevelLayout, SchedulingError, fill_ghost_from_coarse,
-                           fill_ghost_physical, integrate_patch, limiter_phi, march,
-                           sample_patch_material, select_dt, step_patch)
+                           fill_ghost_physical, integrate_patch, march,
+                           _phi_ops, sample_patch_material, select_dt, step_patch)
 
 
 def const_acoustics_1d(K=1.0, rho=1.0):
@@ -36,10 +38,28 @@ def uniform_patch_2d(eq, nx, ny, xlim=(0.0, 1.0), ylim=(0.0, 1.0), bc=None):
     return h, p
 
 
+def limiter_phi(name, theta):
+    """phi(theta) through the operations the band plans run."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty_like(theta)
+    for op, *args in _phi_ops(name, theta, out, np.empty_like(theta)):
+        op(*args)
+    return out
+
+
+LIMITER_CLOSED_FORMS = {
+    "minmod": lambda t: np.maximum(0.0, np.minimum(1.0, t)),
+    "MC": lambda t: np.maximum(0.0, np.minimum(np.minimum((1.0 + t) / 2.0, 2.0), 2.0 * t)),
+    "superbee": lambda t: np.maximum(0.0, np.maximum(np.minimum(1.0, 2.0 * t),
+                                                     np.minimum(2.0, t))),
+}
+
+
 def test_limiter_properties():
     thetas = np.linspace(-3, 4, 141)
-    for name in ("minmod", "MC", "superbee"):
+    for name, closed_form in LIMITER_CLOSED_FORMS.items():
         phi = limiter_phi(name, thetas)
+        np.testing.assert_array_equal(phi, closed_form(thetas))
         assert limiter_phi(name, np.array([1.0]))[0] == pytest.approx(1.0)
         assert np.all(phi >= 0.0) and np.all(phi <= 2.0)
     assert np.all(limiter_phi("none", thetas) == 1.0)
@@ -260,13 +280,20 @@ def test_select_dt_governed_by_fast_side():
     assert select_dt(h, 0.9) == pytest.approx(0.9 * 0.08 / 1.0)
 
 
+def ghost_centers(spec):
+    """Cell centers of the patch's cells and ghost cells."""
+    g = spec.ghost_width
+    return replace(spec, lo=tuple(i - g for i in spec.lo),
+                   hi=tuple(i + g for i in spec.hi)).cell_centers()
+
+
 def test_fill_ghost_from_coarse_rules():
     eq = const_acoustics_2d()
     h = PatchHierarchy(xlim=(0, 8), ylim=(0, 8), base_shape=(8, 8), ratios=[2])
     cspec = h.make_spec(1, (0, 0), (7, 7))
     coarse = Patch(cspec, eq.m)
     sample_patch_material(coarse, eq, BoundarySpec(), (8, 8))
-    xs, ys = cspec.cell_centers(include_ghost=True)
+    xs, ys = ghost_centers(cspec)
     lin = xs[:, None] + 0.0 * ys[None, :]
     coarse.state[0] = lin                      # linear in x at told
     coarse.layout.save_old()
@@ -279,7 +306,7 @@ def test_fill_ghost_from_coarse_rules():
 
     # at the earlier time: reproduces the linear profile exactly
     fill_ghost_from_coarse(fine, h, 0.0)
-    gx, gy = fspec.cell_centers(include_ghost=True)
+    gx, gy = ghost_centers(fspec)
     want = gx[:, None] + 0.0 * gy[None, :]
     got = fine.state[0]
     gmask = np.ones_like(got, dtype=bool)
