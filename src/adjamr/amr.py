@@ -367,7 +367,6 @@ class AmrContext:
     cell_steps: dict = field(default_factory=dict)
     max_courant: dict = field(default_factory=dict)  # level -> largest step Courant number
     flagged_per_regrid: list = field(default_factory=list)
-    rebuilt_at: dict = field(default_factory=dict)   # level -> parent time of last rebuild
     on_level_advanced: object = None      # callback(hierarchy, level, t)
 
     def count_step(self, level: int, cells: int, courant: float):
@@ -416,9 +415,9 @@ def regrid(hierarchy: PatchHierarchy, level: int, ctx: AmrContext,
     for lev in range(level, deepest + 1):
         parent, new_patches = lev - 1, []
         lay = level_layout(hierarchy, parent)
-        ctx.rebuilt_at.pop(lev, None)
+        ctx.step_counts[lev] = 0
         if lay is not None:
-            t = ctx.rebuilt_at[lev] = lay.time
+            t = lay.time
             fill_level_ghosts(hierarchy, parent, t, ctx)
             flags = level_flags(lay, ctx.strategy, t, ctx.regions)
             ctx.flagged_per_regrid.append(int(flags.sum()))
@@ -449,17 +448,15 @@ def advance_hierarchy(hierarchy: PatchHierarchy, level: int, dt: float,
     Regrids child levels every `regrid_interval` steps of this level, fills
     ghosts before stepping, saves the pre-step state for child space-time
     interpolation (not on the finest allowed level, which has no children),
-    and restricts children back afterwards.  A child level already rebuilt
-    at this level's current time (by the parent's regrid, from the same
-    data) is not rebuilt again.  The level steps as one packed array
-    (solver.LevelLayout); a step above the unit Courant number raises
-    solver.CflViolationError naming the patch.
+    and restricts children back afterwards.  A level's step count restarts
+    at each rebuild (as AMRClaw's), so a child level that the parent's
+    regrid rebuilt is not rebuilt again from the same data.  The level
+    steps as one packed array (solver.LevelLayout); a step above the unit
+    Courant number raises solver.CflViolationError naming the patch.
     """
     count = ctx.step_counts.get(level, 0)
     lay = level_layout(hierarchy, level)
-    if (level < hierarchy.max_levels and count > 0
-            and count % ctx.regrid_interval == 0
-            and not (lay and ctx.rebuilt_at.get(level + 1) == lay.time)):
+    if level < hierarchy.max_levels and count > 0 and count % ctx.regrid_interval == 0:
         regrid(hierarchy, level + 1, ctx)
 
     if lay is None:

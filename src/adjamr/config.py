@@ -315,6 +315,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"line {lines[key][k][0]}: [{_SECTION[key]}] {key} {msg}")
 
     t0, t_final = v["t0"], v["t_final"]
+    if v["profile"][0] == "standing_mode" and not any(v["profile"][1:]):
+        fail("profile", "needs a nonzero mode")
     if t_final <= t0:
         fail("t_final", f"must exceed {cite('t0')}")
     ratios = v["ratios"][:v["max_levels"] - 1]
@@ -393,126 +395,81 @@ def parse_config(text: str) -> RunConfig:
 # Builders from the parsed descriptors
 
 
-def _eval_medium(desc, *coords):
-    """A `medium` descriptor at the points `coords`, one array per axis."""
-    if desc[0] == "constant":
-        return np.full(np.broadcast(*coords).shape, desc[1])
-    coord = np.asarray(coords[desc[0] == "piecewise_y"], dtype=float)
-    return np.where(coord < desc[1], desc[2], desc[3])
+def _field(desc, *coords):
+    """A medium, bathymetry or analytic profile descriptor at the points
+    `coords`, one array per axis; the arrays broadcast together."""
+    name, *v = desc
+    xs = [np.asarray(c, dtype=float) for c in coords]
+    x, y = (*xs, None)[:2]
+    if name == "constant":
+        return np.full(np.broadcast(*xs).shape, v[0])
+    if name in ("piecewise_x", "piecewise_y"):
+        return np.where(xs[name == "piecewise_y"] < v[0], v[1], v[2])
+    if name == "flat":
+        return np.full_like(x, v[0])
+    if name == "gaussian_island":
+        base, height, xc, yc, radius = v
+        return base + height * np.exp(-((x - xc) ** 2 + (y - yc) ** 2) / radius ** 2)
+    if name == "linear_ramp_x":
+        x0, x1, b0, b1 = v
+        return b0 + np.clip((x - x0) / (x1 - x0), 0.0, 1.0) * (b1 - b0)
+    if name == "gaussian":
+        amp, *center, beta = v
+        return amp * np.exp(-beta * sum((c - c0) ** 2 for c, c0 in zip(xs, center)))
+    if name == "cosine_hump":
+        amp, x0, y0, r0, width = v
+        r = np.sqrt((x - x0) ** 2 + (y - y0) ** 2)
+        return np.where(np.abs(r - r0) <= width,
+                        amp * (1.0 + np.cos(np.pi * (r - r0) / width)), 0.0)
+    raise ConfigError(f"unknown primitive {name!r}")
+
+
+def _standing_mode(cfg: RunConfig):
+    """The standing mode's pressure at t = 0, prod_a cos(k_a (x_a - lo_a)),
+    as a function of one coordinate array per axis, and its wavenumbers k_a."""
+    lims = (cfg.xlim, cfg.ylim)[:cfg.ndim]
+    ks = [mode * np.pi / (hi - lo) for mode, (lo, hi) in zip(cfg.initial[1:], lims)]
+    return (lambda *coords: math.prod(np.cos(k * (np.asarray(c) - lo))
+                                      for k, c, (lo, _) in zip(ks, coords, lims))), ks
 
 
 def build_equation(cfg: RunConfig) -> eqs.EquationSet:
+    mat = cfg.material
     if cfg.equation.startswith("acoustics"):
-        model = eqs.AcousticsMaterialModel(partial(_eval_medium, cfg.material["bulk"]),
-                                           partial(_eval_medium, cfg.material["density"]))
+        model = eqs.AcousticsMaterialModel(partial(_field, mat["bulk"]),
+                                           partial(_field, mat["density"]))
         return (eqs.Acoustics1D, eqs.Acoustics2D)[cfg.ndim - 1](model)
-    desc = cfg.material["bathymetry"]
-
-    def bathy(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if desc[0] == "flat":
-            return np.full_like(x, desc[1])
-        if desc[0] == "gaussian_island":
-            _, base, height, xc, yc, radius = desc
-            r2 = (x - xc) ** 2 + (y - yc) ** 2
-            return base + height * np.exp(-r2 / radius ** 2)
-        _, x0, x1, b0, b1 = desc
-        w = np.clip((x - x0) / (x1 - x0), 0.0, 1.0)
-        return b0 + w * (b1 - b0)
-
-    model = eqs.SweMaterialModel(bathy, sea_level=cfg.material["sea_level"],
-                                 gravity=cfg.material["gravity"])
-    return eqs.SweLinear2D(model)
+    return eqs.SweLinear2D(eqs.SweMaterialModel(
+        partial(_field, mat["bathymetry"]), mat["sea_level"], mat["gravity"]))
 
 
 def build_initial(cfg: RunConfig):
     """State-initializer callable: ic(*coords) -> (m, ...) array, one
-    coordinate array per axis."""
-    kind = cfg.initial[0]
-    m = cfg.num_components
-
-    if kind == "gaussian":
-        amp, *center, beta = cfg.initial[1:]
-
-        def ic(*coords):
-            r2 = sum((np.asarray(c) - c0) ** 2 for c, c0 in zip(coords, center))
-            out = np.zeros((m, *np.shape(r2)))
-            out[0] = amp * np.exp(-beta * r2)
-            return out
-        return ic
-
-    if kind == "cosine_hump":
-        amp, x0, y0, r0, width = cfg.initial[1:]
-
-        def ic(x, y):
-            out = np.zeros((m, *np.shape(x)))
-            r = np.sqrt((np.asarray(x) - x0) ** 2 + (np.asarray(y) - y0) ** 2)
-            ring = np.abs(r - r0) <= width
-            out[0] = np.where(ring, amp * (1.0 + np.cos(np.pi * (r - r0) / width)), 0.0)
-            return out
-        return ic
-
-    if kind == "standing_mode":
-        lims = (cfg.xlim, cfg.ylim)[:cfg.ndim]
-        ks = [mode * np.pi / (hi - lo) for mode, (lo, hi) in zip(cfg.initial[1:], lims)]
-
-        def ic(*coords):
-            mode = math.prod(np.cos(k * (np.asarray(c) - lo))
-                             for k, c, (lo, _) in zip(ks, coords, lims))
-            out = np.zeros((m, *np.shape(mode)))
-            out[0] = mode
-            return out
-        return ic
-
-    if kind == "table":
+    coordinate array per axis; an analytic profile sets component 0."""
+    if cfg.initial[0] == "table":
         from .geometry import interpolate_uniform
         from .runio import read_uniform_field
         table = read_uniform_field(cfg.initial[1], origin=cfg.origin)
         return lambda *coords: interpolate_uniform(table, *coords)
+    field = (_standing_mode(cfg)[0] if cfg.initial[0] == "standing_mode"
+             else partial(_field, cfg.initial))
 
-    raise ConfigError(f"unknown initial profile {kind!r}")
+    def ic(*coords):
+        f = field(*coords)
+        out = np.zeros((cfg.num_components, *np.shape(f)))
+        out[0] = f
+        return out
+    return ic
 
 
 def standing_mode_solution(cfg: RunConfig):
-    """Exact solution of the wall-bounded standing mode, or None.
-
-    Only available for constant-coefficient acoustics with the
-    standing_mode initial profile; used by the convergence study.
-    """
-    if cfg.initial[0] != "standing_mode":
+    """Exact pressure p(t, *coords) of the wall-bounded standing mode, or None:
+    only for constant-coefficient acoustics with the standing_mode profile
+    (the convergence study)."""
+    mat = cfg.material
+    if (cfg.initial[0] != "standing_mode" or not cfg.equation.startswith("acoustics")
+            or mat["bulk"][0] != "constant" or mat["density"][0] != "constant"):
         return None
-    if not cfg.equation.startswith("acoustics"):
-        return None
-    if cfg.material["bulk"][0] != "constant" or cfg.material["density"][0] != "constant":
-        return None
-    K = cfg.material["bulk"][1]
-    rho = cfg.material["density"][1]
-    c = np.sqrt(K / rho)
-    modes = cfg.initial[1:]
-    Lx = cfg.xlim[1] - cfg.xlim[0]
-    kx = modes[0] * np.pi / Lx
-    if cfg.ndim == 1:
-        Z = rho * c
-
-        def exact(t, x):
-            out = np.zeros((2, *np.shape(x)))
-            xs = np.asarray(x) - cfg.xlim[0]
-            out[0] = np.cos(kx * xs) * np.cos(c * kx * t)
-            out[1] = np.sin(kx * xs) * np.sin(c * kx * t) / Z
-            return out
-        return exact
-
-    Ly = cfg.ylim[1] - cfg.ylim[0]
-    ky = modes[1] * np.pi / Ly
-    om = c * np.sqrt(kx ** 2 + ky ** 2)
-
-    def exact(t, x, y):
-        xs = np.asarray(x) - cfg.xlim[0]
-        ys = np.asarray(y) - cfg.ylim[0]
-        out = np.zeros((3, *np.shape(x)))
-        out[0] = np.cos(kx * xs) * np.cos(ky * ys) * np.cos(om * t)
-        out[1] = kx / (rho * om) * np.sin(kx * xs) * np.cos(ky * ys) * np.sin(om * t)
-        out[2] = ky / (rho * om) * np.cos(kx * xs) * np.sin(ky * ys) * np.sin(om * t)
-        return out
-    return exact
+    mode, ks = _standing_mode(cfg)
+    om = np.sqrt(mat["bulk"][1] / mat["density"][1]) * np.sqrt(sum(k ** 2 for k in ks))
+    return lambda t, *coords: mode(*coords) * np.cos(om * t)

@@ -201,7 +201,7 @@ def run_convergence(cfg: RunConfig, levels_of_resolution: int):
         patch = run_forward(sub, "everywhere").hierarchy.patches(1)[0]
         ref = exact(sub.t_final - sub.t0, *np.meshgrid(*patch.spec.cell_centers(), indexing="ij"))
         vol = math.prod(patch.spec.widths)
-        err = float(np.sum(np.abs(patch.interior()[0] - ref[0])) * vol)
+        err = float(np.sum(np.abs(patch.interior()[0] - ref)) * vol)
         order = None if prev_err is None else float(np.log2(prev_err / err))
         rows.append((int(np.prod(sub.base_shape)), err, order))
         prev_err = err

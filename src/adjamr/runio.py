@@ -263,13 +263,20 @@ def load_store(directory: str) -> AdjointSnapshotStore:
         elif fld.values.shape != stack.shape[1:]:
             raise StoreFormatError(f"{path}: shape {fld.values.shape} differs "
                                    f"from the first snapshot's {stack.shape[1:]}")
+        elif (fld.dx, fld.dy) != widths:        # exact: widths are written at .17g
+            raise StoreFormatError(f"{path}: widths {(fld.dx, fld.dy)} differ "
+                                   f"from the first snapshot's {widths}")
         stack[k] = fld.values
     if wet_name is not None:
         path = os.path.join(directory, wet_name)
-        wet = read_uniform_field(path).values[0] > 0.5
+        fld = read_uniform_field(path)
+        wet = fld.values[0] > 0.5
         if wet.shape != stack.shape[2:]:
             raise StoreFormatError(f"{path}: shape {wet.shape} differs "
                                    f"from the snapshots' {stack.shape[2:]}")
+        if (fld.dx, fld.dy) != widths:
+            raise StoreFormatError(f"{path}: widths {(fld.dx, fld.dy)} differ "
+                                   f"from the snapshots' {widths}")
     return AdjointSnapshotStore(times=np.asarray([t for _, t in entries]), stack=stack,
                                 origin=origin, widths=widths,
                                 window=TimeWindow(t_start=t_start, t_final=t_final), wet=wet)

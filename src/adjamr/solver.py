@@ -426,23 +426,6 @@ class LevelLayout:
         self._coarse = self._physical = self._kernel = None
         self.memo = {}     # plans other modules derive from this level
 
-    @classmethod
-    def join(cls, patches) -> "LevelLayout":
-        """One level of patches built apart, at the first one's times: each
-        array they all have is copied in once, and each patch re-pointed."""
-        p0 = patches[0]
-        lay = cls([p.spec for p in patches], p0.num_components, p0.time)
-        lay.time_old = p0.time_old
-        for name, fill in (("state_old", np.zeros), ("aux", np.ones)):
-            if all(getattr(p.layout, name) is not None for p in patches):
-                setattr(lay, name, fill((len(getattr(p0, name)), *lay.state.shape[1:])))
-        for k, p in enumerate(patches):
-            for name in ("state", "state_old", "aux"):
-                if (packed := getattr(lay, name)) is not None:
-                    packed[(slice(None), *lay.boxes[k])] = getattr(p, name)
-            p.layout, p.index = lay, k
-        return lay
-
     def save_old(self):
         """Save the level's state and time for space-time interpolation."""
         if self.state_old is None:
@@ -630,7 +613,7 @@ def _layout_of(patches, what: str) -> LevelLayout:
     """The layout whose patches are exactly `patches`, in order."""
     lay = patches[0].layout
     if [(p.layout, p.index) for p in patches] != [(lay, k) for k in range(len(lay.specs))]:
-        raise ValueError(f"{what}: not one layout's patches in order (see LevelLayout.join)")
+        raise ValueError(f"{what}: not one layout's patches in order")
     return lay
 
 

@@ -831,6 +831,37 @@ def test_no_level_rebuilt_twice_at_one_parent_time(monkeypatch):
     assert len(rebuilds) == len(set(rebuilds))
 
 
+def test_rebuilds_every_other_step_at_regrid_interval_2(monkeypatch):
+    # the (level, parent time) of every rebuild and the cell steps, recorded
+    # when a level remembered the parent time of its last rebuild instead of
+    # restarting its step count: level 1 rebuilds 2 and 3 every other step,
+    # and level 2 rebuilds 3 on its own steps in between
+    from adjamr import amr, driver
+    from adjamr.config import parse_config
+    text = open("configs/2d-walls-timepoint.cfg").read()
+    cfg = parse_config(text.replace("t_final = 1.5", "t_final = 0.5")
+                       .replace("t_start = 1.5", "t_start = 0.5")
+                       .replace("[amr]\n", "[amr]\nregrid_interval = 2\n"))
+    rebuilds = []
+
+    def recording_regrid(h, level, ctx, deepest=None):
+        t = h.patches(level - 1)[0].time
+        last = deepest if deepest is not None else h.max_levels
+        rebuilds.extend((lev, t.hex()) for lev in range(level, last + 1))
+        return regrid(h, level, ctx, deepest)
+
+    monkeypatch.setattr(amr, "regrid", recording_regrid)
+    monkeypatch.setattr(driver, "regrid", recording_regrid)
+    res = driver.run_forward(cfg, strategy_name="difference")
+    assert rebuilds == [
+        (2, "0x0.0p+0"), (3, "0x0.0p+0"), (3, "0x1.5555555555555p-4"),
+        (2, "0x1.5555555555555p-3"), (3, "0x1.5555555555555p-3"),
+        (3, "0x1.0000000000000p-2"),
+        (2, "0x1.5555555555555p-2"), (3, "0x1.5555555555555p-2"),
+        (3, "0x1.aaaaaaaaaaaaap-2")]
+    assert res.timing.cell_steps == {1: 15000, 2: 12800, 3: 67136}
+
+
 # ---------------------------------------------------------------------------
 # advance: equivalence and subcycling
 

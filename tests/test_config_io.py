@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import re
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from adjamr import equations as eqs
 from adjamr.adjoint import AdjointSnapshotStore, TimeWindow, query_window_times
-from adjamr.config import KEYS, ConfigError, build_equation, build_initial, parse_config
+from adjamr.config import (KEYS, ConfigError, build_equation, build_initial, parse_config,
+                           standing_mode_solution)
 from adjamr.geometry import Patch, PatchHierarchy, UniformField, apply_stencil, build_stencil
 from adjamr.runio import (GaugeComparisonError, GaugeSeries, SnapshotFormatError,
                           StoreFormatError, TableFormatError, TimingReport, compare_gauges,
@@ -117,6 +119,10 @@ BAD_VALUES = [
     case(CFG_2D, "profile = cosine_hump 1.0 0.5 1.0 0.5 0.15", "profile = standing_mode",
          "profile"),
     case(CFG_2D, "profile = cosine_hump 1.0 0.5 1.0 0.5 0.15", "profile = standing_mode 1",
+         "profile"),
+    # an exact error of 0 made the convergence study divide by zero
+    case(CFG_1D, "profile = gaussian 1.0 -2.0 50.0", "profile = standing_mode 0", "profile"),
+    case(CFG_2D, "profile = cosine_hump 1.0 0.5 1.0 0.5 0.15", "profile = standing_mode 0 0",
          "profile"),
     case(CFG_1D, "profile = gaussian 1.0 -2.0 50.0", "profile = cosine_hump 1 0 0 1 1",
          "profile"),
@@ -269,6 +275,108 @@ def test_build_equation_and_initial_1d():
     out = ic(np.array([-2.0, 0.0]))
     assert out[0, 0] == pytest.approx(1.0)
     assert out[0, 1] == pytest.approx(np.exp(-50.0 * 4.0))
+
+
+def test_a_standing_mode_needs_one_nonzero_mode():
+    cfg = parse_config(CFG_2D.replace("profile = cosine_hump 1.0 0.5 1.0 0.5 0.15",
+                                      "profile = standing_mode 1 0"))
+    assert cfg.initial == ("standing_mode", 1, 0)
+    with pytest.raises(ConfigError, match=r"\] profile needs a nonzero mode$"):
+        parse_config(CFG_1D.replace("gaussian 1.0 -2.0 50.0", "standing_mode 0"))
+
+
+_MAT_2D = "bulk = constant 4.0\ndensity = constant 1.0"
+_IC_2D = "profile = cosine_hump 1.0 0.5 1.0 0.5 0.15"
+_BATHY = "bathymetry = gaussian_island -100.0 120.0 20000.0 28000.0 6000.0"
+_CFG_SWE = open("configs/swe-basin.cfg").read()
+# name -> (config, sha256 of its material, of its initial state), on the
+# points of `_seeded_axes`; recorded before the primitives had one evaluator
+PRIMITIVE_CASES = {
+    "1d-constant-piecewise_x-gaussian": (
+        CFG_1D, "b171d9e1ef1781f3a4651328e0c6e0a4eb7f8c7a3b549d2133792a5ed4c608f4",
+        "25676c4e3f0b76d8fc5bf5eb1b47f225a7a42d3a77771657e9ec782e1f96518c"),
+    "1d-piecewise_x-standing_mode": (
+        CFG_1D.replace("bulk = constant 1.0\ndensity = piecewise_x 0.0 1.0 4.0",
+                       "bulk = piecewise_x -1.3 2.0 0.5\ndensity = constant 3.0")
+        .replace("profile = gaussian 1.0 -2.0 50.0", "profile = standing_mode 3"),
+        "79bc2f8113ed01d0a32b118ca6d7e65e4e09c3f00359aef57a60c75d189aa460",
+        "99648cd941c9cbcd26a3ad9af3d8f1bd503d35905e81b3929d27530cb15cb471"),
+    "2d-constant-cosine_hump": (
+        CFG_2D, "650d717152f5fb406da0074421dbf890ca9a14371ad5bb0a641b58481a306c26",
+        "ce74475c230513d255bf8e9c6dfafae15f6c650efa6e4117ef58aadfccc22c1e"),
+    "2d-piecewise_x-piecewise_y-gaussian": (
+        CFG_2D.replace(_MAT_2D, "bulk = piecewise_x 2.0 1.0 4.0\ndensity = piecewise_y 5.0 2.0 0.5")
+        .replace(_IC_2D, "profile = gaussian 2.0 1.0 4.0 0.7"),
+        "6a9805b0210d9434de41a83eb5bbdf13f39e71cd66c724e33ec928a9e00ceb92",
+        "bc539029bf1ea603268d471ff54c36b4e0fe7353ac58a5d3944afa5808c03591"),
+    "2d-standing_mode": (
+        CFG_2D.replace(_IC_2D, "profile = standing_mode 2 3"),
+        "650d717152f5fb406da0074421dbf890ca9a14371ad5bb0a641b58481a306c26",
+        "dd4dc8fc56d28475e934c5c03faa2c7070bae086228e37a3f17f0bd0f90af59f"),
+    "swe-gaussian_island-gaussian": (
+        _CFG_SWE, "6d85a37eb48c10bb9b659ae85cc34ec728344bff3004502e2b38ccd74f353a6a",
+        "d5ad81386600b72fb7f5ceaade8ae6405de4d44b3a2eded396ea0056650eb971"),
+    "swe-flat": (
+        _CFG_SWE.replace(_BATHY, "bathymetry = flat -50.0"),
+        "712fe8cbad69abb2806e9c27ef601179e6700940740d752c009537801e94f1db",
+        "d5ad81386600b72fb7f5ceaade8ae6405de4d44b3a2eded396ea0056650eb971"),
+    "swe-linear_ramp_x": (
+        _CFG_SWE.replace(_BATHY, "bathymetry = linear_ramp_x 5000 30000 -200 20"),
+        "533302675c9fe4de0a9cc4adab16cb265a94e1415b2839f83337b65c4056f652",
+        "d5ad81386600b72fb7f5ceaade8ae6405de4d44b3a2eded396ea0056650eb971"),
+}
+
+
+def _seeded_axes(cfg):
+    """Sorted seeded points per axis (9 along x, 7 along y), reaching a tenth
+    of the domain past each end."""
+    rng = np.random.default_rng(4)
+    lims = (cfg.xlim, cfg.ylim)[:cfg.ndim]
+    return [np.sort(rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), n))
+            for (lo, hi), n in zip(lims, (9, 7))]
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", PRIMITIVE_CASES)
+def test_primitives_evaluate_bitwise(name):
+    # every medium, bathymetry and profile primitive on `np.ix_` axes and on
+    # a meshgrid (broadcast to the full grid) gives the recorded bytes
+    text, want_material, want_initial = PRIMITIVE_CASES[name]
+    cfg = parse_config(text)
+    axes = _seeded_axes(cfg)
+    full = tuple(len(a) for a in axes)
+    eq, ic = build_equation(cfg), build_initial(cfg)
+    for coords in (np.ix_(*axes), np.meshgrid(*axes, indexing="ij")):
+        got = [_sha256(np.broadcast_to(out, (len(out), *full)))
+               for out in (eq.sample_material(*coords), ic(*coords))]
+        assert got == [want_material, want_initial]
+
+
+# sha256 of the exact pressure at t = 0.37 on the `_seeded_axes` meshgrid,
+# recorded when the solution was written once per dimension
+STANDING_MODES = {
+    "1d": (CFG_1D.replace("bulk = constant 1.0\ndensity = piecewise_x 0.0 1.0 4.0",
+                          "bulk = constant 2.5\ndensity = constant 0.7")
+           .replace("profile = gaussian 1.0 -2.0 50.0", "profile = standing_mode 3"),
+           "837c814dfcc641387dcce2ede6b15137b0f3ddac2460b99d2166c3a9f2890160"),
+    "2d": (CFG_2D.replace(_IC_2D, "profile = standing_mode 2 3"),
+           "14caa1bc5b8846ee389630845d93e8cf2ae53a1a659aeab2e4be5ebc250bb3a6"),
+}
+
+
+@pytest.mark.parametrize("name", STANDING_MODES)
+def test_standing_mode_solution_bitwise(name):
+    text, want = STANDING_MODES[name]
+    cfg = parse_config(text)
+    exact = standing_mode_solution(cfg)
+    coords = np.meshgrid(*_seeded_axes(cfg), indexing="ij")
+    assert _sha256(exact(0.37, *coords)) == want
+    # at t = 0 it is the initial pressure, and the other components start at 0
+    assert np.array_equal(exact(0.0, *coords), build_initial(cfg)(*coords)[0])
+    assert not build_initial(cfg)(*coords)[1:].any()
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +596,17 @@ def test_load_store_names_a_snapshot_of_another_shape(tmp_path):
         load_store(str(index.parent))
 
 
+def test_load_store_names_a_snapshot_of_another_width(tmp_path):
+    # it loaded silently, with the first snapshot's widths (0.25, 0.0)
+    index = saved_store_index(tmp_path)
+    write_snapshot(UniformField(values=np.ones((2, 4)), origin=(0.0,), dx=0.5, dy=0.0),
+                   str(index.parent / "snap_0001.txt"))
+    with pytest.raises(StoreFormatError,
+                       match=r"snap_0001.txt: widths \(0.5, 0.0\) differ "
+                             r"from the first snapshot's \(0.25, 0.0\)$"):
+        load_store(str(index.parent))
+
+
 @pytest.mark.parametrize("mask_shape", [(2, 5), (6, 5)], ids=["fewer-rows", "more-rows"])
 def test_load_store_names_a_wet_mask_of_another_shape(tmp_path, mask_shape):
     # fewer rows failed later with a bare IndexError; more were read silently
@@ -502,6 +621,20 @@ def test_load_store_names_a_wet_mask_of_another_shape(tmp_path, mask_shape):
     with pytest.raises(StoreFormatError,
                        match=rf"wet_mask.txt: shape \({mask_shape[0]}, 5\) differs "
                              r"from the snapshots' \(4, 5\)"):
+        load_store(str(directory))
+
+
+def test_load_store_names_a_wet_mask_of_another_width(tmp_path):
+    directory = tmp_path / "store"
+    save_store(AdjointSnapshotStore(times=np.linspace(0.0, 1.0, 3), stack=np.ones((3, 3, 4, 5)),
+                                    origin=(0.0, 0.0), widths=(0.25, 0.25),
+                                    window=TimeWindow(0.5, 1.0), wet=np.ones((4, 5), dtype=bool)),
+               str(directory))
+    write_snapshot(UniformField(values=np.ones((1, 4, 5)), origin=(0.0, 0.0),
+                                dx=0.25, dy=0.5), str(directory / "wet_mask.txt"))
+    with pytest.raises(StoreFormatError,
+                       match=r"wet_mask.txt: widths \(0.25, 0.5\) differ "
+                             r"from the snapshots' \(0.25, 0.25\)$"):
         load_store(str(directory))
 
 
@@ -571,10 +704,9 @@ def test_record_gauge_reads_the_finest_level_interior():
     boxes = {1: [((0, 0), (7, 7))], 2: [((2, 2), (9, 9)), ((10, 2), (13, 9))],
              3: [((8, 8), (15, 15)), ((16, 8), (19, 11))]}
     rng = np.random.default_rng(3)
-    h.levels = [[Patch(h.make_spec(level, lo, hi), 3) for lo, hi in boxes[level]]
-                for level in (1, 2, 3)]
-    for patches in h.levels:
-        LevelLayout.join(patches)
+    layouts = [LevelLayout([h.make_spec(level, lo, hi) for lo, hi in boxes[level]], 3)
+               for level in (1, 2, 3)]
+    h.levels = [[Patch.view(lay, k) for k in range(len(lay.specs))] for lay in layouts]
     for level in (1, 2, 3):
         for p in h.patches(level):
             p.state[...] = np.nan

@@ -138,16 +138,15 @@ def _level(name, boxes, seed):
     h = PatchHierarchy(xlim=(0.0, 1.0), ylim=None if nd == 1 else (0.0, 1.0),
                        base_shape=shape, ratios=[])
     rng = np.random.default_rng(seed)
-    patches = []
-    for lo, hi in boxes:
-        p = Patch(h.make_spec(1, lo, hi), eq.m)
-        sample_patch_material(p, eq, BC, shape)
+    lay = LevelLayout([h.make_spec(1, lo, hi) for lo, hi in boxes], eq.m)
+    lay.sample_material(eq, BC, shape)
+    patches = [Patch.view(lay, k) for k in range(len(boxes))]
+    for p in patches:
         p.state[...] = rng.uniform(-1.0, 1.0, p.state.shape)
         if eq.is_swe:
             p.state[...] *= eqs.wet(p.aux)
-        patches.append(p)
     speed = max(float(np.max(p.aux[eqs.C])) for p in patches)
-    return eq, LevelLayout.join(patches), 0.8 * min(h.widths(1)[:nd]) / speed, patches
+    return eq, lay, 0.8 * min(h.widths(1)[:nd]) / speed, patches
 
 
 def _stepped_levels(order, padding=None):

@@ -45,25 +45,28 @@ def _swe():
 EQUATIONS = {"acoustics-2d": _acoustics, "swe-linear-2d": _swe}
 
 
-def _patch(h, eq, level, lo, hi, rng):
-    p = Patch(h.make_spec(level, lo, hi), eq.m)
-    sample_patch_material(p, eq, BC, h.level_shape(level))
-    p.state[...] = rng.uniform(-1.0, 1.0, p.state.shape)
-    if eq.is_swe:
-        p.state[...] *= eqs.wet(p.aux)
-    return p
+def _patches(h, eq, level, boxes, rng, t=0.0):
+    """The patches of one level over `boxes`, at `t`: material sampled, and
+    random state, drawn box by box (zero where shallow water is dry)."""
+    lay = LevelLayout([h.make_spec(level, lo, hi) for lo, hi in boxes], eq.m, t)
+    lay.sample_material(eq, BC, h.level_shape(level))
+    patches = [Patch.view(lay, k) for k in range(len(boxes))]
+    for p in patches:
+        p.state[...] = rng.uniform(-1.0, 1.0, p.state.shape)
+        if eq.is_swe:
+            p.state[...] *= eqs.wet(p.aux)
+    return patches
 
 
 def _hierarchy(eq, seed=0):
     """Level 1 saved at t = 0 and stepped to 0.1; level 2 at t = 0.05."""
     rng = np.random.default_rng(seed)
     h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 1.5), base_shape=(8, 6), ratios=[2])
-    coarse = _patch(h, eq, 1, (0, 0), (7, 5), rng)
+    coarse, = _patches(h, eq, 1, [((0, 0), (7, 5))], rng)
     coarse.layout.save_old()
     coarse.state[...] = rng.uniform(-1.0, 1.0, coarse.state.shape)
     coarse.layout.time = 0.1
-    h.levels = [[coarse], [_patch(h, eq, 2, lo, hi, rng) for lo, hi in BOXES]]
-    LevelLayout.join(h.patches(2)).time = 0.05
+    h.levels = [[coarse], _patches(h, eq, 2, BOXES, rng, t=0.05)]
     return h
 
 
@@ -180,9 +183,9 @@ def test_bad_wave_speed_names_the_patch_holding_it():
         lambda x, y: 1.0 + 0.1 * y))
     h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 1.5), base_shape=(16, 12), ratios=[])
     rng = np.random.default_rng(0)
-    patches = [_patch(h, eq, 1, lo, hi, rng) for lo, hi in (BOXES[0], BOXES[3])]
+    patches = _patches(h, eq, 1, (BOXES[0], BOXES[3]), rng)
     assert np.isnan(patches[1].aux[eqs.C]).any() and not np.isnan(patches[0].aux[eqs.C]).any()
-    lay = LevelLayout.join(patches)
+    lay = patches[0].layout
     assert len(lay.bands) == 1
     with pytest.raises(eqs.InvalidMaterialError) as err:
         lay.step(1e-3, eq, "MC")
@@ -229,18 +232,16 @@ def test_one_patch_entry_points_refuse_a_patch_that_shares_its_level():
     assert p.layout is lay and p.state.base is state
 
 
-def test_a_level_of_patches_built_apart_needs_a_join():
+def test_a_level_is_one_layouts_patches_in_order():
     eq = _acoustics()
     h = PatchHierarchy(xlim=(0.0, 2.0), ylim=(0.0, 1.5), base_shape=(16, 12), ratios=[])
     rng = np.random.default_rng(1)
-    h.levels = [[_patch(h, eq, 1, lo, hi, rng) for lo, hi in BOXES]]
+    h.levels = [[_patches(h, eq, 1, [box], rng)[0] for box in BOXES]]    # built apart
     with pytest.raises(ValueError, match="level 1"):
         level_layout(h, 1)
-    values = [p.state.copy() for p in h.patches(1)]
-    lay = LevelLayout.join(h.patches(1))
-    assert level_layout(h, 1) is lay
-    for p, v in zip(h.patches(1), values):
-        assert p.state.base is lay.state and np.array_equal(p.state, v)
+    h.levels = [_patches(h, eq, 1, BOXES, rng)]
+    lay = level_layout(h, 1)
+    assert all(p.layout is lay and p.state.base is lay.state for p in h.patches(1))
     h.levels[0] = h.levels[0][::-1]           # the same patches out of order
     with pytest.raises(ValueError, match="level 1"):
         level_layout(h, 1)
@@ -312,8 +313,9 @@ def _per_patch_plan(lay, boundary, eq, level_shape):
 
 
 def _random_level(rng, ndim):
-    """Level-2 patches on a random ratio-2 grid of tiles: every tile on a
-    domain side and a random half of the rest, so each side is met."""
+    """A level-2 layout over a random ratio-2 grid of tiles, in random order:
+    every tile on a domain side and a random half of the rest, so each side
+    is met."""
     base = tuple(int(n) for n in rng.integers(3, 9, size=ndim))
     h = PatchHierarchy(xlim=(0.0, 1.0), ylim=(0.0, 1.0) if ndim == 2 else None,
                        base_shape=base, ratios=[2])
@@ -324,17 +326,16 @@ def _random_level(rng, ndim):
     keep = [b for b in boxes if any(l == 0 or h == 2 * n - 1 for l, h, n in zip(*b, base))
             or rng.random() < 0.5]
     order = rng.permutation(len(keep))
-    return h, [Patch(h.make_spec(2, *keep[k]), 3 if ndim == 2 else 2) for k in order]
+    return h, LevelLayout([h.make_spec(2, *keep[k]) for k in order], 3 if ndim == 2 else 2)
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_physical_plan_equals_the_per_patch_maps(ndim, seed):
     rng = np.random.default_rng(seed)
-    h, patches = _random_level(rng, ndim)
+    h, lay = _random_level(rng, ndim)
     eq = _acoustics() if ndim == 2 else eqs.Acoustics1D(eqs.AcousticsMaterialModel(
         lambda x: np.full_like(x, 2.0), lambda x: np.full_like(x, 1.0)))
-    lay = LevelLayout.join(patches)
     shape = h.level_shape(2)
     for sides in itertools.product(("wall", "outflow"), repeat=2 * ndim):
         bc = BoundarySpec(*sides, *("wall",) * (4 - len(sides)))
