@@ -456,13 +456,15 @@ def advance_hierarchy(hierarchy: PatchHierarchy, level: int, dt: float,
     """
     count = ctx.step_counts.get(level, 0)
     lay = level_layout(hierarchy, level)
-    if level < hierarchy.max_levels and count > 0 and count % ctx.regrid_interval == 0:
+    regridded = level < hierarchy.max_levels and count > 0 and count % ctx.regrid_interval == 0
+    if regridded:
         regrid(hierarchy, level + 1, ctx)
 
     if lay is None:
         return
     t = lay.time
-    fill_level_ghosts(hierarchy, level, t, ctx)
+    if not regridded:           # the regrid filled this level's ghosts at t
+        fill_level_ghosts(hierarchy, level, t, ctx)
     if level < hierarchy.max_levels:
         lay.save_old()
     ctx.count_step(level, lay.cells, lay.step(dt, ctx.equation, ctx.limiter))

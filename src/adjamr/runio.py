@@ -1,4 +1,5 @@
-"""Plain-text persistence: snapshots, adjoint stores, gauges, timing reports.
+"""Persistence: plain-text snapshots, gauges and timing reports, and the
+adjoint store as binary arrays (.npy) with a plain-text index.
 
 Snapshot files hold one header block per patch (level, lo/hi indices, dx, dy,
 time, m) followed by one line per cell with 17-significant-digit floats, cells
@@ -24,7 +25,7 @@ class SnapshotFormatError(ValueError):
 
 
 class StoreFormatError(ValueError):
-    """Malformed adjoint store index; message names the file and the key."""
+    """Malformed adjoint store; message names the file (and the index's line)."""
 
 
 class TableFormatError(ValueError):
@@ -207,79 +208,76 @@ def read_uniform_field(path: str, origin=None) -> UniformField:
 
 
 def save_store(store: AdjointSnapshotStore, directory: str):
+    """`stack.npy`, `wet_mask.npy` (with a wet mask only), then `index.txt`
+    (window, grid and times at 17 digits): a store with an index is complete."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "index.txt"), "w") as f:
-        f.write(f"t_start = {_fmt(store.window.t_start)}\n")
-        f.write(f"t_final = {_fmt(store.window.t_final)}\n")
-        f.write("origin = " + " ".join(_fmt(v) for v in store.origin) + "\n")
-        for k, fld in enumerate(store.fields):
-            name = f"snap_{k:04d}.txt"
-            write_snapshot(fld, os.path.join(directory, name))
-            f.write(f"snapshot = {name} {_fmt(fld.time)}\n")
-        if store.wet is not None:
-            wet = UniformField(store.wet[None].astype(float), store.origin, *store.widths)
-            write_snapshot(wet, os.path.join(directory, "wet_mask.txt"))
-            f.write("wet_mask = wet_mask.txt\n")
+    index, mask = os.path.join(directory, "index.txt"), os.path.join(directory, "wet_mask.npy")
+    for stale in (index, mask):
+        if os.path.exists(stale):
+            os.remove(stale)
+    np.save(os.path.join(directory, "stack.npy"), store.stack)
+    if store.wet is not None:
+        np.save(mask, store.wet)
+    with open(index, "w") as f:
+        f.writelines(f"{key} = {' '.join(_fmt(v) for v in vals)}\n" for key, vals in (
+            ("t_start", [store.window.t_start]), ("t_final", [store.window.t_final]),
+            ("origin", store.origin), ("widths", store.widths), ("times", store.times)))
+
+
+def _read_array(path: str, dtype) -> np.ndarray:
+    """The whole .npy array at `path`, of `dtype`; an object array is refused unread."""
+    try:
+        with open(path, "rb") as f:
+            arr = np.lib.format.read_array(f, allow_pickle=False)
+    except FileNotFoundError:
+        raise StoreFormatError(f"{path}: missing") from None
+    except ValueError:
+        raise StoreFormatError(f"{path}: not a whole .npy array of numbers") from None
+    if arr.dtype != dtype:
+        raise StoreFormatError(f"{path}: dtype {arr.dtype}, expected {np.dtype(dtype)}")
+    return arr
 
 
 def load_store(directory: str) -> AdjointSnapshotStore:
     index = os.path.join(directory, "index.txt")
     if not os.path.exists(index):
         raise FileNotFoundError(f"no adjoint store at {directory}")
-    t_start = t_final = None
-    origin = None
-    entries = []
-    wet = wet_name = None
+    lines, entries = {}, {}
     with open(index) as f:
         for lineno, line in enumerate(f, start=1):
             key, _, val = line.partition("=")
-            key = key.strip()
-            toks = val.split()
-            try:
-                if key == "t_start":
-                    t_start = float(toks[0])
-                elif key == "t_final":
-                    t_final = float(toks[0])
-                elif key == "origin":
-                    origin = tuple(float(v) for v in toks)
-                elif key == "snapshot":
-                    entries.append((toks[0], float(toks[1])))
-                elif key == "wet_mask":
-                    wet_name = toks[0]
-            except (IndexError, ValueError):
-                raise StoreFormatError(
-                    f"{index}:{lineno}: malformed {key!r} entry") from None
-    for key, value in (("t_start", t_start), ("t_final", t_final), ("origin", origin)):
-        if value is None:
+            lines[key.strip()] = (lineno, val.split())
+    stack_path, mask = os.path.join(directory, "stack.npy"), os.path.join(directory, "wet_mask.npy")
+    if "snapshot" in lines and not os.path.exists(stack_path):
+        raise StoreFormatError(f"{index}: a text store written by an earlier adjamr; "
+                               f"run run-adjoint again")
+    for key, fewest, most in (("t_start", 1, 1), ("t_final", 1, 1), ("origin", 1, 2),
+                              ("widths", 2, 2), ("times", 1, math.inf)):
+        if key not in lines:
             raise StoreFormatError(f"{index}: missing {key!r}")
-    if not entries:
-        raise StoreFormatError(f"{index}: no 'snapshot' entries")
-    stack = widths = None
-    for k, (name, _) in enumerate(entries):
-        path = os.path.join(directory, name)
-        fld = read_uniform_field(path, origin=origin)
-        if stack is None:
-            stack, widths = np.empty((len(entries), *fld.values.shape)), (fld.dx, fld.dy)
-        elif fld.values.shape != stack.shape[1:]:
-            raise StoreFormatError(f"{path}: shape {fld.values.shape} differs "
-                                   f"from the first snapshot's {stack.shape[1:]}")
-        elif (fld.dx, fld.dy) != widths:        # exact: widths are written at .17g
-            raise StoreFormatError(f"{path}: widths {(fld.dx, fld.dy)} differ "
-                                   f"from the first snapshot's {widths}")
-        stack[k] = fld.values
-    if wet_name is not None:
-        path = os.path.join(directory, wet_name)
-        fld = read_uniform_field(path)
-        wet = fld.values[0] > 0.5
-        if wet.shape != stack.shape[2:]:
-            raise StoreFormatError(f"{path}: shape {wet.shape} differs "
-                                   f"from the snapshots' {stack.shape[2:]}")
-        if (fld.dx, fld.dy) != widths:
-            raise StoreFormatError(f"{path}: widths {(fld.dx, fld.dy)} differ "
-                                   f"from the snapshots' {widths}")
-    return AdjointSnapshotStore(times=np.asarray([t for _, t in entries]), stack=stack,
-                                origin=origin, widths=widths,
-                                window=TimeWindow(t_start=t_start, t_final=t_final), wet=wet)
+        lineno, toks = lines[key]
+        try:
+            entries[key] = [float(v) for v in toks]
+        except ValueError:
+            entries[key] = []
+        if not fewest <= len(entries[key]) <= most:
+            raise StoreFormatError(f"{index}:{lineno}: malformed {key!r} entry")
+    origin, times = tuple(entries["origin"]), np.array(entries["times"])
+    stack = _read_array(stack_path, np.float64)
+    if stack.ndim != 2 + len(origin):
+        raise StoreFormatError(f"{stack_path}: {stack.ndim} axes, expected "
+                               f"{2 + len(origin)} for a {len(origin)}D origin")
+    if len(stack) != len(times):
+        raise StoreFormatError(f"{stack_path}: {len(stack)} snapshots, "
+                               f"but {index} has {len(times)} times")
+    wet = _read_array(mask, np.bool_) if os.path.exists(mask) else None
+    if wet is not None and wet.shape != stack.shape[2:]:
+        raise StoreFormatError(f"{mask}: shape {wet.shape} differs "
+                               f"from the snapshots' {stack.shape[2:]}")
+    return AdjointSnapshotStore(times=times, stack=stack, origin=origin,
+                                widths=tuple(entries["widths"]),
+                                window=TimeWindow(entries["t_start"][0], entries["t_final"][0]),
+                                wet=wet)
 
 
 # ---------------------------------------------------------------------------

@@ -862,6 +862,38 @@ def test_rebuilds_every_other_step_at_regrid_interval_2(monkeypatch):
     assert res.timing.cell_steps == {1: 15000, 2: 12800, 3: 67136}
 
 
+# fill_level_ghosts calls per level on 2d-walls-timepoint under difference
+# flagging: when advance_hierarchy filled a level's ghosts again after the
+# regrid of its children had filled them at the same time, and now
+FILLS_BEFORE = {1: 54, 2: 108, 3: 72}
+FILLS = {1: 37, 2: 90, 3: 72}
+
+
+def test_a_regrid_saves_its_levels_second_ghost_fill(monkeypatch):
+    from collections import Counter
+    from adjamr import amr, driver
+    from adjamr.config import parse_config
+    cfg = parse_config(open("configs/2d-walls-timepoint.cfg").read())
+    fills, regrids = Counter(), Counter()
+    fill = amr.fill_level_ghosts
+
+    def counting_fill(h, level, t, ctx):
+        fills[level] += 1
+        return fill(h, level, t, ctx)
+
+    def counting_regrid(h, level, ctx, deepest=None):
+        regrids[level - 1] += 1         # the level whose ghosts it fills first
+        return regrid(h, level, ctx, deepest)
+
+    monkeypatch.setattr(amr, "fill_level_ghosts", counting_fill)
+    monkeypatch.setattr(amr, "regrid", counting_regrid)     # advance_hierarchy's calls only
+    res = driver.run_forward(cfg, strategy_name="difference")
+    assert res.timing.cell_steps == {1: 45000, 2: 82592, 3: 495992}
+    assert fills == FILLS
+    assert regrids == {1: 17, 2: 18}
+    assert all(FILLS_BEFORE[lev] - fills[lev] == regrids[lev] for lev in FILLS)
+
+
 # ---------------------------------------------------------------------------
 # advance: equivalence and subcycling
 

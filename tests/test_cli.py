@@ -5,7 +5,8 @@ import pytest
 
 import adjamr.driver as driver
 from adjamr.cli import main
-from adjamr.runio import read_timing
+from adjamr.config import parse_config
+from adjamr.runio import load_store, read_timing
 
 SMALL_2D = """
 [problem]
@@ -117,8 +118,7 @@ def cfg1d(tmp_path):
 def test_run_adjoint_writes_store(cfg2d, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["run-adjoint", "--config", cfg2d, "--out", out]) == 0
-    assert os.path.exists(os.path.join(out, "adjoint", "index.txt"))
-    assert os.path.exists(os.path.join(out, "adjoint", "snap_0000.txt"))
+    assert sorted(os.listdir(os.path.join(out, "adjoint"))) == ["index.txt", "stack.npy"]
 
 
 def test_run_forward_without_store_fails_fast(cfg2d, tmp_path, capsys):
@@ -274,6 +274,54 @@ def test_reproducible_outputs(cfg2d, tmp_path):
         main(["run-forward", "--config", cfg2d, "--out", out,
               "--strategy", "adjoint"])
     for rel in ("snapshots/snap_0000.txt", "snapshots/snap_0002.txt",
-                "gauges/gauge_1.csv", "adjoint/snap_0003.txt"):
+                "gauges/gauge_1.csv", "adjoint/stack.npy", "adjoint/index.txt"):
         assert filecmp.cmp(os.path.join(out1, rel), os.path.join(out2, rel),
                            shallow=False), rel
+
+
+def test_the_store_on_disk_changes_no_output(tmp_path):
+    # run-adjoint then run-forward against run_forward on the store in memory,
+    # at a tolerance that refines
+    text = SMALL_2D.replace("tolerance = 0.01", "tolerance = 0.001")
+    path, cli_out, mem_out = tmp_path / "refined.cfg", tmp_path / "cli", tmp_path / "mem"
+    path.write_text(text)
+    assert main(["run-adjoint", "--config", str(path), "--out", str(cli_out)]) == 0
+    assert main(["run-forward", "--config", str(path), "--out", str(cli_out)]) == 0
+    cfg = parse_config(text)
+    store = driver.run_adjoint(cfg)[0]
+    res = driver.run_forward(cfg, "adjoint", store=store, out_dir=str(mem_out))
+    assert res.timing.cell_steps[2] > 0
+    loaded = load_store(str(cli_out / "adjoint"))
+    for a, b in ((loaded.times, store.times), (loaded.stack, store.stack)):
+        assert a.tobytes() == b.tobytes()
+    for sub in ("snapshots", "gauges"):
+        names = sorted(os.listdir(mem_out / sub))
+        assert names == sorted(os.listdir(cli_out / sub))
+        match, mismatch, errors = filecmp.cmpfiles(mem_out / sub, cli_out / sub, names,
+                                                   shallow=False)
+        assert (mismatch, errors) == ([], []), sub
+
+
+def _old_text_store(out):
+    """An index and first snapshot as the text store of earlier versions wrote them."""
+    adj = os.path.join(out, "adjoint")
+    os.makedirs(adj)
+    with open(os.path.join(adj, "index.txt"), "w") as f:
+        f.write("t_start = 0.80000000000000004\nt_final = 0.80000000000000004\n"
+                "origin = 0 0\nsnapshot = snap_0000.txt 0\nsnapshot = snap_0001.txt 0.1\n")
+    with open(os.path.join(adj, "snap_0000.txt"), "w") as f:
+        f.write("patch level=1 lo=0 hi=0 dx=0.20000000000000001 dy=0 time=0 m=2\n0 0\n")
+    return os.path.join(adj, "index.txt")
+
+
+@pytest.mark.parametrize("command", [["run-forward"], ["xt-map", "--threshold", "0.1"]])
+def test_an_old_text_store_is_refused(cfg2d, cfg1d, tmp_path, capsys, command):
+    # it read as "missing 'widths'" (xt-map reuses a store it finds)
+    out = str(tmp_path / "out")
+    index = _old_text_store(out)
+    cfg = cfg2d if command[0] == "run-forward" else cfg1d
+    assert main([command[0], "--config", cfg, "--out", out, *command[1:]]) == 1
+    assert capsys.readouterr().err == (f"error: StoreFormatError: {index}: a text store "
+                                       f"written by an earlier adjamr; run run-adjoint again\n")
+    assert not os.path.exists(os.path.join(out, "snapshots"))
+    assert not os.path.exists(os.path.join(out, "xt_q.txt"))

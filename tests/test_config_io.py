@@ -571,13 +571,64 @@ def saved_store_index(tmp_path):
     return directory / "index.txt"
 
 
-@pytest.mark.parametrize("key", ["t_start", "t_final", "origin", "snapshot"])
+def saved_wet_store(tmp_path):
+    directory = tmp_path / "store"
+    save_store(AdjointSnapshotStore(times=np.linspace(0.0, 1.0, 3), stack=np.ones((3, 3, 4, 5)),
+                                    origin=(0.0, 0.0), widths=(0.25, 0.25),
+                                    window=TimeWindow(0.5, 1.0), wet=np.ones((4, 5), dtype=bool)),
+               str(directory))
+    return directory
+
+
+@pytest.mark.parametrize("shape, wet", [((2, 12), False), ((3, 4, 5), False), ((3, 4, 5), True)],
+                         ids=["1d", "2d", "2d-wet"])
+def test_store_round_trip_is_bitwise(tmp_path, shape, wet):
+    rng = np.random.default_rng(7)
+    ndim = len(shape) - 1
+    stack = rng.normal(size=(7, *shape)) * 10.0 ** rng.integers(-300, 300, size=(7, *shape))
+    stack.flat[:4] = [np.nan, np.inf, -np.inf, -0.0]
+    store = AdjointSnapshotStore(
+        times=np.linspace(0.1, 0.7, 7), stack=stack, origin=tuple(rng.normal(size=ndim)),
+        widths=(1 / 3, 2 / 7 if ndim == 2 else 0.0), window=TimeWindow(1 / 3, 0.7),
+        wet=rng.random(shape[1:]) < 0.5 if wet else None)
+    directory = tmp_path / "store"
+    save_store(store, str(directory))
+    assert sorted(os.listdir(directory)) == ["index.txt", "stack.npy"] + ["wet_mask.npy"] * wet
+    loaded = load_store(str(directory))
+    for a, b in ((loaded.times, store.times), (loaded.stack, store.stack)):
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    if wet:
+        assert loaded.wet.dtype == bool and np.array_equal(loaded.wet, store.wet)
+    else:
+        assert loaded.wet is None
+    assert (loaded.origin, loaded.widths, loaded.window) == (store.origin, store.widths,
+                                                             store.window)
+    assert all(np.shares_memory(f.values, loaded.stack) for f in loaded.fields)
+
+
+def test_save_store_over_a_wet_store_leaves_no_mask(tmp_path):
+    directory = saved_wet_store(tmp_path)
+    save_store(AdjointSnapshotStore(times=np.linspace(0.0, 1.0, 3), stack=np.ones((3, 3, 4, 5)),
+                                    origin=(0.0, 0.0), widths=(0.25, 0.25),
+                                    window=TimeWindow(0.5, 1.0)), str(directory))
+    assert sorted(os.listdir(directory)) == ["index.txt", "stack.npy"]
+    assert load_store(str(directory)).wet is None
+
+
+def test_store_index_lines(tmp_path):
+    assert saved_store_index(tmp_path).read_text() == (
+        "t_start = 0.5\nt_final = 1\norigin = 0\nwidths = 0.25 0\ntimes = 0 0.5 1\n")
+
+
+@pytest.mark.parametrize("key", ["t_start", "t_final", "origin", "widths", "times"])
 def test_load_store_names_missing_index_key(tmp_path, key):
     index = saved_store_index(tmp_path)
     lines = index.read_text().splitlines(keepends=True)
     index.write_text("".join(ln for ln in lines if not ln.startswith(key)))
-    with pytest.raises(StoreFormatError, match=f"index.txt.*{key}"):
+    with pytest.raises(StoreFormatError) as info:
         load_store(str(index.parent))
+    assert str(info.value) == f"{index}: missing {key!r}"
 
 
 def test_load_store_names_malformed_index_line(tmp_path):
@@ -588,93 +639,116 @@ def test_load_store_names_malformed_index_line(tmp_path):
 
 
 def test_load_store_names_a_snapshot_of_another_shape(tmp_path):
-    # (2, 1) would broadcast silently into the stack's (2, 4) rows
+    # one snapshot fewer than the index's times, then snapshots of one axis too few
     index = saved_store_index(tmp_path)
-    write_snapshot(UniformField(values=np.ones((2, 1)), origin=(0.0,), dx=1.0, dy=0.0),
-                   str(index.parent / "snap_0002.txt"))
-    with pytest.raises(StoreFormatError, match=r"snap_0002.txt: shape \(2, 1\)"):
-        load_store(str(index.parent))
+    path = index.parent / "stack.npy"
+    for stack, message in ((np.ones((2, 2, 4)), f"2 snapshots, but {index} has 3 times"),
+                           (np.ones((3, 8)), "2 axes, expected 3 for a 1D origin")):
+        np.save(path, stack)
+        with pytest.raises(StoreFormatError) as info:
+            load_store(str(index.parent))
+        assert str(info.value) == f"{path}: {message}"
 
 
-def test_load_store_names_a_snapshot_of_another_width(tmp_path):
-    # it loaded silently, with the first snapshot's widths (0.25, 0.0)
+@pytest.mark.parametrize("widths", ["0.25", "0.25 0 0"])
+def test_load_store_names_a_widths_line_of_another_length(tmp_path, widths):
+    # (dx, dy) is one line of the index: no snapshot or mask can have widths of its own
     index = saved_store_index(tmp_path)
-    write_snapshot(UniformField(values=np.ones((2, 4)), origin=(0.0,), dx=0.5, dy=0.0),
-                   str(index.parent / "snap_0001.txt"))
-    with pytest.raises(StoreFormatError,
-                       match=r"snap_0001.txt: widths \(0.5, 0.0\) differ "
-                             r"from the first snapshot's \(0.25, 0.0\)$"):
+    index.write_text(index.read_text().replace("widths = 0.25 0", f"widths = {widths}"))
+    with pytest.raises(StoreFormatError) as info:
         load_store(str(index.parent))
+    assert str(info.value) == f"{index}:4: malformed 'widths' entry"
 
 
 @pytest.mark.parametrize("mask_shape", [(2, 5), (6, 5)], ids=["fewer-rows", "more-rows"])
 def test_load_store_names_a_wet_mask_of_another_shape(tmp_path, mask_shape):
     # fewer rows failed later with a bare IndexError; more were read silently
-    directory = tmp_path / "store"
-    save_store(AdjointSnapshotStore(times=np.linspace(0.0, 1.0, 3), stack=np.ones((3, 3, 4, 5)),
-                                    origin=(0.0, 0.0), widths=(0.25, 0.25),
-                                    window=TimeWindow(0.5, 1.0), wet=np.ones((4, 5), dtype=bool)),
-               str(directory))
+    directory = saved_wet_store(tmp_path)
     assert load_store(str(directory)).wet.shape == (4, 5)
-    write_snapshot(UniformField(values=np.ones((1, *mask_shape)), origin=(0.0, 0.0),
-                                dx=0.25, dy=0.25), str(directory / "wet_mask.txt"))
-    with pytest.raises(StoreFormatError,
-                       match=rf"wet_mask.txt: shape \({mask_shape[0]}, 5\) differs "
-                             r"from the snapshots' \(4, 5\)"):
+    np.save(directory / "wet_mask.npy", np.ones(mask_shape, dtype=bool))
+    with pytest.raises(StoreFormatError) as info:
         load_store(str(directory))
+    assert str(info.value) == (f"{directory}/wet_mask.npy: shape ({mask_shape[0]}, 5) "
+                               f"differs from the snapshots' (4, 5)")
 
 
-def test_load_store_names_a_wet_mask_of_another_width(tmp_path):
-    directory = tmp_path / "store"
-    save_store(AdjointSnapshotStore(times=np.linspace(0.0, 1.0, 3), stack=np.ones((3, 3, 4, 5)),
-                                    origin=(0.0, 0.0), widths=(0.25, 0.25),
-                                    window=TimeWindow(0.5, 1.0), wet=np.ones((4, 5), dtype=bool)),
-               str(directory))
-    write_snapshot(UniformField(values=np.ones((1, 4, 5)), origin=(0.0, 0.0),
-                                dx=0.25, dy=0.5), str(directory / "wet_mask.txt"))
-    with pytest.raises(StoreFormatError,
-                       match=r"wet_mask.txt: widths \(0.25, 0.5\) differ "
-                             r"from the snapshots' \(0.25, 0.25\)$"):
+def test_load_store_names_a_wet_mask_that_is_not_bool(tmp_path):
+    # a float mask of 0/1, as the text store held it
+    directory = saved_wet_store(tmp_path)
+    np.save(directory / "wet_mask.npy", np.ones((4, 5)))
+    with pytest.raises(StoreFormatError) as info:
         load_store(str(directory))
+    assert str(info.value) == f"{directory}/wet_mask.npy: dtype float64, expected bool"
 
 
-# (file to edit, edit, message); {dir} is the store directory
+def _edit(name, edit):
+    def apply(directory):
+        path = directory / name
+        path.write_bytes(edit(path.read_bytes()))
+    return apply
+
+
+NOT_NPY = "{dir}/stack.npy: not a whole .npy array of numbers"
+# (edit of the store directory, message); {dir} is the store directory
 MALFORMED_STORES = {
-    "bad number": ("snap_0001.txt", lambda t: t.replace("1\n", "one\n", 2),
-                   "{dir}/snap_0001.txt: malformed number at byte 50"),
-    "short row": ("snap_0001.txt", lambda t: t.replace("1 1\n", "1\n", 3),
-                  "{dir}/snap_0001.txt: expected 2 values at byte 50"),
-    "truncated": ("snap_0002.txt", lambda t: t[:-4],
-                  "{dir}/snap_0002.txt: truncated at byte 60"),
-    "two patches": ("snap_0000.txt", lambda t: t + t,
-                    "{dir}/snap_0000.txt: expected a single uniform patch"),
-    # read as "expected 0 values at byte 48" before
-    "m zero": ("snap_0000.txt", lambda t: t.replace("m=2", "m=0"),
-               "{dir}/snap_0000.txt: bad patch header at byte 0: m is below 1"),
-    # byte 56 before
-    "CRLF": ("snap_0002.txt",
-             lambda t: t.replace("1 1\n1 1\n1 1\n", "1 1\n1 1\n1 z\n").replace("\n", "\r\n"),
-             "{dir}/snap_0002.txt: malformed number at byte 59"),
+    "bad number": (_edit("index.txt", lambda b: b.replace(b"0.5 1\n", b"0.5 one\n")),
+                   "{dir}/index.txt:5: malformed 'times' entry"),
+    "short row": (_edit("index.txt", lambda b: b.replace(b"origin = 0", b"origin =")),
+                  "{dir}/index.txt:3: malformed 'origin' entry"),
+    "CRLF": (_edit("index.txt", lambda b: b.replace(b"t_final = 1", b"t_final = 1 z")
+                   .replace(b"\n", b"\r\n")), "{dir}/index.txt:2: malformed 't_final' entry"),
+    "truncated": (_edit("stack.npy", lambda b: b[:-4]), NOT_NPY),
+    "truncated header": (_edit("stack.npy", lambda b: b[:50]), NOT_NPY),
+    "empty": (_edit("stack.npy", lambda b: b""), NOT_NPY),
+    "text": (_edit("stack.npy", lambda b: b"1 1 1 1\n" * 6), NOT_NPY),
+    "missing": (lambda d: (d / "stack.npy").unlink(), "{dir}/stack.npy: missing"),
+    "float32": (lambda d: np.save(d / "stack.npy", np.ones((3, 2, 4), dtype=np.float32)),
+                "{dir}/stack.npy: dtype float32, expected float64"),
+    "wet mask without snapshots' cells": (
+        lambda d: np.save(d / "wet_mask.npy", np.ones((2, 4), dtype=bool)),
+        "{dir}/wet_mask.npy: shape (2, 4) differs from the snapshots' (4,)"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_STORES))
 def test_malformed_store_messages(tmp_path, case):
-    name, edit, message = MALFORMED_STORES[case]
+    edit, message = MALFORMED_STORES[case]
     directory = saved_store_index(tmp_path).parent
-    path = directory / name
-    path.write_bytes(edit(path.read_text()).encode())
-    with pytest.raises(SnapshotFormatError) as info:
+    edit(directory)
+    with pytest.raises(StoreFormatError) as info:
         load_store(str(directory))
     assert str(info.value) == message.format(dir=directory)
 
 
-def test_store_snapshots_with_tabs_and_repeated_spaces_load(tmp_path):
+UNPICKLED = []
+
+
+class Tripwire:
+    """Records its own unpickling."""
+
+    def __reduce__(self):
+        return UNPICKLED.append, ("unpickled",)
+
+
+def test_load_store_refuses_an_object_stack_without_unpickling(tmp_path):
     directory = saved_store_index(tmp_path).parent
-    path = directory / "snap_0001.txt"
-    path.write_text(path.read_text().replace("\n1 1", "\n2 1").replace(" ", "  \t"))
-    store = load_store(str(directory))
-    assert np.array_equal(store.fields[1].values, [[2.0] * 4, [1.0] * 4])
+    stack = np.empty((3, 2, 4), dtype=object)
+    stack[...] = Tripwire()
+    np.save(directory / "stack.npy", stack, allow_pickle=True)
+    with pytest.raises(StoreFormatError) as info:
+        load_store(str(directory))
+    assert str(info.value) == f"{directory}/stack.npy: not a whole .npy array of numbers"
+    assert UNPICKLED == []
+
+
+def test_store_snapshots_with_tabs_and_repeated_spaces_load(tmp_path):
+    # the index's lines, the snapshot times among them
+    index = saved_store_index(tmp_path)
+    index.write_text(index.read_text().replace(" ", "  \t").replace("=", "\t=  "))
+    store = load_store(str(index.parent))
+    assert np.array_equal(store.times, [0.0, 0.5, 1.0])
+    assert (store.origin, store.widths, store.window) == ((0.0,), (0.25, 0.0),
+                                                          TimeWindow(0.5, 1.0))
 
 
 def test_forward_snapshot_index_times_parse_back(tmp_path):
