@@ -21,9 +21,9 @@ from .adjoint import AdjointFlagging, AdjointSnapshotStore, ConfigurationError
 from .config import (ConfigError, RunConfig, build_equation, build_initial,
                      standing_mode_solution)
 from .geometry import PatchHierarchy, apply_stencil, field_stencil
-from .runio import (CHUNK_BYTES, GaugeSeries, TableFormatError, TextLines,
-                    TimingReport, format_rows, parse_floats, read_rows, record_gauge,
-                    save_store, write_gauge, write_snapshot, write_timing)
+from .runio import (CHUNK_BYTES, GaugeSeries, TableFormatError, TimingReport,
+                    format_rows, read_lines, read_rows, record_gauge, save_store,
+                    write_gauge, write_snapshot, write_timing)
 from .solver import march, select_dt
 
 
@@ -303,13 +303,13 @@ def write_xt_table(path: str, xs, times, mask):
 
 
 def read_xt_table(path: str):
-    text = TextLines(path)
-    if not text.data.startswith(b"# x:"):
+    lines = read_lines(path)
+    if not lines or not lines[0].startswith(b"# x:"):
         raise TableFormatError(f"{path}:1: expected '# x:'")
-    xs = parse_floats(text.data[4:text.start[1]], lambda j: TableFormatError(
-        f"{path}:1: malformed number"))
-    table = read_rows(text, 1, len(text.ntok), len(xs) + 1, lambda j, why: TableFormatError(
-        f"{path}:{j + 1}: {why}"))
+    xs = read_rows([lines[0][4:]], len(lines[0][4:].split()), lambda j, why: (
+        TableFormatError(f"{path}:1: {why}")))[0]
+    table = read_rows(lines[1:], len(xs) + 1, lambda j, why: TableFormatError(
+        f"{path}:{j + 2}: {why}"))
     flagged = np.isin(table[:, 1:], (0, 1)).all(axis=1)
     if not flagged.all():
         raise TableFormatError(f"{path}:{flagged.argmin() + 2}: flags must be 0 or 1")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,7 +53,6 @@ def _fmt(x: float) -> str:
 
 
 CHUNK_BYTES = 1 << 16   # text built per write, so no whole-file string is held
-CHUNK_TOKENS = 1 << 11  # numbers converted at once, so no whole-file token list is held
 
 
 def format_rows(rows, sep: str = " "):
@@ -64,66 +64,24 @@ def format_rows(rows, sep: str = " "):
         yield line * len(rows[c:c + step]) % tuple(rows[c:c + step].ravel().tolist())
 
 
-class TextLines:
-    """A text file read once as bytes, its lines found by array operations.
-    `start[k]` is the byte offset of line k and `start[-1]` the file's length,
-    so offsets count the bytes as stored, CRLF included; `ntok[k]` counts the
-    whitespace-separated tokens on line k.  With `commas`, commas separate
-    tokens too, reading as blanks in `data`, and `ncomma[k]` counts them."""
-
-    def __init__(self, path: str, commas: bool = False):
-        with open(path, "rb") as f:
-            data = f.read()
-        raw = np.frombuffer(data, dtype=np.uint8)
-        start = np.r_[0, np.flatnonzero(raw == ord("\n")) + 1, len(raw)]
-        self.start = start[:-1] if start[-1] == start[-2] else start
-        if commas:
-            self.ncomma = self.per_line(raw == ord(","))
-            data = data.replace(b",", b" ")
-        self.data = data
-        b = np.frombuffer(data, dtype=np.uint8)
-        # what bytes.split() splits on: space and \t\n\v\f\r (uint8 wraps below \t)
-        blank = (b == ord(" ")) | (b - ord("\t") <= ord("\r") - ord("\t"))
-        first = ~blank
-        first[1:] &= blank[:-1]
-        self.ntok = self.per_line(first)
-
-    def per_line(self, marks: np.ndarray) -> np.ndarray:
-        return np.diff(np.searchsorted(np.flatnonzero(marks), self.start))
-
-    def line(self, k: int) -> str:
-        return self.data[self.start[k]:self.start[k + 1]].decode("latin-1")
+def read_lines(path: str) -> list[bytes]:
+    """The file's lines as stored: split after each LF only, so a CR stays."""
+    with open(path, "rb") as f:
+        return f.readlines()
 
 
-def parse_floats(data: bytes, error) -> np.ndarray:
-    """The whitespace-separated tokens of `data` as floats, in one conversion.
-    The first token that is not a number raises `error(j)`, j its index."""
-    toks = data.split()
-    try:
-        return np.array(toks, dtype=float)
-    except ValueError:
-        for j, tok in enumerate(toks):
-            try:
-                float(tok)
-            except ValueError:
-                raise error(j) from None
-        raise
-
-
-def read_rows(text: TextLines, a: int, b: int, nf: int, error) -> np.ndarray:
-    """Lines a..b-1 of `text` as an (n, nf) array.  The first line, in file
-    order, without nf tokens or with a token that is not a number raises
-    `error(k, why)`, k being that line."""
-    uneven = np.flatnonzero(text.ntok[a:b] != nf)
-    good = a + (uneven[0] if uneven.size else b - a)
-    rows = np.empty((good - a, nf))
-    step = max(1, CHUNK_TOKENS // nf)        # lines converted at once
-    for c in range(a, good, step):
-        e = min(c + step, good)
-        rows[c - a:e - a] = parse_floats(text.data[text.start[c]:text.start[e]], lambda j: (
-            error(c + j // nf, "malformed number"))).reshape(-1, nf)
-    if uneven.size:
-        raise error(good, f"expected {nf} values")
+def read_rows(lines: list[bytes], nf: int, error) -> np.ndarray:
+    """`lines` as an (n, nf) array.  Line k, the first without nf blank-separated
+    tokens or with a token that is not a number, raises `error(k, why)`."""
+    rows = np.empty((len(lines), nf))
+    for k, line in enumerate(lines):
+        toks = line.split()
+        if len(toks) != nf:
+            raise error(k, f"expected {nf} values")
+        try:
+            rows[k] = np.array(toks, dtype=float)
+        except ValueError:
+            raise error(k, "malformed number") from None
     return rows
 
 
@@ -153,17 +111,17 @@ def write_snapshot(obj, path: str):
 
 def read_snapshot(path: str) -> list[PatchRecord]:
     """Parse a snapshot file back into patch records."""
-    text = TextLines(path)
-    records = []
-    k = 0
-    while k < len(text.ntok):
-        if text.ntok[k] == 0:
+    lines = read_lines(path)
+    at = list(accumulate(map(len, lines), initial=0))    # byte offset of each line
+    records, k = [], 0
+    while k < len(lines):
+        if not lines[k].split():
             k += 1
             continue
-        if not text.data.startswith(b"patch ", text.start[k]):
-            raise SnapshotFormatError(f"{path}: expected patch header at byte {text.start[k]}")
-        where = f"{path}: bad patch header at byte {text.start[k]}"
-        toks = [tok.partition("=") for tok in text.line(k).split()[1:]]
+        if not lines[k].startswith(b"patch "):
+            raise SnapshotFormatError(f"{path}: expected patch header at byte {at[k]}")
+        where = f"{path}: bad patch header at byte {at[k]}"
+        toks = [tok.partition("=") for tok in lines[k].decode("latin-1").split()[1:]]
         for key, eq, _ in toks:
             if not eq:
                 raise SnapshotFormatError(f"{where}: {key!r} is not key=value")
@@ -181,10 +139,10 @@ def read_snapshot(path: str) -> list[PatchRecord]:
             raise SnapshotFormatError(f"{where}: {why}")
         shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         end = k + 1 + math.prod(shape)
-        rows = read_rows(text, k + 1, min(end, len(text.ntok)), m, lambda j, why: (
-            SnapshotFormatError(f"{path}: {why} at byte {text.start[j]}")))
-        if end > len(text.ntok):
-            raise SnapshotFormatError(f"{path}: truncated at byte {len(text.data)}")
+        rows = read_rows(lines[k + 1:end], m, lambda j, why: (
+            SnapshotFormatError(f"{path}: {why} at byte {at[k + 1 + j]}")))
+        if end > len(lines):
+            raise SnapshotFormatError(f"{path}: truncated at byte {at[-1]}")
         records.append(PatchRecord(level=level, lo=lo, hi=hi, dx=dx, dy=dy, time=time,
                                    values=rows.T.copy().reshape(m, *shape)))
         k = end
@@ -246,7 +204,7 @@ def load_store(directory: str) -> AdjointSnapshotStore:
     with open(index) as f:
         for lineno, line in enumerate(f, start=1):
             key, _, val = line.partition("=")
-            lines[key.strip()] = (lineno, val.split())
+            lines.setdefault(key.strip(), []).append((lineno, val.split()))
     stack_path, mask = os.path.join(directory, "stack.npy"), os.path.join(directory, "wet_mask.npy")
     if "snapshot" in lines and not os.path.exists(stack_path):
         raise StoreFormatError(f"{index}: a text store written by an earlier adjamr; "
@@ -255,7 +213,9 @@ def load_store(directory: str) -> AdjointSnapshotStore:
                               ("widths", 2, 2), ("times", 1, math.inf)):
         if key not in lines:
             raise StoreFormatError(f"{index}: missing {key!r}")
-        lineno, toks = lines[key]
+        (lineno, toks), *again = lines[key]
+        if again:
+            raise StoreFormatError(f"{index}:{again[0][0]}: repeated {key!r} (line {lineno})")
         try:
             entries[key] = [float(v) for v in toks]
         except ValueError:
@@ -263,6 +223,10 @@ def load_store(directory: str) -> AdjointSnapshotStore:
         if not fewest <= len(entries[key]) <= most:
             raise StoreFormatError(f"{index}:{lineno}: malformed {key!r} entry")
     origin, times = tuple(entries["origin"]), np.array(entries["times"])
+    try:
+        window = TimeWindow(entries["t_start"][0], entries["t_final"][0])
+    except ValueError as exc:
+        raise StoreFormatError(f"{index}:{lines['t_start'][0][0]}: {exc}") from None
     stack = _read_array(stack_path, np.float64)
     if stack.ndim != 2 + len(origin):
         raise StoreFormatError(f"{stack_path}: {stack.ndim} axes, expected "
@@ -274,10 +238,11 @@ def load_store(directory: str) -> AdjointSnapshotStore:
     if wet is not None and wet.shape != stack.shape[2:]:
         raise StoreFormatError(f"{mask}: shape {wet.shape} differs "
                                f"from the snapshots' {stack.shape[2:]}")
-    return AdjointSnapshotStore(times=times, stack=stack, origin=origin,
-                                widths=tuple(entries["widths"]),
-                                window=TimeWindow(entries["t_start"][0], entries["t_final"][0]),
-                                wet=wet)
+    try:
+        return AdjointSnapshotStore(times=times, stack=stack, origin=origin,
+                                    widths=tuple(entries["widths"]), window=window, wet=wet)
+    except ValueError as exc:
+        raise StoreFormatError(f"{index}:{lines['times'][0][0]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +292,21 @@ def write_gauge(series: GaugeSeries, path: str):
 
 
 def read_gauge(path: str) -> GaugeSeries:
-    text = TextLines(path, commas=True)
+    lines = read_lines(path)
     gid, loc, k = 0, (), 0
-    while k < len(text.ntok) and text.data.startswith(b"#", text.start[k]):
-        toks = text.line(k).split()
+    while k < len(lines) and lines[k].startswith(b"#"):
+        toks = lines[k].decode("latin-1").replace(",", " ").split()
         try:
             gid, loc = int(toks[2]), tuple(float(v) for v in toks[4:])
         except (IndexError, ValueError):
             raise TableFormatError(f"{path}:{k + 1}: malformed gauge header") from None
         k += 1
-    nf = text.ncomma[k] + 1 if k < len(text.ntok) else 1
-    uneven = np.flatnonzero(text.ncomma[k:] != nf - 1)
-    if uneven.size:
-        raise TableFormatError(f"{path}:{k + uneven[0] + 1}: expected {nf - 1} commas")
-    rows = read_rows(text, k, len(text.ntok), nf, lambda j, why: TableFormatError(
-        f"{path}:{j + 1}: {why}"))
+    nf = lines[k].count(b",") + 1 if k < len(lines) else 1
+    for j, line in enumerate(lines[k:], k + 1):
+        if line.count(b",") != nf - 1:
+            raise TableFormatError(f"{path}:{j}: expected {nf - 1} commas")
+    rows = read_rows([line.replace(b",", b" ") for line in lines[k:]], nf, lambda j, why: (
+        TableFormatError(f"{path}:{k + j + 1}: {why}")))
     return GaugeSeries(gauge_id=gid, location=loc, times=rows[:, 0].tolist(),
                        values=list(rows[:, 1:]))
 

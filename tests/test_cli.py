@@ -1,5 +1,6 @@
 import filecmp
 import os
+import sys
 
 import pytest
 
@@ -300,6 +301,27 @@ def test_the_store_on_disk_changes_no_output(tmp_path):
         match, mismatch, errors = filecmp.cmpfiles(mem_out / sub, cli_out / sub, names,
                                                    shallow=False)
         assert (mismatch, errors) == ([], []), sub
+
+
+def test_the_run_paths_read_no_text_output(cfg2d, cfg1d, tmp_path, monkeypatch):
+    """`run-adjoint`, `run-forward --strategy adjoint` and `xt-map` read no text
+    file through `runio.read_lines`: the store is read as arrays.  The text
+    readers parse line by line, which is plain but not fast; if a text read
+    joined one of these paths, its speed would become a measured cost."""
+    from adjamr import runio
+
+    def refuse(path):
+        raise AssertionError(f"read_lines({path!r}) on a run path")
+    bound = [m for name, m in sorted(sys.modules.items()) if name.startswith("adjamr")
+             and getattr(m, "read_lines", None) is runio.read_lines]
+    assert runio in bound
+    for module in bound:
+        monkeypatch.setattr(module, "read_lines", refuse)
+    out = str(tmp_path / "out")
+    assert main(["run-adjoint", "--config", cfg2d, "--out", out]) == 0
+    assert main(["run-forward", "--config", cfg2d, "--out", out, "--strategy", "adjoint"]) == 0
+    assert main(["xt-map", "--config", cfg1d, "--out", str(tmp_path / "xt"),
+                 "--threshold", "0.1"]) == 0
 
 
 def _old_text_store(out):

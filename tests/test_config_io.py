@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import importlib
 import os
+import pathlib
 import re
 
 import numpy as np
@@ -171,12 +173,23 @@ def test_bundled_configs_stay_valid_for_benchmark_seeds(monkeypatch):
                 parse_config(variant)
 
 
-def test_benchmark_layers_name_callables(monkeypatch):
+def test_benchmark_pins_resolve(monkeypatch):
+    # Every adjamr name the benchmark wraps or imports exists.  Otherwise only
+    # its traced mode would notice a deleted one, when `install` calls getattr.
     monkeypatch.syspath_prepend("perfbench")
     layers = importlib.import_module("layers")
     for mod, fn, _ in layers.LAYERS:
         assert callable(getattr(importlib.import_module(f"adjamr.{mod}"), fn, None)), \
             f"adjamr.{mod}.{fn}"
+    wrapped = {f"{mod}.{fn}" for mod, fn, _ in layers.LAYERS}
+    assert set(layers.PHASES) <= wrapped and set(layers.SETUP) <= wrapped
+    for path in sorted(pathlib.Path("perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "adjamr" in ast.unparse(node):
+                try:
+                    exec(compile(ast.Module([node], []), str(path), "exec"), {})
+                except ImportError as exc:
+                    pytest.fail(f"{path}:{node.lineno}: {ast.unparse(node)}: {exc}")
 
 
 def test_benchmark_traced_run_and_rebuilt_frames_keep_J(monkeypatch):
@@ -707,6 +720,14 @@ MALFORMED_STORES = {
     "wet mask without snapshots' cells": (
         lambda d: np.save(d / "wet_mask.npy", np.ones((2, 4), dtype=bool)),
         "{dir}/wet_mask.npy: shape (2, 4) differs from the snapshots' (4,)"),
+    # the last one won before, here giving a bare ValueError of the window
+    "repeated key": (_edit("index.txt", lambda b: b + b"t_final = 0.25\n"),
+                     "{dir}/index.txt:6: repeated 't_final' (line 2)"),
+    # these two raised a bare ValueError before
+    "window backwards": (_edit("index.txt", lambda b: b.replace(b"t_start = 0.5", b"t_start = 2")),
+                         "{dir}/index.txt:1: t_start must be <= t_final"),
+    "uneven times": (_edit("index.txt", lambda b: b.replace(b"0.5 1\n", b"0.501 1\n")),
+                     "{dir}/index.txt:5: snapshot times must be strictly increasing and uniform"),
 }
 
 
@@ -863,6 +884,47 @@ def test_read_xt_table_names_a_malformed_row(tmp_path, text, line, why):
     with pytest.raises(TableFormatError) as info:
         read_xt_table(str(path))
     assert str(info.value) == f"{path}:{line}: {why}"
+
+
+def _gauge(path):
+    s = read_gauge(path)
+    return s.gauge_id, s.location, s.times, np.array(s.values).tolist()
+
+
+def _xt_table(path):
+    from adjamr.driver import read_xt_table
+    return [a.tolist() for a in read_xt_table(path)]
+
+
+# reader, and a table of three lines that it reads
+TEXT_TABLES = {
+    "gauge": (_gauge, "# gauge 2 at 0.5,1.5\n0,1,2\n0.5,3,4\n"),
+    "xt": (_xt_table, "# x: 0.5 1.5\n0 1 0\n0.1 0 1\n"),
+    "timing": (read_timing, "adjoint_wall_seconds = 0.5\ncell_steps_level_1 = 12\n"
+                            "flagged_cells_per_regrid = 3 9\n"),
+}
+
+
+@pytest.mark.parametrize("table, bad, why", [
+    ("gauge", "0.75,x,4", "malformed number"),
+    ("gauge", "0.75,4", "expected 2 commas"),
+    ("xt", "0.2 x 1", "malformed number"),
+    ("xt", "0.2 1", "expected 3 values"),
+    ("xt", "0.2 1 2", "flags must be 0 or 1"),
+    ("timing", "cell_steps_level_1 = 12x", "malformed 'cell_steps_level_1' entry"),
+])
+def test_text_readers_read_crlf_as_lf(tmp_path, table, bad, why):
+    read, text = TEXT_TABLES[table]
+    path = tmp_path / "t.txt"
+    got = []
+    for newline in ("\n", "\r\n"):
+        path.write_bytes(text.replace("\n", newline).encode())
+        got.append(read(str(path)))
+        path.write_bytes((text + bad + "\n").replace("\n", newline).encode())
+        with pytest.raises(TableFormatError) as info:
+            read(str(path))
+        assert str(info.value) == f"{path}:4: {why}"
+    assert got[0] == got[1]
 
 
 def test_compare_gauges_identical_and_offset():
