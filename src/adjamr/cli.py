@@ -9,6 +9,7 @@ convergence.txt).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -144,11 +145,27 @@ def cmd_xt_map(args) -> int:
     store = _get_store(args, required=False)
     if store is None:
         store, _ = driver.run_adjoint(cfg, out_dir=args.out)
-    xs, times, mq, mqh, mi = driver.run_xt_map(cfg, store, args.threshold)
-    driver.write_xt_table(os.path.join(args.out, "xt_q.txt"), xs, times, mq)
-    driver.write_xt_table(os.path.join(args.out, "xt_qhat.txt"), xs, times, mqh)
-    driver.write_xt_table(os.path.join(args.out, "xt_inner.txt"), xs, times, mi)
-    print(f"x-t masks: {len(times)} rows x {len(xs)} cells -> {args.out}/xt_*.txt")
+    paths = [os.path.join(args.out, f"xt_{key}.txt") for key in ("q", "qhat", "inner")]
+    shape = [0, 0]                                  # rows and cells written
+
+    def write(xs, times, masks):
+        for f, rows in zip(files, driver.xt_rows(times, masks)):
+            f.write(rows if f.tell() else driver.xt_header(xs) + rows)
+        shape[:] = shape[0] + len(times), len(xs)
+
+    # the tables are written under temporary names and renamed once the run
+    # has ended, so a failed run leaves no partial table and keeps older ones
+    try:
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(p + ".tmp", "wb")) for p in paths]
+            driver.run_xt_map(cfg, store, args.threshold, sink=write)
+        for p in paths:
+            os.replace(p + ".tmp", p)
+    finally:
+        for p in paths:
+            if os.path.exists(p + ".tmp"):
+                os.remove(p + ".tmp")
+    print(f"x-t masks: {shape[0]} rows x {shape[1]} cells -> {args.out}/xt_*.txt")
     return 0
 
 

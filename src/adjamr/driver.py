@@ -11,6 +11,7 @@ import os
 import time as _time
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -214,12 +215,14 @@ def check_xt_threshold(threshold: float):
         raise ValueError(f"the x-t threshold must be positive and finite, not {threshold!r}")
 
 
-def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
+def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float, sink=None):
     """Space-time masks |q|_1 >= v, windowed |q̂|_1 >= v, windowed |q̂·q| >= v,
     for a positive finite v.  Runs the 1D problem on its coarse grid as a
     one-level hierarchy and samples blocks of at most GATHER_VALUES state
     values; |q̂·q| is evaluated only where its bound max|q̂|·|q|_1 reaches v.
-    Returns (x_centers, times, mask_q, mask_qhat, mask_inner).
+    Each block goes to `sink(x_centers, times, masks)`, masks a (3, rows,
+    cells) bool array, and is then dropped.  With no sink the blocks are kept
+    and (x_centers, times, mask_q, mask_qhat, mask_inner) returned.
     """
     check_xt_threshold(threshold)
     if cfg.ndim != 1:
@@ -238,26 +241,26 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
     qhat = qhat.reshape(*store.stack.shape[:2], -1)
     qhat_norm, qhat_max = np.sum(np.abs(qhat), axis=1), np.max(np.abs(qhat), axis=1)
 
-    dt = cfg.dt_fixed or select_dt(h, cfg.courant, cfg.dt_max)
-    rows = math.ceil((cfg.t_final - cfg.t0) / dt) + 1      # march's steps and t0
-    times, (mq, mqh, mi) = np.empty(rows), np.zeros((3, rows, len(xs)), bool)
+    kept = []
+    emit = sink or (lambda xs, times, masks: kept.append((times, masks)))
     block = np.empty((max(1, adj.GATHER_VALUES // patch.interior().size),
                       *patch.interior().shape))
-    done = [0, 0]                # rows sampled, rows in the block
+    stamps, done = np.empty(len(block)), [0]     # the block's times and rows
     last = [None]                # the latest window, its |q̂|_1 mask and slack max|q̂|
 
     def sample_block():
-        n0, k = done
-        q, qn = block[:k], np.sum(np.abs(block[:k]), axis=1)
-        mq[n0:n0 + k] = qn >= threshold
-        lo, hi = adj.query_window_times(times[n0:n0 + k], window, store)
+        k = done[0]
+        times, q, qn = stamps[:k].copy(), block[:k], np.sum(np.abs(block[:k]), axis=1)
+        mq, mqh, mi = masks = np.zeros((3, k, len(xs)), bool)
+        mq[:] = qn >= threshold
+        lo, hi = adj.query_window_times(times, window, store)
         runs = np.flatnonzero(np.diff(lo, prepend=-1) | np.diff(hi, prepend=-1))
         for a, b in zip(runs, [*runs[1:], k]):      # steps a..b-1 share one window
             w = slice(lo[a], hi[a])
             if last[0] != w:
                 last[:] = (w, np.max(qhat_norm[w], axis=0, initial=0.0) >= threshold,
                            np.max(qhat_max[w], axis=0, initial=0.0) * (1.0 + adj.BOUND_SLACK))
-            mqh[n0 + a:n0 + b] = last[1]
+            mqh[a:b] = last[1]
             # |q̂·q| <= max|q̂|·|q|_1: only pairs whose bound reaches v are evaluated
             r, x = np.divmod(np.flatnonzero(qn[a:b] * last[2] + adj.BOUND_FLOOR >= threshold),
                              len(xs))
@@ -266,40 +269,49 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float):
                 rc, xc = r[c:c + per] + a, x[c:c + per]
                 s = qhat[w][:, :, xc]
                 inner = np.abs(s[:, 0] * q[rc, 0, xc] + s[:, 1] * q[rc, 1, xc])   # m = 2
-                mi[n0 + rc, xc] = np.max(inner, axis=0, initial=0.0) >= threshold
-        done[:] = n0 + k, 0
+                mi[rc, xc] = np.max(inner, axis=0, initial=0.0) >= threshold
+        done[0] = 0
+        emit(xs, times, masks)
 
     def sample(p):
-        if sum(done) == rows:
-            raise RuntimeError(f"the x-t map took more than the {rows - 1} steps "
-                               f"of dt = {dt!r} it was sized for")
-        times[sum(done)], block[done[1]] = p.time, p.interior()
-        done[1] += 1
-        if done[1] == len(block):
+        stamps[done[0]], block[done[0]] = p.time, p.interior()
+        done[0] += 1
+        if done[0] == len(block):
             sample_block()
 
     sample(patch)
     ctx.on_level_advanced = lambda h, level, t: sample(patch)
+    dt = cfg.dt_fixed or select_dt(h, cfg.courant, cfg.dt_max)
     march(lambda: patch.time, lambda step: advance_hierarchy(h, 1, step, ctx), cfg.t_final, dt)
-    sample_block()
-    n = done[0]
-    return xs, times[:n], mq[:n], mqh[:n], mi[:n]
+    if done[0]:
+        sample_block()
+    if sink is None:
+        return xs, np.concatenate([t for t, _ in kept]), *np.concatenate([m for _, m in kept], 1)
+
+
+def xt_header(xs) -> bytes:
+    """The `# x:` line of an x-t table: the cell centres at 17 digits."""
+    return ("# x: " + "".join(format_rows(np.asarray(xs)[None]))).encode()
+
+
+def xt_rows(times, masks) -> list:
+    """The lines of a block of rows of x-t tables, one bytes per table of
+    `masks` (tables, rows, cells): each row's time, then a 0/1 flag per cell."""
+    width = 2 * masks.shape[2] + 1          # " 0" per cell, then the newline
+    flags = np.full((*masks.shape[:2], width), ord(" "), dtype=np.uint8)
+    flags[:, :, 1::2] = masks + np.uint8(ord("0"))     # stays uint8 for a bool mask
+    flags[:, :, -1] = ord("\n")
+    stamps = [b"%.17g" % t for t in np.asarray(times).tolist()]     # once for all tables
+    return [b"".join(chain.from_iterable(zip(stamps, table))) for table in flags]
 
 
 def write_xt_table(path: str, xs, times, mask):
     """`# x: ...` then one line per time: the time and a 0/1 flag per cell."""
-    width = 2 * len(xs) + 1                 # " 0" per cell, then the newline
-    step = max(1, CHUNK_BYTES // width)
+    step = max(1, CHUNK_BYTES // (2 * len(xs) + 1))
     with open(path, "wb") as f:
-        f.write(("# x: " + "".join(format_rows(np.asarray(xs)[None]))).encode())
+        f.write(xt_header(xs))
         for c in range(0, len(times), step):
-            block = np.asarray(mask[c:c + step])
-            flags = np.full((len(block), width), ord(" "), dtype=np.uint8)
-            flags[:, 1::2] = block + ord("0")
-            flags[:, -1] = ord("\n")
-            buf = flags.tobytes()
-            f.write(b"".join(b"%.17g%s" % (t, buf[i * width:(i + 1) * width])
-                             for i, t in enumerate(times[c:c + step])))
+            f.writelines(xt_rows(times[c:c + step], np.asarray(mask[c:c + step])[None]))
 
 
 def read_xt_table(path: str):
@@ -308,9 +320,13 @@ def read_xt_table(path: str):
         raise TableFormatError(f"{path}:1: expected '# x:'")
     xs = read_rows([lines[0][4:]], len(lines[0][4:].split()), lambda j, why: (
         TableFormatError(f"{path}:1: {why}")))[0]
-    table = read_rows(lines[1:], len(xs) + 1, lambda j, why: TableFormatError(
-        f"{path}:{j + 2}: {why}"))
-    flagged = np.isin(table[:, 1:], (0, 1)).all(axis=1)
-    if not flagged.all():
-        raise TableFormatError(f"{path}:{flagged.argmin() + 2}: flags must be 0 or 1")
-    return xs, table[:, 0], table[:, 1:] == 1
+    times, flags = np.empty(len(lines) - 1), np.empty((len(lines) - 1, len(xs)), bool)
+    step = max(1, CHUNK_BYTES // (8 * (len(xs) + 1)))     # rows converted at a time
+    for c in range(0, len(lines) - 1, step):
+        table = read_rows(lines[c + 1:c + 1 + step], len(xs) + 1, lambda j, why: (
+            TableFormatError(f"{path}:{c + j + 2}: {why}")))
+        flagged = np.isin(table[:, 1:], (0, 1)).all(axis=1)
+        if not flagged.all():
+            raise TableFormatError(f"{path}:{c + flagged.argmin() + 2}: flags must be 0 or 1")
+        times[c:c + step], flags[c:c + step] = table[:, 0], table[:, 1:] == 1
+    return xs, times, flags

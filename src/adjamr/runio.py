@@ -201,9 +201,11 @@ def load_store(directory: str) -> AdjointSnapshotStore:
     if not os.path.exists(index):
         raise FileNotFoundError(f"no adjoint store at {directory}")
     lines, entries = {}, {}
-    with open(index) as f:
+    with open(index, newline="") as f:      # endings as stored, so a lone CR is seen
         for lineno, line in enumerate(f, start=1):
             key, _, val = line.partition("=")
+            if line.endswith("\r"):
+                raise StoreFormatError(f"{index}:{lineno}: malformed {key.strip()!r} entry")
             lines.setdefault(key.strip(), []).append((lineno, val.split()))
     stack_path, mask = os.path.join(directory, "stack.npy"), os.path.join(directory, "wet_mask.npy")
     if "snapshot" in lines and not os.path.exists(stack_path):
@@ -374,11 +376,13 @@ def write_timing(report: TimingReport, path: str):
 
 def read_timing(path: str) -> TimingReport:
     rep = TimingReport()
-    with open(path) as f:
+    with open(path, newline="") as f:       # endings as stored, so a lone CR is seen
         for k, line in enumerate(f, 1):
             key, _, val = line.partition("=")
             key = key.strip()
             toks = val.split()
+            if line.endswith("\r"):
+                raise TableFormatError(f"{path}:{k}: malformed {key!r} entry")
             try:
                 if key == "adjoint_wall_seconds":
                     rep.adjoint_wall_seconds = float(toks[0])

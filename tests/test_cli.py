@@ -1,10 +1,13 @@
 import filecmp
+import importlib
 import os
 import sys
+import tracemalloc
 
 import pytest
 
 import adjamr.driver as driver
+from adjamr.adjoint import GATHER_VALUES
 from adjamr.cli import main
 from adjamr.config import parse_config
 from adjamr.runio import load_store, read_timing
@@ -347,3 +350,81 @@ def test_an_old_text_store_is_refused(cfg2d, cfg1d, tmp_path, capsys, command):
                                        f"written by an earlier adjamr; run run-adjoint again\n")
     assert not os.path.exists(os.path.join(out, "snapshots"))
     assert not os.path.exists(os.path.join(out, "xt_q.txt"))
+
+
+# 224 rows of 400 cells: two blocks of 81 rows, then a partial one
+XT_1D = SMALL_1D.replace("nx = 64", "nx = 400")
+XT_KEYS = ("q", "qhat", "inner")
+
+
+@pytest.fixture(scope="module")
+def xt_run(tmp_path_factory):
+    """The tables `xt-map` wrote, and run_xt_map's masks on the store it solved."""
+    tmp = tmp_path_factory.mktemp("xt")
+    path, out = tmp / "xt.cfg", tmp / "out"
+    path.write_text(XT_1D)
+    assert main(["xt-map", "--config", str(path), "--out", str(out), "--threshold", "0.1"]) == 0
+    return out, driver.run_xt_map(parse_config(XT_1D), load_store(str(out / "adjoint")), 0.1)
+
+
+def test_xt_map_streams_the_tables_write_xt_table_writes(xt_run, tmp_path):
+    out, (xs, times, *masks) = xt_run
+    block = GATHER_VALUES // (2 * len(xs))
+    assert len(times) > block and len(times) % block and all(m.any() for m in masks)
+    assert sorted(os.listdir(out)) == ["adjoint", *sorted(f"xt_{k}.txt" for k in XT_KEYS)]
+    for key, mask in zip(XT_KEYS, masks):
+        driver.write_xt_table(str(tmp_path / key), xs, times, mask)
+        assert (out / f"xt_{key}.txt").read_bytes() == (tmp_path / key).read_bytes(), key
+
+
+def test_benchmark_xt_counts_read_the_streamed_tables(xt_run, monkeypatch):
+    # the benchmark checks interface-xt by counting the tables' flags
+    monkeypatch.syspath_prepend("perfbench")
+    checks = importlib.import_module("checks")
+    out, (xs, times, *masks) = xt_run
+    assert checks.xt_counts_of_files(str(out)) == checks.xt_counts_of_masks(
+        xs, times, dict(zip(XT_KEYS, masks)))
+
+
+def test_a_failed_xt_map_leaves_no_table(tmp_path, monkeypatch, capsys):
+    path, out = tmp_path / "xt.cfg", tmp_path / "out"
+    path.write_text(XT_1D)
+    out.mkdir()
+    (out / "xt_q.txt").write_text("an earlier table\n")
+    advance, steps = driver.advance_hierarchy, []
+
+    def fail_after_a_block(*args):
+        steps.append(args)
+        if len(steps) == 100:
+            written = [n for n in os.listdir(out) if n not in ("adjoint", "xt_q.txt")]
+            assert len(written) == 3 and all(os.path.getsize(out / n) for n in written)
+            raise RuntimeError("step failed")
+        return advance(*args)
+
+    monkeypatch.setattr(driver, "advance_hierarchy", fail_after_a_block)
+    assert main(["xt-map", "--config", str(path), "--out", str(out), "--threshold", "0.1"]) == 1
+    assert capsys.readouterr().err.endswith("error: RuntimeError: step failed\n")
+    assert sorted(os.listdir(out)) == ["adjoint", "xt_q.txt"]
+    assert (out / "xt_q.txt").read_text() == "an earlier table\n"
+
+
+def test_xt_map_with_a_sink_holds_no_mask_of_the_run():
+    # 835 rows of 1,500 cells: the three masks (3.8 MB) outweigh the rest of
+    # the run, whose blocks hold 21 rows
+    cfg = parse_config(SMALL_1D.replace("nx = 64", "nx = 1500"))
+    store, _ = driver.run_adjoint(cfg)
+    shape = [0, 0]
+
+    def count(xs, times, masks):
+        assert masks.shape == (3, len(times), len(xs)) and len(times) <= 21
+        shape[:] = shape[0] + len(times), len(xs)
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert driver.run_xt_map(cfg, store, 0.1, sink=count) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shape[0] == 835
+    assert peak < 3 * shape[0] * shape[1]

@@ -728,6 +728,9 @@ MALFORMED_STORES = {
                          "{dir}/index.txt:1: t_start must be <= t_final"),
     "uneven times": (_edit("index.txt", lambda b: b.replace(b"0.5 1\n", b"0.501 1\n")),
                      "{dir}/index.txt:5: snapshot times must be strictly increasing and uniform"),
+    # a lone CR ended a line in text mode, so this read as a whole index
+    "lone CR": (_edit("index.txt", lambda b: b.replace(b"t_final = 1\n", b"t_final = 1\r")),
+                "{dir}/index.txt:2: malformed 't_final' entry"),
 }
 
 
@@ -876,6 +879,7 @@ def test_read_gauge_names_a_malformed_row(tmp_path, text, line, why):
     ("0 1 0\n", 1, "expected '# x:'"),
     ("# x: 0.5 1.5\n0 1 0\nt 1 1\n", 3, "malformed number"),
     ("# x: 0.5 x\n0 1 0\n", 1, "malformed number"),
+    ("# x: 0.5 1.5\n" + "0 1 0\n" * 3000 + "0.1 1 2\n", 3002, "flags must be 0 or 1"),
 ])
 def test_read_xt_table_names_a_malformed_row(tmp_path, text, line, why):
     from adjamr.driver import read_xt_table
@@ -970,7 +974,8 @@ def test_timing_empty_flag_list(tmp_path):
     assert read_timing(str(tmp_path / "t.txt")).flagged_per_regrid == []
 
 
-@pytest.mark.parametrize("line", ["cell_steps_level_1 = 12x", "cell_steps_level_one = 5"])
+@pytest.mark.parametrize("line", ["cell_steps_level_1 = 12x", "cell_steps_level_one = 5",
+                                  "cell_steps_level_1 = 12\rflagged_cells_per_regrid = 3"])
 def test_timing_bad_value_names_file_and_line(tmp_path, line):
     path = str(tmp_path / "t.txt")
     with open(path, "w") as f:
