@@ -22,7 +22,9 @@ from .geometry import (Patch, PatchHierarchy, UniformField, apply_stencil, field
 from .solver import BoundarySpec, march, select_dt
 
 
-GATHER_VALUES = 1 << 16     # most samples per gather of the windowed inner product
+# The one budget for every gather of store samples: a slab of snapshots of
+# the windowed inner product or of the x-t map's window, and an x-t block's rows.
+GATHER_VALUES = 1 << 15
 
 # Slack on the envelope bound of the windowed inner product.  Evaluated,
 # |q̂·q| rounds up at most some ten half-ulps: c = 1 - w, the 2d products
@@ -222,18 +224,24 @@ def _adjoint_dry_at(store: AdjointSnapshotStore, *coords):
                             for c, o, w, n in zip(coords, g.origin, g.widths, g.shape))]
 
 
-def _window_max(stencil, q, store: AdjointSnapshotStore, window_idx):
-    """max over the consecutive snapshots `window_idx` of |q̂·q| at the
-    stencil's points, q being (m, *points); each slab of at most
-    GATHER_VALUES samples is one take per stencil corner."""
-    best = np.zeros(q.shape[1:])
-    per_slab = max(1, GATHER_VALUES // max(q.size, 1))
+def window_slabs(stencil, store: AdjointSnapshotStore, window_idx, shape):
+    """q̂ at the stencil's points over the consecutive snapshots `window_idx`,
+    as slabs (snapshots, *shape) of at most GATHER_VALUES samples (one
+    snapshot at least); `shape` is (m, *points)."""
+    per_slab = max(1, GATHER_VALUES // max(math.prod(shape), 1))
     for k in window_idx[::per_slab]:
         slab = store.stack[k:min(k + per_slab, window_idx[-1] + 1)]
-        qhat = apply_stencil(stencil, slab.reshape(-1, *slab.shape[2:]))
-        qhat = qhat.reshape(len(slab), *q.shape)
+        yield apply_stencil(stencil, slab.reshape(-1, *slab.shape[2:])).reshape(len(slab), *shape)
+
+
+def window_max(stencil, q, store: AdjointSnapshotStore, window_idx):
+    """max over the consecutive snapshots `window_idx` of |q̂·q| at the
+    stencil's points, q being (m, *points), a slab of snapshots at a time."""
+    best = np.zeros(q.shape[1:])
+    for qhat in window_slabs(stencil, store, window_idx, q.shape):
         qhat *= q
         np.maximum(best, np.max(np.abs(np.sum(qhat, axis=1)), axis=0), out=best)
+        del qhat                 # before the next slab is gathered
     return best
 
 
@@ -244,8 +252,8 @@ def inner_product_field(patch: Patch, t: float, store: AdjointSnapshotStore,
         raise ConfigurationError("adjoint flagging requires a snapshot store")
     spec = patch.spec
     coords = np.ix_(*spec.cell_centers())
-    best = _window_max(field_stencil(store.grid, *coords), patch.interior(), store,
-                       query_window_times(t, window, store))
+    best = window_max(field_stencil(store.grid, *coords), patch.interior(), store,
+                      query_window_times(t, window, store))
     best = np.where(wet_cells(patch.aux)[spec.interior_slices()], best, 0.0)
     dry = _adjoint_dry_at(store, *coords)
     if dry is not None:
@@ -302,7 +310,7 @@ class AdjointFlagging(FlaggingStrategy):
         corner = np.max([env.take(f, axis=1) for f in stencil.flat], axis=0)
         bound = np.sum(corner * np.abs(q), axis=0)
         keep = np.flatnonzero(bound * (1.0 + BOUND_SLACK) + BOUND_FLOOR > self.tolerance)
-        values = _window_max(stencil.subset(keep), q[:, keep], self.store, window_idx)
+        values = window_max(stencil.subset(keep), q[:, keep], self.store, window_idx)
         flags[live[keep]] = values > self.tolerance
         return flags
 

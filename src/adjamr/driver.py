@@ -10,8 +10,8 @@ import math
 import os
 import time as _time
 from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import chain
+from functools import lru_cache, partial
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .amr import (AmrContext, DifferenceFlagging, EverywhereFlagging,
 from .adjoint import AdjointFlagging, AdjointSnapshotStore, ConfigurationError
 from .config import (ConfigError, RunConfig, build_equation, build_initial,
                      standing_mode_solution)
-from .geometry import PatchHierarchy, apply_stencil, field_stencil
+from .geometry import PatchHierarchy, field_stencil
 from .runio import (CHUNK_BYTES, GaugeSeries, TableFormatError, TimingReport,
                     format_rows, read_lines, read_rows, record_gauge, save_store,
                     write_gauge, write_snapshot, write_timing)
@@ -219,7 +219,9 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float, si
     """Space-time masks |q|_1 >= v, windowed |q̂|_1 >= v, windowed |q̂·q| >= v,
     for a positive finite v.  Runs the 1D problem on its coarse grid as a
     one-level hierarchy and samples blocks of at most GATHER_VALUES state
-    values; |q̂·q| is evaluated only where its bound max|q̂|·|q|_1 reaches v.
+    values.  Whenever the window changes, its |q̂|_1 and max|q̂| are reduced
+    from the store a slab of snapshots at a time; |q̂·q| is evaluated, by
+    `adjoint.window_max`, only where its bound max|q̂|·|q|_1 reaches v.
     Each block goes to `sink(x_centers, times, masks)`, masks a (3, rows,
     cells) bool array, and is then dropped.  With no sink the blocks are kept
     and (x_centers, times, mask_q, mask_qhat, mask_inner) returned.
@@ -233,43 +235,41 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float, si
     h = init_hierarchy(replace(cfg, max_levels=1, ratios=()), ctx)
     patch = h.patches(1)[0]
     xs, = patch.spec.cell_centers()
-    window = cfg.window()
-    # every snapshot is sampled on the run's grid once; a block then only
-    # takes its windows' rows
-    stencil = field_stencil(store.grid, xs)
-    qhat = apply_stencil(stencil, store.stack.reshape(-1, store.stack.shape[-1]))
-    qhat = qhat.reshape(*store.stack.shape[:2], -1)
-    qhat_norm, qhat_max = np.sum(np.abs(qhat), axis=1), np.max(np.abs(qhat), axis=1)
+    window, stencil = cfg.window(), field_stencil(store.grid, xs)
 
     kept = []
     emit = sink or (lambda xs, times, masks: kept.append((times, masks)))
     block = np.empty((max(1, adj.GATHER_VALUES // patch.interior().size),
                       *patch.interior().shape))
     stamps, done = np.empty(len(block)), [0]     # the block's times and rows
-    last = [None]                # the latest window, its |q̂|_1 mask and slack max|q̂|
+
+    @lru_cache(maxsize=1)        # a window lasts for many blocks
+    def window_bounds(w):
+        """The mask |q̂|_1 >= v and max|q̂| with slack over the snapshots w."""
+        norm, top = np.zeros((2, len(xs)))
+        for s in adj.window_slabs(stencil, store, w, block.shape[1:]):
+            np.abs(s, out=s)
+            np.maximum(norm, np.max(np.sum(s, axis=1), axis=0), out=norm)
+            np.maximum(top, np.max(s, axis=(0, 1)), out=top)
+        return norm >= threshold, top * (1.0 + adj.BOUND_SLACK)
 
     def sample_block():
         k = done[0]
-        times, q, qn = stamps[:k].copy(), block[:k], np.sum(np.abs(block[:k]), axis=1)
+        times, q, qn = stamps[:k].copy(), block[:k], np.abs(block[:k, 0])
+        for c in range(1, q.shape[1]):      # |q|_1 with no temporary of the block's size
+            qn += np.abs(q[:, c])
         mq, mqh, mi = masks = np.zeros((3, k, len(xs)), bool)
         mq[:] = qn >= threshold
         lo, hi = adj.query_window_times(times, window, store)
-        runs = np.flatnonzero(np.diff(lo, prepend=-1) | np.diff(hi, prepend=-1))
-        for a, b in zip(runs, [*runs[1:], k]):      # steps a..b-1 share one window
-            w = slice(lo[a], hi[a])
-            if last[0] != w:
-                last[:] = (w, np.max(qhat_norm[w], axis=0, initial=0.0) >= threshold,
-                           np.max(qhat_max[w], axis=0, initial=0.0) * (1.0 + adj.BOUND_SLACK))
-            mqh[a:b] = last[1]
+        b = 0
+        for w, run in groupby(map(range, lo.tolist(), hi.tolist())):
+            a, b = b, b + len(list(run))        # steps a..b-1 share window w
+            mqh[a:b], top = window_bounds(w)
             # |q̂·q| <= max|q̂|·|q|_1: only pairs whose bound reaches v are evaluated
-            r, x = np.divmod(np.flatnonzero(qn[a:b] * last[2] + adj.BOUND_FLOOR >= threshold),
+            r, x = np.divmod(np.flatnonzero(qn[a:b] * top + adj.BOUND_FLOOR >= threshold),
                              len(xs))
-            per = max(1, adj.GATHER_VALUES // (w.stop - w.start + 1))
-            for c in range(0, len(r), per):
-                rc, xc = r[c:c + per] + a, x[c:c + per]
-                s = qhat[w][:, :, xc]
-                inner = np.abs(s[:, 0] * q[rc, 0, xc] + s[:, 1] * q[rc, 1, xc])   # m = 2
-                mi[rc, xc] = np.max(inner, axis=0, initial=0.0) >= threshold
+            r += a
+            mi[r, x] = adj.window_max(stencil.subset(x), q[r, :, x].T, store, w) >= threshold
         done[0] = 0
         emit(xs, times, masks)
 

@@ -1,6 +1,8 @@
 import filecmp
 import importlib
 import os
+import re
+import subprocess
 import sys
 import tracemalloc
 
@@ -352,7 +354,7 @@ def test_an_old_text_store_is_refused(cfg2d, cfg1d, tmp_path, capsys, command):
     assert not os.path.exists(os.path.join(out, "xt_q.txt"))
 
 
-# 224 rows of 400 cells: two blocks of 81 rows, then a partial one
+# 224 rows of 400 cells: five blocks of 40 rows, then a partial one
 XT_1D = SMALL_1D.replace("nx = 64", "nx = 400")
 XT_KEYS = ("q", "qhat", "inner")
 
@@ -408,15 +410,19 @@ def test_a_failed_xt_map_leaves_no_table(tmp_path, monkeypatch, capsys):
     assert (out / "xt_q.txt").read_text() == "an earlier table\n"
 
 
-def test_xt_map_with_a_sink_holds_no_mask_of_the_run():
+@pytest.mark.parametrize("snapshot_dt", ["0.125", "0.005"])
+def test_xt_map_with_a_sink_holds_no_mask_of_the_run(snapshot_dt):
     # 835 rows of 1,500 cells: the three masks (3.8 MB) outweigh the rest of
-    # the run, whose blocks hold 21 rows
-    cfg = parse_config(SMALL_1D.replace("nx = 64", "nx = 1500"))
+    # the run, whose blocks hold 10 rows.  At snapshot_dt = 0.005 the store
+    # holds 101 snapshots (2.4 MB), and the run holds no copy of it either
+    cfg = parse_config(SMALL_1D.replace("nx = 64", "nx = 1500").replace(
+        "snapshot_dt = 0.125", f"snapshot_dt = {snapshot_dt}"))
     store, _ = driver.run_adjoint(cfg)
     shape = [0, 0]
 
     def count(xs, times, masks):
-        assert masks.shape == (3, len(times), len(xs)) and len(times) <= 21
+        assert masks.shape == (3, len(times), len(xs))
+        assert len(times) <= GATHER_VALUES // (2 * len(xs))
         shape[:] = shape[0] + len(times), len(xs)
 
     tracemalloc.start()
@@ -428,3 +434,20 @@ def test_xt_map_with_a_sink_holds_no_mask_of_the_run():
         tracemalloc.stop()
     assert shape[0] == 835
     assert peak < 3 * shape[0] * shape[1]
+    if snapshot_dt == "0.005":
+        assert len(store.times) == 101 and peak < store.stack.nbytes / 2
+
+
+def test_peak_memory_prints_three_rising_peaks_per_config(tmp_path):
+    # scripts/peak_memory.py runs each config in a fresh process
+    (tmp_path / "a.cfg").write_text(SMALL_1D)
+    (tmp_path / "b.cfg").write_text(SMALL_2D)
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "peak_memory.py")
+    out = subprocess.run([sys.executable, script, "--config-dir", str(tmp_path)],
+                         check=True, capture_output=True, text=True).stdout
+    lines = [re.fullmatch(r"(\w+)\.(\w+)_mb = (\d+\.\d\d)", line) for line in out.splitlines()]
+    assert all(lines) and [m[1] for m in lines] == ["a"] * 3 + ["b"] * 3
+    for k in (0, 3):
+        assert [m[2] for m in lines[k:k + 3]] == ["imports", "adjoint", "forward"]
+        peaks = [float(m[3]) for m in lines[k:k + 3]]
+        assert 0 < peaks[0] <= peaks[1] <= peaks[2]

@@ -4,17 +4,58 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from adjamr import adjoint as adjoint_module
 from adjamr.adjoint import (GATHER_VALUES, AdjointFlagging, ConfigurationError,
                             query_window_times)
 from adjamr.amr import AmrContext, EverywhereFlagging
 from adjamr.config import GaugeSpec, build_equation, build_initial, parse_config
 from adjamr.driver import init_hierarchy, make_strategy, run_adjoint, run_forward, run_xt_map
 from adjamr.geometry import UniformField, apply_stencil, field_stencil
-from adjamr.runio import load_store, write_snapshot
+from adjamr.runio import compare_gauges, load_store, write_snapshot
 from adjamr.solver import integrate_patch
 
 CFG_1D = open("configs/1d-interface.cfg").read()
 CFG_SWE = open("configs/swe-basin.cfg").read()
+
+# 2d-walls-timerange in small: a ring crossing to a box watched over 1 <= t <= 3
+CFG_2D_WALLS = """
+[problem]
+equation = acoustics-2d
+xlim = -2 4
+ylim = -1 5
+nx = 32
+ny = 32
+t_final = 3
+
+[material]
+bulk = constant 4.0
+density = constant 1.0
+
+[initial]
+profile = cosine_hump 1.0 0.0 1.0 0.5 0.15
+
+[boundary]
+left = wall
+right = wall
+bottom = wall
+top = wall
+
+[amr]
+max_levels = 3
+ratios = 2 2
+strategy = adjoint
+tolerance = 0.01
+
+[functional]
+shape = box 2.0 2.5 0.0 0.5
+component = 0
+weight = 2.0
+t_start = 1
+
+[output]
+num_frames = 3
+gauge = 1 2.25 0.25
+"""
 
 
 def test_adjoint_pulse_splits_left_and_right():
@@ -63,6 +104,19 @@ def test_swe_adjoint_flags_fewer_than_surface():
     assert adj.timing.fine_cell_steps() < surf.timing.fine_cell_steps()
 
 
+def test_adjoint_amr_gauge_tracks_the_uniform_run_at_the_finest_width():
+    # max-abs gauge differences per component were (0.00485, 0.00265, 0.00102);
+    # with a coarse-fine ghost fill that drops its time blend they read
+    # (0.0061, 0.0032, 0.0017), and difference flagging reads 0.0068 in p
+    cfg = parse_config(CFG_2D_WALLS)
+    store, _ = run_adjoint(cfg)
+    amr = run_forward(cfg, "adjoint", store)
+    uniform = run_forward(replace(cfg, nx=4 * cfg.nx, ny=4 * cfg.ny, max_levels=1, ratios=()),
+                          "everywhere")
+    max_abs, _ = compare_gauges(uniform.gauges[1], amr.gauges[1])
+    assert np.all(max_abs <= [0.0053, 0.0029, 0.0011]), max_abs
+
+
 def test_gauge_identical_under_duplicate_strategy():
     cfg = parse_config(CFG_1D)
     cfg = replace(cfg, t_final=4.0, nx=200, output_times=(4.0,),
@@ -75,22 +129,33 @@ def test_gauge_identical_under_duplicate_strategy():
 
 
 def test_xt_map_equals_per_step_snapshot_loop():
-    # 557 rows: three blocks of 163 and a partial one
+    # 557 rows: six blocks of 81 and a partial one
     _assert_xt_map_equals_per_step_loop(200, None, 0.1, partial=True)
 
 
 @pytest.mark.parametrize("nx, dt_fixed, threshold, partial", [
     (200, None, 1e-12, True),        # the bound keeps almost every pair
-    (100, 20.0 / 653, 0.1, False),   # 654 rows: two full blocks of 327, none partial
+    (100, 20.0 / 651, 0.1, False),   # 652 rows: four full blocks of 163, none partial
 ])
 def test_xt_map_blocks_equal_per_step_snapshot_loop(nx, dt_fixed, threshold, partial):
     _assert_xt_map_equals_per_step_loop(nx, dt_fixed, threshold, partial)
 
 
+@pytest.mark.parametrize("budget", [1, 1009])
+@pytest.mark.parametrize("nx, dt_fixed, threshold, partial", [
+    (200, None, 0.1, True), (200, None, 1e-12, True), (100, 20.0 / 651, 0.1, False)])
+def test_xt_map_does_not_depend_on_the_gather_budget(nx, dt_fixed, threshold, partial, budget,
+                                                     monkeypatch):
+    # 1: blocks of one row, slabs of one snapshot; 1009 is no multiple of
+    # m × cells, so blocks and slabs leave part of it unused
+    monkeypatch.setattr(adjoint_module, "GATHER_VALUES", budget)
+    _assert_xt_map_equals_per_step_loop(nx, dt_fixed, threshold, partial)
+
+
 def _assert_xt_map_equals_per_step_loop(nx, dt_fixed, threshold, partial):
-    # the x-t map samples each store snapshot once per run and a block of
-    # steps at a time; its masks must equal a loop that samples every window
-    # snapshot again at every step
+    # the x-t map samples the store a slab of window snapshots and a block
+    # of steps at a time; its masks must equal a loop that samples every
+    # window snapshot again at every step
     cfg = replace(parse_config(CFG_1D), nx=nx, dt_fixed=dt_fixed)
     store, _ = run_adjoint(cfg)
     xs, times, mask_q, mask_qhat, mask_inner = run_xt_map(cfg, store, threshold)

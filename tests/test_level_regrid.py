@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adjamr import adjoint as adjoint_module
 from adjamr import equations as eqs
 from adjamr.adjoint import (AdjointFlagging, AdjointSnapshotStore, TimeWindow,
                             inner_product_field)
@@ -104,6 +105,25 @@ def test_bounded_level_adjoint_flags_equal_per_patch_inner_products(seed):
         got = np.zeros(level_shape, dtype=bool)
         got[lay.interior_cells[1]] = AdjointFlagging(store, window, tol).evaluate(lay, t)
         assert np.array_equal(got, want), (tol, np.argwhere(got != want)[:5])
+
+
+@pytest.mark.parametrize("budget", [1, 1009])
+@pytest.mark.parametrize("seed", range(8))
+def test_level_adjoint_flags_do_not_depend_on_the_gather_budget(seed, budget, monkeypatch):
+    # 1: slabs of one snapshot; 1009 is no multiple of m × cells.  The
+    # inner products at the default budget are the reference
+    h, patches, lay, store, window, t, _ = _adjoint_case(seed)
+    vals = [inner_product_field(p, t, store, window) for p in patches]
+    monkeypatch.setattr(adjoint_module, "GATHER_VALUES", budget)
+    for p, v in zip(patches, vals):
+        assert np.array_equal(inner_product_field(p, t, store, window), v)
+    for tol in (0.5, 1e-3):
+        want = np.zeros(h.level_shape(lay.level), dtype=bool)
+        for p, v in zip(patches, vals):
+            want[tuple(slice(l, hi + 1) for l, hi in zip(p.spec.lo, p.spec.hi))] = v > tol
+        got = np.zeros_like(want)
+        got[lay.interior_cells[1]] = AdjointFlagging(store, window, tol).evaluate(lay, t)
+        assert np.array_equal(got, want), tol
 
 
 def test_levels_flagged_at_one_t_share_one_envelope():
