@@ -171,16 +171,15 @@ def solve_adjoint(equation: EquationSet, boundary: BoundarySpec,
     # the reversed run outputs the forward times in descending order, so
     # each snapshot goes straight to its place in the ascending stack
     stack = np.empty((len(snap_times), patch.num_components, *grid_shape))
-    t_rev = []
+    slots = iter(stack[::-1])
 
     def on_output(t):
-        t_rev.append(t)
-        stack[len(stack) - len(t_rev)] = patch.interior()
+        next(slots)[...] = patch.interior()
 
     march(lambda: patch.time, lambda step: advance_hierarchy(hierarchy, 1, step, ctx),
           duration, select_dt(hierarchy, courant_target), snap_times, on_output)
 
-    times = (window.t_final - np.array(t_rev))[::-1].copy()
+    times = (window.t_final - snap_times)[::-1].copy()
     wet = wet_cells(patch.aux)[patch.spec.interior_slices()] if equation.is_swe else None
     return AdjointSnapshotStore(times=times, stack=stack, origin=origin, widths=(wx, wy),
                                 window=window, wet=wet)
@@ -212,6 +211,12 @@ def query_window_times(t, window: TimeWindow, store: AdjointSnapshotStore):
     if i > j and lo < hi:           # an inverted window: its two brackets
         return [int(i) - 1, int(j)]
     return list(range(lo, hi))
+
+
+def _flag_window(t, window: TimeWindow, store: AdjointSnapshotStore) -> list:
+    """`query_window_times`, but none past t_final (beyond its eps): nothing there reaches J."""
+    past = t > window.t_final + 1e-9 * max(store.dt_snap, abs(float(store.times[-1])), 1.0)
+    return [] if past else query_window_times(t, window, store)
 
 
 def _adjoint_dry_at(store: AdjointSnapshotStore, *coords):
@@ -253,7 +258,7 @@ def inner_product_field(patch: Patch, t: float, store: AdjointSnapshotStore,
     spec = patch.spec
     coords = np.ix_(*spec.cell_centers())
     best = window_max(field_stencil(store.grid, *coords), patch.interior(), store,
-                      query_window_times(t, window, store))
+                      _flag_window(t, window, store))
     best = np.where(wet_cells(patch.aux)[spec.interior_slices()], best, 0.0)
     dry = _adjoint_dry_at(store, *coords)
     if dry is not None:
@@ -295,7 +300,7 @@ class AdjointFlagging(FlaggingStrategy):
 
     def evaluate(self, lay, t):
         flags = np.zeros(len(lay.interior_cells[0]), dtype=bool)
-        window_idx = query_window_times(t, self.window, self.store)
+        window_idx = _flag_window(t, self.window, self.store)
         if not window_idx:
             return flags
         live, stencil = self._live(lay)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equations import wet
-from .geometry import Patch, PatchHierarchy, allowed_region_mask, in_box
+from .geometry import Patch, PatchHierarchy, allowed_region_mask, buffer_flags, in_box
 from .solver import BAND_CELLS, BoundarySpec, LevelLayout, alone, level_layout
 
 
@@ -125,20 +125,6 @@ def flag_cells(patch: Patch, strategy: FlaggingStrategy,
     """`level_flags` on the one-patch level of a free patch, at its time,
     over the patch's interior."""
     return level_flags(alone(patch), strategy, patch.time, regions).reshape(patch.spec.shape)
-
-
-def buffer_flags(flags: np.ndarray, buffer_cells: int) -> np.ndarray:
-    """Dilate a flag array by a box of radius buffer_cells (clipped to it)."""
-    if buffer_cells < 0:
-        raise ValueError("buffer_cells must be >= 0")
-    out = flags
-    for axis in range(out.ndim):        # one axis at a time: a box is separable
-        acc, pre = out.copy(), (slice(None),) * axis
-        for s in range(1, buffer_cells + 1):
-            acc[pre + (slice(None, -s),)] |= out[pre + (slice(s, None),)]
-            acc[pre + (slice(s, None),)] |= out[pre + (slice(None, -s),)]
-        out = acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +337,22 @@ def _block_sum(a: np.ndarray, nd: int) -> np.ndarray:
 
 
 @dataclass
+class TimingReport:
+    adjoint_wall_seconds: float = 0.0
+    forward_wall_seconds: float = 0.0
+    cell_steps: dict = field(default_factory=dict)        # level -> count
+    flagged_per_regrid: list = field(default_factory=list)
+    max_courant: dict = field(default_factory=dict)       # level -> largest step Courant number
+
+    @property
+    def total_cell_steps(self) -> int:
+        return int(sum(self.cell_steps.values()))
+
+    def fine_cell_steps(self) -> int:
+        return int(sum(v for k, v in self.cell_steps.items() if k >= 2))
+
+
+@dataclass
 class AmrContext:
     """Everything the recursive driver needs besides the hierarchy itself."""
 
@@ -364,14 +366,12 @@ class AmrContext:
     efficiency: float = 0.7
     max_patch_edge: int = 60
     step_counts: dict = field(default_factory=dict)
-    cell_steps: dict = field(default_factory=dict)
-    max_courant: dict = field(default_factory=dict)  # level -> largest step Courant number
-    flagged_per_regrid: list = field(default_factory=list)
+    timing: TimingReport = field(default_factory=TimingReport)    # the run's record
     on_level_advanced: object = None      # callback(hierarchy, level, t)
 
     def count_step(self, level: int, cells: int, courant: float):
-        self.cell_steps[level] = self.cell_steps.get(level, 0) + cells
-        self.max_courant[level] = max(self.max_courant.get(level, 0.0), courant)
+        self.timing.cell_steps[level] = self.timing.cell_steps.get(level, 0) + cells
+        self.timing.max_courant[level] = max(self.timing.max_courant.get(level, 0.0), courant)
 
 
 def fill_level_ghosts(hierarchy: PatchHierarchy, level: int, t: float,
@@ -380,7 +380,9 @@ def fill_level_ghosts(hierarchy: PatchHierarchy, level: int, t: float,
     then same-level copies, then physical boundary conditions."""
     lay = level_layout(hierarchy, level)
     if lay is not None:
-        lay.fill_ghosts(hierarchy, t, ctx.boundary, ctx.equation)
+        lay.fill_from_coarse(hierarchy, t)
+        lay.fill_same_level()
+        lay.fill_physical(ctx.boundary, ctx.equation, hierarchy.level_shape(level))
 
 
 def new_level(hierarchy: PatchHierarchy, level: int, boxes, ctx: AmrContext,
@@ -420,7 +422,7 @@ def regrid(hierarchy: PatchHierarchy, level: int, ctx: AmrContext,
             t = lay.time
             fill_level_ghosts(hierarchy, parent, t, ctx)
             flags = level_flags(lay, ctx.strategy, t, ctx.regions)
-            ctx.flagged_per_regrid.append(int(flags.sum()))
+            ctx.timing.flagged_per_regrid.append(int(flags.sum()))
             raw = np.zeros(hierarchy.level_shape(parent), dtype=bool)
             raw[lay.interior_cells[1]] = flags
             mask = np.zeros_like(raw)

@@ -17,14 +17,14 @@ import numpy as np
 
 from . import adjoint as adj
 from .amr import (AmrContext, DifferenceFlagging, EverywhereFlagging,
-                  SurfaceFlagging, advance_hierarchy, make_patch, regrid)
+                  SurfaceFlagging, TimingReport, advance_hierarchy, make_patch, regrid)
 from .adjoint import AdjointFlagging, AdjointSnapshotStore, ConfigurationError
 from .config import (ConfigError, RunConfig, build_equation, build_initial,
                      standing_mode_solution)
 from .geometry import PatchHierarchy, field_stencil
-from .runio import (CHUNK_BYTES, GaugeSeries, TableFormatError, TimingReport,
-                    format_rows, read_lines, read_rows, record_gauge, save_store,
-                    write_gauge, write_snapshot, write_timing)
+from .runio import (CHUNK_BYTES, GaugeSeries, TableFormatError, format_rows, read_lines,
+                    read_rows, record_gauge, save_store, write_gauge, write_snapshot,
+                    write_timing)
 from .solver import march, select_dt
 
 
@@ -139,6 +139,7 @@ def run_forward(cfg: RunConfig, strategy_name: str | None = None,
                      regions=cfg.regions, regrid_interval=cfg.regrid_interval,
                      buffer_cells=cfg.buffer_cells, efficiency=cfg.efficiency,
                      max_patch_edge=cfg.max_patch_edge,
+                     timing=TimingReport(adjoint_wall_seconds=adjoint_wall),
                      on_level_advanced=record)
     h = init_hierarchy(cfg, ctx)
     for level in range(1, h.num_levels() + 1 if gauges else 1):
@@ -150,8 +151,7 @@ def run_forward(cfg: RunConfig, strategy_name: str | None = None,
         os.makedirs(snap_dir, exist_ok=True)
         os.makedirs(os.path.join(out_dir, "gauges"), exist_ok=True)
 
-    result = ForwardResult(hierarchy=h, gauges=gauges,
-                           timing=TimingReport(adjoint_wall_seconds=adjoint_wall))
+    result = ForwardResult(hierarchy=h, gauges=gauges, timing=ctx.timing)
     index_lines = []
 
     def emit_output(t_out):
@@ -170,9 +170,6 @@ def run_forward(cfg: RunConfig, strategy_name: str | None = None,
     march(lambda: h.patches(1)[0].time, lambda step: advance_hierarchy(h, 1, step, ctx),
           cfg.t_final, dt, cfg.output_times, emit_output)
     result.timing.forward_wall_seconds = _time.perf_counter() - wall0
-    result.timing.cell_steps = dict(ctx.cell_steps)
-    result.timing.max_courant = dict(ctx.max_courant)
-    result.timing.flagged_per_regrid = list(ctx.flagged_per_regrid)
 
     if out_dir is not None:
         with open(os.path.join(snap_dir, "index.txt"), "w") as f:
@@ -231,7 +228,7 @@ def run_xt_map(cfg: RunConfig, store: AdjointSnapshotStore, threshold: float, si
         raise UnsupportedConfigError("the x-t map is defined for 1D configs only")
     _check_store(cfg, store)
     ctx = AmrContext(equation=build_equation(cfg), boundary=cfg.boundary,
-                     strategy=EverywhereFlagging(), limiter=cfg.limiter)
+                     strategy=None, limiter=cfg.limiter)    # one level: never flagged
     h = init_hierarchy(replace(cfg, max_levels=1, ratios=()), ctx)
     patch = h.patches(1)[0]
     xs, = patch.spec.cell_centers()

@@ -346,24 +346,27 @@ def level_mask(hierarchy: PatchHierarchy, level: int) -> np.ndarray:
     return mask
 
 
-def _erode(mask: np.ndarray) -> np.ndarray:
-    """Box erosion by one cell; domain edges count as inside."""
-    padded = np.pad(mask, 1, mode="edge")
-    out = np.ones_like(mask)
-    for shifts in np.ndindex(*(3,) * mask.ndim):
-        sl = tuple(slice(s, s + n) for s, n in zip(shifts, mask.shape))
-        out &= padded[sl]
+def buffer_flags(flags: np.ndarray, buffer_cells: int) -> np.ndarray:
+    """Dilate a flag array by a box of radius buffer_cells (clipped to it)."""
+    if buffer_cells < 0:
+        raise ValueError("buffer_cells must be >= 0")
+    out = flags
+    for axis in range(out.ndim):        # one axis at a time: a box is separable
+        acc, pre = out.copy(), (slice(None),) * axis
+        for s in range(1, buffer_cells + 1):
+            acc[pre + (slice(None, -s),)] |= out[pre + (slice(s, None),)]
+            acc[pre + (slice(s, None),)] |= out[pre + (slice(None, -s),)]
+        out = acc
     return out
 
 
 def allowed_region_mask(hierarchy: PatchHierarchy, parent_level: int) -> np.ndarray:
     """Cells of `parent_level` a child patch may cover under proper nesting.
 
-    The union of parent patches eroded by one cell, except that physical
-    domain boundaries need no buffer.
+    The union of parent patches eroded by one cell, as the complement of the
+    one-cell dilation of its complement; domain boundaries need no buffer.
     """
-    mask = level_mask(hierarchy, parent_level)
-    return _erode(mask)
+    return ~buffer_flags(~level_mask(hierarchy, parent_level), 1)
 
 
 def enforce_nesting(hierarchy: PatchHierarchy) -> list[NestingViolation]:

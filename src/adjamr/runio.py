@@ -17,6 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from .adjoint import AdjointSnapshotStore, TimeWindow
+from .amr import TimingReport
 from .geometry import PatchHierarchy, UniformField, apply_stencil
 from .solver import level_layout
 
@@ -342,22 +343,6 @@ def compare_gauges(a: GaugeSeries, b: GaugeSeries):
 
 # ---------------------------------------------------------------------------
 # Timing reports
-
-
-@dataclass
-class TimingReport:
-    adjoint_wall_seconds: float = 0.0
-    forward_wall_seconds: float = 0.0
-    cell_steps: dict = field(default_factory=dict)        # level -> count
-    flagged_per_regrid: list = field(default_factory=list)
-    max_courant: dict = field(default_factory=dict)       # level -> largest step Courant number
-
-    @property
-    def total_cell_steps(self) -> int:
-        return int(sum(self.cell_steps.values()))
-
-    def fine_cell_steps(self) -> int:
-        return int(sum(v for k, v in self.cell_steps.items() if k >= 2))
 
 
 def write_timing(report: TimingReport, path: str):

@@ -463,14 +463,6 @@ class LevelLayout:
         return tuple(o + (i + 0.5) * w for o, i, w in zip(
             spec.origin, self.interior_cells[1] if idx is None else idx, spec.widths))
 
-    def fill_ghosts(self, hierarchy: PatchHierarchy, t: float, boundary: BoundarySpec,
-                    equation: EquationSet):
-        """Coarse space-time interpolation, same-level copies, then the
-        physical boundary conditions."""
-        self.fill_from_coarse(hierarchy, t)
-        self.fill_same_level()
-        self.fill_physical(boundary, equation, hierarchy.level_shape(self.level))
-
     def fill_same_level(self):
         dst, src = self.same_level
         if len(dst):

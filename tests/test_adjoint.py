@@ -259,6 +259,23 @@ def test_inner_product_constant_dot():
     assert adjoint_flags(p, 0.5, store, 0.02).all()
 
 
+@pytest.mark.parametrize("t", [10.5, 11.5, 12.5, 13.5])
+def test_nothing_past_the_windows_end_reaches_J(t):
+    # a 21-snapshot store over [0, 20] and the window [5, 10]: past t_final
+    # the query lists the bracket snapshots, descending from t = 12.5 on
+    eq = const_eq_1d()
+    _, p = patch_1d(eq)
+    p.interior()[0] = 0.5
+    store, window = make_store(), TimeWindow(5.0, 10.0)
+    store.stack[:, 0] = 1.0
+    strategy = AdjointFlagging(store, window, 0.02)
+    p.layout.time = window.t_final
+    assert flag_cells(p, strategy).all()
+    p.layout.time = t
+    assert np.array_equal(inner_product_field(p, t, store, window), np.zeros(p.spec.shape))
+    assert not flag_cells(p, strategy).any()
+
+
 def test_inner_product_missing_store_errors():
     eq = const_eq_1d()
     _, p = patch_1d(eq)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adjamr import equations as eqs
 from adjamr.amr import (AmrContext, DifferenceFlagging,
-                        EverywhereFlagging, RefinementRegion,
+                        EverywhereFlagging, FlaggingStrategy, RefinementRegion,
                         SurfaceFlagging, advance_hierarchy, buffer_flags,
                         cluster, flag_cells, make_patch, new_level, regrid,
                         restrict_fine_to_coarse)
-from adjamr.geometry import Patch, PatchHierarchy, enforce_nesting
+from adjamr.geometry import (Patch, PatchHierarchy, allowed_region_mask, enforce_nesting,
+                             level_mask)
 from adjamr.solver import (BoundarySpec, fill_ghost_from_coarse, fill_ghost_physical,
                            sample_patch_material, step_patch)
 
@@ -770,6 +772,77 @@ def test_regrid_always_properly_nested_random_states():
             p.state[...] = rng.normal(size=p.state.shape)
         regrid(h, 3, ctx)
         assert enforce_nesting(h) == [], f"trial {trial}"
+
+
+class DrawnFlagging(FlaggingStrategy):
+    """Flags read by global index from one boolean array per level."""
+
+    name = "drawn"
+
+    def __init__(self, flags):
+        super().__init__()
+        self.flags = flags
+
+    def evaluate(self, lay, t):
+        return self.flags[lay.level][lay.interior_cells[1]]
+
+
+def erode_by_neighbourhood(mask):
+    """Box erosion by one cell, an AND over the 3^nd shifted copies of the
+    edge-padded mask: domain edges count as inside."""
+    padded = np.pad(mask, 1, mode="edge")
+    out = np.ones_like(mask)
+    for shifts in np.ndindex(*(3,) * mask.ndim):
+        out &= padded[tuple(slice(s, s + n) for s, n in zip(shifts, mask.shape))]
+    return out
+
+
+def box_slices(p):
+    return tuple(slice(l, hh + 1) for l, hh in zip(p.spec.lo, p.spec.hi))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_regrid_invariants_on_drawn_flags(data):
+    # proper nesting, every buffered flag the allowed region holds refined,
+    # disjoint children within max_patch_edge, and the allowed region the
+    # parent level eroded by its 3^nd neighbourhood
+    ndim = data.draw(st.integers(1, 2), label="ndim")
+    base = tuple(data.draw(st.lists(st.integers(8, 16), min_size=ndim, max_size=ndim),
+                           label="base"))
+    levels = data.draw(st.integers(2, 3), label="levels")
+    buffer = data.draw(st.integers(0, 3), label="buffer")
+    edge = data.draw(st.integers(4, 16), label="max_patch_edge")
+    h = PatchHierarchy(xlim=(0.0, 1.0), ylim=(0.0, 1.0) if ndim == 2 else None,
+                       base_shape=base, ratios=[2] * (levels - 1))
+    # every cell draws a percentile; those below the drawn density are flagged
+    density = data.draw(st.integers(0, 100), label="density %")
+    flags = {lev: data.draw(arrays(np.uint8, h.level_shape(lev), elements=st.integers(0, 99),
+                                   fill=st.nothing()), label=f"L{lev}") < density
+             for lev in range(1, levels)}
+    eq = const_ac2d() if ndim == 2 else eqs.Acoustics1D(eqs.AcousticsMaterialModel(
+        lambda x: np.full_like(x, 1.0), lambda x: np.full_like(x, 1.0)))
+    ctx = basic_ctx(eq, strategy=DrawnFlagging(flags), buffer_cells=buffer,
+                    max_patch_edge=edge)
+    h.levels = [[make_patch(h, 1, (0,) * ndim, tuple(n - 1 for n in base), ctx, 0.0)]]
+    regrid(h, 2, ctx)
+
+    assert enforce_nesting(h) == []
+    for parent in range(1, levels):
+        allowed = allowed_region_mask(h, parent)
+        assert np.array_equal(allowed, erode_by_neighbourhood(level_mask(h, parent)))
+        kids = np.zeros(h.level_shape(parent + 1), dtype=int)
+        for p in h.patches(parent + 1):
+            assert max(p.spec.shape) <= edge
+            kids[box_slices(p)] += 1
+        assert kids.max(initial=0) <= 1                 # child boxes are disjoint
+        # a coarse cell lies under a child box when its children do
+        under = (kids > 0).reshape([n for k in h.level_shape(parent) for n in (k, 2)])
+        under = under.any(axis=tuple(range(1, 2 * ndim, 2)))
+        buffered = np.zeros(h.level_shape(parent), dtype=bool)
+        for p in h.patches(parent):                     # the buffer stops at a patch edge
+            buffered[box_slices(p)] |= buffer_flags(flags[parent][box_slices(p)], buffer)
+        assert not (buffered & allowed & ~under).any()
 
 
 def test_coarse_ghost_fill_never_uses_a_stale_plan():

@@ -1001,5 +1001,5 @@ def test_timing_subcycling_cell_step_arithmetic():
     n = 3
     for _ in range(n):
         advance_hierarchy(h, 1, 0.01, ctx)
-    assert ctx.cell_steps[1] == n * 64
-    assert ctx.cell_steps[2] == 2 * n * 4 * 64
+    assert ctx.timing.cell_steps[1] == n * 64
+    assert ctx.timing.cell_steps[2] == 2 * n * 4 * 64

@@ -17,7 +17,7 @@ import pytest
 
 from adjamr import equations as eqs
 from adjamr import solver
-from adjamr.amr import AmrContext, EverywhereFlagging, new_level
+from adjamr.amr import AmrContext, EverywhereFlagging, fill_level_ghosts, new_level
 from adjamr.geometry import Patch, PatchHierarchy
 from adjamr.solver import (BoundarySpec, CflViolationError, LevelLayout,
                            NumericalBlowupError, fill_ghost_from_coarse, fill_ghost_physical,
@@ -43,6 +43,10 @@ def _swe():
 
 
 EQUATIONS = {"acoustics-2d": _acoustics, "swe-linear-2d": _swe}
+
+
+def _ctx(eq):
+    return AmrContext(equation=eq, boundary=BC, strategy=EverywhereFlagging())
 
 
 def _patches(h, eq, level, boxes, rng, t=0.0):
@@ -122,7 +126,7 @@ def _filled_pair(name):
     for c in copies:
         _physical_reference(c, eq, h.level_shape(2))
     lay = solver.level_layout(h, 2)
-    lay.fill_ghosts(h, 0.05, BC, eq)
+    fill_level_ghosts(h, 2, 0.05, _ctx(eq))
     return eq, h, lay, copies
 
 
@@ -197,8 +201,7 @@ def test_bad_wave_speed_names_the_patch_holding_it():
 
 
 def _new_level(eq, h, level, boxes, t=0.0):
-    return new_level(h, level, boxes, AmrContext(equation=eq, boundary=BC,
-                                                 strategy=EverywhereFlagging()), t)
+    return new_level(h, level, boxes, _ctx(eq), t)
 
 
 def test_a_patch_is_a_read_only_view_of_its_level():
@@ -255,7 +258,7 @@ def test_a_replaced_level_is_freed_without_the_cycle_collector():
     try:
         h.levels = [_new_level(eq, h, 1, [((0, 0), (7, 5))]), _new_level(eq, h, 2, BOXES)]
         lay = level_layout(h, 2)
-        lay.fill_ghosts(h, 0.0, BC, eq)          # its fill and step plans built
+        fill_level_ghosts(h, 2, 0.0, _ctx(eq))   # its fill and step plans built
         lay.step(1e-3, eq, "MC")
         state = weakref.ref(lay.state)
         del lay

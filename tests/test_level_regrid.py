@@ -16,8 +16,8 @@ from adjamr import equations as eqs
 from adjamr.adjoint import (AdjointFlagging, AdjointSnapshotStore, TimeWindow,
                             inner_product_field)
 from adjamr.amr import (AmrContext, DifferenceFlagging, EverywhereFlagging,
-                        RefinementRegion, SurfaceFlagging, flag_cells, level_flags,
-                        new_level, restrict_fine_to_coarse)
+                        RefinementRegion, SurfaceFlagging, fill_level_ghosts, flag_cells,
+                        level_flags, new_level, restrict_fine_to_coarse)
 from adjamr.geometry import Patch, PatchHierarchy
 from adjamr.solver import BoundarySpec, level_layout, sample_patch_material
 
@@ -167,7 +167,7 @@ def _three_patch_level(eq, seed=0):
     h.levels = [[coarse], new_level(h, 2, boxes, ctx, 0.05)]
     lay = level_layout(h, 2)
     lay.state[...] = rng.normal(size=lay.state.shape) * 0.3
-    lay.fill_ghosts(h, 0.05, BC, eq)
+    fill_level_ghosts(h, 2, 0.05, ctx)
     return h, lay
 
 
